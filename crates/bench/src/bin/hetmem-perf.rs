@@ -498,9 +498,18 @@ fn fleet_report(backends: usize, conns: usize, reqs: usize, depth: usize) -> (f6
     (overhead, body)
 }
 
+/// Loads a run file and its aggregate events/sec. A merged `report`
+/// file stands for its `current` run, so a committed `BENCH_*.json`
+/// report can be the next change's `--baseline` as it is.
 fn load_rate(path: &str) -> Result<(f64, JsonValue), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let doc = JsonValue::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?;
+    let mut doc = JsonValue::parse(text.trim()).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(run) = doc
+        .get("current")
+        .filter(|c| c.get("events_per_sec").is_some())
+    {
+        doc = run.clone();
+    }
     let rate = doc
         .get("events_per_sec")
         .and_then(JsonValue::as_f64)

@@ -44,13 +44,20 @@ use hetmem::TelemetrySink;
 ///
 /// # Panics
 ///
-/// Panics with a usage message on malformed flags.
+/// Panics with a usage message on malformed flags, including a
+/// `--workloads` name outside the catalog.
 pub fn opts_from_args() -> ExpOptions {
+    opts_from(std::env::args().skip(1))
+}
+
+/// Parses the common experiment flags from `args` (the command line
+/// without the program name); see [`opts_from_args`].
+fn opts_from(args: impl IntoIterator<Item = String>) -> ExpOptions {
     let mut opts = ExpOptions {
         verbose: true,
         ..ExpOptions::default()
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => {
@@ -78,7 +85,7 @@ pub fn opts_from_args() -> ExpOptions {
             }
             "--workloads" => {
                 let v = args.next().expect("--workloads needs a list");
-                opts.workloads = Some(v.split(',').map(str::to_string).collect());
+                opts.workloads = Some(parse_workloads(&v).unwrap_or_else(|e| panic!("{e}")));
             }
             "--quiet" => opts.verbose = false,
             "--threads" => {
@@ -119,6 +126,21 @@ pub fn opts_from_args() -> ExpOptions {
     opts
 }
 
+/// Parses a comma-separated `--workloads` list. Every name must be a
+/// catalog workload: an unknown one would otherwise select nothing and
+/// leave every table empty.
+fn parse_workloads(list: &str) -> Result<Vec<String>, String> {
+    let known = workloads::catalog::names();
+    let names: Vec<String> = list.split(',').map(str::to_string).collect();
+    match names.iter().find(|n| !known.contains(&n.as_str())) {
+        Some(bad) => Err(format!(
+            "unknown workload {bad:?} in --workloads; known workloads: {}",
+            known.join(", ")
+        )),
+        None => Ok(names),
+    }
+}
+
 /// The scaled-down options used inside Criterion benches so `cargo
 /// bench` finishes in minutes while still printing every series.
 pub fn bench_opts() -> ExpOptions {
@@ -135,6 +157,35 @@ pub fn bench_opts() -> ExpOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn workloads_flag_selects_catalog_names() {
+        let opts = opts_from(args(&["--quiet", "--workloads", "bfs,xsbench"]));
+        let names: Vec<_> = opts.specs().iter().map(|w| w.name).collect();
+        assert_eq!(names, ["bfs", "xsbench"]);
+    }
+
+    #[test]
+    fn unknown_workload_lists_the_catalog() {
+        let err = parse_workloads("bfs,no-such-app").unwrap_err();
+        assert!(err.contains("\"no-such-app\""), "{err}");
+        for name in workloads::catalog::names() {
+            assert!(err.contains(name), "{name} missing from: {err}");
+        }
+        assert!(parse_workloads("").is_err(), "an empty name is unknown too");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "unknown workload \"lbmm\" in --workloads; known workloads: backprop"
+    )]
+    fn unknown_workload_flag_fails() {
+        opts_from(args(&["--workloads", "lbm,lbmm"]));
+    }
 
     #[test]
     fn bench_opts_are_scaled_down() {

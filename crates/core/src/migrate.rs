@@ -207,6 +207,10 @@ impl PageMigrator for OnlineMigrator {
     }
 
     fn remap_stall(&mut self, now: u64, page: u64) -> u64 {
+        // Most requests land while no remap is pending: skip the hash.
+        if self.pending.is_empty() {
+            return 0;
+        }
         match self.pending.get(&page) {
             Some(&ready) => ready.saturating_sub(now),
             None => 0,

@@ -78,10 +78,16 @@ impl AddressTranslator for OsTranslator {
     fn translate(&mut self, addr: VirtAddr) -> Placement {
         let mut mm = self.mm.borrow_mut();
         let page = addr.page();
-        let faulted = mm.frame_of(page).is_none();
-        let frame = mm
-            .ensure_mapped(page)
-            .unwrap_or_else(|e| panic!("GPU fault on {addr} failed: {e}"));
+        // One page-table lookup on the (common) mapped path.
+        let (frame, faulted) = match mm.frame_of(page) {
+            Some(frame) => (frame, false),
+            None => {
+                let frame = mm
+                    .ensure_mapped(page)
+                    .unwrap_or_else(|e| panic!("GPU fault on {addr} failed: {e}"));
+                (frame, true)
+            }
+        };
         let zone = mm
             .allocator()
             .zone_of(frame)

@@ -3,8 +3,19 @@
 //! The simulator only needs hit/miss decisions and victim selection —
 //! data contents are never modeled — so the cache stores tags and LRU
 //! ordering only.
+//!
+//! Storage is two packed arrays indexed `set * ways + way`: one of tags,
+//! where [`INVALID`] marks an empty way, and one of LRU stamps, where an
+//! empty way holds 0 and a valid way the (nonzero) access tick of its
+//! last use. A tag search reads one contiguous run of `u64`s, and the
+//! victim is the first way with the smallest stamp — the first empty
+//! way if there is one, else the least recently used.
 
 use crate::config::CacheConfig;
+
+/// Tag sentinel for an invalid way. Tags are line indices shifted right
+/// by the set bits, and line indices (`addr / 128`) cannot reach it.
+const INVALID: u64 = u64::MAX;
 
 /// Result of a cache probe-and-update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,14 +37,6 @@ impl CacheOutcome {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    /// Higher = more recently used.
-    lru: u64,
-}
-
 /// A set-associative LRU cache over global line indices.
 ///
 /// # Examples
@@ -48,8 +51,12 @@ struct Way {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     cfg: CacheConfig,
-    sets: Vec<Way>,
+    /// Per-way tags; [`INVALID`] for an empty way.
+    tags: Vec<u64>,
+    /// Per-way LRU stamps; higher = more recently used, 0 = empty way.
+    stamps: Vec<u64>,
     set_mask: u64,
+    set_bits: u32,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -59,59 +66,74 @@ impl SetAssocCache {
     /// Creates an empty cache with the given geometry.
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
+        let set_mask = sets as u64 - 1;
         SetAssocCache {
             cfg,
-            sets: vec![
-                Way {
-                    tag: 0,
-                    valid: false,
-                    lru: 0,
-                };
-                sets * cfg.ways
-            ],
-            set_mask: sets as u64 - 1,
+            tags: vec![INVALID; sets * cfg.ways],
+            stamps: vec![0; sets * cfg.ways],
+            set_mask,
+            set_bits: set_mask.trailing_ones(),
             tick: 0,
             hits: 0,
             misses: 0,
         }
     }
 
+    /// The first way index of `line`'s set, and `line`'s tag.
+    #[inline]
+    fn locate(&self, line: u64) -> (usize, u64) {
+        let set = (line & self.set_mask) as usize;
+        (set * self.cfg.ways, line >> self.set_bits)
+    }
+
+    /// The way of set `base` holding `tag`, if any. A valid tag sits in
+    /// at most one way of its set, so the whole set is compared without
+    /// an early exit (branch-free for the small associativities used).
+    #[inline]
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        let mut found = None;
+        for (w, &t) in self.tags[base..base + self.cfg.ways].iter().enumerate() {
+            if t == tag {
+                found = Some(base + w);
+            }
+        }
+        found
+    }
+
     /// Probes for `line` and allocates it on a miss (LRU victim).
+    #[inline]
     pub fn access(&mut self, line: u64) -> CacheOutcome {
         self.tick += 1;
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.trailing_ones();
-        let ways = &mut self.sets[set * self.cfg.ways..(set + 1) * self.cfg.ways];
-
-        if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.lru = self.tick;
+        let (base, tag) = self.locate(line);
+        if let Some(way) = self.find(base, tag) {
+            self.stamps[way] = self.tick;
             self.hits += 1;
             return CacheOutcome::Hit;
         }
 
         self.misses += 1;
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.lru } else { 0 })
-            .expect("cache has at least one way");
-        let evicted = victim.valid.then(|| {
-            let shift = self.set_mask.trailing_ones();
-            (victim.tag << shift) | set as u64
-        });
-        victim.tag = tag;
-        victim.valid = true;
-        victim.lru = self.tick;
+        let stamps = &self.stamps[base..base + self.cfg.ways];
+        let mut victim = 0;
+        for (w, &stamp) in stamps.iter().enumerate().skip(1) {
+            if stamp < stamps[victim] {
+                victim = w;
+            }
+        }
+        let way = base + victim;
+        let old = self.tags[way];
+        let evicted = (old != INVALID).then(|| (old << self.set_bits) | (line & self.set_mask));
+        self.tags[way] = tag;
+        self.stamps[way] = self.tick;
         CacheOutcome::Miss { evicted }
     }
 
     /// Probes for `line` without allocating (used for write no-allocate).
+    #[inline]
     pub fn probe(&mut self, line: u64) -> bool {
         self.tick += 1;
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.trailing_ones();
-        let ways = &mut self.sets[set * self.cfg.ways..(set + 1) * self.cfg.ways];
-        if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.lru = self.tick;
+        let (base, tag) = self.locate(line);
+        if let Some(way) = self.find(base, tag) {
+            self.stamps[way] = self.tick;
             self.hits += 1;
             true
         } else {
@@ -122,11 +144,10 @@ impl SetAssocCache {
 
     /// Invalidates `line` if present; returns whether it was present.
     pub fn invalidate(&mut self, line: u64) -> bool {
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.trailing_ones();
-        let ways = &mut self.sets[set * self.cfg.ways..(set + 1) * self.cfg.ways];
-        if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.valid = false;
+        let (base, tag) = self.locate(line);
+        if let Some(way) = self.find(base, tag) {
+            self.tags[way] = INVALID;
+            self.stamps[way] = 0;
             true
         } else {
             false
@@ -223,6 +244,18 @@ mod tests {
             CacheOutcome::Miss { evicted: Some(v) } => assert_eq!(v, 6),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn invalidated_way_is_refilled_first() {
+        let mut c = tiny();
+        // Set 0 holds 0 and 4; invalidating the more recent one frees
+        // its way, which the next miss must take over the LRU line 0.
+        c.access(0);
+        c.access(4);
+        assert!(c.invalidate(4));
+        assert_eq!(c.access(8), CacheOutcome::Miss { evicted: None });
+        assert!(c.access(0).is_hit());
     }
 
     #[test]

@@ -243,7 +243,9 @@ impl SimConfig {
     /// # Panics
     ///
     /// Panics on a config that cannot be simulated (no SMs, no pools,
-    /// a pool with no channels, or zero warps).
+    /// a pool with no channels, no banks or more than
+    /// [`MAX_BANKS`](crate::dram::MAX_BANKS) banks per channel, or zero
+    /// warps).
     pub fn validate(&self) {
         assert!(self.num_sms > 0, "need at least one SM");
         assert!(self.max_warps_per_sm > 0, "need at least one warp per SM");
@@ -252,6 +254,13 @@ impl SimConfig {
         for p in &self.pools {
             assert!(p.channels > 0, "pool {} has no channels", p.name);
             assert!(p.banks_per_channel > 0, "pool {} has no banks", p.name);
+            assert!(
+                p.banks_per_channel <= crate::dram::MAX_BANKS,
+                "pool {} has {} banks per channel; the DRAM scheduler supports at most {}",
+                p.name,
+                p.banks_per_channel,
+                crate::dram::MAX_BANKS
+            );
         }
     }
 }
@@ -281,6 +290,21 @@ mod tests {
         assert_eq!(cfg.pools[1].bandwidth.gbps(), 80.0);
         assert_eq!(cfg.pools[1].extra_latency, 100);
         assert_eq!(cfg.total_bandwidth().gbps(), 280.0);
+    }
+
+    #[test]
+    fn validate_accepts_the_widest_bank_mask() {
+        let mut cfg = SimConfig::paper_baseline();
+        cfg.pools[0].banks_per_channel = crate::dram::MAX_BANKS;
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "has 65 banks per channel; the DRAM scheduler supports at most 64")]
+    fn validate_rejects_more_banks_than_the_stale_mask_holds() {
+        let mut cfg = SimConfig::paper_baseline();
+        cfg.pools[1].banks_per_channel = 65;
+        cfg.validate();
     }
 
     #[test]

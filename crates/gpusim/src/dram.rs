@@ -15,6 +15,14 @@
 //! The channel is driven by the simulator's event loop: [`DramChannel::enqueue`]
 //! returns a tick time when the idle channel needs a kick, and each
 //! [`DramChannel::tick`] serves one request and reports when to tick next.
+//!
+//! Scheduling runs on integers. Enqueue times and [`DramTiming`] are
+//! whole cycles, so every request's data-ready time is too; only the
+//! data-bus cursor is fractional (a burst lasts a non-integral number of
+//! SM cycles). Each bank caches its FR-FCFS winner as a `(data_ready,
+//! seq)` key, a bitmask marks the banks whose cached winner a serve has
+//! invalidated, and a tick rescans only those before taking the
+//! channel-wide minimum key.
 
 use std::collections::VecDeque;
 
@@ -30,13 +38,62 @@ pub const LINES_PER_ROW: u64 = 16;
 /// would also make simulation quadratic when posted writes back up.
 const SCHED_WINDOW: usize = 16;
 
+/// Most banks a channel may have: one bit each in the stale-bank mask.
+pub const MAX_BANKS: u32 = u64::BITS;
+
+/// Division by a divisor fixed at construction: a shift and a mask when
+/// it is a power of two (every catalog geometry), hardware division
+/// otherwise. Results are identical either way.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Divisor {
+    d: u64,
+    shift: u32,
+    pow2: bool,
+}
+
+impl Divisor {
+    /// A divisor of `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is zero.
+    pub(crate) fn new(d: u64) -> Self {
+        assert!(d > 0, "division by zero");
+        Divisor {
+            d,
+            shift: d.trailing_zeros(),
+            pow2: d.is_power_of_two(),
+        }
+    }
+
+    /// `n / d`.
+    #[inline]
+    pub(crate) fn div(self, n: u64) -> u64 {
+        if self.pow2 {
+            n >> self.shift
+        } else {
+            n / self.d
+        }
+    }
+
+    /// `n % d`.
+    #[inline]
+    pub(crate) fn rem(self, n: u64) -> u64 {
+        if self.pow2 {
+            n & (self.d - 1)
+        } else {
+            n % self.d
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, Default)]
 struct Bank {
     open_row: Option<u64>,
     /// Earliest time the next activate may issue (tRC after the last).
-    next_activate: f64,
+    next_activate: u64,
     /// Time the currently open row finished opening.
-    row_ready: f64,
+    row_ready: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -53,9 +110,11 @@ struct QueuedReq {
 /// (row state and queue positions change); an enqueue is folded in
 /// incrementally — the scan's min over one more entry — so between
 /// serves the cached value always equals what a fresh scan would return.
+/// An empty bank's winner is [`BankCand::NONE`], whose key loses to
+/// every real request.
 #[derive(Debug, Clone, Copy)]
 struct BankCand {
-    data_ready: f64,
+    data_ready: u64,
     seq: u64,
     pos: usize,
     hit: bool,
@@ -65,6 +124,24 @@ struct BankCand {
     /// the cached winner would *diverge* from the scan — they are
     /// ignored instead.
     sealed: bool,
+}
+
+impl BankCand {
+    const NONE: BankCand = BankCand {
+        data_ready: u64::MAX,
+        seq: u64::MAX,
+        pos: 0,
+        hit: false,
+        sealed: false,
+    };
+
+    /// FR-FCFS order as one integer: earliest data delivery first, then
+    /// the oldest request. Seqs are unique, so keys of real requests
+    /// never tie.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.data_ready) << 64) | u128::from(self.seq)
+    }
 }
 
 /// Outcome of serving one request.
@@ -124,10 +201,15 @@ impl ChannelStats {
 pub struct DramChannel {
     timing: DramTiming,
     burst: f64,
+    /// Bank count, for the line → (bank, row) split.
+    nbanks: Divisor,
     banks: Vec<Bank>,
     queues: Vec<VecDeque<QueuedReq>>,
-    /// Per-bank cached scheduling winner; `None` = stale or empty queue.
-    cand: Vec<Option<BankCand>>,
+    /// Per-bank cached scheduling winner; valid unless the bank's bit
+    /// is set in `stale`.
+    cand: Vec<BankCand>,
+    /// Banks served from since their last scan.
+    stale: u64,
     /// Total requests across all bank queues.
     queued: usize,
     bus_free_at: f64,
@@ -142,7 +224,7 @@ impl DramChannel {
     /// # Panics
     ///
     /// Panics if the pool's per-channel bandwidth is zero (an absent pool
-    /// must not receive traffic).
+    /// must not receive traffic) or it has more than [`MAX_BANKS`] banks.
     pub fn new(pool: &PoolConfig, sm_clock_ghz: f64) -> Self {
         let burst = pool.burst_cycles(sm_clock_ghz);
         assert!(
@@ -150,13 +232,20 @@ impl DramChannel {
             "channel bandwidth must be positive (pool {})",
             pool.name
         );
+        assert!(
+            pool.banks_per_channel <= MAX_BANKS,
+            "pool {} has more than {MAX_BANKS} banks per channel",
+            pool.name
+        );
         let banks = pool.banks_per_channel as usize;
         DramChannel {
             timing: pool.timing,
             burst,
+            nbanks: Divisor::new(banks as u64),
             banks: vec![Bank::default(); banks],
             queues: vec![VecDeque::new(); banks],
-            cand: vec![None; banks],
+            cand: vec![BankCand::NONE; banks],
+            stale: 0,
             queued: 0,
             bus_free_at: 0.0,
             ticking: false,
@@ -165,12 +254,14 @@ impl DramChannel {
         }
     }
 
+    #[inline]
     fn bank_of(&self, line: u64) -> usize {
-        ((line / LINES_PER_ROW) % self.banks.len() as u64) as usize
+        self.nbanks.rem(line / LINES_PER_ROW) as usize
     }
 
+    #[inline]
     fn row_of(&self, line: u64) -> u64 {
-        line / (LINES_PER_ROW * self.banks.len() as u64)
+        self.nbanks.div(line / LINES_PER_ROW)
     }
 
     /// Enqueues an access to channel-local line `line` at time `now`.
@@ -178,6 +269,7 @@ impl DramChannel {
     /// Returns `Some(tick_time)` when the channel was idle and the caller
     /// must schedule a [`DramChannel::tick`] at that time; `None` when a
     /// tick is already pending.
+    #[inline]
     pub fn enqueue(&mut self, now: u64, line: u64, read: bool) -> Option<u64> {
         let bank = self.bank_of(line);
         let row = self.row_of(line);
@@ -193,33 +285,18 @@ impl DramChannel {
         self.seq += 1;
         self.queued += 1;
         // Fold the new request into the bank's cached winner where that
-        // is exact; a full rescan is only ever needed after a serve.
-        match self.cand[bank] {
-            // A sealed prefix means a fresh scan would stop before
-            // reaching the appended request: the winner is unchanged.
-            Some(c) if c.sealed => {}
-            // Every scanned entry was a miss and the window has room, so
-            // a fresh scan = min(cached winner, the new entry). Seq ties
-            // are impossible (seq is unique and increasing).
-            Some(c) => {
-                let new = self.rate(bank, &req, old_len);
-                let mut merged = if (new.data_ready, new.seq) < (c.data_ready, c.seq) {
-                    new
-                } else {
-                    c
-                };
-                merged.sealed = new.hit || old_len + 1 >= SCHED_WINDOW;
-                self.cand[bank] = Some(merged);
-            }
-            // Empty queue: the new request is the whole scan.
-            None if old_len == 0 => {
-                let mut new = self.rate(bank, &req, 0);
-                new.sealed = new.hit;
-                self.cand[bank] = Some(new);
-            }
-            // Stale after a serve from this bank: row state changed, so
-            // the queue must be rescanned at the next tick.
-            None => {}
+        // is exact. A stale bank is rescanned at the next tick anyway,
+        // and a sealed prefix means a fresh scan would stop before
+        // reaching the appended request: the winner is unchanged.
+        let c = self.cand[bank];
+        if self.stale & (1 << bank) == 0 && !c.sealed {
+            // Every scanned entry was a miss (or the queue was empty) and
+            // the window has room, so a fresh scan = min(cached winner,
+            // the new entry).
+            let new = self.rate(bank, &req, old_len);
+            let mut merged = if new.key() < c.key() { new } else { c };
+            merged.sealed = new.hit || old_len + 1 >= SCHED_WINDOW;
+            self.cand[bank] = merged;
         }
         if self.ticking {
             None
@@ -237,20 +314,17 @@ impl DramChannel {
     #[inline]
     fn rate(&self, b: usize, req: &QueuedReq, pos: usize) -> BankCand {
         let bank = &self.banks[b];
-        let t = req.enq as f64;
+        let t = req.enq;
         let (ready, hit) = if bank.open_row == Some(req.row) {
             (t.max(bank.row_ready), true)
         } else {
             let activate = t.max(bank.next_activate);
-            (
-                activate + self.timing.rp as f64 + self.timing.rcd as f64,
-                false,
-            )
+            (activate + self.timing.rp + self.timing.rcd, false)
         };
         let col = if req.read {
-            self.timing.cl as f64
+            self.timing.cl
         } else {
-            self.timing.wr as f64
+            self.timing.wr
         };
         BankCand {
             data_ready: ready + col,
@@ -263,13 +337,13 @@ impl DramChannel {
 
     /// The FR-FCFS scan of one bank's queue: earliest possible data
     /// delivery wins; ties go to the oldest request.
-    fn scan_bank(&self, b: usize) -> Option<BankCand> {
-        let mut best: Option<BankCand> = None;
+    fn scan_bank(&self, b: usize) -> BankCand {
+        let mut best = BankCand::NONE;
         let mut hit_found = false;
         for (pos, req) in self.queues[b].iter().take(SCHED_WINDOW).enumerate() {
             let cand = self.rate(b, req, pos);
-            if best.is_none_or(|c| (cand.data_ready, cand.seq) < (c.data_ready, c.seq)) {
-                best = Some(cand);
+            if cand.key() < best.key() {
+                best = cand;
             }
             if cand.hit {
                 // Within a bank, the first row hit is the best row hit
@@ -279,9 +353,7 @@ impl DramChannel {
                 break;
             }
         }
-        if let Some(c) = &mut best {
-            c.sealed = hit_found || self.queues[b].len() >= SCHED_WINDOW;
-        }
+        best.sealed = hit_found || self.queues[b].len() >= SCHED_WINDOW;
         best
     }
 
@@ -294,26 +366,36 @@ impl DramChannel {
     /// construction — which is why `tick` takes no time argument.
     ///
     /// Returns `None` if no request is pending (a stale tick).
+    #[inline]
     pub fn tick(&mut self) -> Option<Served> {
         if self.queued == 0 {
             return None;
         }
-        // Refresh stale per-bank candidates (only banks touched since
-        // their last scan), then pick the channel-wide winner.
-        let mut best: Option<(f64, u64, usize)> = None;
-        for b in 0..self.banks.len() {
-            if self.cand[b].is_none() && !self.queues[b].is_empty() {
-                self.cand[b] = self.scan_bank(b);
-            }
-            if let Some(c) = self.cand[b] {
-                if best.is_none_or(|(dr, seq, _)| (c.data_ready, c.seq) < (dr, seq)) {
-                    best = Some((c.data_ready, c.seq, b));
-                }
+        // Refresh the banks served from since their last scan, then pick
+        // the channel-wide winner: the first minimum key.
+        let mut stale = std::mem::take(&mut self.stale);
+        while stale != 0 {
+            let b = stale.trailing_zeros() as usize;
+            self.cand[b] = self.scan_bank(b);
+            stale &= stale - 1;
+        }
+        let mut bank_idx = 0;
+        let mut best = self.cand[0].key();
+        for (b, c) in self.cand.iter().enumerate().skip(1) {
+            let key = c.key();
+            if key < best {
+                best = key;
+                bank_idx = b;
             }
         }
 
-        let (data_ready, _, bank_idx) = best.expect("queued > 0");
-        let BankCand { pos, hit, .. } = self.cand[bank_idx].take().expect("winning bank");
+        let BankCand {
+            data_ready,
+            pos,
+            hit,
+            ..
+        } = self.cand[bank_idx];
+        self.stale |= 1 << bank_idx;
         let req = self.queues[bank_idx].remove(pos).expect("position valid");
         self.queued -= 1;
 
@@ -322,13 +404,14 @@ impl DramChannel {
         } else {
             self.stats.row_misses += 1;
             let bank = &mut self.banks[bank_idx];
-            let activate = (req.enq as f64).max(bank.next_activate);
+            let activate = req.enq.max(bank.next_activate);
             bank.open_row = Some(req.row);
-            bank.next_activate = activate + self.timing.rc as f64;
-            bank.row_ready = activate + self.timing.rp as f64 + self.timing.rcd as f64;
+            bank.next_activate = activate + self.timing.rc;
+            bank.row_ready = activate + self.timing.rp + self.timing.rcd;
         }
 
-        let data_start = data_ready.max(self.bus_free_at);
+        // Integral cycle counts stay exact in f64 far beyond any run.
+        let data_start = (data_ready as f64).max(self.bus_free_at);
         let data_end = data_start + self.burst;
         self.bus_free_at = data_end;
         self.stats.bytes += LINE_SIZE as u64;
@@ -535,6 +618,18 @@ mod tests {
         let lg = drain_channel(&mut g, &accesses);
         let ld = drain_channel(&mut d, &accesses);
         assert!(ld > lg, "DDR4 stream must take longer ({ld} vs {lg})");
+    }
+
+    #[test]
+    fn divisor_matches_hardware_division() {
+        let mut rng = hmtypes::SplitMix64::new(5);
+        for d in [1u64, 2, 3, 7, 12, 16, 48, 64, 1 << 40, u64::MAX] {
+            let div = Divisor::new(d);
+            for n in (0..2000).map(|_| rng.next_u64() >> rng.next_below(64)) {
+                assert_eq!(div.div(n), n / d, "{n} / {d}");
+                assert_eq!(div.rem(n), n % d, "{n} % {d}");
+            }
+        }
     }
 
     #[test]

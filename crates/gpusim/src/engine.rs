@@ -3,8 +3,15 @@
 //! A bucketed **timing wheel** for the near future plus a binary-heap
 //! overflow for far-future events. Simulator latencies are a few hundred
 //! cycles, so nearly every event lands in the wheel, where scheduling is
-//! a ring-buffer push and popping is a bitmap scan — no comparison-heap
+//! a linked-list append and popping is a bitmap scan — no comparison-heap
 //! traffic on the hot path.
+//!
+//! Wheel events live in one **node slab**. Each bucket is a singly
+//! linked FIFO threaded through the slab by `u32` indices (head and tail
+//! per bucket), and popped nodes go onto a LIFO free list. A schedule
+//! therefore writes the node the last pop freed (still cache-hot), and a
+//! pop reads the bucket's head. The working set is one small node per
+//! pending event, in a single allocation.
 //!
 //! Ordering is exactly the classic `(time, sequence)` heap contract:
 //! events fire in time order, FIFO among equal timestamps, fully
@@ -21,7 +28,7 @@
 //!   heap first on timestamp ties therefore *is* FIFO order.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Size of the timing wheel: events within this many cycles of `now` go
 /// to O(1) buckets, the rest to the overflow heap. Power of two.
@@ -29,6 +36,16 @@ const WHEEL_BUCKETS: u64 = 4096;
 const WHEEL_MASK: u64 = WHEEL_BUCKETS - 1;
 /// Occupancy-bitmap words (64 bits each) covering the buckets.
 const BITMAP_WORDS: usize = (WHEEL_BUCKETS / 64) as usize;
+/// Null slab index: end of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry. `event` is `None` exactly while the node is on the
+/// free list; `next` links the node's bucket list or the free list.
+#[derive(Debug)]
+struct Node<E> {
+    event: Option<E>,
+    next: u32,
+}
 
 /// An event calendar over event payloads of type `E`.
 ///
@@ -49,11 +66,15 @@ const BITMAP_WORDS: usize = (WHEEL_BUCKETS / 64) as usize;
 /// ```
 #[derive(Debug)]
 pub struct Calendar<E> {
-    /// `WHEEL_BUCKETS` ring buffers; bucket `time & WHEEL_MASK` holds the
-    /// events at the unique in-window timestamp mapping there. The
-    /// deques keep their capacity across wheel revolutions, so steady
-    /// state allocates nothing.
-    buckets: Vec<VecDeque<E>>,
+    /// Wheel event storage; grows to the peak number of pending wheel
+    /// events and is recycled through `free` from then on.
+    nodes: Vec<Node<E>>,
+    /// Head of the LIFO free list of `nodes`.
+    free: u32,
+    /// Per bucket `[head, tail]` node indices; `head == NIL` when empty.
+    /// Bucket `time & WHEEL_MASK` holds the events at the unique
+    /// in-window timestamp mapping there.
+    ends: Box<[[u32; 2]; WHEEL_BUCKETS as usize]>,
     /// One bit per bucket: does it hold events?
     occupied: [u64; BITMAP_WORDS],
     /// One bit per `occupied` word: is the word nonzero?
@@ -101,10 +122,10 @@ impl<E> Ord for EventBox<E> {
 impl<E> Calendar<E> {
     /// Creates an empty calendar at time 0.
     pub fn new() -> Self {
-        let mut buckets = Vec::with_capacity(WHEEL_BUCKETS as usize);
-        buckets.resize_with(WHEEL_BUCKETS as usize, VecDeque::new);
         Calendar {
-            buckets,
+            nodes: Vec::new(),
+            free: NIL,
+            ends: Box::new([[NIL; 2]; WHEEL_BUCKETS as usize]),
             occupied: [0; BITMAP_WORDS],
             summary: 0,
             wheel_len: 0,
@@ -119,13 +140,21 @@ impl<E> Calendar<E> {
     ///
     /// Scheduling in the past is clamped to the current time (the event
     /// fires "now", after already-pending events at this time).
+    #[inline]
     pub fn schedule(&mut self, at: u64, event: E) {
         let at = at.max(self.now);
         if at - self.now < WHEEL_BUCKETS {
+            let idx = self.alloc(event);
             let b = (at & WHEEL_MASK) as usize;
-            self.buckets[b].push_back(event);
-            self.occupied[b >> 6] |= 1u64 << (b & 63);
-            self.summary |= 1u64 << (b >> 6);
+            let [head, tail] = self.ends[b];
+            if head == NIL {
+                self.ends[b] = [idx, idx];
+                self.occupied[b >> 6] |= 1u64 << (b & 63);
+                self.summary |= 1u64 << (b >> 6);
+            } else {
+                self.nodes[tail as usize].next = idx;
+                self.ends[b][1] = idx;
+            }
             self.wheel_len += 1;
         } else {
             self.heap.push(Reverse((at, self.seq, EventBox(event))));
@@ -133,14 +162,40 @@ impl<E> Calendar<E> {
         self.seq += 1;
     }
 
+    /// Stores `event` in the most recently freed node (or a new one) and
+    /// returns its index, unlinked.
+    #[inline]
+    fn alloc(&mut self, event: E) -> u32 {
+        let idx = self.free;
+        if idx == NIL {
+            let idx = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("calendar slab exceeds u32 indices");
+            self.nodes.push(Node {
+                event: Some(event),
+                next: NIL,
+            });
+            idx
+        } else {
+            let node = &mut self.nodes[idx as usize];
+            self.free = node.next;
+            node.event = Some(event);
+            node.next = NIL;
+            idx
+        }
+    }
+
     /// Schedules `event` `delta` cycles from now — the common hot-path
     /// form (`schedule(now + delta, ..)` inside an event handler).
+    #[inline]
     pub fn schedule_in(&mut self, delta: u64, event: E) {
         self.schedule(self.now + delta, event);
     }
 
     /// First occupied bucket index at or (circularly) after `start`,
     /// via the two-level bitmap. `None` when the wheel is empty.
+    #[inline]
     fn next_occupied(&self, start: usize) -> Option<usize> {
         if self.wheel_len == 0 {
             return None;
@@ -174,6 +229,7 @@ impl<E> Calendar<E> {
     }
 
     /// Timestamp of the earliest wheel event, if any.
+    #[inline]
     fn wheel_next_time(&self) -> Option<u64> {
         let start = (self.now & WHEEL_MASK) as usize;
         let b = self.next_occupied(start)?;
@@ -183,6 +239,7 @@ impl<E> Calendar<E> {
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
+    #[inline]
     pub fn pop(&mut self) -> Option<(u64, E)> {
         let wheel_t = self.wheel_next_time();
         let heap_t = self.heap.peek().map(|Reverse((t, ..))| *t);
@@ -203,10 +260,16 @@ impl<E> Calendar<E> {
         Some((at, event))
     }
 
+    #[inline]
     fn pop_wheel(&mut self, at: u64) -> (u64, E) {
         let b = (at & WHEEL_MASK) as usize;
-        let event = self.buckets[b].pop_front().expect("occupied bucket");
-        if self.buckets[b].is_empty() {
+        let idx = self.ends[b][0];
+        let node = &mut self.nodes[idx as usize];
+        let event = node.event.take().expect("occupied bucket");
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = idx;
+        self.ends[b][0] = next;
+        if next == NIL {
             self.occupied[b >> 6] &= !(1u64 << (b & 63));
             if self.occupied[b >> 6] == 0 {
                 self.summary &= !(1u64 << (b >> 6));
@@ -247,6 +310,12 @@ impl<E> Calendar<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Slab nodes allocated so far: the peak number of events that were
+    /// pending in the wheel at once.
+    pub fn slab_len(&self) -> usize {
+        self.nodes.len()
     }
 }
 
@@ -386,6 +455,28 @@ mod tests {
             assert_eq!(cal.pop(), Some((at, id)));
         }
         assert_eq!(cal.pop(), None);
+    }
+
+    #[test]
+    fn slab_reuses_freed_nodes() {
+        // A steady schedule-one/pop-one stream never holds more than two
+        // events, so the slab must stay at two nodes however long it runs.
+        let mut cal = Calendar::new();
+        cal.schedule(0, 0u64);
+        for i in 1..10_000u64 {
+            cal.schedule_in(i % 7, i);
+            cal.pop();
+        }
+        assert_eq!(cal.slab_len(), 2);
+        // The most recently freed node is written first (LIFO).
+        cal.pop();
+        let freed = cal.free;
+        assert_ne!(freed, NIL);
+        cal.schedule_in(3, 99);
+        assert_eq!(
+            cal.ends[((cal.now() + 3) & WHEEL_MASK) as usize],
+            [freed, freed]
+        );
     }
 
     #[test]

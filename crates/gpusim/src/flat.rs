@@ -8,9 +8,11 @@
 //!
 //! * [`WaiterMap`]: an open-addressed multimap (`u64` key → list of
 //!   `Copy` waiters) with Fibonacci hashing, linear probing, and
-//!   backward-shift deletion. Waiter lists are **recycled**: removal
-//!   swaps the list into a caller-held scratch buffer, so the steady
-//!   state allocates nothing.
+//!   backward-shift deletion. A key's **first waiter lives inline** in
+//!   its slot, so the common single-waiter miss touches one slot and
+//!   nothing else. Only a merge (a second waiter for the same key)
+//!   spills the rest into a side list; spill lists are recycled through
+//!   a free list, so the steady state allocates nothing.
 //! * [`PageCounter`]: per-page access counts as a dense `Vec<u64>`
 //!   indexed by page number, with a `HashMap` spill for pathologically
 //!   high page numbers.
@@ -26,11 +28,23 @@ use hmtypes::PageNum;
 /// (`addr / 128`), which cannot reach `u64::MAX`.
 const EMPTY: u64 = u64::MAX;
 
+/// Spill-list sentinel: the slot's key has only its inline waiter.
+const NO_SPILL: u32 = u32::MAX;
+
 /// Fibonacci-hashing multiplier (2^64 / φ).
 const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// One open-addressing slot: the key, its first waiter, and the index
+/// of the spill list holding any later waiters.
+#[derive(Debug, Clone, Copy)]
+struct Slot<W> {
+    key: u64,
+    first: W,
+    spill: u32,
+}
+
 /// Open-addressed multimap from `u64` keys to small lists of `Copy`
-/// waiters.
+/// waiters, in insertion order per key.
 ///
 /// # Examples
 ///
@@ -39,7 +53,8 @@ const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// let mut map: WaiterMap<u32> = WaiterMap::with_key_capacity(16);
 /// assert!(map.push(7, 1)); // new key
-/// assert!(!map.push(7, 2)); // merged into the existing list
+/// assert!(map.push_if_present(7, 2)); // merged into the existing list
+/// assert!(!map.push_if_present(8, 3)); // absent key: nothing stored
 /// assert_eq!(map.len(), 1);
 ///
 /// let mut scratch = Vec::new();
@@ -48,10 +63,13 @@ const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// assert!(map.is_empty());
 /// ```
 #[derive(Debug)]
-pub struct WaiterMap<W: Copy> {
-    keys: Vec<u64>,
-    /// Parallel to `keys`; empty (but capacity-bearing) for empty slots.
-    vals: Vec<Vec<W>>,
+pub struct WaiterMap<W: Copy + Default> {
+    slots: Vec<Slot<W>>,
+    /// Waiters after the first, for keys that merged; indexed by
+    /// `Slot::spill`. Emptied lists keep their capacity.
+    spills: Vec<Vec<W>>,
+    /// Indices of empty `spills` lists, reused LIFO.
+    free_spills: Vec<u32>,
     /// Number of distinct keys present.
     len: usize,
     mask: usize,
@@ -59,19 +77,31 @@ pub struct WaiterMap<W: Copy> {
     shift: u32,
 }
 
-impl<W: Copy> WaiterMap<W> {
+impl<W: Copy + Default> WaiterMap<W> {
     /// Creates a map sized so that `keys` distinct keys stay under a
     /// 50% load factor (capacity is the next power of two above
     /// `2 * keys`). The map still grows if the estimate is exceeded.
     pub fn with_key_capacity(keys: usize) -> Self {
         let cap = (keys.max(4) * 2).next_power_of_two();
         WaiterMap {
-            keys: vec![EMPTY; cap],
-            vals: std::iter::repeat_with(Vec::new).take(cap).collect(),
+            slots: Self::empty_slots(cap),
+            spills: Vec::new(),
+            free_spills: Vec::new(),
             len: 0,
             mask: cap - 1,
             shift: 64 - cap.trailing_zeros(),
         }
+    }
+
+    fn empty_slots(cap: usize) -> Vec<Slot<W>> {
+        vec![
+            Slot {
+                key: EMPTY,
+                first: W::default(),
+                spill: NO_SPILL,
+            };
+            cap
+        ]
     }
 
     #[inline]
@@ -89,66 +119,92 @@ impl<W: Copy> WaiterMap<W> {
         self.len == 0
     }
 
+    /// The slot holding `key`, or `Err` with the empty slot that ends
+    /// its probe chain.
+    #[inline]
+    fn find(&self, key: u64) -> Result<usize, usize> {
+        debug_assert_ne!(key, EMPTY, "key sentinel");
+        let mut i = self.home(key);
+        loop {
+            let k = self.slots[i].key;
+            if k == key {
+                return Ok(i);
+            }
+            if k == EMPTY {
+                return Err(i);
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+
+    /// Appends `w` behind slot `i`'s existing waiters.
+    #[inline]
+    fn merge(&mut self, i: usize, w: W) {
+        let mut spill = self.slots[i].spill;
+        if spill == NO_SPILL {
+            spill = self.free_spills.pop().unwrap_or_else(|| {
+                self.spills.push(Vec::new());
+                u32::try_from(self.spills.len() - 1).expect("spill lists fit u32 indices")
+            });
+            self.slots[i].spill = spill;
+        }
+        self.spills[spill as usize].push(w);
+    }
+
     /// Appends `w` to `key`'s waiter list, creating the list if the key
     /// is new. Returns `true` iff the key was newly inserted.
     #[inline]
     pub fn push(&mut self, key: u64, w: W) -> bool {
-        debug_assert_ne!(key, EMPTY, "key sentinel");
-        if (self.len + 1) * 2 > self.keys.len() {
+        if (self.len + 1) * 2 > self.slots.len() {
             self.grow();
         }
-        let mut i = self.home(key);
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                self.vals[i].push(w);
-                return false;
+        match self.find(key) {
+            Ok(i) => {
+                self.merge(i, w);
+                false
             }
-            if k == EMPTY {
-                self.keys[i] = key;
-                self.vals[i].push(w);
+            Err(i) => {
+                self.slots[i] = Slot {
+                    key,
+                    first: w,
+                    spill: NO_SPILL,
+                };
                 self.len += 1;
-                return true;
+                true
             }
-            i = (i + 1) & self.mask;
         }
     }
 
-    /// Mutable access to `key`'s waiter list, if present.
+    /// Appends `w` to `key`'s waiter list if `key` is present; returns
+    /// whether it was (an absent key is left absent).
     #[inline]
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut Vec<W>> {
-        let mut i = self.home(key);
-        loop {
-            let k = self.keys[i];
-            if k == key {
-                return Some(&mut self.vals[i]);
+    pub fn push_if_present(&mut self, key: u64, w: W) -> bool {
+        match self.find(key) {
+            Ok(i) => {
+                self.merge(i, w);
+                true
             }
-            if k == EMPTY {
-                return None;
-            }
-            i = (i + 1) & self.mask;
+            Err(_) => false,
         }
     }
 
-    /// Removes `key`, swapping its waiter list into `out` (cleared
-    /// first). Returns `false` (with `out` empty) if the key is absent.
-    ///
-    /// The swap recycles allocations in both directions: the caller's
-    /// scratch buffer becomes the slot's next waiter list.
+    /// Removes `key`, writing its waiters into `out` (cleared first) in
+    /// insertion order. Returns `false` (with `out` empty) if the key is
+    /// absent.
+    #[inline]
     pub fn remove_into(&mut self, key: u64, out: &mut Vec<W>) -> bool {
         out.clear();
-        let mut i = self.home(key);
-        loop {
-            let k = self.keys[i];
-            if k == EMPTY {
-                return false;
-            }
-            if k == key {
-                break;
-            }
-            i = (i + 1) & self.mask;
+        let Ok(i) = self.find(key) else {
+            return false;
+        };
+        let slot = self.slots[i];
+        out.push(slot.first);
+        if slot.spill != NO_SPILL {
+            let list = &mut self.spills[slot.spill as usize];
+            out.extend_from_slice(list);
+            list.clear();
+            self.free_spills.push(slot.spill);
         }
-        std::mem::swap(&mut self.vals[i], out);
         self.len -= 1;
         // Backward-shift deletion: pull displaced entries into the hole
         // so probe chains never need tombstones.
@@ -157,39 +213,32 @@ impl<W: Copy> WaiterMap<W> {
         let mut j = i;
         loop {
             j = (j + 1) & mask;
-            let k = self.keys[j];
+            let k = self.slots[j].key;
             if k == EMPTY {
                 break;
             }
             let h = self.home(k);
             // Move iff the hole lies within k's probe path [h, j].
             if (j.wrapping_sub(h) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.keys[hole] = k;
-                self.vals.swap(hole, j);
+                self.slots[hole] = self.slots[j];
                 hole = j;
             }
         }
-        self.keys[hole] = EMPTY;
+        self.slots[hole].key = EMPTY;
         true
     }
 
     fn grow(&mut self) {
-        let new_cap = self.keys.len() * 2;
-        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
-        let old_vals = std::mem::replace(
-            &mut self.vals,
-            std::iter::repeat_with(Vec::new).take(new_cap).collect(),
-        );
+        let new_cap = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, Self::empty_slots(new_cap));
         self.mask = new_cap - 1;
         self.shift = 64 - new_cap.trailing_zeros();
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
-            if k != EMPTY {
-                let mut i = self.home(k);
-                while self.keys[i] != EMPTY {
-                    i = (i + 1) & self.mask;
-                }
-                self.keys[i] = k;
-                self.vals[i] = v;
+        for slot in old {
+            if slot.key != EMPTY {
+                let Err(i) = self.find(slot.key) else {
+                    unreachable!("keys are unique");
+                };
+                self.slots[i] = slot;
             }
         }
     }
@@ -250,21 +299,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn push_get_remove_roundtrip() {
+    fn push_merge_remove_roundtrip() {
         let mut map: WaiterMap<(u16, u64)> = WaiterMap::with_key_capacity(8);
         assert!(map.push(100, (1, 10)));
         assert!(!map.push(100, (2, 20)));
         assert!(map.push(200, (3, 30)));
         assert_eq!(map.len(), 2);
-        map.get_mut(100).unwrap().push((4, 40));
-        assert!(map.get_mut(999).is_none());
+        assert!(map.push_if_present(100, (4, 40)));
+        assert!(!map.push_if_present(999, (5, 50)));
+        assert_eq!(map.len(), 2);
 
         let mut out = vec![(9u16, 9u64)]; // stale contents must be cleared
         assert!(map.remove_into(100, &mut out));
         assert_eq!(out, [(1, 10), (2, 20), (4, 40)]);
         assert!(!map.remove_into(100, &mut out));
         assert!(out.is_empty());
-        assert_eq!(map.len(), 1);
+        assert!(map.remove_into(200, &mut out));
+        assert_eq!(out, [(3, 30)]);
+        assert!(map.is_empty());
     }
 
     #[test]
@@ -272,12 +324,19 @@ mod tests {
         let mut map: WaiterMap<u32> = WaiterMap::with_key_capacity(4);
         for k in 0..1000u64 {
             assert!(map.push(k * 7919, k as u32));
+            if k % 3 == 0 {
+                assert!(!map.push(k * 7919, k as u32 + 1));
+            }
         }
         assert_eq!(map.len(), 1000);
         let mut out = Vec::new();
         for k in 0..1000u64 {
             assert!(map.remove_into(k * 7919, &mut out), "key {k}");
-            assert_eq!(out, [k as u32]);
+            if k % 3 == 0 {
+                assert_eq!(out, [k as u32, k as u32 + 1]);
+            } else {
+                assert_eq!(out, [k as u32]);
+            }
         }
         assert!(map.is_empty());
     }
@@ -309,22 +368,25 @@ mod tests {
     }
 
     #[test]
-    fn removal_recycles_list_capacity() {
+    fn single_waiters_never_spill_and_merges_recycle_lists() {
         let mut map: WaiterMap<u32> = WaiterMap::with_key_capacity(8);
-        for i in 0..100 {
-            map.push(5, i);
-        }
         let mut out = Vec::new();
-        map.remove_into(5, &mut out);
-        let cap = out.capacity();
-        assert!(cap >= 100);
-        // The next removal swaps the big buffer back into the slot…
-        map.push(5, 0);
-        map.remove_into(5, &mut out);
-        // …so the following insert+removal cycle reuses it.
-        map.push(5, 1);
-        map.remove_into(5, &mut out);
-        assert_eq!(out.capacity(), cap);
+        for i in 0..100 {
+            map.push(i, 0);
+            map.remove_into(i, &mut out);
+        }
+        assert!(map.spills.is_empty(), "no merge, no spill list");
+        for round in 0..100u32 {
+            for i in 0..50 {
+                map.push(5, round + i);
+            }
+            map.remove_into(5, &mut out);
+            assert_eq!(out.len(), 50);
+        }
+        // One spill list, its capacity kept across every round.
+        assert_eq!(map.spills.len(), 1);
+        assert!(map.spills[0].capacity() >= 49);
+        assert_eq!(map.free_spills, [0]);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use hmtypes::{AccessKind, VirtAddr, LINE_SIZE, PAGE_SIZE};
 
 use crate::cache::SetAssocCache;
 use crate::config::SimConfig;
-use crate::dram::DramChannel;
+use crate::dram::{Divisor, DramChannel, LINES_PER_ROW};
 use crate::engine::Calendar;
 use crate::flat::{PageCounter, WaiterMap};
 use crate::migrate::{NullMigrator, PageMigrator};
@@ -137,6 +137,8 @@ pub struct Simulator<T, P, O = NullObserver, M = NullMigrator> {
     translator: T,
     program: P,
     warps_per_sm: u32,
+    /// `warps_per_sm`, for the warp → (SM, slot) split.
+    warp_div: Divisor,
     mlp: u32,
 
     cal: Calendar<Event>,
@@ -146,6 +148,8 @@ pub struct Simulator<T, P, O = NullObserver, M = NullMigrator> {
     chans: Vec<DramChannel>,
     /// First slice/channel index of each pool.
     pool_offset: Vec<usize>,
+    /// Channel count of each pool, for row-stripe routing.
+    pool_channels: Vec<Divisor>,
 
     mem_ops: u64,
     l2_hits: u64,
@@ -155,8 +159,8 @@ pub struct Simulator<T, P, O = NullObserver, M = NullMigrator> {
     bytes_read: Vec<u64>,
     bytes_written: Vec<u64>,
     page_accesses: Option<PageCounter>,
-    /// Drain buffers for [`WaiterMap::remove_into`]; the swap keeps the
-    /// same allocations circulating for the whole run.
+    /// Drain buffers for [`WaiterMap::remove_into`], reused for the
+    /// whole run.
     pending_scratch: Vec<u32>,
     mshr_scratch: Vec<(u16, u64)>,
     obs: O,
@@ -216,6 +220,11 @@ impl<T: AddressTranslator, P: WarpProgram> Simulator<T, P> {
             "slice indices are u16 in Event"
         );
 
+        let pool_channels = cfg
+            .pools
+            .iter()
+            .map(|p| Divisor::new(u64::from(p.channels)))
+            .collect();
         let total_warps = (cfg.num_sms * warps_per_sm) as usize;
         let num_pools = cfg.pools.len();
         Simulator {
@@ -223,6 +232,7 @@ impl<T: AddressTranslator, P: WarpProgram> Simulator<T, P> {
             translator,
             program,
             warps_per_sm,
+            warp_div: Divisor::new(u64::from(warps_per_sm)),
             mlp,
             cal: Calendar::new(),
             sms,
@@ -230,6 +240,7 @@ impl<T: AddressTranslator, P: WarpProgram> Simulator<T, P> {
             slices,
             chans,
             pool_offset,
+            pool_channels,
             mem_ops: 0,
             l2_hits: 0,
             l2_misses: 0,
@@ -265,6 +276,7 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
             translator: self.translator,
             program: self.program,
             warps_per_sm: self.warps_per_sm,
+            warp_div: self.warp_div,
             mlp: self.mlp,
             cal: self.cal,
             sms: self.sms,
@@ -272,6 +284,7 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
             slices: self.slices,
             chans: self.chans,
             pool_offset: self.pool_offset,
+            pool_channels: self.pool_channels,
             mem_ops: self.mem_ops,
             l2_hits: self.l2_hits,
             l2_misses: self.l2_misses,
@@ -298,6 +311,7 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
             translator: self.translator,
             program: self.program,
             warps_per_sm: self.warps_per_sm,
+            warp_div: self.warp_div,
             mlp: self.mlp,
             cal: self.cal,
             sms: self.sms,
@@ -305,6 +319,7 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
             slices: self.slices,
             chans: self.chans,
             pool_offset: self.pool_offset,
+            pool_channels: self.pool_channels,
             mem_ops: self.mem_ops,
             l2_hits: self.l2_hits,
             l2_misses: self.l2_misses,
@@ -453,9 +468,9 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
     }
 
     fn split(&self, w: WarpId) -> (u16, u32) {
-        let sm = w.0 / self.warps_per_sm;
-        let slot = w.0 % self.warps_per_sm;
-        (sm as u16, slot)
+        let sm = self.warp_div.div(u64::from(w.0));
+        let slot = self.warp_div.rem(u64::from(w.0));
+        (sm as u16, slot as u32)
     }
 
     fn warp_ready(&mut self, now: u64, w: WarpId) {
@@ -494,11 +509,10 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
     /// row of one channel (row-buffer locality) while still spreading
     /// pages across all channels — the address mapping GPUs use.
     fn route(&self, pool: usize, pline: u64) -> (u16, u64) {
-        let channels = u64::from(self.cfg.pools[pool].channels);
-        let stripe = pline / crate::dram::LINES_PER_ROW;
-        let chan = stripe % channels;
-        let local_line =
-            (stripe / channels) * crate::dram::LINES_PER_ROW + pline % crate::dram::LINES_PER_ROW;
+        let channels = self.pool_channels[pool];
+        let stripe = pline / LINES_PER_ROW;
+        let chan = channels.rem(stripe);
+        let local_line = channels.div(stripe) * LINES_PER_ROW + pline % LINES_PER_ROW;
         ((self.pool_offset[pool] as u64 + chan) as u16, local_line)
     }
 
@@ -507,9 +521,9 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
         let pool = self.slices[slice].pool;
         let channels = u64::from(self.cfg.pools[pool].channels);
         let chan = (slice - self.pool_offset[pool]) as u64;
-        let stripe_local = local_line / crate::dram::LINES_PER_ROW;
-        let off = local_line % crate::dram::LINES_PER_ROW;
-        (stripe_local * channels + chan) * crate::dram::LINES_PER_ROW + off
+        let stripe_local = local_line / LINES_PER_ROW;
+        let off = local_line % LINES_PER_ROW;
+        (stripe_local * channels + chan) * LINES_PER_ROW + off
     }
 
     /// Request-path latency from SM to an L2 slice of `pool`.
@@ -688,8 +702,7 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
 
         // Merge with an in-flight fill before probing the tag array: the
         // data is still in DRAM even though the fill is scheduled.
-        if let Some(waiters) = self.slices[s].mshr.get_mut(pline) {
-            waiters.push((sm, vline));
+        if self.slices[s].mshr.push_if_present(pline, (sm, vline)) {
             self.l2_misses += 1;
             if O::ENABLED {
                 self.obs.l2_access(now, u32::from(slice), pool, false);

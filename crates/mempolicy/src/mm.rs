@@ -489,6 +489,7 @@ impl AddressSpace {
     }
 
     /// The frame backing `page`, if mapped.
+    #[inline]
     pub fn frame_of(&self, page: PageNum) -> Option<FrameNum> {
         self.page_table.get(page)
     }

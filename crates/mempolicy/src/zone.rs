@@ -155,6 +155,7 @@ impl FrameAllocator {
     }
 
     /// The zone owning `frame`, or `None` for an out-of-range frame.
+    #[inline]
     pub fn zone_of(&self, frame: FrameNum) -> Option<ZoneId> {
         let idx = self
             .zones

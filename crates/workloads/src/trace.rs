@@ -21,8 +21,8 @@ struct StructureState {
     live_lines: u64,
     live_pages: u64,
     pattern: Pattern,
-    /// Cumulative probability by page rank, for Zipf sampling.
-    zipf_cum: Vec<f64>,
+    /// Page-rank sampler for the Zipf pattern (empty otherwise).
+    zipf: ZipfTable,
     /// Multiplier for the rank→page bijection when shuffled.
     shuffle_mult: u64,
 }
@@ -35,8 +35,7 @@ impl StructureState {
             }
             Pattern::Uniform => rng.next_below(self.live_pages),
             Pattern::Zipf { shuffled, .. } => {
-                let u = rng.next_f64();
-                let rank = self.zipf_cum.partition_point(|&c| c < u) as u64;
+                let rank = self.zipf.rank(rng.next_f64()) as u64;
                 let rank = rank.min(self.live_pages - 1);
                 if shuffled {
                     // Bijective rank→page spread over the structure.
@@ -60,31 +59,99 @@ impl StructureState {
     }
 }
 
+/// Inverse-CDF sampler over Zipf page ranks.
+///
+/// `rank(u)` is the first rank whose cumulative probability is `>= u`,
+/// i.e. `cum.partition_point(|&c| c < u)`. A guide table narrows that
+/// binary search to one bucket of the unit interval: `guide[k]` is the
+/// answer for `u = k / G`, and since the answer is monotone in `u`, any
+/// `u` in `[k / G, (k + 1) / G)` has its answer in
+/// `guide[k]..=guide[k + 1]`. `G` is a power of two and `u` a multiple
+/// of 2^-53, so `k = floor(u * G)` and `k / G` are exact and the result
+/// is bit-identical to the full search.
+#[derive(Debug, Clone, Default)]
+struct ZipfTable {
+    /// Cumulative probability by page rank, nondecreasing, ending at 1.
+    cum: Vec<f64>,
+    /// `G + 1` entries: `guide[k] = cum.partition_point(|&c| c < k / G)`.
+    guide: Vec<u32>,
+}
+
+impl ZipfTable {
+    /// The sampler for `n` ranks with exponent `s`.
+    fn new(n: u64, s: f64) -> Self {
+        let cum = zipf_cumulative(n, s);
+        // One to two ranks per bucket: the guide is at most half the
+        // size of `cum` in bytes.
+        let buckets = (cum.len() / 2).max(1).next_power_of_two();
+        let guide = (0..=buckets)
+            .map(|k| {
+                let u = k as f64 / buckets as f64;
+                u32::try_from(cum.partition_point(|&c| c < u)).expect("rank fits u32")
+            })
+            .collect();
+        ZipfTable { cum, guide }
+    }
+
+    #[inline]
+    fn rank(&self, u: f64) -> usize {
+        let buckets = self.guide.len() - 1;
+        let k = (u * buckets as f64) as usize;
+        let lo = self.guide[k] as usize;
+        let hi = self.guide[k + 1] as usize;
+        lo + self.cum[lo..hi].partition_point(|&c| c < u)
+    }
+}
+
 /// Per-(warp, structure) streaming cursor: tiles round-robin over warps,
 /// wrapping at the end of the structure.
-#[derive(Debug, Clone, Copy, Default)]
+///
+/// Warp `warp_index` owns tiles `warp_index + j * warps` for
+/// `j < my_tiles`, visited in order of `slot = j`. Everything but the
+/// slot and the in-tile offset is fixed per cursor, so `next` does no
+/// division on its hot path.
+#[derive(Debug, Clone, Copy)]
 struct StreamCursor {
-    tile_ord: u64,
+    /// The owned tile being streamed: the `slot`-th, counting from 0
+    /// and wrapping at `my_tiles`.
+    slot: u64,
     off: u64,
     warp_index: u64,
+    /// Number of tiles owned by this warp (round-robin assignment),
+    /// at least 1.
+    my_tiles: u64,
 }
 
 impl StreamCursor {
+    fn new(warp_index: u64, live_lines: u64, warps: u64) -> Self {
+        let tiles = live_lines.div_ceil(TILE_LINES).max(1);
+        let base = tiles / warps;
+        let extra = u64::from(warp_index < tiles % warps);
+        StreamCursor {
+            slot: 0,
+            off: 0,
+            warp_index,
+            my_tiles: (base + extra).max(1),
+        }
+    }
+
+    #[inline]
     fn next(&mut self, live_lines: u64, warps: u64) -> u64 {
         let tiles = live_lines.div_ceil(TILE_LINES).max(1);
-        let my_tiles = {
-            // Number of tiles owned by this warp (round-robin assignment).
-            let base = tiles / warps;
-            let extra = u64::from(self.warp_index < tiles % warps);
-            (base + extra).max(1)
-        };
-        let tile = (self.warp_index + (self.tile_ord % my_tiles) * warps) % tiles.max(1);
+        // A warp that owns tiles has them all below `tiles`; only a warp
+        // beyond the last tile (owning none, `my_tiles` forced to 1)
+        // wraps.
+        let tile = self.warp_index + self.slot * warps;
+        let tile = if tile < tiles { tile } else { tile % tiles };
         let line = (tile * TILE_LINES + self.off).min(live_lines - 1);
         if self.off + 1 < TILE_LINES && tile * TILE_LINES + self.off + 1 < live_lines {
             self.off += 1;
         } else {
             self.off = 0;
-            self.tile_ord += 1;
+            self.slot += 1;
+            if self.slot == self.my_tiles {
+                self.slot = 0;
+            }
         }
         line
     }
@@ -113,10 +180,18 @@ pub struct TraceProgram {
     total_warps: u64,
     cum_weight: Vec<f64>,
     structures: Vec<StructureState>,
-    quota: Vec<u64>,
-    rngs: Vec<SplitMix64>,
+    warps: Vec<WarpGen>,
     cursors: Vec<StreamCursor>,
-    compute_phase: Vec<bool>,
+}
+
+/// One warp's generator state, packed so an op touches one entry.
+#[derive(Debug, Clone)]
+struct WarpGen {
+    rng: SplitMix64,
+    /// Memory ops this warp has left.
+    quota: u64,
+    /// Whether the compute op preceding the next memory op was emitted.
+    compute_phase: bool,
 }
 
 impl TraceProgram {
@@ -148,17 +223,17 @@ impl TraceProgram {
             let lines = (ds.bytes / LINE_SIZE as u64).max(1);
             let live_lines = ((lines as f64 * ds.live_frac) as u64).max(1);
             let live_pages = live_lines.div_ceil(LINES_PER_PAGE).max(1);
-            let zipf_cum = if let Pattern::Zipf { s, .. } = ds.pattern {
-                zipf_cumulative(live_pages, s)
+            let zipf = if let Pattern::Zipf { s, .. } = ds.pattern {
+                ZipfTable::new(live_pages, s)
             } else {
-                Vec::new()
+                ZipfTable::default()
             };
             structures.push(StructureState {
                 base_line: base.line_index(),
                 live_lines,
                 live_pages,
                 pattern: ds.pattern,
-                zipf_cum,
+                zipf,
                 shuffle_mult: coprime_multiplier(live_pages),
             });
         }
@@ -169,14 +244,17 @@ impl TraceProgram {
 
         let per_warp = (spec.mem_ops / total_warps).max(1);
         let mut seed_rng = SplitMix64::new(spec.seed);
-        let rngs = (0..total_warps).map(|_| seed_rng.fork()).collect();
+        let warps = (0..total_warps)
+            .map(|_| WarpGen {
+                rng: seed_rng.fork(),
+                quota: per_warp,
+                compute_phase: false,
+            })
+            .collect();
         let mut cursors = Vec::with_capacity((total_warps as usize) * structures.len());
         for w in 0..total_warps {
-            for _ in 0..structures.len() {
-                cursors.push(StreamCursor {
-                    warp_index: w,
-                    ..StreamCursor::default()
-                });
+            for st in &structures {
+                cursors.push(StreamCursor::new(w, st.live_lines, total_warps));
             }
         }
         TraceProgram {
@@ -187,16 +265,28 @@ impl TraceProgram {
             total_warps,
             cum_weight,
             structures,
-            quota: vec![per_warp; total_warps as usize],
-            rngs,
+            warps,
             cursors,
-            compute_phase: vec![false; total_warps as usize],
         }
+    }
+
+    /// The structure an op with uniform draw `u` in `[0, 1)` touches: the
+    /// first whose cumulative weight (one entry per structure) is `>= u`.
+    ///
+    /// `cum_weight` is a running sum of nonnegative shares, so its
+    /// entries before the last are nondecreasing, and the last is
+    /// `1 + ε > u`. The entries `< u` are therefore exactly a prefix, and
+    /// counting them equals `partition_point(|&c| c < u)` without the
+    /// binary search's dependent loads (there are only a few structures).
+    #[inline]
+    fn pick_structure(cum_weight: &[f64], u: f64) -> usize {
+        let below = cum_weight.iter().filter(|&&c| c < u).count();
+        below.min(cum_weight.len() - 1)
     }
 
     /// Total memory operations this program will issue.
     pub fn total_ops(&self) -> u64 {
-        self.quota.iter().sum()
+        self.warps.iter().map(|g| g.quota).sum()
     }
 }
 
@@ -209,22 +299,23 @@ impl WarpProgram for TraceProgram {
         self.mlp
     }
 
+    #[inline]
     fn next_op(&mut self, warp: WarpId) -> Option<WarpOp> {
         let w = warp.index();
-        if self.quota[w] == 0 {
+        let gen = &mut self.warps[w];
+        if gen.quota == 0 {
             return None;
         }
-        if self.compute > 0 && !self.compute_phase[w] {
-            self.compute_phase[w] = true;
+        if self.compute > 0 && !gen.compute_phase {
+            gen.compute_phase = true;
             return Some(WarpOp::Compute(self.compute));
         }
-        self.compute_phase[w] = false;
-        self.quota[w] -= 1;
+        gen.compute_phase = false;
+        gen.quota -= 1;
 
-        let rng = &mut self.rngs[w];
+        let rng = &mut gen.rng;
         let u = rng.next_f64();
-        let s_idx = self.cum_weight.partition_point(|&c| c < u);
-        let s_idx = s_idx.min(self.structures.len() - 1);
+        let s_idx = Self::pick_structure(&self.cum_weight, u);
         let cursor = &mut self.cursors[w * self.structures.len() + s_idx];
         let line = self.structures[s_idx].sample_line(rng, cursor, self.total_warps);
         let kind = if rng.next_f64() < self.write_frac {
@@ -243,25 +334,25 @@ impl WarpProgram for TraceProgram {
         let mut ops = 0;
         let mut mem = 0;
         while ops < n {
-            if self.quota[w] == 0 {
+            let gen = &mut self.warps[w];
+            if gen.quota == 0 {
                 break;
             }
-            if self.compute > 0 && !self.compute_phase[w] {
-                self.compute_phase[w] = true;
+            if self.compute > 0 && !gen.compute_phase {
+                gen.compute_phase = true;
                 ops += 1;
                 continue;
             }
-            self.compute_phase[w] = false;
-            self.quota[w] -= 1;
+            gen.compute_phase = false;
+            gen.quota -= 1;
             // Replay `next_op`'s draw schedule exactly, but jump the RNG
             // past draws whose values only feed address math (SplitMix64
             // advances by a constant stride per output, so a bulk skip is
             // O(1)). The structure pick must be a real draw — it decides
             // how many draws the pattern consumes.
-            let rng = &mut self.rngs[w];
+            let rng = &mut gen.rng;
             let u = rng.next_f64();
-            let s_idx = self.cum_weight.partition_point(|&c| c < u);
-            let s_idx = s_idx.min(self.structures.len() - 1);
+            let s_idx = Self::pick_structure(&self.cum_weight, u);
             let st = &self.structures[s_idx];
             match st.pattern {
                 // Stream draws nothing in sample_line (the cursor must
@@ -269,7 +360,7 @@ impl WarpProgram for TraceProgram {
                 Pattern::Stream => {
                     self.cursors[w * self.structures.len() + s_idx]
                         .next(st.live_lines, self.total_warps);
-                    self.rngs[w].skip(1);
+                    rng.skip(1);
                 }
                 // page + line-in-page + read/write.
                 Pattern::Uniform => rng.skip(3),
@@ -357,6 +448,74 @@ mod tests {
         assert!((cum[99] - 1.0).abs() < 1e-12);
         // Rank 0 dominates.
         assert!(cum[0] > 0.1);
+    }
+
+    #[test]
+    fn zipf_guide_table_matches_the_full_search() {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        let mut rng = SplitMix64::new(11);
+        for (n, s) in [
+            (1u64, 1.0),
+            (2, 0.5),
+            (3, 2.5),
+            (100, 1.2),
+            (5000, 0.8),
+            (40_000, 1.0),
+        ] {
+            let table = ZipfTable::new(n, s);
+            let buckets = table.guide.len() - 1;
+            assert!(buckets.is_power_of_two());
+            let mut probes: Vec<f64> = (0..2000).map(|_| rng.next_f64()).collect();
+            // Bucket edges and the values just below them, plus the
+            // cumulative values themselves (the `c < u` boundary).
+            for k in 0..buckets {
+                let edge = k as f64 / buckets as f64;
+                probes.push(edge);
+                if k > 0 {
+                    probes.push(edge - ulp);
+                }
+            }
+            probes.push(1.0 - ulp);
+            probes.extend(table.cum.iter().copied().filter(|&c| c < 1.0));
+            for u in probes {
+                let want = table.cum.partition_point(|&c| c < u);
+                assert_eq!(table.rank(u), want, "n {n} s {s} u {u}");
+            }
+        }
+    }
+
+    #[test]
+    fn stream_cursor_matches_the_modular_tile_formula() {
+        // The original formulation: an unbounded tile ordinal and two
+        // modular reductions per call.
+        fn reference(ord: &mut u64, off: &mut u64, w: u64, live: u64, warps: u64) -> u64 {
+            let tiles = live.div_ceil(TILE_LINES).max(1);
+            let my_tiles = (tiles / warps + u64::from(w < tiles % warps)).max(1);
+            let tile = (w + (*ord % my_tiles) * warps) % tiles;
+            let line = (tile * TILE_LINES + *off).min(live - 1);
+            if *off + 1 < TILE_LINES && tile * TILE_LINES + *off + 1 < live {
+                *off += 1;
+            } else {
+                *off = 0;
+                *ord += 1;
+            }
+            line
+        }
+        for live in [1u64, 5, 16, 17, 100, 1000, 4099] {
+            for warps in [1u64, 3, 8, 64, 480] {
+                for w in [0, warps / 2, warps - 1] {
+                    let mut cursor = StreamCursor::new(w, live, warps);
+                    let (mut ord, mut off) = (0, 0);
+                    for step in 0..3000 {
+                        assert_eq!(
+                            cursor.next(live, warps),
+                            reference(&mut ord, &mut off, w, live, warps),
+                            "live {live} warps {warps} warp {w} step {step}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

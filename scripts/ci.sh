@@ -201,6 +201,19 @@ if target/release/hetmem-perf gate \
     exit 1
 fi
 
+# Benchmark digest gate: perfbench's sim-full workload at seed 1 checks
+# each 100k-op point's digest against perfbench/reference.txt, so a
+# change to simulator output fails here at 8x the golden suite's scale.
+# The last stdout line is the result; `failed` must be 0.
+BENCH_RESULT=$(python3 perfbench/run.py --workload sim-full --seed 1 \
+    --seconds 5 --trace 0 | tail -1)
+echo "$BENCH_RESULT"
+if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] != 0)' \
+    "$BENCH_RESULT"; then
+    echo "perfbench sim-full reported failed operations" >&2
+    exit 1
+fi
+
 # Sampled-fidelity error bound: on two golden steady-state workloads
 # the extrapolated bandwidth must stay within 5% of full fidelity
 # (deterministic numbers — the simulator has no run-to-run noise, so
