@@ -34,9 +34,9 @@
 //! * `--fwd-queue <n>` — forwarding-queue depth (default 256)
 //! * `--port-file <path>` — write the router's bound port (digits only)
 //!
-//! The router exits after a client sends the `shutdown` op (or on
-//! SIGTERM-free drain via the library handle): in-flight requests
-//! finish, then every backend is stopped gracefully.
+//! The router exits after a client sends the `shutdown` op, or on
+//! SIGTERM or SIGINT: in-flight requests finish, then every backend is
+//! stopped gracefully.
 
 #[cfg(unix)]
 fn main() {
@@ -121,7 +121,8 @@ fn main() {
             other => panic!("unknown flag {other}; see hetmem-fleet docs"),
         }
     }
-    let handle = start(cfg).unwrap_or_else(|e| panic!("hetmem-fleet failed to start: {e}"));
+    let mut handle = start(cfg).unwrap_or_else(|e| panic!("hetmem-fleet failed to start: {e}"));
+    handle.drain_on_termination_signals();
     println!(
         "hetmem-fleet listening on {} ({} backends)",
         handle.addr(),

@@ -59,7 +59,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use gpusim::{Fidelity, SampleConfig, SimConfig};
-use hetmem::{topology_for, Placement, RunBuilder};
+use hetmem::{check_fidelity, topology_for, Placement, RunBuilder};
 use hetmem_bench::serve::{roundtrip, start, ServeConfig, ServeCore};
 use hetmem_harness::json::{array, JsonObject, JsonValue};
 use hetmem_harness::timing::Bencher;
@@ -202,8 +202,9 @@ fn fidelity_matrix(opts: &FidelityOpts) -> Result<(String, usize), String> {
     let topo = topology_for(&sim, &vec![1; sim.pools.len()]);
     let pol = Mempolicy::parse(&opts.policy, &topo)
         .map_err(|e| format!("policy {}: {e}", opts.policy))?;
-    let placement = Placement::Policy(pol);
     let sample = opts.sample;
+    check_fidelity(Fidelity::Sampled(sample), &pol).map_err(|e| format!("{e} ({})", e.code()))?;
+    let placement = Placement::Policy(pol);
 
     let mut bencher = Bencher::from_env("hetmem-perf");
     let mut points = Vec::new();

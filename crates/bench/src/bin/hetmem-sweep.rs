@@ -53,7 +53,9 @@
 //! * `--fidelity full|sampled` — simulation fidelity (default `full`;
 //!   `sampled` fast-forwards steady-state windows and extrapolates,
 //!   trading exactness for 10–100× throughput). Part of the point key,
-//!   so sampled checkpoints never satisfy full-fidelity runs
+//!   so sampled checkpoints never satisfy full-fidelity runs. A
+//!   `MIGRATE` policy under `sampled` is refused up front with the
+//!   `unsupported-fidelity` code (exit 2)
 //!
 //! Exit codes: 0 success, 2 usage/setup error, 3 sweep failure
 //! (panicking point, deadline exceeded, or a failed remote point).
@@ -64,7 +66,8 @@ use std::time::{Duration, Instant};
 
 use gpusim::{Fidelity, SampleConfig, SimConfig};
 use hetmem::{
-    hints_from_profile, profile_workload, record_for, topology_for, Capacity, Placement, RunBuilder,
+    check_fidelity, hints_from_profile, profile_workload, record_for, topology_for, Capacity,
+    Placement, RunBuilder,
 };
 use hetmem_bench::client::ClientBuilder;
 use hetmem_harness::checkpoint::{run_grid_resumable, CheckpointWriter};
@@ -328,10 +331,13 @@ fn main() -> ExitCode {
             spec.mem_ops = ops;
         }
         for policy in &policies {
-            if !matches!(policy.as_str(), "ORACLE" | "HINTED")
-                && Mempolicy::parse(policy, &topo).is_err()
-            {
-                return fail(&format!("unknown policy '{policy}'"));
+            if !matches!(policy.as_str(), "ORACLE" | "HINTED") {
+                let Ok(parsed) = Mempolicy::parse(policy, &topo) else {
+                    return fail(&format!("unknown policy '{policy}'"));
+                };
+                if let Err(e) = check_fidelity(fidelity, &parsed) {
+                    return fail(&format!("{} ({})", e, e.code()));
+                }
             }
             points.push(Point {
                 spec: spec.clone(),

@@ -35,9 +35,11 @@
 //!   is down the client gets the stable, retryable
 //!   `backend-unavailable` code; a draining fleet answers
 //!   `fleet-draining`, which clients must not retry.
-//! * **Drain** — `shutdown` (or [`FleetHandle::shutdown`]) refuses new
-//!   work, finishes every in-flight request, then stops each child:
-//!   `shutdown` op first, SIGTERM next, SIGKILL last.
+//! * **Drain** — `shutdown` (or [`FleetHandle::shutdown`], or SIGTERM
+//!   and SIGINT once [`FleetHandle::drain_on_termination_signals`] is
+//!   on, as in the `hetmem-fleet` binary) refuses new work, finishes
+//!   every in-flight request, then stops each child: `shutdown` op
+//!   first, SIGTERM next, SIGKILL last.
 //!
 //! ## Observability
 //!
@@ -74,6 +76,7 @@ use crate::serve::{roundtrip_timeout, simulate_cache_key};
 
 const POLLIN: i16 = 0x001;
 const POLLOUT: i16 = 0x004;
+const SIGINT: c_int = 2;
 const SIGTERM: c_int = 15;
 
 /// `struct pollfd` from `<poll.h>` (same hand-rolled FFI as the serve
@@ -88,6 +91,18 @@ struct PollFd {
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     fn kill(pid: c_int, sig: c_int) -> c_int;
+    /// `signal(2)`; the previous handler comes back as an address
+    /// (`SIG_ERR` is -1), never called here.
+    fn signal(signum: c_int, handler: extern "C" fn(c_int)) -> usize;
+}
+
+/// Set by [`on_termination`] when SIGTERM or SIGINT arrives.
+static TERMINATION_REQUESTED: AtomicBool = AtomicBool::new(false);
+
+/// The SIGTERM/SIGINT handler: one atomic store, which is
+/// async-signal-safe. A watcher thread turns it into a drain.
+extern "C" fn on_termination(_signum: c_int) {
+    TERMINATION_REQUESTED.store(true, Ordering::SeqCst);
 }
 
 fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) {
@@ -465,9 +480,12 @@ struct FleetShared {
     max_restarts: u32,
     max_batch: usize,
     conn_buffer: usize,
-    /// Uniquifies port-file names across respawns.
-    spawn_epoch: AtomicU64,
 }
+
+/// Uniquifies port-file names across respawns and across every fleet in
+/// this process: two routers started by one process (as the integration
+/// tests do) must never hand their children the same port file.
+static SPAWN_EPOCH: AtomicU64 = AtomicU64::new(0);
 
 /// Wakes the poll loop from a forwarding worker.
 #[derive(Clone)]
@@ -637,6 +655,9 @@ pub struct FleetHandle {
     supervisors: Vec<JoinHandle<()>>,
     prober: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+    /// The SIGTERM/SIGINT watcher, once
+    /// [`FleetHandle::drain_on_termination_signals`] started it.
+    signal_watcher: Option<JoinHandle<()>>,
 }
 
 impl FleetHandle {
@@ -680,6 +701,31 @@ impl FleetHandle {
         begin_drain(&self.shared);
     }
 
+    /// Makes SIGTERM and SIGINT start the same drain as a `shutdown`
+    /// request, so signalling the router stops its backends instead of
+    /// orphaning them. The handlers are process-wide; a watcher thread
+    /// polls the flag they set and exits once the fleet is draining (or
+    /// the handle is dropped).
+    pub fn drain_on_termination_signals(&mut self) {
+        // SAFETY: `on_termination` is an `extern "C" fn(c_int)` that
+        // only performs an atomic store, so it is safe to run at any
+        // instruction; signal(2) touches no memory of ours.
+        unsafe {
+            signal(SIGTERM, on_termination);
+            signal(SIGINT, on_termination);
+        }
+        let shared = Arc::clone(&self.shared);
+        self.signal_watcher = Some(thread::spawn(move || {
+            while !shared.draining.load(Ordering::SeqCst) && !shared.reap.load(Ordering::SeqCst) {
+                if TERMINATION_REQUESTED.load(Ordering::SeqCst) {
+                    begin_drain(&shared);
+                    return;
+                }
+                thread::sleep(Duration::from_millis(20));
+            }
+        }));
+    }
+
     /// Blocks until the fleet has fully drained: every accepted
     /// request's response bytes are flushed, every child is stopped
     /// (shutdown op, then SIGTERM, then SIGKILL), and every router
@@ -695,6 +741,9 @@ impl FleetHandle {
             let _ = p.join();
         }
         for w in self.workers.drain(..) {
+            let _ = w.join();
+        }
+        if let Some(w) = self.signal_watcher.take() {
             let _ = w.join();
         }
     }
@@ -832,7 +881,6 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
         } else {
             cfg.conn_buffer
         },
-        spawn_epoch: AtomicU64::new(0),
     });
     // Initial spawns are synchronous so start() returns a fleet that
     // can actually serve; failures kill what was already spawned.
@@ -897,6 +945,7 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
         supervisors,
         prober: Some(prober),
         workers,
+        signal_watcher: None,
     })
 }
 
@@ -929,7 +978,7 @@ fn begin_drain(shared: &Arc<FleetShared>) {
 
 /// Spawns one backend child and waits for its `--port-file` handshake.
 fn spawn_backend(shared: &FleetShared, idx: usize) -> io::Result<(Child, SocketAddr)> {
-    let epoch = shared.spawn_epoch.fetch_add(1, Ordering::Relaxed);
+    let epoch = SPAWN_EPOCH.fetch_add(1, Ordering::Relaxed);
     let port_path = std::env::temp_dir().join(format!(
         "hetmem-fleet-{}-{idx}-{epoch}.port",
         std::process::id()

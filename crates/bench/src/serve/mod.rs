@@ -107,8 +107,8 @@ use std::time::{Duration, Instant};
 
 use gpusim::{Fidelity, SampleConfig, SimConfig};
 use hetmem::{
-    bo_traffic_target, hints_from_profile, profile_workload, record_for, topology_for, Capacity,
-    HetmemError, Placement, RunBuilder, TelemetrySink,
+    bo_traffic_target, check_fidelity, hints_from_profile, profile_workload, record_for,
+    topology_for, Capacity, HetmemError, Placement, RunBuilder, TelemetrySink,
 };
 use hetmem_harness::json::{self, JsonObject, JsonValue};
 use hetmem_harness::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -1553,6 +1553,11 @@ fn parse_simulate(params: &JsonValue) -> Result<(SimPoint, String), HetmemError>
             }
         }
     };
+    // A valid fidelity the policy cannot run under (sampled MIGRATE)
+    // gets its own stable code rather than an extrapolated wrong answer.
+    if let PolicyChoice::Os(p) = &policy {
+        check_fidelity(fidelity, p)?;
+    }
     // Canonical key over the *resolved* request; 0 = unconstrained. The
     // fidelity field is appended only for sampled requests so every
     // full-fidelity key (the protocol's entire pre-sampling keyspace)

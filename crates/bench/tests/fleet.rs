@@ -420,6 +420,89 @@ fn drain_refuses_new_work_with_fleet_draining_and_stops_children() {
     );
 }
 
+/// Pids of `parent`'s live (non-zombie) children, from `/proc`.
+fn live_children(parent: u32) -> Vec<u32> {
+    let mut kids = Vec::new();
+    for entry in std::fs::read_dir("/proc").expect("procfs") {
+        let name = entry.expect("procfs entry").file_name();
+        let Some(pid) = name.to_str().and_then(|n| n.parse::<u32>().ok()) else {
+            continue;
+        };
+        let Ok(stat) = std::fs::read_to_string(format!("/proc/{pid}/stat")) else {
+            continue;
+        };
+        // Fields after the parenthesized command: state, ppid, ...
+        let Some((_, rest)) = stat.rsplit_once(") ") else {
+            continue;
+        };
+        let mut fields = rest.split_whitespace();
+        let state = fields.next();
+        let ppid = fields.next().and_then(|p| p.parse::<u32>().ok());
+        if ppid == Some(parent) && state != Some("Z") {
+            kids.push(pid);
+        }
+    }
+    kids
+}
+
+/// Whether `pid` names a process that has not exited (zombies count as
+/// exited).
+fn alive(pid: u32) -> bool {
+    std::fs::read_to_string(format!("/proc/{pid}/stat")).is_ok_and(|stat| {
+        stat.rsplit_once(") ")
+            .is_some_and(|(_, rest)| !rest.starts_with('Z'))
+    })
+}
+
+/// SIGTERM to the `hetmem-fleet` binary drains the fleet: the router
+/// stops both `hetmem-serve` children instead of orphaning them.
+#[test]
+fn sigterm_to_the_router_stops_every_backend() {
+    let dir = std::env::temp_dir().join(format!("hetmem-fleet-sigterm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let port_file = dir.join("fleet.port");
+    let mut router = std::process::Command::new(env!("CARGO_BIN_EXE_hetmem-fleet"))
+        .args(["--addr", "127.0.0.1:0", "--backends", "2", "--serve-bin"])
+        .arg(serve_bin())
+        .arg("--port-file")
+        .arg(&port_file)
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn hetmem-fleet");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !std::fs::read_to_string(&port_file).is_ok_and(|p| !p.trim().is_empty()) {
+        assert!(Instant::now() < deadline, "router never published its port");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let backends = live_children(router.id());
+    assert_eq!(backends.len(), 2, "two backend children: {backends:?}");
+
+    let status = std::process::Command::new("kill")
+        .args(["-TERM", &router.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(status.success());
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while backends.iter().any(|&pid| alive(pid)) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let leaked: Vec<u32> = backends.iter().copied().filter(|&pid| alive(pid)).collect();
+    for &pid in &leaked {
+        let _ = std::process::Command::new("kill")
+            .args(["-KILL", &pid.to_string()])
+            .status();
+    }
+    assert!(
+        leaked.is_empty(),
+        "backends {leaked:?} outlived the router's SIGTERM"
+    );
+    let exit = router.wait().expect("router exits");
+    assert!(exit.success(), "a SIGTERM drain exits cleanly: {exit:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `hetmem-top`'s batched stats+metrics fetch works against the router
 /// and its conservation gate holds on a healthy fleet.
 #[test]

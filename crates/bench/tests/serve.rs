@@ -325,6 +325,34 @@ fn migrate_policy_simulates_with_migration_counters() {
 }
 
 #[test]
+fn sampled_migrate_is_refused_with_unsupported_fidelity() {
+    let handle = server(1, 4);
+    let addr = handle.addr().to_string();
+
+    // Sampled fidelity cannot run online migration: a stable code, not
+    // an extrapolated answer, and nothing is cached under the key.
+    let body = r#"{"workload":"hotspot","policy":"MIGRATE:epoch=2000,hot=2",
+                   "mem_ops":4000,"sms":2,"capacity_pct":10,"seed":7,
+                   "fidelity":"sampled"}"#;
+    for id in 1..=2 {
+        let resp = roundtrip(&addr, &sim_request(id, body)).unwrap();
+        let (code, message) = expect_err(&resp);
+        assert_eq!(code, "unsupported-fidelity", "{message}");
+        assert!(message.contains("MIGRATE"), "{message}");
+    }
+    // The same policy at full fidelity, and sampled without migration,
+    // still run.
+    let full = body.replace(r#""fidelity":"sampled""#, r#""fidelity":"full""#);
+    expect_ok(&roundtrip(&addr, &sim_request(3, &full)).unwrap());
+    let sampled_local = body.replace("MIGRATE:epoch=2000,hot=2", "LOCAL");
+    expect_ok(&roundtrip(&addr, &sim_request(4, &sampled_local)).unwrap());
+    assert_eq!(stat(&stats(&addr), &["cache", "hits"]), 0);
+
+    handle.shutdown();
+    handle.wait();
+}
+
+#[test]
 fn metrics_op_serves_both_formats_and_conserves_counts() {
     let handle = server(2, 32);
     let addr = handle.addr().to_string();

@@ -54,14 +54,14 @@ pub use grid::{
     chrome_trace_for, config_hash, interval_records_for, record_for, sampled_interval_records_for,
     TelemetrySink,
 };
-pub use migrate::{MigrationEpochEvent, MigrationModel, OnlineMigrator};
+pub use migrate::{HotnessTally, MigrationEpochEvent, MigrationModel, OnlineMigrator};
 pub use migration::{
     evaluate_migration, ext_migration, ext_online, ext_reactive, run_online, MigrationOutcome,
     OnlineOutcome,
 };
 pub use runner::{
-    bo_traffic_target, geomean, hints_from_profile, profile_workload, Capacity, ObserveConfig,
-    ObservedRun, Placement, RunBuilder, SimTrace, WorkloadRun,
+    bo_traffic_target, check_fidelity, geomean, hints_from_profile, profile_workload, Capacity,
+    ObserveConfig, ObservedRun, Placement, RunBuilder, SimTrace, WorkloadRun,
 };
 #[allow(deprecated)]
 pub use runner::{run_workload, run_workload_observed, run_workload_profiled};

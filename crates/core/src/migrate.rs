@@ -25,11 +25,21 @@
 //!
 //! Every ranking ties on the page number, so a run is deterministic —
 //! byte-identical reports at any sweep thread count.
+//!
+//! Nothing on the per-access path hashes below 2^22 pages. All per-page
+//! state — this epoch's count, the cumulative tally, the last epoch
+//! touched and the cycle a remap settles — sits in one `PageState` per
+//! page in a dense [`PageMap`], so [`PageMigrator::record_access`] is
+//! one indexed update. A list of the pages touched this epoch lets an
+//! epoch rank and reset only those pages, and the full residency scan
+//! (over the page table, in page order) runs only when a cold-demotion
+//! pass or an LRU eviction needs it.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::rc::Rc;
 
+use gpusim::flat::PageMap;
 use gpusim::{MigrationCounters, PageCopy, PageMigrator, SimConfig};
 use hmtypes::{Bandwidth, MemKind, PageNum, PAGE_SIZE};
 use mempolicy::{AddressSpace, MigrateSpec, ZoneId};
@@ -96,6 +106,48 @@ pub struct MigrationEpochEvent {
     pub copy_pages: u64,
 }
 
+/// Everything the engine tracks for one virtual page.
+#[derive(Debug, Clone, Copy, Default)]
+struct PageState {
+    /// DRAM accesses within the current epoch (0 = untouched).
+    count: u64,
+    /// Cumulative DRAM accesses across all epochs.
+    tally: u64,
+    /// Last epoch the page was touched in (0 = never), the LRU order.
+    last_epoch: u64,
+    /// Cycle the page's latest remap settles (0 = never remapped).
+    ready: u64,
+}
+
+/// Shared read handle on an [`OnlineMigrator`]'s cumulative per-page
+/// access tally, from [`OnlineMigrator::hotness_tally`]. It reads the
+/// engine's live state, so it is exact at any point of a run, including
+/// mid-epoch.
+#[derive(Debug, Clone)]
+pub struct HotnessTally(Rc<RefCell<PageMap<PageState>>>);
+
+impl HotnessTally {
+    /// Accesses counted against `page` so far, or `None` if it was never
+    /// accessed.
+    pub fn get(&self, page: u64) -> Option<u64> {
+        self.0
+            .borrow()
+            .get(page)
+            .map(|s| s.tally)
+            .filter(|&t| t > 0)
+    }
+
+    /// Every accessed page and its count.
+    pub fn to_map(&self) -> HashMap<u64, u64> {
+        self.0
+            .borrow()
+            .iter()
+            .filter(|(_, s)| s.tally > 0)
+            .map(|(page, s)| (page, s.tally))
+            .collect()
+    }
+}
+
 /// The `MIGRATE` policy's engine: epoch-based hotness tracking over the
 /// shared address space, with promotion, LRU eviction, and demotion.
 ///
@@ -113,16 +165,15 @@ pub struct OnlineMigrator {
     next_epoch: u64,
     /// 1-based index of the epoch currently being accumulated.
     epoch_index: u64,
-    /// DRAM accesses per virtual page within the current epoch.
-    counts: HashMap<u64, u64>,
-    /// Cumulative accesses per page across all epochs (shared out via
-    /// [`OnlineMigrator::hotness_tally`] so tests can reconcile it
-    /// against the profiler's histogram).
-    tally: Rc<RefCell<HashMap<u64, u64>>>,
-    /// Last epoch each page was touched in (LRU eviction order).
-    last_access: HashMap<u64, u64>,
-    /// Pages mid-migration: page → cycle its new mapping is usable.
-    pending: HashMap<u64, u64>,
+    /// Per-page state (shared out via [`OnlineMigrator::hotness_tally`]
+    /// so tests can reconcile the tally against the profiler's
+    /// histogram).
+    pages: Rc<RefCell<PageMap<PageState>>>,
+    /// Pages with a nonzero count this epoch, in first-touch order.
+    touched: Vec<u64>,
+    /// Latest remap-ready cycle of any page: at or after it no access
+    /// can stall, and the stall check skips the page lookup.
+    max_ready: u64,
     counters: MigrationCounters,
     /// Per-epoch movement log (shared out via
     /// [`OnlineMigrator::epoch_log`], same pattern as the tally).
@@ -155,10 +206,9 @@ impl OnlineMigrator {
             remap_cycles,
             next_epoch: spec.epoch_cycles.max(1),
             epoch_index: 1,
-            counts: HashMap::new(),
-            tally: Rc::new(RefCell::new(HashMap::new())),
-            last_access: HashMap::new(),
-            pending: HashMap::new(),
+            pages: Rc::new(RefCell::new(PageMap::new())),
+            touched: Vec::new(),
+            max_ready: 0,
             counters: MigrationCounters::default(),
             epochs: Rc::new(RefCell::new(Vec::new())),
         }
@@ -167,8 +217,8 @@ impl OnlineMigrator {
     /// Shared handle to the cumulative per-page access tally. Clone it
     /// before handing the migrator to the simulator; after the run it
     /// holds exactly the accesses every epoch counted.
-    pub fn hotness_tally(&self) -> Rc<RefCell<HashMap<u64, u64>>> {
-        Rc::clone(&self.tally)
+    pub fn hotness_tally(&self) -> HotnessTally {
+        HotnessTally(Rc::clone(&self.pages))
     }
 
     /// Shared handle to the per-epoch movement log. Clone it before
@@ -181,6 +231,14 @@ impl OnlineMigrator {
     /// The per-page remap stall this engine charges, in cycles.
     pub fn remap_latency_cycles(&self) -> u64 {
         self.remap_cycles
+    }
+
+    /// Pages currently resident in `zone`, in page-table order.
+    fn resident_in(mm: &AddressSpace, zone: ZoneId) -> Vec<u64> {
+        mm.mappings()
+            .filter(|&(_, frame)| mm.allocator().zone_of(frame) == Some(zone))
+            .map(|(page, _)| page.index())
+            .collect()
     }
 
     /// Moves `page` to `dst`, returning the physical copy to charge, or
@@ -197,24 +255,39 @@ impl OnlineMigrator {
             dst_line: new.base().line_index(),
         })
     }
+
+    /// Marks `page` as remapped at `now`: its accesses stall until the
+    /// remap latency has passed.
+    fn remapped(&mut self, pages: &mut PageMap<PageState>, page: u64, now: u64) {
+        let ready = now + self.remap_cycles;
+        pages.get_mut(page).ready = ready;
+        self.max_ready = self.max_ready.max(ready);
+    }
 }
 
 impl PageMigrator for OnlineMigrator {
+    #[inline]
     fn record_access(&mut self, _now: u64, page: u64) {
-        *self.counts.entry(page).or_insert(0) += 1;
-        *self.tally.borrow_mut().entry(page).or_insert(0) += 1;
-        self.last_access.insert(page, self.epoch_index);
+        let mut pages = self.pages.borrow_mut();
+        let state = pages.get_mut(page);
+        if state.count == 0 {
+            self.touched.push(page);
+        }
+        state.count += 1;
+        state.tally += 1;
+        state.last_epoch = self.epoch_index;
     }
 
+    #[inline]
     fn remap_stall(&mut self, now: u64, page: u64) -> u64 {
-        // Most requests land while no remap is pending: skip the hash.
-        if self.pending.is_empty() {
+        // Most requests land after every remap has settled.
+        if now >= self.max_ready {
             return 0;
         }
-        match self.pending.get(&page) {
-            Some(&ready) => ready.saturating_sub(now),
-            None => 0,
-        }
+        self.pages
+            .borrow()
+            .get(page)
+            .map_or(0, |s| s.ready.saturating_sub(now))
     }
 
     fn next_epoch(&self) -> u64 {
@@ -227,86 +300,84 @@ impl PageMigrator for OnlineMigrator {
         self.counters.epochs += 1;
         self.epoch_index += 1;
         self.next_epoch = now + self.spec.epoch_cycles.max(1);
-        self.pending.retain(|_, ready| *ready > now);
 
-        let mut mm = self.mm.borrow_mut();
+        let mm_rc = Rc::clone(&self.mm);
+        let mut mm = mm_rc.borrow_mut();
+        let pages_rc = Rc::clone(&self.pages);
+        let mut pages = pages_rc.borrow_mut();
         let mut copies = Vec::new();
 
-        // Residency snapshot in page order (the dense page table
-        // iterates low to high), the base order every ranking below
-        // ties back to — keeping each epoch fully deterministic.
-        let resident: Vec<(u64, ZoneId)> = mm
-            .mappings()
-            .filter_map(|(page, frame)| mm.allocator().zone_of(frame).map(|z| (page.index(), z)))
+        // Promotion candidates: pages outside BO that crossed the hot
+        // threshold this epoch, hottest first, capped at the batch.
+        // Their zones are read before any demotion moves a page, so a
+        // page demoted below is never a candidate.
+        let mut hot: Vec<(u64, u64)> = self
+            .touched
+            .iter()
+            .filter_map(|&page| {
+                let count = pages.get(page).map_or(0, |s| s.count);
+                (count >= self.spec.hot_threshold
+                    && mm.zone_of_page(PageNum::new(page)) == Some(self.co))
+                .then_some((count, page))
+            })
             .collect();
-        let zone_of: HashMap<u64, ZoneId> = resident.iter().copied().collect();
+        hot.sort_unstable_by_key(|&(count, page)| (std::cmp::Reverse(count), page));
+        hot.truncate(self.spec.batch_pages as usize);
 
-        // Demote cold BO pages first so their frames are reusable.
-        let mut demoted = HashSet::new();
+        // Demote cold BO pages first so their frames are reusable; the
+        // residency snapshot is in page order (the dense page table
+        // iterates low to high), keeping each epoch deterministic.
         if self.spec.cold_threshold > 0 {
-            for &(page, zone) in &resident {
-                if zone != self.bo {
-                    continue;
-                }
-                let count = self.counts.get(&page).copied().unwrap_or(0);
+            let bo_resident = Self::resident_in(&mm, self.bo);
+            for page in bo_resident {
+                let count = pages.get(page).map_or(0, |s| s.count);
                 if count >= self.spec.cold_threshold {
                     continue;
                 }
                 if let Some(copy) = Self::move_page(&mut mm, page, self.co) {
                     copies.push(copy);
                     self.counters.demoted += 1;
-                    self.pending.insert(page, now + self.remap_cycles);
-                    demoted.insert(page);
+                    self.remapped(&mut pages, page, now);
                 }
             }
         }
 
-        // Promotion candidates: pages outside BO that crossed the hot
-        // threshold this epoch, hottest first, capped at the batch.
-        let mut hot: Vec<(u64, u64)> = self
-            .counts
-            .iter()
-            .filter(|&(page, &count)| {
-                count >= self.spec.hot_threshold && zone_of.get(page) == Some(&self.co)
-            })
-            .map(|(&page, &count)| (count, page))
-            .collect();
-        hot.sort_by_key(|&(count, page)| (std::cmp::Reverse(count), page));
-        hot.truncate(self.spec.batch_pages as usize);
+        // Eviction order, built on the first full-BO promotion: least-
+        // recently-touched BO page first, the hot set excluded. Demoted
+        // pages have left BO and promoted ones are hot, so the live BO
+        // residency here equals the pre-demotion snapshot minus both.
+        let mut hot_pages: Vec<u64> = hot.iter().map(|&(_, page)| page).collect();
+        hot_pages.sort_unstable();
+        let mut victims: Option<std::vec::IntoIter<u64>> = None;
 
-        // Eviction order: least-recently-touched BO page first, the
-        // hot set and already-demoted pages excluded.
-        let hot_set: HashSet<u64> = hot.iter().map(|&(_, page)| page).collect();
-        let mut victims: Vec<u64> = resident
-            .iter()
-            .filter(|(page, zone)| {
-                *zone == self.bo && !demoted.contains(page) && !hot_set.contains(page)
-            })
-            .map(|&(page, _)| page)
-            .collect();
-        victims.sort_by_key(|page| (self.last_access.get(page).copied().unwrap_or(0), *page));
-        let mut victims = victims.into_iter();
-
-        for (_, page) in hot {
+        for &(_, page) in &hot {
             loop {
                 if let Some(copy) = Self::move_page(&mut mm, page, self.bo) {
                     copies.push(copy);
                     self.counters.promoted += 1;
-                    self.pending.insert(page, now + self.remap_cycles);
+                    self.remapped(&mut pages, page, now);
                     break;
                 }
                 // BO full: evict the LRU victim, then retry the promote.
+                let victims = victims.get_or_insert_with(|| {
+                    let mut v = Self::resident_in(&mm, self.bo);
+                    v.retain(|p| hot_pages.binary_search(p).is_err());
+                    v.sort_by_key(|&p| (pages.get(p).map_or(0, |s| s.last_epoch), p));
+                    v.into_iter()
+                });
                 let Some(victim) = victims.next() else { break };
                 let Some(copy) = Self::move_page(&mut mm, victim, self.co) else {
                     break;
                 };
                 copies.push(copy);
                 self.counters.evicted += 1;
-                self.pending.insert(victim, now + self.remap_cycles);
+                self.remapped(&mut pages, victim, now);
             }
         }
 
-        self.counts.clear();
+        for page in self.touched.drain(..) {
+            pages.get_mut(page).count = 0;
+        }
         self.epochs.borrow_mut().push(MigrationEpochEvent {
             cycle: now,
             index: closed_index,
@@ -498,7 +569,7 @@ mod tests {
             mig.record_access(150_000, pages[0]);
         }
         mig.record_access(150_000, pages[1]);
-        assert_eq!(tally.borrow().get(&pages[0]), Some(&5));
-        assert_eq!(tally.borrow().get(&pages[1]), Some(&1));
+        assert_eq!(tally.get(pages[0]), Some(5));
+        assert_eq!(tally.get(pages[1]), Some(1));
     }
 }

@@ -15,7 +15,9 @@ use mempolicy::Mempolicy;
 use profiler::OraclePlacement;
 
 use crate::experiments::{ExpOptions, Table};
-use crate::runner::{bo_traffic_target, profile_workload, Capacity, Placement, RunBuilder};
+use crate::runner::{
+    bo_traffic_target, check_fidelity, profile_workload, Capacity, Placement, RunBuilder,
+};
 use crate::translate::topology_for;
 
 // The cost model moved next to the online engine; this study is a thin
@@ -316,6 +318,11 @@ pub fn ext_online(opts: &ExpOptions) -> Table {
 /// run's DRAM traffic minus its own copy bytes, over its cycles,
 /// relative to the oracle's traffic over the oracle's cycles. 1.0 means
 /// migration fully closed the gap; BW-AWARE's number is the floor.
+///
+/// # Panics
+///
+/// Panics with the `unsupported-fidelity` error before any run if
+/// `opts.fidelity` is sampled (see [`check_fidelity`]).
 pub fn ext_reactive(opts: &ExpOptions) -> Table {
     let mut t = Table::new(
         "Extension — reactive MIGRATE vs constrained oracle at 10% capacity",
@@ -334,6 +341,9 @@ pub fn ext_reactive(opts: &ExpOptions) -> Table {
     // short enough to act several times per run, a hot threshold low
     // enough to catch the skewed pages.
     let migrate = Mempolicy::parse("MIGRATE:epoch=25000,hot=4", &topo).expect("valid spec");
+    if let Err(e) = check_fidelity(opts.fidelity, &migrate) {
+        panic!("ext_reactive: {e} ({})", e.code());
+    }
     let specs = opts.specs();
     let hists = crate::grid::sweep(
         "ext_reactive",

@@ -7,9 +7,11 @@
 //! Storage is two packed arrays indexed `set * ways + way`: one of tags,
 //! where [`INVALID`] marks an empty way, and one of LRU stamps, where an
 //! empty way holds 0 and a valid way the (nonzero) access tick of its
-//! last use. A tag search reads one contiguous run of `u64`s, and the
-//! victim is the first way with the smallest stamp — the first empty
-//! way if there is one, else the least recently used.
+//! last use. The victim is the first way with the smallest stamp — the
+//! first empty way if there is one, else the least recently used.
+//! [`SetAssocCache::access`] walks the set once, comparing tags and
+//! tracking that minimum in the same pass, so a miss never rereads the
+//! set to pick its victim.
 
 use crate::config::CacheConfig;
 
@@ -105,20 +107,30 @@ impl SetAssocCache {
     pub fn access(&mut self, line: u64) -> CacheOutcome {
         self.tick += 1;
         let (base, tag) = self.locate(line);
-        if let Some(way) = self.find(base, tag) {
-            self.stamps[way] = self.tick;
+        let ways = self.cfg.ways;
+        let tags = &self.tags[base..base + ways];
+        let stamps = &self.stamps[base..base + ways];
+        // One pass: the hit way (a valid tag sits in at most one way)
+        // and the first way with the minimum stamp.
+        let mut hit = None;
+        let mut victim = 0;
+        let mut oldest = stamps[0];
+        for (w, (&t, &stamp)) in tags.iter().zip(stamps).enumerate() {
+            if t == tag {
+                hit = Some(w);
+            }
+            if stamp < oldest {
+                oldest = stamp;
+                victim = w;
+            }
+        }
+        if let Some(w) = hit {
+            self.stamps[base + w] = self.tick;
             self.hits += 1;
             return CacheOutcome::Hit;
         }
 
         self.misses += 1;
-        let stamps = &self.stamps[base..base + self.cfg.ways];
-        let mut victim = 0;
-        for (w, &stamp) in stamps.iter().enumerate().skip(1) {
-            if stamp < stamps[victim] {
-                victim = w;
-            }
-        }
         let way = base + victim;
         let old = self.tags[way];
         let evicted = (old != INVALID).then(|| (old << self.set_bits) | (line & self.set_mask));

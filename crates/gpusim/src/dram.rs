@@ -23,6 +23,12 @@
 //! seq)` key, a bitmask marks the banks whose cached winner a serve has
 //! invalidated, and a tick rescans only those before taking the
 //! channel-wide minimum key.
+//!
+//! A queued request is 24 bytes: its line with the read flag packed
+//! into bit 63, its sequence number and its enqueue time. The row is
+//! not stored; the scheduler derives it from the line with the bank
+//! [`Divisor`] when it rates the request. Bus instants round up with an
+//! exact integer ceiling rather than `f64::ceil`.
 
 use std::collections::VecDeque;
 
@@ -96,13 +102,44 @@ struct Bank {
     row_ready: u64,
 }
 
+/// Bit 63 of [`QueuedReq::line_read`]: set for a read. Channel-local
+/// line indices stay far below it.
+const READ_BIT: u64 = 1 << 63;
+
 #[derive(Debug, Clone, Copy)]
 struct QueuedReq {
-    line: u64,
-    row: u64,
-    read: bool,
+    /// The channel-local line, with [`READ_BIT`] set for a read.
+    line_read: u64,
     seq: u64,
     enq: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<QueuedReq>() == 24, "QueuedReq grew");
+
+impl QueuedReq {
+    #[inline]
+    fn line(&self) -> u64 {
+        self.line_read & !READ_BIT
+    }
+
+    #[inline]
+    fn read(&self) -> bool {
+        self.line_read & READ_BIT != 0
+    }
+}
+
+/// `x.ceil() as u64` for a finite, nonnegative `x`, without the libm
+/// call: truncation is exact for such values, and one comparison decides
+/// whether a fractional part was dropped.
+#[inline]
+fn ceil_u64(x: f64) -> u64 {
+    debug_assert!(x >= 0.0 && x.is_finite(), "{x}");
+    let t = x as u64;
+    if (t as f64) < x {
+        t + 1
+    } else {
+        t
+    }
 }
 
 /// Cached FR-FCFS winner for one bank: what the scheduling scan of that
@@ -271,13 +308,11 @@ impl DramChannel {
     /// tick is already pending.
     #[inline]
     pub fn enqueue(&mut self, now: u64, line: u64, read: bool) -> Option<u64> {
+        debug_assert_eq!(line & READ_BIT, 0, "line index collides with the read flag");
         let bank = self.bank_of(line);
-        let row = self.row_of(line);
         let old_len = self.queues[bank].len();
         let req = QueuedReq {
-            line,
-            row,
-            read,
+            line_read: if read { line | READ_BIT } else { line },
             seq: self.seq,
             enq: now,
         };
@@ -302,7 +337,7 @@ impl DramChannel {
             None
         } else {
             self.ticking = true;
-            Some((now as f64).max(self.bus_free_at).ceil() as u64)
+            Some(ceil_u64((now as f64).max(self.bus_free_at)))
         }
     }
 
@@ -315,13 +350,13 @@ impl DramChannel {
     fn rate(&self, b: usize, req: &QueuedReq, pos: usize) -> BankCand {
         let bank = &self.banks[b];
         let t = req.enq;
-        let (ready, hit) = if bank.open_row == Some(req.row) {
+        let (ready, hit) = if bank.open_row == Some(self.row_of(req.line())) {
             (t.max(bank.row_ready), true)
         } else {
             let activate = t.max(bank.next_activate);
             (activate + self.timing.rp + self.timing.rcd, false)
         };
-        let col = if req.read {
+        let col = if req.read() {
             self.timing.cl
         } else {
             self.timing.wr
@@ -403,9 +438,10 @@ impl DramChannel {
             self.stats.row_hits += 1;
         } else {
             self.stats.row_misses += 1;
+            let row = self.row_of(req.line());
             let bank = &mut self.banks[bank_idx];
             let activate = req.enq.max(bank.next_activate);
-            bank.open_row = Some(req.row);
+            bank.open_row = Some(row);
             bank.next_activate = activate + self.timing.rc;
             bank.row_ready = activate + self.timing.rp + self.timing.rcd;
         }
@@ -417,16 +453,17 @@ impl DramChannel {
         self.stats.bytes += LINE_SIZE as u64;
         self.stats.busy_cycles += self.burst;
 
+        let done = ceil_u64(data_end);
         let next_tick = if self.queued > 0 {
-            Some(data_end.ceil() as u64)
+            Some(done)
         } else {
             self.ticking = false;
             None
         };
         Some(Served {
-            line: req.line,
-            read: req.read,
-            done: data_end.ceil() as u64,
+            line: req.line(),
+            read: req.read(),
+            done,
             next_tick,
         })
     }

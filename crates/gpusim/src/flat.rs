@@ -1,9 +1,9 @@
-//! Flat hot-path tables for the simulator.
+//! Flat hot-path tables for the simulator and the migration engine.
 //!
-//! The simulator's per-event bookkeeping — MSHR waiter lists, per-SM
-//! pending-miss lists, per-page access counts — sits on the hottest
-//! path in the repo. `HashMap<u64, Vec<..>>` there means SipHash on
-//! every probe and a fresh `Vec` allocation per miss. This module
+//! The per-event bookkeeping — MSHR waiter lists, per-SM pending-miss
+//! lists, per-page access counts and migration state — sits on the
+//! hottest path in the repo. `HashMap<u64, Vec<..>>` there means SipHash
+//! on every probe and a fresh `Vec` allocation per miss. This module
 //! replaces them with two purpose-built structures:
 //!
 //! * [`WaiterMap`]: an open-addressed multimap (`u64` key → list of
@@ -12,10 +12,16 @@
 //!   its slot, so the common single-waiter miss touches one slot and
 //!   nothing else. Only a merge (a second waiter for the same key)
 //!   spills the rest into a side list; spill lists are recycled through
-//!   a free list, so the steady state allocates nothing.
-//! * [`PageCounter`]: per-page access counts as a dense `Vec<u64>`
-//!   indexed by page number, with a `HashMap` spill for pathologically
-//!   high page numbers.
+//!   a free list, so the steady state allocates nothing. One
+//!   [`WaiterMap::lookup`] answers "present or where to insert", so a
+//!   caller that merges or inserts after other checks probes once, and
+//!   [`WaiterMap::remove_with`] hands each waiter straight to the caller
+//!   instead of copying the list out.
+//! * [`PageMap`]: a per-page value (`Copy + Default`) as a dense `Vec`
+//!   indexed by page number, with a `HashMap` spill for page numbers at
+//!   or above 2^22 — the same dense range as the OS model's page table.
+//!   The profiler's page histogram and the online migrator's per-page
+//!   state both live in one.
 //!
 //! Both are drop-in *behavioral* equivalents of the maps they replace;
 //! the golden-equivalence suite (`tests/golden_simreport.rs`) pins that.
@@ -43,6 +49,18 @@ struct Slot<W> {
     spill: u32,
 }
 
+/// A present key's slot, from [`WaiterMap::lookup`]; consumed by
+/// [`WaiterMap::merge`].
+#[derive(Debug)]
+#[must_use]
+pub struct Found(usize);
+
+/// An absent key's insertion slot, from [`WaiterMap::lookup`]; consumed
+/// by [`WaiterMap::insert`].
+#[derive(Debug)]
+#[must_use]
+pub struct Vacant(usize);
+
 /// Open-addressed multimap from `u64` keys to small lists of `Copy`
 /// waiters, in insertion order per key.
 ///
@@ -53,14 +71,23 @@ struct Slot<W> {
 ///
 /// let mut map: WaiterMap<u32> = WaiterMap::with_key_capacity(16);
 /// assert!(map.push(7, 1)); // new key
-/// assert!(map.push_if_present(7, 2)); // merged into the existing list
-/// assert!(!map.push_if_present(8, 3)); // absent key: nothing stored
-/// assert_eq!(map.len(), 1);
+/// // One probe decides: merge into the existing list...
+/// match map.lookup(7) {
+///     Ok(found) => map.merge(found, 2),
+///     Err(_) => unreachable!("7 is present"),
+/// }
+/// // ...or insert at the empty slot the probe ended on.
+/// match map.lookup(8) {
+///     Ok(_) => unreachable!("8 is absent"),
+///     Err(vacant) => map.insert(vacant, 8, 3),
+/// }
+/// assert_eq!(map.len(), 2);
 ///
-/// let mut scratch = Vec::new();
-/// assert!(map.remove_into(7, &mut scratch));
-/// assert_eq!(scratch, [1, 2]);
-/// assert!(map.is_empty());
+/// let mut woken = Vec::new();
+/// assert!(map.remove_with(7, |w| woken.push(w)));
+/// assert_eq!(woken, [1, 2]);
+/// assert!(!map.remove_with(7, |_| unreachable!()));
+/// assert_eq!(map.len(), 1);
 /// ```
 #[derive(Debug)]
 pub struct WaiterMap<W: Copy + Default> {
@@ -137,9 +164,23 @@ impl<W: Copy + Default> WaiterMap<W> {
         }
     }
 
-    /// Appends `w` behind slot `i`'s existing waiters.
+    /// Probes for `key` once: `Ok` with the slot holding it, or `Err`
+    /// with the empty slot that ends its probe chain — where
+    /// [`WaiterMap::insert`] puts it. Either handle is valid only until
+    /// the map is next mutated.
     #[inline]
-    fn merge(&mut self, i: usize, w: W) {
+    pub fn lookup(&self, key: u64) -> Result<Found, Vacant> {
+        match self.find(key) {
+            Ok(i) => Ok(Found(i)),
+            Err(i) => Err(Vacant(i)),
+        }
+    }
+
+    /// Appends `w` behind the waiters of the key `at` found.
+    #[inline]
+    pub fn merge(&mut self, at: Found, w: W) {
+        let i = at.0;
+        debug_assert_ne!(self.slots[i].key, EMPTY, "stale Found handle");
         let mut spill = self.slots[i].spill;
         if spill == NO_SPILL {
             spill = self.free_spills.pop().unwrap_or_else(|| {
@@ -151,60 +192,52 @@ impl<W: Copy + Default> WaiterMap<W> {
         self.spills[spill as usize].push(w);
     }
 
+    /// Inserts `key`, absent when [`WaiterMap::lookup`] returned `at`,
+    /// with `w` as its first waiter.
+    #[inline]
+    pub fn insert(&mut self, at: Vacant, key: u64, w: W) {
+        let mut i = at.0;
+        if (self.len + 1) * 2 > self.slots.len() {
+            self.grow();
+            let Err(j) = self.find(key) else {
+                unreachable!("inserted key was absent");
+            };
+            i = j;
+        }
+        debug_assert_eq!(self.find(key), Err(i), "stale Vacant handle");
+        self.slots[i] = Slot {
+            key,
+            first: w,
+            spill: NO_SPILL,
+        };
+        self.len += 1;
+    }
+
     /// Appends `w` to `key`'s waiter list, creating the list if the key
     /// is new. Returns `true` iff the key was newly inserted.
     #[inline]
     pub fn push(&mut self, key: u64, w: W) -> bool {
-        if (self.len + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        match self.find(key) {
-            Ok(i) => {
-                self.merge(i, w);
+        match self.lookup(key) {
+            Ok(found) => {
+                self.merge(found, w);
                 false
             }
-            Err(i) => {
-                self.slots[i] = Slot {
-                    key,
-                    first: w,
-                    spill: NO_SPILL,
-                };
-                self.len += 1;
+            Err(vacant) => {
+                self.insert(vacant, key, w);
                 true
             }
         }
     }
 
-    /// Appends `w` to `key`'s waiter list if `key` is present; returns
-    /// whether it was (an absent key is left absent).
-    #[inline]
-    pub fn push_if_present(&mut self, key: u64, w: W) -> bool {
-        match self.find(key) {
-            Ok(i) => {
-                self.merge(i, w);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Removes `key`, writing its waiters into `out` (cleared first) in
-    /// insertion order. Returns `false` (with `out` empty) if the key is
+    /// Removes `key`, handing each of its waiters to `f` in insertion
+    /// order. Returns `false` (without calling `f`) if the key is
     /// absent.
     #[inline]
-    pub fn remove_into(&mut self, key: u64, out: &mut Vec<W>) -> bool {
-        out.clear();
+    pub fn remove_with(&mut self, key: u64, mut f: impl FnMut(W)) -> bool {
         let Ok(i) = self.find(key) else {
             return false;
         };
         let slot = self.slots[i];
-        out.push(slot.first);
-        if slot.spill != NO_SPILL {
-            let list = &mut self.spills[slot.spill as usize];
-            out.extend_from_slice(list);
-            list.clear();
-            self.free_spills.push(slot.spill);
-        }
         self.len -= 1;
         // Backward-shift deletion: pull displaced entries into the hole
         // so probe chains never need tombstones.
@@ -225,6 +258,13 @@ impl<W: Copy + Default> WaiterMap<W> {
             }
         }
         self.slots[hole].key = EMPTY;
+        f(slot.first);
+        if slot.spill != NO_SPILL {
+            for w in self.spills[slot.spill as usize].drain(..) {
+                f(w);
+            }
+            self.free_spills.push(slot.spill);
+        }
         true
     }
 
@@ -244,51 +284,91 @@ impl<W: Copy + Default> WaiterMap<W> {
     }
 }
 
-/// How many pages the dense counter array may cover (2^22 pages =
-/// 16 GiB of 4 kB-page address space — beyond any catalog footprint).
-const DENSE_PAGE_CAP: u64 = 1 << 22;
+/// How many pages the dense array may cover (2^22 pages = 16 GiB of
+/// 4 kB-page address space — beyond any catalog footprint; the OS
+/// model's page table uses the same range).
+pub const DENSE_PAGE_CAP: u64 = 1 << 22;
 
-/// Per-virtual-page access counter: dense array for the (universal)
-/// case of compact page numbers, hash-map spill beyond
-/// [`DENSE_PAGE_CAP`]. Replaces `HashMap<PageNum, u64>` on the DRAM
-/// access path; converts back to one in [`PageCounter::into_map`].
-#[derive(Debug, Default)]
-pub struct PageCounter {
-    dense: Vec<u64>,
-    spill: HashMap<u64, u64>,
+/// A `V` per virtual page: a dense `Vec<V>` for page numbers below
+/// [`DENSE_PAGE_CAP`] (grown by doubling as pages appear), a `HashMap`
+/// spill at or above it. Pages never written read as absent from the
+/// spill and as `V::default()` from the dense range, so callers treat
+/// the default value as "untouched".
+///
+/// # Examples
+///
+/// ```
+/// use gpusim::flat::{PageMap, DENSE_PAGE_CAP};
+///
+/// let mut counts: PageMap<u64> = PageMap::new();
+/// *counts.get_mut(3) += 1;
+/// *counts.get_mut(DENSE_PAGE_CAP + 9) += 2; // spills
+/// assert_eq!(counts.get(3), Some(&1));
+/// assert_eq!(counts.get(DENSE_PAGE_CAP + 9), Some(&2));
+/// assert_eq!(counts.get(1 << 40), None);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct PageMap<V> {
+    dense: Vec<V>,
+    spill: HashMap<u64, V>,
 }
 
-impl PageCounter {
-    /// Creates an empty counter.
+impl<V: Copy + Default> PageMap<V> {
+    /// Creates an empty map.
     pub fn new() -> Self {
-        PageCounter::default()
+        PageMap {
+            dense: Vec::new(),
+            spill: HashMap::new(),
+        }
     }
 
-    /// Counts one access to `page`.
+    /// `page`'s value, or `None` if the map never held a slot for it.
     #[inline]
-    pub fn bump(&mut self, page: u64) {
+    pub fn get(&self, page: u64) -> Option<&V> {
+        if page < DENSE_PAGE_CAP {
+            self.dense.get(page as usize)
+        } else {
+            self.spill.get(&page)
+        }
+    }
+
+    /// `page`'s value, creating it as `V::default()` if absent.
+    #[inline]
+    pub fn get_mut(&mut self, page: u64) -> &mut V {
         if page < DENSE_PAGE_CAP {
             let idx = page as usize;
             if idx >= self.dense.len() {
-                self.dense.resize((idx + 1).next_power_of_two(), 0);
+                self.dense
+                    .resize((idx + 1).next_power_of_two(), V::default());
             }
-            self.dense[idx] += 1;
+            &mut self.dense[idx]
         } else {
-            *self.spill.entry(page).or_insert(0) += 1;
+            self.spill.entry(page).or_default()
         }
     }
 
-    /// Converts to the report-facing map of nonzero counts.
-    pub fn into_map(self) -> HashMap<PageNum, u64> {
+    /// Every held slot as `(page, value)`: the dense range in page
+    /// order (default values included), then the spill in arbitrary
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
+        self.dense
+            .iter()
+            .enumerate()
+            .map(|(page, v)| (page as u64, v))
+            .chain(self.spill.iter().map(|(&page, v)| (page, v)))
+    }
+}
+
+impl PageMap<u64> {
+    /// Converts per-page access counts to the report-facing map of
+    /// nonzero counts.
+    pub fn into_counts(self) -> HashMap<PageNum, u64> {
         let mut map: HashMap<PageNum, u64> =
             HashMap::with_capacity(self.spill.len() + self.dense.len() / 2);
-        for (page, count) in self.dense.into_iter().enumerate() {
+        for (page, &count) in self.iter() {
             if count > 0 {
-                map.insert(PageNum::new(page as u64), count);
+                map.insert(PageNum::new(page), count);
             }
-        }
-        for (page, count) in self.spill {
-            map.insert(PageNum::new(page), count);
         }
         map
     }
@@ -298,6 +378,12 @@ impl PageCounter {
 mod tests {
     use super::*;
 
+    /// Drains `key` into a fresh vector (`None` if absent).
+    fn take<W: Copy + Default>(map: &mut WaiterMap<W>, key: u64) -> Option<Vec<W>> {
+        let mut out = Vec::new();
+        map.remove_with(key, |w| out.push(w)).then_some(out)
+    }
+
     #[test]
     fn push_merge_remove_roundtrip() {
         let mut map: WaiterMap<(u16, u64)> = WaiterMap::with_key_capacity(8);
@@ -305,18 +391,31 @@ mod tests {
         assert!(!map.push(100, (2, 20)));
         assert!(map.push(200, (3, 30)));
         assert_eq!(map.len(), 2);
-        assert!(map.push_if_present(100, (4, 40)));
-        assert!(!map.push_if_present(999, (5, 50)));
+        let found = map.lookup(100).expect("present");
+        map.merge(found, (4, 40));
+        assert!(map.lookup(999).is_err());
         assert_eq!(map.len(), 2);
 
-        let mut out = vec![(9u16, 9u64)]; // stale contents must be cleared
-        assert!(map.remove_into(100, &mut out));
-        assert_eq!(out, [(1, 10), (2, 20), (4, 40)]);
-        assert!(!map.remove_into(100, &mut out));
-        assert!(out.is_empty());
-        assert!(map.remove_into(200, &mut out));
-        assert_eq!(out, [(3, 30)]);
+        assert_eq!(take(&mut map, 100).unwrap(), [(1, 10), (2, 20), (4, 40)]);
+        assert_eq!(take(&mut map, 100), None);
+        assert_eq!(take(&mut map, 200).unwrap(), [(3, 30)]);
         assert!(map.is_empty());
+    }
+
+    #[test]
+    fn insert_at_vacant_grows_when_full() {
+        // Capacity 8 holds 4 keys under the 50% load bound; the fifth
+        // insert grows the table and re-probes for its slot.
+        let mut map: WaiterMap<u32> = WaiterMap::with_key_capacity(4);
+        for k in 0..5u64 {
+            let vacant = map.lookup(k * 31).expect_err("absent");
+            map.insert(vacant, k * 31, k as u32);
+        }
+        assert_eq!(map.len(), 5);
+        assert_eq!(map.slots.len(), 16);
+        for k in 0..5u64 {
+            assert_eq!(take(&mut map, k * 31).unwrap(), [k as u32]);
+        }
     }
 
     #[test]
@@ -329,13 +428,12 @@ mod tests {
             }
         }
         assert_eq!(map.len(), 1000);
-        let mut out = Vec::new();
         for k in 0..1000u64 {
-            assert!(map.remove_into(k * 7919, &mut out), "key {k}");
+            let got = take(&mut map, k * 7919).unwrap_or_else(|| panic!("key {k}"));
             if k % 3 == 0 {
-                assert_eq!(out, [k as u32, k as u32 + 1]);
+                assert_eq!(got, [k as u32, k as u32 + 1]);
             } else {
-                assert_eq!(out, [k as u32]);
+                assert_eq!(got, [k as u32]);
             }
         }
         assert!(map.is_empty());
@@ -346,7 +444,6 @@ mod tests {
         let mut map: WaiterMap<u32> = WaiterMap::with_key_capacity(4);
         let mut reference: HashMap<u64, Vec<u32>> = HashMap::new();
         let mut rng = hmtypes::SplitMix64::new(42);
-        let mut out = Vec::new();
         for step in 0..20_000u32 {
             let key = rng.next_below(64); // small key space: heavy churn
             if rng.next_below(3) > 0 {
@@ -354,14 +451,11 @@ mod tests {
                 assert_eq!(was_new, !reference.contains_key(&key));
                 reference.entry(key).or_default().push(step);
             } else {
-                let removed = map.remove_into(key, &mut out);
-                match reference.remove(&key) {
-                    Some(want) => {
-                        assert!(removed);
-                        assert_eq!(out, want, "step {step} key {key}");
-                    }
-                    None => assert!(!removed && out.is_empty()),
-                }
+                assert_eq!(
+                    take(&mut map, key),
+                    reference.remove(&key),
+                    "step {step} key {key}"
+                );
             }
             assert_eq!(map.len(), reference.len());
         }
@@ -370,18 +464,16 @@ mod tests {
     #[test]
     fn single_waiters_never_spill_and_merges_recycle_lists() {
         let mut map: WaiterMap<u32> = WaiterMap::with_key_capacity(8);
-        let mut out = Vec::new();
         for i in 0..100 {
             map.push(i, 0);
-            map.remove_into(i, &mut out);
+            take(&mut map, i);
         }
         assert!(map.spills.is_empty(), "no merge, no spill list");
         for round in 0..100u32 {
             for i in 0..50 {
                 map.push(5, round + i);
             }
-            map.remove_into(5, &mut out);
-            assert_eq!(out.len(), 50);
+            assert_eq!(take(&mut map, 5).unwrap().len(), 50);
         }
         // One spill list, its capacity kept across every round.
         assert_eq!(map.spills.len(), 1);
@@ -390,8 +482,8 @@ mod tests {
     }
 
     #[test]
-    fn page_counter_matches_hashmap_semantics() {
-        let mut pc = PageCounter::new();
+    fn page_map_matches_hashmap_semantics() {
+        let mut pm: PageMap<u64> = PageMap::new();
         let mut reference: HashMap<u64, u64> = HashMap::new();
         let mut rng = hmtypes::SplitMix64::new(7);
         for _ in 0..10_000 {
@@ -401,10 +493,14 @@ mod tests {
             } else {
                 rng.next_below(5_000)
             };
-            pc.bump(page);
+            *pm.get_mut(page) += 1;
             *reference.entry(page).or_insert(0) += 1;
         }
-        let got = pc.into_map();
+        for (&page, &count) in &reference {
+            assert_eq!(pm.get(page), Some(&count), "page {page}");
+        }
+        assert_eq!(pm.get(DENSE_PAGE_CAP - 1), None, "dense never grew there");
+        let got = pm.into_counts();
         assert_eq!(got.len(), reference.len());
         for (page, count) in reference {
             assert_eq!(got.get(&PageNum::new(page)), Some(&count), "page {page}");

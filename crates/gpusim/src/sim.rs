@@ -24,7 +24,7 @@ use crate::cache::SetAssocCache;
 use crate::config::SimConfig;
 use crate::dram::{Divisor, DramChannel, LINES_PER_ROW};
 use crate::engine::Calendar;
-use crate::flat::{PageCounter, WaiterMap};
+use crate::flat::{PageMap, WaiterMap};
 use crate::migrate::{NullMigrator, PageMigrator};
 use crate::observe::{NullObserver, Observer};
 use crate::request::{AddressTranslator, WarpId, WarpOp, WarpProgram};
@@ -158,11 +158,7 @@ pub struct Simulator<T, P, O = NullObserver, M = NullMigrator> {
     retired: u32,
     bytes_read: Vec<u64>,
     bytes_written: Vec<u64>,
-    page_accesses: Option<PageCounter>,
-    /// Drain buffers for [`WaiterMap::remove_into`], reused for the
-    /// whole run.
-    pending_scratch: Vec<u32>,
-    mshr_scratch: Vec<(u16, u64)>,
+    page_accesses: Option<PageMap<u64>>,
     obs: O,
     mig: M,
     /// Copy traffic charged for migrations (bytes on the DRAM buses).
@@ -249,8 +245,6 @@ impl<T: AddressTranslator, P: WarpProgram> Simulator<T, P> {
             bytes_read: vec![0; num_pools],
             bytes_written: vec![0; num_pools],
             page_accesses: None,
-            pending_scratch: Vec::new(),
-            mshr_scratch: Vec::new(),
             obs: NullObserver,
             mig: NullMigrator,
             copy_bytes: 0,
@@ -264,7 +258,7 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
     /// Enables per-virtual-page DRAM access counting (paper Fig. 6/7
     /// profiling: accesses counted after cache filtering).
     pub fn with_page_profiling(mut self) -> Self {
-        self.page_accesses = Some(PageCounter::new());
+        self.page_accesses = Some(PageMap::new());
         self
     }
 
@@ -293,8 +287,6 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
             bytes_read: self.bytes_read,
             bytes_written: self.bytes_written,
             page_accesses: self.page_accesses,
-            pending_scratch: self.pending_scratch,
-            mshr_scratch: self.mshr_scratch,
             obs,
             mig: self.mig,
             copy_bytes: self.copy_bytes,
@@ -328,8 +320,6 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
             bytes_read: self.bytes_read,
             bytes_written: self.bytes_written,
             page_accesses: self.page_accesses,
-            pending_scratch: self.pending_scratch,
-            mshr_scratch: self.mshr_scratch,
             obs: self.obs,
             mig,
             copy_bytes: self.copy_bytes,
@@ -457,7 +447,7 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
             mshr_stalls: self.mshr_stalls,
             retired_warps: self.retired,
             pools,
-            page_accesses: self.page_accesses.map(PageCounter::into_map),
+            page_accesses: self.page_accesses.map(PageMap::into_counts),
             migration,
             estimated: None,
         };
@@ -627,7 +617,7 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
     /// (the engine sees exactly the stream the profiler counts).
     fn profile_page(&mut self, now: u64, vline: u64) {
         if let Some(counter) = self.page_accesses.as_mut() {
-            counter.bump(vline / LINES_PER_PAGE);
+            *counter.get_mut(vline / LINES_PER_PAGE) += 1;
         }
         if M::ENABLED {
             self.mig.record_access(now, vline / LINES_PER_PAGE);
@@ -701,14 +691,19 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
         }
 
         // Merge with an in-flight fill before probing the tag array: the
-        // data is still in DRAM even though the fill is scheduled.
-        if self.slices[s].mshr.push_if_present(pline, (sm, vline)) {
-            self.l2_misses += 1;
-            if O::ENABLED {
-                self.obs.l2_access(now, u32::from(slice), pool, false);
+        // data is still in DRAM even though the fill is scheduled. The
+        // one MSHR probe also yields the slot a new entry goes into.
+        let vacant = match self.slices[s].mshr.lookup(pline) {
+            Ok(found) => {
+                self.slices[s].mshr.merge(found, (sm, vline));
+                self.l2_misses += 1;
+                if O::ENABLED {
+                    self.obs.l2_access(now, u32::from(slice), pool, false);
+                }
+                return;
             }
-            return;
-        }
+            Err(vacant) => vacant,
+        };
         if self.slices[s].cache.probe(pline) {
             self.l2_hits += 1;
             if O::ENABLED {
@@ -733,8 +728,7 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
             self.slices[s].waitq.push_back((vline, pline, sm));
             return;
         }
-        let newly_allocated = self.slices[s].mshr.push(pline, (sm, vline));
-        debug_assert!(newly_allocated, "merge path handled existing entries");
+        self.slices[s].mshr.insert(vacant, pline, (sm, vline));
         if O::ENABLED {
             let occupancy = self.slices[s].mshr.len();
             self.obs.mshr_occupancy(now, occupancy);
@@ -772,14 +766,12 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
         let s = usize::from(slice);
         // Install the line now that its data arrived.
         let _ = self.slices[s].cache.access(pline);
-        let mut waiters = std::mem::take(&mut self.mshr_scratch);
-        let found = self.slices[s].mshr.remove_into(pline, &mut waiters);
-        assert!(found, "fill without mshr entry");
         let at = now + self.response_latency();
-        for &(sm, vline) in &waiters {
-            self.cal.schedule(at, Event::SmReceive { vline, sm });
-        }
-        self.mshr_scratch = waiters;
+        let cal = &mut self.cal;
+        let found = self.slices[s].mshr.remove_with(pline, |(sm, vline)| {
+            cal.schedule(at, Event::SmReceive { vline, sm });
+        });
+        assert!(found, "fill without mshr entry");
         // A fill freed an MSHR: admit held requests while entries last.
         // Re-running the arrival path re-checks merge and tag state,
         // which may have changed while the request was held.
@@ -795,18 +787,17 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
         if O::ENABLED {
             self.obs.request_retire(now, sm, vline);
         }
-        let mut slots = std::mem::take(&mut self.pending_scratch);
-        self.sms[sm as usize].pending.remove_into(vline, &mut slots);
-        for &slot in &slots {
-            let w = WarpId(u32::from(sm) * self.warps_per_sm + slot);
-            let warp = &mut self.warps[w.index()];
+        let base = u32::from(sm) * self.warps_per_sm;
+        let (warps, cal) = (&mut self.warps, &mut self.cal);
+        self.sms[sm as usize].pending.remove_with(vline, |slot| {
+            let w = WarpId(base + slot);
+            let warp = &mut warps[w.index()];
             warp.outstanding -= 1;
             if warp.waiting {
                 warp.waiting = false;
-                self.cal.schedule_in(1, Event::WarpReady(w));
+                cal.schedule_in(1, Event::WarpReady(w));
             }
-        }
-        self.pending_scratch = slots;
+        });
     }
 }
 

@@ -430,14 +430,21 @@ hetmem_harness::props! {
                     reference.entry(key).or_default().push(w);
                 }
                 2 => {
-                    let present = map.push_if_present(key, w);
+                    let present = match map.lookup(key) {
+                        Ok(found) => {
+                            map.merge(found, w);
+                            true
+                        }
+                        Err(_) => false,
+                    };
                     assert_eq!(present, reference.contains_key(&key), "step {step}");
                     if let Some(list) = reference.get_mut(&key) {
                         list.push(w);
                     }
                 }
                 _ => {
-                    let removed = map.remove_into(key, &mut out);
+                    out.clear();
+                    let removed = map.remove_with(key, |w| out.push(w));
                     match reference.remove(&key) {
                         Some(want) => assert!(removed && out == want, "step {step} key {key}"),
                         None => assert!(!removed && out.is_empty(), "step {step} key {key}"),
@@ -447,7 +454,8 @@ hetmem_harness::props! {
             assert_eq!(map.len(), reference.len());
         }
         for (key, want) in reference {
-            assert!(map.remove_into(key, &mut out));
+            out.clear();
+            assert!(map.remove_with(key, |w| out.push(w)));
             assert_eq!(out, want, "drain key {key}");
         }
         assert!(map.is_empty());

@@ -65,9 +65,11 @@ impl OraclePlacement {
             return OraclePlacement::default();
         }
 
-        // Rank: hotness bucket (hot first), then page-number hash.
+        // Rank: hotness bucket (hot first), then page-number hash. Each
+        // key is computed once (the hash is a bijection of the page
+        // number, so keys never tie and the order is fully determined).
         let mut ranked = histogram.hot_to_cold();
-        ranked.sort_by_key(|&(page, count)| {
+        ranked.sort_by_cached_key(|&(page, count)| {
             (
                 core::cmp::Reverse(bucket(count)),
                 SplitMix64::new(page.index()).next_u64(),

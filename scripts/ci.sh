@@ -214,6 +214,19 @@ if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] !=
     exit 1
 fi
 
+# Sampled determinism and accuracy gate: perfbench's sim-sampled workload
+# at seed 1 fails a point whose repeats disagree on its digest or whose
+# extrapolated bandwidth is more than 15% off the committed full-fidelity
+# bandwidth. `failed` must be 0.
+BENCH_RESULT=$(python3 perfbench/run.py --workload sim-sampled --seed 1 \
+    --seconds 5 --trace 0 | tail -1)
+echo "$BENCH_RESULT"
+if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] != 0)' \
+    "$BENCH_RESULT"; then
+    echo "perfbench sim-sampled reported failed operations" >&2
+    exit 1
+fi
+
 # Sampled-fidelity error bound: on two golden steady-state workloads
 # the extrapolated bandwidth must stay within 5% of full fidelity
 # (deterministic numbers — the simulator has no run-to-run noise, so

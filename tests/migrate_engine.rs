@@ -57,8 +57,7 @@ fn manual_migrate_run(workload: &str, ms: MigrateSpec) -> (SimReport, HashMap<u6
         .with_page_profiling()
         .with_migrator(mig)
         .run();
-    let tally = tally.borrow().clone();
-    (report, tally)
+    (report, tally.to_map())
 }
 
 #[test]
