@@ -2,10 +2,13 @@
 //!
 //! Runs a fixed, seeded workload × policy matrix on the in-tree timing
 //! runner ([`hetmem_harness::timing::Bencher`]) and records, per grid
-//! point, the deterministic work done (engine events, simulated cycles)
-//! and the wall time to do it — min/mean plus p50/p99 iteration tails
-//! — giving events/sec and sim-cycles/sec, the two throughput numbers
-//! the benchmark trajectory (`BENCH_*.json`) tracks.
+//! point, the deterministic work done (memory ops, engine events,
+//! simulated cycles) and the wall time to do it — min/mean plus p50/p99
+//! iteration tails — giving mem-ops/sec, events/sec and
+//! sim-cycles/sec, the throughput numbers the benchmark trajectory
+//! (`BENCH_*.json`) tracks. Memory ops are the work-invariant measure:
+//! an engine change that merges events does the same simulated work in
+//! fewer events, so events/sec no longer compares across it.
 //!
 //! ```text
 //! hetmem-perf run [--quick] [--migrate] [--label L] [--out FILE] [--iters N]
@@ -47,8 +50,10 @@
 //!   events/sec regressed by more than `--max-regress` (default 0.30,
 //!   the CI smoke threshold) — or, with `--min-speedup`, if current is
 //!   not at least that factor faster than baseline.
-//! * `report` embeds both sections plus the speedup summary into one
-//!   document — the format committed as `BENCH_NNNN.json`.
+//! * `report` embeds both sections plus the speedup summary
+//!   (`speedup_events_per_sec`, and `speedup_mem_ops_per_sec` when
+//!   both sections carry `mem_ops_per_sec`) into one document — the
+//!   format committed as `BENCH_NNNN.json`.
 //!
 //! Exit codes: 0 ok, 2 usage error, 4 gate failure.
 
@@ -103,6 +108,7 @@ fn run_matrix(opts: &RunOpts) -> Result<String, String> {
     let mut points = Vec::new();
     let mut bencher = Bencher::from_env("hetmem-perf");
     let mut total_events = 0u64;
+    let mut total_mem_ops = 0u64;
     let mut total_cycles = 0u64;
     let mut total_min_ns = 0.0f64;
     let mut total_mean_ns = 0.0f64;
@@ -119,11 +125,13 @@ fn run_matrix(opts: &RunOpts) -> Result<String, String> {
             // One instrumented run pins the deterministic work measure.
             let (run, stats) = builder.run_instrumented();
             let events = stats.events_processed;
+            let mem_ops = run.report.mem_ops;
             let cycles = run.report.cycles;
             let res = bencher
                 .bench(&format!("{name}/{policy}"), || builder.run())
                 .clone();
             total_events += events;
+            total_mem_ops += mem_ops;
             total_cycles += cycles;
             total_min_ns += res.min_ns;
             total_mean_ns += res.mean_ns;
@@ -134,6 +142,7 @@ fn run_matrix(opts: &RunOpts) -> Result<String, String> {
                     .str("workload", name)
                     .str("policy", policy)
                     .u64("events", events)
+                    .u64("mem_ops", mem_ops)
                     .u64("cycles", cycles)
                     .u64("iters", res.iters)
                     .f64("wall_ms_min", res.min_ns / 1e6)
@@ -141,6 +150,7 @@ fn run_matrix(opts: &RunOpts) -> Result<String, String> {
                     .f64("wall_ms_p50", res.p50_ns / 1e6)
                     .f64("wall_ms_p99", res.p99_ns / 1e6)
                     .f64("events_per_sec", events as f64 / (res.min_ns / 1e9))
+                    .f64("mem_ops_per_sec", mem_ops as f64 / (res.min_ns / 1e9))
                     .f64("sim_cycles_per_sec", cycles as f64 / (res.min_ns / 1e9))
                     .finish(),
             );
@@ -169,8 +179,13 @@ fn run_matrix(opts: &RunOpts) -> Result<String, String> {
         .f64("total_wall_ms_p50", total_p50_ns / 1e6)
         .f64("total_wall_ms_p99", total_p99_ns / 1e6)
         .u64("total_events", total_events)
+        .u64("total_mem_ops", total_mem_ops)
         .u64("total_sim_cycles", total_cycles)
         .f64("events_per_sec", total_events as f64 / (total_min_ns / 1e9))
+        .f64(
+            "mem_ops_per_sec",
+            total_mem_ops as f64 / (total_min_ns / 1e9),
+        )
         .f64(
             "sim_cycles_per_sec",
             total_cycles as f64 / (total_min_ns / 1e9),
@@ -876,12 +891,22 @@ fn main() -> ExitCode {
                  speedup {speedup:.2}x"
             );
             if cmd == "report" {
-                let body = JsonObject::new()
+                let mut body = JsonObject::new()
                     .str("bench", "hetmem-perf")
                     .raw("baseline", &base_doc.render())
                     .raw("current", &cur_doc.render())
-                    .f64("speedup_events_per_sec", speedup)
-                    .finish();
+                    .f64("speedup_events_per_sec", speedup);
+                let mem_rate =
+                    |doc: &JsonValue| doc.get("mem_ops_per_sec").and_then(JsonValue::as_f64);
+                if let (Some(base), Some(cur)) = (mem_rate(&base_doc), mem_rate(&cur_doc)) {
+                    eprintln!(
+                        "hetmem-perf: baseline {base:.0} mem-ops/s, current {cur:.0} mem-ops/s, \
+                         speedup {:.2}x",
+                        cur / base
+                    );
+                    body = body.f64("speedup_mem_ops_per_sec", cur / base);
+                }
+                let body = body.finish();
                 return match write_or_print(out.as_deref(), &body) {
                     Ok(()) => ExitCode::SUCCESS,
                     Err(e) => fail(&e),

@@ -17,6 +17,13 @@
 //! * L2 slices are memory-side (one per DRAM channel, as in Table 1), so
 //!   placement decides which slice and channel serve a page. L2 lines are
 //!   allocated when their DRAM fill completes, never at probe time.
+//!
+//! Engine note: a channel serving a read with more requests queued ticks
+//! again the instant the read's data lands, so the fill and the next
+//! tick are one `FillTick` event that runs both in order. As two events
+//! they would be consecutive inserts at one timestamp, which the
+//! calendar pops back to back, so merging them changes no event order
+//! and saves about 0.6 of 5.2 events per memory op (DESIGN §9.3).
 
 use hmtypes::{AccessKind, VirtAddr, LINE_SIZE, PAGE_SIZE};
 
@@ -50,6 +57,14 @@ enum Event {
         slice: u16,
     },
     L2Fill {
+        pline: u64,
+        slice: u16,
+    },
+    /// A read fill whose channel ticks again at the same instant: runs
+    /// `l2_fill`, then `dram_tick`. As two events they would be
+    /// consecutive inserts at one timestamp, which the calendar pops
+    /// back to back, so one event keeps the order (DESIGN §9.3).
+    FillTick {
         pline: u64,
         slice: u16,
     },
@@ -375,6 +390,10 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
                 } => self.l2_arrive(now, slice, vline, pline, sm, read),
                 Event::DramTick { slice } => self.dram_tick(now, slice),
                 Event::L2Fill { slice, pline } => self.l2_fill(now, slice, pline),
+                Event::FillTick { slice, pline } => {
+                    self.l2_fill(now, slice, pline);
+                    self.dram_tick(now, slice);
+                }
                 Event::SmReceive { sm, vline } => self.sm_receive(now, sm, vline),
                 Event::MigrationEpoch => {
                     self.migration_epoch(now);
@@ -754,6 +773,13 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
         }
         if served.read {
             let pline = self.unroute(s, served.line);
+            if served.next_tick == Some(served.done) {
+                // Fill and tick at one instant, in this order, with
+                // nothing between them: one event does both.
+                self.cal
+                    .schedule(served.done, Event::FillTick { pline, slice });
+                return;
+            }
             self.cal
                 .schedule(served.done, Event::L2Fill { pline, slice });
         }

@@ -25,6 +25,17 @@ pub struct SplitMix64 {
     state: u64,
 }
 
+/// The state stride per output (the golden-ratio increment).
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output function of one state.
+#[inline]
+const fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 impl SplitMix64 {
     /// Creates a generator seeded with `seed`.
     pub const fn new(seed: u64) -> Self {
@@ -34,11 +45,19 @@ impl SplitMix64 {
     /// Returns the next 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GAMMA);
+        mix(self.state)
+    }
+
+    /// Returns the output the `(k + 1)`-th [`SplitMix64::next_u64`]
+    /// call from here would return, without advancing: `peek(0)` is
+    /// the next output. Each output is a pure function of its own state,
+    /// so outputs at several offsets can be computed independently.
+    #[inline]
+    pub fn peek(&self, k: u64) -> u64 {
+        mix(self
+            .state
+            .wrapping_add(k.wrapping_add(1).wrapping_mul(GAMMA)))
     }
 
     /// Returns a value uniformly distributed in `[0, bound)`.
@@ -68,9 +87,7 @@ impl SplitMix64 {
     /// [`SplitMix64::next_u64`] `n` times and discarding the results.
     #[inline]
     pub fn skip(&mut self, n: u64) {
-        self.state = self
-            .state
-            .wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
     }
 
     /// Forks an independent generator, advancing this one.
@@ -124,6 +141,22 @@ mod tests {
         for _ in 0..10_000 {
             let x = rng.next_f64();
             assert!((0.0..1.0).contains(&x));
+        }
+    }
+
+    #[test]
+    fn peek_is_a_later_output_and_does_not_advance() {
+        for seed in [0u64, 3, u64::MAX, 0x9E37_79B9_7F4A_7C15] {
+            let rng = SplitMix64::new(seed);
+            let mut walk = rng.clone();
+            for k in 0..64 {
+                assert_eq!(rng.peek(k), walk.next_u64(), "seed {seed} k {k}");
+            }
+            assert_eq!(rng, SplitMix64::new(seed), "peek leaves the state alone");
+            // A far offset agrees with a bulk skip to it.
+            let mut skipped = rng.clone();
+            skipped.skip(1 << 40);
+            assert_eq!(rng.peek(1 << 40), skipped.next_u64());
         }
     }
 

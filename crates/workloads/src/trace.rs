@@ -4,6 +4,20 @@
 //! trace is deterministic regardless of how the simulator interleaves
 //! warp execution — a property the reproduction's experiments (and the
 //! two-phase oracle, which replays the same trace twice) depend on.
+//!
+//! Sampled runs drain most of each warp's stream through
+//! [`WarpProgram::skip_ops`] without materializing it. The drain leaves
+//! the generator exactly where `next_op` would, at a fraction of the
+//! cost: op and memory-op counts and the compute phase come in closed
+//! form from the quota; when every memory op consumes the same number
+//! of RNG outputs and no structure streams (xsbench), the RNG moves in
+//! one bulk skip; otherwise only the structure picks are replayed —
+//! integer compares on the 53-bit draw, with the next pick's output
+//! computed up front for every possible output count so the pick feeds
+//! the RNG chain through a select instead of a SplitMix64 round — and
+//! each stream cursor jumps its whole share at the end (DESIGN §9.3).
+
+use std::hint::select_unpredictable;
 
 use gpusim::{WarpId, WarpOp, WarpProgram};
 use hmtypes::{AccessKind, SplitMix64, VirtAddr, LINE_SIZE, PAGE_SIZE};
@@ -12,8 +26,23 @@ use crate::spec::{Pattern, WorkloadSpec};
 
 /// Lines per work tile for streaming patterns (2 kB, one DRAM row).
 const TILE_LINES: u64 = 16;
+/// Interleaved pick counters per run in `skip_ops` (see [`SkipPlan`]).
+const LANES: usize = 4;
 /// Lines per page.
 const LINES_PER_PAGE: u64 = (PAGE_SIZE / LINE_SIZE) as u64;
+
+/// RNG outputs one memory op on a `pattern` structure consumes: the
+/// structure pick, `sample_line`'s draws, and the read/write draw.
+fn op_steps(pattern: Pattern) -> u64 {
+    match pattern {
+        // The cursor draws nothing.
+        Pattern::Stream => 2,
+        // page (or Zipf rank) + line-in-page.
+        Pattern::Uniform | Pattern::Zipf { .. } => 4,
+        // hot test + page + line-in-page.
+        Pattern::Clustered { .. } => 5,
+    }
+}
 
 #[derive(Debug, Clone)]
 struct StructureState {
@@ -155,6 +184,25 @@ impl StreamCursor {
         }
         line
     }
+
+    /// Moves the cursor `k` lines on, exactly as `k` calls of `next`
+    /// would, in O(1).
+    ///
+    /// Only the structure's last tile can be short, and a warp that
+    /// owns it visits it in its final slot (it is the highest tile);
+    /// a warp owning no tiles wraps onto one tile. So every slot but
+    /// the final one holds `TILE_LINES` lines, and `(slot, off)` is the
+    /// offset `slot * TILE_LINES + off` into a cycle of fixed length.
+    fn advance(&mut self, k: u64, live_lines: u64, warps: u64) {
+        let tiles = live_lines.div_ceil(TILE_LINES).max(1);
+        let last = self.warp_index + (self.my_tiles - 1) * warps;
+        let last = if last < tiles { last } else { last % tiles };
+        let cycle =
+            (self.my_tiles - 1) * TILE_LINES + (live_lines - last * TILE_LINES).min(TILE_LINES);
+        let pos = (self.slot * TILE_LINES + self.off + k % cycle) % cycle;
+        self.slot = pos / TILE_LINES;
+        self.off = pos % TILE_LINES;
+    }
 }
 
 /// A [`WarpProgram`] that plays a [`WorkloadSpec`]'s access stream over
@@ -178,10 +226,14 @@ pub struct TraceProgram {
     compute: u32,
     write_frac: f64,
     total_warps: u64,
-    cum_weight: Vec<f64>,
+    /// Structure-pick thresholds on a 53-bit draw; see [`pick`].
+    pick_limits: Vec<u64>,
     structures: Vec<StructureState>,
     warps: Vec<WarpGen>,
     cursors: Vec<StreamCursor>,
+    /// Built by the first `skip_ops`: full-fidelity runs never skip and
+    /// so never allocate it.
+    skip: Option<SkipPlan>,
 }
 
 /// One warp's generator state, packed so an op touches one entry.
@@ -214,11 +266,15 @@ impl TraceProgram {
 
         let total_weight = spec.total_weight();
         let mut cum = 0.0;
-        let mut cum_weight = Vec::with_capacity(spec.structures.len());
+        let mut pick_limits = Vec::with_capacity(spec.structures.len());
         let mut structures = Vec::with_capacity(spec.structures.len());
         for (ds, &base) in spec.structures.iter().zip(bases) {
             cum += ds.weight / total_weight;
-            cum_weight.push(cum);
+            // A draw `u = x / 2^53` (x a 53-bit integer) lies past
+            // cumulative weight `c` iff `c < u`, iff `c * 2^53 < x`
+            // (scaling by a power of two is exact), iff
+            // `floor(c * 2^53) < x` since `x` is an integer.
+            pick_limits.push((cum * (1u64 << 53) as f64).floor() as u64);
 
             let lines = (ds.bytes / LINE_SIZE as u64).max(1);
             let live_lines = ((lines as f64 * ds.live_frac) as u64).max(1);
@@ -237,10 +293,8 @@ impl TraceProgram {
                 shuffle_mult: coprime_multiplier(live_pages),
             });
         }
-        // Ensure the final cumulative bucket catches u = 1.0 - eps.
-        if let Some(last) = cum_weight.last_mut() {
-            *last = 1.0 + f64::EPSILON;
-        }
+        // The last structure catches every draw the others leave.
+        pick_limits.pop();
 
         let per_warp = (spec.mem_ops / total_warps).max(1);
         let mut seed_rng = SplitMix64::new(spec.seed);
@@ -263,25 +317,12 @@ impl TraceProgram {
             compute: spec.compute_per_mem,
             write_frac: spec.write_frac,
             total_warps,
-            cum_weight,
+            pick_limits,
             structures,
             warps,
             cursors,
+            skip: None,
         }
-    }
-
-    /// The structure an op with uniform draw `u` in `[0, 1)` touches: the
-    /// first whose cumulative weight (one entry per structure) is `>= u`.
-    ///
-    /// `cum_weight` is a running sum of nonnegative shares, so its
-    /// entries before the last are nondecreasing, and the last is
-    /// `1 + ε > u`. The entries `< u` are therefore exactly a prefix, and
-    /// counting them equals `partition_point(|&c| c < u)` without the
-    /// binary search's dependent loads (there are only a few structures).
-    #[inline]
-    fn pick_structure(cum_weight: &[f64], u: f64) -> usize {
-        let below = cum_weight.iter().filter(|&&c| c < u).count();
-        below.min(cum_weight.len() - 1)
     }
 
     /// Total memory operations this program will issue.
@@ -314,8 +355,7 @@ impl WarpProgram for TraceProgram {
         gen.quota -= 1;
 
         let rng = &mut gen.rng;
-        let u = rng.next_f64();
-        let s_idx = Self::pick_structure(&self.cum_weight, u);
+        let s_idx = pick(&self.pick_limits, rng.next_u64() >> 11);
         let cursor = &mut self.cursors[w * self.structures.len() + s_idx];
         let line = self.structures[s_idx].sample_line(rng, cursor, self.total_warps);
         let kind = if rng.next_f64() < self.write_frac {
@@ -331,50 +371,187 @@ impl WarpProgram for TraceProgram {
 
     fn skip_ops(&mut self, warp: WarpId, n: u64) -> (u64, u64) {
         let w = warp.index();
-        let mut ops = 0;
-        let mut mem = 0;
-        while ops < n {
-            let gen = &mut self.warps[w];
-            if gen.quota == 0 {
-                break;
-            }
-            if self.compute > 0 && !gen.compute_phase {
-                gen.compute_phase = true;
-                ops += 1;
-                continue;
-            }
-            gen.compute_phase = false;
-            gen.quota -= 1;
-            // Replay `next_op`'s draw schedule exactly, but jump the RNG
-            // past draws whose values only feed address math (SplitMix64
-            // advances by a constant stride per output, so a bulk skip is
-            // O(1)). The structure pick must be a real draw — it decides
-            // how many draws the pattern consumes.
-            let rng = &mut gen.rng;
-            let u = rng.next_f64();
-            let s_idx = Self::pick_structure(&self.cum_weight, u);
-            let st = &self.structures[s_idx];
-            match st.pattern {
-                // Stream draws nothing in sample_line (the cursor must
-                // still advance); +1 for the read/write draw.
-                Pattern::Stream => {
-                    self.cursors[w * self.structures.len() + s_idx]
-                        .next(st.live_lines, self.total_warps);
-                    rng.skip(1);
-                }
-                // page + line-in-page + read/write.
-                Pattern::Uniform => rng.skip(3),
-                // rank + line-in-page + read/write (the rank search over
-                // the cumulative table is pure, so it can be elided).
-                Pattern::Zipf { .. } => rng.skip(3),
-                // hot test + page + line-in-page + read/write.
-                Pattern::Clustered { .. } => rng.skip(4),
-            }
-            ops += 1;
-            mem += 1;
+        let gen = &mut self.warps[w];
+        // With compute ops, the stream alternates compute and memory
+        // ops, and `compute_phase` means the next op is the memory one.
+        // In u128, `n = u64::MAX` and the quota doubling cannot wrap.
+        let (ops, mem) = if self.compute > 0 {
+            let phase = u128::from(gen.compute_phase);
+            let ops = u128::from(n).min(2 * u128::from(gen.quota) - phase);
+            gen.compute_phase = (ops + phase) % 2 == 1;
+            (ops as u64, ((ops + phase) / 2) as u64)
+        } else {
+            let mem = n.min(gen.quota);
+            (mem, mem)
+        };
+        gen.quota -= mem;
+        if mem == 0 {
+            return (ops, mem);
         }
+        let SkipPlan {
+            step_sizes,
+            first_class,
+            runs,
+            streams,
+            counts,
+        } = self.skip.get_or_insert_with(|| {
+            SkipPlan::new(
+                self.structures.iter().map(|st| st.pattern),
+                &self.pick_limits,
+            )
+        });
+        let (rng, class) = (&mut gen.rng, *first_class);
+        match *step_sizes.as_slice() {
+            [steps] if streams.is_empty() => {
+                rng.skip(mem.wrapping_mul(steps));
+                return (ops, mem);
+            }
+            [a] => replay_runs(runs, class, counts, rng, [a], mem),
+            [a, b] => replay_runs(runs, class, counts, rng, [a, b], mem),
+            [a, b, c] => replay_runs(runs, class, counts, rng, [a, b, c], mem),
+            _ => unreachable!("patterns have three op step sizes"),
+        }
+        let cursors = &mut self.cursors[w * self.structures.len()..];
+        for &(run, s) in streams.iter() {
+            let count = counts[run * LANES..][..LANES].iter().sum();
+            let st = &self.structures[s];
+            cursors[s].advance(count, st.live_lines, self.total_warps);
+        }
+        counts.fill(0);
         (ops, mem)
     }
+}
+
+/// The structure a 53-bit draw `x` picks: the number of `limits` below
+/// it. `limits` (one per structure but the last) is nondecreasing, so
+/// that count is the first structure whose cumulative weight reaches
+/// the draw — a few compares, no search.
+#[inline]
+fn pick(limits: &[u64], x: u64) -> usize {
+    limits.iter().map(|&l| usize::from(l < x)).sum()
+}
+
+/// What `skip_ops` needs to replay memory ops without generating them.
+///
+/// A skip only has to follow the RNG and the stream cursors, so it
+/// tells structures apart only by their step class and whether they
+/// stream. Consecutive structures with the same class and no cursor
+/// form one *run*; every stream structure is a run of its own. A
+/// 53-bit draw's run is the number of run limits below it, just as
+/// [`pick`] counts structures.
+#[derive(Debug, Clone)]
+struct SkipPlan {
+    /// The distinct [`op_steps`] values over the structures, in first-
+    /// seen order: at most three (2, 4 and 5).
+    step_sizes: Vec<u64>,
+    /// The step class (index into `step_sizes`) of the first run.
+    first_class: u64,
+    /// Per run after the first: the pick limit where it starts, and its
+    /// class minus the previous run's (wrapping). A draw's class is
+    /// `first_class` plus the deltas of the limits below it.
+    runs: Vec<(u64, u64)>,
+    /// `(run, structure)` for every stream structure.
+    streams: Vec<(usize, usize)>,
+    /// Scratch: picks per run over one skip, `LANES` interleaved
+    /// counters each, so consecutive picks of one run do not wait on
+    /// each other's increment.
+    counts: Vec<u64>,
+}
+
+impl SkipPlan {
+    /// The plan for structures with these patterns and `pick_limits`.
+    fn new(patterns: impl Iterator<Item = Pattern>, pick_limits: &[u64]) -> Self {
+        let mut plan = SkipPlan {
+            step_sizes: Vec::new(),
+            first_class: 0,
+            runs: Vec::new(),
+            streams: Vec::new(),
+            counts: Vec::new(),
+        };
+        let mut prev_class = None;
+        for (i, pattern) in patterns.enumerate() {
+            let steps = op_steps(pattern);
+            let class = match plan.step_sizes.iter().position(|&s| s == steps) {
+                Some(c) => c,
+                None => {
+                    plan.step_sizes.push(steps);
+                    plan.step_sizes.len() - 1
+                }
+            } as u64;
+            let stream = pattern == Pattern::Stream;
+            match prev_class {
+                None => plan.first_class = class,
+                // Streams have a step count of their own, so a class
+                // change also ends a stream's run.
+                Some(prev) if stream || class != prev => {
+                    plan.runs
+                        .push((pick_limits[i - 1], class.wrapping_sub(prev)));
+                }
+                Some(_) => {}
+            }
+            if stream {
+                plan.streams.push((plan.runs.len(), i));
+            }
+            prev_class = Some(class);
+        }
+        plan.counts = vec![0; LANES * (plan.runs.len() + 1)];
+        plan
+    }
+}
+
+/// Replays `mem` memory ops' picks from `rng` over a [`SkipPlan`]'s
+/// `runs` and `first_class`, adding each run's count to its lanes in
+/// `counts` and leaving `rng` past the last op. `steps` is the plan's
+/// `step_sizes` as an array.
+///
+/// An op consumes `steps[c]` outputs, `c` being its run's class, so
+/// where the next pick's output lies depends on this pick. Rather than
+/// wait for it, the loop computes the next pick's output for every step
+/// size from the current state (pure [`SplitMix64::peek`]s the pick
+/// does not feed) and then selects one. The pick therefore reaches the
+/// RNG chain through a compare per run and a select, not through a
+/// SplitMix64 round. The plan's parts come in as separate borrows so
+/// the compiler knows the counts alias neither the runs nor the state.
+#[inline]
+fn replay_runs<const K: usize>(
+    runs: &[(u64, u64)],
+    first_class: u64,
+    counts: &mut [u64],
+    rng: &mut SplitMix64,
+    steps: [u64; K],
+    mem: u64,
+) {
+    // A local copy keeps the state in a register across the loop.
+    let mut state = rng.clone();
+    let mut x = state.peek(0);
+    for k in 0..mem {
+        let v = x >> 11;
+        let (run, c) = runs
+            .iter()
+            .fold((0, first_class), |(run, c), &(limit, delta)| {
+                let past = limit < v;
+                (
+                    run + usize::from(past),
+                    select_unpredictable(past, c.wrapping_add(delta), c),
+                )
+            });
+        // Class 0 unless a later class matches: with one step size
+        // the state never waits on the draw.
+        let mut after = state.clone();
+        after.skip(steps[0]);
+        let mut out = after.peek(0);
+        for (j, &step) in steps.iter().enumerate().skip(1) {
+            let mut r = state.clone();
+            r.skip(step);
+            let hit = c == j as u64;
+            out = select_unpredictable(hit, r.peek(0), out);
+            after = select_unpredictable(hit, r, after);
+        }
+        state = after;
+        x = out;
+        counts[run * LANES + (k % LANES as u64) as usize] += 1;
+    }
+    *rng = state;
 }
 
 /// Cumulative Zipf distribution over `n` ranks with exponent `s`.
@@ -511,6 +688,29 @@ mod tests {
                             cursor.next(live, warps),
                             reference(&mut ord, &mut off, w, live, warps),
                             "live {live} warps {warps} warp {w} step {step}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stream_cursor_advance_matches_repeated_next() {
+        for live in [1u64, 5, 16, 17, 100, 1000, 4099] {
+            for warps in [1u64, 3, 8, 64, 480] {
+                for w in [0, warps / 2, warps - 1] {
+                    let mut stepped = StreamCursor::new(w, live, warps);
+                    let mut jumped = stepped;
+                    for k in [0u64, 1, 2, 15, 16, 17, 31, 100, 1001, 5000] {
+                        for _ in 0..k {
+                            stepped.next(live, warps);
+                        }
+                        jumped.advance(k, live, warps);
+                        assert_eq!(
+                            (jumped.slot, jumped.off),
+                            (stepped.slot, stepped.off),
+                            "live {live} warps {warps} warp {w} k {k}"
                         );
                     }
                 }

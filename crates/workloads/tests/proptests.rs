@@ -2,7 +2,66 @@
 //! in-tree `hetmem_harness::props!` kit.
 
 use gpusim::{WarpId, WarpOp, WarpProgram};
-use workloads::{catalog, LinearLayout, TraceProgram};
+use hetmem_harness::prop::{any_u64, vec_of};
+use workloads::{
+    catalog, DataStructureSpec, LinearLayout, Pattern, Sensitivity, Suite, TraceProgram,
+    WorkloadSpec,
+};
+
+/// A spec over `structs` = `(choice, lines)` pairs. The low bits of
+/// `choice` pick the pattern (stream, uniform, Zipf — shuffled on odd
+/// weights — or clustered) and the next ones a weight of 0-3; the first
+/// structure always carries weight so the total is positive, and odd
+/// line counts leave part of the structure dead.
+fn random_spec(structs: &[(u64, u64)], compute: u32, mem_ops: u64, seed: u64) -> WorkloadSpec {
+    let structures = structs
+        .iter()
+        .enumerate()
+        .map(|(i, &(choice, lines))| {
+            let weight = ((choice >> 2) % 4) as u32;
+            let pattern = match choice % 4 {
+                0 => Pattern::Stream,
+                1 => Pattern::Uniform,
+                2 => Pattern::Zipf {
+                    s: 0.6 + f64::from(weight) * 0.3,
+                    shuffled: weight % 2 == 1,
+                },
+                _ => Pattern::Clustered {
+                    hot_frac: 0.2,
+                    hot_prob: 0.85,
+                },
+            };
+            let weight = f64::from(weight) + if i == 0 { 1.0 } else { 0.0 };
+            let live = if lines % 2 == 1 { 0.6 } else { 1.0 };
+            DataStructureSpec::new("s", lines * 128, weight, pattern).with_live_frac(live)
+        })
+        .collect();
+    WorkloadSpec {
+        name: "prop",
+        suite: Suite::Rodinia,
+        class: Sensitivity::Bandwidth,
+        structures,
+        compute_per_mem: compute,
+        warps_per_sm: 2,
+        mlp: 2,
+        write_frac: 0.3,
+        mem_ops,
+        seed,
+    }
+}
+
+/// Consumes up to `n` ops with `next_op` alone, as `skip_ops` counts them.
+fn drain(prog: &mut TraceProgram, w: WarpId, n: u64) -> (u64, u64) {
+    let (mut ops, mut mem) = (0, 0);
+    while ops < n {
+        match prog.next_op(w) {
+            Some(WarpOp::Mem { .. }) => (ops, mem) = (ops + 1, mem + 1),
+            Some(WarpOp::Compute(_)) => ops += 1,
+            None => break,
+        }
+    }
+    (ops, mem)
+}
 
 hetmem_harness::props! {
     cases = 16;
@@ -65,6 +124,57 @@ hetmem_harness::props! {
         for s in &sets {
             s.validate();
             assert!(seeds.insert(s.seed), "duplicate seed across datasets");
+        }
+    }
+}
+
+hetmem_harness::props! {
+    cases = 256;
+
+    /// `skip_ops` is exactly a run of `next_op` calls: on random specs
+    /// (1-8 structures of every pattern, with and without compute ops,
+    /// small quotas), skips of every kind of length — zero, odd, even,
+    /// past the quota, `u64::MAX` — interleaved with real ops return the
+    /// counts a `next_op`-only drain sees and leave the generator where
+    /// that drain leaves it, down to the last op of every warp.
+    fn skip_ops_equals_a_next_op_drain(
+        structs in vec_of((any_u64(), 1u64..3000), 1..9),
+        compute in any_u64(),
+        mem_ops in 1u64..600,
+        steps in vec_of(any_u64(), 1..24),
+        seed in any_u64(),
+    ) {
+        // Categorical choices come from full-range draws, which the
+        // kit's size ramp does not narrow to their first values.
+        let spec = random_spec(&structs, (compute % 3) as u32, mem_ops, seed);
+        let layout = LinearLayout::new(&spec);
+        let mut skipped = TraceProgram::new(&spec, layout.bases(), 3);
+        let mut looped = TraceProgram::new(&spec, layout.bases(), 3);
+        let quota = skipped.total_ops();
+        for w in (0..6).map(WarpId) {
+            for &step in &steps {
+                let n = match step % 8 {
+                    0 => 0,
+                    1 => 1,
+                    2 => 2,
+                    3 => 7,
+                    4 => 10,
+                    5 => 2 * quota + 3,
+                    6 => u64::MAX,
+                    _ => {
+                        assert_eq!(skipped.next_op(w), looped.next_op(w), "interleaved op");
+                        continue;
+                    }
+                };
+                assert_eq!(skipped.skip_ops(w, n), drain(&mut looped, w, n), "skip {n}");
+            }
+            loop {
+                let op = looped.next_op(w);
+                assert_eq!(skipped.next_op(w), op, "streams diverge after the skips");
+                if op.is_none() {
+                    break;
+                }
+            }
         }
     }
 }

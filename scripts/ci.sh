@@ -227,6 +227,18 @@ if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] !=
     exit 1
 fi
 
+# The same sampled gate on a second input set: at seed 7 every trace
+# seed differs, so the repeat-digest check exercises the skip_ops drain
+# on other streams and the 15% bandwidth bound holds on other points.
+BENCH_RESULT=$(python3 perfbench/run.py --workload sim-sampled --seed 7 \
+    --seconds 5 --trace 0 | tail -1)
+echo "$BENCH_RESULT"
+if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] != 0)' \
+    "$BENCH_RESULT"; then
+    echo "perfbench sim-sampled (seed 7) reported failed operations" >&2
+    exit 1
+fi
+
 # Sampled-fidelity error bound: on two golden steady-state workloads
 # the extrapolated bandwidth must stay within 5% of full fidelity
 # (deterministic numbers — the simulator has no run-to-run noise, so

@@ -4,7 +4,9 @@
 //! per-page profiling counts, zone placement, and interval-sampler
 //! counters) across the **full catalog** × {LOCAL, INTERLEAVE,
 //! BW-AWARE, ORACLE} at fixed seeds, against fixtures committed under
-//! `tests/fixtures/`. Any change to the engine calendar, the MSHR /
+//! `tests/fixtures/`. Sampled-fidelity reports (with their `estimated`
+//! block) and full-fidelity runs on edge configs are pinned the same
+//! way. Any change to the engine calendar, the MSHR /
 //! pending tables, the DRAM scheduler, or the page profiler that
 //! perturbs a single counter, cycle count, or float shows up here as a
 //! byte diff.
@@ -17,7 +19,7 @@
 //! ```
 
 use gpusim::observe::IntervalReport;
-use gpusim::{SimConfig, SimReport};
+use gpusim::{DramTiming, Fidelity, SampleConfig, SimConfig, SimReport};
 use hetmem::runner::{Capacity, ObserveConfig, Placement, RunBuilder};
 use hetmem::{profile_workload, topology_for};
 use hetmem_harness::json::{array, JsonObject};
@@ -80,6 +82,18 @@ fn canonical_report(r: &SimReport) -> String {
             .u64("remap_stall_cycles", m.remap_stall_cycles)
             .finish();
         obj = obj.raw("migration", &mig);
+    }
+    if let Some(e) = &r.estimated {
+        let est = JsonObject::new()
+            .u64("windows_detail", e.windows_detail)
+            .u64("windows_extrapolated", e.windows_extrapolated)
+            .u64("ops_simulated", e.ops_simulated)
+            .u64("ops_extrapolated", e.ops_extrapolated)
+            .u64("cycles_measured", e.cycles_measured)
+            .u64("cycles_extrapolated", e.cycles_extrapolated)
+            .f64("confidence", e.confidence)
+            .finish();
+        obj = obj.raw("estimated", &est);
     }
     obj.finish()
 }
@@ -306,4 +320,92 @@ fn interval_counters_are_golden() {
         }
     }
     check_fixture("golden_intervals.jsonl", &lines);
+}
+
+/// Sampled runs pin the fast-forward path end to end: the window
+/// schedule, the `skip_ops` drain (every generator state it leaves
+/// behind feeds the next detail window), and the extrapolated report
+/// with its `estimated` block. A small schedule at four times the
+/// golden op count puts about a dozen detail windows, and the
+/// drain/detail boundaries between them, into each run.
+#[test]
+fn sampled_reports_are_golden() {
+    let sim = golden_sim();
+    let sampled = Fidelity::Sampled(SampleConfig {
+        window_ops: 1024,
+        warmup_windows: 1,
+        period: 8,
+        seed: 0,
+    });
+    let mut lines = Vec::new();
+    for name in catalog::names() {
+        let mut spec = catalog::by_name(name).expect("catalog name");
+        spec.mem_ops = 4 * GOLDEN_MEM_OPS;
+        for policy in ["LOCAL", "BW-AWARE"] {
+            let placement = placement_for(policy, &spec, &sim);
+            let run = RunBuilder::new(&spec, &sim)
+                .placement(&placement)
+                .fidelity(sampled)
+                .run();
+            assert!(run.report.estimated.is_some(), "sampled runs estimate");
+            lines.push(
+                JsonObject::new()
+                    .str("workload", name)
+                    .str("policy", policy)
+                    .raw("report", &canonical_report(&run.report))
+                    .finish(),
+            );
+        }
+    }
+    check_fixture("golden_sampled.jsonl", &lines);
+}
+
+/// Full-fidelity runs on configs that push the engine down its rarer
+/// paths: two L2 MSHRs per slice (reads queue on the slice wait queue
+/// and are admitted by fills), row activations slow enough that DRAM
+/// fills land beyond the calendar's timing wheel (the overflow heap),
+/// and zero L2 and interconnect latency (events scheduled for the
+/// instant being processed).
+#[test]
+fn edge_config_reports_are_golden() {
+    let mut few_mshrs = golden_sim();
+    few_mshrs.l2_mshrs = 2;
+    let mut slow_rows = golden_sim();
+    for pool in &mut slow_rows.pools {
+        pool.timing = DramTiming {
+            rcd: 2500,
+            rp: 2500,
+            ..pool.timing
+        };
+    }
+    let mut zero_latency = golden_sim();
+    zero_latency.l2_latency = 0;
+    zero_latency.base_mem_latency = 0;
+    let mut lines = Vec::new();
+    for (config, sim) in [
+        ("l2_mshrs=2", &few_mshrs),
+        ("slow-rows", &slow_rows),
+        ("zero-latency", &zero_latency),
+    ] {
+        for name in ["bfs", "lbm", "sgemm", "xsbench"] {
+            let mut spec = catalog::by_name(name).expect("catalog name");
+            spec.mem_ops = GOLDEN_MEM_OPS;
+            for policy in ["LOCAL", "BW-AWARE"] {
+                let placement = placement_for(policy, &spec, sim);
+                let run = RunBuilder::new(&spec, sim).placement(&placement).run();
+                if sim.l2_mshrs == 2 {
+                    assert!(run.report.mshr_stalls > 0, "{name}: the wait queue is used");
+                }
+                lines.push(
+                    JsonObject::new()
+                        .str("config", config)
+                        .str("workload", name)
+                        .str("policy", policy)
+                        .raw("report", &canonical_report(&run.report))
+                        .finish(),
+                );
+            }
+        }
+    }
+    check_fixture("golden_edge_configs.jsonl", &lines);
 }
