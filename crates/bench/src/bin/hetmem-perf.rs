@@ -16,8 +16,8 @@
 //! hetmem-perf fidelity [--quick] [--label L] [--out FILE] [--iters N]
 //!                      [--mem-ops N] [--sms N] [--workloads a,b] [--policy P]
 //!                      [--min-speedup X] [--max-error PCT] [--min-pass N]
-//! hetmem-perf serve [--conns N] [--reqs N] [--depth N] [--core both|poll|threaded]
-//!                   [--fleet N] [--out FILE] [--min-speedup X] [--max-overhead X]
+//! hetmem-perf serve [--conns N] [--reqs N] [--depth N] [--fleet N] [--out FILE]
+//!                   [--max-overhead X]
 //! hetmem-perf gate --baseline FILE --current FILE
 //!                  [--max-regress 0.30] [--min-speedup X]
 //! hetmem-perf report --baseline FILE --current FILE --out FILE
@@ -35,17 +35,15 @@
 //! * `serve` measures front-end throughput: `--conns` loopback
 //!   connections each pipeline `--reqs` cheap `stats` requests at
 //!   `--depth` in-flight lines per socket against an in-process
-//!   `hetmem-serve`. With `--core both` it benches the blocking
-//!   thread-per-connection baseline, then the poll(2) readiness loop,
-//!   and emits a report document with `speedup_requests_per_sec`;
-//!   `--min-speedup` turns that comparison into a gate (exit 4).
-//!   With `--fleet N` (unix only) it instead measures routing
+//!   `hetmem-serve` and emits one section with `requests_per_sec`.
+//!   With `--fleet N` it instead measures routing
 //!   overhead: the same forwarded-op (`place`) workload runs against
 //!   one `hetmem-serve` process (`baseline`) and then through a
 //!   `hetmem-fleet` router fronting N supervised backends
 //!   (`current`), and the report's `overhead_x` is single÷fleet
 //!   (expected > 1 — the extra hop is the price of failover);
-//!   `--max-overhead` turns that into a gate (exit 4).
+//!   `--max-overhead` turns that into a gate (exit 4). `serve` is
+//!   unix-only, like the server and the router.
 //! * `gate` compares two sections and exits 4 if the current aggregate
 //!   events/sec regressed by more than `--max-regress` (default 0.30,
 //!   the CI smoke threshold) — or, with `--min-speedup`, if current is
@@ -57,17 +55,23 @@
 //!
 //! Exit codes: 0 ok, 2 usage error, 4 gate failure.
 
+#[cfg(unix)]
 use std::io::{BufRead, BufReader, Write};
+#[cfg(unix)]
 use std::net::TcpStream;
 use std::process::ExitCode;
+#[cfg(unix)]
 use std::sync::{Arc, Barrier};
+#[cfg(unix)]
 use std::time::Instant;
 
 use gpusim::{Fidelity, SampleConfig, SimConfig};
 use hetmem::{check_fidelity, topology_for, Placement, RunBuilder};
-use hetmem_bench::serve::{roundtrip, start, ServeConfig, ServeCore};
+#[cfg(unix)]
+use hetmem_bench::serve::{roundtrip, start, ServeConfig};
 use hetmem_harness::json::{array, JsonObject, JsonValue};
 use hetmem_harness::timing::Bencher;
+#[cfg(unix)]
 use hetmem_harness::Request;
 use mempolicy::Mempolicy;
 use workloads::catalog;
@@ -323,6 +327,7 @@ fn fidelity_matrix(opts: &FidelityOpts) -> Result<(String, usize), String> {
 /// pre-encoded `lines` at `depth` in flight per socket, and returns
 /// the wall time for every connection to finish. Panics on any
 /// non-`ok` response — a throughput number over errors is a lie.
+#[cfg(unix)]
 fn pump(addr: &str, lines: &Arc<Vec<String>>, conns: usize, depth: usize) -> std::time::Duration {
     let barrier = Arc::new(Barrier::new(conns + 1));
     let workers: Vec<_> = (0..conns)
@@ -371,6 +376,7 @@ fn pump(addr: &str, lines: &Arc<Vec<String>>, conns: usize, depth: usize) -> std
 }
 
 /// Renders one measurement as a trajectory section.
+#[cfg(unix)]
 fn section_json(
     label: &str,
     conns: usize,
@@ -393,18 +399,12 @@ fn section_json(
 
 /// One serve-throughput measurement: `conns` loopback connections,
 /// each pipelining `reqs` `stats` requests with `depth` lines in
-/// flight per socket, against a fresh in-process server running the
-/// given front end. Returns requests/sec and the section JSON.
-fn serve_section(core: ServeCore, conns: usize, reqs: usize, depth: usize) -> (f64, String) {
-    let label = match core {
-        ServeCore::Poll => "poll",
-        ServeCore::Threaded => "threaded",
-    };
-    let cfg = ServeConfig {
-        core,
-        ..ServeConfig::default()
-    };
-    let handle = start(cfg).unwrap_or_else(|e| panic!("serve bench: cannot start server: {e}"));
+/// flight per socket, against a fresh in-process server. Returns
+/// requests/sec and the section JSON.
+#[cfg(unix)]
+fn serve_section(conns: usize, reqs: usize, depth: usize) -> (f64, String) {
+    let handle = start(ServeConfig::default())
+        .unwrap_or_else(|e| panic!("serve bench: cannot start server: {e}"));
     let addr = handle.addr().to_string();
 
     // Pre-encode the request lines once; every connection sends the
@@ -424,7 +424,7 @@ fn serve_section(core: ServeCore, conns: usize, reqs: usize, depth: usize) -> (f
     handle.wait();
 
     let rate = (conns * reqs) as f64 / wall.as_secs_f64();
-    (rate, section_json(label, conns, reqs, depth, wall, rate))
+    (rate, section_json("poll", conns, reqs, depth, wall, rate))
 }
 
 /// Pre-encoded forwarded-op workload for the fleet comparison:
@@ -732,10 +732,8 @@ fn main() -> ExitCode {
             let mut conns = 64usize;
             let mut reqs = 400usize;
             let mut depth = 32usize;
-            let mut core = "both".to_string();
             let mut fleet_backends: Option<usize> = None;
             let mut out: Option<String> = None;
-            let mut min_speedup: Option<f64> = None;
             let mut max_overhead: Option<f64> = None;
             while let Some(arg) = args.next() {
                 match arg.as_str() {
@@ -768,35 +766,27 @@ fn main() -> ExitCode {
                             .parse()
                             .expect("--depth takes an integer");
                     }
-                    "--core" => core = next("--core", &mut args),
                     "--out" => out = Some(next("--out", &mut args)),
-                    "--min-speedup" => {
-                        min_speedup = Some(
-                            next("--min-speedup", &mut args)
-                                .parse()
-                                .expect("--min-speedup takes a float"),
-                        );
-                    }
                     other => return fail(&format!("unknown serve flag {other}")),
                 }
             }
             if conns == 0 || reqs == 0 {
                 return fail("--conns and --reqs must be positive");
             }
-            if let Some(backends) = fleet_backends {
-                if backends == 0 {
-                    return fail("--fleet needs at least one backend");
-                }
-                if min_speedup.is_some() {
-                    return fail("--min-speedup does not apply to --fleet (routing is a cost, not a speedup — gate with --max-overhead)");
-                }
-                #[cfg(not(unix))]
-                {
-                    let _ = backends;
-                    return fail("--fleet needs unix (hetmem-fleet is unix-only)");
-                }
-                #[cfg(unix)]
-                {
+            if fleet_backends == Some(0) {
+                return fail("--fleet needs at least one backend");
+            }
+            if max_overhead.is_some() && fleet_backends.is_none() {
+                return fail("--max-overhead only applies to --fleet");
+            }
+            #[cfg(not(unix))]
+            {
+                let _ = (depth, out);
+                return fail("serve needs unix (hetmem-serve and hetmem-fleet are unix-only)");
+            }
+            #[cfg(unix)]
+            {
+                if let Some(backends) = fleet_backends {
                     let (overhead, body) = fleet_report(backends, conns, reqs, depth);
                     if let Err(e) = write_or_print(out.as_deref(), &body) {
                         return fail(&e);
@@ -811,45 +801,13 @@ fn main() -> ExitCode {
                     }
                     return ExitCode::SUCCESS;
                 }
-            }
-            if max_overhead.is_some() {
-                return fail("--max-overhead only applies to --fleet");
-            }
-            if core != "both" {
-                let core = match ServeCore::parse(&core) {
-                    Ok(c) => c,
-                    Err(e) => return fail(&e),
-                };
-                let (rate, section) = serve_section(core, conns, reqs, depth);
-                eprintln!("hetmem-perf: serve [{core:?}] {rate:.0} req/s");
-                return match write_or_print(out.as_deref(), &section) {
+                let (rate, section) = serve_section(conns, reqs, depth);
+                eprintln!("hetmem-perf: serve {rate:.0} req/s");
+                match write_or_print(out.as_deref(), &section) {
                     Ok(()) => ExitCode::SUCCESS,
                     Err(e) => fail(&e),
-                };
-            }
-            let (base_rate, base_section) = serve_section(ServeCore::Threaded, conns, reqs, depth);
-            let (cur_rate, cur_section) = serve_section(ServeCore::Poll, conns, reqs, depth);
-            let speedup = cur_rate / base_rate;
-            eprintln!(
-                "hetmem-perf: serve threaded {base_rate:.0} req/s, poll {cur_rate:.0} req/s, \
-                 speedup {speedup:.2}x"
-            );
-            let body = JsonObject::new()
-                .str("bench", "hetmem-perf-serve")
-                .raw("baseline", &base_section)
-                .raw("current", &cur_section)
-                .f64("speedup_requests_per_sec", speedup)
-                .finish();
-            if let Err(e) = write_or_print(out.as_deref(), &body) {
-                return fail(&e);
-            }
-            if let Some(min) = min_speedup {
-                if speedup < min {
-                    eprintln!("hetmem-perf: GATE FAILED: speedup {speedup:.2}x below {min:.2}x");
-                    return ExitCode::from(4);
                 }
             }
-            ExitCode::SUCCESS
         }
         "gate" | "report" => {
             let mut baseline = None;

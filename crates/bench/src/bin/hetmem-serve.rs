@@ -10,15 +10,12 @@
 //!
 //! * `--addr <host:port>` — bind address (default `127.0.0.1:0`; port
 //!   0 picks an ephemeral port, printed on stdout)
-//! * `--core <poll|threaded>` — connection front end (default `poll`,
-//!   the readiness loop with pipelining; `threaded` is the blocking
-//!   thread-per-connection baseline)
 //! * `--shards <n>` — simulation worker shards (default 2)
 //! * `--queue-depth <n>` — bounded queue depth per shard (default 32)
 //! * `--cache <n>` — result cache capacity in entries (default 128)
 //! * `--max-batch <n>` — `batch` sub-request ceiling per envelope
 //!   (default 64); beyond it the envelope is refused `batch-too-large`
-//! * `--conn-buf <bytes>` — poll-core backpressure threshold (default
+//! * `--conn-buf <bytes>` — backpressure threshold (default
 //!   262144); a connection holding this much unflushed response
 //!   backlog has further requests shed with `overloaded`
 //! * `--out <dir>` — stream per-request telemetry to `<dir>/serve.jsonl`
@@ -33,15 +30,17 @@
 //!   scripts that cannot parse stdout
 //!
 //! The process exits after a client sends the `shutdown` op; in-flight
-//! requests are drained first.
+//! requests are drained first. The server runs on a poll(2) reactor
+//! and is unix-only; elsewhere the binary exits 1.
 
-use std::sync::Arc;
-
-use hetmem::TelemetrySink;
-use hetmem_bench::serve::{start, ServeConfig, ServeCore};
-use hetmem_harness::FaultPlan;
-
+#[cfg(unix)]
 fn main() {
+    use std::sync::Arc;
+
+    use hetmem::TelemetrySink;
+    use hetmem_bench::serve::{start, ServeConfig};
+    use hetmem_harness::FaultPlan;
+
     let mut cfg = ServeConfig::default();
     let mut port_file: Option<String> = None;
     let mut out_dir: Option<String> = None;
@@ -50,10 +49,6 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => cfg.addr = args.next().expect("--addr needs host:port"),
-            "--core" => {
-                let v = args.next().expect("--core needs poll or threaded");
-                cfg.core = ServeCore::parse(&v).unwrap_or_else(|e| panic!("{e}"));
-            }
             "--max-batch" => {
                 let v = args.next().expect("--max-batch needs a value");
                 cfg.max_batch = v.parse().expect("--max-batch takes an integer");
@@ -107,4 +102,10 @@ fn main() {
     }
     handle.wait();
     println!("hetmem-serve drained, exiting");
+}
+
+#[cfg(not(unix))]
+fn main() {
+    eprintln!("hetmem-serve requires a unix platform (poll(2) front end)");
+    std::process::exit(1);
 }

@@ -28,10 +28,6 @@
 //! exponential with deterministic jitter — and every sleep is clamped
 //! to the remaining deadline budget, so a caller with a 2000 ms
 //! deadline never blocks past ~2 s regardless of retry count.
-//!
-//! The positional [`call`] free function from the v1 API survives as a
-//! deprecated shim over the same engine; its behavior is pinned
-//! bit-equivalent to the builder path in `tests/pipeline.rs`.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,8 +48,7 @@ pub const RETRYABLE_CODES: [&str; 2] = ["overloaded", "worker-restarted"];
 /// burns the deadline budget.
 pub const FLEET_RETRYABLE_CODES: [&str; 1] = ["backend-unavailable"];
 
-/// Retry/deadline knobs shared by [`ClientBuilder`] and the deprecated
-/// [`call`] shim.
+/// The retry/deadline knobs a [`ClientBuilder`] resolves to.
 #[derive(Debug, Clone)]
 pub struct ClientOptions {
     /// Additional attempts after the first (so `retries: 3` = at most
@@ -241,23 +236,7 @@ impl ClientBuilder {
     }
 }
 
-/// Sends `req` with retries, backoff, and a deadline budget — the v1
-/// positional API.
-///
-/// # Errors
-///
-/// As for [`ClientBuilder::call`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use ClientBuilder::new(addr).call(&req); this shim forwards to the same engine"
-)]
-pub fn call(addr: &str, req: &Request, opts: &ClientOptions) -> io::Result<CallOutcome> {
-    call_engine(addr, req, opts)
-}
-
-/// The retry engine both the builder and the deprecated shim share —
-/// their bit-equivalence is by construction, and pinned in
-/// `tests/pipeline.rs`.
+/// The retry engine behind [`ClientBuilder::call`].
 fn call_engine(addr: &str, req: &Request, opts: &ClientOptions) -> io::Result<CallOutcome> {
     let start = Instant::now();
     let budget = opts.deadline_ms.map(Duration::from_millis);
@@ -472,16 +451,5 @@ mod tests {
             Response::Err { code, .. } => assert_eq!(code, "fleet-draining"),
             Response::Ok { .. } => panic!("expected the drain refusal"),
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_still_compiles_and_forwards() {
-        let opts = ClientOptions {
-            deadline_ms: Some(0),
-            ..ClientOptions::default()
-        };
-        let err = call("127.0.0.1:1", &Request::new(1, "stats"), &opts).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! A std-only router that spawns and supervises N `hetmem-serve`
 //! backend processes and proxies the JSONL protocol (v1 and v2) to
-//! them over one poll(2) readiness loop — the same front-end pattern
-//! as `serve::event`, with pipelining, per-connection write-backlog
-//! backpressure, and read/write timeouts.
+//! them on the crate's poll(2) reactor — the same loop `hetmem-serve`
+//! runs on, with pipelining, per-connection write-backlog
+//! backpressure, and read/write timeouts. The router keeps only its
+//! per-line and per-completion handlers (`Fleet`).
 //!
 //! ## Routing
 //!
@@ -52,15 +53,13 @@
 //! ring-ownership share per backend.
 
 use std::collections::HashMap;
-use std::ffi::{c_int, c_ulong};
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::ffi::c_int;
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::{AsRawFd, RawFd};
-use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -72,24 +71,13 @@ use hetmem_harness::{
     DEFAULT_VNODES, PROTO_V2,
 };
 
+use crate::reactor::{self, us, Completions, Conn, DrainGate, Handler, Limits, Sink};
 use crate::serve::{roundtrip_timeout, simulate_cache_key};
 
-const POLLIN: i16 = 0x001;
-const POLLOUT: i16 = 0x004;
 const SIGINT: c_int = 2;
 const SIGTERM: c_int = 15;
 
-/// `struct pollfd` from `<poll.h>` (same hand-rolled FFI as the serve
-/// event core — no libc crate).
-#[repr(C)]
-struct PollFd {
-    fd: RawFd,
-    events: i16,
-    revents: i16,
-}
-
 extern "C" {
-    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     fn kill(pid: c_int, sig: c_int) -> c_int;
     /// `signal(2)`; the previous handler comes back as an address
     /// (`SIG_ERR` is -1), never called here.
@@ -103,14 +91,6 @@ static TERMINATION_REQUESTED: AtomicBool = AtomicBool::new(false);
 /// async-signal-safe. A watcher thread turns it into a drain.
 extern "C" fn on_termination(_signum: c_int) {
     TERMINATION_REQUESTED.store(true, Ordering::SeqCst);
-}
-
-fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) {
-    // SAFETY: `fds` is a live, correctly-repr(C) slice for the call's
-    // duration, and poll(2) writes only to `revents` within it.
-    unsafe {
-        poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms);
-    }
 }
 
 /// Default backend child count.
@@ -420,30 +400,6 @@ impl FleetMetrics {
     }
 }
 
-/// The poll loop's drain handshake, mirroring the serve core's:
-/// [`FleetHandle::wait`] blocks here until the loop confirms every
-/// accepted request's response bytes are flushed.
-#[derive(Default)]
-struct DrainGate {
-    flushed: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl DrainGate {
-    fn mark(&self) {
-        let mut flushed = self.flushed.lock().unwrap_or_else(|e| e.into_inner());
-        *flushed = true;
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) {
-        let mut flushed = self.flushed.lock().unwrap_or_else(|e| e.into_inner());
-        while !*flushed {
-            flushed = self.cv.wait(flushed).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
-
 /// Child-spawn arguments shared by the initial spawn and respawns.
 struct BackendArgs {
     shards: usize,
@@ -469,9 +425,12 @@ struct FleetShared {
     reap: AtomicBool,
     stats: RouterStats,
     metrics: FleetMetrics,
+    /// Marked once the loop has flushed every accepted request's
+    /// response while draining; [`FleetHandle::wait`] blocks on it.
     drain: DrainGate,
     started: Instant,
-    read_timeout: Duration,
+    /// The client-connection write timeout, also applied to writes on
+    /// router→backend sockets.
     write_timeout: Duration,
     backend_timeout: Duration,
     probe_interval: Duration,
@@ -479,23 +438,12 @@ struct FleetShared {
     restart_backoff: Backoff,
     max_restarts: u32,
     max_batch: usize,
-    conn_buffer: usize,
 }
 
 /// Uniquifies port-file names across respawns and across every fleet in
 /// this process: two routers started by one process (as the integration
 /// tests do) must never hand their children the same port file.
 static SPAWN_EPOCH: AtomicU64 = AtomicU64::new(0);
-
-/// Wakes the poll loop from a forwarding worker.
-#[derive(Clone)]
-struct Waker(Arc<UnixStream>);
-
-impl Waker {
-    fn wake(&self) {
-        let _ = (&*self.0).write(&[1u8]);
-    }
-}
 
 /// What a forwarded request came back with.
 struct ForwardReply {
@@ -508,42 +456,6 @@ struct ForwardReply {
 
 type FwdResult = Result<ForwardReply, HetmemError>;
 
-/// A finished forward flowing back to the loop.
-struct FleetCompletion {
-    token: u64,
-    result: FwdResult,
-}
-
-/// The forwarding reply path. Dropping without delivering (a worker
-/// panicked mid-forward) answers `backend-unavailable`, so every
-/// submitted request completes exactly once.
-struct FleetSink {
-    tx: mpsc::Sender<FleetCompletion>,
-    token: u64,
-    waker: Waker,
-    sent: bool,
-}
-
-impl FleetSink {
-    fn deliver(&mut self, result: FwdResult) {
-        if self.sent {
-            return;
-        }
-        self.sent = true;
-        let _ = self.tx.send(FleetCompletion {
-            token: self.token,
-            result,
-        });
-        self.waker.wake();
-    }
-}
-
-impl Drop for FleetSink {
-    fn drop(&mut self) {
-        self.deliver(Err(HetmemError::BackendUnavailable { tried: 0 }));
-    }
-}
-
 /// A request parked in the forwarding queue.
 struct FwdJob {
     /// The raw line to forward (no newline) — the client's own bytes
@@ -553,43 +465,8 @@ struct FwdJob {
     /// Content key the ring walk starts from.
     key: String,
     deadline: Option<Instant>,
-    sink: FleetSink,
-}
-
-/// One accepted client connection (the serve event core's state
-/// machine, minus the wire-fault plumbing — the router proxies
-/// faithfully; chaos is injected by the backends).
-struct Conn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    inflight: usize,
-    closing: bool,
-    dead: bool,
-    last_read: Instant,
-    last_write_ok: Instant,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        let now = Instant::now();
-        Conn {
-            stream,
-            rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            inflight: 0,
-            closing: false,
-            dead: false,
-            last_read: now,
-            last_write_ok: now,
-        }
-    }
-
-    fn pending(&self) -> usize {
-        self.wbuf.len() - self.wpos
-    }
+    /// Drops to `backend-unavailable` if a worker panics mid-forward.
+    sink: Sink<FwdResult>,
 }
 
 /// The identity of one in-flight request at the router.
@@ -620,31 +497,6 @@ struct BatchPending {
     head: Head,
     slots: Vec<Option<Response>>,
     remaining: usize,
-}
-
-struct LoopState {
-    done_tx: mpsc::Sender<FleetCompletion>,
-    waker: Waker,
-    next_token: u64,
-    pending: HashMap<u64, Pending>,
-    batches: HashMap<u64, BatchPending>,
-}
-
-impl LoopState {
-    fn token(&mut self) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        t
-    }
-
-    fn sink(&mut self, token: u64) -> FleetSink {
-        FleetSink {
-            tx: self.done_tx.clone(),
-            token,
-            waker: self.waker.clone(),
-            sent: false,
-        }
-    }
 }
 
 /// A running fleet: the router's bound address plus the threads and
@@ -854,7 +706,6 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
         metrics,
         drain: DrainGate::default(),
         started: Instant::now(),
-        read_timeout: Duration::from_millis(or_default(cfg.read_timeout_ms, 120_000)),
         write_timeout: Duration::from_millis(or_default(cfg.write_timeout_ms, 30_000)),
         backend_timeout: Duration::from_millis(or_default(
             cfg.backend_timeout_ms,
@@ -875,11 +726,6 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
             64
         } else {
             cfg.max_batch
-        },
-        conn_buffer: if cfg.conn_buffer == 0 {
-            256 * 1024
-        } else {
-            cfg.conn_buffer
         },
     });
     // Initial spawns are synchronous so start() returns a fleet that
@@ -904,11 +750,6 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
             }
         }
     }
-    let (done_tx, done_rx) = mpsc::channel();
-    let (wake_tx, wake_rx) = UnixStream::pair()?;
-    let _ = wake_tx.set_nonblocking(true);
-    let _ = wake_rx.set_nonblocking(true);
-    let waker = Waker(Arc::new(wake_tx));
     let workers = (0..workers_n)
         .map(|i| {
             let s = Arc::clone(&shared);
@@ -931,14 +772,18 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
             .name("hetmem-fleet-probe".to_string())
             .spawn(move || prober(&s))?
     };
-    {
-        // Detached, like the serve event core: wait() synchronizes on
-        // the drain gate, and the loop exits once every conn is gone.
-        let s = Arc::clone(&shared);
-        thread::Builder::new()
-            .name("hetmem-fleet-poll".to_string())
-            .spawn(move || fleet_loop(&s, listener, done_tx, done_rx, waker, wake_rx))?;
-    }
+    let limits = Limits {
+        conn_buffer: if cfg.conn_buffer == 0 {
+            256 * 1024
+        } else {
+            cfg.conn_buffer
+        },
+        read_timeout: Duration::from_millis(or_default(cfg.read_timeout_ms, 120_000)),
+        write_timeout: shared.write_timeout,
+    };
+    // Detached: wait() synchronizes on the drain gate, and the loop
+    // exits once every conn is gone.
+    reactor::spawn("hetmem-fleet-poll", listener, limits, Fleet::new(&shared))?;
     Ok(FleetHandle {
         addr,
         shared,
@@ -957,11 +802,6 @@ fn default_serve_bin() -> io::Result<PathBuf> {
         io::Error::new(io::ErrorKind::NotFound, "current executable has no parent")
     })?;
     Ok(dir.join("hetmem-serve"))
-}
-
-/// Saturating microseconds.
-fn us(d: Duration) -> u64 {
-    d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 /// Sets the drain flag once and nudges the poll loop awake.
@@ -1215,7 +1055,7 @@ fn fwd_worker(shared: &Arc<FleetShared>) {
     // Pooled router→backend connections, one per backend, owned by
     // this worker; dropped (and retried fresh) on any I/O error.
     let mut pool: HashMap<usize, BufReader<TcpStream>> = HashMap::new();
-    while let Some(mut job) = shared.fwd.pop() {
+    while let Some(job) = shared.fwd.pop() {
         let result = forward_one(shared, &mut pool, &job);
         job.sink.deliver(result);
     }
@@ -1349,205 +1189,355 @@ fn backend_roundtrip(
 }
 
 // ---------------------------------------------------------------------------
-// The client-facing poll loop
+// The client-facing handlers
 // ---------------------------------------------------------------------------
 
-/// Marks the drain gate and releases the fleet's threads when the loop
-/// exits for any reason (a panic included), so wait() can never hang.
-struct MarkOnExit(Arc<FleetShared>);
+/// The router front end on the reactor: the fleet's shared state plus
+/// the forwards in flight.
+struct Fleet {
+    shared: Arc<FleetShared>,
+    pending: HashMap<u64, Pending>,
+    batches: HashMap<u64, BatchPending>,
+}
 
-impl Drop for MarkOnExit {
-    fn drop(&mut self) {
-        self.0.reap.store(true, Ordering::SeqCst);
-        self.0.fwd.close();
-        self.0.drain.mark();
+impl Fleet {
+    fn new(shared: &Arc<FleetShared>) -> Self {
+        Fleet {
+            shared: Arc::clone(shared),
+            pending: HashMap::new(),
+            batches: HashMap::new(),
+        }
+    }
+
+    /// A `batch` envelope at the router: local sub-ops (fleet `stats` /
+    /// `metrics`, per-sub refusals) resolve now; `place`/`simulate` subs
+    /// are grouped by owning backend, forwarded as one per-backend batch
+    /// envelope each, and reassembled in sub-request order on completion.
+    fn batch(
+        &mut self,
+        c: &mut Conn,
+        conn: u64,
+        done: &mut Completions<FwdResult>,
+        req: &Request,
+        head: Head,
+        deadline: Option<Instant>,
+    ) {
+        let shared = &self.shared;
+        let refuse = |shared: &FleetShared, c: &mut Conn, head: Head, e: HetmemError| {
+            let out = respond_line(shared, head, Err(e));
+            deliver(shared, c, &out);
+        };
+        if req.proto < PROTO_V2 {
+            let e =
+                HetmemError::invalid("op 'batch' requires \"proto\":2 or newer in the envelope");
+            return refuse(shared, c, head, e);
+        }
+        let Some(items) = req.params.get("requests").and_then(JsonValue::as_array) else {
+            let e = HetmemError::invalid("batch needs a 'requests' array of request envelopes");
+            return refuse(shared, c, head, e);
+        };
+        if items.is_empty() {
+            let e = HetmemError::invalid("batch 'requests' must be non-empty");
+            return refuse(shared, c, head, e);
+        }
+        if items.len() > shared.max_batch {
+            let e = HetmemError::BatchTooLarge {
+                got: items.len(),
+                max: shared.max_batch,
+            };
+            return refuse(shared, c, head, e);
+        }
+        shared
+            .stats
+            .batch_subrequests
+            .fetch_add(items.len() as u64, Ordering::Relaxed);
+        let t0 = head.t0;
+        let mut slots: Vec<Option<Response>> = Vec::with_capacity(items.len());
+        let mut groups: HashMap<usize, GroupBuild> = HashMap::new();
+        for (slot, item) in items.iter().enumerate() {
+            let sub = match Request::from_value(item) {
+                Ok(sub) => sub,
+                Err(e) => {
+                    slots.push(Some(Response::err(0, e.code(), &e.to_string())));
+                    continue;
+                }
+            };
+            let client_rid = sub.request_id.clone();
+            let fail = |e: HetmemError| {
+                count_refusal(shared, &e);
+                Some(
+                    Response::err(sub.id, e.code(), &e.to_string())
+                        .with_request_id(client_rid.clone()),
+                )
+            };
+            if sub.proto == 0 || sub.proto > PROTO_V2 {
+                slots.push(fail(HetmemError::UnsupportedProtocol { proto: sub.proto }));
+                continue;
+            }
+            let sub_deadline = sub.deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
+            let combined = match (deadline, sub_deadline) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+            if combined.is_some_and(|d| Instant::now() >= d) {
+                slots.push(fail(HetmemError::DeadlineExceeded));
+                continue;
+            }
+            match sub.op.as_str() {
+                "stats" => {
+                    slots.push(Some(
+                        Response::ok(sub.id, fleet_stats_json(shared)).with_request_id(client_rid),
+                    ));
+                }
+                "metrics" => match fleet_metrics_json(shared, &sub.params) {
+                    Ok(body) => {
+                        slots.push(Some(Response::ok(sub.id, body).with_request_id(client_rid)))
+                    }
+                    Err(e) => slots.push(fail(e)),
+                },
+                "batch" => slots.push(fail(HetmemError::invalid("'batch' does not nest"))),
+                "shutdown" => slots.push(fail(HetmemError::invalid(
+                    "'shutdown' cannot ride inside a batch",
+                ))),
+                "place" | "simulate" => {
+                    let key = route_key(&sub);
+                    let owner = shared.ring.route(&key);
+                    let group = groups.entry(owner).or_default();
+                    if group.subs.is_empty() {
+                        group.rep_key = key;
+                    }
+                    group.slots.push(slot);
+                    group.ids.push((sub.id, client_rid));
+                    group.subs.push(sub);
+                    slots.push(None);
+                }
+                op => slots.push(fail(HetmemError::UnknownOp { op: op.to_string() })),
+            }
+        }
+        if groups.is_empty() {
+            let responses: Vec<Response> = slots.into_iter().map(Option::unwrap).collect();
+            let body = batch_body(&responses);
+            let out = respond_line(shared, head, Ok(body));
+            deliver(shared, c, &out);
+            return;
+        }
+        c.inflight += 1;
+        let batch_token = done.token();
+        self.batches.insert(
+            batch_token,
+            BatchPending {
+                conn,
+                head,
+                remaining: groups.len(),
+                slots,
+            },
+        );
+        for (_, group) in groups {
+            let mut env = batch_request(req.id, &group.subs);
+            if let Some(d) = deadline {
+                // The outer budget rides to the backend as remaining ms;
+                // per-sub deadlines are already inside the sub envelopes.
+                let left = d.saturating_duration_since(Instant::now()).as_millis() as u64;
+                env.deadline_ms = Some(left.max(1));
+            }
+            let token = done.token();
+            self.pending.insert(
+                token,
+                Pending::Group {
+                    batch: batch_token,
+                    slots: group.slots,
+                    subs: group.ids,
+                },
+            );
+            submit_forward(shared, done, token, env.encode(), group.rep_key, deadline);
+        }
     }
 }
 
-fn fleet_loop(
-    shared: &Arc<FleetShared>,
-    listener: TcpListener,
-    done_tx: mpsc::Sender<FleetCompletion>,
-    done_rx: mpsc::Receiver<FleetCompletion>,
-    waker: Waker,
-    wake_rx: UnixStream,
-) {
-    let _mark = MarkOnExit(Arc::clone(shared));
-    if listener.set_nonblocking(true).is_err() {
-        return;
+impl Handler for Fleet {
+    type Reply = FwdResult;
+
+    fn draining(&self) -> bool {
+        self.shared.draining.load(Ordering::SeqCst)
     }
-    let mut state = LoopState {
-        done_tx,
-        waker,
-        next_token: 1,
-        pending: HashMap::new(),
-        batches: HashMap::new(),
-    };
-    let mut listener = Some(listener);
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_conn: u64 = 1;
-    let mut drain_marked = false;
-    let mut chunk = vec![0u8; 64 * 1024];
-    let mut wake_scratch = [0u8; 256];
-    loop {
-        let draining = shared.draining.load(Ordering::SeqCst);
-        if draining && listener.is_some() {
-            listener = None;
+
+    fn idle(&self) -> bool {
+        self.pending.is_empty() && self.batches.is_empty()
+    }
+
+    /// One complete client request line: refusal checks mirror the serve
+    /// dispatch (draining replaces shutting-down), router ops answer at
+    /// fleet level, and everything else forwards by content key.
+    fn line(
+        &mut self,
+        c: &mut Conn,
+        conn: u64,
+        line: &str,
+        shed: bool,
+        done: &mut Completions<FwdResult>,
+    ) {
+        let shared = &self.shared;
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            return;
         }
-        if draining
-            && listener.is_none()
-            && conns.is_empty()
-            && state.pending.is_empty()
-            && state.batches.is_empty()
-        {
+        let t0 = Instant::now();
+        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+        let req = match Request::decode(trimmed) {
+            Ok(req) => req,
+            Err(e) => {
+                shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+                let resp = Response::err(0, e.code(), &e.to_string());
+                account(shared, "decode", false, t0);
+                let mut out = resp.encode();
+                out.push('\n');
+                deliver(shared, c, &out);
+                return;
+            }
+        };
+        let op_counter = match req.op.as_str() {
+            "place" => &shared.stats.op_place,
+            "simulate" => &shared.stats.op_simulate,
+            "stats" => &shared.stats.op_stats,
+            "metrics" => &shared.stats.op_metrics,
+            "shutdown" => &shared.stats.op_shutdown,
+            "batch" => &shared.stats.op_batch,
+            _ => &shared.stats.op_other,
+        };
+        op_counter.fetch_add(1, Ordering::Relaxed);
+        let head = Head {
+            id: req.id,
+            op: req.op.clone(),
+            client_rid: req.request_id.clone(),
+            t0,
+        };
+        let deadline = req.deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
+
+        // Refusal priority mirrors the serve dispatch.
+        if shared.draining.load(Ordering::SeqCst) {
+            let out = respond_line(shared, head, Err(HetmemError::FleetDraining));
+            deliver(shared, c, &out);
+            return;
+        }
+        if req.proto == 0 || req.proto > PROTO_V2 {
+            let e = HetmemError::UnsupportedProtocol { proto: req.proto };
+            let out = respond_line(shared, head, Err(e));
+            deliver(shared, c, &out);
+            return;
+        }
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            let out = respond_line(shared, head, Err(HetmemError::DeadlineExceeded));
+            deliver(shared, c, &out);
+            return;
+        }
+        if shed && req.op != "shutdown" {
+            let out = respond_line(shared, head, Err(HetmemError::Overloaded));
+            deliver(shared, c, &out);
             return;
         }
 
-        let mut fds = Vec::with_capacity(2 + conns.len());
-        fds.push(PollFd {
-            fd: wake_rx.as_raw_fd(),
-            events: POLLIN,
-            revents: 0,
-        });
-        if let Some(l) = &listener {
-            fds.push(PollFd {
-                fd: l.as_raw_fd(),
-                events: POLLIN,
-                revents: 0,
-            });
-        }
-        let read_cap = shared.conn_buffer.saturating_mul(4);
-        let mut polled: Vec<u64> = Vec::with_capacity(conns.len());
-        for (&id, c) in &conns {
-            let mut events = 0i16;
-            if !c.closing && c.pending() < read_cap {
-                events |= POLLIN;
+        match req.op.as_str() {
+            "stats" => {
+                let out = respond_line(shared, head, Ok(fleet_stats_json(shared)));
+                deliver(shared, c, &out);
             }
-            if c.pending() > 0 {
-                events |= POLLOUT;
+            "metrics" => {
+                let out = respond_line(shared, head, fleet_metrics_json(shared, &req.params));
+                deliver(shared, c, &out);
             }
-            if events != 0 {
-                fds.push(PollFd {
-                    fd: c.stream.as_raw_fd(),
-                    events,
-                    revents: 0,
-                });
-                polled.push(id);
+            "shutdown" => {
+                begin_drain(shared);
+                let body = JsonObject::new().bool("draining", true).finish();
+                let out = respond_line(shared, head, Ok(body));
+                deliver(shared, c, &out);
             }
-        }
-        poll_fds(&mut fds, 200);
-
-        while matches!((&wake_rx).read(&mut wake_scratch), Ok(n) if n > 0) {}
-
-        while let Ok(comp) = done_rx.try_recv() {
-            handle_completion(shared, &mut conns, &mut state, comp);
-        }
-
-        if let Some(l) = &listener {
-            loop {
-                match l.accept() {
-                    Ok((stream, _)) => {
-                        stream.set_nodelay(true).ok();
-                        if stream.set_nonblocking(true).is_ok() {
-                            conns.insert(next_conn, Conn::new(stream));
-                            next_conn += 1;
-                        }
-                    }
-                    Err(_) => break,
-                }
+            "batch" => self.batch(c, conn, done, &req, head, deadline),
+            "place" | "simulate" => {
+                let key = route_key(&req);
+                let token = done.token();
+                c.inflight += 1;
+                self.pending.insert(token, Pending::Single { conn, head });
+                submit_forward(shared, done, token, trimmed.to_string(), key, deadline);
             }
-        }
-
-        let conn_fds_start = fds.len() - polled.len();
-        for (pfd, &id) in fds[conn_fds_start..].iter().zip(&polled) {
-            if pfd.revents == 0 {
-                continue;
+            op => {
+                let e = HetmemError::UnknownOp { op: op.to_string() };
+                let out = respond_line(shared, head, Err(e));
+                deliver(shared, c, &out);
             }
-            let Some(c) = conns.get_mut(&id) else {
-                continue;
-            };
-            if pfd.revents & POLLIN == 0 && pfd.revents == POLLOUT {
-                continue;
-            }
-            loop {
-                match c.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        c.closing = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        c.last_read = Instant::now();
-                        c.rbuf.extend_from_slice(&chunk[..n]);
-                        if c.pending() >= read_cap {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(_) => {
-                        c.dead = true;
-                        break;
-                    }
-                }
-            }
-            while let Some(line) = next_line(c) {
-                handle_line(shared, c, id, &line, &mut state);
-            }
-        }
-
-        while let Ok(comp) = done_rx.try_recv() {
-            handle_completion(shared, &mut conns, &mut state, comp);
-        }
-
-        for c in conns.values_mut() {
-            flush_conn(c);
-        }
-
-        let now = Instant::now();
-        conns.retain(|_, c| {
-            if c.dead {
-                return false;
-            }
-            if c.closing && c.pending() == 0 && c.inflight == 0 {
-                return false;
-            }
-            if c.inflight == 0
-                && c.pending() == 0
-                && now.saturating_duration_since(c.last_read) > shared.read_timeout
-            {
-                return false;
-            }
-            if c.pending() > 0
-                && now.saturating_duration_since(c.last_write_ok) > shared.write_timeout
-            {
-                return false;
-            }
-            true
-        });
-
-        if !drain_marked
-            && draining
-            && listener.is_none()
-            && state.pending.is_empty()
-            && state.batches.is_empty()
-            && conns.values().all(|c| c.pending() == 0)
-        {
-            // Every accepted request is flushed: let wait() return and
-            // the supervisors stop the children.
-            shared.reap.store(true, Ordering::SeqCst);
-            shared.fwd.close();
-            shared.drain.mark();
-            drain_marked = true;
         }
     }
-}
 
-fn next_line(c: &mut Conn) -> Option<String> {
-    let pos = c.rbuf.iter().position(|&b| b == b'\n')?;
-    let line: Vec<u8> = c.rbuf.drain(..=pos).collect();
-    Some(String::from_utf8_lossy(&line).into_owned())
-}
+    /// A forward finished: relay (or synthesize) the response, keep batch
+    /// bookkeeping, account before the bytes reach the connection.
+    fn completion(&mut self, conns: &mut HashMap<u64, Conn>, token: u64, reply: FwdResult) {
+        let shared = &self.shared;
+        match self.pending.remove(&token) {
+            None => {}
+            Some(Pending::Single { conn, head }) => {
+                let out = match reply {
+                    Ok(reply) => relay_line(shared, &head, &reply),
+                    Err(e) => respond_line(shared, head, Err(e)),
+                };
+                if let Some(c) = conns.get_mut(&conn) {
+                    c.inflight -= 1;
+                    deliver(shared, c, &out);
+                }
+            }
+            Some(Pending::Group { batch, slots, subs }) => {
+                let fill = |code: &str, message: &str| -> Vec<Response> {
+                    subs.iter()
+                        .map(|(id, rid)| {
+                            Response::err(*id, code, message).with_request_id(rid.clone())
+                        })
+                        .collect()
+                };
+                let responses: Vec<Response> = match reply {
+                    Err(e) => fill(e.code(), &e.to_string()),
+                    Ok(reply) => match Response::decode(&reply.line) {
+                        Err(_) => fill(
+                            "backend-unavailable",
+                            "backend returned an undecodable reply",
+                        ),
+                        Ok(Response::Err { code, message, .. }) => fill(&code, &message),
+                        Ok(ok @ Response::Ok { .. }) => match ok.batch_responses() {
+                            Ok(rs) if rs.len() == slots.len() => rs,
+                            _ => fill(
+                                "backend-unavailable",
+                                "backend returned a mismatched batch envelope",
+                            ),
+                        },
+                    },
+                };
+                let Some(b) = self.batches.get_mut(&batch) else {
+                    return;
+                };
+                for (slot, resp) in slots.iter().zip(responses) {
+                    b.slots[*slot] = Some(resp);
+                }
+                b.remaining -= 1;
+                if b.remaining > 0 {
+                    return;
+                }
+                let b = self.batches.remove(&batch).expect("batch present");
+                let responses: Vec<Response> = b.slots.into_iter().map(Option::unwrap).collect();
+                let body = batch_body(&responses);
+                let out = respond_line(shared, b.head, Ok(body));
+                if let Some(c) = conns.get_mut(&b.conn) {
+                    c.inflight -= 1;
+                    deliver(shared, c, &out);
+                }
+            }
+        }
+    }
 
+    /// Every accepted request is flushed (or the loop died): let
+    /// wait() return and the supervisors stop the children.
+    fn drained(&self) {
+        self.shared.reap.store(true, Ordering::SeqCst);
+        self.shared.fwd.close();
+        self.shared.drain.mark();
+    }
+}
 /// Counts the refusal kinds `stats` breaks out separately.
 fn count_refusal(shared: &FleetShared, e: &HetmemError) {
     if matches!(e, HetmemError::Overloaded) {
@@ -1613,38 +1603,7 @@ fn account(shared: &FleetShared, op: &str, ok: bool, t0: Instant) {
 /// Queues response bytes, honoring the close-after-response contract
 /// once draining.
 fn deliver(shared: &FleetShared, c: &mut Conn, out: &str) {
-    c.wbuf.extend_from_slice(out.as_bytes());
-    if shared.draining.load(Ordering::SeqCst) {
-        c.closing = true;
-    }
-}
-
-fn flush_conn(c: &mut Conn) {
-    while c.pending() > 0 {
-        match c.stream.write(&c.wbuf[c.wpos..]) {
-            Ok(0) => {
-                c.dead = true;
-                break;
-            }
-            Ok(n) => {
-                c.wpos += n;
-                c.last_write_ok = Instant::now();
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(_) => {
-                c.dead = true;
-                break;
-            }
-        }
-    }
-    if c.wpos == c.wbuf.len() {
-        c.wbuf.clear();
-        c.wpos = 0;
-    } else if c.wpos > 64 * 1024 {
-        c.wbuf.drain(..c.wpos);
-        c.wpos = 0;
-    }
+    c.queue(out, shared.draining.load(Ordering::SeqCst));
 }
 
 /// The content key a request routes by. `simulate` uses the canonical
@@ -1665,13 +1624,13 @@ fn route_key(req: &Request) -> String {
 /// any other completion.
 fn submit_forward(
     shared: &FleetShared,
-    state: &mut LoopState,
+    done: &Completions<FwdResult>,
     token: u64,
     line: String,
     key: String,
     deadline: Option<Instant>,
 ) {
-    let sink = state.sink(token);
+    let sink = done.sink(token, Err(HetmemError::BackendUnavailable { tried: 0 }));
     let job = FwdJob {
         line,
         key,
@@ -1680,115 +1639,8 @@ fn submit_forward(
     };
     match shared.fwd.try_push(job) {
         Ok(()) => {}
-        Err(PushError::Overloaded(mut job)) => job.sink.deliver(Err(HetmemError::Overloaded)),
-        Err(PushError::Closed(mut job)) => job.sink.deliver(Err(HetmemError::FleetDraining)),
-    }
-}
-
-/// One complete client request line: refusal checks mirror the serve
-/// dispatch (draining replaces shutting-down), router ops answer at
-/// fleet level, and everything else forwards by content key.
-fn handle_line(
-    shared: &Arc<FleetShared>,
-    c: &mut Conn,
-    conn_id: u64,
-    line: &str,
-    state: &mut LoopState,
-) {
-    let trimmed = line.trim();
-    if trimmed.is_empty() {
-        return;
-    }
-    let t0 = Instant::now();
-    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-    let req = match Request::decode(trimmed) {
-        Ok(req) => req,
-        Err(e) => {
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            let resp = Response::err(0, e.code(), &e.to_string());
-            account(shared, "decode", false, t0);
-            let mut out = resp.encode();
-            out.push('\n');
-            deliver(shared, c, &out);
-            return;
-        }
-    };
-    let op_counter = match req.op.as_str() {
-        "place" => &shared.stats.op_place,
-        "simulate" => &shared.stats.op_simulate,
-        "stats" => &shared.stats.op_stats,
-        "metrics" => &shared.stats.op_metrics,
-        "shutdown" => &shared.stats.op_shutdown,
-        "batch" => &shared.stats.op_batch,
-        _ => &shared.stats.op_other,
-    };
-    op_counter.fetch_add(1, Ordering::Relaxed);
-    let head = Head {
-        id: req.id,
-        op: req.op.clone(),
-        client_rid: req.request_id.clone(),
-        t0,
-    };
-    let deadline = req.deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
-    let shed = c.pending() >= shared.conn_buffer;
-
-    // Refusal priority mirrors the serve dispatch.
-    if shared.draining.load(Ordering::SeqCst) {
-        let out = respond_line(shared, head, Err(HetmemError::FleetDraining));
-        deliver(shared, c, &out);
-        return;
-    }
-    if req.proto == 0 || req.proto > PROTO_V2 {
-        let e = HetmemError::UnsupportedProtocol { proto: req.proto };
-        let out = respond_line(shared, head, Err(e));
-        deliver(shared, c, &out);
-        return;
-    }
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        let out = respond_line(shared, head, Err(HetmemError::DeadlineExceeded));
-        deliver(shared, c, &out);
-        return;
-    }
-    if shed && req.op != "shutdown" {
-        let out = respond_line(shared, head, Err(HetmemError::Overloaded));
-        deliver(shared, c, &out);
-        return;
-    }
-
-    match req.op.as_str() {
-        "stats" => {
-            let out = respond_line(shared, head, Ok(fleet_stats_json(shared)));
-            deliver(shared, c, &out);
-        }
-        "metrics" => {
-            let out = respond_line(shared, head, fleet_metrics_json(shared, &req.params));
-            deliver(shared, c, &out);
-        }
-        "shutdown" => {
-            begin_drain(shared);
-            let body = JsonObject::new().bool("draining", true).finish();
-            let out = respond_line(shared, head, Ok(body));
-            deliver(shared, c, &out);
-        }
-        "batch" => handle_batch(shared, c, conn_id, state, &req, head, deadline),
-        "place" | "simulate" => {
-            let key = route_key(&req);
-            let token = state.token();
-            c.inflight += 1;
-            state.pending.insert(
-                token,
-                Pending::Single {
-                    conn: conn_id,
-                    head,
-                },
-            );
-            submit_forward(shared, state, token, trimmed.to_string(), key, deadline);
-        }
-        op => {
-            let e = HetmemError::UnknownOp { op: op.to_string() };
-            let out = respond_line(shared, head, Err(e));
-            deliver(shared, c, &out);
-        }
+        Err(PushError::Overloaded(job)) => job.sink.deliver(Err(HetmemError::Overloaded)),
+        Err(PushError::Closed(job)) => job.sink.deliver(Err(HetmemError::FleetDraining)),
     }
 }
 
@@ -1801,147 +1653,6 @@ struct GroupBuild {
     rep_key: String,
 }
 
-/// A `batch` envelope at the router: local sub-ops (fleet `stats` /
-/// `metrics`, per-sub refusals) resolve now; `place`/`simulate` subs
-/// are grouped by owning backend, forwarded as one per-backend batch
-/// envelope each, and reassembled in sub-request order on completion.
-fn handle_batch(
-    shared: &Arc<FleetShared>,
-    c: &mut Conn,
-    conn_id: u64,
-    state: &mut LoopState,
-    req: &Request,
-    head: Head,
-    deadline: Option<Instant>,
-) {
-    let refuse = |shared: &FleetShared, c: &mut Conn, head: Head, e: HetmemError| {
-        let out = respond_line(shared, head, Err(e));
-        deliver(shared, c, &out);
-    };
-    if req.proto < PROTO_V2 {
-        let e = HetmemError::invalid("op 'batch' requires \"proto\":2 or newer in the envelope");
-        return refuse(shared, c, head, e);
-    }
-    let Some(items) = req.params.get("requests").and_then(JsonValue::as_array) else {
-        let e = HetmemError::invalid("batch needs a 'requests' array of request envelopes");
-        return refuse(shared, c, head, e);
-    };
-    if items.is_empty() {
-        let e = HetmemError::invalid("batch 'requests' must be non-empty");
-        return refuse(shared, c, head, e);
-    }
-    if items.len() > shared.max_batch {
-        let e = HetmemError::BatchTooLarge {
-            got: items.len(),
-            max: shared.max_batch,
-        };
-        return refuse(shared, c, head, e);
-    }
-    shared
-        .stats
-        .batch_subrequests
-        .fetch_add(items.len() as u64, Ordering::Relaxed);
-    let t0 = head.t0;
-    let mut slots: Vec<Option<Response>> = Vec::with_capacity(items.len());
-    let mut groups: HashMap<usize, GroupBuild> = HashMap::new();
-    for (slot, item) in items.iter().enumerate() {
-        let sub = match Request::from_value(item) {
-            Ok(sub) => sub,
-            Err(e) => {
-                slots.push(Some(Response::err(0, e.code(), &e.to_string())));
-                continue;
-            }
-        };
-        let client_rid = sub.request_id.clone();
-        let fail = |e: HetmemError| {
-            count_refusal(shared, &e);
-            Some(
-                Response::err(sub.id, e.code(), &e.to_string()).with_request_id(client_rid.clone()),
-            )
-        };
-        if sub.proto == 0 || sub.proto > PROTO_V2 {
-            slots.push(fail(HetmemError::UnsupportedProtocol { proto: sub.proto }));
-            continue;
-        }
-        let sub_deadline = sub.deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
-        let combined = match (deadline, sub_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        if combined.is_some_and(|d| Instant::now() >= d) {
-            slots.push(fail(HetmemError::DeadlineExceeded));
-            continue;
-        }
-        match sub.op.as_str() {
-            "stats" => {
-                slots.push(Some(
-                    Response::ok(sub.id, fleet_stats_json(shared)).with_request_id(client_rid),
-                ));
-            }
-            "metrics" => match fleet_metrics_json(shared, &sub.params) {
-                Ok(body) => {
-                    slots.push(Some(Response::ok(sub.id, body).with_request_id(client_rid)))
-                }
-                Err(e) => slots.push(fail(e)),
-            },
-            "batch" => slots.push(fail(HetmemError::invalid("'batch' does not nest"))),
-            "shutdown" => slots.push(fail(HetmemError::invalid(
-                "'shutdown' cannot ride inside a batch",
-            ))),
-            "place" | "simulate" => {
-                let key = route_key(&sub);
-                let owner = shared.ring.route(&key);
-                let group = groups.entry(owner).or_default();
-                if group.subs.is_empty() {
-                    group.rep_key = key;
-                }
-                group.slots.push(slot);
-                group.ids.push((sub.id, client_rid));
-                group.subs.push(sub);
-                slots.push(None);
-            }
-            op => slots.push(fail(HetmemError::UnknownOp { op: op.to_string() })),
-        }
-    }
-    if groups.is_empty() {
-        let responses: Vec<Response> = slots.into_iter().map(Option::unwrap).collect();
-        let body = batch_body(&responses);
-        let out = respond_line(shared, head, Ok(body));
-        deliver(shared, c, &out);
-        return;
-    }
-    c.inflight += 1;
-    let batch_token = state.token();
-    state.batches.insert(
-        batch_token,
-        BatchPending {
-            conn: conn_id,
-            head,
-            remaining: groups.len(),
-            slots,
-        },
-    );
-    for (_, group) in groups {
-        let mut env = batch_request(req.id, &group.subs);
-        if let Some(d) = deadline {
-            // The outer budget rides to the backend as remaining ms;
-            // per-sub deadlines are already inside the sub envelopes.
-            let left = d.saturating_duration_since(Instant::now()).as_millis() as u64;
-            env.deadline_ms = Some(left.max(1));
-        }
-        let token = state.token();
-        state.pending.insert(
-            token,
-            Pending::Group {
-                batch: batch_token,
-                slots: group.slots,
-                subs: group.ids,
-            },
-        );
-        submit_forward(shared, state, token, env.encode(), group.rep_key, deadline);
-    }
-}
-
 /// The batch envelope body, byte-compatible with the serve core's
 /// `finish_batch`.
 fn batch_body(responses: &[Response]) -> String {
@@ -1951,71 +1662,6 @@ fn batch_body(responses: &[Response]) -> String {
             &json::array(responses.iter().map(Response::encode)),
         )
         .finish()
-}
-
-/// A forward finished: relay (or synthesize) the response, keep batch
-/// bookkeeping, account before the bytes reach the connection.
-fn handle_completion(
-    shared: &Arc<FleetShared>,
-    conns: &mut HashMap<u64, Conn>,
-    state: &mut LoopState,
-    comp: FleetCompletion,
-) {
-    match state.pending.remove(&comp.token) {
-        None => {}
-        Some(Pending::Single { conn, head }) => {
-            let out = match comp.result {
-                Ok(reply) => relay_line(shared, &head, &reply),
-                Err(e) => respond_line(shared, head, Err(e)),
-            };
-            if let Some(c) = conns.get_mut(&conn) {
-                c.inflight -= 1;
-                deliver(shared, c, &out);
-            }
-        }
-        Some(Pending::Group { batch, slots, subs }) => {
-            let fill = |code: &str, message: &str| -> Vec<Response> {
-                subs.iter()
-                    .map(|(id, rid)| Response::err(*id, code, message).with_request_id(rid.clone()))
-                    .collect()
-            };
-            let responses: Vec<Response> = match comp.result {
-                Err(e) => fill(e.code(), &e.to_string()),
-                Ok(reply) => match Response::decode(&reply.line) {
-                    Err(_) => fill(
-                        "backend-unavailable",
-                        "backend returned an undecodable reply",
-                    ),
-                    Ok(Response::Err { code, message, .. }) => fill(&code, &message),
-                    Ok(ok @ Response::Ok { .. }) => match ok.batch_responses() {
-                        Ok(rs) if rs.len() == slots.len() => rs,
-                        _ => fill(
-                            "backend-unavailable",
-                            "backend returned a mismatched batch envelope",
-                        ),
-                    },
-                },
-            };
-            let Some(b) = state.batches.get_mut(&batch) else {
-                return;
-            };
-            for (slot, resp) in slots.iter().zip(responses) {
-                b.slots[*slot] = Some(resp);
-            }
-            b.remaining -= 1;
-            if b.remaining > 0 {
-                return;
-            }
-            let b = state.batches.remove(&batch).expect("batch present");
-            let responses: Vec<Response> = b.slots.into_iter().map(Option::unwrap).collect();
-            let body = batch_body(&responses);
-            let out = respond_line(shared, b.head, Ok(body));
-            if let Some(c) = conns.get_mut(&b.conn) {
-                c.inflight -= 1;
-                deliver(shared, c, &out);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@
 pub mod client;
 #[cfg(unix)]
 pub mod fleet;
+#[cfg(unix)]
+mod reactor;
 pub mod serve;
 pub mod top;
 

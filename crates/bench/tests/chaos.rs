@@ -10,16 +10,12 @@
 //! surfaces as `worker-restarted` and the shard recovers; an expired
 //! deadline is refused as `deadline-exceeded`; corrupted cache entries
 //! are detected by checksum and recomputed rather than served.
-//!
-//! This suite deliberately stays on the deprecated `client::call` shim:
-//! chaos coverage through the old entry point pins the shim to the
-//! same retry engine `ClientBuilder` uses.
-#![allow(deprecated)]
+#![cfg(unix)]
 
 use std::collections::HashMap;
 use std::time::Duration;
 
-use hetmem_bench::client::{call, ClientOptions};
+use hetmem_bench::client::ClientBuilder;
 use hetmem_bench::serve::{roundtrip, start, ServeConfig};
 use hetmem_harness::json::JsonValue;
 use hetmem_harness::{Backoff, FaultPlan, Request, Response};
@@ -112,19 +108,16 @@ fn chaos_fleet_gets_byte_correct_or_stable_errors() {
                 let addr = addr.clone();
                 let canonical = &canonical;
                 scope.spawn(move || {
-                    let opts = ClientOptions {
-                        retries: 12,
-                        backoff: Backoff::new(1, 10, c as u64),
-                        deadline_ms: None,
-                        read_timeout: Duration::from_secs(30),
-                        fleet: false,
-                    };
+                    let client = ClientBuilder::new(addr)
+                        .retries(12)
+                        .backoff(Backoff::new(1, 10, c as u64))
+                        .read_timeout(Duration::from_secs(30));
                     let mut ok = 0usize;
                     let mut transport = 0usize;
                     for i in 0..PER_CLIENT {
                         let (w, p) = POINTS[(c + i) % POINTS.len()];
                         let id = (c * PER_CLIENT + i) as u64 + 1;
-                        match call(&addr, &sim_request(id, w, p), &opts) {
+                        match client.call(&sim_request(id, w, p)) {
                             Ok(outcome) => match outcome.response {
                                 Response::Ok { result, .. } => {
                                     assert_eq!(
@@ -174,12 +167,10 @@ fn chaos_fleet_gets_byte_correct_or_stable_errors() {
     // Give the last supervisor restart a beat to be counted, then
     // check the chaos actually fired and the books are consistent.
     std::thread::sleep(Duration::from_millis(100));
-    let opts = ClientOptions {
-        retries: 12,
-        backoff: Backoff::new(1, 10, 999),
-        ..ClientOptions::default()
-    };
-    let outcome = call(&addr, &Request::new(9000, "stats"), &opts).unwrap();
+    let client = ClientBuilder::new(addr)
+        .retries(12)
+        .backoff(Backoff::new(1, 10, 999));
+    let outcome = client.call(&Request::new(9000, "stats")).unwrap();
     let Response::Ok { result, .. } = outcome.response else {
         panic!("stats must succeed");
     };
@@ -201,7 +192,7 @@ fn chaos_fleet_gets_byte_correct_or_stable_errors() {
         );
     }
 
-    let _ = call(&addr, &Request::new(9001, "shutdown"), &opts);
+    let _ = client.call(&Request::new(9001, "shutdown"));
     handle.wait();
 }
 

@@ -1,23 +1,26 @@
-//! Integration tests for the event-driven serve core: pipelining,
-//! protocol-v2 `batch` envelopes, slow-reader backpressure, and the
-//! ClientBuilder / deprecated-shim bit-equivalence contract.
+//! Integration tests for the poll(2) reactor the serve core and the
+//! fleet router share: pipelining, protocol-v2 `batch` envelopes,
+//! slow-reader backpressure, and idle read timeouts.
 //!
 //! The chaos and serve suites already pin the dispatch pipeline's
-//! behavior (and run against the poll core by default); this suite
-//! pins what is *new* in the readiness-loop front end: many in-flight
-//! requests per connection answered order-independently by id, batch
-//! sub-responses byte-identical to bare requests, and a stalled reader
-//! degrading to structured `overloaded` instead of wedging the loop.
+//! behavior; this suite pins what the readiness loop adds: many
+//! in-flight requests per connection answered order-independently by
+//! id, batch sub-responses byte-identical to bare requests, a stalled
+//! reader degrading to structured `overloaded` instead of wedging the
+//! loop, and an idle connection closed at its read timeout. The
+//! backpressure and timeout checks run against both front ends.
+#![cfg(unix)]
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
-use hetmem_bench::client::{ClientBuilder, ClientOptions};
+use hetmem_bench::fleet::{self, FleetConfig, FleetHandle};
 use hetmem_bench::serve::{roundtrip, start, ServeConfig, ServerHandle};
 use hetmem_harness::json::JsonValue;
-use hetmem_harness::{batch_request, Backoff, Request, Response, PROTO_V2};
+use hetmem_harness::{batch_request, Request, Response, PROTO_V2};
 
 fn sim_request(id: u64, json_params: &str) -> Request {
     Request::with_params(id, "simulate", JsonValue::parse(json_params).unwrap())
@@ -39,6 +42,15 @@ fn expect_err(resp: &Response) -> (&str, &str) {
 
 fn server(cfg: ServeConfig) -> ServerHandle {
     start(cfg).expect("bind loopback")
+}
+
+/// A router over two real `hetmem-serve` children.
+fn router(cfg: FleetConfig) -> FleetHandle {
+    fleet::start(FleetConfig {
+        serve_bin: Some(PathBuf::from(env!("CARGO_BIN_EXE_hetmem-serve"))),
+        ..cfg
+    })
+    .expect("fleet must start")
 }
 
 /// A connected pipelining client: raw line writes, buffered line reads.
@@ -246,8 +258,29 @@ fn slow_reader_backpressure_sheds_overloaded_without_wedging() {
         conn_buffer: 1024,
         ..ServeConfig::default()
     });
-    let addr = handle.addr().to_string();
+    assert_slow_reader_sheds(&handle.addr().to_string());
+    handle.shutdown();
+    handle.wait();
+}
 
+#[test]
+fn router_slow_reader_backpressure_sheds_overloaded_without_wedging() {
+    // The router answers `metrics` itself, so its own backlog budget
+    // is what sheds.
+    let handle = router(FleetConfig {
+        conn_buffer: 1024,
+        ..FleetConfig::default()
+    });
+    assert_slow_reader_sheds(&handle.addr().to_string());
+    handle.shutdown();
+    handle.wait();
+}
+
+/// Pipelines 400 Prometheus scrapes on one connection and stalls
+/// before reading any: the loop keeps serving other connections,
+/// every scrape is answered (the overflow as `overloaded`), and the
+/// connection recovers once its client reads again.
+fn assert_slow_reader_sheds(addr: &str) {
     const REQS: u64 = 400;
     let reqs: Vec<Request> = (1..=REQS)
         .map(|id| {
@@ -258,14 +291,14 @@ fn slow_reader_backpressure_sheds_overloaded_without_wedging() {
             )
         })
         .collect();
-    let mut stalled = Pipe::connect(&addr);
+    let mut stalled = Pipe::connect(addr);
     stalled.send_all(&reqs);
     // ...and then refuse to read anything for a while.
     std::thread::sleep(Duration::from_millis(300));
 
     // The loop is not wedged: a second connection gets served while
     // the first one's backlog is jammed.
-    let probe = roundtrip(&addr, &Request::new(9000, "stats")).unwrap();
+    let probe = roundtrip(addr, &Request::new(9000, "stats")).unwrap();
     expect_ok(&probe);
 
     // Now drain the stalled connection: every request is answered —
@@ -295,50 +328,47 @@ fn slow_reader_backpressure_sheds_overloaded_without_wedging() {
     stalled.send_all(&[Request::new(9001, "stats")]);
     let resp = Response::decode(&stalled.recv_line()).unwrap();
     expect_ok(&resp);
+}
 
+#[test]
+fn idle_connection_is_closed_at_the_read_timeout() {
+    let handle = server(ServeConfig {
+        read_timeout_ms: 200,
+        ..ServeConfig::default()
+    });
+    assert_idle_conn_closed(&handle.addr().to_string());
     handle.shutdown();
     handle.wait();
 }
 
 #[test]
-#[allow(deprecated)]
-fn client_builder_and_deprecated_shim_are_bit_equivalent() {
-    let handle = server(ServeConfig::default());
-    let addr = handle.addr().to_string();
-
-    let req = sim_request(
-        21,
-        r#"{"workload":"bfs","policy":"LOCAL","mem_ops":2000,"sms":2,"seed":11}"#,
-    )
-    .request_id("pin-1");
-    let opts = ClientOptions {
-        retries: 2,
-        backoff: Backoff::new(10, 100, 7),
-        deadline_ms: Some(30_000),
-        read_timeout: Duration::from_secs(30),
-        fleet: false,
-    };
-    let client = ClientBuilder::new(addr.clone())
-        .retries(opts.retries)
-        .backoff(opts.backoff.clone())
-        .deadline_ms(30_000)
-        .read_timeout(opts.read_timeout);
-
-    let via_builder = client.call(&req).unwrap();
-    let via_shim = hetmem_bench::client::call(&addr, &req, &opts).unwrap();
-    assert_eq!(via_builder.attempts, 1);
-    assert_eq!(via_shim.attempts, 1);
-    assert_eq!(
-        via_builder.response.encode(),
-        via_shim.response.encode(),
-        "the deprecated shim and the builder must produce identical bytes"
-    );
-
-    // The batch path returns the same bytes for the same sub-request.
-    let batched = client.call_batch(60, &[req.clone()]).unwrap();
-    assert_eq!(batched.responses.len(), 1);
-    assert_eq!(batched.responses[0].encode(), via_builder.response.encode());
-
+fn router_idle_connection_is_closed_at_the_read_timeout() {
+    let handle = router(FleetConfig {
+        read_timeout_ms: 200,
+        ..FleetConfig::default()
+    });
+    assert_idle_conn_closed(&handle.addr().to_string());
     handle.shutdown();
     handle.wait();
+}
+
+/// A connection that never sends a byte sees EOF once the 200 ms read
+/// timeout passes, and a fresh connection is still served.
+fn assert_idle_conn_closed(addr: &str) {
+    let mut idle = TcpStream::connect(addr).unwrap();
+    idle.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let t0 = Instant::now();
+    let mut byte = [0u8; 1];
+    let n = idle
+        .read(&mut byte)
+        .expect("the server closes, not the client timeout");
+    assert_eq!(n, 0, "an idle connection gets EOF, not bytes");
+    assert!(
+        t0.elapsed() >= Duration::from_millis(150),
+        "closed before its read timeout: {:?}",
+        t0.elapsed()
+    );
+    let resp = roundtrip(addr, &Request::new(1, "stats")).unwrap();
+    expect_ok(&resp);
 }

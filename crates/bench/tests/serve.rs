@@ -6,6 +6,7 @@
 //! exactly, structured `overloaded` load shedding, graceful
 //! drain-on-shutdown, and machine-readable error codes for every
 //! protocol failure.
+#![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;

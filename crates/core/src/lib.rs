@@ -63,7 +63,5 @@ pub use runner::{
     bo_traffic_target, check_fidelity, geomean, hints_from_profile, profile_workload, Capacity,
     ObserveConfig, ObservedRun, Placement, RunBuilder, SimTrace, WorkloadRun,
 };
-#[allow(deprecated)]
-pub use runner::{run_workload, run_workload_observed, run_workload_profiled};
 pub use runtime::{is_heterogeneous, AllocRequest, Allocation, HmRuntime};
 pub use translate::{topology_for, OsTranslator};

@@ -156,9 +156,7 @@ pub fn bo_traffic_target(sim: &SimConfig) -> f64 {
 }
 
 /// The unified session API for running one workload: every run — plain,
-/// profiled, or observed — is configured through this one builder, which
-/// replaced the `run_workload` / `run_workload_profiled` /
-/// `run_workload_observed` function trio.
+/// profiled, or observed — is configured through this one builder.
 ///
 /// Unset knobs take the paper's defaults: unconstrained BO capacity,
 /// BW-AWARE placement (the proposed GPU default, §3.2.2), no page
@@ -447,44 +445,6 @@ impl<'a> RunBuilder<'a> {
     }
 }
 
-/// Runs `spec` on `sim` with the given BO capacity and placement.
-///
-/// # Panics
-///
-/// Panics if the strategy is [`Placement::Hinted`] with the wrong number
-/// of hints, or if the simulated machine runs out of total memory.
-#[deprecated(since = "0.2.0", note = "use RunBuilder::new(spec, sim)…run()")]
-pub fn run_workload(
-    spec: &WorkloadSpec,
-    sim: &SimConfig,
-    capacity: Capacity,
-    placement: &Placement,
-) -> WorkloadRun {
-    RunBuilder::new(spec, sim)
-        .capacity(capacity)
-        .placement(placement)
-        .run()
-}
-
-/// Like [`run_workload`], additionally collecting the per-page DRAM
-/// access histogram (slower; used by profiling passes).
-#[deprecated(
-    since = "0.2.0",
-    note = "use RunBuilder::new(spec, sim)…profiled().run()"
-)]
-pub fn run_workload_profiled(
-    spec: &WorkloadSpec,
-    sim: &SimConfig,
-    capacity: Capacity,
-    placement: &Placement,
-) -> WorkloadRun {
-    RunBuilder::new(spec, sim)
-        .capacity(capacity)
-        .placement(placement)
-        .profiled()
-        .run()
-}
-
 /// Everything shared between the plain and observed run paths: the
 /// allocated/placed address space, the program, and the run metadata.
 struct PreparedRun {
@@ -625,28 +585,6 @@ fn prepare_run(
         footprint_pages,
         bo_pages,
     }
-}
-
-/// Like [`run_workload`], with the observability layer attached: an
-/// interval sampler and/or event tracer per `obs`, plus the OS placement
-/// decision log. With observers configured off this produces exactly the
-/// cycle counts and report of [`run_workload`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use RunBuilder::new(spec, sim)…observe(obs).run_observed()"
-)]
-pub fn run_workload_observed(
-    spec: &WorkloadSpec,
-    sim: &SimConfig,
-    capacity: Capacity,
-    placement: &Placement,
-    obs: &ObserveConfig,
-) -> ObservedRun {
-    RunBuilder::new(spec, sim)
-        .capacity(capacity)
-        .placement(placement)
-        .observe(obs.clone())
-        .run_observed()
 }
 
 /// Pre-places every allocated page per the oracle ranking, hottest pages
@@ -912,18 +850,6 @@ mod tests {
         let different = RunBuilder::new(&spec, &sim).seed(spec.seed ^ 0xDEAD).run();
         assert_eq!(base.report.cycles, same.report.cycles);
         assert_ne!(base.report.cycles, different.report.cycles);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_builder() {
-        let spec = quick_spec("hotspot");
-        let sim = quick_sim();
-        let placement = Placement::Policy(Mempolicy::local());
-        let legacy = run_workload(&spec, &sim, Capacity::Unconstrained, &placement);
-        let built = RunBuilder::new(&spec, &sim).placement(&placement).run();
-        assert_eq!(legacy.report.cycles, built.report.cycles);
-        assert_eq!(legacy.placement, built.placement);
     }
 
     #[test]

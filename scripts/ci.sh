@@ -239,6 +239,19 @@ if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] !=
     exit 1
 fi
 
+# Reactor traffic gate: perfbench's fleet-mix workload drives a
+# hetmem-fleet router and its hetmem-serve backends, both on the
+# shared poll(2) reactor, with open-loop place/simulate/batch traffic.
+# `failed` must be 0.
+BENCH_RESULT=$(python3 perfbench/run.py --workload fleet-mix --seed 1 \
+    --seconds 5 --trace 0 | tail -1)
+echo "$BENCH_RESULT"
+if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] != 0)' \
+    "$BENCH_RESULT"; then
+    echo "perfbench fleet-mix reported failed operations" >&2
+    exit 1
+fi
+
 # Sampled-fidelity error bound: on two golden steady-state workloads
 # the extrapolated bandwidth must stay within 5% of full fidelity
 # (deterministic numbers — the simulator has no run-to-run noise, so

@@ -139,12 +139,11 @@ fn zero_extra_latency_local_equals_bo_only_machine() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn run_builder_matches_legacy_trio_on_figure_workloads() {
-    // The deprecated wrappers must stay bit-equivalent to the builder
-    // they delegate to, on both a bandwidth-bound (lbm, Fig. 3) and a
-    // capacity-constrained (bfs, Fig. 4) figure workload.
-    use hetmem::runner::{run_workload, run_workload_observed, ObserveConfig};
+fn observed_run_matches_plain_run_on_figure_workloads() {
+    // Observing must not perturb the simulation, on both a
+    // bandwidth-bound (lbm, Fig. 3) and a capacity-constrained (bfs,
+    // Fig. 4) figure workload.
+    use hetmem::runner::ObserveConfig;
 
     let sim = quick_sim();
     let topo = topology_for(&sim, &[1, 1]);
@@ -154,34 +153,19 @@ fn run_builder_matches_legacy_trio_on_figure_workloads() {
     ] {
         let spec = quick(name, 20_000);
         let placement = Placement::Policy(Mempolicy::bw_aware_for(&topo));
-        let legacy = run_workload(&spec, &sim, capacity, &placement);
         let built = RunBuilder::new(&spec, &sim)
             .capacity(capacity)
             .placement(&placement)
             .run();
-        assert_eq!(legacy.report.cycles, built.report.cycles, "{name}");
-        assert_eq!(legacy.placement, built.placement, "{name}");
-        assert_eq!(legacy.bo_pages, built.bo_pages, "{name}");
-
         let obs = ObserveConfig {
             sample_cycles: Some(1_000),
             ..ObserveConfig::default()
         };
-        let legacy_obs = run_workload_observed(&spec, &sim, capacity, &placement, &obs);
         let built_obs = RunBuilder::new(&spec, &sim)
             .capacity(capacity)
             .placement(&placement)
-            .observe(obs.clone())
+            .observe(obs)
             .run_observed();
-        assert_eq!(
-            legacy_obs.run.report.cycles, built_obs.run.report.cycles,
-            "{name} observed"
-        );
-        assert_eq!(
-            legacy_obs.intervals.len(),
-            built_obs.intervals.len(),
-            "{name} intervals"
-        );
         // The observed path must not perturb the simulation itself.
         assert_eq!(built_obs.run.report.cycles, built.report.cycles, "{name}");
     }
