@@ -1,7 +1,7 @@
 //! `hetmem-perf`: simulator-throughput benchmark and regression gate.
 //!
 //! Runs a fixed, seeded workload × policy matrix on the in-tree timing
-//! runner ([`hetmem_harness::timing::Bencher`]) and records, per grid
+//! loop ([`hetmem_harness::timing::bench`]) and records, per grid
 //! point, the deterministic work done (memory ops, engine events,
 //! simulated cycles) and the wall time to do it — min/mean plus p50/p99
 //! iteration tails — giving mem-ops/sec, events/sec and
@@ -70,7 +70,7 @@ use hetmem::{check_fidelity, topology_for, Placement, RunBuilder};
 #[cfg(unix)]
 use hetmem_bench::serve::{roundtrip, start, ServeConfig};
 use hetmem_harness::json::{array, JsonObject, JsonValue};
-use hetmem_harness::timing::Bencher;
+use hetmem_harness::timing::bench;
 #[cfg(unix)]
 use hetmem_harness::Request;
 use mempolicy::Mempolicy;
@@ -110,7 +110,6 @@ fn run_matrix(opts: &RunOpts) -> Result<String, String> {
     let topo = topology_for(&sim, &vec![1; sim.pools.len()]);
 
     let mut points = Vec::new();
-    let mut bencher = Bencher::from_env("hetmem-perf");
     let mut total_events = 0u64;
     let mut total_mem_ops = 0u64;
     let mut total_cycles = 0u64;
@@ -126,14 +125,12 @@ fn run_matrix(opts: &RunOpts) -> Result<String, String> {
                 Mempolicy::parse(policy, &topo).map_err(|e| format!("policy {policy}: {e}"))?;
             let placement = Placement::Policy(pol);
             let builder = RunBuilder::new(&spec, &sim).placement(&placement);
-            // One instrumented run pins the deterministic work measure.
-            let (run, stats) = builder.run_instrumented();
-            let events = stats.events_processed;
+            // One untimed run pins the deterministic work measure.
+            let run = builder.run();
+            let events = run.engine.events_processed;
             let mem_ops = run.report.mem_ops;
             let cycles = run.report.cycles;
-            let res = bencher
-                .bench(&format!("{name}/{policy}"), || builder.run())
-                .clone();
+            let res = bench(&format!("{name}/{policy}"), opts.iters, || builder.run());
             total_events += events;
             total_mem_ops += mem_ops;
             total_cycles += cycles;
@@ -225,7 +222,6 @@ fn fidelity_matrix(opts: &FidelityOpts) -> Result<(String, usize), String> {
     check_fidelity(Fidelity::Sampled(sample), &pol).map_err(|e| format!("{e} ({})", e.code()))?;
     let placement = Placement::Policy(pol);
 
-    let mut bencher = Bencher::from_env("hetmem-perf");
     let mut points = Vec::new();
     let mut passing = 0usize;
     let mut speedup_min = f64::INFINITY;
@@ -253,12 +249,10 @@ fn fidelity_matrix(opts: &FidelityOpts) -> Result<(String, usize), String> {
         } else {
             (sampled_bw - full_bw).abs() / full_bw * 100.0
         };
-        let full_res = bencher
-            .bench(&format!("{name}/full"), || full_builder.run())
-            .clone();
-        let sampled_res = bencher
-            .bench(&format!("{name}/sampled"), || sampled_builder.run())
-            .clone();
+        let full_res = bench(&format!("{name}/full"), opts.iters, || full_builder.run());
+        let sampled_res = bench(&format!("{name}/sampled"), opts.iters, || {
+            sampled_builder.run()
+        });
         let speedup = full_res.min_ns / sampled_res.min_ns;
         let pass = opts.min_speedup.is_none_or(|min| speedup >= min)
             && opts.max_error_pct.is_none_or(|max| error_pct <= max);
@@ -606,10 +600,6 @@ fn main() -> ExitCode {
                     other => return fail(&format!("unknown run flag {other}")),
                 }
             }
-            // The timing runner reads its iteration count from the
-            // environment; pin it to the requested fixed count so every
-            // point measures the same way.
-            std::env::set_var("HM_BENCH_ITERS", opts.iters.to_string());
             match run_matrix(&opts).and_then(|body| write_or_print(opts.out.as_deref(), &body)) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(e) => fail(&e),
@@ -710,7 +700,6 @@ fn main() -> ExitCode {
                     other => return fail(&format!("unknown fidelity flag {other}")),
                 }
             }
-            std::env::set_var("HM_BENCH_ITERS", opts.iters.to_string());
             let (body, passing) = match fidelity_matrix(&opts) {
                 Ok(r) => r,
                 Err(e) => return fail(&e),

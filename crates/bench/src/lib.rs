@@ -2,9 +2,8 @@
 //!
 //! One binary per table/figure of the paper (`cargo run --release -p
 //! hetmem-bench --bin fig3`) regenerates that experiment's rows at full
-//! scale, and one Criterion bench per table/figure
-//! (`cargo bench -p hetmem-bench`) prints a scaled-down version of the
-//! series and measures a representative run.
+//! scale; `--bin ablations` prints the design-choice ablations, and
+//! `hetmem-perf` measures simulator and serving throughput.
 //!
 //! Common flags for the binaries:
 //!
@@ -143,19 +142,6 @@ fn parse_workloads(list: &str) -> Result<Vec<String>, String> {
     }
 }
 
-/// The scaled-down options used inside Criterion benches so `cargo
-/// bench` finishes in minutes while still printing every series.
-pub fn bench_opts() -> ExpOptions {
-    let mut opts = ExpOptions::quick();
-    opts.workloads = Some(
-        ["bfs", "lbm", "sgemm", "comd", "xsbench", "needle"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-    );
-    opts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,13 +173,5 @@ mod tests {
     )]
     fn unknown_workload_flag_fails() {
         opts_from(args(&["--workloads", "lbm,lbmm"]));
-    }
-
-    #[test]
-    fn bench_opts_are_scaled_down() {
-        let o = bench_opts();
-        assert!(o.ops_scale < 1.0);
-        assert!(o.sim.num_sms < 15);
-        assert_eq!(o.workloads.as_ref().unwrap().len(), 6);
     }
 }

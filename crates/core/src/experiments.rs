@@ -3,7 +3,7 @@
 //!
 //! Each `figN` function returns a [`Table`] (or richer data for the CDF
 //! figures) whose rows/series mirror what the paper plots; the
-//! `hetmem-bench` crate wraps each in a binary and a Criterion bench.
+//! `hetmem-bench` crate wraps each in a binary.
 //! Absolute numbers differ from the paper (different substrate); the
 //! *shapes* — who wins, by what factor, where crossovers fall — are the
 //! reproduction targets recorded in `EXPERIMENTS.md`.
@@ -11,9 +11,9 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use gpusim::{Fidelity, SimConfig};
+use gpusim::{CacheConfig, Fidelity, SimConfig};
 use hmtypes::{Bandwidth, Percent};
-use mempolicy::Mempolicy;
+use mempolicy::{Mempolicy, PolicyMode, ZoneId};
 use profiler::{Cdf, PageHistogram, RunProfile};
 use workloads::{catalog, WorkloadSpec};
 
@@ -28,8 +28,8 @@ use crate::translate::topology_for;
 pub struct ExpOptions {
     /// The simulated machine (defaults to Table 1).
     pub sim: SimConfig,
-    /// Scales every workload's `mem_ops` (1.0 = full scale; benches use
-    /// less).
+    /// Scales every workload's `mem_ops` (1.0 = full scale; `--quick`
+    /// uses less).
     pub ops_scale: f64,
     /// Restrict to these workloads (`None` = all 19).
     pub workloads: Option<Vec<String>>,
@@ -853,6 +853,91 @@ pub fn ext_energy(opts: &ExpOptions) -> Table {
     t
 }
 
+/// The design-choice ablations of DESIGN §5, each on the workload that
+/// shows it: L2 MSHRs per slice on lbm (§3.2.1: MSHRs hide the extra
+/// interconnect hop), L2 slice capacity on xsbench, and BW-AWARE's
+/// one-draw-per-page fast path against exact 3-in-10 striping of
+/// 30C-70B on srad (§3.2.2). The sweeps are normalized to Table 1's
+/// 128 MSHRs and 128 kB slices. `opts.workloads` is ignored.
+pub fn ablations(opts: &ExpOptions) -> Vec<Table> {
+    let point = |name, config: String, sim, policy| RunPoint {
+        spec: opts.scale(catalog::by_name(name).expect("catalog workload")),
+        config,
+        sim,
+        capacity: Capacity::Unconstrained,
+        placement: Placement::Policy(policy),
+    };
+    const BASE_MSHRS: usize = 128;
+    const BASE_KB: usize = 128;
+    let mshrs = [8usize, 16, 32, 64, BASE_MSHRS, 256];
+    let slice_kb = [32usize, 64, BASE_KB, 256, 512];
+    let base_index = |sweep: &[usize], base| sweep.iter().position(|&x| x == base).unwrap();
+    let mut points = Vec::new();
+    for m in mshrs {
+        let mut sim = opts.sim.clone();
+        sim.l2_mshrs = m;
+        points.push(point("lbm", m.to_string(), sim, Mempolicy::local()));
+    }
+    for kb in slice_kb {
+        let mut sim = opts.sim.clone();
+        sim.l2 = CacheConfig::new(kb * 1024, 8);
+        points.push(point(
+            "xsbench",
+            format!("{kb} kB"),
+            sim,
+            Mempolicy::local(),
+        ));
+    }
+    let stripe = (0..10).map(|i| ZoneId::new(usize::from(i < 3))).collect();
+    for (config, policy) in [
+        ("random", Mempolicy::ratio_co(Percent::new(30))),
+        (
+            "exact",
+            Mempolicy::from_mode(PolicyMode::Interleave { nodes: stripe }),
+        ),
+    ] {
+        points.push(point("srad", config.to_string(), opts.sim.clone(), policy));
+    }
+    let runs = grid::run_point_sweep("ablations", opts, &points);
+    let labels =
+        |range: std::ops::Range<usize>| points[range].iter().map(|p| p.config.clone()).collect();
+    let (m, l) = (mshrs.len(), mshrs.len() + slice_kb.len());
+
+    let mut mshr = Table::new(
+        format!("Ablation — L2 MSHRs per slice (lbm, LOCAL; perf vs {BASE_MSHRS})"),
+        labels(0..m),
+    );
+    let base = &runs[base_index(&mshrs, BASE_MSHRS)];
+    mshr.push_row(
+        "lbm",
+        runs[..m].iter().map(|r| r.speedup_over(base)).collect(),
+    );
+    let stalls = runs[..m].iter().map(|r| r.report.mshr_stalls as f64);
+    mshr.push_row("MSHR stalls", stalls.collect());
+
+    let mut l2 = Table::new(
+        format!("Ablation — L2 slice capacity (xsbench, LOCAL; perf vs {BASE_KB} kB)"),
+        labels(m..l),
+    );
+    let base = &runs[m + base_index(&slice_kb, BASE_KB)];
+    l2.push_row(
+        "xsbench",
+        runs[m..l].iter().map(|r| r.speedup_over(base)).collect(),
+    );
+    let hits = runs[m..l].iter().map(|r| r.report.l2_hit_rate());
+    l2.push_row("L2 hit rate", hits.collect());
+
+    let mut draw = Table::new(
+        "Ablation — random-draw vs exact 30C-70B placement (srad)",
+        vec!["CO traffic".to_string(), "perf vs random".to_string()],
+    );
+    for (p, r) in points[l..].iter().zip(&runs[l..]) {
+        let co = r.report.pool_traffic_fraction(1);
+        draw.push_row(p.config.clone(), vec![co, r.speedup_over(&runs[l])]);
+    }
+    vec![mshr, l2, draw]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -869,6 +954,24 @@ mod tests {
         let bwa = t.value("lbm", "BW-AWARE").unwrap();
         assert!(bwa < local, "BW-AWARE energy {bwa} vs LOCAL {local}");
         assert!(t.value("lbm", "BWA EDP/LOCAL").unwrap() < 0.9);
+    }
+
+    #[test]
+    fn ablations_cover_the_three_design_choices() {
+        let t = ablations(&ExpOptions::quick());
+        assert_eq!(t.len(), 3);
+        // Too few MSHRs cannot hide DRAM latency (§3.2.1).
+        assert!(t[0].value("lbm", "8").unwrap() < 0.9);
+        assert!(
+            t[1].value("L2 hit rate", "512 kB").unwrap()
+                > t[1].value("L2 hit rate", "32 kB").unwrap()
+        );
+        // The random draw lands on the requested split, within a few
+        // percent of exact striping's performance (§3.2.2).
+        let co = t[2].value("random", "CO traffic").unwrap();
+        assert!((co - 0.30).abs() < 0.02, "random CO traffic {co}");
+        let exact = t[2].value("exact", "perf vs random").unwrap();
+        assert!((exact - 1.0).abs() < 0.05, "exact vs random {exact}");
     }
 
     #[test]

@@ -9,8 +9,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use gpusim::{
-    run_sampled, EventTracer, Fidelity, IntervalReport, IntervalSampler, NullMigrator,
-    NullObserver, ProbeObserver, SimConfig, SimReport, SimTraceEvent, Simulator,
+    run_sampled, EngineStats, EventTracer, Fidelity, IntervalReport, IntervalSampler, NullMigrator,
+    NullObserver, Observer, PageMigrator, ProbeObserver, SimConfig, SimReport, SimTraceEvent,
+    Simulator,
 };
 use hmtypes::MemKind;
 use mempolicy::{AddressSpace, Mempolicy, MigrateSpec, PlacementEvent, ZoneId};
@@ -75,6 +76,9 @@ pub struct WorkloadRun {
     pub bo_pages: u64,
     /// The named allocation ranges of the run (profiler input).
     pub ranges: Vec<profiler::AllocRange>,
+    /// The engine's throughput counters (benchmark bookkeeping; not
+    /// part of the report).
+    pub engine: EngineStats,
 }
 
 impl WorkloadRun {
@@ -297,151 +301,101 @@ impl<'a> RunBuilder<'a> {
     /// placement a `MIGRATE` policy (the `unsupported-fidelity` case of
     /// [`check_fidelity`]).
     pub fn run(&self) -> WorkloadRun {
-        self.with_effective(|spec, placement| {
-            let mut prep = prepare_run(spec, self.sim, self.capacity, placement, false);
-            let (translator, program) = prep.take_sim_parts();
-            if let Fidelity::Sampled(sc) = self.fidelity {
-                let (report, _obs, _stats) = run_sampled(
-                    self.sim.clone(),
-                    translator,
-                    program,
-                    sc,
-                    NullObserver,
-                    NullMigrator,
-                    self.profile_pages,
-                );
-                return prep.finish(report);
-            }
-            if let Some(ms) = migrate_spec_of(placement) {
-                let mig = OnlineMigrator::new(Rc::clone(&prep.mm), ms, self.sim);
-                let mut simulator =
-                    Simulator::new(self.sim.clone(), translator, program).with_migrator(mig);
-                if self.profile_pages {
-                    simulator = simulator.with_page_profiling();
-                }
-                return prep.finish(simulator.run());
-            }
-            let mut simulator = Simulator::new(self.sim.clone(), translator, program);
-            if self.profile_pages {
-                simulator = simulator.with_page_profiling();
-            }
-            let report = simulator.run();
-            prep.finish(report)
-        })
-    }
-
-    /// Executes the run like [`RunBuilder::run`], additionally returning
-    /// the engine's throughput counters ([`gpusim::EngineStats`]) — the
-    /// `hetmem-perf` benchmark path. The `WorkloadRun` is identical to
-    /// what [`RunBuilder::run`] produces.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`RunBuilder::run`], including the refusal of
-    /// sampled fidelity with a `MIGRATE` policy.
-    pub fn run_instrumented(&self) -> (WorkloadRun, gpusim::EngineStats) {
-        self.with_effective(|spec, placement| {
-            let mut prep = prepare_run(spec, self.sim, self.capacity, placement, false);
-            let (translator, program) = prep.take_sim_parts();
-            if let Fidelity::Sampled(sc) = self.fidelity {
-                let (report, _obs, stats) = run_sampled(
-                    self.sim.clone(),
-                    translator,
-                    program,
-                    sc,
-                    NullObserver,
-                    NullMigrator,
-                    self.profile_pages,
-                );
-                return (prep.finish(report), stats);
-            }
-            if let Some(ms) = migrate_spec_of(placement) {
-                let mig = OnlineMigrator::new(Rc::clone(&prep.mm), ms, self.sim);
-                let mut simulator =
-                    Simulator::new(self.sim.clone(), translator, program).with_migrator(mig);
-                if self.profile_pages {
-                    simulator = simulator.with_page_profiling();
-                }
-                let (report, _obs, stats) = simulator.run_instrumented();
-                return (prep.finish(report), stats);
-            }
-            let mut simulator = Simulator::new(self.sim.clone(), translator, program);
-            if self.profile_pages {
-                simulator = simulator.with_page_profiling();
-            }
-            let (report, _obs, stats) = simulator.run_instrumented();
-            (prep.finish(report), stats)
-        })
+        let (prep, report, _, engine) = self.execute(NullObserver, false);
+        prep.finish(report, engine)
     }
 
     /// Executes the run with the observability layer attached (interval
     /// sampler and/or event tracer per the builder's [`ObserveConfig`],
     /// plus the OS placement decision log) and returns the observed
-    /// typed output. With observers configured off this produces exactly
-    /// the cycle counts and report of [`RunBuilder::run`].
+    /// typed output. Its `run` is exactly what [`RunBuilder::run`]
+    /// returns. Under [`Fidelity::Sampled`] the observers see only the
+    /// detail windows, while the report is the extrapolated one.
     ///
     /// # Panics
     ///
     /// Same conditions as [`RunBuilder::run`], including the refusal of
     /// sampled fidelity with a `MIGRATE` policy.
     pub fn run_observed(&self) -> ObservedRun {
+        let obs = &self.observe;
+        let probe = ProbeObserver::new(
+            obs.sample_cycles
+                .map(|n| IntervalSampler::new(n, self.sim.pools.len())),
+            obs.trace.then(|| EventTracer::new(obs.trace_budget)),
+        );
+        let (prep, report, probe, engine) = self.execute(probe, true);
+        let placements = prep.mm.borrow_mut().take_placement_log();
+        let migration_epochs = prep
+            .epochs
+            .as_ref()
+            .map_or_else(Vec::new, |log| log.borrow().clone());
+        ObservedRun {
+            run: prep.finish(report, engine),
+            intervals: probe
+                .sampler
+                .map(IntervalSampler::into_reports)
+                .unwrap_or_default(),
+            trace: probe.tracer.map(|t| {
+                let budget = t.budget();
+                let (events, dropped) = t.into_parts();
+                SimTrace {
+                    events,
+                    dropped,
+                    budget,
+                }
+            }),
+            placements,
+            migration_epochs,
+        }
+    }
+
+    /// The one run dispatch: prepares the run (logging OS placements
+    /// when `log_placements`), attaches `obs`, then picks the migrator
+    /// once and the fidelity once, with page profiling per
+    /// [`RunBuilder::profiled`] on either fidelity.
+    fn execute<O: Observer>(
+        &self,
+        obs: O,
+        log_placements: bool,
+    ) -> (PreparedRun, SimReport, O, EngineStats) {
         self.with_effective(|spec, placement| {
-            let obs = &self.observe;
-            let mut prep = prepare_run(spec, self.sim, self.capacity, placement, true);
+            let mut prep = prepare_run(spec, self.sim, self.capacity, placement, log_placements);
             let (translator, program) = prep.take_sim_parts();
-            let probe = ProbeObserver::new(
-                obs.sample_cycles
-                    .map(|n| IntervalSampler::new(n, self.sim.pools.len())),
-                obs.trace.then(|| EventTracer::new(obs.trace_budget)),
-            );
-            let mut epoch_log = None;
-            let (report, probe) = if let Fidelity::Sampled(sc) = self.fidelity {
-                // Observers see only the detail windows; the returned
-                // report is the extrapolated one.
-                let (r, probe, _stats) = run_sampled(
-                    self.sim.clone(),
-                    translator,
-                    program,
-                    sc,
-                    probe,
-                    NullMigrator,
-                    false,
-                );
-                (r, probe)
-            } else if let Some(ms) = migrate_spec_of(placement) {
-                let mig = OnlineMigrator::new(Rc::clone(&prep.mm), ms, self.sim);
-                epoch_log = Some(mig.epoch_log());
-                Simulator::new(self.sim.clone(), translator, program)
-                    .with_observer(probe)
-                    .with_migrator(mig)
-                    .run_observed()
-            } else {
-                Simulator::new(self.sim.clone(), translator, program)
-                    .with_observer(probe)
-                    .run_observed()
+            let (report, obs, engine) = match migrate_spec_of(placement) {
+                Some(ms) => {
+                    let mig = OnlineMigrator::new(Rc::clone(&prep.mm), ms, self.sim);
+                    prep.epochs = Some(mig.epoch_log());
+                    self.simulate(translator, program, obs, mig)
+                }
+                None => self.simulate(translator, program, obs, NullMigrator),
             };
-            let placements = prep.mm.borrow_mut().take_placement_log();
-            let migration_epochs = epoch_log.map_or_else(Vec::new, |log| log.borrow().clone());
-            let run = prep.finish(report);
-            ObservedRun {
-                run,
-                intervals: probe
-                    .sampler
-                    .map(IntervalSampler::into_reports)
-                    .unwrap_or_default(),
-                trace: probe.tracer.map(|t| {
-                    let budget = t.budget();
-                    let (events, dropped) = t.into_parts();
-                    SimTrace {
-                        events,
-                        dropped,
-                        budget,
-                    }
-                }),
-                placements,
-                migration_epochs,
-            }
+            (prep, report, obs, engine)
         })
+    }
+
+    /// Runs the prepared program at the builder's fidelity.
+    fn simulate<O: Observer, M: PageMigrator>(
+        &self,
+        translator: OsTranslator,
+        program: TraceProgram,
+        obs: O,
+        mig: M,
+    ) -> (SimReport, O, EngineStats) {
+        let sim = self.sim.clone();
+        match self.fidelity {
+            Fidelity::Sampled(sc) => {
+                run_sampled(sim, translator, program, sc, obs, mig, self.profile_pages)
+            }
+            Fidelity::Full => {
+                let mut simulator = Simulator::new(sim, translator, program)
+                    .with_observer(obs)
+                    .with_migrator(mig);
+                if self.profile_pages {
+                    simulator = simulator.with_page_profiling();
+                }
+                simulator.run_instrumented()
+            }
+        }
     }
 }
 
@@ -454,6 +408,8 @@ struct PreparedRun {
     ranges: Vec<profiler::AllocRange>,
     footprint_pages: u64,
     bo_pages: u64,
+    /// The online migrator's epoch log (`MIGRATE` runs only).
+    epochs: Option<Rc<RefCell<Vec<MigrationEpochEvent>>>>,
 }
 
 impl PreparedRun {
@@ -466,7 +422,7 @@ impl PreparedRun {
     }
 
     /// Builds the final [`WorkloadRun`] once the simulator has reported.
-    fn finish(self, report: SimReport) -> WorkloadRun {
+    fn finish(self, report: SimReport, engine: EngineStats) -> WorkloadRun {
         let placement_hist = self.mm.borrow().placement_histogram();
         WorkloadRun {
             report,
@@ -474,6 +430,7 @@ impl PreparedRun {
             footprint_pages: self.footprint_pages,
             bo_pages: self.bo_pages,
             ranges: self.ranges,
+            engine,
         }
     }
 }
@@ -584,6 +541,7 @@ fn prepare_run(
         ranges,
         footprint_pages,
         bo_pages,
+        epochs: None,
     }
 }
 
@@ -697,18 +655,85 @@ mod tests {
         let run = std::panic::AssertUnwindSafe(|| {
             builder.run();
         });
-        let instrumented = std::panic::AssertUnwindSafe(|| {
-            builder.run_instrumented();
-        });
         let observed = std::panic::AssertUnwindSafe(|| {
             builder.run_observed();
         });
         for msg in [
             message(std::panic::catch_unwind(run)),
-            message(std::panic::catch_unwind(instrumented)),
             message(std::panic::catch_unwind(observed)),
         ] {
             assert!(msg.contains("does not support policy 'MIGRATE"), "{msg}");
+        }
+    }
+
+    /// A sampled schedule that actually skips at `quick_spec` scale.
+    fn short_windows() -> Fidelity {
+        Fidelity::Sampled(gpusim::SampleConfig {
+            window_ops: 2_048,
+            warmup_windows: 1,
+            period: 4,
+            seed: 0,
+        })
+    }
+
+    #[test]
+    fn profiled_observed_run_matches_profiled_run() {
+        let spec = quick_spec("bfs");
+        let sim = quick_sim();
+        for fidelity in [Fidelity::Full, short_windows()] {
+            let builder = RunBuilder::new(&spec, &sim).fidelity(fidelity).profiled();
+            let plain = builder.run();
+            let observed = builder.run_observed();
+            assert!(plain.report.page_accesses.is_some(), "{fidelity:?}");
+            assert_eq!(observed.run.report, plain.report, "{fidelity:?}");
+            assert_eq!(observed.run.engine, plain.engine, "{fidelity:?}");
+        }
+    }
+
+    #[test]
+    fn run_engine_stats_match_hand_assembled_runs() {
+        let spec = quick_spec("hotspot");
+        let sim = quick_sim();
+        let topo = topology_for(&sim, &[1, 1]);
+        let capacity = Capacity::FractionOfFootprint(0.25);
+        let cases = [
+            (Mempolicy::local(), Fidelity::Full),
+            (
+                Mempolicy::parse("MIGRATE:epoch=2000", &topo).unwrap(),
+                Fidelity::Full,
+            ),
+            (Mempolicy::bw_aware_for(&topo), short_windows()),
+        ];
+        for (policy, fidelity) in cases {
+            let name = policy.name();
+            let placement = Placement::Policy(policy);
+            let run = RunBuilder::new(&spec, &sim)
+                .capacity(capacity)
+                .placement(&placement)
+                .fidelity(fidelity)
+                .run();
+            let mut prep = prepare_run(&spec, &sim, capacity, &placement, false);
+            let (translator, program) = prep.take_sim_parts();
+            let (report, _, engine) = match (fidelity, migrate_spec_of(&placement)) {
+                (Fidelity::Sampled(sc), _) => run_sampled(
+                    sim.clone(),
+                    translator,
+                    program,
+                    sc,
+                    NullObserver,
+                    NullMigrator,
+                    false,
+                ),
+                (Fidelity::Full, Some(ms)) => Simulator::new(sim.clone(), translator, program)
+                    .with_migrator(OnlineMigrator::new(Rc::clone(&prep.mm), ms, &sim))
+                    .run_instrumented(),
+                (Fidelity::Full, None) => {
+                    Simulator::new(sim.clone(), translator, program).run_instrumented()
+                }
+            };
+            assert_eq!(run.report, report, "{name}");
+            assert_eq!(run.engine, engine, "{name}");
+            assert!(engine.events_processed > report.mem_ops, "{name}");
         }
     }
 

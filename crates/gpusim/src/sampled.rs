@@ -654,7 +654,8 @@ mod tests {
                 StreamKernel::new(&cfg, 16, bytes),
             )
             .with_observer(crate::IntervalSampler::new(500, cfg.pools.len()));
-            sim.run_observed()
+            let (report, sampler, _) = sim.run_instrumented();
+            (report, sampler)
         };
         let schedules = [
             SampleConfig {

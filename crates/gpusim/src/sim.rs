@@ -111,7 +111,7 @@ struct L2Slice {
 /// [`NullObserver`], whose hooks are empty `ENABLED = false` no-ops, so
 /// an unobserved simulator pays nothing for the probe layer. Attach a
 /// real observer with [`Simulator::with_observer`] and retrieve it with
-/// [`Simulator::run_observed`].
+/// [`Simulator::run_instrumented`].
 ///
 /// The fourth type parameter is the attached
 /// [`PageMigrator`](crate::migrate::PageMigrator), defaulting to the
@@ -140,9 +140,9 @@ struct L2Slice {
 /// let cfg = SimConfig::paper_baseline();
 /// let pools = cfg.pools.len();
 /// let program = StreamKernel::new(&cfg, 64, 1 << 20);
-/// let (report, sampler) = Simulator::new(cfg, FixedPoolTranslator::new(0), program)
+/// let (report, sampler, _) = Simulator::new(cfg, FixedPoolTranslator::new(0), program)
 ///     .with_observer(IntervalSampler::new(1000, pools))
-///     .run_observed();
+///     .run_instrumented();
 /// let sampled: u64 = sampler.reports().iter().map(|i| i.mem_ops).sum();
 /// assert_eq!(sampled, report.mem_ops);
 /// ```
@@ -278,8 +278,21 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
     }
 
     /// Attaches `obs`, replacing the current observer. The typical flow
-    /// is `Simulator::new(..).with_observer(probe).run_observed()`.
+    /// is `Simulator::new(..).with_observer(probe).run_instrumented()`.
     pub fn with_observer<O2: Observer>(self, obs: O2) -> Simulator<T, P, O2, M> {
+        self.reattach(|_, mig| (obs, mig))
+    }
+
+    /// Attaches `mig`, replacing the current migrator — this is how the
+    /// `MIGRATE` policy plugs its engine into the run.
+    pub fn with_migrator<M2: PageMigrator>(self, mig: M2) -> Simulator<T, P, O, M2> {
+        self.reattach(|obs, _| (obs, mig))
+    }
+
+    /// Rebuilds the simulator around the observer and migrator that
+    /// `swap` makes of the current ones; every other field moves over.
+    fn reattach<O2, M2>(self, swap: impl FnOnce(O, M) -> (O2, M2)) -> Simulator<T, P, O2, M2> {
+        let (obs, mig) = swap(self.obs, self.mig);
         Simulator {
             cfg: self.cfg,
             translator: self.translator,
@@ -303,39 +316,6 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
             bytes_written: self.bytes_written,
             page_accesses: self.page_accesses,
             obs,
-            mig: self.mig,
-            copy_bytes: self.copy_bytes,
-            copy_cycles: self.copy_cycles,
-            remap_stall_cycles: self.remap_stall_cycles,
-        }
-    }
-
-    /// Attaches `mig`, replacing the current migrator — this is how the
-    /// `MIGRATE` policy plugs its engine into the run.
-    pub fn with_migrator<M2: PageMigrator>(self, mig: M2) -> Simulator<T, P, O, M2> {
-        Simulator {
-            cfg: self.cfg,
-            translator: self.translator,
-            program: self.program,
-            warps_per_sm: self.warps_per_sm,
-            warp_div: self.warp_div,
-            mlp: self.mlp,
-            cal: self.cal,
-            sms: self.sms,
-            warps: self.warps,
-            slices: self.slices,
-            chans: self.chans,
-            pool_offset: self.pool_offset,
-            pool_channels: self.pool_channels,
-            mem_ops: self.mem_ops,
-            l2_hits: self.l2_hits,
-            l2_misses: self.l2_misses,
-            mshr_stalls: self.mshr_stalls,
-            retired: self.retired,
-            bytes_read: self.bytes_read,
-            bytes_written: self.bytes_written,
-            page_accesses: self.page_accesses,
-            obs: self.obs,
             mig,
             copy_bytes: self.copy_bytes,
             copy_cycles: self.copy_cycles,
@@ -345,19 +325,13 @@ impl<T: AddressTranslator, P: WarpProgram, O: Observer, M: PageMigrator> Simulat
 
     /// Runs the program to completion (or the cycle limit) and reports.
     pub fn run(self) -> SimReport {
-        self.run_observed().0
+        self.run_instrumented().0
     }
 
-    /// Like [`Simulator::run`], but also hands back the observer so its
-    /// collected data (interval series, trace events) can be read.
-    pub fn run_observed(self) -> (SimReport, O) {
-        let (report, obs, _) = self.run_instrumented();
-        (report, obs)
-    }
-
-    /// Like [`Simulator::run_observed`], additionally reporting engine
-    /// throughput counters ([`crate::EngineStats`]) for benchmarking.
-    /// The `SimReport` is identical to the other run paths'.
+    /// Like [`Simulator::run`], but also hands back the observer (its
+    /// interval series, trace events) and the engine's throughput
+    /// counters ([`crate::EngineStats`]). The `SimReport` is identical
+    /// to [`Simulator::run`]'s.
     pub fn run_instrumented(mut self) -> (SimReport, O, crate::EngineStats) {
         for w in 0..self.warps.len() {
             self.cal.schedule(0, Event::WarpReady(WarpId(w as u32)));

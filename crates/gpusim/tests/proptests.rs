@@ -139,9 +139,9 @@ hetmem_harness::props! {
         cfg.num_sms = 2;
         let program = StreamKernel::new(&cfg, 8, kb * 1024);
         let sampler = IntervalSampler::new(sample, cfg.pools.len());
-        let (report, obs) = Simulator::new(cfg.clone(), RatioTranslator { co_pct }, program)
+        let (report, obs, _) = Simulator::new(cfg.clone(), RatioTranslator { co_pct }, program)
             .with_observer(sampler)
-            .run_observed();
+            .run_instrumented();
         let ivs = obs.into_reports();
 
         // The series is contiguous from interval 0 through the end.
@@ -193,13 +193,13 @@ hetmem_harness::props! {
             Some(IntervalSampler::new(sample, cfg.pools.len())),
             Some(EventTracer::new(10_000)),
         );
-        let (observed, _) = Simulator::new(
+        let (observed, _, _) = Simulator::new(
             cfg.clone(),
             FixedPoolTranslator::new(0),
             StreamKernel::new(&cfg, 4, kb * 1024),
         )
         .with_observer(probe)
-        .run_observed();
+        .run_instrumented();
         assert_eq!(plain, observed);
     }
 }

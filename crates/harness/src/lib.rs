@@ -82,5 +82,5 @@ pub use telemetry::{
     fnv1a, hit_rate, summary, IntervalPoolTelemetry, IntervalRecord, MigrationTelemetry,
     PoolTelemetry, RunRecord,
 };
-pub use timing::{BenchResult, Bencher};
+pub use timing::BenchResult;
 pub use trace::{ChromeTrace, TraceEvent};

@@ -1,14 +1,9 @@
-//! A micro-benchmark timing runner replacing `criterion`.
+//! A micro-benchmark timing loop replacing `criterion`.
 //!
 //! Criterion is excellent, but it is a third-party crate and this
-//! workspace builds with zero network access. The bench targets in
-//! `crates/bench/benches` need far less: run a closure repeatedly for a
-//! small time budget and report min/mean per-iteration time. That is
-//! exactly what [`Bencher`] does.
-//!
-//! Environment knobs: `HM_BENCH_SECS` (per-benchmark time budget,
-//! default 1.0) and `HM_BENCH_ITERS` (fixed iteration count overriding
-//! the budget — useful for smoke runs in CI).
+//! workspace builds with zero network access. `hetmem-perf` needs far
+//! less: run a closure a fixed number of times and report min/mean and
+//! tail per-iteration time. That is exactly what [`bench`] does.
 
 use std::time::Instant;
 
@@ -17,7 +12,7 @@ use crate::metrics::Histogram;
 /// One benchmark's measurements.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchResult {
-    /// Benchmark id (e.g. `fig3/bw_aware_run_lbm`).
+    /// Benchmark id (e.g. `lbm/BW-AWARE`).
     pub name: String,
     /// Measured iterations (after one warm-up call).
     pub iters: u64,
@@ -58,101 +53,37 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// The timing runner: measures closures and prints a summary table on
-/// [`Bencher::finish`].
-#[derive(Debug)]
-pub struct Bencher {
-    suite: String,
-    budget_secs: f64,
-    fixed_iters: Option<u64>,
-    results: Vec<BenchResult>,
-}
+/// Measures `f`: one warm-up call, then `iters` (at least 1) timed
+/// calls. Prints the result line to stderr and returns it.
+pub fn bench<R>(name: &str, iters: u64, mut f: impl FnMut() -> R) -> BenchResult {
+    // Warm-up (also primes lazy state so the first sample is honest).
+    std::hint::black_box(f());
 
-impl Bencher {
-    /// Creates a runner for `suite`, honoring `HM_BENCH_SECS` /
-    /// `HM_BENCH_ITERS`.
-    pub fn from_env(suite: &str) -> Self {
-        let budget_secs = std::env::var("HM_BENCH_SECS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1.0);
-        let fixed_iters = std::env::var("HM_BENCH_ITERS")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        Bencher {
-            suite: suite.to_string(),
-            budget_secs,
-            fixed_iters,
-            results: Vec::new(),
-        }
+    let iters = iters.max(1);
+    let mut total_ns = 0.0f64;
+    let mut min_ns = f64::INFINITY;
+    // Per-iteration samples (warm-up excluded) feed a log-bucketed
+    // histogram, giving tail quantiles without storing the series.
+    let samples = Histogram::new();
+    for _ in 0..iters {
+        let start = Instant::now();
+        std::hint::black_box(f());
+        let elapsed = start.elapsed().as_nanos();
+        samples.record(elapsed.min(u128::from(u64::MAX)) as u64);
+        total_ns += elapsed as f64;
+        min_ns = min_ns.min(elapsed as f64);
     }
-
-    /// Measures `f` (one warm-up call, then iterations until the time
-    /// budget or the fixed iteration count is reached) and records the
-    /// result.
-    pub fn bench<R>(&mut self, name: &str, mut f: impl FnMut() -> R) -> &BenchResult {
-        self.bench_with_setup(name, || (), |()| f())
-    }
-
-    /// Like [`Bencher::bench`] for closures that consume fresh state per
-    /// iteration (criterion's `iter_batched`); `setup` time is excluded
-    /// from the measurement.
-    pub fn bench_with_setup<S, R>(
-        &mut self,
-        name: &str,
-        mut setup: impl FnMut() -> S,
-        mut f: impl FnMut(S) -> R,
-    ) -> &BenchResult {
-        // Warm-up (also primes lazy state so the first sample is honest).
-        std::hint::black_box(f(setup()));
-
-        let budget_ns = self.budget_secs * 1e9;
-        let max_iters = self.fixed_iters.unwrap_or(u64::MAX).max(1);
-        let mut iters = 0u64;
-        let mut total_ns = 0.0f64;
-        let mut min_ns = f64::INFINITY;
-        // Per-iteration samples (warm-up excluded) feed a log-bucketed
-        // histogram, giving tail quantiles without storing the series.
-        let samples = Histogram::new();
-        while iters < max_iters {
-            let state = setup();
-            let start = Instant::now();
-            std::hint::black_box(f(state));
-            let ns = start.elapsed().as_nanos() as f64;
-            samples.record(start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-            total_ns += ns;
-            min_ns = min_ns.min(ns);
-            iters += 1;
-            if self.fixed_iters.is_none() && total_ns >= budget_ns {
-                break;
-            }
-        }
-        let snap = samples.snapshot();
-        let result = BenchResult {
-            name: name.to_string(),
-            iters,
-            mean_ns: total_ns / iters as f64,
-            min_ns,
-            p50_ns: snap.quantile(0.50) as f64,
-            p99_ns: snap.quantile(0.99) as f64,
-        };
-        eprintln!("{}", result.fmt_line());
-        self.results.push(result);
-        self.results.last().expect("just pushed")
-    }
-
-    /// The results recorded so far.
-    pub fn results(&self) -> &[BenchResult] {
-        &self.results
-    }
-
-    /// Prints the suite summary table to stdout.
-    pub fn finish(self) {
-        println!("== {} — {} benchmark(s) ==", self.suite, self.results.len());
-        for r in &self.results {
-            println!("{}", r.fmt_line());
-        }
-    }
+    let snap = samples.snapshot();
+    let result = BenchResult {
+        name: name.to_string(),
+        iters,
+        mean_ns: total_ns / iters as f64,
+        min_ns,
+        p50_ns: snap.quantile(0.50) as f64,
+        p99_ns: snap.quantile(0.99) as f64,
+    };
+    eprintln!("{}", result.fmt_line());
+    result
 }
 
 #[cfg(test)]
@@ -160,40 +91,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn measures_and_records() {
-        let mut b = Bencher {
-            suite: "t".into(),
-            budget_secs: 0.01,
-            fixed_iters: Some(5),
-            results: Vec::new(),
-        };
-        let r = b.bench("t/sum", || (0..1000u64).sum::<u64>()).clone();
+    fn measures_a_fixed_iteration_count() {
+        let r = bench("t/sum", 5, || (0..1000u64).sum::<u64>());
         assert_eq!(r.iters, 5);
         assert!(r.min_ns <= r.mean_ns);
         // Quantiles are bucket-midpoint estimates over real samples:
         // ordered, positive, and p99 within the sampled range's bucket.
         assert!(r.p50_ns > 0.0);
         assert!(r.p50_ns <= r.p99_ns);
-        assert_eq!(b.results().len(), 1);
-        b.finish();
-    }
-
-    #[test]
-    fn setup_state_is_fresh_each_iteration() {
-        let mut b = Bencher {
-            suite: "t".into(),
-            budget_secs: 0.01,
-            fixed_iters: Some(3),
-            results: Vec::new(),
-        };
-        b.bench_with_setup(
-            "t/drain",
-            || vec![1u64, 2, 3],
-            |mut v| {
-                assert_eq!(v.len(), 3, "setup must rebuild per iteration");
-                v.clear();
-            },
-        );
     }
 
     #[test]

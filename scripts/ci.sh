@@ -23,6 +23,18 @@ cargo run --release --offline -q -p hetmem-bench --bin hetmem-trace -- \
 cargo run --release --offline -q -p hetmem-bench --bin hetmem-trace -- \
     summary "$OBS_DIR/fig3.jsonl" --top 3
 
+# Ablations smoke: the design-choice ablations (DESIGN §5) must print
+# one table each for L2 MSHRs, L2 slice size and random-draw vs exact
+# placement.
+ABLATIONS=$(cargo run --release --offline -q -p hetmem-bench --bin ablations -- \
+    --quick --quiet)
+for title in "L2 MSHRs per slice" "L2 slice capacity" "random-draw vs exact 30C-70B"; do
+    grep -qF "Ablation — $title" <<< "$ABLATIONS" || {
+        echo "ablations printed no '$title' table" >&2
+        exit 1
+    }
+done
+
 # hetmem-serve smoke: boot the service on an ephemeral loopback port,
 # drive it with the line client (whose exit code already implies a
 # strict parse of each response), check that a repeated simulate is a
