@@ -3,11 +3,12 @@
 //! bandwidth can a purely reactive engine recover?
 fn main() {
     let opts = hetmem_bench::opts_from_args();
-    let t = hetmem::ext_reactive(&opts);
-    println!("{t}");
+    println!("{}", hetmem::experiments::ext_reactive(&opts));
     println!(
         "bw-eff is demand bandwidth (copy traffic excluded) relative to the\n\
          oracle's; BW-AWARE is the no-migration floor. Reactive migration\n\
-         narrows the gap but pays copy bursts and remap stalls for it."
+         falls below that floor: its copy bursts and remap stalls cost more\n\
+         than its promotions recover, so it loses even to doing nothing —\n\
+         initial placement matters most (paper §5.5)."
     );
 }

@@ -7,23 +7,33 @@
 //!     --out /tmp/sweep.jsonl
 //! ```
 //!
+//! Every grid point is a `simulate` request resolved by `hetmem-serve`'s
+//! own parser ([`parse_simulate`]) and run by its [`run_point`], so the
+//! sweep accepts, refuses, labels and keys a point exactly as the
+//! server does: a record's `config` is serve's canonical label (e.g.
+//! `BW-AWARE(29C-71B)` for `BW-AWARE`), and a local record differs
+//! from the server's only in its `sweep` tag and `config_hash`.
+//!
 //! Every completed grid point is flushed to the checkpoint file with a
 //! write-temp-then-atomic-rename, so the file is a valid JSONL snapshot
 //! at every instant — `kill -9` mid-sweep loses at most the point in
 //! flight. Re-running with the same `--checkpoint` path skips
-//! completed points (matched by content key over the *resolved*
+//! completed points (matched by serve's cache key over the *resolved*
 //! configuration) and produces output **byte-identical** to an
 //! uninterrupted run: per-point seeds derive from the original grid
-//! index, not the execution order.
+//! index, not the execution order. Checkpoint entries keyed under a
+//! policy spelling other than the canonical label (as older builds
+//! wrote them) match no point and are recomputed, never misread.
 //!
 //! Flags:
 //!
 //! * `--workloads a,b,c` — catalog workloads (default `bfs,hotspot`)
-//! * `--policies p,q` — placement policies: `LOCAL`, `INTERLEAVE`,
-//!   `BW-AWARE`, `xC-yB`, `ORACLE`, `HINTED` (default
-//!   `LOCAL,BW-AWARE`)
+//! * `--policies p,q` — placement policies, any `simulate` accepts:
+//!   `LOCAL`, `INTERLEAVE`, `BW-AWARE`, `xC-yB`, `MIGRATE[:k=v+...]`,
+//!   `ORACLE`, `HINTED`/`ANNOTATED` (default `LOCAL,BW-AWARE`)
 //! * `--mem-ops <n>` — override every workload's memory operations
-//! * `--sms <n>` — simulated SMs (default: paper baseline)
+//!   (positive)
+//! * `--sms <n>` — simulated SMs, 1..=1024 (default: paper baseline)
 //! * `--capacity-pct <n>` — bandwidth-optimized pool capacity as a
 //!   percentage of footprint (default: unconstrained)
 //! * `--seed <n>` — sweep seed (per-point seeds derive from it)
@@ -43,7 +53,8 @@
 //!   locally, send every grid point to a running `hetmem-serve` as
 //!   `simulate` sub-requests inside protocol-v2 `batch` envelopes
 //!   (chunked by `--batch`, default 32), via the retrying
-//!   [`ClientBuilder`](hetmem_bench::client::ClientBuilder). Output
+//!   [`ClientBuilder`](hetmem_bench::client::ClientBuilder). The
+//!   requests carry the same params the local mode resolves. Output
 //!   stays in grid order; the server's records carry its `serve` tag
 //!   rather than `sweep`, and its result cache makes re-runs
 //!   byte-identical. Incompatible with `--checkpoint`/`--resume`
@@ -57,123 +68,28 @@
 //!   `MIGRATE` policy under `sampled` is refused up front with the
 //!   `unsupported-fidelity` code (exit 2)
 //!
-//! Exit codes: 0 success, 2 usage/setup error, 3 sweep failure
+//! Exit codes: 0 success, 2 usage/setup error (including any point
+//! `simulate` would refuse, e.g. `--mem-ops 0`), 3 sweep failure
 //! (panicking point, deadline exceeded, or a failed remote point).
 
 use std::io::Write;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use gpusim::{Fidelity, SampleConfig, SimConfig};
-use hetmem::{
-    check_fidelity, hints_from_profile, profile_workload, record_for, topology_for, Capacity,
-    Placement, RunBuilder,
-};
 use hetmem_bench::client::ClientBuilder;
+use hetmem_bench::serve::{parse_simulate, run_point, SimPoint};
 use hetmem_harness::checkpoint::{run_grid_resumable, CheckpointWriter};
-use hetmem_harness::json::{JsonObject, JsonValue};
+use hetmem_harness::json::JsonValue;
 use hetmem_harness::sweep::{run_grid, PointCtx, SweepOptions};
 use hetmem_harness::{FaultInjector, FaultPlan, Request, Response};
-use mempolicy::Mempolicy;
-use workloads::{catalog, WorkloadSpec};
 
+/// One grid point: the `simulate` params it was built from (sent as-is
+/// in remote mode), what they resolve to, and serve's canonical cache
+/// key for them (the checkpoint key).
 struct Point {
-    spec: WorkloadSpec,
-    policy: String,
-    sim: SimConfig,
-    capacity: Capacity,
-    capacity_pct: u64,
-    fidelity: Fidelity,
-}
-
-impl Point {
-    /// The canonical content key, over the resolved configuration —
-    /// the same shape `hetmem-serve` caches under. Sampled points key
-    /// with an extra `fidelity` field; full-fidelity keys keep their
-    /// pre-sampling bytes.
-    fn key(&self) -> String {
-        let mut obj = JsonObject::new()
-            .str("workload", self.spec.name)
-            .str("policy", &self.policy)
-            .u64("capacity_pct", self.capacity_pct)
-            .u64("mem_ops", self.spec.mem_ops)
-            .u64("sms", u64::from(self.sim.num_sms))
-            .u64("seed", self.spec.seed);
-        if matches!(self.fidelity, Fidelity::Sampled(_)) {
-            obj = obj.str("fidelity", "sampled");
-        }
-        obj.finish()
-    }
-
-    fn label(&self) -> String {
-        format!("{}/{}", self.spec.name, self.policy)
-    }
-
-    /// The `simulate` request carrying this point's resolved knobs —
-    /// the same fields the server's parser keys its result cache on,
-    /// so a remote sweep hits the cache exactly where a local resume
-    /// would skip.
-    fn request(&self, id: u64) -> Request {
-        let mut fields = vec![
-            (
-                "workload".to_string(),
-                JsonValue::Str(self.spec.name.to_string()),
-            ),
-            ("policy".to_string(), JsonValue::Str(self.policy.clone())),
-            (
-                "mem_ops".to_string(),
-                JsonValue::Num(self.spec.mem_ops as f64),
-            ),
-            (
-                "sms".to_string(),
-                JsonValue::Num(f64::from(self.sim.num_sms)),
-            ),
-            ("seed".to_string(), JsonValue::Num(self.spec.seed as f64)),
-        ];
-        if matches!(self.fidelity, Fidelity::Sampled(_)) {
-            fields.push((
-                "fidelity".to_string(),
-                JsonValue::Str("sampled".to_string()),
-            ));
-        }
-        if self.capacity_pct > 0 {
-            fields.push((
-                "capacity_pct".to_string(),
-                JsonValue::Num(self.capacity_pct as f64),
-            ));
-        }
-        Request::with_params(id, "simulate", JsonValue::Object(fields))
-    }
-
-    fn run(&self) -> String {
-        let placement = match self.policy.as_str() {
-            "ORACLE" => {
-                let (histogram, _) = profile_workload(&self.spec, &self.sim);
-                Placement::Oracle(histogram)
-            }
-            "HINTED" => {
-                let (_, profile) = profile_workload(&self.spec, &self.sim);
-                Placement::Hinted(hints_from_profile(
-                    &profile,
-                    &self.spec,
-                    &self.sim,
-                    self.capacity,
-                ))
-            }
-            os => {
-                let topo = topology_for(&self.sim, &vec![1; self.sim.pools.len()]);
-                Placement::Policy(
-                    Mempolicy::parse(os, &topo).expect("policy validated during setup"),
-                )
-            }
-        };
-        let run = RunBuilder::new(&self.spec, &self.sim)
-            .capacity(self.capacity)
-            .placement(&placement)
-            .fidelity(self.fidelity)
-            .run();
-        record_for("sweep", self.spec.name, &self.policy, &self.sim, &run).jsonl(false)
-    }
+    params: JsonValue,
+    point: SimPoint,
+    key: String,
 }
 
 fn fail(msg: &str) -> ExitCode {
@@ -200,7 +116,7 @@ fn run_remote(
         let subs: Vec<Request> = chunk
             .iter()
             .enumerate()
-            .map(|(i, p)| p.request(i as u64 + 1))
+            .map(|(i, p)| Request::with_params(i as u64 + 1, "simulate", p.params.clone()))
             .collect();
         let outcome = client
             .call_batch(envelope as u64 + 1, &subs)
@@ -214,7 +130,7 @@ fn run_remote(
                 Response::Err { code, message, .. } => {
                     return Err(format!(
                         "point {} failed remotely: {code}: {message}",
-                        p.label()
+                        p.point.label()
                     ));
                 }
             }
@@ -228,7 +144,7 @@ fn main() -> ExitCode {
     let mut workloads = vec!["bfs".to_string(), "hotspot".to_string()];
     let mut policies = vec!["LOCAL".to_string(), "BW-AWARE".to_string()];
     let mut mem_ops: Option<u64> = None;
-    let mut sim = SimConfig::paper_baseline();
+    let mut sms: Option<u64> = None;
     let mut capacity_pct: Option<u64> = None;
     let mut opts = SweepOptions::default();
     let mut checkpoint: Option<String> = None;
@@ -238,7 +154,7 @@ fn main() -> ExitCode {
     let mut addr: Option<String> = None;
     let mut batch: usize = 32;
     let mut deadline_ms: Option<u64> = None;
-    let mut fidelity = Fidelity::Full;
+    let mut fidelity: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -251,10 +167,7 @@ fn main() -> ExitCode {
                 workloads = next("--workloads").split(',').map(str::to_string).collect();
             }
             "--policies" => {
-                policies = next("--policies")
-                    .split(',')
-                    .map(|p| p.trim().to_ascii_uppercase())
-                    .collect();
+                policies = next("--policies").split(',').map(str::to_string).collect();
             }
             "--mem-ops" => {
                 mem_ops = Some(
@@ -263,16 +176,13 @@ fn main() -> ExitCode {
                         .expect("--mem-ops takes an integer"),
                 );
             }
-            "--sms" => sim.num_sms = next("--sms").parse().expect("--sms takes an integer"),
+            "--sms" => sms = Some(next("--sms").parse().expect("--sms takes an integer")),
             "--capacity-pct" => {
-                let pct: u64 = next("--capacity-pct")
-                    .parse()
-                    .expect("--capacity-pct takes an integer");
-                assert!(
-                    (1..=100).contains(&pct),
-                    "--capacity-pct must be in 1..=100"
+                capacity_pct = Some(
+                    next("--capacity-pct")
+                        .parse()
+                        .expect("--capacity-pct takes an integer"),
                 );
-                capacity_pct = Some(pct);
             }
             "--seed" => opts.seed = next("--seed").parse().expect("--seed takes an integer"),
             "--threads" => {
@@ -295,17 +205,7 @@ fn main() -> ExitCode {
                 batch = next("--batch").parse().expect("--batch takes an integer");
                 assert!(batch > 0, "--batch must be positive");
             }
-            "--fidelity" => {
-                fidelity = match next("--fidelity").trim().to_ascii_lowercase().as_str() {
-                    "full" => Fidelity::Full,
-                    "sampled" => Fidelity::Sampled(SampleConfig::default()),
-                    other => {
-                        return fail(&format!(
-                            "unknown fidelity '{other}' (expected 'full' or 'sampled')"
-                        ))
-                    }
-                };
-            }
+            "--fidelity" => fidelity = Some(next("--fidelity")),
             "--faults" => {
                 let spec = next("--faults");
                 faults = Some(
@@ -317,46 +217,44 @@ fn main() -> ExitCode {
         }
     }
 
-    let capacity = match capacity_pct {
-        Some(pct) => Capacity::FractionOfFootprint(pct as f64 / 100.0),
-        None => Capacity::Unconstrained,
-    };
-    let topo = topology_for(&sim, &vec![1; sim.pools.len()]);
+    // Each point is a `simulate` request resolved by serve's own parser,
+    // so validation, labels and keys cannot drift from the server's.
+    let num = |n: u64| JsonValue::Num(n as f64);
+    let knobs = [
+        ("mem_ops", mem_ops.map(num)),
+        ("sms", sms.map(num)),
+        ("capacity_pct", capacity_pct.map(num)),
+        ("fidelity", fidelity.map(JsonValue::Str)),
+    ];
     let mut points = Vec::new();
     for name in &workloads {
-        let Some(mut spec) = catalog::by_name(name) else {
-            return fail(&format!("unknown workload '{name}'"));
-        };
-        if let Some(ops) = mem_ops {
-            spec.mem_ops = ops;
-        }
         for policy in &policies {
-            if !matches!(policy.as_str(), "ORACLE" | "HINTED") {
-                let Ok(parsed) = Mempolicy::parse(policy, &topo) else {
-                    return fail(&format!("unknown policy '{policy}'"));
-                };
-                if let Err(e) = check_fidelity(fidelity, &parsed) {
-                    return fail(&format!("{} ({})", e, e.code()));
+            let mut fields = vec![
+                ("workload".to_string(), JsonValue::Str(name.clone())),
+                ("policy".to_string(), JsonValue::Str(policy.clone())),
+            ];
+            for (k, v) in &knobs {
+                if let Some(v) = v {
+                    fields.push(((*k).to_string(), v.clone()));
                 }
             }
-            points.push(Point {
-                spec: spec.clone(),
-                policy: policy.clone(),
-                sim: sim.clone(),
-                capacity,
-                capacity_pct: capacity_pct.unwrap_or(0),
-                fidelity,
-            });
+            let params = JsonValue::Object(fields);
+            let (point, key) = match parse_simulate(&params) {
+                Ok(resolved) => resolved,
+                Err(e) => return fail(&format!("{e} ({})", e.code())),
+            };
+            points.push(Point { params, point, key });
         }
     }
 
     let injector = faults.map_or_else(FaultInjector::disabled, FaultInjector::new);
-    let run_point = |p: &Point, _ctx: PointCtx| {
+    let run = |p: &Point, _ctx: PointCtx| {
         if let Some(stall) = injector.maybe_latency() {
             std::thread::sleep(stall);
         }
-        p.run()
+        run_point(&p.point, "sweep").0
     };
+    let label = |p: &Point| p.point.label();
 
     let result = if let Some(addr) = &addr {
         if checkpoint.is_some() {
@@ -379,10 +277,10 @@ fn main() -> ExitCode {
                         ckpt.len()
                     );
                 }
-                run_grid_resumable(&points, &opts, Point::key, Point::label, run_point, &ckpt)
+                run_grid_resumable(&points, &opts, |p| p.key.clone(), label, run, &ckpt)
                     .map_err(|e| e.to_string())
             }
-            None => run_grid(&points, &opts, Point::label, run_point).map_err(|e| e.to_string()),
+            None => run_grid(&points, &opts, label, run).map_err(|e| e.to_string()),
         }
     };
     let lines = match result {

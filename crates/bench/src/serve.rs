@@ -43,8 +43,9 @@
 //! errors instead of stalling the loop.
 //!
 //! The server ([`start`], [`ServerHandle`]) is unix-only, like the
-//! fleet router; [`roundtrip`] and [`simulate_cache_key`] are
-//! portable.
+//! fleet router; [`roundtrip`], [`simulate_cache_key`] and the
+//! `simulate` resolver ([`parse_simulate`], [`run_point`]), which
+//! `hetmem-sweep` runs its grid points through, are portable.
 //!
 //! ## Observability
 //!
@@ -106,8 +107,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gpusim::{Fidelity, SampleConfig, SimConfig};
-use hetmem::{check_fidelity, topology_for, Capacity, HetmemError, TelemetrySink};
+use hetmem::{
+    check_fidelity, hints_from_profile, profile_workload, record_for, topology_for, Capacity,
+    HetmemError, Placement, RunBuilder, TelemetrySink,
+};
 use hetmem_harness::json::{JsonObject, JsonValue};
+use hetmem_harness::telemetry::MigrationTelemetry;
 use hetmem_harness::{FaultPlan, ProtocolError, Request, Response};
 use mempolicy::Mempolicy;
 use workloads::{catalog, WorkloadSpec};
@@ -160,17 +165,23 @@ enum PolicyChoice {
 }
 
 /// One resolved simulation point — everything a worker needs, and the
-/// unit the sweep engine wraps for panic isolation. Off unix only its
-/// cache key is used.
+/// unit the sweep engine wraps for panic isolation. Built only by
+/// [`parse_simulate`] and run by [`run_point`].
 #[derive(Debug, Clone)]
-#[cfg_attr(not(unix), allow(dead_code))]
-struct SimPoint {
+pub struct SimPoint {
     spec: WorkloadSpec,
     sim: SimConfig,
     capacity: Capacity,
     policy: PolicyChoice,
     config_label: String,
     fidelity: Fidelity,
+}
+
+impl SimPoint {
+    /// `workload/config`, the name progress lines and errors use.
+    pub fn label(&self) -> String {
+        format!("{}/{}", self.spec.name, self.config_label)
+    }
 }
 
 /// One request/response round-trip on a fresh connection — the
@@ -230,7 +241,11 @@ pub fn roundtrip_timeout(
 /// Resolves a `simulate` request into a concrete [`SimPoint`] and its
 /// canonical cache key. Every knob is resolved (defaults applied)
 /// before keying, so explicitly passing a default value still hits.
-fn parse_simulate(params: &JsonValue) -> Result<(SimPoint, String), HetmemError> {
+///
+/// # Errors
+///
+/// The stable-coded refusal `simulate` answers an invalid request with.
+pub fn parse_simulate(params: &JsonValue) -> Result<(SimPoint, String), HetmemError> {
     let name = params
         .get("workload")
         .and_then(JsonValue::as_str)
@@ -341,6 +356,31 @@ fn parse_simulate(params: &JsonValue) -> Result<(SimPoint, String), HetmemError>
         },
         key,
     ))
+}
+
+/// Runs one resolved point and renders its telemetry record, tagged
+/// `tag` (`serve` for the server, `sweep` for `hetmem-sweep`), plus the
+/// record's migration block for the server's metrics.
+pub fn run_point(p: &SimPoint, tag: &str) -> (String, Option<MigrationTelemetry>) {
+    let placement = match &p.policy {
+        PolicyChoice::Os(policy) => Placement::Policy(policy.clone()),
+        PolicyChoice::Oracle => {
+            let (histogram, _) = profile_workload(&p.spec, &p.sim);
+            Placement::Oracle(histogram)
+        }
+        PolicyChoice::Hinted => {
+            let (_, profile) = profile_workload(&p.spec, &p.sim);
+            Placement::Hinted(hints_from_profile(&profile, &p.spec, &p.sim, p.capacity))
+        }
+    };
+    let run = RunBuilder::new(&p.spec, &p.sim)
+        .capacity(p.capacity)
+        .placement(&placement)
+        .fidelity(p.fidelity)
+        .run();
+    let rec = record_for(tag, p.spec.name, &p.config_label, &p.sim, &run);
+    let migration = rec.migration;
+    (rec.jsonl(false), migration)
 }
 
 /// Reads an optional unsigned integer field; `Err` when present but

@@ -13,10 +13,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use gpusim::SimConfig;
-use hetmem::{
-    bo_traffic_target, hints_from_profile, profile_workload, record_for, HetmemError, Placement,
-    RunBuilder, TelemetrySink,
-};
+use hetmem::{bo_traffic_target, HetmemError, TelemetrySink};
 use hetmem_harness::json::{self, JsonObject, JsonValue};
 use hetmem_harness::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use hetmem_harness::sweep::{run_grid, SweepOptions};
@@ -27,9 +24,7 @@ use hetmem_harness::{
 use profiler::get_allocation;
 use workloads::catalog;
 
-use super::{
-    field_u64, parse_simulate, PolicyChoice, ServeConfig, SimPoint, DEFAULT_READ_TIMEOUT_MS,
-};
+use super::{field_u64, parse_simulate, run_point, ServeConfig, SimPoint, DEFAULT_READ_TIMEOUT_MS};
 use crate::reactor::{self, us, DrainGate, Limits, Sink};
 
 /// Default server socket write timeout.
@@ -1047,32 +1042,10 @@ fn execute(
     let mut results = run_grid(
         std::slice::from_ref(point),
         &opts,
-        |p| format!("{}/{}", p.spec.name, p.config_label),
-        |p, _ctx| run_point(p),
+        SimPoint::label,
+        |p, _ctx| run_point(p, "serve"),
     )?;
     Ok(results.pop().expect("one point in, one result out"))
-}
-
-fn run_point(p: &SimPoint) -> (String, Option<MigrationTelemetry>) {
-    let placement = match &p.policy {
-        PolicyChoice::Os(policy) => Placement::Policy(policy.clone()),
-        PolicyChoice::Oracle => {
-            let (histogram, _) = profile_workload(&p.spec, &p.sim);
-            Placement::Oracle(histogram)
-        }
-        PolicyChoice::Hinted => {
-            let (_, profile) = profile_workload(&p.spec, &p.sim);
-            Placement::Hinted(hints_from_profile(&profile, &p.spec, &p.sim, p.capacity))
-        }
-    };
-    let run = RunBuilder::new(&p.spec, &p.sim)
-        .capacity(p.capacity)
-        .placement(&placement)
-        .fidelity(p.fidelity)
-        .run();
-    let rec = record_for("serve", p.spec.name, &p.config_label, &p.sim, &run);
-    let migration = rec.migration;
-    (rec.jsonl(false), migration)
 }
 
 /// `place`: annotation arrays (or a catalog workload's) through the

@@ -19,7 +19,8 @@ use workloads::{catalog, WorkloadSpec};
 
 use crate::grid::{self, RunPoint, TelemetrySink};
 use crate::runner::{
-    geomean, hints_from_profile, profile_workload, Capacity, ObserveConfig, Placement,
+    check_fidelity, geomean, hints_from_profile, profile_workload, Capacity, ObserveConfig,
+    Placement,
 };
 use crate::translate::topology_for;
 
@@ -853,6 +854,95 @@ pub fn ext_energy(opts: &ExpOptions) -> Table {
     t
 }
 
+/// The headline question for the online engine: how close does
+/// *reactive* migration (the `MIGRATE` policy, no future knowledge) get
+/// to the constrained oracle at 10% BO capacity?
+///
+/// Bandwidth-efficiency is the fraction of the oracle's achieved
+/// *demand* bandwidth that the reactive run attains — the `MIGRATE`
+/// run's DRAM traffic minus its own copy bytes, over its cycles,
+/// relative to the oracle's traffic over the oracle's cycles. 1.0 means
+/// migration fully closed the gap; BW-AWARE's number is the floor.
+///
+/// # Panics
+///
+/// Panics with the `unsupported-fidelity` error before any run if
+/// `opts.fidelity` is sampled (see [`check_fidelity`]).
+pub fn ext_reactive(opts: &ExpOptions) -> Table {
+    let mut t = Table::new(
+        "Extension — reactive MIGRATE vs constrained oracle at 10% capacity",
+        vec![
+            "BWA(kcyc)".to_string(),
+            "MIGRATE(kcyc)".to_string(),
+            "Oracle(kcyc)".to_string(),
+            "moved(pages)".to_string(),
+            "bw-eff(BWA)".to_string(),
+            "bw-eff(MIG)".to_string(),
+        ],
+    );
+    let cap = Capacity::FractionOfFootprint(0.10);
+    let topo = topology_for(&opts.sim, &[1, 1]);
+    // Reactive settings scaled to the catalog's run lengths: epochs
+    // short enough to act several times per run, a hot threshold low
+    // enough to catch the skewed pages.
+    let migrate = Mempolicy::parse("MIGRATE:epoch=25000,hot=4", &topo).expect("valid spec");
+    if let Err(e) = check_fidelity(opts.fidelity, &migrate) {
+        panic!("ext_reactive: {e} ({})", e.code());
+    }
+    let specs = opts.specs();
+    let hists = grid::sweep(
+        "ext_reactive",
+        opts,
+        &specs,
+        |s| format!("{}/profile", s.name),
+        |s| profile_workload(s, &opts.sim).0,
+        |_, _| Vec::new(),
+    );
+    let mut points = Vec::new();
+    for (spec, hist) in specs.iter().zip(&hists) {
+        let configs = [
+            (
+                "BW-AWARE",
+                Placement::Policy(Mempolicy::bw_aware_for(&topo)),
+            ),
+            ("MIGRATE", Placement::Policy(migrate.clone())),
+            ("Oracle", Placement::Oracle(hist.clone())),
+        ];
+        for (config, placement) in configs {
+            points.push(grid::RunPoint {
+                spec: spec.clone(),
+                config: config.to_string(),
+                sim: opts.sim.clone(),
+                capacity: cap,
+                placement,
+            });
+        }
+    }
+    let runs = grid::run_point_sweep("ext_reactive", opts, &points);
+    for (spec, chunk) in specs.iter().zip(runs.chunks(3)) {
+        let (bwa, mig, oracle) = (&chunk[0], &chunk[1], &chunk[2]);
+        let m = mig.report.migration.expect("MIGRATE run reports migration");
+        // Demand bandwidth per cycle, copy traffic excluded.
+        let demand = |bytes: u64, cycles: u64| bytes as f64 / cycles as f64;
+        let oracle_bw = demand(oracle.report.dram_bytes(), oracle.report.cycles);
+        let mig_bw = demand(mig.report.dram_bytes() - m.copy_bytes, mig.report.cycles);
+        let bwa_bw = demand(bwa.report.dram_bytes(), bwa.report.cycles);
+        t.push_row(
+            spec.name,
+            vec![
+                bwa.report.cycles as f64 / 1e3,
+                mig.report.cycles as f64 / 1e3,
+                oracle.report.cycles as f64 / 1e3,
+                m.pages_migrated() as f64,
+                bwa_bw / oracle_bw,
+                mig_bw / oracle_bw,
+            ],
+        );
+    }
+    t.push_geomean();
+    t
+}
+
 /// The design-choice ablations of DESIGN §5, each on the workload that
 /// shows it: L2 MSHRs per slice on lbm (§3.2.1: MSHRs hide the extra
 /// interconnect hop), L2 slice capacity on xsbench, and BW-AWARE's
@@ -954,6 +1044,22 @@ mod tests {
         let bwa = t.value("lbm", "BW-AWARE").unwrap();
         assert!(bwa < local, "BW-AWARE energy {bwa} vs LOCAL {local}");
         assert!(t.value("lbm", "BWA EDP/LOCAL").unwrap() < 0.9);
+    }
+
+    #[test]
+    fn ext_reactive_migration_loses_to_static_bw_aware() {
+        // Paper §5.5: initial placement matters more than moving pages
+        // later. The engine must actually move pages, and its demand
+        // bandwidth must still fall below static BW-AWARE's.
+        let opts = ExpOptions::quick();
+        let t = ext_reactive(&opts);
+        for spec in opts.specs() {
+            let moved = t.value(spec.name, "moved(pages)").unwrap();
+            let mig = t.value(spec.name, "bw-eff(MIG)").unwrap();
+            let bwa = t.value(spec.name, "bw-eff(BWA)").unwrap();
+            assert!(moved > 0.0, "{}: MIGRATE moved no pages", spec.name);
+            assert!(mig < bwa, "{}: MIGRATE {mig} vs BW-AWARE {bwa}", spec.name);
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The core ↔ harness glue: every figure's grid runs through the
 //! `hetmem-harness` sweep engine, optionally streaming JSONL telemetry.
 //!
-//! The experiment drivers in [`experiments`](crate::experiments) and
-//! [`migration`](crate::migration) build flat point lists (workload ×
-//! configuration) and hand them to [`sweep`]; the engine executes them
-//! on a worker pool with results in stable grid order, so tables and
-//! telemetry files are byte-identical at any thread count. When
+//! The experiment drivers in [`experiments`](crate::experiments) build
+//! flat point lists (workload × configuration) and hand them to
+//! [`sweep`]; the engine executes them on a worker pool with results in
+//! stable grid order, so tables and telemetry files are byte-identical
+//! at any thread count. When
 //! [`ExpOptions::telemetry`](crate::experiments::ExpOptions) carries a
 //! [`TelemetrySink`], each sweep appends one [`RunRecord`] per simulated
 //! run to `<dir>/<figure>.jsonl`.

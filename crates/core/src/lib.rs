@@ -44,7 +44,6 @@ pub mod error;
 pub mod experiments;
 pub mod grid;
 pub mod migrate;
-pub mod migration;
 pub mod runner;
 pub mod runtime;
 pub mod translate;
@@ -54,11 +53,7 @@ pub use grid::{
     chrome_trace_for, config_hash, interval_records_for, record_for, sampled_interval_records_for,
     TelemetrySink,
 };
-pub use migrate::{HotnessTally, MigrationEpochEvent, MigrationModel, OnlineMigrator};
-pub use migration::{
-    evaluate_migration, ext_migration, ext_online, ext_reactive, run_online, MigrationOutcome,
-    OnlineOutcome,
-};
+pub use migrate::{HotnessTally, MigrationEpochEvent, OnlineMigrator};
 pub use runner::{
     bo_traffic_target, check_fidelity, geomean, hints_from_profile, profile_workload, Capacity,
     ObserveConfig, ObservedRun, Placement, RunBuilder, SimTrace, WorkloadRun,

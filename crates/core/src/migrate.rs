@@ -11,8 +11,7 @@
 //! simulator to charge as real DRAM channel traffic. A freshly moved
 //! page additionally stalls its next accesses for the remap latency —
 //! the paper's "several microseconds" from invalidation to first
-//! re-use, shared with the offline what-if study via
-//! [`MigrationModel`].
+//! re-use.
 //!
 //! The decision scheme is deliberately AutoNUMA-flavoured:
 //!
@@ -41,48 +40,19 @@ use std::rc::Rc;
 
 use gpusim::flat::PageMap;
 use gpusim::{MigrationCounters, PageCopy, PageMigrator, SimConfig};
-use hmtypes::{Bandwidth, MemKind, PageNum, PAGE_SIZE};
+use hmtypes::{MemKind, PageNum};
 use mempolicy::{AddressSpace, MigrateSpec, ZoneId};
 
-/// Cost model for moving pages between memory zones — the single
-/// source of truth shared by the online engine (remap latency) and the
-/// offline what-if study in [`crate::migration`] (bulk copy cost).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MigrationModel {
-    /// Sustained page-copy bandwidth (paper: "not possible to migrate
-    /// pages between NUMA memory zones at a rate faster than several
-    /// GB/s" on Linux 3.16).
-    pub copy_bandwidth: Bandwidth,
-    /// One-time latency from invalidation to first re-use, in
-    /// microseconds (paper: "several microseconds").
-    pub pipeline_latency_us: f64,
-}
+/// Time from a page's invalidation to its first re-use, in
+/// microseconds (paper §5.5: "several microseconds" on Linux 3.16).
+const REMAP_LATENCY_US: f64 = 3.0;
 
-impl Default for MigrationModel {
-    fn default() -> Self {
-        MigrationModel {
-            copy_bandwidth: Bandwidth::from_gbps(4.0),
-            pipeline_latency_us: 3.0,
-        }
-    }
-}
-
-impl MigrationModel {
-    /// SM cycles to migrate `pages` pages at `sm_clock_ghz`, bulk copy
-    /// plus one pipeline drain — the offline study's charge.
-    pub fn cost_cycles(&self, pages: u64, sm_clock_ghz: f64) -> u64 {
-        let bytes = pages as f64 * PAGE_SIZE as f64;
-        let seconds = bytes / self.copy_bandwidth.bytes_per_sec() + self.pipeline_latency_us * 1e-6;
-        (seconds * sm_clock_ghz * 1e9).ceil() as u64
-    }
-
-    /// SM cycles from invalidation to first re-use of one remapped page
-    /// — the per-page stall the online engine charges. The copy itself
-    /// is not included: the simulator charges it as DRAM channel
-    /// occupancy instead.
-    pub fn remap_cycles(&self, sm_clock_ghz: f64) -> u64 {
-        (self.pipeline_latency_us * 1e-6 * sm_clock_ghz * 1e9).ceil() as u64
-    }
+/// SM cycles from invalidation to first re-use of one remapped page at
+/// `sm_clock_ghz` — the per-page stall the engine charges unless the
+/// policy sets `remap`. The copy itself is not included: the simulator
+/// charges it as DRAM channel occupancy instead.
+fn remap_cycles(sm_clock_ghz: f64) -> u64 {
+    (REMAP_LATENCY_US * 1e-6 * sm_clock_ghz * 1e9).ceil() as u64
 }
 
 /// One epoch boundary's page-movement summary: the per-epoch deltas
@@ -182,8 +152,8 @@ pub struct OnlineMigrator {
 
 impl OnlineMigrator {
     /// Builds the engine over the run's shared address space. The remap
-    /// latency comes from `spec` when given, else from
-    /// [`MigrationModel::default`] at the machine's SM clock.
+    /// latency comes from `spec` when given, else it is the paper's
+    /// 3 µs at the machine's SM clock.
     pub fn new(mm: Rc<RefCell<AddressSpace>>, spec: MigrateSpec, sim: &SimConfig) -> Self {
         let (bo, co) = {
             let mm_ref = mm.borrow();
@@ -197,7 +167,7 @@ impl OnlineMigrator {
         };
         let remap_cycles = spec
             .remap_cycles
-            .unwrap_or_else(|| MigrationModel::default().remap_cycles(sim.sm_clock_ghz));
+            .unwrap_or_else(|| remap_cycles(sim.sm_clock_ghz));
         OnlineMigrator {
             mm,
             spec,
@@ -419,9 +389,9 @@ mod tests {
     }
 
     #[test]
-    fn remap_cycles_derive_from_shared_model() {
+    fn remap_cycles_default_to_three_microseconds() {
         // 3 us at 1.4 GHz = 4200 cycles.
-        assert_eq!(MigrationModel::default().remap_cycles(1.4), 4200);
+        assert_eq!(remap_cycles(1.4), 4200);
         let (mm, sim) = setup(4);
         let mig = OnlineMigrator::new(mm, MigrateSpec::default(), &sim);
         assert_eq!(mig.remap_latency_cycles(), 4200);

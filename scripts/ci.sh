@@ -7,6 +7,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all --check
+
+# Doc-drift gate: every `--bin <name>` that README.md, DESIGN.md or
+# EXPERIMENTS.md tells a reader to run must be a real binary, so a
+# deleted or renamed experiment cannot linger in the docs.
+for bin in $(grep -ohE -e '--bin [A-Za-z0-9_-]+' README.md DESIGN.md EXPERIMENTS.md |
+    awk '{print $2}' | sort -u); do
+    [ -f "crates/bench/src/bin/$bin.rs" ] || {
+        echo "docs name --bin $bin, but crates/bench/src/bin/$bin.rs does not exist" >&2
+        exit 1
+    }
+done
+
 cargo build --workspace --release --offline
 cargo test --workspace -q --offline
 
