@@ -40,23 +40,26 @@
 //!
 //! Values parse as (in order): unsigned integer, float, boolean,
 //! comma-separated number array (`sizes=1048576,2097152`), else
-//! string. The raw response line prints on stdout; the exit code is 0
-//! for an `ok` response, 2 for a structured error response, 1 for
-//! transport or decode failures.
+//! string. The raw response line prints on stdout.
+//!
+//! Exit codes: 0 for an `ok` response, 2 for a structured error
+//! response, 1 for a usage error (unknown flag, missing or malformed
+//! value, a pair without `=`) or a transport or decode failure.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
+use hetmem_bench::cli::{self, Args};
 use hetmem_bench::client::ClientBuilder;
 use hetmem_harness::json::JsonValue;
 use hetmem_harness::{Backoff, Request, Response};
 
 /// Parses one `key=value` pair into a JSON field.
-fn field(pair: &str) -> (String, JsonValue) {
+fn field(pair: &str) -> Result<(String, JsonValue), String> {
     let (key, value) = pair
         .split_once('=')
-        .unwrap_or_else(|| panic!("expected key=value, got '{pair}'"));
-    (key.to_string(), scalar_or_array(value))
+        .ok_or_else(|| format!("expected key=value, got '{pair}'"))?;
+    Ok((key.to_string(), scalar_or_array(value)))
 }
 
 fn scalar_or_array(value: &str) -> JsonValue {
@@ -91,50 +94,30 @@ fn main() -> ExitCode {
     let mut fleet = false;
     let mut fidelity: Option<String> = None;
     let mut rest: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    let mut fields: Vec<(String, JsonValue)> = Vec::new();
+    cli::parse_or_exit("hetmem-client", 1, Args::from_env(), |arg, args| {
         match arg.as_str() {
-            "--retries" => {
-                let v = args.next().expect("--retries needs a value");
-                retries = v.parse().expect("--retries takes an integer");
-            }
-            "--deadline-ms" => {
-                let v = args.next().expect("--deadline-ms needs a value");
-                deadline_ms = Some(v.parse().expect("--deadline-ms takes an integer"));
-            }
-            "--timeout-ms" => {
-                let v = args.next().expect("--timeout-ms needs a value");
-                let ms: u64 = v.parse().expect("--timeout-ms takes an integer");
-                timeout = Duration::from_millis(ms.max(1));
-            }
-            "--backoff-seed" => {
-                let v = args.next().expect("--backoff-seed needs a value");
-                backoff_seed = v.parse().expect("--backoff-seed takes an integer");
-            }
+            "--retries" => retries = args.parse()?,
+            "--deadline-ms" => deadline_ms = Some(args.parse()?),
+            "--timeout-ms" => timeout = Duration::from_millis(args.parse::<u64>()?.max(1)),
+            "--backoff-seed" => backoff_seed = args.parse()?,
             "--request-id" => {
-                let v = args.next().expect("--request-id needs a value");
-                assert!(!v.is_empty(), "--request-id must be non-empty");
-                request_id = Some(v);
+                request_id = Some(args.parse_with(|v| match v {
+                    "" => Err("must be non-empty"),
+                    id => Ok(id.to_string()),
+                })?);
             }
             "--trace" => trace = true,
             "--fleet" => fleet = true,
-            "--fidelity" => {
-                let v = args.next().expect("--fidelity needs a value");
-                fidelity = Some(v);
-            }
-            "--batch" => {
-                let v = args.next().expect("--batch needs a count");
-                let n: u64 = v.parse().expect("--batch takes an integer");
-                assert!(n > 0, "--batch must be positive");
-                batch = Some(n);
-            }
-            other if other.starts_with("--") => {
-                eprintln!("hetmem-client: unknown flag '{other}'");
-                return ExitCode::from(1);
-            }
-            _ => rest.push(arg),
+            "--fidelity" => fidelity = Some(args.value()?),
+            "--batch" => batch = Some(args.positive()?),
+            other if other.starts_with("--") => return Err(args.unknown()),
+            // <addr> and <op>, then the key=value params.
+            _ if rest.len() < 2 => rest.push(arg),
+            _ => fields.push(field(&arg)?),
         }
-    }
+        Ok(())
+    });
     if rest.len() < 2 {
         eprintln!("usage: hetmem-client [flags] <addr> <op> [key=value ...]");
         return ExitCode::from(1);
@@ -149,7 +132,6 @@ fn main() -> ExitCode {
     if let Some(ms) = deadline_ms {
         client = client.deadline_ms(ms);
     }
-    let mut fields: Vec<(String, JsonValue)> = rest[2..].iter().map(|pair| field(pair)).collect();
     if let Some(mode) = fidelity {
         // The flag loses to an explicit fidelity=... param.
         if !fields.iter().any(|(k, _)| k == "fidelity") {

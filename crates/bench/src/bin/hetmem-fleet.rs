@@ -30,6 +30,7 @@
 //! * `--seed <n>` — seeds the deterministic breaker-cooldown and
 //!   restart-backoff jitter
 //! * `--faults <spec>` — chaos spec passed through to every backend
+//!   (checked here first; a bad spec is a usage error)
 //! * `--workers <n>` — forwarding threads (default 2 per backend)
 //! * `--fwd-queue <n>` — forwarding-queue depth (default 256)
 //! * `--port-file <path>` — write the router's bound port (digits only)
@@ -37,90 +38,50 @@
 //! The router exits after a client sends the `shutdown` op, or on
 //! SIGTERM or SIGINT: in-flight requests finish, then every backend is
 //! stopped gracefully.
+//!
+//! Exit codes: 0 after a drained shutdown, 2 usage error (an unknown
+//! flag, a missing or malformed value, a bad `--faults` spec).
 
 #[cfg(unix)]
-fn main() {
+fn main() -> std::process::ExitCode {
+    use hetmem_bench::cli::{self, Args};
     use hetmem_bench::fleet::{start, FleetConfig};
+    use hetmem_harness::FaultPlan;
 
     let mut cfg = FleetConfig::default();
     let mut port_file: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    cli::parse_or_exit("hetmem-fleet", 2, Args::from_env(), |arg, args| {
         match arg.as_str() {
-            "--addr" => cfg.addr = args.next().expect("--addr needs host:port"),
-            "--backends" => {
-                let v = args.next().expect("--backends needs a value");
-                cfg.backends = v.parse().expect("--backends takes an integer");
+            "--addr" => cfg.addr = args.value()?,
+            "--backends" => cfg.backends = args.parse()?,
+            "--serve-bin" => cfg.serve_bin = Some(args.parse()?),
+            "--shards" => cfg.shards = args.parse()?,
+            "--queue-depth" => cfg.queue_depth = args.parse()?,
+            "--cache" => cfg.cache_capacity = args.parse()?,
+            "--max-batch" => cfg.max_batch = args.parse()?,
+            "--conn-buf" => cfg.conn_buffer = args.parse()?,
+            "--read-timeout-ms" => cfg.read_timeout_ms = args.parse()?,
+            "--write-timeout-ms" => cfg.write_timeout_ms = args.parse()?,
+            "--backend-timeout-ms" => cfg.backend_timeout_ms = args.parse()?,
+            "--probe-interval-ms" => cfg.probe_interval_ms = args.parse()?,
+            "--probe-deadline-ms" => cfg.probe_deadline_ms = args.parse()?,
+            "--breaker-threshold" => cfg.breaker_threshold = args.parse()?,
+            "--max-restarts" => cfg.max_restarts = args.parse()?,
+            "--seed" => cfg.seed = args.parse()?,
+            // Checked here, so a bad spec is a usage error rather
+            // than every backend failing at startup; the backends
+            // get the original text.
+            "--faults" => {
+                let spec = args.parse_with(|s| FaultPlan::parse(s).map(|_| s.to_string()))?;
+                cfg.backend_faults = Some(spec);
             }
-            "--serve-bin" => {
-                let v = args.next().expect("--serve-bin needs a path");
-                cfg.serve_bin = Some(std::path::PathBuf::from(v));
-            }
-            "--shards" => {
-                let v = args.next().expect("--shards needs a value");
-                cfg.shards = v.parse().expect("--shards takes an integer");
-            }
-            "--queue-depth" => {
-                let v = args.next().expect("--queue-depth needs a value");
-                cfg.queue_depth = v.parse().expect("--queue-depth takes an integer");
-            }
-            "--cache" => {
-                let v = args.next().expect("--cache needs a value");
-                cfg.cache_capacity = v.parse().expect("--cache takes an integer");
-            }
-            "--max-batch" => {
-                let v = args.next().expect("--max-batch needs a value");
-                cfg.max_batch = v.parse().expect("--max-batch takes an integer");
-            }
-            "--conn-buf" => {
-                let v = args.next().expect("--conn-buf needs a value");
-                cfg.conn_buffer = v.parse().expect("--conn-buf takes an integer");
-            }
-            "--read-timeout-ms" => {
-                let v = args.next().expect("--read-timeout-ms needs a value");
-                cfg.read_timeout_ms = v.parse().expect("--read-timeout-ms takes an integer");
-            }
-            "--write-timeout-ms" => {
-                let v = args.next().expect("--write-timeout-ms needs a value");
-                cfg.write_timeout_ms = v.parse().expect("--write-timeout-ms takes an integer");
-            }
-            "--backend-timeout-ms" => {
-                let v = args.next().expect("--backend-timeout-ms needs a value");
-                cfg.backend_timeout_ms = v.parse().expect("--backend-timeout-ms takes an integer");
-            }
-            "--probe-interval-ms" => {
-                let v = args.next().expect("--probe-interval-ms needs a value");
-                cfg.probe_interval_ms = v.parse().expect("--probe-interval-ms takes an integer");
-            }
-            "--probe-deadline-ms" => {
-                let v = args.next().expect("--probe-deadline-ms needs a value");
-                cfg.probe_deadline_ms = v.parse().expect("--probe-deadline-ms takes an integer");
-            }
-            "--breaker-threshold" => {
-                let v = args.next().expect("--breaker-threshold needs a value");
-                cfg.breaker_threshold = v.parse().expect("--breaker-threshold takes an integer");
-            }
-            "--max-restarts" => {
-                let v = args.next().expect("--max-restarts needs a value");
-                cfg.max_restarts = v.parse().expect("--max-restarts takes an integer");
-            }
-            "--seed" => {
-                let v = args.next().expect("--seed needs a value");
-                cfg.seed = v.parse().expect("--seed takes an integer");
-            }
-            "--faults" => cfg.backend_faults = Some(args.next().expect("--faults needs a spec")),
-            "--workers" => {
-                let v = args.next().expect("--workers needs a value");
-                cfg.workers = v.parse().expect("--workers takes an integer");
-            }
-            "--fwd-queue" => {
-                let v = args.next().expect("--fwd-queue needs a value");
-                cfg.fwd_queue = v.parse().expect("--fwd-queue takes an integer");
-            }
-            "--port-file" => port_file = Some(args.next().expect("--port-file needs a path")),
-            other => panic!("unknown flag {other}; see hetmem-fleet docs"),
+            "--workers" => cfg.workers = args.parse()?,
+            "--fwd-queue" => cfg.fwd_queue = args.parse()?,
+            "--port-file" => port_file = Some(args.value()?),
+            _ => return Err(args.unknown()),
         }
-    }
+        Ok(())
+    });
     let mut handle = start(cfg).unwrap_or_else(|e| panic!("hetmem-fleet failed to start: {e}"));
     handle.drain_on_termination_signals();
     println!(
@@ -134,6 +95,7 @@ fn main() {
     }
     handle.wait();
     println!("hetmem-fleet drained, exiting");
+    std::process::ExitCode::SUCCESS
 }
 
 #[cfg(not(unix))]

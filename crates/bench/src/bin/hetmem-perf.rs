@@ -67,6 +67,7 @@ use std::time::Instant;
 
 use gpusim::{Fidelity, SampleConfig, SimConfig};
 use hetmem::{check_fidelity, topology_for, Placement, RunBuilder};
+use hetmem_bench::cli::Args;
 #[cfg(unix)]
 use hetmem_bench::serve::{roundtrip, start, ServeConfig};
 use hetmem_harness::json::{array, JsonObject, JsonValue};
@@ -89,14 +90,54 @@ const MIGRATE_POLICY: &str = "MIGRATE:epoch=20000+hot=4";
 const DEFAULT_MEM_OPS: u64 = 400_000;
 const DEFAULT_ITERS: u64 = 3;
 
-struct RunOpts {
+/// The matrix flags `run` and `fidelity` share.
+struct Matrix {
     label: String,
     out: Option<String>,
     workloads: Vec<String>,
-    policies: Vec<String>,
     mem_ops: u64,
     sms: u32,
     iters: u64,
+}
+
+impl Matrix {
+    fn new(mem_ops: u64) -> Self {
+        Self {
+            label: "current".to_string(),
+            out: None,
+            workloads: DEFAULT_WORKLOADS.iter().map(|s| s.to_string()).collect(),
+            mem_ops,
+            sms: SimConfig::paper_baseline().num_sms,
+            iters: DEFAULT_ITERS,
+        }
+    }
+
+    /// `--quick`: two workloads of `mem_ops` each on 4 SMs, 2 iterations.
+    fn quick(&mut self, mem_ops: u64) {
+        self.workloads = vec!["bfs".to_string(), "hotspot".to_string()];
+        self.mem_ops = mem_ops;
+        self.sms = 4;
+        self.iters = 2;
+    }
+
+    /// Applies one shared flag; any other flag is unknown.
+    fn flag(&mut self, flag: &str, args: &mut Args) -> Result<(), String> {
+        match flag {
+            "--label" => self.label = args.value()?,
+            "--out" => self.out = Some(args.value()?),
+            "--iters" => self.iters = args.parse()?,
+            "--mem-ops" => self.mem_ops = args.parse()?,
+            "--sms" => self.sms = args.parse()?,
+            "--workloads" => self.workloads = args.list()?,
+            _ => return Err(args.unknown()),
+        }
+        Ok(())
+    }
+}
+
+struct RunOpts {
+    matrix: Matrix,
+    policies: Vec<String>,
 }
 
 fn fail(msg: &str) -> ExitCode {
@@ -105,8 +146,9 @@ fn fail(msg: &str) -> ExitCode {
 }
 
 fn run_matrix(opts: &RunOpts) -> Result<String, String> {
+    let m = &opts.matrix;
     let mut sim = SimConfig::paper_baseline();
-    sim.num_sms = opts.sms;
+    sim.num_sms = m.sms;
     let topo = topology_for(&sim, &vec![1; sim.pools.len()]);
 
     let mut points = Vec::new();
@@ -117,9 +159,9 @@ fn run_matrix(opts: &RunOpts) -> Result<String, String> {
     let mut total_mean_ns = 0.0f64;
     let mut total_p50_ns = 0.0f64;
     let mut total_p99_ns = 0.0f64;
-    for name in &opts.workloads {
+    for name in &m.workloads {
         let mut spec = catalog::by_name(name).ok_or_else(|| format!("unknown workload {name}"))?;
-        spec.mem_ops = opts.mem_ops;
+        spec.mem_ops = m.mem_ops;
         for policy in &opts.policies {
             let pol =
                 Mempolicy::parse(policy, &topo).map_err(|e| format!("policy {policy}: {e}"))?;
@@ -130,7 +172,7 @@ fn run_matrix(opts: &RunOpts) -> Result<String, String> {
             let events = run.engine.events_processed;
             let mem_ops = run.report.mem_ops;
             let cycles = run.report.cycles;
-            let res = bench(&format!("{name}/{policy}"), opts.iters, || builder.run());
+            let res = bench(&format!("{name}/{policy}"), m.iters, || builder.run());
             total_events += events;
             total_mem_ops += mem_ops;
             total_cycles += cycles;
@@ -160,19 +202,19 @@ fn run_matrix(opts: &RunOpts) -> Result<String, String> {
     let matrix = JsonObject::new()
         .raw(
             "workloads",
-            &array(opts.workloads.iter().map(|w| format!("\"{w}\""))),
+            &array(m.workloads.iter().map(|w| format!("\"{w}\""))),
         )
         .raw(
             "policies",
             &array(opts.policies.iter().map(|p| format!("\"{p}\""))),
         )
-        .u64("mem_ops", opts.mem_ops)
-        .u64("sms", u64::from(opts.sms))
-        .u64("iters", opts.iters)
+        .u64("mem_ops", m.mem_ops)
+        .u64("sms", u64::from(m.sms))
+        .u64("iters", m.iters)
         .finish();
     Ok(JsonObject::new()
         .str("bench", "hetmem-perf")
-        .str("label", &opts.label)
+        .str("label", &m.label)
         .raw("matrix", &matrix)
         .raw("points", &array(points))
         .f64("total_wall_ms_min", total_min_ns / 1e6)
@@ -195,13 +237,8 @@ fn run_matrix(opts: &RunOpts) -> Result<String, String> {
 }
 
 struct FidelityOpts {
-    label: String,
-    out: Option<String>,
-    workloads: Vec<String>,
+    matrix: Matrix,
     policy: String,
-    mem_ops: u64,
-    sms: u32,
-    iters: u64,
     sample: SampleConfig,
     min_speedup: Option<f64>,
     max_error_pct: Option<f64>,
@@ -213,8 +250,9 @@ struct FidelityOpts {
 /// report document and how many workloads passed both gates (a gate
 /// that was not requested passes vacuously).
 fn fidelity_matrix(opts: &FidelityOpts) -> Result<(String, usize), String> {
+    let m = &opts.matrix;
     let mut sim = SimConfig::paper_baseline();
-    sim.num_sms = opts.sms;
+    sim.num_sms = m.sms;
     let topo = topology_for(&sim, &vec![1; sim.pools.len()]);
     let pol = Mempolicy::parse(&opts.policy, &topo)
         .map_err(|e| format!("policy {}: {e}", opts.policy))?;
@@ -226,9 +264,9 @@ fn fidelity_matrix(opts: &FidelityOpts) -> Result<(String, usize), String> {
     let mut passing = 0usize;
     let mut speedup_min = f64::INFINITY;
     let mut error_max = 0.0f64;
-    for name in &opts.workloads {
+    for name in &m.workloads {
         let mut spec = catalog::by_name(name).ok_or_else(|| format!("unknown workload {name}"))?;
-        spec.mem_ops = opts.mem_ops;
+        spec.mem_ops = m.mem_ops;
         let full_builder = RunBuilder::new(&spec, &sim).placement(&placement);
         let sampled_builder = RunBuilder::new(&spec, &sim)
             .placement(&placement)
@@ -249,8 +287,8 @@ fn fidelity_matrix(opts: &FidelityOpts) -> Result<(String, usize), String> {
         } else {
             (sampled_bw - full_bw).abs() / full_bw * 100.0
         };
-        let full_res = bench(&format!("{name}/full"), opts.iters, || full_builder.run());
-        let sampled_res = bench(&format!("{name}/sampled"), opts.iters, || {
+        let full_res = bench(&format!("{name}/full"), m.iters, || full_builder.run());
+        let sampled_res = bench(&format!("{name}/sampled"), m.iters, || {
             sampled_builder.run()
         });
         let speedup = full_res.min_ns / sampled_res.min_ns;
@@ -294,25 +332,25 @@ fn fidelity_matrix(opts: &FidelityOpts) -> Result<(String, usize), String> {
     let matrix = JsonObject::new()
         .raw(
             "workloads",
-            &array(opts.workloads.iter().map(|w| format!("\"{w}\""))),
+            &array(m.workloads.iter().map(|w| format!("\"{w}\""))),
         )
         .str("policy", &opts.policy)
-        .u64("mem_ops", opts.mem_ops)
-        .u64("sms", u64::from(opts.sms))
-        .u64("iters", opts.iters)
+        .u64("mem_ops", m.mem_ops)
+        .u64("sms", u64::from(m.sms))
+        .u64("iters", m.iters)
         .u64("window_ops", sample.window_ops)
         .u64("warmup_windows", sample.warmup_windows)
         .u64("period", sample.period)
         .finish();
     let body = JsonObject::new()
         .str("bench", "hetmem-perf-fidelity")
-        .str("label", &opts.label)
+        .str("label", &m.label)
         .raw("matrix", &matrix)
         .raw("points", &array(points))
         .f64("speedup_x_min", speedup_min)
         .f64("error_pct_max", error_max)
         .u64("workloads_passing", passing as u64)
-        .u64("workloads_total", opts.workloads.len() as u64)
+        .u64("workloads_total", m.workloads.len() as u64)
         .finish();
     Ok((body, passing))
 }
@@ -539,343 +577,190 @@ fn write_or_print(out: Option<&str>, body: &str) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env();
     let Some(cmd) = args.next() else {
         return fail("usage: hetmem-perf <run|fidelity|serve|gate|report> [flags]");
     };
-    let next = |flag: &str, args: &mut dyn Iterator<Item = String>| {
-        args.next()
-            .unwrap_or_else(|| panic!("{flag} needs a value"))
+    let result = match cmd.as_str() {
+        "run" => run_cmd(&mut args),
+        "fidelity" => fidelity_cmd(&mut args),
+        "serve" => serve_cmd(&mut args),
+        "gate" | "report" => compare_cmd(&cmd, &mut args),
+        other => Err(format!("unknown subcommand {other}")),
     };
+    result.unwrap_or_else(|e| fail(&e))
+}
 
-    match cmd.as_str() {
-        "run" => {
-            let mut opts = RunOpts {
-                label: "current".to_string(),
-                out: None,
-                workloads: DEFAULT_WORKLOADS.iter().map(|s| s.to_string()).collect(),
-                policies: DEFAULT_POLICIES.iter().map(|s| s.to_string()).collect(),
-                mem_ops: DEFAULT_MEM_OPS,
-                sms: SimConfig::paper_baseline().num_sms,
-                iters: DEFAULT_ITERS,
-            };
-            while let Some(arg) = args.next() {
-                match arg.as_str() {
-                    "--quick" => {
-                        opts.workloads = vec!["bfs".to_string(), "hotspot".to_string()];
-                        opts.mem_ops = 20_000;
-                        opts.sms = 4;
-                        opts.iters = 2;
-                    }
-                    "--migrate" => opts.policies.push(MIGRATE_POLICY.to_string()),
-                    "--label" => opts.label = next("--label", &mut args),
-                    "--out" => opts.out = Some(next("--out", &mut args)),
-                    "--iters" => {
-                        opts.iters = next("--iters", &mut args)
-                            .parse()
-                            .expect("--iters takes an integer");
-                    }
-                    "--mem-ops" => {
-                        opts.mem_ops = next("--mem-ops", &mut args)
-                            .parse()
-                            .expect("--mem-ops takes an integer");
-                    }
-                    "--sms" => {
-                        opts.sms = next("--sms", &mut args)
-                            .parse()
-                            .expect("--sms takes an integer");
-                    }
-                    "--workloads" => {
-                        opts.workloads = next("--workloads", &mut args)
-                            .split(',')
-                            .map(str::to_string)
-                            .collect();
-                    }
-                    "--policies" => {
-                        opts.policies = next("--policies", &mut args)
-                            .split(',')
-                            .map(|p| p.trim().to_ascii_uppercase())
-                            .collect();
-                    }
-                    other => return fail(&format!("unknown run flag {other}")),
-                }
+fn run_cmd(args: &mut Args) -> Result<ExitCode, String> {
+    let mut opts = RunOpts {
+        matrix: Matrix::new(DEFAULT_MEM_OPS),
+        policies: DEFAULT_POLICIES.iter().map(|s| s.to_string()).collect(),
+    };
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => opts.matrix.quick(20_000),
+            "--migrate" => opts.policies.push(MIGRATE_POLICY.to_string()),
+            "--policies" => {
+                let list = args.list()?;
+                opts.policies = list.iter().map(|p| p.trim().to_ascii_uppercase()).collect();
             }
-            match run_matrix(&opts).and_then(|body| write_or_print(opts.out.as_deref(), &body)) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => fail(&e),
-            }
+            _ => opts.matrix.flag(&arg, args)?,
         }
-        "fidelity" => {
-            let mut opts = FidelityOpts {
-                label: "current".to_string(),
-                out: None,
-                workloads: DEFAULT_WORKLOADS.iter().map(|s| s.to_string()).collect(),
-                policy: "BW-AWARE".to_string(),
-                // Sampling targets long runs: at the `run` scenario's
-                // 400k ops the fixed drain cost dominates; 2M ops is
-                // where the 10x+ speedups the mode exists for show up.
-                mem_ops: 2_000_000,
-                sms: SimConfig::paper_baseline().num_sms,
-                iters: DEFAULT_ITERS,
-                sample: SampleConfig::default(),
-                min_speedup: None,
-                max_error_pct: None,
-            };
-            let mut min_pass: Option<usize> = None;
-            while let Some(arg) = args.next() {
-                match arg.as_str() {
-                    "--quick" => {
-                        opts.workloads = vec!["bfs".to_string(), "hotspot".to_string()];
-                        opts.mem_ops = 60_000;
-                        opts.sms = 4;
-                        opts.iters = 2;
-                        // The production 64k windows would cover this
-                        // tiny run whole; shrink so sampling engages.
-                        opts.sample.window_ops = 16_384;
-                        opts.sample.warmup_windows = 1;
-                        opts.sample.period = 8;
-                    }
-                    "--label" => opts.label = next("--label", &mut args),
-                    "--out" => opts.out = Some(next("--out", &mut args)),
-                    "--policy" => {
-                        opts.policy = next("--policy", &mut args).trim().to_ascii_uppercase();
-                    }
-                    "--iters" => {
-                        opts.iters = next("--iters", &mut args)
-                            .parse()
-                            .expect("--iters takes an integer");
-                    }
-                    "--mem-ops" => {
-                        opts.mem_ops = next("--mem-ops", &mut args)
-                            .parse()
-                            .expect("--mem-ops takes an integer");
-                    }
-                    "--sms" => {
-                        opts.sms = next("--sms", &mut args)
-                            .parse()
-                            .expect("--sms takes an integer");
-                    }
-                    "--workloads" => {
-                        opts.workloads = next("--workloads", &mut args)
-                            .split(',')
-                            .map(str::to_string)
-                            .collect();
-                    }
-                    "--min-speedup" => {
-                        opts.min_speedup = Some(
-                            next("--min-speedup", &mut args)
-                                .parse()
-                                .expect("--min-speedup takes a float"),
-                        );
-                    }
-                    "--max-error" => {
-                        opts.max_error_pct = Some(
-                            next("--max-error", &mut args)
-                                .parse()
-                                .expect("--max-error takes a float (percent)"),
-                        );
-                    }
-                    "--min-pass" => {
-                        min_pass = Some(
-                            next("--min-pass", &mut args)
-                                .parse()
-                                .expect("--min-pass takes an integer"),
-                        );
-                    }
-                    "--window-ops" => {
-                        opts.sample.window_ops = next("--window-ops", &mut args)
-                            .parse()
-                            .expect("--window-ops takes an integer");
-                    }
-                    "--warmup-windows" => {
-                        opts.sample.warmup_windows = next("--warmup-windows", &mut args)
-                            .parse()
-                            .expect("--warmup-windows takes an integer");
-                    }
-                    "--period" => {
-                        opts.sample.period = next("--period", &mut args)
-                            .parse()
-                            .expect("--period takes an integer");
-                    }
-                    other => return fail(&format!("unknown fidelity flag {other}")),
-                }
-            }
-            let (body, passing) = match fidelity_matrix(&opts) {
-                Ok(r) => r,
-                Err(e) => return fail(&e),
-            };
-            if let Err(e) = write_or_print(opts.out.as_deref(), &body) {
-                return fail(&e);
-            }
-            let need = min_pass.unwrap_or(opts.workloads.len());
-            if passing < need {
-                eprintln!(
-                    "hetmem-perf: GATE FAILED: {passing}/{} workloads passed, need {need}",
-                    opts.workloads.len()
-                );
-                return ExitCode::from(4);
-            }
-            ExitCode::SUCCESS
-        }
-        "serve" => {
-            let mut conns = 64usize;
-            let mut reqs = 400usize;
-            let mut depth = 32usize;
-            let mut fleet_backends: Option<usize> = None;
-            let mut out: Option<String> = None;
-            let mut max_overhead: Option<f64> = None;
-            while let Some(arg) = args.next() {
-                match arg.as_str() {
-                    "--max-overhead" => {
-                        max_overhead = Some(
-                            next("--max-overhead", &mut args)
-                                .parse()
-                                .expect("--max-overhead takes a float"),
-                        );
-                    }
-                    "--fleet" => {
-                        fleet_backends = Some(
-                            next("--fleet", &mut args)
-                                .parse()
-                                .expect("--fleet takes a backend count"),
-                        );
-                    }
-                    "--conns" => {
-                        conns = next("--conns", &mut args)
-                            .parse()
-                            .expect("--conns takes an integer");
-                    }
-                    "--reqs" => {
-                        reqs = next("--reqs", &mut args)
-                            .parse()
-                            .expect("--reqs takes an integer");
-                    }
-                    "--depth" => {
-                        depth = next("--depth", &mut args)
-                            .parse()
-                            .expect("--depth takes an integer");
-                    }
-                    "--out" => out = Some(next("--out", &mut args)),
-                    other => return fail(&format!("unknown serve flag {other}")),
-                }
-            }
-            if conns == 0 || reqs == 0 {
-                return fail("--conns and --reqs must be positive");
-            }
-            if fleet_backends == Some(0) {
-                return fail("--fleet needs at least one backend");
-            }
-            if max_overhead.is_some() && fleet_backends.is_none() {
-                return fail("--max-overhead only applies to --fleet");
-            }
-            #[cfg(not(unix))]
-            {
-                let _ = (depth, out);
-                return fail("serve needs unix (hetmem-serve and hetmem-fleet are unix-only)");
-            }
-            #[cfg(unix)]
-            {
-                if let Some(backends) = fleet_backends {
-                    let (overhead, body) = fleet_report(backends, conns, reqs, depth);
-                    if let Err(e) = write_or_print(out.as_deref(), &body) {
-                        return fail(&e);
-                    }
-                    if let Some(max) = max_overhead {
-                        if overhead > max {
-                            eprintln!(
-                                "hetmem-perf: GATE FAILED: routing overhead {overhead:.2}x above {max:.2}x"
-                            );
-                            return ExitCode::from(4);
-                        }
-                    }
-                    return ExitCode::SUCCESS;
-                }
-                let (rate, section) = serve_section(conns, reqs, depth);
-                eprintln!("hetmem-perf: serve {rate:.0} req/s");
-                match write_or_print(out.as_deref(), &section) {
-                    Ok(()) => ExitCode::SUCCESS,
-                    Err(e) => fail(&e),
-                }
-            }
-        }
-        "gate" | "report" => {
-            let mut baseline = None;
-            let mut current = None;
-            let mut out = None;
-            let mut max_regress = 0.30f64;
-            let mut min_speedup: Option<f64> = None;
-            while let Some(arg) = args.next() {
-                match arg.as_str() {
-                    "--baseline" => baseline = Some(next("--baseline", &mut args)),
-                    "--current" => current = Some(next("--current", &mut args)),
-                    "--out" => out = Some(next("--out", &mut args)),
-                    "--max-regress" => {
-                        max_regress = next("--max-regress", &mut args)
-                            .parse()
-                            .expect("--max-regress takes a float");
-                    }
-                    "--min-speedup" => {
-                        min_speedup = Some(
-                            next("--min-speedup", &mut args)
-                                .parse()
-                                .expect("--min-speedup takes a float"),
-                        );
-                    }
-                    other => return fail(&format!("unknown {cmd} flag {other}")),
-                }
-            }
-            let (Some(base_path), Some(cur_path)) = (baseline, current) else {
-                return fail(&format!("{cmd} needs --baseline and --current"));
-            };
-            let ((base_rate, base_doc), (cur_rate, cur_doc)) =
-                match (load_rate(&base_path), load_rate(&cur_path)) {
-                    (Ok(b), Ok(c)) => (b, c),
-                    (Err(e), _) | (_, Err(e)) => return fail(&e),
-                };
-            let speedup = cur_rate / base_rate;
-            eprintln!(
-                "hetmem-perf: baseline {base_rate:.0} ev/s, current {cur_rate:.0} ev/s, \
-                 speedup {speedup:.2}x"
-            );
-            if cmd == "report" {
-                let mut body = JsonObject::new()
-                    .str("bench", "hetmem-perf")
-                    .raw("baseline", &base_doc.render())
-                    .raw("current", &cur_doc.render())
-                    .f64("speedup_events_per_sec", speedup);
-                let mem_rate =
-                    |doc: &JsonValue| doc.get("mem_ops_per_sec").and_then(JsonValue::as_f64);
-                if let (Some(base), Some(cur)) = (mem_rate(&base_doc), mem_rate(&cur_doc)) {
-                    eprintln!(
-                        "hetmem-perf: baseline {base:.0} mem-ops/s, current {cur:.0} mem-ops/s, \
-                         speedup {:.2}x",
-                        cur / base
-                    );
-                    body = body.f64("speedup_mem_ops_per_sec", cur / base);
-                }
-                let body = body.finish();
-                return match write_or_print(out.as_deref(), &body) {
-                    Ok(()) => ExitCode::SUCCESS,
-                    Err(e) => fail(&e),
-                };
-            }
-            if speedup < 1.0 - max_regress {
-                eprintln!(
-                    "hetmem-perf: GATE FAILED: regression {:.1}% exceeds {:.1}%",
-                    (1.0 - speedup) * 100.0,
-                    max_regress * 100.0
-                );
-                return ExitCode::from(4);
-            }
-            if let Some(min) = min_speedup {
-                if speedup < min {
-                    eprintln!("hetmem-perf: GATE FAILED: speedup {speedup:.2}x below {min:.2}x");
-                    return ExitCode::from(4);
-                }
-            }
-            eprintln!("hetmem-perf: gate ok");
-            ExitCode::SUCCESS
-        }
-        other => fail(&format!("unknown subcommand {other}")),
     }
+    write_or_print(opts.matrix.out.as_deref(), &run_matrix(&opts)?)?;
+    Ok(ExitCode::SUCCESS)
+}
+
+fn fidelity_cmd(args: &mut Args) -> Result<ExitCode, String> {
+    let mut opts = FidelityOpts {
+        // Sampling targets long runs: at the `run` scenario's 400k ops
+        // the fixed drain cost dominates; 2M ops is where the 10x+
+        // speedups the mode exists for show up.
+        matrix: Matrix::new(2_000_000),
+        policy: "BW-AWARE".to_string(),
+        sample: SampleConfig::default(),
+        min_speedup: None,
+        max_error_pct: None,
+    };
+    let mut min_pass: Option<usize> = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => {
+                opts.matrix.quick(60_000);
+                // The production 64k windows would cover this tiny run
+                // whole; shrink so sampling engages.
+                opts.sample.window_ops = 16_384;
+                opts.sample.warmup_windows = 1;
+                opts.sample.period = 8;
+            }
+            "--policy" => opts.policy = args.value()?.trim().to_ascii_uppercase(),
+            "--min-speedup" => opts.min_speedup = Some(args.parse()?),
+            "--max-error" => opts.max_error_pct = Some(args.parse()?),
+            "--min-pass" => min_pass = Some(args.parse()?),
+            "--window-ops" => opts.sample.window_ops = args.parse()?,
+            "--warmup-windows" => opts.sample.warmup_windows = args.parse()?,
+            "--period" => opts.sample.period = args.parse()?,
+            _ => opts.matrix.flag(&arg, args)?,
+        }
+    }
+    let (body, passing) = fidelity_matrix(&opts)?;
+    write_or_print(opts.matrix.out.as_deref(), &body)?;
+    let total = opts.matrix.workloads.len();
+    let need = min_pass.unwrap_or(total);
+    if passing < need {
+        eprintln!("hetmem-perf: GATE FAILED: {passing}/{total} workloads passed, need {need}");
+        return Ok(ExitCode::from(4));
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn serve_cmd(args: &mut Args) -> Result<ExitCode, String> {
+    let mut conns = 64usize;
+    let mut reqs = 400usize;
+    let mut depth = 32usize;
+    let mut fleet_backends: Option<usize> = None;
+    let mut out: Option<String> = None;
+    let mut max_overhead: Option<f64> = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--max-overhead" => max_overhead = Some(args.parse()?),
+            "--fleet" => fleet_backends = Some(args.positive()?),
+            "--conns" => conns = args.positive()?,
+            "--reqs" => reqs = args.positive()?,
+            "--depth" => depth = args.parse()?,
+            "--out" => out = Some(args.value()?),
+            _ => return Err(args.unknown()),
+        }
+    }
+    if max_overhead.is_some() && fleet_backends.is_none() {
+        return Err("--max-overhead only applies to --fleet".to_string());
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = (conns, reqs, depth, out);
+        return Err("serve needs unix (hetmem-serve and hetmem-fleet are unix-only)".to_string());
+    }
+    #[cfg(unix)]
+    {
+        if let Some(backends) = fleet_backends {
+            let (overhead, body) = fleet_report(backends, conns, reqs, depth);
+            write_or_print(out.as_deref(), &body)?;
+            if let Some(max) = max_overhead {
+                if overhead > max {
+                    eprintln!(
+                        "hetmem-perf: GATE FAILED: routing overhead {overhead:.2}x above {max:.2}x"
+                    );
+                    return Ok(ExitCode::from(4));
+                }
+            }
+            return Ok(ExitCode::SUCCESS);
+        }
+        let (rate, section) = serve_section(conns, reqs, depth);
+        eprintln!("hetmem-perf: serve {rate:.0} req/s");
+        write_or_print(out.as_deref(), &section)?;
+        Ok(ExitCode::SUCCESS)
+    }
+}
+
+/// `gate` and `report`: compare two run files.
+fn compare_cmd(cmd: &str, args: &mut Args) -> Result<ExitCode, String> {
+    let mut baseline = None;
+    let mut current = None;
+    let mut out = None;
+    let mut max_regress = 0.30f64;
+    let mut min_speedup: Option<f64> = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--baseline" => baseline = Some(args.value()?),
+            "--current" => current = Some(args.value()?),
+            "--out" => out = Some(args.value()?),
+            "--max-regress" => max_regress = args.parse()?,
+            "--min-speedup" => min_speedup = Some(args.parse()?),
+            _ => return Err(args.unknown()),
+        }
+    }
+    let (Some(base_path), Some(cur_path)) = (baseline, current) else {
+        return Err(format!("{cmd} needs --baseline and --current"));
+    };
+    let (base_rate, base_doc) = load_rate(&base_path)?;
+    let (cur_rate, cur_doc) = load_rate(&cur_path)?;
+    let speedup = cur_rate / base_rate;
+    eprintln!(
+        "hetmem-perf: baseline {base_rate:.0} ev/s, current {cur_rate:.0} ev/s, \
+         speedup {speedup:.2}x"
+    );
+    if cmd == "report" {
+        let mut body = JsonObject::new()
+            .str("bench", "hetmem-perf")
+            .raw("baseline", &base_doc.render())
+            .raw("current", &cur_doc.render())
+            .f64("speedup_events_per_sec", speedup);
+        let mem_rate = |doc: &JsonValue| doc.get("mem_ops_per_sec").and_then(JsonValue::as_f64);
+        if let (Some(base), Some(cur)) = (mem_rate(&base_doc), mem_rate(&cur_doc)) {
+            eprintln!(
+                "hetmem-perf: baseline {base:.0} mem-ops/s, current {cur:.0} mem-ops/s, \
+                 speedup {:.2}x",
+                cur / base
+            );
+            body = body.f64("speedup_mem_ops_per_sec", cur / base);
+        }
+        write_or_print(out.as_deref(), &body.finish())?;
+        return Ok(ExitCode::SUCCESS);
+    }
+    if speedup < 1.0 - max_regress {
+        eprintln!(
+            "hetmem-perf: GATE FAILED: regression {:.1}% exceeds {:.1}%",
+            (1.0 - speedup) * 100.0,
+            max_regress * 100.0
+        );
+        return Ok(ExitCode::from(4));
+    }
+    if let Some(min) = min_speedup {
+        if speedup < min {
+            eprintln!("hetmem-perf: GATE FAILED: speedup {speedup:.2}x below {min:.2}x");
+            return Ok(ExitCode::from(4));
+        }
+    }
+    eprintln!("hetmem-perf: gate ok");
+    Ok(ExitCode::SUCCESS)
 }

@@ -32,12 +32,16 @@
 //! The process exits after a client sends the `shutdown` op; in-flight
 //! requests are drained first. The server runs on a poll(2) reactor
 //! and is unix-only; elsewhere the binary exits 1.
+//!
+//! Exit codes: 0 after a drained shutdown, 2 usage error (an unknown
+//! flag, a missing or malformed value, a bad `--faults` spec).
 
 #[cfg(unix)]
-fn main() {
+fn main() -> std::process::ExitCode {
     use std::sync::Arc;
 
     use hetmem::TelemetrySink;
+    use hetmem_bench::cli::{self, Args};
     use hetmem_bench::serve::{start, ServeConfig};
     use hetmem_harness::FaultPlan;
 
@@ -45,50 +49,24 @@ fn main() {
     let mut port_file: Option<String> = None;
     let mut out_dir: Option<String> = None;
     let mut fsync = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    cli::parse_or_exit("hetmem-serve", 2, Args::from_env(), |arg, args| {
         match arg.as_str() {
-            "--addr" => cfg.addr = args.next().expect("--addr needs host:port"),
-            "--max-batch" => {
-                let v = args.next().expect("--max-batch needs a value");
-                cfg.max_batch = v.parse().expect("--max-batch takes an integer");
-            }
-            "--conn-buf" => {
-                let v = args.next().expect("--conn-buf needs a value");
-                cfg.conn_buffer = v.parse().expect("--conn-buf takes an integer");
-            }
-            "--shards" => {
-                let v = args.next().expect("--shards needs a value");
-                cfg.shards = v.parse().expect("--shards takes an integer");
-            }
-            "--queue-depth" => {
-                let v = args.next().expect("--queue-depth needs a value");
-                cfg.queue_depth = v.parse().expect("--queue-depth takes an integer");
-            }
-            "--cache" => {
-                let v = args.next().expect("--cache needs a value");
-                cfg.cache_capacity = v.parse().expect("--cache takes an integer");
-            }
-            "--out" => out_dir = Some(args.next().expect("--out needs a directory")),
+            "--addr" => cfg.addr = args.value()?,
+            "--max-batch" => cfg.max_batch = args.parse()?,
+            "--conn-buf" => cfg.conn_buffer = args.parse()?,
+            "--shards" => cfg.shards = args.parse()?,
+            "--queue-depth" => cfg.queue_depth = args.parse()?,
+            "--cache" => cfg.cache_capacity = args.parse()?,
+            "--out" => out_dir = Some(args.value()?),
             "--fsync" => fsync = true,
-            "--read-timeout-ms" => {
-                let v = args.next().expect("--read-timeout-ms needs a value");
-                cfg.read_timeout_ms = v.parse().expect("--read-timeout-ms takes an integer");
-            }
-            "--write-timeout-ms" => {
-                let v = args.next().expect("--write-timeout-ms needs a value");
-                cfg.write_timeout_ms = v.parse().expect("--write-timeout-ms takes an integer");
-            }
-            "--faults" => {
-                let spec = args.next().expect("--faults needs a spec");
-                let plan = FaultPlan::parse(&spec)
-                    .unwrap_or_else(|e| panic!("bad --faults spec '{spec}': {e}"));
-                cfg.faults = Some(plan);
-            }
-            "--port-file" => port_file = Some(args.next().expect("--port-file needs a path")),
-            other => panic!("unknown flag {other}; see hetmem-serve docs"),
+            "--read-timeout-ms" => cfg.read_timeout_ms = args.parse()?,
+            "--write-timeout-ms" => cfg.write_timeout_ms = args.parse()?,
+            "--faults" => cfg.faults = Some(args.parse_with(FaultPlan::parse)?),
+            "--port-file" => port_file = Some(args.value()?),
+            _ => return Err(args.unknown()),
         }
-    }
+        Ok(())
+    });
     if let Some(dir) = out_dir {
         let sink = TelemetrySink::create_with_fsync(&dir, fsync)
             .unwrap_or_else(|e| panic!("cannot create telemetry dir {dir}: {e}"));
@@ -102,6 +80,7 @@ fn main() {
     }
     handle.wait();
     println!("hetmem-serve drained, exiting");
+    std::process::ExitCode::SUCCESS
 }
 
 #[cfg(not(unix))]

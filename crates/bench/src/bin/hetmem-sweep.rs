@@ -76,6 +76,7 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use hetmem_bench::cli::{self, Args};
 use hetmem_bench::client::ClientBuilder;
 use hetmem_bench::serve::{parse_simulate, run_point, SimPoint};
 use hetmem_harness::checkpoint::{run_grid_resumable, CheckpointWriter};
@@ -156,66 +157,31 @@ fn main() -> ExitCode {
     let mut deadline_ms: Option<u64> = None;
     let mut fidelity: Option<String> = None;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut next = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| panic!("{flag} needs a value"))
-        };
+    cli::parse_or_exit("hetmem-sweep", 2, Args::from_env(), |arg, args| {
         match arg.as_str() {
-            "--workloads" => {
-                workloads = next("--workloads").split(',').map(str::to_string).collect();
-            }
-            "--policies" => {
-                policies = next("--policies").split(',').map(str::to_string).collect();
-            }
-            "--mem-ops" => {
-                mem_ops = Some(
-                    next("--mem-ops")
-                        .parse()
-                        .expect("--mem-ops takes an integer"),
-                );
-            }
-            "--sms" => sms = Some(next("--sms").parse().expect("--sms takes an integer")),
-            "--capacity-pct" => {
-                capacity_pct = Some(
-                    next("--capacity-pct")
-                        .parse()
-                        .expect("--capacity-pct takes an integer"),
-                );
-            }
-            "--seed" => opts.seed = next("--seed").parse().expect("--seed takes an integer"),
-            "--threads" => {
-                opts.threads = next("--threads")
-                    .parse()
-                    .expect("--threads takes an integer");
-            }
-            "--checkpoint" | "--resume" => checkpoint = Some(next("--checkpoint")),
+            "--workloads" => workloads = args.list()?,
+            "--policies" => policies = args.list()?,
+            "--mem-ops" => mem_ops = Some(args.parse()?),
+            "--sms" => sms = Some(args.parse()?),
+            "--capacity-pct" => capacity_pct = Some(args.parse()?),
+            "--seed" => opts.seed = args.parse()?,
+            "--threads" => opts.threads = args.parse()?,
+            "--checkpoint" | "--resume" => checkpoint = Some(args.value()?),
             "--fsync" => fsync = true,
-            "--out" => out = Some(next("--out")),
+            "--out" => out = Some(args.value()?),
             "--deadline-ms" => {
-                let ms: u64 = next("--deadline-ms")
-                    .parse()
-                    .expect("--deadline-ms takes an integer");
+                let ms = args.parse()?;
                 deadline_ms = Some(ms);
                 opts.deadline = Some(Instant::now() + Duration::from_millis(ms));
             }
-            "--addr" => addr = Some(next("--addr")),
-            "--batch" => {
-                batch = next("--batch").parse().expect("--batch takes an integer");
-                assert!(batch > 0, "--batch must be positive");
-            }
-            "--fidelity" => fidelity = Some(next("--fidelity")),
-            "--faults" => {
-                let spec = next("--faults");
-                faults = Some(
-                    FaultPlan::parse(&spec)
-                        .unwrap_or_else(|e| panic!("bad --faults spec '{spec}': {e}")),
-                );
-            }
-            other => return fail(&format!("unknown flag {other}; see hetmem-sweep docs")),
+            "--addr" => addr = Some(args.value()?),
+            "--batch" => batch = args.positive()?,
+            "--fidelity" => fidelity = Some(args.value()?),
+            "--faults" => faults = Some(args.parse_with(FaultPlan::parse)?),
+            _ => return Err(args.unknown()),
         }
-    }
+        Ok(())
+    });
 
     // Each point is a `simulate` request resolved by serve's own parser,
     // so validation, labels and keys cannot drift from the server's.

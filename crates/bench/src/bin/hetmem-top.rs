@@ -27,12 +27,14 @@
 //!   with a message on the first violation
 //! * `--timeout-ms <n>` — per-poll socket read timeout (default 5000)
 //!
-//! Exit codes: 0 on success, 1 on transport/parse failures, 2 on a
-//! `--check` violation.
+//! Exit codes: 0 on success, 1 on a usage error (unknown flag, missing
+//! or malformed value) or a transport/parse failure, 2 on a `--check`
+//! violation.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
+use hetmem_bench::cli::{self, Args};
 use hetmem_bench::top::{render, TopSnapshot};
 
 /// Recent request-rate history length (sparkline width).
@@ -45,29 +47,18 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut check = false;
     let mut addr: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    cli::parse_or_exit("hetmem-top", 1, Args::from_env(), |arg, args| {
         match arg.as_str() {
-            "--interval-ms" => {
-                let v = args.next().expect("--interval-ms needs a value");
-                let ms: u64 = v.parse().expect("--interval-ms takes an integer");
-                interval = Duration::from_millis(ms.max(1));
-            }
-            "--timeout-ms" => {
-                let v = args.next().expect("--timeout-ms needs a value");
-                let ms: u64 = v.parse().expect("--timeout-ms takes an integer");
-                timeout = Duration::from_millis(ms.max(1));
-            }
+            "--interval-ms" => interval = Duration::from_millis(args.parse::<u64>()?.max(1)),
+            "--timeout-ms" => timeout = Duration::from_millis(args.parse::<u64>()?.max(1)),
             "--once" => once = true,
             "--json" => json = true,
             "--check" => check = true,
-            other if addr.is_none() && !other.starts_with("--") => addr = Some(other.to_string()),
-            other => {
-                eprintln!("hetmem-top: unknown flag {other}");
-                return ExitCode::from(1);
-            }
+            other if addr.is_none() && !other.starts_with("--") => addr = Some(arg),
+            _ => return Err(args.unknown()),
         }
-    }
+        Ok(())
+    });
     let Some(addr) = addr else {
         eprintln!("usage: hetmem-top [--interval-ms n] [--once] [--json] [--check] <addr>");
         return ExitCode::from(1);

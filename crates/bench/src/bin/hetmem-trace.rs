@@ -35,10 +35,15 @@
 //! text or a `metrics` op response envelope / body (JSON carrying the
 //! text under `"text"`), so a captured `hetmem-client ... metrics
 //! format=prometheus` line checks directly.
+//!
+//! Exit codes: 0 success, 1 an input file is unreadable or invalid, 2
+//! usage error (unknown subcommand or flag, a missing or malformed
+//! value).
 
 use std::fs;
 use std::process::ExitCode;
 
+use hetmem_bench::cli::{self, Args};
 use hetmem_harness::trace::{ChromeTrace, TraceEvent};
 use hetmem_harness::{parse_prometheus, validate_jsonl, JsonValue};
 
@@ -110,16 +115,17 @@ fn check(files: &[String]) -> ExitCode {
 fn summary(args: &[String]) -> ExitCode {
     let mut path = None;
     let mut top = 5usize;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--top" {
-            let v = it.next().expect("--top needs a value");
-            top = v.parse().expect("--top takes an integer");
-        } else {
-            path = Some(a.clone());
+    cli::parse_or_exit("hetmem-trace", 2, Args::new(args.to_vec()), |arg, args| {
+        match arg.as_str() {
+            "--top" => top = args.parse()?,
+            other if other.starts_with("--") => return Err(args.unknown()),
+            _ => path = Some(arg),
         }
-    }
-    let path = path.expect("summary needs a file");
+        Ok(())
+    });
+    let Some(path) = path else {
+        cli::usage_exit("hetmem-trace", 2, "summary needs a file");
+    };
     let text = match fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
@@ -273,17 +279,17 @@ fn spans(args: &[String]) -> ExitCode {
     let mut path = None;
     let mut request = None;
     let mut out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--request" => request = Some(it.next().expect("--request needs an id").clone()),
-            "--out" => out = Some(it.next().expect("--out needs a path").clone()),
-            _ => path = Some(a.clone()),
+    cli::parse_or_exit("hetmem-trace", 2, Args::new(args.to_vec()), |arg, args| {
+        match arg.as_str() {
+            "--request" => request = Some(args.value()?),
+            "--out" => out = Some(args.value()?),
+            other if other.starts_with("--") => return Err(args.unknown()),
+            _ => path = Some(arg),
         }
-    }
+        Ok(())
+    });
     let (Some(path), Some(request)) = (path, request) else {
-        eprintln!("usage: hetmem-trace spans <file> --request <id> [--out <path>]");
-        return ExitCode::from(2);
+        cli::usage_exit("hetmem-trace", 2, "spans needs <file> and --request <id>");
     };
     let text = match fs::read_to_string(&path) {
         Ok(t) => t,

@@ -27,7 +27,11 @@
 //!
 //! Inspect the emitted files with `cargo run -p hetmem-bench --bin
 //! hetmem-trace -- summary <file>`.
+//!
+//! Exit codes: 0 success, 2 usage error (an unknown flag, a missing or
+//! malformed value, a `--workloads` name outside the catalog).
 
+pub mod cli;
 pub mod client;
 #[cfg(unix)]
 pub mod fleet;
@@ -41,24 +45,30 @@ use std::sync::Arc;
 use hetmem::experiments::ExpOptions;
 use hetmem::TelemetrySink;
 
+use cli::Args;
+
 /// Parses the common experiment flags from `std::env::args`.
 ///
-/// # Panics
-///
-/// Panics with a usage message on malformed flags, including a
-/// `--workloads` name outside the catalog.
+/// On a malformed flag, including a `--workloads` name outside the
+/// catalog, prints `<bin>: <message>` on stderr and exits the process
+/// with code 2.
 pub fn opts_from_args() -> ExpOptions {
-    opts_from(std::env::args().skip(1))
+    opts_from(Args::from_env()).unwrap_or_else(|e| {
+        let exe = std::env::args().next().unwrap_or_default();
+        let bin = std::path::Path::new(&exe)
+            .file_stem()
+            .and_then(|n| n.to_str());
+        cli::usage_exit(bin.unwrap_or("hetmem-bench"), 2, &e)
+    })
 }
 
 /// Parses the common experiment flags from `args` (the command line
 /// without the program name); see [`opts_from_args`].
-fn opts_from(args: impl IntoIterator<Item = String>) -> ExpOptions {
+fn opts_from(mut args: Args) -> Result<ExpOptions, String> {
     let mut opts = ExpOptions {
         verbose: true,
         ..ExpOptions::default()
     };
-    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => {
@@ -76,55 +86,31 @@ fn opts_from(args: impl IntoIterator<Item = String>) -> ExpOptions {
                 opts.trace_budget = trace_budget;
                 opts.fidelity = fidelity;
             }
-            "--scale" => {
-                let v = args.next().expect("--scale needs a value");
-                opts.ops_scale = v.parse().expect("--scale takes a float");
-            }
-            "--sms" => {
-                let v = args.next().expect("--sms needs a value");
-                opts.sim.num_sms = v.parse().expect("--sms takes an integer");
-            }
-            "--workloads" => {
-                let v = args.next().expect("--workloads needs a list");
-                opts.workloads = Some(parse_workloads(&v).unwrap_or_else(|e| panic!("{e}")));
-            }
+            "--scale" => opts.ops_scale = args.parse()?,
+            "--sms" => opts.sim.num_sms = args.parse()?,
+            "--workloads" => opts.workloads = Some(parse_workloads(&args.value()?)?),
             "--quiet" => opts.verbose = false,
-            "--threads" => {
-                let v = args.next().expect("--threads needs a value");
-                opts.threads = v.parse().expect("--threads takes an integer");
-            }
+            "--threads" => opts.threads = args.parse()?,
             "--out" => {
-                let dir = args.next().expect("--out needs a directory");
+                let dir = args.value()?;
                 let sink = TelemetrySink::create(&dir)
-                    .unwrap_or_else(|e| panic!("cannot create telemetry dir {dir}: {e}"));
+                    .map_err(|e| format!("cannot create telemetry dir {dir}: {e}"))?;
                 opts.telemetry = Some(Arc::new(sink));
             }
-            "--sample-cycles" => {
-                let v = args.next().expect("--sample-cycles needs a value");
-                let n: u64 = v.parse().expect("--sample-cycles takes an integer");
-                assert!(n > 0, "--sample-cycles must be positive");
-                opts.sample_cycles = Some(n);
-            }
-            "--trace" => {
-                let dir = args.next().expect("--trace needs a directory");
-                opts.trace = Some(std::path::PathBuf::from(dir));
-            }
-            "--trace-budget" => {
-                let v = args.next().expect("--trace-budget needs a value");
-                opts.trace_budget = v.parse().expect("--trace-budget takes an integer");
-            }
+            "--sample-cycles" => opts.sample_cycles = Some(args.positive()?),
+            "--trace" => opts.trace = Some(args.parse()?),
+            "--trace-budget" => opts.trace_budget = args.parse()?,
             "--fidelity" => {
-                let v = args.next().expect("--fidelity needs a value");
-                opts.fidelity = match v.as_str() {
-                    "full" => gpusim::Fidelity::Full,
-                    "sampled" => gpusim::Fidelity::Sampled(gpusim::SampleConfig::default()),
-                    other => panic!("unknown fidelity {other:?} (expected full or sampled)"),
-                };
+                opts.fidelity = args.parse_with(|v| match v {
+                    "full" => Ok(gpusim::Fidelity::Full),
+                    "sampled" => Ok(gpusim::Fidelity::Sampled(gpusim::SampleConfig::default())),
+                    _ => Err("expected full or sampled"),
+                })?;
             }
-            other => panic!("unknown flag {other}; see hetmem-bench docs"),
+            _ => return Err(args.unknown()),
         }
     }
-    opts
+    Ok(opts)
 }
 
 /// Parses a comma-separated `--workloads` list. Every name must be a
@@ -152,7 +138,7 @@ mod tests {
 
     #[test]
     fn workloads_flag_selects_catalog_names() {
-        let opts = opts_from(args(&["--quiet", "--workloads", "bfs,xsbench"]));
+        let opts = opts_from(Args::new(args(&["--quiet", "--workloads", "bfs,xsbench"]))).unwrap();
         let names: Vec<_> = opts.specs().iter().map(|w| w.name).collect();
         assert_eq!(names, ["bfs", "xsbench"]);
     }
@@ -168,10 +154,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(
-        expected = "unknown workload \"lbmm\" in --workloads; known workloads: backprop"
-    )]
     fn unknown_workload_flag_fails() {
-        opts_from(args(&["--workloads", "lbm,lbmm"]));
+        let Err(err) = opts_from(Args::new(args(&["--workloads", "lbm,lbmm"]))) else {
+            panic!("an unknown --workloads name must be refused");
+        };
+        assert!(
+            err.contains("unknown workload \"lbmm\" in --workloads; known workloads: backprop"),
+            "{err}"
+        );
     }
 }

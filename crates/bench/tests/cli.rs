@@ -1,0 +1,90 @@
+//! Usage errors on the command-line binaries: an unknown flag, a flag
+//! missing its value and a malformed value each exit with the binary's
+//! documented usage code and a stderr message naming the flag, never
+//! with a panic.
+#![cfg(unix)]
+
+use std::process::Command;
+
+/// Runs `bin` with `args` and checks the exit code and that stderr
+/// carries `expected` and no panic.
+fn refused(bin: &str, args: &[&str], code: i32, expected: &str) {
+    let out = Command::new(bin).args(args).output().expect("spawn binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(code), "{bin} {args:?}: {stderr}");
+    assert!(stderr.contains(expected), "{bin} {args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+}
+
+/// The three usage errors every binary shares. `lead` comes first (a
+/// subcommand), `tail` last (positionals a run needs); `flag` takes an
+/// integer.
+fn usage_errors(bin: &str, code: i32, lead: &[&str], flag: &str, tail: &[&str]) {
+    let unknown = [lead, &["--bogus"], tail].concat();
+    refused(bin, &unknown, code, "unknown flag --bogus");
+    let missing = [lead, tail, &[flag]].concat();
+    refused(bin, &missing, code, &format!("{flag} needs a value"));
+    let malformed = [lead, &[flag, "abc"], tail].concat();
+    let expected = format!("{flag}: expected an integer, got 'abc'");
+    refused(bin, &malformed, code, &expected);
+}
+
+#[test]
+fn serve_usage_errors_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_hetmem-serve");
+    usage_errors(bin, 2, &[], "--shards", &[]);
+    refused(bin, &["--faults", "panic=2"], 2, "--faults 'panic=2'");
+}
+
+#[test]
+fn fleet_usage_errors_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_hetmem-fleet");
+    usage_errors(bin, 2, &[], "--backends", &[]);
+    // A bad spec is refused before any backend is spawned.
+    refused(bin, &["--faults", "bogus"], 2, "--faults 'bogus'");
+}
+
+#[test]
+fn client_usage_errors_exit_1() {
+    let bin = env!("CARGO_BIN_EXE_hetmem-client");
+    usage_errors(bin, 1, &[], "--retries", &["127.0.0.1:1", "stats"]);
+    refused(bin, &["--batch", "0", "127.0.0.1:1", "stats"], 1, "--batch");
+    refused(
+        bin,
+        &["--request-id", "", "127.0.0.1:1", "stats"],
+        1,
+        "--request-id",
+    );
+    refused(bin, &["127.0.0.1:1", "simulate", "mem_ops"], 1, "key=value");
+}
+
+#[test]
+fn top_usage_errors_exit_1() {
+    let bin = env!("CARGO_BIN_EXE_hetmem-top");
+    usage_errors(bin, 1, &[], "--interval-ms", &["127.0.0.1:1"]);
+}
+
+#[test]
+fn perf_usage_errors_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_hetmem-perf");
+    usage_errors(bin, 2, &["run"], "--iters", &[]);
+}
+
+#[test]
+fn trace_usage_errors_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_hetmem-trace");
+    usage_errors(bin, 2, &["summary"], "--top", &["no-such-file.jsonl"]);
+}
+
+#[test]
+fn figure_usage_errors_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_fig3");
+    usage_errors(bin, 2, &[], "--sms", &[]);
+    refused(bin, &["--sample-cycles", "0"], 2, "--sample-cycles");
+    refused(
+        bin,
+        &["--workloads", "lbmm"],
+        2,
+        "unknown workload \"lbmm\"",
+    );
+}

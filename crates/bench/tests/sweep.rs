@@ -72,11 +72,20 @@ fn local_and_remote_sweeps_emit_the_same_records() {
 
 #[test]
 fn refused_points_exit_2_without_panicking() {
-    for flag in [["--mem-ops", "0"], ["--sms", "0"]] {
-        let out = sweep(&flag);
+    let cases: [(&[&str], &str); 4] = [
+        (&["--mem-ops", "0"], "invalid-request"),
+        (&["--sms", "0"], "invalid-request"),
+        (
+            &["--mem-ops", "abc"],
+            "--mem-ops: expected an integer, got 'abc'",
+        ),
+        (&["--mem-ops"], "--mem-ops needs a value"),
+    ];
+    for (flag, expected) in cases {
+        let out = sweep(flag);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{flag:?}: {stderr}");
-        assert!(stderr.contains("invalid-request"), "{flag:?}: {stderr}");
+        assert!(stderr.contains(expected), "{flag:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{flag:?}: {stderr}");
     }
 }

@@ -24,16 +24,16 @@ cargo test --workspace -q --offline
 
 # Observability smoke: one sampled + traced sweep, then validate every
 # emitted JSONL line and trace document through the strict parser.
+# hetmem-trace here and below is the release binary the workspace build
+# above produced.
 OBS_DIR=target/ci-obs
 rm -rf "$OBS_DIR"
 cargo run --release --offline -q -p hetmem-bench --bin fig3 -- \
     --quick --workloads lbm --quiet \
     --out "$OBS_DIR" --sample-cycles 20000 \
     --trace "$OBS_DIR/trace" --trace-budget 20000
-cargo run --release --offline -q -p hetmem-bench --bin hetmem-trace -- \
-    check "$OBS_DIR/fig3.jsonl" "$OBS_DIR"/trace/*.json
-cargo run --release --offline -q -p hetmem-bench --bin hetmem-trace -- \
-    summary "$OBS_DIR/fig3.jsonl" --top 3
+target/release/hetmem-trace check "$OBS_DIR/fig3.jsonl" "$OBS_DIR"/trace/*.json
+target/release/hetmem-trace summary "$OBS_DIR/fig3.jsonl" --top 3
 
 # Ablations smoke: the design-choice ablations (DESIGN §5) must print
 # one table each for L2 MSHRs, L2 slice size and random-draw vs exact
@@ -131,19 +131,16 @@ grep -q '"code":"unknown-workload"' "$SERVE_DIR/err.jsonl"
 client metrics > "$SERVE_DIR/metrics.json"
 grep -q 'hm_requests_total' "$SERVE_DIR/metrics.json"
 client metrics format=prometheus > "$SERVE_DIR/metrics-prom.json"
-cargo run --release --offline -q -p hetmem-bench --bin hetmem-trace -- \
-    promcheck "$SERVE_DIR/metrics-prom.json"
+target/release/hetmem-trace promcheck "$SERVE_DIR/metrics-prom.json"
 target/release/hetmem-top "$ADDR" --once --json --check > "$SERVE_DIR/top.json"
 grep -q '"p99_us"' "$SERVE_DIR/top.json"
 
 client shutdown | grep -q '"draining":true'
 wait "$SERVE_PID"  # graceful drain: the server must exit 0 on its own
 trap - EXIT
-cargo run --release --offline -q -p hetmem-bench --bin hetmem-trace -- \
-    spans "$SERVE_DIR/serve.jsonl" --request ci-trace-1 \
+target/release/hetmem-trace spans "$SERVE_DIR/serve.jsonl" --request ci-trace-1 \
     --out "$SERVE_DIR/spans.json"
-cargo run --release --offline -q -p hetmem-bench --bin hetmem-trace -- \
-    check "$SERVE_DIR"/*.jsonl "$SERVE_DIR/spans.json"
+target/release/hetmem-trace check "$SERVE_DIR"/*.jsonl "$SERVE_DIR/spans.json"
 
 # Chaos smoke: the loopback test injects seeded worker panics, stalls,
 # torn writes, and cache corruption, and asserts every request ends
@@ -178,8 +175,7 @@ target/release/hetmem-sweep "${SWEEP_ARGS[@]}" \
     2> "$SWEEP_DIR/resume.log"
 grep -q resuming "$SWEEP_DIR/resume.log"
 cmp "$SWEEP_DIR/clean.jsonl" "$SWEEP_DIR/resumed.jsonl"  # resume: same bytes
-cargo run --release --offline -q -p hetmem-bench --bin hetmem-trace -- \
-    check "$SWEEP_DIR/clean.jsonl"
+target/release/hetmem-trace check "$SWEEP_DIR/clean.jsonl"
 
 # Online-migration smoke: a capacity-constrained MIGRATE sweep must
 # actually move pages, the LOCAL point next to it must carry no
@@ -201,8 +197,7 @@ if grep '"config":"LOCAL"' "$MIG_DIR/t1.jsonl" | grep -q '"migration"'; then
     echo "non-MIGRATE run leaked a migration block" >&2
     exit 1
 fi
-cargo run --release --offline -q -p hetmem-bench --bin hetmem-trace -- \
-    check "$MIG_DIR/t1.jsonl"
+target/release/hetmem-trace check "$MIG_DIR/t1.jsonl"
 
 # Perf smoke: a quick benchmark run must produce a parseable result and
 # self-gate cleanly (1.00x vs itself is inside the 30% regression
