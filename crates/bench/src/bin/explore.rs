@@ -12,28 +12,38 @@
 //! explore xsbench oracle 10        # two-phase oracle at 10% capacity
 //! explore bfs 30 50                # explicit 30C-70B at 50% capacity
 //! ```
+//!
+//! Exit codes: 0 success, 2 usage error (a workload outside the
+//! catalog, an unknown policy, a capacity that is not a percentage).
 
 use gpusim::SimConfig;
 use hetmem::runner::{hints_from_profile, profile_workload, Capacity, Placement, RunBuilder};
 use hetmem::topology_for;
+use hetmem_bench::cli::usage_exit;
 use hmtypes::Percent;
 use mempolicy::Mempolicy;
 use workloads::catalog;
 
+const POLICIES: &str = "local|interleave|bw-aware|oracle|annotated|<co_pct>";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let usage = |msg: String| -> ! { usage_exit("explore", 2, &msg) };
     let workload = args.first().map(String::as_str).unwrap_or("bfs");
     let policy = args.get(1).map(String::as_str).unwrap_or("bw-aware");
-    let capacity_pct: f64 = args
-        .get(2)
-        .map(|s| s.parse().expect("capacity must be a percentage"))
-        .unwrap_or(100.0);
+    let capacity_pct: f64 = match args.get(2).map(|s| (s, s.parse::<f64>())) {
+        None => 100.0,
+        Some((_, Ok(pct))) if pct >= 0.0 => pct,
+        Some((text, _)) => usage(format!(
+            "capacity must be a percentage of the footprint, got '{text}'"
+        )),
+    };
 
     let spec = catalog::by_name(workload).unwrap_or_else(|| {
-        panic!(
-            "unknown workload {workload}; options: {:?}",
-            catalog::names()
-        )
+        usage(format!(
+            "unknown workload '{workload}' (catalog: {})",
+            catalog::names().join(", ")
+        ))
     });
     let sim = SimConfig::paper_baseline();
     let topo = topology_for(&sim, &[1, 1]);
@@ -57,12 +67,10 @@ fn main() {
             let (_, profile) = profile_workload(&spec, &sim);
             Placement::Hinted(hints_from_profile(&profile, &spec, &sim, capacity))
         }
-        pct => {
-            let co: u8 = pct.parse().unwrap_or_else(|_| {
-                panic!("policy must be local|interleave|bw-aware|oracle|annotated|<co_pct>")
-            });
-            Placement::Policy(Mempolicy::ratio_co(Percent::new(co)))
-        }
+        pct => match pct.parse::<u8>() {
+            Ok(co) if co <= 100 => Placement::Policy(Mempolicy::ratio_co(Percent::new(co))),
+            _ => usage(format!("policy must be {POLICIES}, got '{pct}'")),
+        },
     };
 
     eprintln!("running {workload} under {policy} at {capacity_pct:.0}% BO capacity...");

@@ -39,12 +39,14 @@
 //! SIGTERM or SIGINT: in-flight requests finish, then every backend is
 //! stopped gracefully.
 //!
-//! Exit codes: 0 after a drained shutdown, 2 usage error (an unknown
-//! flag, a missing or malformed value, a bad `--faults` spec).
+//! Exit codes: 0 after a drained shutdown, 1 startup failure (an
+//! address it cannot bind, a backend that does not come up, a
+//! `--port-file` it cannot write), 2 usage error (an unknown flag, a
+//! missing or malformed value, a bad `--faults` spec).
 
 #[cfg(unix)]
 fn main() -> std::process::ExitCode {
-    use hetmem_bench::cli::{self, Args};
+    use hetmem_bench::cli::{self, usage_exit, Args};
     use hetmem_bench::fleet::{start, FleetConfig};
     use hetmem_harness::FaultPlan;
 
@@ -82,7 +84,9 @@ fn main() -> std::process::ExitCode {
         }
         Ok(())
     });
-    let mut handle = start(cfg).unwrap_or_else(|e| panic!("hetmem-fleet failed to start: {e}"));
+    let fail = |msg: String| -> ! { usage_exit("hetmem-fleet", 1, &msg) };
+    let addr = cfg.addr.clone();
+    let mut handle = start(cfg).unwrap_or_else(|e| fail(format!("cannot start on '{addr}': {e}")));
     handle.drain_on_termination_signals();
     println!(
         "hetmem-fleet listening on {} ({} backends)",
@@ -90,8 +94,11 @@ fn main() -> std::process::ExitCode {
         handle.backends()
     );
     if let Some(path) = port_file {
-        std::fs::write(&path, handle.port().to_string())
-            .unwrap_or_else(|e| panic!("cannot write port file {path}: {e}"));
+        if let Err(e) = std::fs::write(&path, handle.port().to_string()) {
+            // Dropping the handle stops the backends it spawned.
+            drop(handle);
+            fail(format!("cannot write port file {path}: {e}"));
+        }
     }
     handle.wait();
     println!("hetmem-fleet drained, exiting");

@@ -33,15 +33,17 @@
 //! requests are drained first. The server runs on a poll(2) reactor
 //! and is unix-only; elsewhere the binary exits 1.
 //!
-//! Exit codes: 0 after a drained shutdown, 2 usage error (an unknown
-//! flag, a missing or malformed value, a bad `--faults` spec).
+//! Exit codes: 0 after a drained shutdown, 1 startup failure (an
+//! address it cannot bind, an `--out` directory it cannot create, a
+//! `--port-file` it cannot write), 2 usage error (an unknown flag, a
+//! missing or malformed value, a bad `--faults` spec).
 
 #[cfg(unix)]
 fn main() -> std::process::ExitCode {
     use std::sync::Arc;
 
     use hetmem::TelemetrySink;
-    use hetmem_bench::cli::{self, Args};
+    use hetmem_bench::cli::{self, usage_exit, Args};
     use hetmem_bench::serve::{start, ServeConfig};
     use hetmem_harness::FaultPlan;
 
@@ -67,16 +69,18 @@ fn main() -> std::process::ExitCode {
         }
         Ok(())
     });
+    let fail = |msg: String| -> ! { usage_exit("hetmem-serve", 1, &msg) };
     if let Some(dir) = out_dir {
         let sink = TelemetrySink::create_with_fsync(&dir, fsync)
-            .unwrap_or_else(|e| panic!("cannot create telemetry dir {dir}: {e}"));
+            .unwrap_or_else(|e| fail(format!("cannot create telemetry dir {dir}: {e}")));
         cfg.telemetry = Some(Arc::new(sink));
     }
-    let handle = start(cfg).unwrap_or_else(|e| panic!("hetmem-serve failed to start: {e}"));
+    let addr = cfg.addr.clone();
+    let handle = start(cfg).unwrap_or_else(|e| fail(format!("cannot listen on '{addr}': {e}")));
     println!("hetmem-serve listening on {}", handle.addr());
     if let Some(path) = port_file {
         std::fs::write(&path, handle.port().to_string())
-            .unwrap_or_else(|e| panic!("cannot write port file {path}: {e}"));
+            .unwrap_or_else(|e| fail(format!("cannot write port file {path}: {e}")));
     }
     handle.wait();
     println!("hetmem-serve drained, exiting");

@@ -44,13 +44,12 @@
 //!
 //! ## Observability
 //!
-//! The router carries its own [`MetricsRegistry`] with the same
-//! conservation contract as a single server (`hm_requests_total` and
-//! the per-op `hm_request_duration_us` histogram are recorded before
-//! response bytes are written), so `hetmem-top --check` works against
-//! the router unchanged. Fleet-specific families add per-backend
-//! request/error/reroute/restart counters, a health gauge, and the
-//! ring-ownership share per backend.
+//! Request intake, batch validation and the `stats`/`metrics` ledger
+//! are the crate's shared [`front`](crate::front), so the router
+//! refuses, counts and reports exactly as a single server does, and
+//! `hetmem-top --check` works against it unchanged. Fleet-specific
+//! metric families add per-backend request/error/reroute/restart
+//! counters, a health gauge, and the ring-ownership share per backend.
 
 use std::collections::HashMap;
 use std::ffi::c_int;
@@ -65,13 +64,14 @@ use std::time::{Duration, Instant};
 
 use hetmem::HetmemError;
 use hetmem_harness::json::{self, JsonObject, JsonValue};
-use hetmem_harness::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+use hetmem_harness::metrics::{Counter, Gauge};
 use hetmem_harness::{
-    batch_request, Backoff, BoundedQueue, CircuitBreaker, HashRing, PushError, Request, Response,
-    DEFAULT_VNODES, PROTO_V2,
+    batch_request, Backoff, BoundedQueue, CacheStats, CircuitBreaker, HashRing, PushError, Request,
+    Response, DEFAULT_VNODES,
 };
 
-use crate::reactor::{self, us, Completions, Conn, DrainGate, Handler, Limits, Sink};
+use crate::front::{self, batch_result, Front, Head, Helps, Intake, Ledger, Slot};
+use crate::reactor::{self, Completions, Conn, DrainGate, Handler, Limits, Sink};
 use crate::serve::{roundtrip_timeout, simulate_cache_key};
 
 const SIGINT: c_int = 2;
@@ -111,6 +111,14 @@ const DEFAULT_MAX_RESTARTS: u32 = 5;
 const SPAWN_DEADLINE: Duration = Duration::from_secs(10);
 /// Connect timeout for router→backend sockets.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(1_000);
+
+/// Help texts of the shared metric families, as a router means them.
+const HELPS: Helps = Helps {
+    overloaded: "Requests shed because the forwarding queue was full.",
+    worker_restarts: "Backend child processes restarted by the fleet supervisor.",
+    queue_capacity: "Forwarding-queue capacity.",
+    uptime: "Milliseconds since the router started.",
+};
 
 /// Router construction knobs. `Default` binds an ephemeral loopback
 /// port with two backends discovered next to the current executable.
@@ -175,7 +183,7 @@ struct Backend {
     /// Restart budget exhausted: permanently out of the ring walk.
     gone: AtomicBool,
     /// Unexpected exits (each one triggers a supervised respawn).
-    restarts: AtomicU64,
+    restarts: Arc<Counter>,
     /// Forwarded requests (attempts, including in-place retries).
     requests: Arc<Counter>,
     /// Failed forwarded attempts.
@@ -183,9 +191,11 @@ struct Backend {
     /// Requests that failed here and moved on down the ring (or
     /// exhausted it).
     reroutes: Arc<Counter>,
+    /// `hm_backend_healthy`, mirrored at scrape time.
+    healthy_gauge: Arc<Gauge>,
     /// Last health-probed backend cache counters, aggregated into the
     /// fleet `stats` body.
-    cache: Mutex<BackendCache>,
+    cache: Mutex<CacheStats>,
 }
 
 impl Backend {
@@ -197,206 +207,6 @@ impl Backend {
         self.addr().is_some()
             && !self.gone.load(Ordering::Relaxed)
             && self.breaker.state() == hetmem_harness::BreakerState::Closed
-    }
-}
-
-/// Cache counters scraped from a backend's last successful probe.
-#[derive(Debug, Clone, Copy, Default)]
-struct BackendCache {
-    hits: u64,
-    misses: u64,
-    insertions: u64,
-    evictions: u64,
-    corruptions: u64,
-    entries: u64,
-    capacity: u64,
-}
-
-/// Monotonic router counters, exposed by the fleet `stats` op (field
-/// names mirror the single-server body so `hetmem-top` parses both).
-#[derive(Default)]
-struct RouterStats {
-    requests: AtomicU64,
-    ok: AtomicU64,
-    errors: AtomicU64,
-    overloaded: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    batch_subrequests: AtomicU64,
-    op_place: AtomicU64,
-    op_simulate: AtomicU64,
-    op_stats: AtomicU64,
-    op_metrics: AtomicU64,
-    op_shutdown: AtomicU64,
-    op_batch: AtomicU64,
-    op_other: AtomicU64,
-}
-
-/// The router's registry: the conservation pair (requests_total +
-/// per-op duration histograms, recorded before write) plus
-/// fleet-specific per-backend families.
-struct FleetMetrics {
-    registry: MetricsRegistry,
-    requests_total: Arc<Counter>,
-    responses_ok: Arc<Counter>,
-    responses_err: Arc<Counter>,
-    req_place: Arc<Histogram>,
-    req_simulate: Arc<Histogram>,
-    req_stats: Arc<Histogram>,
-    req_metrics: Arc<Histogram>,
-    req_shutdown: Arc<Histogram>,
-    req_batch: Arc<Histogram>,
-    req_decode: Arc<Histogram>,
-    req_other: Arc<Histogram>,
-    overloaded: Arc<Counter>,
-    deadline_exceeded: Arc<Counter>,
-    worker_restarts: Arc<Counter>,
-    reroutes_total: Arc<Counter>,
-    backend_requests: Vec<Arc<Counter>>,
-    backend_errors: Vec<Arc<Counter>>,
-    backend_reroutes: Vec<Arc<Counter>>,
-    backend_restarts: Vec<Arc<Counter>>,
-    backend_healthy: Vec<Arc<Gauge>>,
-    ring_share_ppm: Vec<Arc<Gauge>>,
-    queue_depth: Arc<Gauge>,
-    queue_capacity: Arc<Gauge>,
-    uptime_ms: Arc<Gauge>,
-}
-
-impl FleetMetrics {
-    fn new(backends: usize) -> Self {
-        let reg = MetricsRegistry::new();
-        let req_help = "Request latency from decode start to encoded response, microseconds.";
-        let op_hist = |op| reg.histogram("hm_request_duration_us", req_help, &[("op", op)]);
-        let per_backend = |name: &str, help: &str| -> Vec<Arc<Counter>> {
-            (0..backends)
-                .map(|i| reg.counter(name, help, &[("backend", &i.to_string())]))
-                .collect()
-        };
-        FleetMetrics {
-            requests_total: reg.counter(
-                "hm_requests_total",
-                "Requests completed (equals the sum of hm_request_duration_us counts).",
-                &[],
-            ),
-            responses_ok: reg.counter(
-                "hm_responses_total",
-                "Responses by outcome.",
-                &[("status", "ok")],
-            ),
-            responses_err: reg.counter(
-                "hm_responses_total",
-                "Responses by outcome.",
-                &[("status", "error")],
-            ),
-            req_place: op_hist("place"),
-            req_simulate: op_hist("simulate"),
-            req_stats: op_hist("stats"),
-            req_metrics: op_hist("metrics"),
-            req_shutdown: op_hist("shutdown"),
-            req_batch: op_hist("batch"),
-            req_decode: op_hist("decode"),
-            req_other: op_hist("other"),
-            overloaded: reg.counter(
-                "hm_overloaded_total",
-                "Requests shed because the forwarding queue was full.",
-                &[],
-            ),
-            deadline_exceeded: reg.counter(
-                "hm_deadline_exceeded_total",
-                "Requests refused past their deadline.",
-                &[],
-            ),
-            worker_restarts: reg.counter(
-                "hm_worker_restarts_total",
-                "Backend child processes restarted by the fleet supervisor.",
-                &[],
-            ),
-            reroutes_total: reg.counter(
-                "hm_fleet_reroutes_total",
-                "Requests moved off a failed backend to a ring successor.",
-                &[],
-            ),
-            backend_requests: per_backend(
-                "hm_backend_requests_total",
-                "Forwarded request attempts per backend.",
-            ),
-            backend_errors: per_backend(
-                "hm_backend_errors_total",
-                "Failed forwarded attempts per backend.",
-            ),
-            backend_reroutes: per_backend(
-                "hm_backend_reroutes_total",
-                "Requests that failed on this backend and moved on.",
-            ),
-            backend_restarts: per_backend(
-                "hm_backend_restarts_total",
-                "Unexpected child exits, each answered with a respawn.",
-            ),
-            backend_healthy: (0..backends)
-                .map(|i| {
-                    reg.gauge(
-                        "hm_backend_healthy",
-                        "1 when the backend is up with a closed breaker.",
-                        &[("backend", &i.to_string())],
-                    )
-                })
-                .collect(),
-            ring_share_ppm: (0..backends)
-                .map(|i| {
-                    reg.gauge(
-                        "hm_fleet_ring_share_ppm",
-                        "Consistent-hash ring ownership per backend, parts per million.",
-                        &[("backend", &i.to_string())],
-                    )
-                })
-                .collect(),
-            queue_depth: reg.gauge(
-                "hm_queue_depth",
-                "Requests parked in the forwarding queue at scrape time.",
-                &[("shard", "fwd")],
-            ),
-            queue_capacity: reg.gauge("hm_queue_capacity", "Forwarding-queue capacity.", &[]),
-            uptime_ms: reg.gauge(
-                "hm_uptime_ms",
-                "Milliseconds since the router started.",
-                &[],
-            ),
-            registry: reg,
-        }
-    }
-
-    fn op_hist(&self, op: &str) -> &Histogram {
-        match op {
-            "place" => &self.req_place,
-            "simulate" => &self.req_simulate,
-            "stats" => &self.req_stats,
-            "metrics" => &self.req_metrics,
-            "shutdown" => &self.req_shutdown,
-            "batch" => &self.req_batch,
-            "decode" => &self.req_decode,
-            _ => &self.req_other,
-        }
-    }
-
-    /// Fills scrape-time mirrors so both render formats see one
-    /// coherent snapshot.
-    fn refresh(&self, shared: &FleetShared) {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        self.overloaded.store(load(&shared.stats.overloaded));
-        self.deadline_exceeded
-            .store(load(&shared.stats.deadline_exceeded));
-        let mut restarts = 0;
-        for (i, b) in shared.backends.iter().enumerate() {
-            let r = load(&b.restarts);
-            restarts += r;
-            self.backend_restarts[i].store(r);
-            self.backend_healthy[i].set(u64::from(b.healthy()));
-        }
-        self.worker_restarts.store(restarts);
-        self.queue_depth.set(shared.fwd.len() as u64);
-        self.queue_capacity.set(shared.fwd.capacity() as u64);
-        self.uptime_ms
-            .set(shared.started.elapsed().as_millis() as u64);
     }
 }
 
@@ -423,12 +233,14 @@ struct FleetShared {
     /// In-flight work has finished flushing: supervisors may stop
     /// children, workers and the prober may exit.
     reap: AtomicBool,
-    stats: RouterStats,
-    metrics: FleetMetrics,
+    ledger: Ledger,
+    /// `hm_fleet_reroutes_total`.
+    reroutes: Arc<Counter>,
+    /// `hm_queue_depth{shard="fwd"}`, mirrored at scrape time.
+    queue_depth: Arc<Gauge>,
     /// Marked once the loop has flushed every accepted request's
     /// response while draining; [`FleetHandle::wait`] blocks on it.
     drain: DrainGate,
-    started: Instant,
     /// The client-connection write timeout, also applied to writes on
     /// router→backend sockets.
     write_timeout: Duration,
@@ -467,14 +279,6 @@ struct FwdJob {
     deadline: Option<Instant>,
     /// Drops to `backend-unavailable` if a worker panics mid-forward.
     sink: Sink<FwdResult>,
-}
-
-/// The identity of one in-flight request at the router.
-struct Head {
-    id: u64,
-    op: String,
-    client_rid: Option<String>,
-    t0: Instant,
 }
 
 /// In-flight forwarded work, keyed by completion token.
@@ -550,7 +354,7 @@ impl FleetHandle {
 
     /// Triggers the drain locally (equivalent to a `shutdown` request).
     pub fn shutdown(&self) {
-        begin_drain(&self.shared);
+        self.shared.begin_drain();
     }
 
     /// Makes SIGTERM and SIGINT start the same drain as a `shutdown`
@@ -570,7 +374,7 @@ impl FleetHandle {
         self.signal_watcher = Some(thread::spawn(move || {
             while !shared.draining.load(Ordering::SeqCst) && !shared.reap.load(Ordering::SeqCst) {
                 if TERMINATION_REQUESTED.load(Ordering::SeqCst) {
-                    begin_drain(&shared);
+                    shared.begin_drain();
                     return;
                 }
                 thread::sleep(Duration::from_millis(20));
@@ -664,25 +468,65 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
         cfg.breaker_threshold
     };
     let or_default = |v: u64, d: u64| if v == 0 { d } else { v };
-    let metrics = FleetMetrics::new(backends_n);
+    let ledger = Ledger::new(&HELPS, backends_n, fwd_queue);
+    let reg = ledger.registry();
+    let reroutes = reg.counter(
+        "hm_fleet_reroutes_total",
+        "Requests moved off a failed backend to a ring successor.",
+        &[],
+    );
     let ring = HashRing::new(backends_n, DEFAULT_VNODES);
-    for (gauge, share) in metrics.ring_share_ppm.iter().zip(ring.shares()) {
-        gauge.set((share * 1_000_000.0).round() as u64);
-    }
     let cooldown = Backoff::new(100, 2_000, cfg.seed);
-    let backends = (0..backends_n)
-        .map(|i| Backend {
-            addr: Mutex::new(None),
-            child: Mutex::new(None),
-            breaker: CircuitBreaker::new(threshold, cooldown),
-            gone: AtomicBool::new(false),
-            restarts: AtomicU64::new(0),
-            requests: Arc::clone(&metrics.backend_requests[i]),
-            errors: Arc::clone(&metrics.backend_errors[i]),
-            reroutes: Arc::clone(&metrics.backend_reroutes[i]),
-            cache: Mutex::new(BackendCache::default()),
+    let backends = ring
+        .shares()
+        .into_iter()
+        .enumerate()
+        .map(|(i, share)| {
+            let i = i.to_string();
+            let label = [("backend", i.as_str())];
+            let counter = |name, help| reg.counter(name, help, &label);
+            let backend = Backend {
+                addr: Mutex::new(None),
+                child: Mutex::new(None),
+                breaker: CircuitBreaker::new(threshold, cooldown),
+                gone: AtomicBool::new(false),
+                requests: counter(
+                    "hm_backend_requests_total",
+                    "Forwarded request attempts per backend.",
+                ),
+                errors: counter(
+                    "hm_backend_errors_total",
+                    "Failed forwarded attempts per backend.",
+                ),
+                reroutes: counter(
+                    "hm_backend_reroutes_total",
+                    "Requests that failed on this backend and moved on.",
+                ),
+                restarts: counter(
+                    "hm_backend_restarts_total",
+                    "Unexpected child exits, each answered with a respawn.",
+                ),
+                healthy_gauge: reg.gauge(
+                    "hm_backend_healthy",
+                    "1 when the backend is up with a closed breaker.",
+                    &label,
+                ),
+                cache: Mutex::new(CacheStats::default()),
+            };
+            reg.gauge(
+                "hm_fleet_ring_share_ppm",
+                "Consistent-hash ring ownership per backend, parts per million.",
+                &label,
+            )
+            .set((share * 1_000_000.0).round() as u64);
+            backend
         })
         .collect();
+    let queue_depth = reg.gauge(
+        "hm_queue_depth",
+        "Requests parked in the forwarding queue at scrape time.",
+        &[("shard", "fwd")],
+    );
     let shared = Arc::new(FleetShared {
         addr,
         serve_bin,
@@ -702,10 +546,10 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
         fwd: BoundedQueue::new(fwd_queue),
         draining: AtomicBool::new(false),
         reap: AtomicBool::new(false),
-        stats: RouterStats::default(),
-        metrics,
+        ledger,
+        reroutes,
+        queue_depth,
         drain: DrainGate::default(),
-        started: Instant::now(),
         write_timeout: Duration::from_millis(or_default(cfg.write_timeout_ms, 30_000)),
         backend_timeout: Duration::from_millis(or_default(
             cfg.backend_timeout_ms,
@@ -804,14 +648,6 @@ fn default_serve_bin() -> io::Result<PathBuf> {
     Ok(dir.join("hetmem-serve"))
 }
 
-/// Sets the drain flag once and nudges the poll loop awake.
-fn begin_drain(shared: &Arc<FleetShared>) {
-    if shared.draining.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    let _ = TcpStream::connect(shared.addr);
-}
-
 // ---------------------------------------------------------------------------
 // Child supervision
 // ---------------------------------------------------------------------------
@@ -899,7 +735,8 @@ fn supervisor(shared: &Arc<FleetShared>, idx: usize) {
         };
         if exited && !backend.gone.load(Ordering::Relaxed) {
             *backend.addr.lock().unwrap_or_else(|e| e.into_inner()) = None;
-            backend.restarts.fetch_add(1, Ordering::Relaxed);
+            backend.restarts.inc();
+            shared.ledger.restarted();
             // A backend that stayed up a while earns a fresh budget:
             // only rapid crash loops exhaust it.
             if spawned_at.elapsed() > Duration::from_secs(10) {
@@ -1014,8 +851,10 @@ fn prober(shared: &Arc<FleetShared>) {
             match roundtrip_timeout(&addr.to_string(), &req, timeout) {
                 Ok(Response::Ok { result, .. }) => {
                     backend.breaker.record_success();
-                    if let Ok(v) = JsonValue::parse(&result) {
-                        update_backend_cache(backend, &v);
+                    let parsed = JsonValue::parse(&result);
+                    if let Some(cache) = parsed.as_ref().ok().and_then(|v| v.get("cache")) {
+                        *backend.cache.lock().unwrap_or_else(|e| e.into_inner()) =
+                            CacheStats::from_json(cache);
                     }
                 }
                 Ok(Response::Err { .. }) | Err(_) => {
@@ -1027,24 +866,6 @@ fn prober(shared: &Arc<FleetShared>) {
             break;
         }
     }
-}
-
-/// Mirrors one probed `stats` body's cache block.
-fn update_backend_cache(backend: &Backend, stats: &JsonValue) {
-    let Some(cache) = stats.get("cache") else {
-        return;
-    };
-    let get = |key: &str| cache.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-    let mut mirror = backend.cache.lock().unwrap_or_else(|e| e.into_inner());
-    *mirror = BackendCache {
-        hits: get("hits"),
-        misses: get("misses"),
-        insertions: get("insertions"),
-        evictions: get("evictions"),
-        corruptions: get("corruptions"),
-        entries: get("entries"),
-        capacity: get("capacity"),
-    };
 }
 
 // ---------------------------------------------------------------------------
@@ -1111,7 +932,7 @@ fn forward_one(
                     backend.errors.inc();
                     backend.breaker.record_failure(Instant::now());
                     backend.reroutes.inc();
-                    shared.metrics.reroutes_total.inc();
+                    shared.reroutes.inc();
                     break;
                 }
             }
@@ -1209,131 +1030,60 @@ impl Fleet {
         }
     }
 
-    /// A `batch` envelope at the router: local sub-ops (fleet `stats` /
-    /// `metrics`, per-sub refusals) resolve now; `place`/`simulate` subs
-    /// are grouped by owning backend, forwarded as one per-backend batch
-    /// envelope each, and reassembled in sub-request order on completion.
+    /// A validated `batch` envelope at the router: slots the front
+    /// resolved (fleet `stats` / `metrics`, per-sub refusals) are kept;
+    /// `place`/`simulate` slots are grouped by owning backend, forwarded
+    /// as one per-backend batch envelope each, and reassembled in
+    /// sub-request order on completion.
     fn batch(
         &mut self,
         c: &mut Conn,
         conn: u64,
         done: &mut Completions<FwdResult>,
-        req: &Request,
         head: Head,
+        slots: Vec<Slot>,
         deadline: Option<Instant>,
     ) {
         let shared = &self.shared;
-        let refuse = |shared: &FleetShared, c: &mut Conn, head: Head, e: HetmemError| {
-            let out = respond_line(shared, head, Err(e));
-            deliver(shared, c, &out);
-        };
-        if req.proto < PROTO_V2 {
-            let e =
-                HetmemError::invalid("op 'batch' requires \"proto\":2 or newer in the envelope");
-            return refuse(shared, c, head, e);
-        }
-        let Some(items) = req.params.get("requests").and_then(JsonValue::as_array) else {
-            let e = HetmemError::invalid("batch needs a 'requests' array of request envelopes");
-            return refuse(shared, c, head, e);
-        };
-        if items.is_empty() {
-            let e = HetmemError::invalid("batch 'requests' must be non-empty");
-            return refuse(shared, c, head, e);
-        }
-        if items.len() > shared.max_batch {
-            let e = HetmemError::BatchTooLarge {
-                got: items.len(),
-                max: shared.max_batch,
-            };
-            return refuse(shared, c, head, e);
-        }
-        shared
-            .stats
-            .batch_subrequests
-            .fetch_add(items.len() as u64, Ordering::Relaxed);
-        let t0 = head.t0;
-        let mut slots: Vec<Option<Response>> = Vec::with_capacity(items.len());
+        let mut ready: Vec<Option<Response>> = Vec::with_capacity(slots.len());
         let mut groups: HashMap<usize, GroupBuild> = HashMap::new();
-        for (slot, item) in items.iter().enumerate() {
-            let sub = match Request::from_value(item) {
-                Ok(sub) => sub,
-                Err(e) => {
-                    slots.push(Some(Response::err(0, e.code(), &e.to_string())));
+        for (slot, sub) in slots.into_iter().enumerate() {
+            let sub = match sub {
+                Slot::Ready(resp) => {
+                    ready.push(Some(resp));
                     continue;
                 }
+                Slot::Op(sub, _) => sub,
             };
-            let client_rid = sub.request_id.clone();
-            let fail = |e: HetmemError| {
-                count_refusal(shared, &e);
-                Some(
-                    Response::err(sub.id, e.code(), &e.to_string())
-                        .with_request_id(client_rid.clone()),
-                )
-            };
-            if sub.proto == 0 || sub.proto > PROTO_V2 {
-                slots.push(fail(HetmemError::UnsupportedProtocol { proto: sub.proto }));
-                continue;
+            let key = route_key(&sub);
+            let group = groups.entry(shared.ring.route(&key)).or_default();
+            if group.subs.is_empty() {
+                group.rep_key = key;
             }
-            let sub_deadline = sub.deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
-            let combined = match (deadline, sub_deadline) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            if combined.is_some_and(|d| Instant::now() >= d) {
-                slots.push(fail(HetmemError::DeadlineExceeded));
-                continue;
-            }
-            match sub.op.as_str() {
-                "stats" => {
-                    slots.push(Some(
-                        Response::ok(sub.id, fleet_stats_json(shared)).with_request_id(client_rid),
-                    ));
-                }
-                "metrics" => match fleet_metrics_json(shared, &sub.params) {
-                    Ok(body) => {
-                        slots.push(Some(Response::ok(sub.id, body).with_request_id(client_rid)))
-                    }
-                    Err(e) => slots.push(fail(e)),
-                },
-                "batch" => slots.push(fail(HetmemError::invalid("'batch' does not nest"))),
-                "shutdown" => slots.push(fail(HetmemError::invalid(
-                    "'shutdown' cannot ride inside a batch",
-                ))),
-                "place" | "simulate" => {
-                    let key = route_key(&sub);
-                    let owner = shared.ring.route(&key);
-                    let group = groups.entry(owner).or_default();
-                    if group.subs.is_empty() {
-                        group.rep_key = key;
-                    }
-                    group.slots.push(slot);
-                    group.ids.push((sub.id, client_rid));
-                    group.subs.push(sub);
-                    slots.push(None);
-                }
-                op => slots.push(fail(HetmemError::UnknownOp { op: op.to_string() })),
-            }
+            group.slots.push(slot);
+            group.ids.push((sub.id, sub.request_id.clone()));
+            group.subs.push(sub);
+            ready.push(None);
         }
         if groups.is_empty() {
-            let responses: Vec<Response> = slots.into_iter().map(Option::unwrap).collect();
-            let body = batch_body(&responses);
-            let out = respond_line(shared, head, Ok(body));
+            let out = respond_line(shared, head, Ok(batch_result(ready)));
             deliver(shared, c, &out);
             return;
         }
         c.inflight += 1;
         let batch_token = done.token();
+        let id = head.id;
         self.batches.insert(
             batch_token,
             BatchPending {
                 conn,
                 head,
                 remaining: groups.len(),
-                slots,
+                slots: ready,
             },
         );
         for (_, group) in groups {
-            let mut env = batch_request(req.id, &group.subs);
+            let mut env = batch_request(id, &group.subs);
             if let Some(d) = deadline {
                 // The outer budget rides to the backend as remaining ms;
                 // per-sub deadlines are already inside the sub envelopes.
@@ -1365,9 +1115,9 @@ impl Handler for Fleet {
         self.pending.is_empty() && self.batches.is_empty()
     }
 
-    /// One complete client request line: refusal checks mirror the serve
-    /// dispatch (draining replaces shutting-down), router ops answer at
-    /// fleet level, and everything else forwards by content key.
+    /// One complete client request line through the shared intake:
+    /// answers go straight back, and everything else forwards by
+    /// content key.
     fn line(
         &mut self,
         c: &mut Conn,
@@ -1377,92 +1127,23 @@ impl Handler for Fleet {
         done: &mut Completions<FwdResult>,
     ) {
         let shared = &self.shared;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            return;
-        }
-        let t0 = Instant::now();
-        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        let req = match Request::decode(trimmed) {
-            Ok(req) => req,
-            Err(e) => {
-                shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                let resp = Response::err(0, e.code(), &e.to_string());
-                account(shared, "decode", false, t0);
-                let mut out = resp.encode();
-                out.push('\n');
-                deliver(shared, c, &out);
-                return;
-            }
-        };
-        let op_counter = match req.op.as_str() {
-            "place" => &shared.stats.op_place,
-            "simulate" => &shared.stats.op_simulate,
-            "stats" => &shared.stats.op_stats,
-            "metrics" => &shared.stats.op_metrics,
-            "shutdown" => &shared.stats.op_shutdown,
-            "batch" => &shared.stats.op_batch,
-            _ => &shared.stats.op_other,
-        };
-        op_counter.fetch_add(1, Ordering::Relaxed);
-        let head = Head {
-            id: req.id,
-            op: req.op.clone(),
-            client_rid: req.request_id.clone(),
-            t0,
-        };
-        let deadline = req.deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
-
-        // Refusal priority mirrors the serve dispatch.
-        if shared.draining.load(Ordering::SeqCst) {
-            let out = respond_line(shared, head, Err(HetmemError::FleetDraining));
-            deliver(shared, c, &out);
-            return;
-        }
-        if req.proto == 0 || req.proto > PROTO_V2 {
-            let e = HetmemError::UnsupportedProtocol { proto: req.proto };
-            let out = respond_line(shared, head, Err(e));
-            deliver(shared, c, &out);
-            return;
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            let out = respond_line(shared, head, Err(HetmemError::DeadlineExceeded));
-            deliver(shared, c, &out);
-            return;
-        }
-        if shed && req.op != "shutdown" {
-            let out = respond_line(shared, head, Err(HetmemError::Overloaded));
-            deliver(shared, c, &out);
-            return;
-        }
-
-        match req.op.as_str() {
-            "stats" => {
-                let out = respond_line(shared, head, Ok(fleet_stats_json(shared)));
+        match front::intake(&**shared, line, shed) {
+            None => {}
+            Some(Intake::Answer(head, outcome)) => {
+                let out = respond_line(shared, head, outcome);
                 deliver(shared, c, &out);
             }
-            "metrics" => {
-                let out = respond_line(shared, head, fleet_metrics_json(shared, &req.params));
-                deliver(shared, c, &out);
-            }
-            "shutdown" => {
-                begin_drain(shared);
-                let body = JsonObject::new().bool("draining", true).finish();
-                let out = respond_line(shared, head, Ok(body));
-                deliver(shared, c, &out);
-            }
-            "batch" => self.batch(c, conn, done, &req, head, deadline),
-            "place" | "simulate" => {
+            Some(Intake::Op(head, req, deadline)) => {
                 let key = route_key(&req);
                 let token = done.token();
                 c.inflight += 1;
                 self.pending.insert(token, Pending::Single { conn, head });
-                submit_forward(shared, done, token, trimmed.to_string(), key, deadline);
+                // The client's own bytes go to the backend.
+                let line = line.trim().to_string();
+                submit_forward(shared, done, token, line, key, deadline);
             }
-            op => {
-                let e = HetmemError::UnknownOp { op: op.to_string() };
-                let out = respond_line(shared, head, Err(e));
-                deliver(shared, c, &out);
+            Some(Intake::Batch(head, slots, deadline)) => {
+                self.batch(c, conn, done, head, slots, deadline);
             }
         }
     }
@@ -1484,6 +1165,7 @@ impl Handler for Fleet {
                 }
             }
             Some(Pending::Group { batch, slots, subs }) => {
+                // Codes from a backend's reply are relayed, not counted here.
                 let fill = |code: &str, message: &str| -> Vec<Response> {
                     subs.iter()
                         .map(|(id, rid)| {
@@ -1492,7 +1174,11 @@ impl Handler for Fleet {
                         .collect()
                 };
                 let responses: Vec<Response> = match reply {
-                    Err(e) => fill(e.code(), &e.to_string()),
+                    // The router's own refusal: counted like any other.
+                    Err(e) => subs
+                        .iter()
+                        .map(|(id, rid)| shared.ledger.response(*id, rid.clone(), Err(e.clone())))
+                        .collect(),
                     Ok(reply) => match Response::decode(&reply.line) {
                         Err(_) => fill(
                             "backend-unavailable",
@@ -1519,9 +1205,7 @@ impl Handler for Fleet {
                     return;
                 }
                 let b = self.batches.remove(&batch).expect("batch present");
-                let responses: Vec<Response> = b.slots.into_iter().map(Option::unwrap).collect();
-                let body = batch_body(&responses);
-                let out = respond_line(shared, b.head, Ok(body));
+                let out = respond_line(shared, b.head, Ok(batch_result(b.slots)));
                 if let Some(c) = conns.get_mut(&b.conn) {
                     c.inflight -= 1;
                     deliver(shared, c, &out);
@@ -1538,36 +1222,13 @@ impl Handler for Fleet {
         self.shared.drain.mark();
     }
 }
-/// Counts the refusal kinds `stats` breaks out separately.
-fn count_refusal(shared: &FleetShared, e: &HetmemError) {
-    if matches!(e, HetmemError::Overloaded) {
-        shared.stats.overloaded.fetch_add(1, Ordering::Relaxed);
-    }
-    if matches!(e, HetmemError::DeadlineExceeded) {
-        shared
-            .stats
-            .deadline_exceeded
-            .fetch_add(1, Ordering::Relaxed);
-    }
-}
 
 /// Builds, accounts, and encodes one router-resolved response line —
 /// accounting happens before the bytes can reach a socket, preserving
 /// the conservation invariant.
 fn respond_line(shared: &FleetShared, head: Head, outcome: Result<String, HetmemError>) -> String {
-    let resp = match outcome {
-        Ok(body) => {
-            shared.stats.ok.fetch_add(1, Ordering::Relaxed);
-            Response::ok(head.id, body).with_request_id(head.client_rid)
-        }
-        Err(e) => {
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            count_refusal(shared, &e);
-            Response::err(head.id, e.code(), &e.to_string()).with_request_id(head.client_rid)
-        }
-    };
-    let ok = resp.is_ok();
-    account(shared, &head.op, ok, head.t0);
+    let resp = shared.ledger.response(head.id, head.client_rid, outcome);
+    shared.ledger.account(&head.op, resp.is_ok(), head.t0);
     let mut out = resp.encode();
     out.push('\n');
     out
@@ -1576,28 +1237,11 @@ fn respond_line(shared: &FleetShared, head: Head, outcome: Result<String, Hetmem
 /// Accounts one relayed backend response line (bytes pass through
 /// untouched; only the counters are the router's).
 fn relay_line(shared: &FleetShared, head: &Head, reply: &ForwardReply) -> String {
-    if reply.ok {
-        shared.stats.ok.fetch_add(1, Ordering::Relaxed);
-    } else {
-        shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-    }
-    account(shared, &head.op, reply.ok, head.t0);
+    shared.ledger.account(&head.op, reply.ok, head.t0);
     let mut out = String::with_capacity(reply.line.len() + 1);
     out.push_str(&reply.line);
     out.push('\n');
     out
-}
-
-/// The conservation pair plus the outcome counter, recorded together.
-fn account(shared: &FleetShared, op: &str, ok: bool, t0: Instant) {
-    let m = &shared.metrics;
-    m.op_hist(op).record(us(t0.elapsed()));
-    m.requests_total.inc();
-    if ok {
-        m.responses_ok.inc();
-    } else {
-        m.responses_err.inc();
-    }
 }
 
 /// Queues response bytes, honoring the close-after-response contract
@@ -1653,111 +1297,63 @@ struct GroupBuild {
     rep_key: String,
 }
 
-/// The batch envelope body, byte-compatible with the serve core's
-/// `finish_batch`.
-fn batch_body(responses: &[Response]) -> String {
-    JsonObject::new()
-        .raw(
-            "responses",
-            &json::array(responses.iter().map(Response::encode)),
-        )
-        .finish()
-}
+impl Front for FleetShared {
+    const DRAINING: HetmemError = HetmemError::FleetDraining;
 
-// ---------------------------------------------------------------------------
-// Fleet-level stats / metrics bodies
-// ---------------------------------------------------------------------------
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
+    }
 
-/// The fleet `stats` body: the single-server field set (so
-/// `hetmem-top` parses it unchanged, with `worker_restarts` meaning
-/// backend child restarts and `cache` the sum of backend caches) plus
-/// a `fleet` block with per-backend health and traffic.
-fn fleet_stats_json(shared: &FleetShared) -> String {
-    let s = &shared.stats;
-    let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-    let ops = JsonObject::new()
-        .u64("place", load(&s.op_place))
-        .u64("simulate", load(&s.op_simulate))
-        .u64("stats", load(&s.op_stats))
-        .u64("metrics", load(&s.op_metrics))
-        .u64("shutdown", load(&s.op_shutdown))
-        .u64("batch", load(&s.op_batch))
-        .u64("other", load(&s.op_other))
-        .finish();
-    let mut cache = BackendCache::default();
-    let mut restarts = 0u64;
-    let backends = json::array(shared.backends.iter().enumerate().map(|(i, b)| {
-        let mirror = *b.cache.lock().unwrap_or_else(|e| e.into_inner());
-        cache.hits += mirror.hits;
-        cache.misses += mirror.misses;
-        cache.insertions += mirror.insertions;
-        cache.evictions += mirror.evictions;
-        cache.corruptions += mirror.corruptions;
-        cache.entries += mirror.entries;
-        cache.capacity += mirror.capacity;
-        restarts += load(&b.restarts);
-        let obj = JsonObject::new()
-            .u64("backend", i as u64)
-            .bool("healthy", b.healthy())
-            .str("breaker", b.breaker.state().as_str())
-            .bool("gone", b.gone.load(Ordering::Relaxed))
-            .u64("requests", b.requests.get())
-            .u64("errors", b.errors.get())
-            .u64("reroutes", b.reroutes.get())
-            .u64("restarts", load(&b.restarts));
-        match b.addr() {
-            Some(addr) => obj.str("addr", &addr.to_string()).finish(),
-            None => obj.finish(),
+    fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
+
+    /// Sets the drain flag once and nudges the poll loop awake.
+    fn begin_drain(&self) {
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
         }
-    }));
-    let cache_obj = JsonObject::new()
-        .u64("hits", cache.hits)
-        .u64("misses", cache.misses)
-        .u64("insertions", cache.insertions)
-        .u64("evictions", cache.evictions)
-        .u64("corruptions", cache.corruptions)
-        .u64("entries", cache.entries)
-        .u64("capacity", cache.capacity)
-        .finish();
-    let fleet = JsonObject::new()
-        .u64("reroutes", shared.metrics.reroutes_total.get())
-        .raw("backends", &backends)
-        .finish();
-    JsonObject::new()
-        .u64("requests", load(&s.requests))
-        .u64("ok", load(&s.ok))
-        .u64("errors", load(&s.errors))
-        .u64("overloaded", load(&s.overloaded))
-        .u64("worker_restarts", restarts)
-        .u64("deadline_exceeded", load(&s.deadline_exceeded))
-        .u64("batch_subrequests", load(&s.batch_subrequests))
-        .raw("ops", &ops)
-        .raw("cache", &cache_obj)
-        .u64("shards", shared.backends.len() as u64)
-        .u64("queue_depth", shared.fwd.capacity() as u64)
-        .u64("uptime_ms", shared.started.elapsed().as_millis() as u64)
-        .raw("fleet", &fleet)
-        .finish()
-}
+        let _ = TcpStream::connect(self.addr);
+    }
 
-/// The fleet `metrics` body: the router registry in the requested
-/// format, mirroring the serve op's parameter handling.
-fn fleet_metrics_json(shared: &FleetShared, params: &JsonValue) -> Result<String, HetmemError> {
-    let format = match params.get("format") {
-        None => "json",
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| HetmemError::invalid("'format' must be a string"))?,
-    };
-    shared.metrics.refresh(shared);
-    match format {
-        "json" => Ok(shared.metrics.registry.render_json()),
-        "prometheus" => Ok(JsonObject::new()
-            .str("format", "prometheus")
-            .str("text", &shared.metrics.registry.render_prometheus())
-            .finish()),
-        other => Err(HetmemError::invalid(format!(
-            "unknown metrics format '{other}' (want json or prometheus)"
-        ))),
+    fn max_batch(&self) -> usize {
+        self.max_batch
+    }
+
+    /// The single-server body (so `hetmem-top` parses it unchanged,
+    /// with `worker_restarts` meaning backend child restarts and `cache`
+    /// the sum of the backends' last probed caches) plus a `fleet` block
+    /// with per-backend health and traffic.
+    fn stats(&self) -> String {
+        let mut cache = CacheStats::default();
+        let backends = json::array(self.backends.iter().enumerate().map(|(i, b)| {
+            cache.merge(&b.cache.lock().unwrap_or_else(|e| e.into_inner()));
+            let obj = JsonObject::new()
+                .u64("backend", i as u64)
+                .bool("healthy", b.healthy())
+                .str("breaker", b.breaker.state().as_str())
+                .bool("gone", b.gone.load(Ordering::Relaxed))
+                .u64("requests", b.requests.get())
+                .u64("errors", b.errors.get())
+                .u64("reroutes", b.reroutes.get())
+                .u64("restarts", b.restarts.get());
+            match b.addr() {
+                Some(addr) => obj.str("addr", &addr.to_string()).finish(),
+                None => obj.finish(),
+            }
+        }));
+        let fleet = JsonObject::new()
+            .u64("reroutes", self.reroutes.get())
+            .raw("backends", &backends)
+            .finish();
+        self.ledger.stats(&cache, Some(("fleet", &fleet)))
+    }
+
+    /// Mirrors backend health and the forwarding-queue depth.
+    fn refresh(&self) {
+        for b in &self.backends {
+            b.healthy_gauge.set(u64::from(b.healthy()));
+        }
+        self.queue_depth.set(self.fwd.len() as u64);
     }
 }

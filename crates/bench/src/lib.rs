@@ -36,6 +36,8 @@ pub mod client;
 #[cfg(unix)]
 pub mod fleet;
 #[cfg(unix)]
+mod front;
+#[cfg(unix)]
 mod reactor;
 pub mod serve;
 pub mod top;

@@ -1,7 +1,7 @@
 //! Serve's two handlers on the crate's poll(2) reactor: one for a
 //! complete request line, one for a finished shard-pool job.
 //!
-//! Lines resolve through [`dispatch_prepare`]: inline ops finish at
+//! Lines resolve through [`prepare`]: inline ops finish at
 //! once, their bytes queued on the connection; simulate-shaped work is
 //! submitted to the shard pool with a reactor sink whose drop fallback
 //! is `worker-restarted`, and the request finishes when its completion
@@ -18,9 +18,9 @@ use hetmem::HetmemError;
 use hetmem_harness::Response;
 
 use super::{
-    dispatch_prepare, finish_batch, finish_outcome, finish_request, sub_sim_response, submit_job,
-    JobReply, Prepared, ReqHead, ReqMeta, Shared, SubWork,
+    prepare, respond, submit_job, JobReply, Prepared, ReqHead, Shared, SimReply, SubWork, PHASES,
 };
+use crate::front::batch_result;
 use crate::reactor::{us, Completions, Conn, Handler};
 
 /// An in-flight pool job's bookkeeping, keyed by completion token.
@@ -96,13 +96,12 @@ impl Handler for Serve {
         let now = Instant::now();
         let read_us = us(now.saturating_duration_since(c.last_line_done));
         c.last_line_done = now;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
+        let Some(prepared) = prepare(shared, line, read_us, shed) else {
             return;
-        }
-        match dispatch_prepare(shared, trimmed, read_us, shed) {
-            Prepared::Done(resp, meta) => {
-                let out = account_response(shared, resp, &meta);
+        };
+        match prepared {
+            Prepared::Done(head, outcome) => {
+                let out = respond(shared, head, outcome);
                 deliver(shared, c, &out);
             }
             Prepared::Sim(work) => {
@@ -137,9 +136,7 @@ impl Handler for Serve {
                     }
                 }
                 if sims.is_empty() {
-                    let responses = slots.into_iter().map(Option::unwrap).collect();
-                    let (resp, meta) = finish_batch(shared, work.head, responses);
-                    let out = account_response(shared, resp, &meta);
+                    let out = respond(shared, work.head, Ok(SimReply::inline(batch_result(slots))));
                     deliver(shared, c, &out);
                     return;
                 }
@@ -182,8 +179,7 @@ impl Handler for Serve {
         match self.pending.remove(&token) {
             None => {}
             Some(Pending::Single { conn, head }) => {
-                let (resp, meta) = finish_outcome(shared, head, reply);
-                let out = account_response(shared, resp, &meta);
+                let out = respond(shared, head, reply);
                 if let Some(c) = conns.get_mut(&conn) {
                     c.inflight -= 1;
                     deliver(shared, c, &out);
@@ -195,7 +191,9 @@ impl Handler for Serve {
                 id,
                 client_rid,
             }) => {
-                let resp = sub_sim_response(shared, id, client_rid, reply);
+                let resp = shared
+                    .ledger
+                    .response(id, client_rid, reply.map(|r| r.body));
                 let Some(b) = self.batches.get_mut(&batch) else {
                     return;
                 };
@@ -205,9 +203,7 @@ impl Handler for Serve {
                     return;
                 }
                 let b = self.batches.remove(&batch).expect("batch present");
-                let responses = b.slots.into_iter().map(Option::unwrap).collect();
-                let (resp, meta) = finish_batch(shared, b.head, responses);
-                let out = account_response(shared, resp, &meta);
+                let out = respond(shared, b.head, Ok(SimReply::inline(batch_result(b.slots))));
                 if let Some(c) = conns.get_mut(&b.conn) {
                     c.inflight -= 1;
                     deliver(shared, c, &out);
@@ -217,23 +213,13 @@ impl Handler for Serve {
     }
 
     fn wrote(&self, us: u64) {
-        self.shared.metrics.ph_write.record(us);
+        // `write`, the last phase.
+        self.shared.metrics.phases[PHASES.len() - 1].record(us);
     }
 
     fn drained(&self) {
         self.shared.drain.mark();
     }
-}
-
-/// Encodes and accounts one finished request — *before* its bytes go
-/// anywhere near a socket, preserving the conservation invariant.
-fn account_response(shared: &Shared, resp: Response, meta: &ReqMeta) -> String {
-    let encode_start = Instant::now();
-    let mut out = resp.encode();
-    out.push('\n');
-    let encode_us = us(encode_start.elapsed());
-    finish_request(shared, meta, encode_us);
-    out
 }
 
 /// Queues response bytes on a connection, honoring chaos wire faults

@@ -1,9 +1,11 @@
 //! Usage errors on the command-line binaries: an unknown flag, a flag
 //! missing its value and a malformed value each exit with the binary's
 //! documented usage code and a stderr message naming the flag, never
-//! with a panic.
+//! with a panic. The network daemons' startup failures (an address they
+//! cannot bind, a path they cannot write) exit 1 the same way.
 #![cfg(unix)]
 
+use std::path::PathBuf;
 use std::process::Command;
 
 /// Runs `bin` with `args` and checks the exit code and that stderr
@@ -42,6 +44,35 @@ fn fleet_usage_errors_exit_2() {
     usage_errors(bin, 2, &[], "--backends", &[]);
     // A bad spec is refused before any backend is spawned.
     refused(bin, &["--faults", "bogus"], 2, "--faults 'bogus'");
+}
+
+/// A path under a regular file, which no one can create or write.
+fn unwritable(name: &str) -> (PathBuf, String) {
+    let file = std::env::temp_dir().join(format!("hetmem-cli-{}-{name}", std::process::id()));
+    std::fs::write(&file, "").unwrap();
+    let under = file.join("x").display().to_string();
+    (file, under)
+}
+
+#[test]
+fn serve_startup_failures_exit_1() {
+    let bin = env!("CARGO_BIN_EXE_hetmem-serve");
+    refused(bin, &["--addr", "256.0.0.1:0"], 1, "256.0.0.1:0");
+    let (file, under) = unwritable("serve");
+    refused(bin, &["--port-file", &under], 1, &under);
+    refused(bin, &["--out", &under], 1, &under);
+    std::fs::remove_file(file).unwrap();
+}
+
+#[test]
+fn fleet_startup_failures_exit_1() {
+    let bin = env!("CARGO_BIN_EXE_hetmem-fleet");
+    refused(bin, &["--addr", "256.0.0.1:0"], 1, "256.0.0.1:0");
+    // The router is up when the write fails; it stops its backend
+    // before exiting.
+    let (file, under) = unwritable("fleet");
+    refused(bin, &["--backends", "1", "--port-file", &under], 1, &under);
+    std::fs::remove_file(file).unwrap();
 }
 
 #[test]
@@ -87,4 +118,17 @@ fn figure_usage_errors_exit_2() {
         2,
         "unknown workload \"lbmm\"",
     );
+}
+
+#[test]
+fn explore_usage_errors_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_explore");
+    refused(
+        bin,
+        &["nosuch"],
+        2,
+        "unknown workload 'nosuch' (catalog: backprop, bfs",
+    );
+    refused(bin, &["bfs", "fastest"], 2, "policy must be local|");
+    refused(bin, &["bfs", "bw-aware", "abc"], 2, "capacity");
 }

@@ -8,7 +8,9 @@
 //! id, batch sub-responses byte-identical to bare requests, a stalled
 //! reader degrading to structured `overloaded` instead of wedging the
 //! loop, and an idle connection closed at its read timeout. The
-//! backpressure and timeout checks run against both front ends.
+//! backpressure and timeout checks run against both front ends, and so
+//! does the refusal table: a router's refusals are a server's, byte for
+//! byte, with only the draining code its own.
 #![cfg(unix)]
 
 use std::collections::HashMap;
@@ -79,6 +81,14 @@ impl Pipe {
         }
         self.writer.write_all(burst.as_bytes()).unwrap();
         self.writer.flush().unwrap();
+    }
+
+    /// Sends one raw line and reads one response line back.
+    fn ask(&mut self, line: &str) -> String {
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
+        self.recv_line()
     }
 
     fn recv_line(&mut self) -> String {
@@ -196,55 +206,267 @@ fn batch_mixes_results_and_structured_errors_in_order() {
     handle.wait();
 }
 
+/// One line the front end answers itself: the code it must carry (for
+/// a batch envelope, the code of every slot, `ok` for a result), and
+/// substrings the answer must contain, which pin each refusal to the
+/// check that made it.
+type Refusal = (String, Vec<&'static str>, &'static [&'static str]);
+
+/// Every line here is refused, or answered by the front end itself,
+/// without running `place` or `simulate`, so a router must answer each
+/// byte for byte as a server does.
+fn refusal_cases() -> Vec<Refusal> {
+    let line = |r: &Request| r.encode();
+    let stats = |id| Request::new(id, "stats");
+    // Five sub-requests against a max of four: a stable whole-envelope
+    // refusal, and no sub-request runs.
+    let five: Vec<Request> = (1..=5).map(stats).collect();
+    // `batch` without a v2 envelope is an invalid request: v1 clients
+    // must opt in before the server accepts compound dispatch.
+    let mut v1_batch = batch_request(9, &[stats(1)]);
+    v1_batch.proto = 1;
+    let mut empty = Request::new(9, "batch").proto(PROTO_V2);
+    empty.params = JsonValue::parse(r#"{"requests":[]}"#).unwrap();
+    let mut not_array = Request::new(9, "batch").proto(PROTO_V2);
+    not_array.params = JsonValue::parse(r#"{"requests":7}"#).unwrap();
+    let expired = sim_request(4, r#"{"workload":"bfs","mem_ops":2000,"sms":2}"#)
+        .deadline(0)
+        .request_id("late-1");
+    let late_sub = Request::new(2, "place").deadline(0);
+    let subs = batch_request(
+        10,
+        &[late_sub, Request::new(3, "frobnicate"), stats(4).proto(9)],
+    );
+    let mut mixed = line(&subs);
+    // An undecodable slot (non-integer id) answers with id 0.
+    mixed = mixed.replacen(r#"[{"#, r#"[{"id":"x","op":"stats"},{"#, 1);
+    vec![
+        (
+            line(&batch_request(9, &five)),
+            vec!["batch-too-large"],
+            &["batch carries 5 sub-requests", "at most 4"],
+        ),
+        // Unknown protocol majors, for v0 and the future alike.
+        (
+            line(&stats(1).proto(0)),
+            vec!["unsupported-protocol"],
+            &["protocol version 0", "1-2"],
+        ),
+        (
+            line(&stats(1).proto(9)),
+            vec!["unsupported-protocol"],
+            &["protocol version 9", "1-2"],
+        ),
+        (
+            line(&v1_batch),
+            vec!["invalid-request"],
+            &[r#"op 'batch' requires \"proto\":2"#],
+        ),
+        // Batches do not nest, and shutdown cannot ride inside one.
+        (
+            line(&batch_request(9, &[batch_request(2, &[stats(1)])])),
+            vec!["invalid-request"],
+            &["'batch' does not nest"],
+        ),
+        (
+            line(&batch_request(9, &[Request::new(1, "shutdown")])),
+            vec!["invalid-request"],
+            &["'shutdown' cannot ride inside a batch"],
+        ),
+        (
+            line(&empty),
+            vec!["invalid-request"],
+            &["'requests' must be non-empty"],
+        ),
+        (
+            line(&not_array),
+            vec!["invalid-request"],
+            &["needs a 'requests' array"],
+        ),
+        ("{not json".to_string(), vec!["bad-json"], &[r#"{"id":0,"#]),
+        (
+            r#"{"id":1}"#.to_string(),
+            vec!["bad-request"],
+            &[r#"{"id":0,"#],
+        ),
+        (
+            line(&Request::new(3, "frobnicate")),
+            vec!["unknown-op"],
+            &["unknown operation 'frobnicate'"],
+        ),
+        (line(&expired), vec!["deadline-exceeded"], &["late-1"]),
+        (
+            mixed,
+            vec![
+                "bad-request",
+                "deadline-exceeded",
+                "unknown-op",
+                "unsupported-protocol",
+            ],
+            &[
+                r#"{"id":0,"#,
+                "unknown operation 'frobnicate'",
+                "protocol version 9",
+            ],
+        ),
+    ]
+}
+
+/// The codes a response carries: its own, or each batch slot's.
+fn codes(resp: &Response) -> Vec<String> {
+    match resp {
+        Response::Err { code, .. } => vec![code.clone()],
+        Response::Ok { .. } => resp
+            .batch_responses()
+            .unwrap()
+            .iter()
+            .map(|r| match r {
+                Response::Ok { .. } => "ok".to_string(),
+                Response::Err { code, .. } => code.clone(),
+            })
+            .collect(),
+    }
+}
+
 #[test]
 fn oversized_batches_and_unknown_protocols_are_refused() {
-    let handle = server(ServeConfig {
+    let server = server(ServeConfig {
         max_batch: 4,
         ..ServeConfig::default()
     });
-    let addr = handle.addr().to_string();
-
-    // Five sub-requests against a max of four: a stable whole-envelope
-    // refusal, and no sub-request runs.
-    let subs: Vec<Request> = (1..=5).map(|i| Request::new(i, "stats")).collect();
-    let resp = roundtrip(&addr, &batch_request(9, &subs)).unwrap();
-    let (code, message) = expect_err(&resp);
-    assert_eq!(code, "batch-too-large");
-    assert!(message.contains('5') && message.contains('4'), "{message}");
-
-    // Unknown protocol majors are rejected with their own stable code,
-    // for v0 and for versions from the future alike.
-    for proto in [0, 9] {
-        let resp = roundtrip(&addr, &Request::new(1, "stats").proto(proto)).unwrap();
-        let (code, message) = expect_err(&resp);
-        assert_eq!(code, "unsupported-protocol", "proto {proto}");
-        assert!(message.contains("1-2"), "{message}");
+    let router = router(FleetConfig {
+        max_batch: 4,
+        ..FleetConfig::default()
+    });
+    let mut to_server = Pipe::connect(&server.addr().to_string());
+    let mut to_router = Pipe::connect(&router.addr().to_string());
+    for (line, expected, needles) in refusal_cases() {
+        let want = to_server.ask(&line);
+        assert_eq!(to_router.ask(&line), want, "router bytes differ for {line}");
+        let resp = Response::decode(&want).unwrap();
+        assert_eq!(codes(&resp), expected, "{line} -> {want}");
+        for needle in needles {
+            assert!(want.contains(needle), "{line} -> {want} lacks {needle}");
+        }
     }
+    drop((to_server, to_router));
+    server.shutdown();
+    server.wait();
+    router.shutdown();
+    router.wait();
+}
 
-    // `batch` without a v2 envelope is an invalid request: v1 clients
-    // must opt in before the server accepts compound dispatch.
-    let mut v1_batch = batch_request(9, &[Request::new(1, "stats")]);
-    v1_batch.proto = 1;
-    let resp = roundtrip(&addr, &v1_batch).unwrap();
-    let (code, message) = expect_err(&resp);
-    assert_eq!(code, "invalid-request");
-    assert!(message.contains("proto"), "{message}");
+#[test]
+fn draining_refusal_differs_only_in_its_code() {
+    let server = server(ServeConfig::default());
+    let router = router(FleetConfig::default());
+    let mut to_server = Pipe::connect(&server.addr().to_string());
+    let mut to_router = Pipe::connect(&router.addr().to_string());
+    // One answered request each, so both connections are accepted
+    // before the drain drops the listeners.
+    let line = Request::new(5, "stats").encode();
+    to_server.ask(&line);
+    to_router.ask(&line);
+    server.shutdown();
+    router.shutdown();
+    // A connection held open past the drain is still answered, with
+    // each front end's own draining code.
+    let served = to_server.ask(&line);
+    let routed = to_router.ask(&line);
+    assert_eq!(
+        served,
+        r#"{"id":5,"ok":false,"error":{"code":"shutting-down","message":"service is draining"}}"#
+    );
+    assert_eq!(
+        routed,
+        served
+            .replace("shutting-down", "fleet-draining")
+            .replace("service is draining", "fleet is draining")
+    );
+    drop((to_server, to_router));
+    server.wait();
+    router.wait();
+}
 
-    // Batches do not nest, and shutdown cannot ride inside one.
-    let nested = batch_request(2, &[Request::new(1, "stats")]);
-    let resp = roundtrip(&addr, &batch_request(9, &[nested])).unwrap();
-    let inner = resp.batch_responses().unwrap();
-    assert_eq!(expect_err(&inner[0]).0, "invalid-request");
-    let resp = roundtrip(&addr, &batch_request(9, &[Request::new(1, "shutdown")])).unwrap();
-    let inner = resp.batch_responses().unwrap();
-    assert_eq!(expect_err(&inner[0]).0, "invalid-request");
+#[test]
+fn router_stats_has_the_server_shape_plus_fleet() {
+    let server = server(ServeConfig::default());
+    let router = router(FleetConfig::default());
+    let body = |addr: String| {
+        let resp = roundtrip(&addr, &Request::new(1, "stats")).unwrap();
+        JsonValue::parse(expect_ok(&resp)).unwrap()
+    };
+    let keys = |v: &JsonValue| match v {
+        JsonValue::Object(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("not an object: {other:?}"),
+    };
+    let served = body(server.addr().to_string());
+    let routed = body(router.addr().to_string());
+    let mut want = keys(&served);
+    want.push("fleet".to_string());
+    assert_eq!(
+        keys(&routed),
+        want,
+        "serve's keys in serve's order, then fleet"
+    );
+    assert_eq!(
+        keys(routed.get("cache").unwrap()),
+        keys(served.get("cache").unwrap())
+    );
+    server.shutdown();
+    server.wait();
+    router.shutdown();
+    router.wait();
+}
 
-    // The envelope still checks plain-request invariants.
-    let mut empty = Request::new(9, "batch").proto(PROTO_V2);
-    empty.params = JsonValue::parse(r#"{"requests":[]}"#).unwrap();
-    let resp = roundtrip(&addr, &empty).unwrap();
-    assert_eq!(expect_err(&resp).0, "invalid-request");
-
+#[test]
+fn router_counts_shed_batch_slots_in_its_stats() {
+    // One forwarding worker and a one-job queue: a long simulate holds
+    // the worker or the queue slot, a second holds the other, so the
+    // batch pipelined behind them finds the queue full.
+    let handle = router(FleetConfig {
+        backends: 1,
+        workers: 1,
+        fwd_queue: 1,
+        ..FleetConfig::default()
+    });
+    let addr = handle.addr().to_string();
+    let sim = |id, mem_ops| {
+        sim_request(
+            id,
+            &format!(r#"{{"workload":"bfs","mem_ops":{mem_ops},"sms":2,"seed":{id}}}"#),
+        )
+    };
+    let lines = [
+        sim(1, 200_000),
+        sim(2, 200_000),
+        batch_request(3, &[sim(4, 2000), sim(5, 2000)]),
+    ]
+    .iter()
+    .map(|r| format!("{}\n", r.encode()))
+    .collect::<String>();
+    let mut pipe = Pipe::connect(&addr);
+    pipe.writer.write_all(lines.as_bytes()).unwrap();
+    let mut shed = 0;
+    for _ in 0..3 {
+        let resp = Response::decode(&pipe.recv_line()).unwrap();
+        let got = match &resp {
+            Response::Ok { .. } if resp.id() != 3 => vec!["ok".to_string()],
+            _ => codes(&resp),
+        };
+        if resp.id() == 3 {
+            assert_eq!(got, ["overloaded", "overloaded"], "{resp:?}");
+        }
+        shed += got.iter().filter(|c| *c == "overloaded").count() as u64;
+    }
+    // Every shed answer, bare or in a batch slot, is counted once.
+    let stats = roundtrip(&addr, &Request::new(9, "stats")).unwrap();
+    let stats = JsonValue::parse(expect_ok(&stats)).unwrap();
+    assert_eq!(
+        stats.get("overloaded").and_then(JsonValue::as_u64),
+        Some(shed)
+    );
+    drop(pipe);
     handle.shutdown();
     handle.wait();
 }

@@ -23,6 +23,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+use crate::json::{JsonObject, JsonValue};
 use crate::telemetry::fnv1a;
 
 /// Point-in-time counters for one [`ResultCache`].
@@ -42,6 +43,47 @@ pub struct CacheStats {
     pub entries: usize,
     /// Maximum resident entries.
     pub capacity: usize,
+}
+
+impl CacheStats {
+    /// The `cache` block of a server's `stats` body.
+    pub fn to_json(&self) -> String {
+        JsonObject::new()
+            .u64("hits", self.hits)
+            .u64("misses", self.misses)
+            .u64("insertions", self.insertions)
+            .u64("evictions", self.evictions)
+            .u64("corruptions", self.corruptions)
+            .u64("entries", self.entries as u64)
+            .u64("capacity", self.capacity as u64)
+            .finish()
+    }
+
+    /// Reads a [`to_json`](Self::to_json) block back; a missing or
+    /// ill-typed counter reads 0.
+    pub fn from_json(v: &JsonValue) -> CacheStats {
+        let get = |key: &str| v.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
+        CacheStats {
+            hits: get("hits"),
+            misses: get("misses"),
+            insertions: get("insertions"),
+            evictions: get("evictions"),
+            corruptions: get("corruptions"),
+            entries: get("entries") as usize,
+            capacity: get("capacity") as usize,
+        }
+    }
+
+    /// Adds `other`'s counters to these (a fleet's caches summed).
+    pub fn merge(&mut self, other: &CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.insertions += other.insertions;
+        self.evictions += other.evictions;
+        self.corruptions += other.corruptions;
+        self.entries += other.entries;
+        self.capacity += other.capacity;
+    }
 }
 
 #[derive(Debug)]
@@ -221,6 +263,24 @@ mod tests {
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
         assert_eq!(s.entries, 1);
+    }
+
+    #[test]
+    fn stats_block_round_trips_and_sums() {
+        let c = ResultCache::new(4);
+        c.insert("k", "v".into());
+        let _ = c.get("k");
+        let _ = c.get("nope");
+        let s = c.stats();
+        let block = s.to_json();
+        assert_eq!(
+            block,
+            r#"{"hits":1,"misses":1,"insertions":1,"evictions":0,"corruptions":0,"entries":1,"capacity":4}"#
+        );
+        assert_eq!(CacheStats::from_json(&JsonValue::parse(&block).unwrap()), s);
+        let mut sum = s;
+        sum.merge(&s);
+        assert_eq!((sum.hits, sum.entries, sum.capacity), (2, 2, 8));
     }
 
     #[test]

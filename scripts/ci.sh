@@ -337,6 +337,8 @@ cmp "$FLEET_DIR/single.jsonl" "$FLEET_DIR/fleet.jsonl"  # failover: same bytes
 target/release/hetmem-top "$FADDR" --once --json --check \
     > "$FLEET_DIR/top.json"
 grep -q '"p99_us"' "$FLEET_DIR/top.json"
+fclient metrics format=prometheus > "$FLEET_DIR/metrics-prom.json"
+target/release/hetmem-trace promcheck "$FLEET_DIR/metrics-prom.json"
 fclient stats > "$FLEET_DIR/stats.jsonl"
 grep -q '"worker_restarts":1' "$FLEET_DIR/stats.jsonl"  # the kill was supervised
 fclient shutdown | grep -q '"draining":true'
