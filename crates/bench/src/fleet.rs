@@ -4,8 +4,8 @@
 //! backend processes and proxies the JSONL protocol (v1 and v2) to
 //! them on the crate's poll(2) reactor — the same loop `hetmem-serve`
 //! runs on, with pipelining, per-connection write-backlog
-//! backpressure, and read/write timeouts. The router keeps only its
-//! per-line and per-completion handlers (`Fleet`).
+//! backpressure, and read/write timeouts — through the same in-flight
+//! table. The router supplies only its executor: the forwarder pool.
 //!
 //! ## Routing
 //!
@@ -53,7 +53,7 @@
 
 use std::collections::HashMap;
 use std::ffi::c_int;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -66,13 +66,15 @@ use hetmem::HetmemError;
 use hetmem_harness::json::{self, JsonObject, JsonValue};
 use hetmem_harness::metrics::{Counter, Gauge};
 use hetmem_harness::{
-    batch_request, Backoff, BoundedQueue, CacheStats, CircuitBreaker, HashRing, PushError, Request,
-    Response, DEFAULT_VNODES,
+    batch_request, Backoff, BoundedQueue, CacheStats, CircuitBreaker, HashRing, Request, Response,
+    DEFAULT_VNODES,
 };
 
-use crate::front::{self, batch_result, Front, Head, Helps, Intake, Ledger, Slot};
-use crate::reactor::{self, Completions, Conn, DrainGate, Handler, Limits, Sink};
-use crate::serve::{roundtrip_timeout, simulate_cache_key};
+use crate::front::{
+    self, Exec, Front, Group, Head, Helps, Job, Ledger, Run, Sub, Table, DEFAULT_MAX_BATCH,
+};
+use crate::reactor::{DrainGate, Reactor, Waker};
+use crate::serve::{exchange, roundtrip_timeout, simulate_cache_key};
 
 const SIGINT: c_int = 2;
 const SIGTERM: c_int = 15;
@@ -222,12 +224,11 @@ struct BackendArgs {
 /// Everything the loop, forwarding workers, supervisors, and prober
 /// share.
 struct FleetShared {
-    addr: SocketAddr,
     serve_bin: PathBuf,
     backend_args: BackendArgs,
     ring: HashRing,
     backends: Vec<Backend>,
-    fwd: BoundedQueue<FwdJob>,
+    fwd: BoundedQueue<Job<Fwd, ForwardReply>>,
     /// New work is refused with `fleet-draining`.
     draining: AtomicBool,
     /// In-flight work has finished flushing: supervisors may stop
@@ -241,6 +242,8 @@ struct FleetShared {
     /// Marked once the loop has flushed every accepted request's
     /// response while draining; [`FleetHandle::wait`] blocks on it.
     drain: DrainGate,
+    /// Wakes the poll loop to observe a drain at once.
+    waker: Waker,
     /// The client-connection write timeout, also applied to writes on
     /// router→backend sockets.
     write_timeout: Duration,
@@ -268,8 +271,8 @@ struct ForwardReply {
 
 type FwdResult = Result<ForwardReply, HetmemError>;
 
-/// A request parked in the forwarding queue.
-struct FwdJob {
+/// A request bound for the forwarding queue.
+struct Fwd {
     /// The raw line to forward (no newline) — the client's own bytes
     /// for bare requests, a re-encoded per-backend envelope for batch
     /// groups.
@@ -277,30 +280,6 @@ struct FwdJob {
     /// Content key the ring walk starts from.
     key: String,
     deadline: Option<Instant>,
-    /// Drops to `backend-unavailable` if a worker panics mid-forward.
-    sink: Sink<FwdResult>,
-}
-
-/// In-flight forwarded work, keyed by completion token.
-enum Pending {
-    /// A bare forwarded op: relay the backend's line verbatim.
-    Single { conn: u64, head: Head },
-    /// One per-backend group of a batch envelope: scatter its
-    /// sub-responses into the envelope's slots.
-    Group {
-        batch: u64,
-        slots: Vec<usize>,
-        /// `(id, client_rid)` per slot, for error filling.
-        subs: Vec<(u64, Option<String>)>,
-    },
-}
-
-/// A batch envelope waiting for its forwarded groups.
-struct BatchPending {
-    conn: u64,
-    head: Head,
-    slots: Vec<Option<Response>>,
-    remaining: usize,
 }
 
 /// A running fleet: the router's bound address plus the threads and
@@ -527,18 +506,20 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
         "Requests parked in the forwarding queue at scrape time.",
         &[("shard", "fwd")],
     );
+    let max_batch = if cfg.max_batch == 0 {
+        DEFAULT_MAX_BATCH
+    } else {
+        cfg.max_batch
+    };
+    let limits = front::limits(cfg.conn_buffer, cfg.read_timeout_ms, cfg.write_timeout_ms);
+    let reactor = Reactor::new(listener)?;
     let shared = Arc::new(FleetShared {
-        addr,
         serve_bin,
         backend_args: BackendArgs {
             shards: cfg.shards,
             queue_depth: cfg.queue_depth,
             cache_capacity: cfg.cache_capacity,
-            max_batch: if cfg.max_batch == 0 {
-                64
-            } else {
-                cfg.max_batch
-            },
+            max_batch,
             faults: cfg.backend_faults,
         },
         ring,
@@ -550,7 +531,8 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
         reroutes,
         queue_depth,
         drain: DrainGate::default(),
-        write_timeout: Duration::from_millis(or_default(cfg.write_timeout_ms, 30_000)),
+        waker: reactor.waker(),
+        write_timeout: limits.write_timeout,
         backend_timeout: Duration::from_millis(or_default(
             cfg.backend_timeout_ms,
             DEFAULT_BACKEND_TIMEOUT_MS,
@@ -566,11 +548,7 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
         } else {
             cfg.max_restarts
         },
-        max_batch: if cfg.max_batch == 0 {
-            64
-        } else {
-            cfg.max_batch
-        },
+        max_batch,
     });
     // Initial spawns are synchronous so start() returns a fleet that
     // can actually serve; failures kill what was already spawned.
@@ -616,18 +594,9 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
             .name("hetmem-fleet-probe".to_string())
             .spawn(move || prober(&s))?
     };
-    let limits = Limits {
-        conn_buffer: if cfg.conn_buffer == 0 {
-            256 * 1024
-        } else {
-            cfg.conn_buffer
-        },
-        read_timeout: Duration::from_millis(or_default(cfg.read_timeout_ms, 120_000)),
-        write_timeout: shared.write_timeout,
-    };
     // Detached: wait() synchronizes on the drain gate, and the loop
     // exits once every conn is gone.
-    reactor::spawn("hetmem-fleet-poll", listener, limits, Fleet::new(&shared))?;
+    reactor.spawn("hetmem-fleet-poll", limits, Table::new(&shared))?;
     Ok(FleetHandle {
         addr,
         shared,
@@ -877,8 +846,8 @@ fn fwd_worker(shared: &Arc<FleetShared>) {
     // this worker; dropped (and retried fresh) on any I/O error.
     let mut pool: HashMap<usize, BufReader<TcpStream>> = HashMap::new();
     while let Some(job) = shared.fwd.pop() {
-        let result = forward_one(shared, &mut pool, &job);
-        job.sink.deliver(result);
+        let result = forward_one(shared, &mut pool, &job.work);
+        job.reply.deliver(result);
     }
 }
 
@@ -889,7 +858,7 @@ fn fwd_worker(shared: &Arc<FleetShared>) {
 fn forward_one(
     shared: &FleetShared,
     pool: &mut HashMap<usize, BufReader<TcpStream>>,
-    job: &FwdJob,
+    job: &Fwd,
 ) -> FwdResult {
     let order = shared.ring.successors(&job.key);
     let mut tried = 0usize;
@@ -965,7 +934,7 @@ fn backend_roundtrip(
     read_timeout: Duration,
     write_timeout: Duration,
 ) -> io::Result<(String, bool, Option<String>)> {
-    let reader = match pool.entry(b) {
+    let conn = match pool.entry(b) {
         std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
         std::collections::hash_map::Entry::Vacant(v) => {
             let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
@@ -976,278 +945,135 @@ fn backend_roundtrip(
         }
     };
     let floor = Duration::from_millis(1);
-    reader
-        .get_ref()
+    conn.get_ref()
         .set_read_timeout(Some(read_timeout.max(floor)))?;
-    reader
-        .get_ref()
+    conn.get_ref()
         .set_write_timeout(Some(write_timeout.max(floor)))?;
-    let mut msg = String::with_capacity(line.len() + 1);
-    msg.push_str(line);
-    msg.push('\n');
-    reader.get_mut().write_all(msg.as_bytes())?;
-    let mut reply = String::new();
-    if reader.read_line(&mut reply)? == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "backend closed the connection before responding",
-        ));
-    }
-    if !reply.ends_with('\n') {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "backend connection died mid-response (truncated line)",
-        ));
-    }
-    let trimmed = reply.trim_end().to_string();
-    match Response::decode(&trimmed) {
-        Ok(Response::Ok { .. }) => Ok((trimmed, true, None)),
-        Ok(Response::Err { code, .. }) => Ok((trimmed, false, Some(code))),
+    let reply = exchange(conn, line)?;
+    match Response::decode(&reply) {
+        Ok(Response::Ok { .. }) => Ok((reply, true, None)),
+        Ok(Response::Err { code, .. }) => Ok((reply, false, Some(code))),
         // A complete-but-undecodable line is relayed as-is: the router
         // proxies, it does not validate.
-        Err(_) => Ok((trimmed, false, None)),
+        Err(_) => Ok((reply, false, None)),
     }
 }
 
 // ---------------------------------------------------------------------------
-// The client-facing handlers
+// The executor under the shared in-flight table
 // ---------------------------------------------------------------------------
 
-/// The router front end on the reactor: the fleet's shared state plus
-/// the forwards in flight.
-struct Fleet {
-    shared: Arc<FleetShared>,
-    pending: HashMap<u64, Pending>,
-    batches: HashMap<u64, BatchPending>,
-}
+impl Exec for FleetShared {
+    type Head = Head;
+    type Work = Fwd;
+    type Out = ForwardReply;
+    const LOST: HetmemError = HetmemError::BackendUnavailable { tried: 0 };
 
-impl Fleet {
-    fn new(shared: &Arc<FleetShared>) -> Self {
-        Fleet {
-            shared: Arc::clone(shared),
-            pending: HashMap::new(),
-            batches: HashMap::new(),
-        }
+    fn head(&self, head: Head, _read_us: u64) -> Head {
+        head
     }
 
-    /// A validated `batch` envelope at the router: slots the front
-    /// resolved (fleet `stats` / `metrics`, per-sub refusals) are kept;
-    /// `place`/`simulate` slots are grouped by owning backend, forwarded
-    /// as one per-backend batch envelope each, and reassembled in
-    /// sub-request order on completion.
-    fn batch(
-        &mut self,
-        c: &mut Conn,
-        conn: u64,
-        done: &mut Completions<FwdResult>,
-        head: Head,
-        slots: Vec<Slot>,
+    /// The client's own bytes go to the backend owning the content key.
+    fn op(&self, req: &Request, line: &str, deadline: Option<Instant>) -> Run<Fwd> {
+        Run::Queue(Fwd {
+            line: line.trim().to_string(),
+            key: route_key(req),
+            deadline,
+        })
+    }
+
+    /// Groups the slots by owning backend; each group forwards as one
+    /// per-backend batch envelope.
+    fn scatter(
+        &self,
+        id: u64,
         deadline: Option<Instant>,
-    ) {
-        let shared = &self.shared;
-        let mut ready: Vec<Option<Response>> = Vec::with_capacity(slots.len());
-        let mut groups: HashMap<usize, GroupBuild> = HashMap::new();
-        for (slot, sub) in slots.into_iter().enumerate() {
-            let sub = match sub {
-                Slot::Ready(resp) => {
-                    ready.push(Some(resp));
-                    continue;
-                }
-                Slot::Op(sub, _) => sub,
-            };
+        ops: Vec<(usize, Request, Option<Instant>)>,
+        _ready: &mut [Option<Response>],
+    ) -> Vec<Group<Fwd>> {
+        let mut by_backend: HashMap<usize, (String, Vec<usize>, Vec<Request>)> = HashMap::new();
+        for (slot, sub, _) in ops {
             let key = route_key(&sub);
-            let group = groups.entry(shared.ring.route(&key)).or_default();
-            if group.subs.is_empty() {
-                group.rep_key = key;
+            let (rep_key, slots, subs) = by_backend.entry(self.ring.route(&key)).or_default();
+            if subs.is_empty() {
+                *rep_key = key;
             }
-            group.slots.push(slot);
-            group.ids.push((sub.id, sub.request_id.clone()));
-            group.subs.push(sub);
-            ready.push(None);
+            slots.push(slot);
+            subs.push(sub);
         }
-        if groups.is_empty() {
-            let out = respond_line(shared, head, Ok(batch_result(ready)));
-            deliver(shared, c, &out);
-            return;
-        }
-        c.inflight += 1;
-        let batch_token = done.token();
-        let id = head.id;
-        self.batches.insert(
-            batch_token,
-            BatchPending {
-                conn,
-                head,
-                remaining: groups.len(),
-                slots: ready,
-            },
-        );
-        for (_, group) in groups {
-            let mut env = batch_request(id, &group.subs);
+        let group = |(key, slots, subs): (String, Vec<usize>, Vec<Request>)| {
+            let mut env = batch_request(id, &subs);
             if let Some(d) = deadline {
                 // The outer budget rides to the backend as remaining ms;
                 // per-sub deadlines are already inside the sub envelopes.
                 let left = d.saturating_duration_since(Instant::now()).as_millis() as u64;
                 env.deadline_ms = Some(left.max(1));
             }
-            let token = done.token();
-            self.pending.insert(
-                token,
-                Pending::Group {
-                    batch: batch_token,
-                    slots: group.slots,
-                    subs: group.ids,
+            Group {
+                slots,
+                subs: subs.into_iter().map(|r| (r.id, r.request_id)).collect(),
+                work: Fwd {
+                    line: env.encode(),
+                    key,
+                    deadline,
                 },
-            );
-            submit_forward(shared, done, token, env.encode(), group.rep_key, deadline);
-        }
-    }
-}
-
-impl Handler for Fleet {
-    type Reply = FwdResult;
-
-    fn draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
+            }
+        };
+        by_backend.into_values().map(group).collect()
     }
 
-    fn idle(&self) -> bool {
-        self.pending.is_empty() && self.batches.is_empty()
+    fn queue(&self, _work: &Fwd) -> &BoundedQueue<Job<Fwd, ForwardReply>> {
+        &self.fwd
     }
 
-    /// One complete client request line through the shared intake:
-    /// answers go straight back, and everything else forwards by
-    /// content key.
-    fn line(
-        &mut self,
-        c: &mut Conn,
-        conn: u64,
-        line: &str,
-        shed: bool,
-        done: &mut Completions<FwdResult>,
-    ) {
-        let shared = &self.shared;
-        match front::intake(&**shared, line, shed) {
-            None => {}
-            Some(Intake::Answer(head, outcome)) => {
-                let out = respond_line(shared, head, outcome);
-                deliver(shared, c, &out);
-            }
-            Some(Intake::Op(head, req, deadline)) => {
-                let key = route_key(&req);
-                let token = done.token();
-                c.inflight += 1;
-                self.pending.insert(token, Pending::Single { conn, head });
-                // The client's own bytes go to the backend.
-                let line = line.trim().to_string();
-                submit_forward(shared, done, token, line, key, deadline);
-            }
-            Some(Intake::Batch(head, slots, deadline)) => {
-                self.batch(c, conn, done, head, slots, deadline);
-            }
+    /// A backend's batch envelope, decoded into the group's slots. Codes
+    /// from a backend's reply are relayed, not counted here.
+    fn gather(&self, subs: &[Sub], out: ForwardReply) -> Vec<Response> {
+        let fill = |code: &str, message: &str| -> Vec<Response> {
+            subs.iter()
+                .map(|(id, rid)| Response::err(*id, code, message).with_request_id(rid.clone()))
+                .collect()
+        };
+        match Response::decode(&out.line) {
+            Err(_) => fill(
+                "backend-unavailable",
+                "backend returned an undecodable reply",
+            ),
+            Ok(Response::Err { code, message, .. }) => fill(&code, &message),
+            Ok(ok @ Response::Ok { .. }) => match ok.batch_responses() {
+                Ok(rs) if rs.len() == subs.len() => rs,
+                _ => fill(
+                    "backend-unavailable",
+                    "backend returned a mismatched batch envelope",
+                ),
+            },
         }
     }
 
-    /// A forward finished: relay (or synthesize) the response, keep batch
-    /// bookkeeping, account before the bytes reach the connection.
-    fn completion(&mut self, conns: &mut HashMap<u64, Conn>, token: u64, reply: FwdResult) {
-        let shared = &self.shared;
-        match self.pending.remove(&token) {
-            None => {}
-            Some(Pending::Single { conn, head }) => {
-                let out = match reply {
-                    Ok(reply) => relay_line(shared, &head, &reply),
-                    Err(e) => respond_line(shared, head, Err(e)),
-                };
-                if let Some(c) = conns.get_mut(&conn) {
-                    c.inflight -= 1;
-                    deliver(shared, c, &out);
-                }
-            }
-            Some(Pending::Group { batch, slots, subs }) => {
-                // Codes from a backend's reply are relayed, not counted here.
-                let fill = |code: &str, message: &str| -> Vec<Response> {
-                    subs.iter()
-                        .map(|(id, rid)| {
-                            Response::err(*id, code, message).with_request_id(rid.clone())
-                        })
-                        .collect()
-                };
-                let responses: Vec<Response> = match reply {
-                    // The router's own refusal: counted like any other.
-                    Err(e) => subs
-                        .iter()
-                        .map(|(id, rid)| shared.ledger.response(*id, rid.clone(), Err(e.clone())))
-                        .collect(),
-                    Ok(reply) => match Response::decode(&reply.line) {
-                        Err(_) => fill(
-                            "backend-unavailable",
-                            "backend returned an undecodable reply",
-                        ),
-                        Ok(Response::Err { code, message, .. }) => fill(&code, &message),
-                        Ok(ok @ Response::Ok { .. }) => match ok.batch_responses() {
-                            Ok(rs) if rs.len() == slots.len() => rs,
-                            _ => fill(
-                                "backend-unavailable",
-                                "backend returned a mismatched batch envelope",
-                            ),
-                        },
-                    },
-                };
-                let Some(b) = self.batches.get_mut(&batch) else {
-                    return;
-                };
-                for (slot, resp) in slots.iter().zip(responses) {
-                    b.slots[*slot] = Some(resp);
-                }
-                b.remaining -= 1;
-                if b.remaining > 0 {
-                    return;
-                }
-                let b = self.batches.remove(&batch).expect("batch present");
-                let out = respond_line(shared, b.head, Ok(batch_result(b.slots)));
-                if let Some(c) = conns.get_mut(&b.conn) {
-                    c.inflight -= 1;
-                    deliver(shared, c, &out);
-                }
-            }
-        }
+    fn respond(&self, head: Head, outcome: Result<String, HetmemError>) -> String {
+        let resp = self.ledger.response(head.id, head.client_rid, outcome);
+        self.ledger.account(&head.op, resp.is_ok(), head.t0);
+        let mut out = resp.encode();
+        out.push('\n');
+        out
+    }
+
+    /// A backend's line, relayed verbatim; only the counters are the
+    /// router's.
+    fn reply(&self, head: Head, out: ForwardReply) -> String {
+        self.ledger.account(&head.op, out.ok, head.t0);
+        let mut line = out.line;
+        line.push('\n');
+        line
     }
 
     /// Every accepted request is flushed (or the loop died): let
     /// wait() return and the supervisors stop the children.
     fn drained(&self) {
-        self.shared.reap.store(true, Ordering::SeqCst);
-        self.shared.fwd.close();
-        self.shared.drain.mark();
+        self.reap.store(true, Ordering::SeqCst);
+        self.fwd.close();
+        self.drain.mark();
     }
-}
-
-/// Builds, accounts, and encodes one router-resolved response line —
-/// accounting happens before the bytes can reach a socket, preserving
-/// the conservation invariant.
-fn respond_line(shared: &FleetShared, head: Head, outcome: Result<String, HetmemError>) -> String {
-    let resp = shared.ledger.response(head.id, head.client_rid, outcome);
-    shared.ledger.account(&head.op, resp.is_ok(), head.t0);
-    let mut out = resp.encode();
-    out.push('\n');
-    out
-}
-
-/// Accounts one relayed backend response line (bytes pass through
-/// untouched; only the counters are the router's).
-fn relay_line(shared: &FleetShared, head: &Head, reply: &ForwardReply) -> String {
-    shared.ledger.account(&head.op, reply.ok, head.t0);
-    let mut out = String::with_capacity(reply.line.len() + 1);
-    out.push_str(&reply.line);
-    out.push('\n');
-    out
-}
-
-/// Queues response bytes, honoring the close-after-response contract
-/// once draining.
-fn deliver(shared: &FleetShared, c: &mut Conn, out: &str) {
-    c.queue(out, shared.draining.load(Ordering::SeqCst));
 }
 
 /// The content key a request routes by. `simulate` uses the canonical
@@ -1263,40 +1089,6 @@ fn route_key(req: &Request) -> String {
     format!("{}:{}", req.op, req.params.render())
 }
 
-/// Hands one forwarded line to the worker pool; a full or closed queue
-/// answers through the sink immediately, so refusals flow back like
-/// any other completion.
-fn submit_forward(
-    shared: &FleetShared,
-    done: &Completions<FwdResult>,
-    token: u64,
-    line: String,
-    key: String,
-    deadline: Option<Instant>,
-) {
-    let sink = done.sink(token, Err(HetmemError::BackendUnavailable { tried: 0 }));
-    let job = FwdJob {
-        line,
-        key,
-        deadline,
-        sink,
-    };
-    match shared.fwd.try_push(job) {
-        Ok(()) => {}
-        Err(PushError::Overloaded(job)) => job.sink.deliver(Err(HetmemError::Overloaded)),
-        Err(PushError::Closed(job)) => job.sink.deliver(Err(HetmemError::FleetDraining)),
-    }
-}
-
-/// One per-backend slice of a batch envelope under construction.
-#[derive(Default)]
-struct GroupBuild {
-    slots: Vec<usize>,
-    subs: Vec<Request>,
-    ids: Vec<(u64, Option<String>)>,
-    rep_key: String,
-}
-
 impl Front for FleetShared {
     const DRAINING: HetmemError = HetmemError::FleetDraining;
 
@@ -1308,12 +1100,12 @@ impl Front for FleetShared {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// Sets the drain flag once and nudges the poll loop awake.
+    /// Sets the drain flag once and wakes the poll loop.
     fn begin_drain(&self) {
         if self.draining.swap(true, Ordering::SeqCst) {
             return;
         }
-        let _ = TcpStream::connect(self.addr);
+        self.waker.wake();
     }
 
     fn max_batch(&self) -> usize {

@@ -1,15 +1,20 @@
 //! The request front `hetmem-serve` and the `hetmem-fleet` router
-//! share above the reactor: envelope intake, batch validation, and the
-//! ledger behind the `stats` and `metrics` ops.
+//! share above the reactor: envelope intake, batch validation, the
+//! in-flight table, and the ledger behind the `stats` and `metrics`
+//! ops.
 //!
-//! A front end implements [`Front`] for what really differs — its
-//! draining refusal (`shutting-down` / `fleet-draining`), its `stats`
-//! extras and its scrape-time mirrors — and executes only the work
-//! [`intake`] hands back: `place` and `simulate`, bare or as batch
-//! slots. The refusal order, every error string and the shared shape of
-//! `stats` and `metrics` live here once, so a router answers what a
-//! server answers byte for byte.
+//! A front end implements [`Front`] for what really differs in intake —
+//! its draining refusal (`shutting-down` / `fleet-draining`), its
+//! `stats` extras and its scrape-time mirrors — and [`Exec`] for its
+//! executor: serve's shard pool or the router's forwarder pool. The
+//! [`Table`] is the one reactor handler both run on. It parks every
+//! request [`intake`] hands over, fans a batch's slots out to the
+//! executor and gathers them back in sub-request order, and accounts
+//! each response before its bytes are queued. The refusal order, every
+//! error string and the shared shape of `stats` and `metrics` live here
+//! once, so a router answers what a server answers byte for byte.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,9 +22,30 @@ use std::time::{Duration, Instant};
 use hetmem::HetmemError;
 use hetmem_harness::json::{self, JsonObject, JsonValue};
 use hetmem_harness::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-use hetmem_harness::{CacheStats, Request, Response, PROTO_V2};
+use hetmem_harness::{BoundedQueue, CacheStats, PushError, Request, Response, PROTO_V2};
 
-use crate::reactor::us;
+use crate::reactor::{us, Completions, Conn, Handler, Limits, Sink};
+use crate::serve::DEFAULT_READ_TIMEOUT_MS;
+
+/// The `batch` sub-request ceiling per envelope when the config leaves
+/// it 0.
+pub(crate) const DEFAULT_MAX_BATCH: usize = 64;
+
+/// The client-connection limits of either front end, a 0 taking the
+/// default: 256 KiB of unflushed responses before lines are shed, a
+/// 120 s idle read timeout and a 30 s write timeout.
+pub(crate) fn limits(conn_buffer: usize, read_timeout_ms: u64, write_timeout_ms: u64) -> Limits {
+    let ms = |v: u64, default: u64| Duration::from_millis(if v == 0 { default } else { v });
+    Limits {
+        conn_buffer: if conn_buffer == 0 {
+            256 * 1024
+        } else {
+            conn_buffer
+        },
+        read_timeout: ms(read_timeout_ms, DEFAULT_READ_TIMEOUT_MS),
+        write_timeout: ms(write_timeout_ms, 30_000),
+    }
+}
 
 /// What a front end supplies to the shared intake.
 pub(crate) trait Front {
@@ -217,7 +243,7 @@ fn batch<F: Front>(
 /// A completed batch's result body, `{"responses":[...]}` in
 /// sub-request order; the envelope counts once as an `ok` response.
 /// Every slot must be filled.
-pub(crate) fn batch_result(slots: Vec<Option<Response>>) -> String {
+fn batch_result(slots: Vec<Option<Response>>) -> String {
     let responses = slots
         .into_iter()
         .map(|slot| slot.expect("every batch slot is answered").encode());
@@ -434,5 +460,303 @@ impl Ledger {
 
     fn uptime(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
+    }
+}
+
+/// How an executor takes a `place` or `simulate`.
+pub(crate) enum Run<W> {
+    /// Answered on the loop.
+    Now(Result<String, HetmemError>),
+    /// Work for the executor's queue.
+    Queue(W),
+}
+
+/// A batch slot's request id and client id, which its response echoes.
+pub(crate) type Sub = (u64, Option<String>);
+
+/// Batch slots that run as one queued job.
+pub(crate) struct Group<W> {
+    /// The envelope slots the job fills, in order.
+    pub(crate) slots: Vec<usize>,
+    /// One entry per slot.
+    pub(crate) subs: Vec<Sub>,
+    pub(crate) work: W,
+}
+
+/// One job on an executor's queue: its work, and the sink its reply
+/// goes back to the loop through.
+pub(crate) struct Job<W, O> {
+    pub(crate) work: W,
+    pub(crate) reply: Sink<Result<O, HetmemError>>,
+}
+
+/// A front end's executor: what runs below the shared [`Table`].
+pub(crate) trait Exec: Front + Send + Sync + 'static {
+    /// A request's identity while it is in flight.
+    type Head: Send + 'static;
+    /// What one queued job carries.
+    type Work: Send + 'static;
+    /// A finished job's result.
+    type Out: Send + 'static;
+    /// The answer of a job whose worker died holding it.
+    const LOST: HetmemError;
+
+    /// The identity of a request [`intake`] accepted; `read_us` is its
+    /// read phase (socket wait plus client think time).
+    fn head(&self, head: Head, read_us: u64) -> Self::Head;
+
+    /// A bare `place` or `simulate`, as received on `line`.
+    fn op(&self, req: &Request, line: &str, deadline: Option<Instant>) -> Run<Self::Work>;
+
+    /// A batch's `place` and `simulate` slots (index, request,
+    /// deadline) as queued groups; a slot answered on the loop is filled
+    /// in `ready` instead. `id` and `deadline` are the envelope's.
+    fn scatter(
+        &self,
+        id: u64,
+        deadline: Option<Instant>,
+        ops: Vec<(usize, Request, Option<Instant>)>,
+        ready: &mut [Option<Response>],
+    ) -> Vec<Group<Self::Work>>;
+
+    /// The queue `work` runs on.
+    fn queue(&self, work: &Self::Work) -> &BoundedQueue<Job<Self::Work, Self::Out>>;
+
+    /// A group's result as one response per slot, in the group's order.
+    fn gather(&self, subs: &[Sub], out: Self::Out) -> Vec<Response>;
+
+    /// Accounts one finished request and encodes its response line,
+    /// newline included, before the bytes go near a socket.
+    fn respond(&self, head: Self::Head, outcome: Result<String, HetmemError>) -> String;
+
+    /// As [`Exec::respond`], for a bare op's queued result.
+    fn reply(&self, head: Self::Head, out: Self::Out) -> String;
+
+    /// Queues response bytes on the connection; once draining, the
+    /// connection closes after them.
+    fn deliver(&self, c: &mut Conn, out: &str) {
+        c.queue(out, self.draining());
+    }
+
+    /// See [`Handler::refuse_accept`].
+    fn refuse_accept(&self) -> bool {
+        false
+    }
+
+    /// See [`Handler::wrote`].
+    fn wrote(&self, _us: u64) {}
+
+    /// See [`Handler::drained`].
+    fn drained(&self);
+}
+
+/// A request waiting on the executor, keyed by completion token.
+enum Parked<H> {
+    /// A bare op, answered on its connection.
+    Bare { conn: u64, head: H },
+    /// One group of a batch envelope's slots.
+    Group {
+        batch: u64,
+        slots: Vec<usize>,
+        subs: Vec<Sub>,
+    },
+}
+
+/// A batch envelope waiting for its groups.
+struct Batch<H> {
+    conn: u64,
+    head: H,
+    slots: Vec<Option<Response>>,
+    remaining: usize,
+}
+
+/// The in-flight table: the reactor handler both front ends run on.
+pub(crate) struct Table<E: Exec> {
+    exec: Arc<E>,
+    parked: HashMap<u64, Parked<E::Head>>,
+    batches: HashMap<u64, Batch<E::Head>>,
+}
+
+impl<E: Exec> Table<E> {
+    pub(crate) fn new(exec: &Arc<E>) -> Self {
+        Table {
+            exec: Arc::clone(exec),
+            parked: HashMap::new(),
+            batches: HashMap::new(),
+        }
+    }
+
+    /// A validated batch: `Ready` slots are kept and the rest fan out
+    /// as the executor groups them. An envelope with nothing to fan out
+    /// is answered at once; otherwise it is one in-flight unit on its
+    /// connection until its last group completes.
+    fn batch(
+        &mut self,
+        c: &mut Conn,
+        conn: u64,
+        done: &mut Completions<Result<E::Out, HetmemError>>,
+        (id, head): (u64, E::Head),
+        slots: Vec<Slot>,
+        deadline: Option<Instant>,
+    ) {
+        let exec = &*self.exec;
+        let mut ready = Vec::with_capacity(slots.len());
+        let mut ops = Vec::new();
+        for (i, slot) in slots.into_iter().enumerate() {
+            ready.push(match slot {
+                Slot::Ready(resp) => Some(resp),
+                Slot::Op(req, deadline) => {
+                    ops.push((i, req, deadline));
+                    None
+                }
+            });
+        }
+        let groups = exec.scatter(id, deadline, ops, &mut ready);
+        if groups.is_empty() {
+            let out = exec.respond(head, Ok(batch_result(ready)));
+            exec.deliver(c, &out);
+            return;
+        }
+        c.inflight += 1;
+        let batch = done.token();
+        let remaining = groups.len();
+        self.batches.insert(
+            batch,
+            Batch {
+                conn,
+                head,
+                slots: ready,
+                remaining,
+            },
+        );
+        for Group { slots, subs, work } in groups {
+            let token = done.token();
+            self.parked
+                .insert(token, Parked::Group { batch, slots, subs });
+            submit(exec, done, token, work);
+        }
+    }
+}
+
+/// Pushes one job onto its executor queue. A full queue answers
+/// `overloaded` and a closed one the draining error, both through the
+/// job's own sink, so refusals come back like any other completion.
+fn submit<E: Exec>(
+    exec: &E,
+    done: &Completions<Result<E::Out, HetmemError>>,
+    token: u64,
+    work: E::Work,
+) {
+    let job = Job {
+        work,
+        reply: done.sink(token, Err(E::LOST)),
+    };
+    match exec.queue(&job.work).try_push(job) {
+        Ok(()) => {}
+        Err(PushError::Overloaded(job)) => job.reply.deliver(Err(HetmemError::Overloaded)),
+        Err(PushError::Closed(job)) => job.reply.deliver(Err(E::DRAINING)),
+    }
+}
+
+impl<E: Exec> Handler for Table<E> {
+    type Reply = Result<E::Out, HetmemError>;
+
+    fn draining(&self) -> bool {
+        self.exec.draining()
+    }
+
+    fn idle(&self) -> bool {
+        self.parked.is_empty() && self.batches.is_empty()
+    }
+
+    fn refuse_accept(&self) -> bool {
+        self.exec.refuse_accept()
+    }
+
+    /// One request line through [`intake`]: answered now, or parked
+    /// until its executor completes it.
+    fn line(
+        &mut self,
+        c: &mut Conn,
+        conn: u64,
+        line: &str,
+        shed: bool,
+        done: &mut Completions<Self::Reply>,
+    ) {
+        let now = Instant::now();
+        let read_us = us(now.saturating_duration_since(c.last_line_done));
+        c.last_line_done = now;
+        let exec = &*self.exec;
+        let (head, run) = match intake(exec, line, shed) {
+            None => return,
+            Some(Intake::Answer(head, outcome)) => (head, Run::Now(outcome)),
+            Some(Intake::Op(head, req, deadline)) => (head, exec.op(&req, line, deadline)),
+            Some(Intake::Batch(head, slots, deadline)) => {
+                let head = (head.id, exec.head(head, read_us));
+                return self.batch(c, conn, done, head, slots, deadline);
+            }
+        };
+        let head = exec.head(head, read_us);
+        match run {
+            Run::Now(outcome) => {
+                let out = exec.respond(head, outcome);
+                exec.deliver(c, &out);
+            }
+            Run::Queue(work) => {
+                let token = done.token();
+                c.inflight += 1;
+                self.parked.insert(token, Parked::Bare { conn, head });
+                submit(exec, done, token, work);
+            }
+        }
+    }
+
+    /// A job finished: its request is answered, or its batch slots are
+    /// filled and, with the last group, the envelope is. Accounted even
+    /// if the connection is gone: completed work always counts.
+    fn completion(&mut self, conns: &mut HashMap<u64, Conn>, token: u64, reply: Self::Reply) {
+        let exec = &*self.exec;
+        let (conn, out) = match self.parked.remove(&token) {
+            None => return,
+            Some(Parked::Bare { conn, head }) => match reply {
+                Ok(out) => (conn, exec.reply(head, out)),
+                Err(e) => (conn, exec.respond(head, Err(e))),
+            },
+            Some(Parked::Group { batch, slots, subs }) => {
+                let responses = match reply {
+                    Ok(out) => exec.gather(&subs, out),
+                    // The front end's own refusal (a full or closed
+                    // queue, a lost job) counts like any other.
+                    Err(e) => subs
+                        .into_iter()
+                        .map(|(id, rid)| exec.ledger().response(id, rid, Err(e.clone())))
+                        .collect(),
+                };
+                let Some(b) = self.batches.get_mut(&batch) else {
+                    return;
+                };
+                for (slot, resp) in slots.into_iter().zip(responses) {
+                    b.slots[slot] = Some(resp);
+                }
+                b.remaining -= 1;
+                if b.remaining > 0 {
+                    return;
+                }
+                let b = self.batches.remove(&batch).expect("batch present");
+                (b.conn, exec.respond(b.head, Ok(batch_result(b.slots))))
+            }
+        };
+        if let Some(c) = conns.get_mut(&conn) {
+            c.inflight -= 1;
+            exec.deliver(c, &out);
+        }
+    }
+
+    fn wrote(&self, us: u64) {
+        self.exec.wrote(us);
+    }
+
+    fn drained(&self) {
+        self.exec.drained();
     }
 }

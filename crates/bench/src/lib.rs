@@ -55,7 +55,7 @@ use cli::Args;
 /// catalog, prints `<bin>: <message>` on stderr and exits the process
 /// with code 2.
 pub fn opts_from_args() -> ExpOptions {
-    opts_from(Args::from_env()).unwrap_or_else(|e| {
+    opts_from(std::env::args().skip(1).collect()).unwrap_or_else(|e| {
         let exe = std::env::args().next().unwrap_or_default();
         let bin = std::path::Path::new(&exe)
             .file_stem()
@@ -65,29 +65,19 @@ pub fn opts_from_args() -> ExpOptions {
 }
 
 /// Parses the common experiment flags from `args` (the command line
-/// without the program name); see [`opts_from_args`].
-fn opts_from(mut args: Args) -> Result<ExpOptions, String> {
-    let mut opts = ExpOptions {
-        verbose: true,
-        ..ExpOptions::default()
+/// without the program name); see [`opts_from_args`]. `--quick` is the
+/// base every other flag refines, wherever it appears.
+fn opts_from(args: Vec<String>) -> Result<ExpOptions, String> {
+    let mut opts = if args.iter().any(|a| a == "--quick") {
+        ExpOptions::quick()
+    } else {
+        ExpOptions::default()
     };
+    opts.verbose = true;
+    let mut args = Args::new(args);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => {
-                let (verbose, threads, telemetry) =
-                    (opts.verbose, opts.threads, opts.telemetry.take());
-                let (sample_cycles, trace, trace_budget) =
-                    (opts.sample_cycles, opts.trace.take(), opts.trace_budget);
-                let fidelity = opts.fidelity;
-                opts = ExpOptions::quick();
-                opts.verbose = verbose;
-                opts.threads = threads;
-                opts.telemetry = telemetry;
-                opts.sample_cycles = sample_cycles;
-                opts.trace = trace;
-                opts.trace_budget = trace_budget;
-                opts.fidelity = fidelity;
-            }
+            "--quick" => {}
             "--scale" => opts.ops_scale = args.parse()?,
             "--sms" => opts.sim.num_sms = args.parse()?,
             "--workloads" => opts.workloads = Some(parse_workloads(&args.value()?)?),
@@ -140,7 +130,7 @@ mod tests {
 
     #[test]
     fn workloads_flag_selects_catalog_names() {
-        let opts = opts_from(Args::new(args(&["--quiet", "--workloads", "bfs,xsbench"]))).unwrap();
+        let opts = opts_from(args(&["--quiet", "--workloads", "bfs,xsbench"])).unwrap();
         let names: Vec<_> = opts.specs().iter().map(|w| w.name).collect();
         assert_eq!(names, ["bfs", "xsbench"]);
     }
@@ -157,12 +147,35 @@ mod tests {
 
     #[test]
     fn unknown_workload_flag_fails() {
-        let Err(err) = opts_from(Args::new(args(&["--workloads", "lbm,lbmm"]))) else {
+        let Err(err) = opts_from(args(&["--workloads", "lbm,lbmm"])) else {
             panic!("an unknown --workloads name must be refused");
         };
         assert!(
             err.contains("unknown workload \"lbmm\" in --workloads; known workloads: backprop"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn workloads_before_quick_are_kept() {
+        let opts = opts_from(args(&["--workloads", "xsbench", "--quick"])).unwrap();
+        let names: Vec<_> = opts.specs().iter().map(|w| w.name).collect();
+        assert_eq!(names, ["xsbench"]);
+        assert_eq!(opts.sim.num_sms, ExpOptions::quick().sim.num_sms);
+        assert!(opts.verbose, "--quick keeps progress on");
+    }
+
+    #[test]
+    fn sms_before_quick_are_kept() {
+        let opts = opts_from(args(&["--sms", "8", "--quick"])).unwrap();
+        assert_eq!(opts.sim.num_sms, 8);
+        assert_eq!(opts.workloads, ExpOptions::quick().workloads);
+    }
+
+    #[test]
+    fn scale_before_quick_is_kept() {
+        let opts = opts_from(args(&["--scale", "0.5", "--quick"])).unwrap();
+        assert_eq!(opts.ops_scale, 0.5);
+        assert_eq!(opts.workloads, ExpOptions::quick().workloads);
     }
 }

@@ -25,11 +25,15 @@
 //! * **Timeouts.** An idle connection (nothing in flight, nothing to
 //!   write) past `read_timeout` is closed, as is one whose writer has
 //!   stalled past `write_timeout`.
-//! * **Drain.** Once [`Handler::draining`] turns true the listener is
-//!   dropped and every accepted request still gets its response bytes
-//!   flushed; then [`Handler::drained`] runs, so a waiter on a
-//!   [`DrainGate`] can return. The loop itself lingers to answer
-//!   connections a client still holds open, and exits once they close.
+//! * **Drain.** Once [`Handler::draining`] turns true — a front end
+//!   wakes the loop for it through its [`Reactor::waker`] — the loop
+//!   accepts the backlog one last time, so a client whose handshake
+//!   already finished gets the front end's draining answer instead of a
+//!   reset, and then drops the listener. Every accepted request still
+//!   gets its response bytes flushed; then [`Handler::drained`] runs, so
+//!   a waiter on a [`DrainGate`] can return. The loop itself lingers to
+//!   answer connections a client still holds open, and exits once they
+//!   close.
 
 use std::collections::HashMap;
 use std::ffi::{c_int, c_ulong};
@@ -98,10 +102,10 @@ impl DrainGate {
 /// the loop's wake pipe. Infallible by design: if the pipe is full the
 /// loop is already scheduled to wake.
 #[derive(Clone)]
-struct Waker(Arc<UnixStream>);
+pub(crate) struct Waker(Arc<UnixStream>);
 
 impl Waker {
-    fn wake(&self) {
+    pub(crate) fn wake(&self) {
         let _ = (&*self.0).write(&[1u8]);
     }
 }
@@ -327,32 +331,60 @@ pub(crate) struct Limits {
     pub(crate) write_timeout: Duration,
 }
 
-/// Starts the reactor on a detached thread named `name`, serving
-/// `listener` with `handler`.
-///
-/// # Errors
-///
-/// Socket setup or thread spawn failures.
-pub(crate) fn spawn<H: Handler>(
-    name: &str,
+/// A poll loop bound to its listener but not yet running, so a front
+/// end can keep its [`Waker`] (to announce a drain) before the loop
+/// starts.
+pub(crate) struct Reactor {
     listener: TcpListener,
-    limits: Limits,
-    handler: H,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let (wake_tx, wake_rx) = UnixStream::pair()?;
-    wake_tx.set_nonblocking(true)?;
-    wake_rx.set_nonblocking(true)?;
-    let (tx, rx) = mpsc::channel();
-    let done = Completions {
-        tx,
-        waker: Waker(Arc::new(wake_tx)),
-        next_token: 1,
-    };
-    thread::Builder::new()
-        .name(name.to_string())
-        .spawn(move || run(listener, &limits, handler, done, rx, wake_rx))?;
-    Ok(())
+    waker: Waker,
+    wake_rx: UnixStream,
+}
+
+impl Reactor {
+    /// # Errors
+    ///
+    /// Socket setup failures.
+    pub(crate) fn new(listener: TcpListener) -> io::Result<Self> {
+        listener.set_nonblocking(true)?;
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        Ok(Reactor {
+            listener,
+            waker: Waker(Arc::new(wake_tx)),
+            wake_rx,
+        })
+    }
+
+    /// Wakes the loop from any thread, e.g. to observe a drain at once.
+    pub(crate) fn waker(&self) -> Waker {
+        self.waker.clone()
+    }
+
+    /// Starts the loop on a detached thread named `name`, serving the
+    /// listener with `handler`.
+    ///
+    /// # Errors
+    ///
+    /// Thread spawn failures.
+    pub(crate) fn spawn<H: Handler>(
+        self,
+        name: &str,
+        limits: Limits,
+        handler: H,
+    ) -> io::Result<()> {
+        let (tx, rx) = mpsc::channel();
+        let done = Completions {
+            tx,
+            waker: self.waker,
+            next_token: 1,
+        };
+        let (listener, wake_rx) = (self.listener, self.wake_rx);
+        thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || run(listener, &limits, handler, done, rx, wake_rx))?;
+        Ok(())
+    }
 }
 
 /// Runs [`Handler::drained`] when the loop exits for any reason (a
@@ -385,8 +417,11 @@ fn run<H: Handler>(
     loop {
         let draining = h.draining();
         if draining {
-            // Refuse new connections; everything accepted still drains.
-            listener = None;
+            // Serve the connections whose handshake already finished,
+            // then refuse new ones; everything accepted still drains.
+            if let Some(l) = listener.take() {
+                accept(&l, h, &mut conns, &mut next_conn);
+            }
             if conns.is_empty() && h.idle() {
                 return;
             }
@@ -438,20 +473,8 @@ fn run<H: Handler>(
             h.completion(&mut conns, token, reply);
         }
 
-        // New connections.
         if let Some(l) = &listener {
-            while let Ok((stream, _)) = l.accept() {
-                if h.refuse_accept() {
-                    // The peer sees EOF before any response and retries.
-                    drop(stream);
-                    continue;
-                }
-                stream.set_nodelay(true).ok();
-                if stream.set_nonblocking(true).is_ok() {
-                    conns.insert(next_conn, Conn::new(stream));
-                    next_conn += 1;
-                }
-            }
+            accept(l, h, &mut conns, &mut next_conn);
         }
 
         // Readable connections: pull bytes, split lines, dispatch.
@@ -529,6 +552,27 @@ fn run<H: Handler>(
         if !drain_marked && draining && h.idle() && conns.values().all(|c| c.pending() == 0) {
             h.drained();
             drain_marked = true;
+        }
+    }
+}
+
+/// Accepts every connection waiting in the listener's backlog.
+fn accept<H: Handler>(
+    listener: &TcpListener,
+    h: &H,
+    conns: &mut HashMap<u64, Conn>,
+    next_conn: &mut u64,
+) {
+    while let Ok((stream, _)) = listener.accept() {
+        if h.refuse_accept() {
+            // The peer sees EOF before any response and retries.
+            drop(stream);
+            continue;
+        }
+        stream.set_nodelay(true).ok();
+        if stream.set_nonblocking(true).is_ok() {
+            conns.insert(*next_conn, Conn::new(stream));
+            *next_conn += 1;
         }
     }
 }

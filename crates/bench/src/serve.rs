@@ -32,11 +32,12 @@
 //!
 //! ## Front end
 //!
-//! The server runs on the crate's poll(2) reactor, the same loop the
-//! `hetmem-fleet` router runs on: one thread does nonblocking
-//! accept/read/write with per-connection read/write buffers
-//! (`server/event.rs` holds serve's per-line and per-completion
-//! handlers). Connections may **pipeline**: many requests in flight,
+//! The server runs on the crate's poll(2) reactor and in-flight table,
+//! the same ones the `hetmem-fleet` router runs on: one thread does
+//! nonblocking accept/read/write with per-connection read/write
+//! buffers (`server/event.rs` holds serve's executor: the shard pool
+//! and the chaos faults at delivery). Connections may **pipeline**:
+//! many requests in flight,
 //! responses written as their workers complete, order-independent by
 //! `id`. A connection whose unread response backlog exceeds
 //! [`ServeConfig::conn_buffer`] is shed with structured `overloaded`
@@ -118,7 +119,7 @@ use mempolicy::Mempolicy;
 use workloads::{catalog, WorkloadSpec};
 
 /// Default client/server socket read timeout.
-const DEFAULT_READ_TIMEOUT_MS: u64 = 120_000;
+pub(crate) const DEFAULT_READ_TIMEOUT_MS: u64 = 120_000;
 
 /// Server construction knobs. `Default` binds an ephemeral loopback
 /// port with two worker shards.
@@ -212,30 +213,38 @@ pub fn roundtrip_timeout(
     // Clamped to ≥1 ms: a zero `Duration` means "non-blocking" to the
     // OS, never what a blocking stream wants.
     stream.set_read_timeout(Some(read_timeout.max(Duration::from_millis(1))))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut line = req.encode();
-    line.push('\n');
-    writer.write_all(line.as_bytes())?;
-    writer.flush()?;
+    let reply = exchange(&mut BufReader::new(stream), &req.encode())?;
+    Response::decode(&reply).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+}
+
+/// Writes `line` and its newline on an open connection and reads one
+/// line back, newline stripped. EOF before a reply, or bytes without
+/// the closing `\n` (the connection died mid-write), is a short read,
+/// `UnexpectedEof`: retryable, not a protocol error.
+///
+/// # Errors
+///
+/// I/O failures, timeouts included.
+pub(crate) fn exchange(conn: &mut BufReader<TcpStream>, line: &str) -> io::Result<String> {
+    let mut msg = String::with_capacity(line.len() + 1);
+    msg.push_str(line);
+    msg.push('\n');
+    conn.get_mut().write_all(msg.as_bytes())?;
     let mut reply = String::new();
-    if reader.read_line(&mut reply)? == 0 {
+    if conn.read_line(&mut reply)? == 0 {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "server closed the connection before responding",
         ));
     }
-    // A complete response line always ends in '\n'; bytes without it
-    // mean the connection died mid-write. Surface that as a short read
-    // (retryable), not a protocol error.
     if !reply.ends_with('\n') {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed mid-response (truncated line)",
         ));
     }
-    Response::decode(reply.trim_end())
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    reply.truncate(reply.trim_end().len());
+    Ok(reply)
 }
 
 /// Resolves a `simulate` request into a concrete [`SimPoint`] and its

@@ -1,40 +1,33 @@
-//! The unix server behind [`super::start`]: the dispatch pipeline, the
-//! supervised shard workers, and the registry. Connections are served
-//! by the crate's poll(2) reactor through [`event`]'s handlers; request
-//! intake, batch validation and the `stats`/`metrics` ledger are the
-//! crate's shared [`front`](crate::front).
+//! The unix server behind [`super::start`]: the supervised shard
+//! workers, the response path, and the registry. Connections are served
+//! by the crate's poll(2) reactor through the shared
+//! [`front`](crate::front) — request intake, batch validation, the
+//! in-flight table and the `stats`/`metrics` ledger — with [`event`]
+//! holding serve's executor.
 
 mod event;
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use gpusim::SimConfig;
 use hetmem::{bo_traffic_target, HetmemError, TelemetrySink};
 use hetmem_harness::json::{self, JsonObject, JsonValue};
 use hetmem_harness::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use hetmem_harness::sweep::{run_grid, SweepOptions};
-use hetmem_harness::telemetry::{fnv1a, MigrationTelemetry};
-use hetmem_harness::{BoundedQueue, FaultInjector, PushError, Request, Response, ResultCache};
+use hetmem_harness::telemetry::MigrationTelemetry;
+use hetmem_harness::{BoundedQueue, FaultInjector, Response, ResultCache};
 use profiler::get_allocation;
 use workloads::catalog;
 
-use super::{field_u64, parse_simulate, run_point, ServeConfig, SimPoint, DEFAULT_READ_TIMEOUT_MS};
-use crate::front::{self, Front, Head, Helps, Intake, Ledger, Slot};
-use crate::reactor::{self, us, DrainGate, Limits, Sink};
-
-/// Default server socket write timeout.
-const DEFAULT_WRITE_TIMEOUT_MS: u64 = 30_000;
-/// Default `batch` sub-request ceiling per envelope.
-const DEFAULT_MAX_BATCH: usize = 64;
-/// Default per-connection unflushed-response backlog (bytes) before
-/// the server sheds that connection's requests as `overloaded`.
-const DEFAULT_CONN_BUFFER: usize = 256 * 1024;
+use super::{field_u64, run_point, ServeConfig, SimPoint};
+use crate::front::{self, Front, Head, Helps, Job, Ledger, Table, DEFAULT_MAX_BATCH};
+use crate::reactor::{us, DrainGate, Reactor, Waker};
 
 /// Help texts of the shared metric families, as a server means them.
 const HELPS: Helps = Helps {
@@ -44,16 +37,14 @@ const HELPS: Helps = Helps {
     uptime: "Milliseconds since the server started.",
 };
 
-/// A queued simulate job: the point plus the reply path back to the
-/// poll loop.
-struct Job {
+/// A simulate bound for the shard pool.
+struct SimWork {
+    point: Box<SimPoint>,
     key: String,
-    point: SimPoint,
     /// Cooperative deadline carried over from the request envelope.
     deadline: Option<Instant>,
-    /// When the job entered its shard queue (queue-wait timing).
+    /// When the job was made for its shard queue (queue-wait timing).
     enqueued: Instant,
-    reply: Sink<JobReply>,
 }
 
 /// Worker → front-end reply.
@@ -94,45 +85,6 @@ struct ReqHead {
     /// Telemetry id: the client's, or a generated `srv-N`.
     rid: String,
     read_us: u64,
-}
-
-/// What [`prepare`] decided about one request line: finished inline,
-/// or work for the shard pool that the poll loop must submit and later
-/// complete with [`respond`].
-enum Prepared {
-    /// Outcome known (inline op, refusal, or decode error).
-    Done(ReqHead, JobReply),
-    /// A `simulate` bound for the pool.
-    Sim(SimWork),
-    /// A `batch` envelope; inline sub-ops are already resolved, the
-    /// remaining sub-simulations are bound for the pool.
-    Batch(BatchWork),
-}
-
-struct SimWork {
-    head: ReqHead,
-    point: SimPoint,
-    key: String,
-    deadline: Option<Instant>,
-}
-
-struct BatchWork {
-    head: ReqHead,
-    subs: Vec<SubWork>,
-}
-
-/// One slot of a batch, in sub-request order.
-enum SubWork {
-    /// Resolved during prepare (inline op or per-sub refusal).
-    Ready(Response),
-    /// A sub-simulation to fan out to the pool.
-    Sim {
-        id: u64,
-        client_rid: Option<String>,
-        point: SimPoint,
-        key: String,
-        deadline: Option<Instant>,
-    },
 }
 
 /// Request phases in the order they happen, as `hm_phase_duration_us`
@@ -232,9 +184,8 @@ impl ServeMetrics {
 
 /// Everything the poll loop and the worker threads share.
 struct Shared {
-    addr: SocketAddr,
     cache: ResultCache,
-    queues: Vec<BoundedQueue<Job>>,
+    queues: Vec<BoundedQueue<Job<SimWork, SimReply>>>,
     shutting: AtomicBool,
     ledger: Ledger,
     telemetry: Option<Arc<TelemetrySink>>,
@@ -247,6 +198,8 @@ struct Shared {
     /// Marked once a drain has flushed every accepted request's
     /// response; [`ServerHandle::wait`] blocks on it.
     drain: DrainGate,
+    /// Wakes the poll loop to observe a drain at once.
+    waker: Waker,
 }
 
 impl Front for Shared {
@@ -270,9 +223,7 @@ impl Front for Shared {
         for q in &self.queues {
             q.close();
         }
-        // A throwaway connection wakes the loop's poll(2) to observe
-        // the flag at once.
-        let _ = TcpStream::connect(self.addr);
+        self.waker.wake();
     }
 
     fn max_batch(&self) -> usize {
@@ -383,30 +334,15 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     } else {
         cfg.cache_capacity
     };
-    let read_timeout_ms = if cfg.read_timeout_ms == 0 {
-        DEFAULT_READ_TIMEOUT_MS
-    } else {
-        cfg.read_timeout_ms
-    };
-    let write_timeout_ms = if cfg.write_timeout_ms == 0 {
-        DEFAULT_WRITE_TIMEOUT_MS
-    } else {
-        cfg.write_timeout_ms
-    };
     let max_batch = if cfg.max_batch == 0 {
         DEFAULT_MAX_BATCH
     } else {
         cfg.max_batch
     };
-    let conn_buffer = if cfg.conn_buffer == 0 {
-        DEFAULT_CONN_BUFFER
-    } else {
-        cfg.conn_buffer
-    };
+    let reactor = Reactor::new(listener)?;
     let ledger = Ledger::new(&HELPS, shards, depth);
     let metrics = ServeMetrics::new(ledger.registry(), shards);
     let shared = Arc::new(Shared {
-        addr,
         cache: ResultCache::new(cache_cap),
         queues: (0..shards).map(|_| BoundedQueue::new(depth)).collect(),
         shutting: AtomicBool::new(false),
@@ -419,6 +355,7 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
         next_rid: AtomicU64::new(1),
         max_batch,
         drain: DrainGate::default(),
+        waker: reactor.waker(),
     });
     let workers = (0..shards)
         .map(|i| {
@@ -428,103 +365,16 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
                 .spawn(move || supervise_worker(&s, i))
         })
         .collect::<io::Result<Vec<_>>>()?;
-    let limits = Limits {
-        conn_buffer,
-        read_timeout: Duration::from_millis(read_timeout_ms),
-        write_timeout: Duration::from_millis(write_timeout_ms),
-    };
+    let limits = front::limits(cfg.conn_buffer, cfg.read_timeout_ms, cfg.write_timeout_ms);
     // The loop thread is detached: wait() synchronizes on the drain
     // gate, and the loop exits on its own once every connection is
     // gone.
-    reactor::spawn(
-        "hetmem-serve-poll",
-        listener,
-        limits,
-        event::Serve::new(&shared),
-    )?;
+    reactor.spawn("hetmem-serve-poll", limits, Table::new(&shared))?;
     Ok(ServerHandle {
         addr,
         workers,
         shared,
     })
-}
-
-/// Takes one request line through the shared intake and resolves it as
-/// far as the poll loop can without blocking: answers and `place` come
-/// back as [`Prepared::Done`], pool-bound work as [`Prepared::Sim`] /
-/// [`Prepared::Batch`] for the loop to submit and complete. `None` for
-/// a blank line.
-fn prepare(shared: &Shared, line: &str, read_us: u64, shed: bool) -> Option<Prepared> {
-    // Client-supplied ids are echoed on the response; generated ones
-    // exist only in telemetry so identical request lines keep
-    // byte-identical responses.
-    let req_head = |head: Head| ReqHead {
-        rid: head
-            .client_rid
-            .clone()
-            .unwrap_or_else(|| format!("srv-{}", shared.next_rid.fetch_add(1, Ordering::Relaxed))),
-        head,
-        read_us,
-    };
-    Some(match front::intake(shared, line, shed)? {
-        Intake::Answer(head, outcome) => {
-            Prepared::Done(req_head(head), outcome.map(SimReply::inline))
-        }
-        Intake::Op(head, req, deadline) => match resolve(&req) {
-            Resolved::Inline(outcome) => {
-                Prepared::Done(req_head(head), outcome.map(SimReply::inline))
-            }
-            Resolved::Sim(point, key) => Prepared::Sim(SimWork {
-                head: req_head(head),
-                point: *point,
-                key,
-                deadline,
-            }),
-        },
-        Intake::Batch(head, slots, _) => {
-            let subs = slots
-                .into_iter()
-                .map(|slot| match slot {
-                    Slot::Ready(resp) => SubWork::Ready(resp),
-                    Slot::Op(sub, deadline) => match resolve(&sub) {
-                        Resolved::Inline(outcome) => {
-                            SubWork::Ready(shared.ledger.response(sub.id, sub.request_id, outcome))
-                        }
-                        Resolved::Sim(point, key) => SubWork::Sim {
-                            id: sub.id,
-                            client_rid: sub.request_id,
-                            point: *point,
-                            key,
-                            deadline,
-                        },
-                    },
-                })
-                .collect();
-            Prepared::Batch(BatchWork {
-                head: req_head(head),
-                subs,
-            })
-        }
-    })
-}
-
-/// How serve executes a `place` or `simulate`.
-enum Resolved {
-    /// Answered on the poll loop: a `place`, or a `simulate` that does
-    /// not parse.
-    Inline(Result<String, HetmemError>),
-    /// A valid `simulate` and its cache key, for the shard pool.
-    Sim(Box<SimPoint>, String),
-}
-
-fn resolve(req: &Request) -> Resolved {
-    if req.op == "place" {
-        return Resolved::Inline(handle_place(&req.params));
-    }
-    match parse_simulate(&req.params) {
-        Ok((point, key)) => Resolved::Sim(Box::new(point), key),
-        Err(e) => Resolved::Inline(Err(e)),
-    }
 }
 
 /// Builds, encodes and accounts one finished request's response —
@@ -598,31 +448,6 @@ fn respond(shared: &Shared, req: ReqHead, outcome: JobReply) -> String {
     out
 }
 
-/// Routes a job to its shard by cache-key hash. A full or closed
-/// queue answers through the job's own reply sink, so the poll loop
-/// observes refusals exactly like any other completion.
-fn submit_job(
-    shared: &Shared,
-    key: String,
-    point: SimPoint,
-    deadline: Option<Instant>,
-    reply: Sink<JobReply>,
-) {
-    let shard = (fnv1a(key.as_bytes()) % shared.queues.len() as u64) as usize;
-    let job = Job {
-        key,
-        point,
-        deadline,
-        enqueued: Instant::now(),
-        reply,
-    };
-    match shared.queues[shard].try_push(job) {
-        Ok(()) => {}
-        Err(PushError::Overloaded(job)) => job.reply.deliver(Err(HetmemError::Overloaded)),
-        Err(PushError::Closed(job)) => job.reply.deliver(Err(HetmemError::ShuttingDown)),
-    }
-}
-
 /// Keeps shard `shard` alive: a panic anywhere in [`worker_loop`]
 /// (outside the sweep engine's own `catch_unwind`, e.g. an injected
 /// worker fault) is caught, counted, and the loop re-entered. The job
@@ -639,7 +464,7 @@ fn supervise_worker(shared: &Arc<Shared>, shard: usize) {
 }
 
 fn worker_loop(shared: &Arc<Shared>, shard: usize) {
-    while let Some(job) = shared.queues[shard].pop() {
+    while let Some(Job { work: job, reply }) = shared.queues[shard].pop() {
         let queue_wait_us = us(job.enqueued.elapsed());
         // Chaos hooks, rolled in a fixed order so a seeded plan
         // replays the same decisions: crash the worker, stall it, or
@@ -653,7 +478,7 @@ fn worker_loop(shared: &Arc<Shared>, shard: usize) {
         }
         if job.deadline.is_some_and(|d| Instant::now() >= d) {
             // Counted once, by the poll loop, when the reply flows back.
-            job.reply.deliver(Err(HetmemError::DeadlineExceeded));
+            reply.deliver(Err(HetmemError::DeadlineExceeded));
             continue;
         }
         // Identical concurrent requests hash to this same shard, so by
@@ -665,7 +490,7 @@ fn worker_loop(shared: &Arc<Shared>, shard: usize) {
             cache_lookup_us: Some(us(lookup_start.elapsed())),
             execute_us: None,
         };
-        let reply = match cached {
+        let result = match cached {
             Some(body) => Ok(SimReply {
                 body,
                 cache_hit: true,
@@ -692,7 +517,7 @@ fn worker_loop(shared: &Arc<Shared>, shard: usize) {
                 }
             }
         };
-        job.reply.deliver(reply);
+        reply.deliver(result);
     }
 }
 

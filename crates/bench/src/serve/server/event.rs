@@ -1,254 +1,150 @@
-//! Serve's two handlers on the crate's poll(2) reactor: one for a
-//! complete request line, one for a finished shard-pool job.
+//! Serve's executor under the crate's shared in-flight table.
 //!
-//! Lines resolve through [`prepare`]: inline ops finish at
-//! once, their bytes queued on the connection; simulate-shaped work is
-//! submitted to the shard pool with a reactor sink whose drop fallback
-//! is `worker-restarted`, and the request finishes when its completion
-//! comes back. Every response is accounted before its bytes are
-//! queued (the conservation invariant), and delivery is where the
-//! chaos wire faults — drop, stall, tear — strike.
+//! `place`, and a `simulate` that does not parse, are answered on the
+//! poll loop; a valid `simulate` goes to its shard's queue, and a batch
+//! fans out one job per simulate slot so its points spread over the
+//! shards. A pool job that dies with its worker answers
+//! `worker-restarted`. Every response is accounted by [`respond`]
+//! before its bytes are queued (the conservation invariant), and
+//! delivery is where the chaos wire faults — drop, stall, tear —
+//! strike.
 
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Instant;
 
 use hetmem::HetmemError;
-use hetmem_harness::Response;
+use hetmem_harness::telemetry::fnv1a;
+use hetmem_harness::{BoundedQueue, Request, Response};
 
-use super::{
-    prepare, respond, submit_job, JobReply, Prepared, ReqHead, Shared, SimReply, SubWork, PHASES,
-};
-use crate::front::batch_result;
-use crate::reactor::{us, Completions, Conn, Handler};
+use super::{handle_place, respond, ReqHead, Shared, SimReply, SimWork, PHASES};
+use crate::front::{Exec, Front, Group, Head, Job, Run, Sub};
+use crate::reactor::Conn;
+use crate::serve::parse_simulate;
 
-/// An in-flight pool job's bookkeeping, keyed by completion token.
-enum Pending {
-    /// A bare `simulate`: finish and respond on its connection.
-    Single { conn: u64, head: ReqHead },
-    /// One slot of a batch envelope.
-    Sub {
-        batch: u64,
-        slot: usize,
-        id: u64,
-        client_rid: Option<String>,
-    },
-}
+impl Exec for Shared {
+    type Head = ReqHead;
+    type Work = SimWork;
+    type Out = SimReply;
+    const LOST: HetmemError = HetmemError::WorkerRestarted;
 
-/// A batch envelope waiting for its pool-bound slots.
-struct BatchPending {
-    conn: u64,
-    head: ReqHead,
-    slots: Vec<Option<Response>>,
-    remaining: usize,
-}
+    fn head(&self, head: Head, read_us: u64) -> ReqHead {
+        // Client-supplied ids are echoed on the response; generated ones
+        // exist only in telemetry so identical request lines keep
+        // byte-identical responses.
+        let rid = head
+            .client_rid
+            .clone()
+            .unwrap_or_else(|| format!("srv-{}", self.next_rid.fetch_add(1, Ordering::Relaxed)));
+        ReqHead { head, rid, read_us }
+    }
 
-/// The serve front end: the server's shared state plus the requests
-/// waiting on the pool.
-pub(super) struct Serve {
-    shared: Arc<Shared>,
-    pending: HashMap<u64, Pending>,
-    batches: HashMap<u64, BatchPending>,
-}
+    fn op(&self, req: &Request, _line: &str, deadline: Option<Instant>) -> Run<SimWork> {
+        run(req, deadline)
+    }
 
-impl Serve {
-    pub(super) fn new(shared: &Arc<Shared>) -> Self {
-        Serve {
-            shared: Arc::clone(shared),
-            pending: HashMap::new(),
-            batches: HashMap::new(),
+    /// One group per simulate slot.
+    fn scatter(
+        &self,
+        _id: u64,
+        _deadline: Option<Instant>,
+        ops: Vec<(usize, Request, Option<Instant>)>,
+        ready: &mut [Option<Response>],
+    ) -> Vec<Group<SimWork>> {
+        let mut groups = Vec::new();
+        for (slot, sub, deadline) in ops {
+            match run(&sub, deadline) {
+                Run::Now(outcome) => {
+                    ready[slot] = Some(self.ledger.response(sub.id, sub.request_id, outcome));
+                }
+                Run::Queue(work) => groups.push(Group {
+                    slots: vec![slot],
+                    subs: vec![(sub.id, sub.request_id)],
+                    work,
+                }),
+            }
         }
-    }
-}
-
-/// A pool job that died with its worker.
-fn restarted() -> JobReply {
-    Err(HetmemError::WorkerRestarted)
-}
-
-impl Handler for Serve {
-    type Reply = JobReply;
-
-    fn draining(&self) -> bool {
-        self.shared.shutting.load(Ordering::SeqCst)
+        groups
     }
 
-    fn idle(&self) -> bool {
-        self.pending.is_empty() && self.batches.is_empty()
+    /// The shard owning the job's cache key, so identical concurrent
+    /// requests serialize and the followers become cache hits.
+    fn queue(&self, work: &SimWork) -> &BoundedQueue<Job<SimWork, SimReply>> {
+        let shard = fnv1a(work.key.as_bytes()) % self.queues.len() as u64;
+        &self.queues[shard as usize]
+    }
+
+    fn gather(&self, subs: &[Sub], out: SimReply) -> Vec<Response> {
+        // A serve group is one slot.
+        let (id, rid) = &subs[0];
+        vec![self.ledger.response(*id, rid.clone(), Ok(out.body))]
+    }
+
+    fn respond(&self, head: ReqHead, outcome: Result<String, HetmemError>) -> String {
+        respond(self, head, outcome.map(SimReply::inline))
+    }
+
+    fn reply(&self, head: ReqHead, out: SimReply) -> String {
+        respond(self, head, Ok(out))
+    }
+
+    /// Queues response bytes, honoring chaos wire faults and the
+    /// post-shutdown close-after-response contract.
+    fn deliver(&self, c: &mut Conn, out: &str) {
+        if c.poisoned {
+            return;
+        }
+        if self.faults.maybe_conn_drop() {
+            // Chaos: the connection dies outright mid-write. The peer
+            // sees a reset/EOF instead of its response and retries.
+            c.dead = true;
+            return;
+        }
+        if self.faults.maybe_stall() {
+            // Chaos: a prefix of the response lands and then the writer
+            // goes silent — no close, no more bytes. Poisoning discards
+            // every later response so nothing can follow the partial
+            // line; the peer's read timeout is what ends the exchange.
+            c.tear(&out.as_bytes()[..out.len() / 3]);
+            return;
+        }
+        if self.faults.maybe_wire_error() {
+            // Chaos: tear the response mid-line and poison the
+            // connection so no later response can follow the torn
+            // bytes. The client sees a short read / EOF and retries.
+            c.tear(&out.as_bytes()[..out.len() / 2]);
+            c.closing = true;
+            return;
+        }
+        c.queue(out, self.draining());
     }
 
     fn refuse_accept(&self) -> bool {
-        self.shared.faults.maybe_refuse_accept()
-    }
-
-    /// Dispatches one line, and either responds now or parks the
-    /// request until its pool completion arrives.
-    fn line(
-        &mut self,
-        c: &mut Conn,
-        conn: u64,
-        line: &str,
-        shed: bool,
-        done: &mut Completions<JobReply>,
-    ) {
-        let shared = &self.shared;
-        let now = Instant::now();
-        let read_us = us(now.saturating_duration_since(c.last_line_done));
-        c.last_line_done = now;
-        let Some(prepared) = prepare(shared, line, read_us, shed) else {
-            return;
-        };
-        match prepared {
-            Prepared::Done(head, outcome) => {
-                let out = respond(shared, head, outcome);
-                deliver(shared, c, &out);
-            }
-            Prepared::Sim(work) => {
-                let token = done.token();
-                c.inflight += 1;
-                self.pending.insert(
-                    token,
-                    Pending::Single {
-                        conn,
-                        head: work.head,
-                    },
-                );
-                let sink = done.sink(token, restarted());
-                submit_job(shared, work.key, work.point, work.deadline, sink);
-            }
-            Prepared::Batch(work) => {
-                let mut slots = Vec::with_capacity(work.subs.len());
-                let mut sims = Vec::new();
-                for (slot, sub) in work.subs.into_iter().enumerate() {
-                    match sub {
-                        SubWork::Ready(resp) => slots.push(Some(resp)),
-                        SubWork::Sim {
-                            id,
-                            client_rid,
-                            point,
-                            key,
-                            deadline,
-                        } => {
-                            slots.push(None);
-                            sims.push((slot, id, client_rid, point, key, deadline));
-                        }
-                    }
-                }
-                if sims.is_empty() {
-                    let out = respond(shared, work.head, Ok(SimReply::inline(batch_result(slots))));
-                    deliver(shared, c, &out);
-                    return;
-                }
-                // The whole envelope is one in-flight unit on the conn;
-                // its slots fan out to the pool concurrently.
-                c.inflight += 1;
-                let batch_token = done.token();
-                self.batches.insert(
-                    batch_token,
-                    BatchPending {
-                        conn,
-                        head: work.head,
-                        remaining: sims.len(),
-                        slots,
-                    },
-                );
-                for (slot, id, client_rid, point, key, deadline) in sims {
-                    let token = done.token();
-                    self.pending.insert(
-                        token,
-                        Pending::Sub {
-                            batch: batch_token,
-                            slot,
-                            id,
-                            client_rid,
-                        },
-                    );
-                    let sink = done.sink(token, restarted());
-                    submit_job(shared, key, point, deadline, sink);
-                }
-            }
-        }
-    }
-
-    /// Finishes the job's request (accounted even if the connection is
-    /// gone — completed work always counts) and queues the response
-    /// bytes if the client is still there.
-    fn completion(&mut self, conns: &mut HashMap<u64, Conn>, token: u64, reply: JobReply) {
-        let shared = &self.shared;
-        match self.pending.remove(&token) {
-            None => {}
-            Some(Pending::Single { conn, head }) => {
-                let out = respond(shared, head, reply);
-                if let Some(c) = conns.get_mut(&conn) {
-                    c.inflight -= 1;
-                    deliver(shared, c, &out);
-                }
-            }
-            Some(Pending::Sub {
-                batch,
-                slot,
-                id,
-                client_rid,
-            }) => {
-                let resp = shared
-                    .ledger
-                    .response(id, client_rid, reply.map(|r| r.body));
-                let Some(b) = self.batches.get_mut(&batch) else {
-                    return;
-                };
-                b.slots[slot] = Some(resp);
-                b.remaining -= 1;
-                if b.remaining > 0 {
-                    return;
-                }
-                let b = self.batches.remove(&batch).expect("batch present");
-                let out = respond(shared, b.head, Ok(SimReply::inline(batch_result(b.slots))));
-                if let Some(c) = conns.get_mut(&b.conn) {
-                    c.inflight -= 1;
-                    deliver(shared, c, &out);
-                }
-            }
-        }
+        self.faults.maybe_refuse_accept()
     }
 
     fn wrote(&self, us: u64) {
         // `write`, the last phase.
-        self.shared.metrics.phases[PHASES.len() - 1].record(us);
+        self.metrics.phases[PHASES.len() - 1].record(us);
     }
 
     fn drained(&self) {
-        self.shared.drain.mark();
+        self.drain.mark();
     }
 }
 
-/// Queues response bytes on a connection, honoring chaos wire faults
-/// and the post-shutdown close-after-response contract.
-fn deliver(shared: &Shared, c: &mut Conn, out: &str) {
-    if c.poisoned {
-        return;
+/// `place` runs on the loop, as does the refusal of a `simulate` that
+/// does not parse; a valid `simulate` is work for its shard.
+fn run(req: &Request, deadline: Option<Instant>) -> Run<SimWork> {
+    if req.op == "place" {
+        return Run::Now(handle_place(&req.params));
     }
-    if shared.faults.maybe_conn_drop() {
-        // Chaos: the connection dies outright mid-write. The peer sees
-        // a reset/EOF instead of its response and retries.
-        c.dead = true;
-        return;
+    match parse_simulate(&req.params) {
+        Ok((point, key)) => Run::Queue(SimWork {
+            point: Box::new(point),
+            key,
+            deadline,
+            enqueued: Instant::now(),
+        }),
+        Err(e) => Run::Now(Err(e)),
     }
-    if shared.faults.maybe_stall() {
-        // Chaos: a prefix of the response lands and then the writer
-        // goes silent — no close, no more bytes. Poisoning discards
-        // every later response so nothing can follow the partial line;
-        // the peer's read timeout is what ends the exchange.
-        c.tear(&out.as_bytes()[..out.len() / 3]);
-        return;
-    }
-    if shared.faults.maybe_wire_error() {
-        // Chaos: tear the response mid-line and poison the connection
-        // so no later response can follow the torn bytes. The client
-        // sees a short read / EOF and retries.
-        c.tear(&out.as_bytes()[..out.len() / 2]);
-        c.closing = true;
-        return;
-    }
-    c.queue(out, shared.shutting.load(Ordering::SeqCst));
 }

@@ -8,9 +8,10 @@
 //! id, batch sub-responses byte-identical to bare requests, a stalled
 //! reader degrading to structured `overloaded` instead of wedging the
 //! loop, and an idle connection closed at its read timeout. The
-//! backpressure and timeout checks run against both front ends, and so
-//! does the refusal table: a router's refusals are a server's, byte for
-//! byte, with only the draining code its own.
+//! backpressure, timeout and drain checks run against both front ends,
+//! and so do the pipelining, batch and refusal checks: a router over
+//! two backends answers what a server answers, byte for byte, with only
+//! its draining code and its `stats` body its own.
 #![cfg(unix)]
 
 use std::collections::HashMap;
@@ -114,6 +115,20 @@ fn grid(n: u64) -> Vec<Request> {
         .collect()
 }
 
+/// Pipelines `reqs` down one connection and collects the response
+/// lines by id (simulations complete in any order).
+fn pipelined(addr: &str, reqs: &[Request]) -> HashMap<u64, String> {
+    let mut pipe = Pipe::connect(addr);
+    pipe.send_all(reqs);
+    let mut by_id = HashMap::new();
+    for _ in reqs {
+        let line = pipe.recv_line();
+        let resp = Response::decode(&line).unwrap();
+        assert!(by_id.insert(resp.id(), line).is_none(), "duplicate id");
+    }
+    by_id
+}
+
 #[test]
 fn pipelined_responses_are_byte_identical_to_serial() {
     // Two fresh servers: one answers 10 requests pipelined down a
@@ -122,20 +137,10 @@ fn pipelined_responses_are_byte_identical_to_serial() {
     // other, so this compares real computations, not cache echoes.
     let reqs = grid(10);
 
-    let pipelined = server(ServeConfig::default());
-    let mut pipe = Pipe::connect(&pipelined.addr().to_string());
-    pipe.send_all(&reqs);
-    // Responses complete order-independently (simulations land on
-    // different shards), so collect them by id.
-    let mut by_id: HashMap<u64, String> = HashMap::new();
-    for _ in &reqs {
-        let line = pipe.recv_line();
-        let resp = Response::decode(&line).unwrap();
-        assert!(by_id.insert(resp.id(), line).is_none(), "duplicate id");
-    }
-    drop(pipe);
-    pipelined.shutdown();
-    pipelined.wait();
+    let pipelined_server = server(ServeConfig::default());
+    let by_id = pipelined(&pipelined_server.addr().to_string(), &reqs);
+    pipelined_server.shutdown();
+    pipelined_server.wait();
 
     let serial = server(ServeConfig::default());
     let serial_addr = serial.addr().to_string();
@@ -151,59 +156,142 @@ fn pipelined_responses_are_byte_identical_to_serial() {
     }
     serial.shutdown();
     serial.wait();
+
+    // The same pipeline through a router spreads over both backends and
+    // comes back with the server's bytes.
+    let router = router(FleetConfig::default());
+    assert_eq!(pipelined(&router.addr().to_string(), &reqs), by_id);
+    assert_both_backends_served(&router);
+    router.shutdown();
+    router.wait();
+}
+
+/// Every backend of `router` took at least one forwarded request.
+fn assert_both_backends_served(router: &FleetHandle) {
+    let stats = roundtrip(&router.addr().to_string(), &Request::new(0, "stats")).unwrap();
+    let stats = JsonValue::parse(expect_ok(&stats)).unwrap();
+    let backends = stats.get("fleet").and_then(|f| f.get("backends")).unwrap();
+    let served: Vec<u64> = backends
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|b| b.get("requests").and_then(JsonValue::as_u64).unwrap())
+        .collect();
+    assert_eq!(served.len(), router.backends());
+    assert!(
+        served.iter().all(|&n| n > 0),
+        "forwards per backend: {served:?}"
+    );
 }
 
 #[test]
 fn batch_of_one_matches_bare_request_bytes() {
-    let handle = server(ServeConfig::default());
-    let addr = handle.addr().to_string();
-
     let req = sim_request(
         7,
         r#"{"workload":"bfs","policy":"BW-AWARE","mem_ops":2000,"sms":2,"seed":3}"#,
     );
-    let bare = roundtrip(&addr, &req).unwrap();
+    let envelope = batch_request(99, std::slice::from_ref(&req));
+    let ask = |addr: String| {
+        let bare = roundtrip(&addr, &req).unwrap();
+        let batch = roundtrip(&addr, &envelope).unwrap();
+        (bare.encode(), batch)
+    };
 
-    let envelope = roundtrip(&addr, &batch_request(99, &[req.clone()])).unwrap();
-    assert!(envelope.is_ok(), "envelope refused: {envelope:?}");
-    let subs = envelope.batch_responses().unwrap();
+    let handle = server(ServeConfig::default());
+    let (bare, batch) = ask(handle.addr().to_string());
+    handle.shutdown();
+    handle.wait();
+    assert!(batch.is_ok(), "envelope refused: {batch:?}");
+    let subs = batch.batch_responses().unwrap();
     assert_eq!(subs.len(), 1);
     assert_eq!(
         subs[0].encode(),
-        bare.encode(),
+        bare,
         "a batch of one must carry exactly the bare response"
     );
 
-    handle.shutdown();
-    handle.wait();
+    let router = router(FleetConfig::default());
+    let (routed_bare, routed_batch) = ask(router.addr().to_string());
+    router.shutdown();
+    router.wait();
+    assert_eq!(
+        routed_bare, bare,
+        "router bytes differ for the bare request"
+    );
+    assert_eq!(
+        routed_batch.encode(),
+        batch.encode(),
+        "router bytes differ for the batch"
+    );
 }
 
 #[test]
 fn batch_mixes_results_and_structured_errors_in_order() {
-    let handle = server(ServeConfig::default());
-    let addr = handle.addr().to_string();
-
+    let sim = |id, seed| {
+        sim_request(
+            id,
+            &format!(
+                r#"{{"workload":"hotspot","policy":"LOCAL","mem_ops":2000,"sms":2,"seed":{seed}}}"#
+            ),
+        )
+    };
+    let place = |id, pct| {
+        Request::with_params(
+            id,
+            "place",
+            JsonValue::parse(&format!(r#"{{"workload":"bfs","capacity_pct":{pct}}}"#)).unwrap(),
+        )
+    };
+    // Enough distinct keys that a router's slots land on both backends.
     let subs = [
         Request::new(1, "stats"),
         sim_request(2, r#"{"workload":"no-such-app"}"#),
-        sim_request(
-            3,
-            r#"{"workload":"hotspot","policy":"LOCAL","mem_ops":2000,"sms":2,"seed":5}"#,
-        ),
+        sim(3, 5),
         Request::new(4, "frobnicate"),
+        sim(5, 6),
+        place(6, 10),
+        sim(7, 7),
+        place(8, 20),
     ];
-    let envelope = roundtrip(&addr, &batch_request(50, &subs)).unwrap();
-    let responses = envelope.batch_responses().unwrap();
-    assert_eq!(responses.len(), 4, "one sub-response per sub-request");
-    let ids: Vec<u64> = responses.iter().map(Response::id).collect();
-    assert_eq!(ids, vec![1, 2, 3, 4], "sub-responses keep request order");
-    expect_ok(&responses[0]);
-    assert_eq!(expect_err(&responses[1]).0, "unknown-workload");
-    expect_ok(&responses[2]);
-    assert_eq!(expect_err(&responses[3]).0, "unknown-op");
+    let envelope = batch_request(50, &subs);
 
+    let handle = server(ServeConfig::default());
+    let served = roundtrip(&handle.addr().to_string(), &envelope).unwrap();
     handle.shutdown();
     handle.wait();
+    let responses = served.batch_responses().unwrap();
+    assert_eq!(responses.len(), 8, "one sub-response per sub-request");
+    let ids: Vec<u64> = responses.iter().map(Response::id).collect();
+    assert_eq!(
+        ids,
+        (1..=8).collect::<Vec<_>>(),
+        "sub-responses keep request order"
+    );
+    assert_eq!(
+        codes(&served),
+        [
+            "ok",
+            "unknown-workload",
+            "ok",
+            "unknown-op",
+            "ok",
+            "ok",
+            "ok",
+            "ok"
+        ]
+    );
+
+    // A router answers every slot with the server's bytes but the
+    // `stats` one, which carries the router's own body.
+    let router = router(FleetConfig::default());
+    let routed = roundtrip(&router.addr().to_string(), &envelope).unwrap();
+    assert_both_backends_served(&router);
+    router.shutdown();
+    router.wait();
+    let routed = routed.batch_responses().unwrap();
+    let encode = |rs: &[Response]| rs.iter().map(Response::encode).collect::<Vec<_>>();
+    assert_eq!(encode(&routed[1..]), encode(&responses[1..]));
+    expect_ok(&routed[0]);
 }
 
 /// One line the front end answers itself: the code it must carry (for
@@ -362,11 +450,7 @@ fn draining_refusal_differs_only_in_its_code() {
     let router = router(FleetConfig::default());
     let mut to_server = Pipe::connect(&server.addr().to_string());
     let mut to_router = Pipe::connect(&router.addr().to_string());
-    // One answered request each, so both connections are accepted
-    // before the drain drops the listeners.
     let line = Request::new(5, "stats").encode();
-    to_server.ask(&line);
-    to_router.ask(&line);
     server.shutdown();
     router.shutdown();
     // A connection held open past the drain is still answered, with
@@ -386,6 +470,43 @@ fn draining_refusal_differs_only_in_its_code() {
     drop((to_server, to_router));
     server.wait();
     router.wait();
+}
+
+#[test]
+fn drain_answers_connections_waiting_to_be_accepted() {
+    for _ in 0..20 {
+        let handle = server(ServeConfig::default());
+        assert_backlog_answered(
+            &handle.addr().to_string(),
+            || handle.shutdown(),
+            "shutting-down",
+        );
+        handle.wait();
+    }
+    for _ in 0..20 {
+        let handle = router(FleetConfig {
+            backends: 1,
+            ..FleetConfig::default()
+        });
+        assert_backlog_answered(
+            &handle.addr().to_string(),
+            || handle.shutdown(),
+            "fleet-draining",
+        );
+        handle.wait();
+    }
+}
+
+/// Connections opened just before a drain, with nothing sent yet, may
+/// still sit in the listener's backlog when it starts: each must read
+/// the draining code, never a reset.
+fn assert_backlog_answered(addr: &str, shutdown: impl FnOnce(), code: &str) {
+    let mut conns: Vec<Pipe> = (0..4).map(|_| Pipe::connect(addr)).collect();
+    shutdown();
+    for pipe in &mut conns {
+        let resp = Response::decode(&pipe.ask(&Request::new(1, "stats").encode())).unwrap();
+        assert_eq!(expect_err(&resp).0, code);
+    }
 }
 
 #[test]
@@ -421,9 +542,9 @@ fn router_stats_has_the_server_shape_plus_fleet() {
 
 #[test]
 fn router_counts_shed_batch_slots_in_its_stats() {
-    // One forwarding worker and a one-job queue: a long simulate holds
-    // the worker or the queue slot, a second holds the other, so the
-    // batch pipelined behind them finds the queue full.
+    // One forwarding worker and a one-job queue: once the worker has
+    // taken a long simulate, a second fills the queue, so the batch
+    // pipelined behind it finds the queue full.
     let handle = router(FleetConfig {
         backends: 1,
         workers: 1,
@@ -437,16 +558,26 @@ fn router_counts_shed_batch_slots_in_its_stats() {
             &format!(r#"{{"workload":"bfs","mem_ops":{mem_ops},"sms":2,"seed":{id}}}"#),
         )
     };
-    let lines = [
-        sim(1, 200_000),
-        sim(2, 200_000),
-        batch_request(3, &[sim(4, 2000), sim(5, 2000)]),
-    ]
-    .iter()
-    .map(|r| format!("{}\n", r.encode()))
-    .collect::<String>();
     let mut pipe = Pipe::connect(&addr);
-    pipe.writer.write_all(lines.as_bytes()).unwrap();
+    pipe.send_all(&[sim(1, 1_000_000)]);
+    // The backend counts the forward once the worker has taken it off
+    // the queue; before that, the second simulate could be the one shed.
+    let forwarded = || {
+        let stats = roundtrip(&addr, &Request::new(9, "stats")).unwrap();
+        let stats = JsonValue::parse(expect_ok(&stats)).unwrap();
+        let backends = stats.get("fleet").and_then(|f| f.get("backends")).unwrap();
+        backends.as_array().unwrap()[0]
+            .get("requests")
+            .and_then(JsonValue::as_u64)
+            .unwrap()
+    };
+    while forwarded() == 0 {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    pipe.send_all(&[
+        sim(2, 2000),
+        batch_request(3, &[sim(4, 2000), sim(5, 2000)]),
+    ]);
     let mut shed = 0;
     for _ in 0..3 {
         let resp = Response::decode(&pipe.recv_line()).unwrap();

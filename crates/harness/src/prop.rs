@@ -34,6 +34,7 @@ use std::ops::{Range, RangeInclusive};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::rng::{mix, Xoshiro256StarStar};
+use crate::telemetry::fnv1a;
 
 /// The per-case generation context handed to property bodies (via the
 /// macro) and to [`Sample`] implementations.
@@ -179,17 +180,6 @@ impl<S: Sample> Sample for VecOf<S> {
 /// Full-range `u64` source (`proptest`'s `any::<u64>()`).
 pub fn any_u64() -> RangeInclusive<u64> {
     0..=u64::MAX
-}
-
-/// FNV-1a over a byte string; used to derive a stable per-property seed
-/// from its name.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 fn env_u64(name: &str) -> Option<u64> {

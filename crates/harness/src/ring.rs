@@ -18,25 +18,17 @@
 //! [`HashRing::route_filtered`] takes the first one a health predicate
 //! accepts.
 
+use crate::rng::mix;
 use crate::telemetry::fnv1a;
 
 /// Virtual points per backend when the caller doesn't choose.
 pub const DEFAULT_VNODES: usize = 64;
 
-/// splitmix64 finalizer over the FNV-1a digest. FNV alone clusters on
-/// near-identical inputs (`backend-0/vnode-1` vs `.../vnode-2` differ
-/// in one trailing byte), which skews ring arcs badly; the finalizer's
-/// avalanche spreads the points uniformly around the circle.
-fn mix(mut h: u64) -> u64 {
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^= h >> 31;
-    h
-}
-
-/// The ring's hash for any label or key.
+/// The ring's hash for any label or key: the splitmix64 finalizer
+/// over the FNV-1a digest. FNV alone clusters on near-identical inputs
+/// (`backend-0/vnode-1` vs `.../vnode-2` differ in one trailing byte),
+/// which skews ring arcs badly; the finalizer's avalanche spreads the
+/// points uniformly around the circle.
 fn ring_hash(bytes: &[u8]) -> u64 {
     mix(fnv1a(bytes))
 }
@@ -187,6 +179,14 @@ mod tests {
         let total: f64 = shares.iter().sum();
         assert!((total - 1.0).abs() < 1e-9, "got {total}");
         assert!(shares.iter().all(|&s| s > 0.0));
+    }
+
+    #[test]
+    fn ring_hash_values_are_pinned() {
+        // Ring placement is the fleet's routing contract: a changed
+        // hash would move every cached key to another backend.
+        assert_eq!(ring_hash(b"backend-0/vnode-0"), 0x5d9d_afbd_2149_6a6b);
+        assert_eq!(ring_hash(b"key-0"), 0x9d7b_96d3_35c9_f9fb);
     }
 
     #[test]

@@ -284,8 +284,10 @@ target/release/hetmem-perf fidelity --label ci-smoke --iters 1 \
 # backends. The same sweep runs against one single process and against
 # the fleet with one backend SIGKILL'd mid-sweep; the router's failover
 # (ring successor + supervised respawn) must keep every response line
-# byte-identical. hetmem-top's conservation gate must hold against the
-# router, and `shutdown` must drain the whole fleet, children included.
+# byte-identical. 20 `place` lines pipelined down one connection must
+# come back from the router, sorted by id, with the single server's
+# bytes. hetmem-top's conservation gate must hold against the router,
+# and `shutdown` must drain the whole fleet, children included.
 FLEET_DIR=target/ci-fleet
 rm -rf "$FLEET_DIR"
 mkdir -p "$FLEET_DIR"
@@ -302,6 +304,18 @@ sweep_half2() {
     "$@" place workload=bfs capacity_pct=20
     "$@" --batch 4 simulate workload=hotspot policy=LOCAL mem_ops=3000 sms=2
 }
+pipeline_place() { # $1: port; answers to 20 pipelined lines, sorted by id
+    exec 3<>"/dev/tcp/127.0.0.1/$1"
+    for i in $(seq 1 20); do
+        printf '{"id":%d,"op":"place","params":{"workload":"bfs","capacity_pct":%d}}\n' \
+            "$i" "$((i * 5))" >&3
+    done
+    for _ in $(seq 1 20); do
+        IFS= read -r line <&3
+        printf '%s\n' "$line"
+    done | sort -t: -k2,2n
+    exec 3<&- 3>&-
+}
 
 target/release/hetmem-serve --addr 127.0.0.1:0 \
     --port-file "$FLEET_DIR/single.port" &
@@ -314,6 +328,8 @@ done
 SADDR="127.0.0.1:$(cat "$FLEET_DIR/single.port")"
 sclient() { target/release/hetmem-client "$SADDR" "$@"; }
 { sweep_half1 sclient; sweep_half2 sclient; } > "$FLEET_DIR/single.jsonl"
+pipeline_place "$(cat "$FLEET_DIR/single.port")" > "$FLEET_DIR/single-pipelined.jsonl"
+[ "$(grep -c '"hints":\[' "$FLEET_DIR/single-pipelined.jsonl")" -eq 20 ]
 sclient shutdown > /dev/null
 wait "$SINGLE_PID"
 trap - EXIT
@@ -334,6 +350,8 @@ BACKEND_PID=$(pgrep -P "$FLEET_PID" | head -1)
 kill -9 "$BACKEND_PID"  # SIGKILL one backend mid-sweep
 sweep_half2 fclient >> "$FLEET_DIR/fleet.jsonl"
 cmp "$FLEET_DIR/single.jsonl" "$FLEET_DIR/fleet.jsonl"  # failover: same bytes
+pipeline_place "$(cat "$FLEET_DIR/fleet.port")" > "$FLEET_DIR/fleet-pipelined.jsonl"
+cmp "$FLEET_DIR/single-pipelined.jsonl" "$FLEET_DIR/fleet-pipelined.jsonl"
 target/release/hetmem-top "$FADDR" --once --json --check \
     > "$FLEET_DIR/top.json"
 grep -q '"p99_us"' "$FLEET_DIR/top.json"
