@@ -3,7 +3,9 @@
 //! One binary per table/figure of the paper (`cargo run --release -p
 //! hetmem-bench --bin fig3`) regenerates that experiment's rows at full
 //! scale; `--bin ablations` prints the design-choice ablations, and
-//! `hetmem-perf` measures simulator and serving throughput.
+//! `hetmem-serve`, `hetmem-fleet` and `hetmem-client` run the placement
+//! service. Simulator and serving throughput are measured by the
+//! separate `perfbench` package (`perfbench/README.md`).
 //!
 //! Common flags for the binaries:
 //!

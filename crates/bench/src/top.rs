@@ -97,10 +97,10 @@ impl TopSnapshot {
             overloaded: field(&stats, "overloaded")?,
             worker_restarts: field(&stats, "worker_restarts")?,
             deadline_exceeded: field(&stats, "deadline_exceeded")?,
-            cache_hits: field(&cache, "hits")?,
-            cache_misses: field(&cache, "misses")?,
-            cache_entries: field(&cache, "entries")?,
-            cache_capacity: field(&cache, "capacity")?,
+            cache_hits: field(cache, "hits")?,
+            cache_misses: field(cache, "misses")?,
+            cache_entries: field(cache, "entries")?,
+            cache_capacity: field(cache, "capacity")?,
             uptime_ms: field(&stats, "uptime_ms")?,
             queue_capacity: field(&stats, "queue_depth")?,
             ..TopSnapshot::default()

@@ -96,12 +96,6 @@ fn top_usage_errors_exit_1() {
 }
 
 #[test]
-fn perf_usage_errors_exit_2() {
-    let bin = env!("CARGO_BIN_EXE_hetmem-perf");
-    usage_errors(bin, 2, &["run"], "--iters", &[]);
-}
-
-#[test]
 fn trace_usage_errors_exit_2() {
     let bin = env!("CARGO_BIN_EXE_hetmem-trace");
     usage_errors(bin, 2, &["summary"], "--top", &["no-such-file.jsonl"]);

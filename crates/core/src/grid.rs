@@ -658,8 +658,8 @@ mod tests {
         let sink = TelemetrySink::create(&dir).unwrap();
         let (sim, run) = quick_run();
         let rec = record_for("figX", "hotspot", "LOCAL", &sim, &run);
-        sink.record("figX", &[rec.clone()]).unwrap();
-        sink.record("figX", &[rec.clone()]).unwrap();
+        sink.record("figX", std::slice::from_ref(&rec)).unwrap();
+        sink.record("figX", std::slice::from_ref(&rec)).unwrap();
         sink.record("figY", std::slice::from_ref(&rec)).unwrap();
         // Empty batches create no file.
         sink.record("figZ", &[]).unwrap();

@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use gpusim::{
-    run_sampled, EngineStats, EventTracer, Fidelity, IntervalReport, IntervalSampler, NullMigrator,
+    run_sampled, EventTracer, Fidelity, IntervalReport, IntervalSampler, NullMigrator,
     NullObserver, Observer, PageMigrator, ProbeObserver, SimConfig, SimReport, SimTraceEvent,
     Simulator,
 };
@@ -76,9 +76,6 @@ pub struct WorkloadRun {
     pub bo_pages: u64,
     /// The named allocation ranges of the run (profiler input).
     pub ranges: Vec<profiler::AllocRange>,
-    /// The engine's throughput counters (benchmark bookkeeping; not
-    /// part of the report).
-    pub engine: EngineStats,
 }
 
 impl WorkloadRun {
@@ -301,8 +298,8 @@ impl<'a> RunBuilder<'a> {
     /// placement a `MIGRATE` policy (the `unsupported-fidelity` case of
     /// [`check_fidelity`]).
     pub fn run(&self) -> WorkloadRun {
-        let (prep, report, _, engine) = self.execute(NullObserver, false);
-        prep.finish(report, engine)
+        let (prep, report, _) = self.execute(NullObserver, false);
+        prep.finish(report)
     }
 
     /// Executes the run with the observability layer attached (interval
@@ -323,14 +320,14 @@ impl<'a> RunBuilder<'a> {
                 .map(|n| IntervalSampler::new(n, self.sim.pools.len())),
             obs.trace.then(|| EventTracer::new(obs.trace_budget)),
         );
-        let (prep, report, probe, engine) = self.execute(probe, true);
+        let (prep, report, probe) = self.execute(probe, true);
         let placements = prep.mm.borrow_mut().take_placement_log();
         let migration_epochs = prep
             .epochs
             .as_ref()
             .map_or_else(Vec::new, |log| log.borrow().clone());
         ObservedRun {
-            run: prep.finish(report, engine),
+            run: prep.finish(report),
             intervals: probe
                 .sampler
                 .map(IntervalSampler::into_reports)
@@ -353,15 +350,11 @@ impl<'a> RunBuilder<'a> {
     /// when `log_placements`), attaches `obs`, then picks the migrator
     /// once and the fidelity once, with page profiling per
     /// [`RunBuilder::profiled`] on either fidelity.
-    fn execute<O: Observer>(
-        &self,
-        obs: O,
-        log_placements: bool,
-    ) -> (PreparedRun, SimReport, O, EngineStats) {
+    fn execute<O: Observer>(&self, obs: O, log_placements: bool) -> (PreparedRun, SimReport, O) {
         self.with_effective(|spec, placement| {
             let mut prep = prepare_run(spec, self.sim, self.capacity, placement, log_placements);
             let (translator, program) = prep.take_sim_parts();
-            let (report, obs, engine) = match migrate_spec_of(placement) {
+            let (report, obs) = match migrate_spec_of(placement) {
                 Some(ms) => {
                     let mig = OnlineMigrator::new(Rc::clone(&prep.mm), ms, self.sim);
                     prep.epochs = Some(mig.epoch_log());
@@ -369,7 +362,7 @@ impl<'a> RunBuilder<'a> {
                 }
                 None => self.simulate(translator, program, obs, NullMigrator),
             };
-            (prep, report, obs, engine)
+            (prep, report, obs)
         })
     }
 
@@ -380,9 +373,9 @@ impl<'a> RunBuilder<'a> {
         program: TraceProgram,
         obs: O,
         mig: M,
-    ) -> (SimReport, O, EngineStats) {
+    ) -> (SimReport, O) {
         let sim = self.sim.clone();
-        match self.fidelity {
+        let (report, obs, _) = match self.fidelity {
             Fidelity::Sampled(sc) => {
                 run_sampled(sim, translator, program, sc, obs, mig, self.profile_pages)
             }
@@ -395,7 +388,8 @@ impl<'a> RunBuilder<'a> {
                 }
                 simulator.run_instrumented()
             }
-        }
+        };
+        (report, obs)
     }
 }
 
@@ -422,7 +416,7 @@ impl PreparedRun {
     }
 
     /// Builds the final [`WorkloadRun`] once the simulator has reported.
-    fn finish(self, report: SimReport, engine: EngineStats) -> WorkloadRun {
+    fn finish(self, report: SimReport) -> WorkloadRun {
         let placement_hist = self.mm.borrow().placement_histogram();
         WorkloadRun {
             report,
@@ -430,7 +424,6 @@ impl PreparedRun {
             footprint_pages: self.footprint_pages,
             bo_pages: self.bo_pages,
             ranges: self.ranges,
-            engine,
         }
     }
 }
@@ -686,12 +679,11 @@ mod tests {
             let observed = builder.run_observed();
             assert!(plain.report.page_accesses.is_some(), "{fidelity:?}");
             assert_eq!(observed.run.report, plain.report, "{fidelity:?}");
-            assert_eq!(observed.run.engine, plain.engine, "{fidelity:?}");
         }
     }
 
     #[test]
-    fn run_engine_stats_match_hand_assembled_runs() {
+    fn run_reports_match_hand_assembled_runs() {
         let spec = quick_spec("hotspot");
         let sim = quick_sim();
         let topo = topology_for(&sim, &[1, 1]);
@@ -732,7 +724,6 @@ mod tests {
                 }
             };
             assert_eq!(run.report, report, "{name}");
-            assert_eq!(run.engine, engine, "{name}");
             assert!(engine.events_processed > report.mem_ops, "{name}");
         }
     }

@@ -619,6 +619,7 @@ mod tests {
         // request; the hit must be served first.
         let miss_line = LINES_PER_ROW * 16; // bank 0, row 1
         let tick = chan.enqueue(t1, miss_line, true).unwrap();
+        assert!(tick >= t1, "idle channel ticks at or after t1, got {tick}");
         assert_eq!(chan.enqueue(t1, 1, true), None);
         let first = chan.tick().unwrap();
         assert_eq!(first.line, 1, "row hit served first");

@@ -89,7 +89,7 @@ pub struct Calendar<E> {
 }
 
 /// Counters describing one engine run, for throughput benchmarking
-/// (`hetmem-perf`). Not part of [`SimReport`](crate::SimReport): the
+/// (perfbench's `gpusim.events`). Not part of [`SimReport`](crate::SimReport): the
 /// report stays byte-identical whether or not anyone reads these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {

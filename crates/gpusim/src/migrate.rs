@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn null_migrator_is_disabled_and_inert() {
-        assert!(!NullMigrator::ENABLED);
+        const { assert!(!NullMigrator::ENABLED) };
         let mut m = NullMigrator;
         m.record_access(0, 0);
         assert_eq!(m.remap_stall(0, 0), 0);

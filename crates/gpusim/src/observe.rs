@@ -686,7 +686,7 @@ mod tests {
 
     #[test]
     fn null_observer_is_disabled() {
-        assert!(!NullObserver::ENABLED);
-        assert!(IntervalSampler::ENABLED);
+        const { assert!(!NullObserver::ENABLED) };
+        const { assert!(IntervalSampler::ENABLED) };
     }
 }

@@ -441,24 +441,6 @@ fn extrapolate(
         }
         _ => (cycles_measured, delivered),
     };
-    if std::env::var_os("HM_SAMPLED_DEBUG").is_some() {
-        for (i, w) in curve.windows(2).enumerate() {
-            let (a, b) = (w[0], w[1]);
-            eprintln!(
-                "sampled-debug: seg {i} delivered {}..{} t {}..{} c/op={:.3}{}",
-                a.delivered,
-                b.delivered,
-                a.now,
-                b.now,
-                (b.now - a.now) as f64 / (b.delivered - a.delivered).max(1) as f64,
-                if a.delivered >= lo && b.delivered <= hi {
-                    " [fit]"
-                } else {
-                    ""
-                }
-            );
-        }
-    }
     let cycles_per_op = if fit_ops == 0 {
         0.0
     } else {

@@ -3,7 +3,7 @@
 //! The execution subsystem the whole hetmem workspace runs through,
 //! built on **std only** (this crate has zero dependencies, which is
 //! what lets `cargo build --release && cargo test -q` succeed with no
-//! network and no crates-io index). Three layers:
+//! network and no crates-io index). Four layers:
 //!
 //! 1. **[`sweep`]** — a scoped-thread worker pool executing
 //!    `(workload × config)` grid points concurrently, with deterministic
@@ -14,10 +14,9 @@
 //!    end-of-sweep summary. Byte-identical across runs and thread
 //!    counts.
 //! 3. **The determinism/testing kit** — [`rng`] (SplitMix64 +
-//!    xoshiro256**, replacing `rand`), [`prop`] and the [`props!`]
+//!    xoshiro256**, replacing `rand`), and [`prop`] and the [`props!`]
 //!    macro (seeded case generation with shrinking-lite, replacing
-//!    `proptest`), and [`timing`] (a micro-benchmark runner, replacing
-//!    `criterion`).
+//!    `proptest`).
 //! 4. **The serving kit** — [`protocol`] (the `hetmem-serve` JSONL
 //!    request/response envelope), [`cache`] (a content-addressed LRU
 //!    result cache whose hits are byte-identical to recomputation), and
@@ -60,7 +59,6 @@ pub mod ring;
 pub mod rng;
 pub mod sweep;
 pub mod telemetry;
-pub mod timing;
 pub mod trace;
 
 pub use backoff::Backoff;
@@ -82,5 +80,4 @@ pub use telemetry::{
     fnv1a, hit_rate, summary, IntervalPoolTelemetry, IntervalRecord, MigrationTelemetry,
     PoolTelemetry, RunRecord,
 };
-pub use timing::BenchResult;
 pub use trace::{ChromeTrace, TraceEvent};

@@ -53,12 +53,15 @@ fn object_from(fields: Vec<FieldDraw>) -> JsonValue {
     )
 }
 
-fn arb_fields() -> hetmem_harness::prop::VecOf<(
+/// The generator of one [`FieldDraw`].
+type FieldGen = (
     std::ops::Range<usize>,
     hetmem_harness::prop::VecOf<std::ops::Range<usize>>,
     std::ops::Range<u64>,
     std::ops::Range<f64>,
-)> {
+);
+
+fn arb_fields() -> hetmem_harness::prop::VecOf<FieldGen> {
     // u64 values stay below 2^50: `as_u64` only accepts integers that
     // are exactly representable in an f64 (<= 2^53).
     vec_of(

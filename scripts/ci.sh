@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, release build, full test suite.
+# Offline CI gate: formatting, lints, release build, full test suite.
 #
 # The workspace has zero third-party dependencies, so everything here
 # runs with --offline and must pass on a machine with no network access.
@@ -7,14 +7,21 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all --check
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
-# Doc-drift gate: every `--bin <name>` that README.md, DESIGN.md or
-# EXPERIMENTS.md tells a reader to run must be a real binary, so a
-# deleted or renamed experiment cannot linger in the docs.
-for bin in $(grep -ohE -e '--bin [A-Za-z0-9_-]+' README.md DESIGN.md EXPERIMENTS.md |
-    awk '{print $2}' | sort -u); do
+# Doc-drift gate: every `--bin <name>` and `scripts/<name>.sh` that
+# README.md, DESIGN.md or EXPERIMENTS.md tells a reader to run must
+# exist, so a deleted or renamed tool cannot linger in the docs.
+DOCS=(README.md DESIGN.md EXPERIMENTS.md)
+for bin in $(grep -ohE -e '--bin [A-Za-z0-9_-]+' "${DOCS[@]}" | awk '{print $2}' | sort -u); do
     [ -f "crates/bench/src/bin/$bin.rs" ] || {
         echo "docs name --bin $bin, but crates/bench/src/bin/$bin.rs does not exist" >&2
+        exit 1
+    }
+done
+for script in $(grep -ohE 'scripts/[A-Za-z0-9_-]+\.sh' "${DOCS[@]}" | sort -u); do
+    [ -f "$script" ] || {
+        echo "docs name $script, but it does not exist" >&2
         exit 1
     }
 done
@@ -199,86 +206,54 @@ if grep '"config":"LOCAL"' "$MIG_DIR/t1.jsonl" | grep -q '"migration"'; then
 fi
 target/release/hetmem-trace check "$MIG_DIR/t1.jsonl"
 
-# Perf smoke: a quick benchmark run must produce a parseable result and
-# self-gate cleanly (1.00x vs itself is inside the 30% regression
-# budget). The gate's failure branch must also actually fire: demanding
-# a 2x speedup of a run over itself has to exit nonzero. CI machines are
-# too noisy for absolute thresholds, so real speedup claims live in the
-# committed BENCH_*.json reports (see scripts/bench.sh).
-PERF_DIR=target/ci-perf
-rm -rf "$PERF_DIR"
-mkdir -p "$PERF_DIR"
-cargo build --release --offline -q -p hetmem-bench --bin hetmem-perf
-target/release/hetmem-perf run --quick --migrate --label ci-smoke \
-    --out "$PERF_DIR/quick.json"
-target/release/hetmem-perf gate \
-    --baseline "$PERF_DIR/quick.json" --current "$PERF_DIR/quick.json"
-if target/release/hetmem-perf gate \
-    --baseline "$PERF_DIR/quick.json" --current "$PERF_DIR/quick.json" \
-    --min-speedup 2.0; then
-    echo "hetmem-perf gate failed to reject an impossible speedup" >&2
-    exit 1
-fi
+# perfbench gates. `perfbench <workload> <seed>` runs one 5 s untraced
+# benchmark, echoes its result line (the last stdout line) to stderr,
+# fails unless it reports `"failed":0`, and prints the line for the
+# caller to read metrics from.
+perfbench() {
+    local result
+    result=$(python3 perfbench/run.py --workload "$1" --seed "$2" \
+        --seconds 5 --trace 0 | tail -1)
+    echo "$result" >&2
+    python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] != 0)' \
+        "$result" || {
+        echo "perfbench $1 (seed $2) reported failed operations" >&2
+        return 1
+    }
+    printf '%s\n' "$result"
+}
 
-# Benchmark digest gate: perfbench's sim-full workload at seed 1 checks
-# each 100k-op point's digest against perfbench/reference.txt, so a
-# change to simulator output fails here at 8x the golden suite's scale.
-# The last stdout line is the result; `failed` must be 0.
-BENCH_RESULT=$(python3 perfbench/run.py --workload sim-full --seed 1 \
-    --seconds 5 --trace 0 | tail -1)
-echo "$BENCH_RESULT"
-if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] != 0)' \
-    "$BENCH_RESULT"; then
-    echo "perfbench sim-full reported failed operations" >&2
-    exit 1
-fi
+# Digest gate: sim-full at seed 1 checks each 100k-op point's digest
+# against perfbench/reference.txt, so a change to simulator output fails
+# here at 8x the golden suite's scale.
+FULL_RESULT=$(perfbench sim-full 1)
 
-# Sampled determinism and accuracy gate: perfbench's sim-sampled workload
-# at seed 1 fails a point whose repeats disagree on its digest or whose
-# extrapolated bandwidth is more than 15% off the committed full-fidelity
-# bandwidth. `failed` must be 0.
-BENCH_RESULT=$(python3 perfbench/run.py --workload sim-sampled --seed 1 \
-    --seconds 5 --trace 0 | tail -1)
-echo "$BENCH_RESULT"
-if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] != 0)' \
-    "$BENCH_RESULT"; then
-    echo "perfbench sim-sampled reported failed operations" >&2
-    exit 1
-fi
+# Sampled determinism and accuracy gate: sim-sampled fails a point whose
+# repeats disagree on its digest or whose extrapolated bandwidth is more
+# than 15% off the full-fidelity bandwidth. At seed 7 every trace seed
+# differs, so the repeat-digest check exercises the skip_ops drain on
+# other streams and the 15% bound holds on other points. The tighter 5%
+# bound on sgemm and lbm at 200k ops is
+# tests/sampled_fidelity.rs::sampled_bandwidth_tracks_full_on_steady_state_workloads,
+# which `cargo test --workspace` above runs.
+SAMPLED_RESULT=$(perfbench sim-sampled 1)
+perfbench sim-sampled 7 > /dev/null
 
-# The same sampled gate on a second input set: at seed 7 every trace
-# seed differs, so the repeat-digest check exercises the skip_ops drain
-# on other streams and the 15% bandwidth bound holds on other points.
-BENCH_RESULT=$(python3 perfbench/run.py --workload sim-sampled --seed 7 \
-    --seconds 5 --trace 0 | tail -1)
-echo "$BENCH_RESULT"
-if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] != 0)' \
-    "$BENCH_RESULT"; then
-    echo "perfbench sim-sampled (seed 7) reported failed operations" >&2
-    exit 1
-fi
+# Sampled speed gate: the fast-forward engine must simulate at least 5x
+# the memory ops per host second of full fidelity. Both rates come from
+# the seed-1 runs above, rescaled to the same reference host speed.
+python3 - "$FULL_RESULT" "$SAMPLED_RESULT" <<'PY'
+import json, sys
+full, sampled = (json.loads(a)["metrics"]["mem_ops_per_s"]["value"] for a in sys.argv[1:])
+print(f"sampled vs full mem_ops_per_s: {sampled:.3g} / {full:.3g} = {sampled / full:.1f}x")
+if sampled < 5 * full:
+    sys.exit("sampled fidelity is less than 5x faster than full fidelity")
+PY
 
-# Reactor traffic gate: perfbench's fleet-mix workload drives a
-# hetmem-fleet router and its hetmem-serve backends, both on the
-# shared poll(2) reactor, with open-loop place/simulate/batch traffic.
-# `failed` must be 0.
-BENCH_RESULT=$(python3 perfbench/run.py --workload fleet-mix --seed 1 \
-    --seconds 5 --trace 0 | tail -1)
-echo "$BENCH_RESULT"
-if ! python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["failed"] != 0)' \
-    "$BENCH_RESULT"; then
-    echo "perfbench fleet-mix reported failed operations" >&2
-    exit 1
-fi
-
-# Sampled-fidelity error bound: on two golden steady-state workloads
-# the extrapolated bandwidth must stay within 5% of full fidelity
-# (deterministic numbers — the simulator has no run-to-run noise, so
-# an absolute error gate is CI-safe where a wall-clock one is not).
-target/release/hetmem-perf fidelity --label ci-smoke --iters 1 \
-    --workloads sgemm,lbm --mem-ops 200000 \
-    --window-ops 16384 --warmup-windows 1 --period 8 \
-    --max-error 5 --out "$PERF_DIR/fidelity.json"
+# Reactor traffic gate: fleet-mix drives a hetmem-fleet router and its
+# hetmem-serve backends, both on the shared poll(2) reactor, with
+# open-loop place/simulate/batch traffic.
+perfbench fleet-mix 1 > /dev/null
 
 # Fleet smoke: consistent-hash router + 3 supervised hetmem-serve
 # backends. The same sweep runs against one single process and against
