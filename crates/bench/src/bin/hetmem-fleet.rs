@@ -9,31 +9,33 @@
 //! Flags:
 //!
 //! * `--addr <host:port>` — router bind address (default `127.0.0.1:0`)
-//! * `--backends <n>` — supervised `hetmem-serve` children (default 2)
+//! * `--backends <n>` — supervised `hetmem-serve` children, 1..=64
+//!   (default 2)
 //! * `--serve-bin <path>` — backend binary (default: the
 //!   `hetmem-serve` next to this executable)
-//! * `--shards <n>` / `--queue-depth <n>` / `--cache <n>` /
-//!   `--max-batch <n>` — passed through to every backend (`--max-batch`
-//!   is also enforced at the router)
+//! * `--shards <n>` (1..=64) / `--queue-depth <n>` / `--cache <n>` /
+//!   `--max-batch <n>` — passed through to every backend, with
+//!   `hetmem-serve`'s defaults (`--max-batch` is also enforced at the
+//!   router)
 //! * `--conn-buf <bytes>` — router backpressure threshold (default
 //!   262144), same shedding semantics as `hetmem-serve`
 //! * `--read-timeout-ms <n>` / `--write-timeout-ms <n>` — client
 //!   connection timeouts at the router (defaults 120000 / 30000)
-//! * `--backend-timeout-ms <n>` — read timeout per forwarded
-//!   round-trip (default 120000)
-//! * `--probe-interval-ms <n>` — health-probe cadence (default 200)
-//! * `--probe-deadline-ms <n>` — health-probe deadline (default 750)
-//! * `--breaker-threshold <n>` — consecutive failures opening a
-//!   backend's circuit breaker (default 3)
-//! * `--max-restarts <n>` — rapid-crash restart budget per backend
-//!   before it is marked gone (default 5)
 //! * `--seed <n>` — seeds the deterministic breaker-cooldown and
 //!   restart-backoff jitter
 //! * `--faults <spec>` — chaos spec passed through to every backend
 //!   (checked here first; a bad spec is a usage error)
-//! * `--workers <n>` — forwarding threads (default 2 per backend)
+//! * `--workers <n>` — forwarding threads, 1..=64 (default 2 per
+//!   backend, clamped to 2..=16)
 //! * `--fwd-queue <n>` — forwarding-queue depth (default 256)
 //! * `--port-file <path>` — write the router's bound port (digits only)
+//!
+//! Every count, size and timeout must be positive. Supervision and
+//! health checking are fixed: a forwarded round-trip waits at most
+//! 120 s, health probes run every 200 ms with a 750 ms deadline, 3
+//! consecutive failures open a backend's circuit breaker, and in a
+//! crash loop (each child dying within 10 s of its start) a backend is
+//! respawned at most 5 times, then marked gone.
 //!
 //! The router exits after a client sends the `shutdown` op, or on
 //! SIGTERM or SIGINT: in-flight requests finish, then every backend is
@@ -55,20 +57,15 @@ fn main() -> std::process::ExitCode {
     cli::parse_or_exit("hetmem-fleet", 2, Args::from_env(), |arg, args| {
         match arg.as_str() {
             "--addr" => cfg.addr = args.value()?,
-            "--backends" => cfg.backends = args.parse()?,
+            "--backends" => cfg.backends = args.spawn_count()?,
             "--serve-bin" => cfg.serve_bin = Some(args.parse()?),
-            "--shards" => cfg.shards = args.parse()?,
-            "--queue-depth" => cfg.queue_depth = args.parse()?,
-            "--cache" => cfg.cache_capacity = args.parse()?,
-            "--max-batch" => cfg.max_batch = args.parse()?,
-            "--conn-buf" => cfg.conn_buffer = args.parse()?,
-            "--read-timeout-ms" => cfg.read_timeout_ms = args.parse()?,
-            "--write-timeout-ms" => cfg.write_timeout_ms = args.parse()?,
-            "--backend-timeout-ms" => cfg.backend_timeout_ms = args.parse()?,
-            "--probe-interval-ms" => cfg.probe_interval_ms = args.parse()?,
-            "--probe-deadline-ms" => cfg.probe_deadline_ms = args.parse()?,
-            "--breaker-threshold" => cfg.breaker_threshold = args.parse()?,
-            "--max-restarts" => cfg.max_restarts = args.parse()?,
+            "--shards" => cfg.shards = args.spawn_count()?,
+            "--queue-depth" => cfg.queue_depth = args.positive()?,
+            "--cache" => cfg.cache_capacity = args.positive()?,
+            "--max-batch" => cfg.max_batch = args.positive()?,
+            "--conn-buf" => cfg.conn_buffer = args.positive()?,
+            "--read-timeout-ms" => cfg.read_timeout_ms = args.positive()?,
+            "--write-timeout-ms" => cfg.write_timeout_ms = args.positive()?,
             "--seed" => cfg.seed = args.parse()?,
             // Checked here, so a bad spec is a usage error rather
             // than every backend failing at startup; the backends
@@ -77,8 +74,8 @@ fn main() -> std::process::ExitCode {
                 let spec = args.parse_with(|s| FaultPlan::parse(s).map(|_| s.to_string()))?;
                 cfg.backend_faults = Some(spec);
             }
-            "--workers" => cfg.workers = args.parse()?,
-            "--fwd-queue" => cfg.fwd_queue = args.parse()?,
+            "--workers" => cfg.workers = Some(args.spawn_count()?),
+            "--fwd-queue" => cfg.fwd_queue = args.positive()?,
             "--port-file" => port_file = Some(args.value()?),
             _ => return Err(args.unknown()),
         }

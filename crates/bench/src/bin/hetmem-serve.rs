@@ -10,7 +10,7 @@
 //!
 //! * `--addr <host:port>` — bind address (default `127.0.0.1:0`; port
 //!   0 picks an ephemeral port, printed on stdout)
-//! * `--shards <n>` — simulation worker shards (default 2)
+//! * `--shards <n>` — simulation worker shards, 1..=64 (default 2)
 //! * `--queue-depth <n>` — bounded queue depth per shard (default 32)
 //! * `--cache <n>` — result cache capacity in entries (default 128)
 //! * `--max-batch <n>` — `batch` sub-request ceiling per envelope
@@ -28,6 +28,8 @@
 //!   `seed=7,panic=0.05,latency=0.2,latency-ms=40,wire=0.1,corrupt=0.1`
 //! * `--port-file <path>` — write the bound port (digits only) for
 //!   scripts that cannot parse stdout
+//!
+//! Every count, size and timeout must be positive.
 //!
 //! The process exits after a client sends the `shutdown` op; in-flight
 //! requests are drained first. The server runs on a poll(2) reactor
@@ -54,15 +56,15 @@ fn main() -> std::process::ExitCode {
     cli::parse_or_exit("hetmem-serve", 2, Args::from_env(), |arg, args| {
         match arg.as_str() {
             "--addr" => cfg.addr = args.value()?,
-            "--max-batch" => cfg.max_batch = args.parse()?,
-            "--conn-buf" => cfg.conn_buffer = args.parse()?,
-            "--shards" => cfg.shards = args.parse()?,
-            "--queue-depth" => cfg.queue_depth = args.parse()?,
-            "--cache" => cfg.cache_capacity = args.parse()?,
+            "--max-batch" => cfg.max_batch = args.positive()?,
+            "--conn-buf" => cfg.conn_buffer = args.positive()?,
+            "--shards" => cfg.shards = args.spawn_count()?,
+            "--queue-depth" => cfg.queue_depth = args.positive()?,
+            "--cache" => cfg.cache_capacity = args.positive()?,
             "--out" => out_dir = Some(args.value()?),
             "--fsync" => fsync = true,
-            "--read-timeout-ms" => cfg.read_timeout_ms = args.parse()?,
-            "--write-timeout-ms" => cfg.write_timeout_ms = args.parse()?,
+            "--read-timeout-ms" => cfg.read_timeout_ms = args.positive()?,
+            "--write-timeout-ms" => cfg.write_timeout_ms = args.positive()?,
             "--faults" => cfg.faults = Some(args.parse_with(FaultPlan::parse)?),
             "--port-file" => port_file = Some(args.value()?),
             _ => return Err(args.unknown()),

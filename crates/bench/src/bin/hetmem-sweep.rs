@@ -19,11 +19,12 @@
 //! at every instant — `kill -9` mid-sweep loses at most the point in
 //! flight. Re-running with the same `--checkpoint` path skips
 //! completed points (matched by serve's cache key over the *resolved*
-//! configuration) and produces output **byte-identical** to an
-//! uninterrupted run: per-point seeds derive from the original grid
-//! index, not the execution order. Checkpoint entries keyed under a
-//! policy spelling other than the canonical label (as older builds
-//! wrote them) match no point and are recomputed, never misread.
+//! configuration, trace seed included) and produces output
+//! **byte-identical** to an uninterrupted run: a point's record depends
+//! on the point alone, not on the execution order. Checkpoint entries
+//! keyed under a policy spelling other than the canonical label (as
+//! older builds wrote them) match no point and are recomputed, never
+//! misread.
 //!
 //! Flags:
 //!
@@ -36,7 +37,9 @@
 //! * `--sms <n>` — simulated SMs, 1..=1024 (default: paper baseline)
 //! * `--capacity-pct <n>` — bandwidth-optimized pool capacity as a
 //!   percentage of footprint (default: unconstrained)
-//! * `--seed <n>` — sweep seed (per-point seeds derive from it)
+//! * `--seed <n>` — trace seed of every point, sent as `simulate`'s
+//!   `seed` param, at most 2^53 as the protocol's JSON numbers are
+//!   (default: each workload's own catalog seed)
 //! * `--threads <n>` — worker threads (0 = one per core)
 //! * `--checkpoint <path>` / `--resume <path>` — enable crash-safe
 //!   checkpointing; an existing file resumes, skipping completed points
@@ -53,7 +56,7 @@
 //!   locally, send every grid point to a running `hetmem-serve` as
 //!   `simulate` sub-requests inside protocol-v2 `batch` envelopes
 //!   (chunked by `--batch`, default 32), via the retrying
-//!   [`ClientBuilder`](hetmem_bench::client::ClientBuilder). The
+//!   [`hetmem_bench::client::ClientBuilder`]. The
 //!   requests carry the same params the local mode resolves. Output
 //!   stays in grid order; the server's records carry its `serve` tag
 //!   rather than `sweep`, and its result cache makes re-runs
@@ -81,7 +84,7 @@ use hetmem_bench::client::ClientBuilder;
 use hetmem_bench::serve::{parse_simulate, run_point, SimPoint};
 use hetmem_harness::checkpoint::{run_grid_resumable, CheckpointWriter};
 use hetmem_harness::json::JsonValue;
-use hetmem_harness::sweep::{run_grid, PointCtx, SweepOptions};
+use hetmem_harness::sweep::{run_grid, SweepOptions};
 use hetmem_harness::{FaultInjector, FaultPlan, Request, Response};
 
 /// One grid point: the `simulate` params it was built from (sent as-is
@@ -147,6 +150,7 @@ fn main() -> ExitCode {
     let mut mem_ops: Option<u64> = None;
     let mut sms: Option<u64> = None;
     let mut capacity_pct: Option<u64> = None;
+    let mut seed: Option<u64> = None;
     let mut opts = SweepOptions::default();
     let mut checkpoint: Option<String> = None;
     let mut fsync = false;
@@ -164,7 +168,12 @@ fn main() -> ExitCode {
             "--mem-ops" => mem_ops = Some(args.parse()?),
             "--sms" => sms = Some(args.parse()?),
             "--capacity-pct" => capacity_pct = Some(args.parse()?),
-            "--seed" => opts.seed = args.parse()?,
+            "--seed" => {
+                seed = Some(args.parse_with(|s| match s.parse::<u64>() {
+                    Ok(n) if n <= 1 << 53 => Ok(n),
+                    _ => Err("expected an integer in 0..=2^53"),
+                })?);
+            }
             "--threads" => opts.threads = args.parse()?,
             "--checkpoint" | "--resume" => checkpoint = Some(args.value()?),
             "--fsync" => fsync = true,
@@ -190,6 +199,7 @@ fn main() -> ExitCode {
         ("mem_ops", mem_ops.map(num)),
         ("sms", sms.map(num)),
         ("capacity_pct", capacity_pct.map(num)),
+        ("seed", seed.map(num)),
         ("fidelity", fidelity.map(JsonValue::Str)),
     ];
     let mut points = Vec::new();
@@ -214,7 +224,7 @@ fn main() -> ExitCode {
     }
 
     let injector = faults.map_or_else(FaultInjector::disabled, FaultInjector::new);
-    let run = |p: &Point, _ctx: PointCtx| {
+    let run = |p: &Point| {
         if let Some(stall) = injector.maybe_latency() {
             std::thread::sleep(stall);
         }

@@ -10,6 +10,10 @@
 use std::fmt::Display;
 use std::str::FromStr;
 
+/// The most threads or child processes one flag may ask for
+/// (`--shards`, `--workers`, `--backends`).
+const MAX_SPAWN: usize = 64;
+
 /// A cursor over command-line tokens that remembers the last one it
 /// yielded, so a flag's value and its errors can name that flag.
 pub struct Args {
@@ -63,6 +67,16 @@ impl Args {
         let n: T = self.parse()?;
         if n == T::default() {
             return Err(format!("{}: must be positive", self.flag));
+        }
+        Ok(n)
+    }
+
+    /// A thread or process count in `1..=64`, checked before anything is
+    /// spawned; a refusal reads `<flag>: must be in 1..=64`.
+    pub fn spawn_count(&mut self) -> Result<usize, String> {
+        let n: usize = self.parse()?;
+        if !(1..=MAX_SPAWN).contains(&n) {
+            return Err(format!("{}: must be in 1..={MAX_SPAWN}", self.flag));
         }
         Ok(n)
     }
@@ -156,6 +170,16 @@ mod tests {
             a.positive::<usize>(),
             Err("--batch: must be positive".to_string())
         );
+        let mut a = args(&["--shards", "65", "--shards", "0", "--shards", "64"]);
+        for _ in 0..2 {
+            a.next();
+            assert_eq!(
+                a.spawn_count(),
+                Err("--shards: must be in 1..=64".to_string())
+            );
+        }
+        a.next();
+        assert_eq!(a.spawn_count(), Ok(64));
         let mut a = args(&["--faults", "x"]);
         a.next();
         assert_eq!(

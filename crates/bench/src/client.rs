@@ -6,7 +6,7 @@
 //! an optional request-id prefix once, then issue [`ClientBuilder::call`]
 //! (one request) or [`ClientBuilder::call_batch`] (a protocol-v2 `batch`
 //! envelope) as many times as needed. The retry engine underneath wraps
-//! [`roundtrip_timeout`](crate::serve::roundtrip_timeout); two classes
+//! [`crate::serve::roundtrip_timeout`]; two classes
 //! of failure are retried:
 //!
 //! * **Transport errors** — refused connections, timeouts, short reads

@@ -22,20 +22,24 @@
 //! ## Robustness
 //!
 //! * **Supervision** — each backend child is restarted with a bounded,
-//!   seeded [`Backoff`] schedule when it exits unexpectedly; a backend
-//!   past `max_restarts` is marked gone and drops out of the ring walk.
-//! * **Health probes** — a prober issues a periodic `stats` round-trip
-//!   with a short deadline against every backend and feeds a
-//!   per-backend closed/open/half-open [`CircuitBreaker`]; an open
-//!   breaker excludes the backend from routing until its seeded
-//!   cooldown elapses.
+//!   seeded [`Backoff`] schedule when it exits unexpectedly; in a crash
+//!   loop (each child dying within 10 s of its start) a backend is
+//!   respawned at most 5 times, then marked gone and dropped from the
+//!   ring walk.
+//! * **Health probes** — every 200 ms a prober issues a `stats`
+//!   round-trip with a 750 ms deadline against every backend and feeds
+//!   a per-backend closed/open/half-open [`CircuitBreaker`], which
+//!   opens after 3 consecutive failures; an open breaker excludes the
+//!   backend from routing until its seeded cooldown elapses.
 //! * **Failover** — a transport failure (or a `worker-restarted` that
 //!   survives an in-place retry) moves the request to the key's next
 //!   ring successor. Requests are idempotent (`place`/`simulate` are
 //!   pure and cached), so re-execution is safe. When every candidate
 //!   is down the client gets the stable, retryable
 //!   `backend-unavailable` code; a draining fleet answers
-//!   `fleet-draining`, which clients must not retry.
+//!   `fleet-draining`, which clients must not retry. A forwarded
+//!   round-trip waits at most 120 s for its reply, or until the
+//!   request's own deadline if that comes first.
 //! * **Drain** — `shutdown` (or [`FleetHandle::shutdown`], or SIGTERM
 //!   and SIGINT once [`FleetHandle::drain_on_termination_signals`] is
 //!   on, as in the `hetmem-fleet` binary) refuses new work, finishes
@@ -45,7 +49,7 @@
 //! ## Observability
 //!
 //! Request intake, batch validation and the `stats`/`metrics` ledger
-//! are the crate's shared [`front`](crate::front), so the router
+//! are the crate's shared `front` module, so the router
 //! refuses, counts and reports exactly as a single server does, and
 //! `hetmem-top --check` works against it unchanged. Fleet-specific
 //! metric families add per-backend request/error/reroute/restart
@@ -70,11 +74,9 @@ use hetmem_harness::{
     DEFAULT_VNODES,
 };
 
-use crate::front::{
-    self, Exec, Front, Group, Head, Helps, Job, Ledger, Run, Sub, Table, DEFAULT_MAX_BATCH,
-};
+use crate::front::{self, Exec, Front, Group, Head, Helps, Job, Ledger, Run, Sub, Table};
 use crate::reactor::{DrainGate, Reactor, Waker};
-use crate::serve::{exchange, roundtrip_timeout, simulate_cache_key};
+use crate::serve::{exchange, roundtrip_timeout, simulate_cache_key, ServeConfig};
 
 const SIGINT: c_int = 2;
 const SIGTERM: c_int = 15;
@@ -95,20 +97,17 @@ extern "C" fn on_termination(_signum: c_int) {
     TERMINATION_REQUESTED.store(true, Ordering::SeqCst);
 }
 
-/// Default backend child count.
-const DEFAULT_BACKENDS: usize = 2;
-/// Default forwarding-queue depth (requests parked for a worker).
-const DEFAULT_FWD_QUEUE: usize = 256;
-/// Default per-forwarded-roundtrip read timeout.
-const DEFAULT_BACKEND_TIMEOUT_MS: u64 = 120_000;
-/// Default health-probe cadence.
-const DEFAULT_PROBE_INTERVAL_MS: u64 = 200;
-/// Default health-probe deadline (also its read timeout).
-const DEFAULT_PROBE_DEADLINE_MS: u64 = 750;
-/// Default consecutive failures before a breaker opens.
-const DEFAULT_BREAKER_THRESHOLD: u32 = 3;
-/// Default restart budget per backend before it is marked gone.
-const DEFAULT_MAX_RESTARTS: u32 = 5;
+/// Read timeout per forwarded round-trip, shortened to the request's
+/// own deadline when it has one.
+const BACKEND_TIMEOUT: Duration = Duration::from_secs(120);
+/// Health-probe cadence.
+const PROBE_INTERVAL: Duration = Duration::from_millis(200);
+/// Health-probe deadline (also its read timeout).
+const PROBE_DEADLINE_MS: u64 = 750;
+/// Consecutive failures before a breaker opens.
+const BREAKER_THRESHOLD: u32 = 3;
+/// Rapid-crash restart budget per backend before it is marked gone.
+const MAX_RESTARTS: u32 = 5;
 /// How long to wait for a spawned child's port file.
 const SPAWN_DEADLINE: Duration = Duration::from_secs(10);
 /// Connect timeout for router→backend sockets.
@@ -122,58 +121,70 @@ const HELPS: Helps = Helps {
     uptime: "Milliseconds since the router started.",
 };
 
-/// Router construction knobs. `Default` binds an ephemeral loopback
-/// port with two backends discovered next to the current executable.
-#[derive(Debug, Clone, Default)]
+/// Router construction knobs. Every count and timeout must be
+/// positive. `Default` binds an ephemeral loopback port with two
+/// backends discovered next to the current executable; the settings
+/// shared with `hetmem-serve` default to [`ServeConfig::default`]'s.
+#[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Bind address; empty = `127.0.0.1:0`.
+    /// Bind address (default `127.0.0.1:0`).
     pub addr: String,
-    /// Backend child processes (0 = default 2).
+    /// Backend child processes (default 2).
     pub backends: usize,
     /// Path to the `hetmem-serve` binary; `None` looks for a sibling
     /// of the current executable.
     pub serve_bin: Option<PathBuf>,
-    /// Per-backend `--shards` passthrough (0 = server default).
+    /// Per-backend `--shards` passthrough.
     pub shards: usize,
-    /// Per-backend `--queue-depth` passthrough (0 = server default).
+    /// Per-backend `--queue-depth` passthrough.
     pub queue_depth: usize,
-    /// Per-backend `--cache` passthrough (0 = server default).
+    /// Per-backend `--cache` passthrough.
     pub cache_capacity: usize,
     /// `batch` sub-request ceiling, enforced at the router and passed
-    /// through to backends (0 = default 64).
+    /// through to backends.
     pub max_batch: usize,
-    /// Router backpressure threshold in bytes (0 = default 256 KiB),
-    /// same semantics as [`crate::serve::ServeConfig::conn_buffer`].
+    /// Router backpressure threshold in bytes, same semantics as
+    /// [`ServeConfig::conn_buffer`].
     pub conn_buffer: usize,
-    /// Client-connection read timeout at the router (0 = default
-    /// 120000 ms).
+    /// Client-connection read timeout at the router, in ms.
     pub read_timeout_ms: u64,
-    /// Client-connection write timeout at the router (0 = default
-    /// 30000 ms).
+    /// Client-connection write timeout at the router, in ms.
     pub write_timeout_ms: u64,
-    /// Read timeout per forwarded backend round-trip (0 = default
-    /// 120000 ms); shortened to the request's own deadline when set.
-    pub backend_timeout_ms: u64,
-    /// Health-probe cadence (0 = default 200 ms).
-    pub probe_interval_ms: u64,
-    /// Health-probe deadline (0 = default 750 ms).
-    pub probe_deadline_ms: u64,
-    /// Consecutive failures that open a backend's breaker (0 = 3).
-    pub breaker_threshold: u32,
     /// Seed for the deterministic breaker-cooldown and restart-backoff
     /// jitter.
     pub seed: u64,
-    /// Restart budget per backend before it is marked gone (0 = 5).
-    pub max_restarts: u32,
     /// `--faults` spec passed through to every backend (router-side
     /// chaos is driven from the backends, so injected decisions stay
     /// deterministic per process).
     pub backend_faults: Option<String>,
-    /// Forwarding worker threads (0 = 2 per backend, clamped 2..=16).
-    pub workers: usize,
+    /// Forwarding worker threads; `None` runs 2 per backend, clamped
+    /// to 2..=16.
+    pub workers: Option<usize>,
     /// Forwarding-queue depth before the router sheds with
-    /// `overloaded` (0 = default 256).
+    /// `overloaded` (default 256).
     pub fwd_queue: usize,
+}
+
+impl Default for FleetConfig {
+    fn default() -> Self {
+        let serve = ServeConfig::default();
+        FleetConfig {
+            addr: serve.addr,
+            backends: 2,
+            serve_bin: None,
+            shards: serve.shards,
+            queue_depth: serve.queue_depth,
+            cache_capacity: serve.cache_capacity,
+            max_batch: serve.max_batch,
+            conn_buffer: serve.conn_buffer,
+            read_timeout_ms: serve.read_timeout_ms,
+            write_timeout_ms: serve.write_timeout_ms,
+            seed: 0,
+            backend_faults: None,
+            workers: None,
+            fwd_queue: 256,
+        }
+    }
 }
 
 /// Everything known about one supervised backend process.
@@ -212,20 +223,12 @@ impl Backend {
     }
 }
 
-/// Child-spawn arguments shared by the initial spawn and respawns.
-struct BackendArgs {
-    shards: usize,
-    queue_depth: usize,
-    cache_capacity: usize,
-    max_batch: usize,
-    faults: Option<String>,
-}
-
 /// Everything the loop, forwarding workers, supervisors, and prober
 /// share.
 struct FleetShared {
     serve_bin: PathBuf,
-    backend_args: BackendArgs,
+    /// The `hetmem-serve` flags every spawn and respawn passes through.
+    backend_args: Vec<String>,
     ring: HashRing,
     backends: Vec<Backend>,
     fwd: BoundedQueue<Job<Fwd, ForwardReply>>,
@@ -247,11 +250,7 @@ struct FleetShared {
     /// The client-connection write timeout, also applied to writes on
     /// router→backend sockets.
     write_timeout: Duration,
-    backend_timeout: Duration,
-    probe_interval: Duration,
-    probe_deadline_ms: u64,
     restart_backoff: Backoff,
-    max_restarts: u32,
     max_batch: usize,
 }
 
@@ -405,16 +404,26 @@ impl Drop for FleetHandle {
 ///
 /// # Errors
 ///
-/// Bind/spawn failures, a missing `hetmem-serve` binary, or a backend
-/// that never published its port. Children already spawned are killed
-/// before the error propagates.
+/// `InvalidInput` for a zero count or timeout; bind/spawn failures, a
+/// missing `hetmem-serve` binary, or a backend that never published its
+/// port. Children already spawned are killed before the error
+/// propagates.
 pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
-    let addr_str = if cfg.addr.is_empty() {
-        "127.0.0.1:0"
-    } else {
-        &cfg.addr
-    };
-    let listener = TcpListener::bind(addr_str)?;
+    let backends_n = cfg.backends;
+    let workers_n = cfg.workers.unwrap_or((backends_n * 2).clamp(2, 16));
+    front::check_positive(&[
+        ("backends", backends_n as u64),
+        ("shards", cfg.shards as u64),
+        ("queue_depth", cfg.queue_depth as u64),
+        ("cache_capacity", cfg.cache_capacity as u64),
+        ("max_batch", cfg.max_batch as u64),
+        ("conn_buffer", cfg.conn_buffer as u64),
+        ("read_timeout_ms", cfg.read_timeout_ms),
+        ("write_timeout_ms", cfg.write_timeout_ms),
+        ("workers", workers_n as u64),
+        ("fwd_queue", cfg.fwd_queue as u64),
+    ])?;
+    let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     let serve_bin = match cfg.serve_bin {
         Some(path) => path,
@@ -426,28 +435,7 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
             format!("hetmem-serve binary not found at {}", serve_bin.display()),
         ));
     }
-    let backends_n = if cfg.backends == 0 {
-        DEFAULT_BACKENDS
-    } else {
-        cfg.backends
-    };
-    let fwd_queue = if cfg.fwd_queue == 0 {
-        DEFAULT_FWD_QUEUE
-    } else {
-        cfg.fwd_queue
-    };
-    let workers_n = if cfg.workers == 0 {
-        (backends_n * 2).clamp(2, 16)
-    } else {
-        cfg.workers
-    };
-    let threshold = if cfg.breaker_threshold == 0 {
-        DEFAULT_BREAKER_THRESHOLD
-    } else {
-        cfg.breaker_threshold
-    };
-    let or_default = |v: u64, d: u64| if v == 0 { d } else { v };
-    let ledger = Ledger::new(&HELPS, backends_n, fwd_queue);
+    let ledger = Ledger::new(&HELPS, backends_n, cfg.fwd_queue);
     let reg = ledger.registry();
     let reroutes = reg.counter(
         "hm_fleet_reroutes_total",
@@ -467,7 +455,7 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
             let backend = Backend {
                 addr: Mutex::new(None),
                 child: Mutex::new(None),
-                breaker: CircuitBreaker::new(threshold, cooldown),
+                breaker: CircuitBreaker::new(BREAKER_THRESHOLD, cooldown),
                 gone: AtomicBool::new(false),
                 requests: counter(
                     "hm_backend_requests_total",
@@ -506,25 +494,27 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
         "Requests parked in the forwarding queue at scrape time.",
         &[("shard", "fwd")],
     );
-    let max_batch = if cfg.max_batch == 0 {
-        DEFAULT_MAX_BATCH
-    } else {
-        cfg.max_batch
-    };
+    let mut backend_args = vec![
+        "--max-batch".to_string(),
+        cfg.max_batch.to_string(),
+        "--shards".to_string(),
+        cfg.shards.to_string(),
+        "--queue-depth".to_string(),
+        cfg.queue_depth.to_string(),
+        "--cache".to_string(),
+        cfg.cache_capacity.to_string(),
+    ];
+    if let Some(spec) = cfg.backend_faults {
+        backend_args.extend(["--faults".to_string(), spec]);
+    }
     let limits = front::limits(cfg.conn_buffer, cfg.read_timeout_ms, cfg.write_timeout_ms);
     let reactor = Reactor::new(listener)?;
     let shared = Arc::new(FleetShared {
         serve_bin,
-        backend_args: BackendArgs {
-            shards: cfg.shards,
-            queue_depth: cfg.queue_depth,
-            cache_capacity: cfg.cache_capacity,
-            max_batch,
-            faults: cfg.backend_faults,
-        },
+        backend_args,
         ring,
         backends,
-        fwd: BoundedQueue::new(fwd_queue),
+        fwd: BoundedQueue::new(cfg.fwd_queue),
         draining: AtomicBool::new(false),
         reap: AtomicBool::new(false),
         ledger,
@@ -533,22 +523,8 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
         drain: DrainGate::default(),
         waker: reactor.waker(),
         write_timeout: limits.write_timeout,
-        backend_timeout: Duration::from_millis(or_default(
-            cfg.backend_timeout_ms,
-            DEFAULT_BACKEND_TIMEOUT_MS,
-        )),
-        probe_interval: Duration::from_millis(or_default(
-            cfg.probe_interval_ms,
-            DEFAULT_PROBE_INTERVAL_MS,
-        )),
-        probe_deadline_ms: or_default(cfg.probe_deadline_ms, DEFAULT_PROBE_DEADLINE_MS),
         restart_backoff: Backoff::new(50, 2_000, cfg.seed.wrapping_add(0x9e37_79b9)),
-        max_restarts: if cfg.max_restarts == 0 {
-            DEFAULT_MAX_RESTARTS
-        } else {
-            cfg.max_restarts
-        },
-        max_batch,
+        max_batch: cfg.max_batch,
     });
     // Initial spawns are synchronous so start() returns a fleet that
     // can actually serve; failures kill what was already spawned.
@@ -629,30 +605,16 @@ fn spawn_backend(shared: &FleetShared, idx: usize) -> io::Result<(Child, SocketA
         std::process::id()
     ));
     let _ = std::fs::remove_file(&port_path);
-    let args = &shared.backend_args;
-    let mut cmd = Command::new(&shared.serve_bin);
-    cmd.arg("--addr")
+    let mut child = Command::new(&shared.serve_bin)
+        .arg("--addr")
         .arg("127.0.0.1:0")
         .arg("--port-file")
         .arg(&port_path)
-        .arg("--max-batch")
-        .arg(args.max_batch.to_string())
+        .args(&shared.backend_args)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
-        .stderr(Stdio::null());
-    if args.shards != 0 {
-        cmd.arg("--shards").arg(args.shards.to_string());
-    }
-    if args.queue_depth != 0 {
-        cmd.arg("--queue-depth").arg(args.queue_depth.to_string());
-    }
-    if args.cache_capacity != 0 {
-        cmd.arg("--cache").arg(args.cache_capacity.to_string());
-    }
-    if let Some(spec) = &args.faults {
-        cmd.arg("--faults").arg(spec);
-    }
-    let mut child = cmd.spawn()?;
+        .stderr(Stdio::null())
+        .spawn()?;
     let deadline = Instant::now() + SPAWN_DEADLINE;
     loop {
         if let Ok(text) = std::fs::read_to_string(&port_path) {
@@ -711,7 +673,7 @@ fn supervisor(shared: &Arc<FleetShared>, idx: usize) {
             if spawned_at.elapsed() > Duration::from_secs(10) {
                 attempt = 0;
             }
-            if attempt >= shared.max_restarts {
+            if attempt >= MAX_RESTARTS {
                 backend.gone.store(true, Ordering::Relaxed);
                 continue;
             }
@@ -815,8 +777,8 @@ fn prober(shared: &Arc<FleetShared>) {
             if !backend.breaker.allows(Instant::now()) {
                 continue;
             }
-            let req = Request::new(0, "stats").deadline(shared.probe_deadline_ms);
-            let timeout = Duration::from_millis(shared.probe_deadline_ms);
+            let req = Request::new(0, "stats").deadline(PROBE_DEADLINE_MS);
+            let timeout = Duration::from_millis(PROBE_DEADLINE_MS);
             match roundtrip_timeout(&addr.to_string(), &req, timeout) {
                 Ok(Response::Ok { result, .. }) => {
                     backend.breaker.record_success();
@@ -831,7 +793,7 @@ fn prober(shared: &Arc<FleetShared>) {
                 }
             }
         }
-        if sleep_unless_reap(shared, shared.probe_interval) {
+        if sleep_unless_reap(shared, PROBE_INTERVAL) {
             break;
         }
     }
@@ -879,7 +841,7 @@ fn forward_one(
         loop {
             attempts += 1;
             backend.requests.inc();
-            let timeout = roundtrip_budget(shared, job.deadline);
+            let timeout = roundtrip_budget(job.deadline);
             match backend_roundtrip(pool, b, addr, &job.line, timeout, shared.write_timeout) {
                 Ok((line, ok, code)) => {
                     if !ok && code.as_deref() == Some("worker-restarted") && attempts < 3 {
@@ -910,15 +872,15 @@ fn forward_one(
     Err(HetmemError::BackendUnavailable { tried })
 }
 
-/// Per-roundtrip read timeout: the configured backend timeout, cut to
-/// the request's remaining deadline (plus slack for the refusal to
-/// travel back) when one is set.
-fn roundtrip_budget(shared: &FleetShared, deadline: Option<Instant>) -> Duration {
+/// Per-roundtrip read timeout: [`BACKEND_TIMEOUT`], cut to the
+/// request's remaining deadline (plus slack for the refusal to travel
+/// back) when one is set.
+fn roundtrip_budget(deadline: Option<Instant>) -> Duration {
     match deadline {
-        None => shared.backend_timeout,
+        None => BACKEND_TIMEOUT,
         Some(d) => {
             let left = d.saturating_duration_since(Instant::now()) + Duration::from_millis(250);
-            left.min(shared.backend_timeout)
+            left.min(BACKEND_TIMEOUT)
         }
     }
 }

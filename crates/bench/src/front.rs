@@ -15,6 +15,7 @@
 //! once, so a router answers what a server answers byte for byte.
 
 use std::collections::HashMap;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,25 +26,29 @@ use hetmem_harness::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use hetmem_harness::{BoundedQueue, CacheStats, PushError, Request, Response, PROTO_V2};
 
 use crate::reactor::{us, Completions, Conn, Handler, Limits, Sink};
-use crate::serve::DEFAULT_READ_TIMEOUT_MS;
 
-/// The `batch` sub-request ceiling per envelope when the config leaves
-/// it 0.
-pub(crate) const DEFAULT_MAX_BATCH: usize = 64;
-
-/// The client-connection limits of either front end, a 0 taking the
-/// default: 256 KiB of unflushed responses before lines are shed, a
-/// 120 s idle read timeout and a 30 s write timeout.
+/// The client-connection limits of either front end.
 pub(crate) fn limits(conn_buffer: usize, read_timeout_ms: u64, write_timeout_ms: u64) -> Limits {
-    let ms = |v: u64, default: u64| Duration::from_millis(if v == 0 { default } else { v });
     Limits {
-        conn_buffer: if conn_buffer == 0 {
-            256 * 1024
-        } else {
-            conn_buffer
-        },
-        read_timeout: ms(read_timeout_ms, DEFAULT_READ_TIMEOUT_MS),
-        write_timeout: ms(write_timeout_ms, 30_000),
+        conn_buffer,
+        read_timeout: Duration::from_millis(read_timeout_ms),
+        write_timeout: Duration::from_millis(write_timeout_ms),
+    }
+}
+
+/// Refuses a front-end config with a zero count or timeout: none of
+/// them means anything at 0.
+///
+/// # Errors
+///
+/// `InvalidInput` naming the first zero setting.
+pub(crate) fn check_positive(settings: &[(&str, u64)]) -> io::Result<()> {
+    match settings.iter().find(|(_, v)| *v == 0) {
+        Some((name, _)) => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{name} must be positive"),
+        )),
+        None => Ok(()),
     }
 }
 

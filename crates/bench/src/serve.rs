@@ -8,10 +8,10 @@
 //!   catalog workload's) into per-allocation placement hints via the
 //!   paper's `GetAllocation` (§5.2). Cheap; answered inline.
 //! * **`simulate`** — run one catalog workload under a named policy on
-//!   a sharded worker pool and return its telemetry [`RunRecord`]
-//!   (`hetmem_harness::telemetry::RunRecord`) as JSON. Results are
-//!   memoized in a content-addressed LRU cache: repeating a request
-//!   returns byte-identical bytes without re-simulating.
+//!   a sharded worker pool and return its telemetry
+//!   [`RunRecord`](hetmem_harness::telemetry::RunRecord) as JSON.
+//!   Results are memoized in a content-addressed LRU cache: repeating a
+//!   request returns byte-identical bytes without re-simulating.
 //! * **`stats`** — server counters (requests, errors, load sheds) and
 //!   cache statistics as JSON.
 //! * **`metrics`** — the full [`hetmem_harness::metrics`] registry:
@@ -114,44 +114,62 @@ use hetmem::{
 };
 use hetmem_harness::json::{JsonObject, JsonValue};
 use hetmem_harness::telemetry::MigrationTelemetry;
-use hetmem_harness::{FaultPlan, ProtocolError, Request, Response};
+use hetmem_harness::{FaultPlan, Request, Response};
 use mempolicy::Mempolicy;
 use workloads::{catalog, WorkloadSpec};
 
 /// Default client/server socket read timeout.
 pub(crate) const DEFAULT_READ_TIMEOUT_MS: u64 = 120_000;
 
-/// Server construction knobs. `Default` binds an ephemeral loopback
-/// port with two worker shards.
-#[derive(Debug, Clone, Default)]
+/// Server construction knobs. Every count and timeout must be
+/// positive; `Default` holds the values the `hetmem-serve` flags
+/// default to.
+#[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (read it back from
-    /// [`ServerHandle::port`]). Empty = `127.0.0.1:0`.
+    /// [`ServerHandle::port`]). Default `127.0.0.1:0`.
     pub addr: String,
-    /// Simulation worker shards (0 = default 2).
+    /// Simulation worker shards (default 2).
     pub shards: usize,
-    /// Bounded queue depth per shard (0 = default 32); beyond it the
+    /// Bounded queue depth per shard (default 32); beyond it the
     /// server sheds load with `overloaded`.
     pub queue_depth: usize,
-    /// Result cache capacity in entries (0 = default 128).
+    /// Result cache capacity in entries (default 128).
     pub cache_capacity: usize,
     /// Optional per-request telemetry sink (`<dir>/serve.jsonl`).
     pub telemetry: Option<Arc<TelemetrySink>>,
-    /// Read timeout on accepted connections in ms (0 = default 120000).
+    /// Read timeout on accepted connections in ms (default 120000).
     /// An idle connection past this is dropped.
     pub read_timeout_ms: u64,
-    /// Write timeout on accepted connections in ms (0 = default 30000).
+    /// Write timeout on accepted connections in ms (default 30000).
     /// A connection whose client stops draining its socket is dropped.
     pub write_timeout_ms: u64,
     /// Deterministic chaos injection; `None` serves faithfully.
     pub faults: Option<FaultPlan>,
-    /// `batch` sub-request ceiling per envelope (0 = default 64);
-    /// beyond it the envelope is refused with `batch-too-large`.
+    /// `batch` sub-request ceiling per envelope (default 64); beyond
+    /// it the envelope is refused with `batch-too-large`.
     pub max_batch: usize,
-    /// Backpressure threshold in bytes (0 = default 256 KiB):
-    /// a connection holding this much unflushed response backlog has
-    /// further requests shed with `overloaded` until it drains.
+    /// Backpressure threshold in bytes (default 256 KiB): a connection
+    /// holding this much unflushed response backlog has further
+    /// requests shed with `overloaded` until it drains.
     pub conn_buffer: usize,
+}
+
+impl Default for ServeConfig {
+    fn default() -> Self {
+        ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            shards: 2,
+            queue_depth: 32,
+            cache_capacity: 128,
+            telemetry: None,
+            read_timeout_ms: DEFAULT_READ_TIMEOUT_MS,
+            write_timeout_ms: 30_000,
+            faults: None,
+            max_batch: 64,
+            conn_buffer: 256 * 1024,
+        }
+    }
 }
 
 /// Which placement strategy a `simulate` request asked for.
@@ -404,7 +422,6 @@ fn field_u64(params: &JsonValue, key: &str) -> Result<Option<u64>, HetmemError> 
     }
 }
 
-/// The `stats` result body.
 /// The canonical content key a `simulate` request is cached and
 /// fleet-routed by — exposed for the `hetmem-fleet` router, which must
 /// shard requests exactly like the result cache does so every cached
@@ -415,10 +432,4 @@ fn field_u64(params: &JsonValue, key: &str) -> Result<Option<u64>, HetmemError> 
 /// The same validation failures `simulate` itself would refuse with.
 pub fn simulate_cache_key(params: &JsonValue) -> Result<String, HetmemError> {
     parse_simulate(params).map(|(_, key)| key)
-}
-
-/// Maps a client-side decode failure onto the protocol's error space
-/// (exposed for the client binary).
-pub fn protocol_io_error(e: &ProtocolError) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }

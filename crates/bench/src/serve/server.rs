@@ -26,7 +26,7 @@ use profiler::get_allocation;
 use workloads::catalog;
 
 use super::{field_u64, run_point, ServeConfig, SimPoint};
-use crate::front::{self, Front, Head, Helps, Job, Ledger, Table, DEFAULT_MAX_BATCH};
+use crate::front::{self, Front, Head, Helps, Job, Ledger, Table};
 use crate::reactor::{us, DrainGate, Reactor, Waker};
 
 /// Help texts of the shared metric families, as a server means them.
@@ -193,7 +193,7 @@ struct Shared {
     metrics: ServeMetrics,
     /// Source for server-generated `srv-N` request ids.
     next_rid: AtomicU64,
-    /// Resolved [`ServeConfig::max_batch`].
+    /// [`ServeConfig::max_batch`].
     max_batch: usize,
     /// Marked once a drain has flushed every accepted request's
     /// response; [`ServerHandle::wait`] blocks on it.
@@ -304,47 +304,33 @@ impl ServerHandle {
     }
 }
 
-impl ServeConfig {
-    fn addr_or_default(&self) -> &str {
-        if self.addr.is_empty() {
-            "127.0.0.1:0"
-        } else {
-            &self.addr
-        }
-    }
-}
-
 /// Binds and starts the service: the poll loop plus `shards`
 /// simulation workers.
 ///
 /// # Errors
 ///
-/// Propagates bind/spawn failures.
+/// `InvalidInput` for a zero count or timeout; bind/spawn failures.
 pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
-    let listener = TcpListener::bind(cfg.addr_or_default())?;
+    front::check_positive(&[
+        ("shards", cfg.shards as u64),
+        ("queue_depth", cfg.queue_depth as u64),
+        ("cache_capacity", cfg.cache_capacity as u64),
+        ("max_batch", cfg.max_batch as u64),
+        ("conn_buffer", cfg.conn_buffer as u64),
+        ("read_timeout_ms", cfg.read_timeout_ms),
+        ("write_timeout_ms", cfg.write_timeout_ms),
+    ])?;
+    let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-    let shards = if cfg.shards == 0 { 2 } else { cfg.shards };
-    let depth = if cfg.queue_depth == 0 {
-        32
-    } else {
-        cfg.queue_depth
-    };
-    let cache_cap = if cfg.cache_capacity == 0 {
-        128
-    } else {
-        cfg.cache_capacity
-    };
-    let max_batch = if cfg.max_batch == 0 {
-        DEFAULT_MAX_BATCH
-    } else {
-        cfg.max_batch
-    };
+    let shards = cfg.shards;
     let reactor = Reactor::new(listener)?;
-    let ledger = Ledger::new(&HELPS, shards, depth);
+    let ledger = Ledger::new(&HELPS, shards, cfg.queue_depth);
     let metrics = ServeMetrics::new(ledger.registry(), shards);
     let shared = Arc::new(Shared {
-        cache: ResultCache::new(cache_cap),
-        queues: (0..shards).map(|_| BoundedQueue::new(depth)).collect(),
+        cache: ResultCache::new(cfg.cache_capacity),
+        queues: (0..shards)
+            .map(|_| BoundedQueue::new(cfg.queue_depth))
+            .collect(),
         shutting: AtomicBool::new(false),
         ledger,
         telemetry: cfg.telemetry,
@@ -353,7 +339,7 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
             .map_or_else(FaultInjector::disabled, FaultInjector::new),
         metrics,
         next_rid: AtomicU64::new(1),
-        max_batch,
+        max_batch: cfg.max_batch,
         drain: DrainGate::default(),
         waker: reactor.waker(),
     });
@@ -531,14 +517,10 @@ fn execute(
         threads: 1,
         progress: false,
         deadline,
-        ..SweepOptions::default()
     };
-    let mut results = run_grid(
-        std::slice::from_ref(point),
-        &opts,
-        SimPoint::label,
-        |p, _ctx| run_point(p, "serve"),
-    )?;
+    let mut results = run_grid(std::slice::from_ref(point), &opts, SimPoint::label, |p| {
+        run_point(p, "serve")
+    })?;
     Ok(results.pop().expect("one point in, one result out"))
 }
 

@@ -36,6 +36,19 @@ fn serve_usage_errors_exit_2() {
     let bin = env!("CARGO_BIN_EXE_hetmem-serve");
     usage_errors(bin, 2, &[], "--shards", &[]);
     refused(bin, &["--faults", "panic=2"], 2, "--faults 'panic=2'");
+    // Refused while the flag is parsed, before any thread is spawned.
+    refused(
+        bin,
+        &["--shards", "100000"],
+        2,
+        "--shards: must be in 1..=64",
+    );
+    refused(
+        bin,
+        &["--queue-depth", "0"],
+        2,
+        "--queue-depth: must be positive",
+    );
 }
 
 #[test]
@@ -44,6 +57,20 @@ fn fleet_usage_errors_exit_2() {
     usage_errors(bin, 2, &[], "--backends", &[]);
     // A bad spec is refused before any backend is spawned.
     refused(bin, &["--faults", "bogus"], 2, "--faults 'bogus'");
+    // So are counts outside 1..=64: nothing is spawned for them.
+    refused(
+        bin,
+        &["--backends", "0"],
+        2,
+        "--backends: must be in 1..=64",
+    );
+    refused(bin, &["--workers", "0"], 2, "--workers: must be in 1..=64");
+    refused(
+        bin,
+        &["--shards", "100000"],
+        2,
+        "--shards: must be in 1..=64",
+    );
 }
 
 /// A path under a regular file, which no one can create or write.

@@ -547,7 +547,7 @@ fn router_counts_shed_batch_slots_in_its_stats() {
     // pipelined behind it finds the queue full.
     let handle = router(FleetConfig {
         backends: 1,
-        workers: 1,
+        workers: Some(1),
         fwd_queue: 1,
         ..FleetConfig::default()
     });
@@ -724,4 +724,45 @@ fn assert_idle_conn_closed(addr: &str) {
     );
     let resp = roundtrip(addr, &Request::new(1, "stats")).unwrap();
     expect_ok(&resp);
+}
+
+/// A zero count or timeout has no meaning, so both front ends refuse it
+/// at start, before binding or spawning anything.
+#[test]
+fn zero_settings_are_refused_at_start() {
+    let refusal = |result: std::io::Result<()>| {
+        let e = result.expect_err("a zero setting must be refused");
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+        e.to_string()
+    };
+    let serve = |cfg| start(cfg).map(|_| ());
+    let fleet = |cfg| fleet::start(cfg).map(|_| ());
+    assert_eq!(
+        refusal(serve(ServeConfig {
+            shards: 0,
+            ..ServeConfig::default()
+        })),
+        "shards must be positive"
+    );
+    assert_eq!(
+        refusal(serve(ServeConfig {
+            read_timeout_ms: 0,
+            ..ServeConfig::default()
+        })),
+        "read_timeout_ms must be positive"
+    );
+    assert_eq!(
+        refusal(fleet(FleetConfig {
+            backends: 0,
+            ..FleetConfig::default()
+        })),
+        "backends must be positive"
+    );
+    assert_eq!(
+        refusal(fleet(FleetConfig {
+            workers: Some(0),
+            ..FleetConfig::default()
+        })),
+        "workers must be positive"
+    );
 }

@@ -1,13 +1,15 @@
 //! Integration tests for `hetmem-sweep`: local and remote (`--addr`)
 //! mode resolve every grid point through serve's `simulate` parser, so
-//! the two modes emit the same records, and a point `simulate` refuses
-//! is a clean setup error rather than a worker panic.
+//! the two modes emit the same records, `--seed` reaches every point as
+//! its trace seed, and a point `simulate` refuses is a clean setup
+//! error rather than a worker panic.
 #![cfg(unix)]
 
 use std::process::{Command, Output};
 
 use hetmem_bench::serve::{start, ServeConfig};
 use hetmem_harness::json::JsonValue;
+use workloads::catalog;
 
 const GRID: [&str; 8] = [
     "--workloads",
@@ -20,7 +22,12 @@ const GRID: [&str; 8] = [
     "2",
 ];
 
-fn sweep(extra: &[&str]) -> Output {
+/// `GRID` plus `extra`.
+fn grid_with(extra: &[&str]) -> Vec<String> {
+    GRID.iter().chain(extra).map(|s| s.to_string()).collect()
+}
+
+fn sweep(extra: &[impl AsRef<std::ffi::OsStr>]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_hetmem-sweep"))
         .args(extra)
         .output()
@@ -52,27 +59,62 @@ fn records(out: &Output) -> Vec<JsonValue> {
 
 #[test]
 fn local_and_remote_sweeps_emit_the_same_records() {
-    let local = records(&sweep(&GRID));
+    let (local, remote) = local_and_remote(&grid_with(&[]));
     assert_eq!(local.len(), 3);
     let configs: Vec<_> = local
         .iter()
         .map(|r| r.get("config").and_then(JsonValue::as_str).unwrap())
         .collect();
     assert_eq!(configs, ["LOCAL", "BW-AWARE(29C-71B)", "BW-AWARE(30C-70B)"]);
+    assert_eq!(local, remote);
+}
 
+/// Local records and the records a live server returns for the same
+/// sweep arguments.
+fn local_and_remote(args: &[String]) -> (Vec<JsonValue>, Vec<JsonValue>) {
+    let local = records(&sweep(args));
     let server = start(ServeConfig::default()).expect("bind loopback");
-    let addr = server.addr().to_string();
-    let mut args = GRID.to_vec();
-    args.extend(["--addr", &addr]);
-    let remote = records(&sweep(&args));
+    let mut remote_args = args.to_vec();
+    remote_args.extend(["--addr".to_string(), server.addr().to_string()]);
+    let remote = records(&sweep(&remote_args));
     server.shutdown();
     server.wait();
+    (local, remote)
+}
+
+#[test]
+fn seed_is_each_points_trace_seed() {
+    let run = |seed: &str| {
+        let out = sweep(&grid_with(&["--seed", seed]));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    assert_eq!(run("7"), run("7"), "one seed, one set of bytes");
+    assert_ne!(
+        records(&sweep(&grid_with(&["--seed", "1"]))),
+        records(&sweep(&grid_with(&["--seed", "2"]))),
+        "two seeds must give different records"
+    );
+    // Without `--seed` every point keeps its workload's catalog seed.
+    let catalog_seed = catalog::by_name("bfs").unwrap().seed.to_string();
+    assert_eq!(sweep(&GRID).stdout, run(&catalog_seed));
+}
+
+#[test]
+fn seeded_local_and_remote_sweeps_emit_the_same_records() {
+    let (local, remote) = local_and_remote(&grid_with(&["--seed", "99"]));
+    assert_eq!(local.len(), 3);
     assert_eq!(local, remote);
+    assert_ne!(local, records(&sweep(&GRID)), "the seed reached the points");
 }
 
 #[test]
 fn refused_points_exit_2_without_panicking() {
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 5] = [
         (&["--mem-ops", "0"], "invalid-request"),
         (&["--sms", "0"], "invalid-request"),
         (
@@ -80,6 +122,7 @@ fn refused_points_exit_2_without_panicking() {
             "--mem-ops: expected an integer, got 'abc'",
         ),
         (&["--mem-ops"], "--mem-ops needs a value"),
+        (&["--seed", "9007199254740993"], "--seed '9007199254740993'"),
     ];
     for (flag, expected) in cases {
         let out = sweep(flag);

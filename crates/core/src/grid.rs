@@ -3,7 +3,7 @@
 //!
 //! The experiment drivers in [`experiments`](crate::experiments) build
 //! flat point lists (workload × configuration) and hand them to
-//! [`sweep`]; the engine executes them on a worker pool with results in
+//! `sweep`; the engine executes them on a worker pool with results in
 //! stable grid order, so tables and telemetry files are byte-identical
 //! at any thread count. When
 //! [`ExpOptions::telemetry`](crate::experiments::ExpOptions) carries a
@@ -508,8 +508,8 @@ where
         progress: opts.verbose,
         ..SweepOptions::default()
     };
-    let results = run_grid(points, &sweep_opts, &label, |p, _ctx| run(p))
-        .unwrap_or_else(|e| panic!("{figure}: {e}"));
+    let results =
+        run_grid(points, &sweep_opts, &label, run).unwrap_or_else(|e| panic!("{figure}: {e}"));
     if let Some(sink) = &opts.telemetry {
         let recs: Vec<RunRecord> = points
             .iter()

@@ -161,7 +161,8 @@ pub fn bo_traffic_target(sim: &SimConfig) -> f64 {
 ///
 /// Unset knobs take the paper's defaults: unconstrained BO capacity,
 /// BW-AWARE placement (the proposed GPU default, §3.2.2), no page
-/// profiling, no observers, and the workload's own RNG seed.
+/// profiling and no observers. The trace seed is the spec's own
+/// (`WorkloadSpec::seed`).
 ///
 /// # Examples
 ///
@@ -190,7 +191,6 @@ pub struct RunBuilder<'a> {
     placement: Option<&'a Placement>,
     profile_pages: bool,
     observe: ObserveConfig,
-    seed: Option<u64>,
     fidelity: Fidelity,
 }
 
@@ -204,7 +204,6 @@ impl<'a> RunBuilder<'a> {
             placement: None,
             profile_pages: false,
             observe: ObserveConfig::default(),
-            seed: None,
             fidelity: Fidelity::Full,
         }
     }
@@ -236,12 +235,6 @@ impl<'a> RunBuilder<'a> {
         self
     }
 
-    /// Overrides the workload's base RNG seed for this run.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
     /// Sets the simulation fidelity (default: [`Fidelity::Full`]).
     /// [`Fidelity::Sampled`] runs the SMARTS-style fast-forward engine:
     /// the report's [`SimReport::estimated`] block is then always
@@ -253,28 +246,18 @@ impl<'a> RunBuilder<'a> {
         self
     }
 
-    /// Resolves the effective spec (seed override) and placement
-    /// (BW-AWARE default), then hands both to `body`.
+    /// Resolves the effective placement (BW-AWARE default), then hands
+    /// it to `body`.
     ///
     /// # Panics
     ///
     /// Panics if [`check_fidelity`] refuses the fidelity/placement pair.
-    fn with_effective<R>(&self, body: impl FnOnce(&WorkloadSpec, &Placement) -> R) -> R {
+    fn with_placement<R>(&self, body: impl FnOnce(&Placement) -> R) -> R {
         if let Some(Placement::Policy(policy)) = self.placement {
             if let Err(e) = check_fidelity(self.fidelity, policy) {
                 panic!("{e}");
             }
         }
-        let seeded;
-        let spec = match self.seed {
-            Some(seed) => {
-                let mut s = self.spec.clone();
-                s.seed = seed;
-                seeded = s;
-                &seeded
-            }
-            None => self.spec,
-        };
         let default_placement;
         let placement = match self.placement {
             Some(p) => p,
@@ -285,7 +268,7 @@ impl<'a> RunBuilder<'a> {
                 &default_placement
             }
         };
-        body(spec, placement)
+        body(placement)
     }
 
     /// Executes the run and returns the plain typed output.
@@ -351,8 +334,14 @@ impl<'a> RunBuilder<'a> {
     /// once and the fidelity once, with page profiling per
     /// [`RunBuilder::profiled`] on either fidelity.
     fn execute<O: Observer>(&self, obs: O, log_placements: bool) -> (PreparedRun, SimReport, O) {
-        self.with_effective(|spec, placement| {
-            let mut prep = prepare_run(spec, self.sim, self.capacity, placement, log_placements);
+        self.with_placement(|placement| {
+            let mut prep = prepare_run(
+                self.spec,
+                self.sim,
+                self.capacity,
+                placement,
+                log_placements,
+            );
             let (translator, program) = prep.take_sim_parts();
             let (report, obs) = match migrate_spec_of(placement) {
                 Some(ms) => {
@@ -858,12 +847,16 @@ mod tests {
     }
 
     #[test]
-    fn builder_seed_overrides_spec_seed() {
+    fn spec_seed_drives_the_trace() {
         let spec = quick_spec("hotspot");
         let sim = quick_sim();
         let base = RunBuilder::new(&spec, &sim).run();
-        let same = RunBuilder::new(&spec, &sim).seed(spec.seed).run();
-        let different = RunBuilder::new(&spec, &sim).seed(spec.seed ^ 0xDEAD).run();
+        let same = RunBuilder::new(&spec, &sim).run();
+        let reseeded = WorkloadSpec {
+            seed: spec.seed ^ 0xDEAD,
+            ..spec.clone()
+        };
+        let different = RunBuilder::new(&reseeded, &sim).run();
         assert_eq!(base.report.cycles, same.report.cycles);
         assert_ne!(base.report.cycles, different.report.cycles);
     }

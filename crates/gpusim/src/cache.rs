@@ -5,7 +5,7 @@
 //! ordering only.
 //!
 //! Storage is two packed arrays indexed `set * ways + way`: one of tags,
-//! where [`INVALID`] marks an empty way, and one of LRU stamps, where an
+//! where `INVALID` marks an empty way, and one of LRU stamps, where an
 //! empty way holds 0 and a valid way the (nonzero) access tick of its
 //! last use. The victim is the first way with the smallest stamp — the
 //! first empty way if there is one, else the least recently used.

@@ -233,11 +233,6 @@ impl SimConfig {
         self.pools.iter().map(|p| p.bandwidth).sum()
     }
 
-    /// Index of the first pool of `kind`, if present.
-    pub fn pool_of_kind(&self, kind: MemKind) -> Option<usize> {
-        self.pools.iter().position(|p| p.kind == kind)
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics

@@ -27,7 +27,7 @@
 //! A queued request is 24 bytes: its line with the read flag packed
 //! into bit 63, its sequence number and its enqueue time. The row is
 //! not stored; the scheduler derives it from the line with the bank
-//! [`Divisor`] when it rates the request. Bus instants round up with an
+//! `Divisor` when it rates the request. Bus instants round up with an
 //! exact integer ceiling rather than `f64::ceil`.
 
 use std::collections::VecDeque;

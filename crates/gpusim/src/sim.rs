@@ -114,7 +114,7 @@ struct L2Slice {
 /// [`Simulator::run_instrumented`].
 ///
 /// The fourth type parameter is the attached
-/// [`PageMigrator`](crate::migrate::PageMigrator), defaulting to the
+/// [`crate::migrate::PageMigrator`], defaulting to the
 /// equally free [`NullMigrator`]; attach a real engine with
 /// [`Simulator::with_migrator`] to run epoch-based online page
 /// migration whose copies occupy real DRAM channel bandwidth.

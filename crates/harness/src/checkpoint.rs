@@ -14,9 +14,9 @@
 //! [`run_grid_resumable`] wires the checkpoint into the sweep engine:
 //! points whose content key is already checkpointed are skipped, fresh
 //! points stream into the checkpoint as they complete, and the merged
-//! results come back in grid order with per-point seeds derived from
-//! the **original** grid index — so a killed-and-resumed sweep's output
-//! is byte-identical to an uninterrupted run.
+//! results come back in grid order. A point's result depends on the
+//! point alone, so a killed-and-resumed sweep's output is
+//! byte-identical to an uninterrupted run.
 
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use crate::json::{JsonObject, JsonValue};
-use crate::sweep::{point_seed, run_grid, PointCtx, SweepError, SweepOptions};
+use crate::sweep::{run_grid, SweepError, SweepOptions};
 
 /// One checkpointed grid point.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -238,9 +238,8 @@ pub fn read_checkpoint(path: impl AsRef<Path>) -> io::Result<Vec<CheckpointEntry
 /// already in `ckpt` return their checkpointed result without running;
 /// fresh points execute on the worker pool and stream into `ckpt` as
 /// they complete (one crash-safe flush per point). Results come back in
-/// grid order and — because each fresh point's [`PointCtx`] seed derives
-/// from its **original** grid index — a resumed run's output is
-/// byte-identical to an uninterrupted one.
+/// grid order, and because `run` sees only the point, a resumed run's
+/// output is byte-identical to an uninterrupted one.
 ///
 /// # Errors
 ///
@@ -264,7 +263,7 @@ where
     T: Sync,
     K: Fn(&T) -> String,
     L: Fn(&T) -> String + Sync,
-    F: Fn(&T, PointCtx) -> String + Sync,
+    F: Fn(&T) -> String + Sync,
 {
     let total = points.len();
     let keys: Vec<String> = points.iter().map(&key).collect();
@@ -273,15 +272,8 @@ where
         &todo,
         opts,
         |&i| label(&points[i]),
-        |&i, _subgrid_ctx| {
-            // Seed from the original grid index, not the filtered one,
-            // so a resumed point computes exactly what it would have.
-            let ctx = PointCtx {
-                index: i,
-                total,
-                seed: point_seed(opts.seed, i),
-            };
-            let out = run(&points[i], ctx);
+        |&i| {
+            let out = run(&points[i]);
             ckpt.append(&keys[i], &out)
                 .unwrap_or_else(|e| panic!("checkpoint write failed: {e}"));
             out
@@ -360,7 +352,9 @@ mod tests {
             ..SweepOptions::default()
         };
         let key = |p: &u64| format!("point-{p}");
-        let run = |p: &u64, ctx: PointCtx| format!("{}:{:016x}", p * p, ctx.seed);
+        // A per-point seed derived from the point, so a resume that ran
+        // the wrong point would show up as a byte diff.
+        let run = |p: &u64| format!("{}:{:016x}", p * p, crate::rng::mix(*p));
 
         // Uninterrupted reference run.
         let scratch_path = temp_path("scratch");
@@ -373,13 +367,8 @@ mod tests {
         let path = temp_path("resume");
         let _ = fs::remove_file(&path);
         let partial = CheckpointWriter::open(&path, false).unwrap();
-        for (i, p) in points.iter().enumerate().take(5) {
-            let ctx = PointCtx {
-                index: i,
-                total: points.len(),
-                seed: point_seed(opts.seed, i),
-            };
-            partial.append(&key(p), &run(p, ctx)).unwrap();
+        for p in points.iter().take(5) {
+            partial.append(&key(p), &run(p)).unwrap();
         }
         drop(partial);
 
@@ -390,9 +379,9 @@ mod tests {
             &opts,
             key,
             |p| p.to_string(),
-            |p, ctx| {
+            |p| {
                 ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                run(p, ctx)
+                run(p)
             },
             &resumed_ckpt,
         )

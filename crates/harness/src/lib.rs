@@ -6,9 +6,8 @@
 //! network and no crates-io index). Four layers:
 //!
 //! 1. **[`sweep`]** — a scoped-thread worker pool executing
-//!    `(workload × config)` grid points concurrently, with deterministic
-//!    per-point seeding and results in stable grid order: identical
-//!    output at any thread count.
+//!    `(workload × config)` grid points concurrently, with results in
+//!    stable grid order: identical output at any thread count.
 //! 2. **[`telemetry`] / [`json`]** — per-run records emitted as JSON
 //!    Lines through a hand-rolled serializer (no serde), plus the
 //!    end-of-sweep summary. Byte-identical across runs and thread
@@ -38,7 +37,7 @@
 //!     &grid,
 //!     &opts,
 //!     |(w, c)| format!("w{w}/c{c}"),
-//!     |(w, c), ctx| w * 100 + c + (ctx.seed & 0), // deterministic work
+//!     |(w, c)| w * 100 + c, // deterministic work
 //! )
 //! .unwrap();
 //! assert_eq!(results.len(), 12);
@@ -75,7 +74,7 @@ pub use protocol::{batch_request, ProtocolError, Request, Response, PROTO_V1, PR
 pub use queue::{BoundedQueue, PushError};
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
-pub use sweep::{run_grid, PointCtx, SweepError, SweepOptions};
+pub use sweep::{run_grid, SweepError, SweepOptions};
 pub use telemetry::{
     fnv1a, hit_rate, summary, IntervalPoolTelemetry, IntervalRecord, MigrationTelemetry,
     PoolTelemetry, RunRecord,

@@ -214,9 +214,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs `cases` generated cases of the property `f`, with deterministic
-/// per-name seeding and shrinking-lite on failure. The [`props!`]
-/// (crate::props) macro expands each property into a `#[test]` calling
-/// this.
+/// per-name seeding and shrinking-lite on failure. The
+/// [`props!`](crate::props!) macro expands each property into a
+/// `#[test]` calling this.
 ///
 /// Environment overrides: `HM_PROP_SEED` (base seed; decimal or `0x`
 /// hex) and `HM_PROP_CASES` (case count for every property).

@@ -3,7 +3,7 @@
 //! Two generators, both tiny, both fully reproducible:
 //!
 //! * [`SplitMix64`] — one multiply-xor-shift round per output. Used for
-//!   seeding, per-grid-point seed derivation, and anywhere a cheap
+//!   seeding, stateless seed derivation, and anywhere a cheap
 //!   stream is enough (it is the same algorithm `hmtypes::SplitMix64`
 //!   models the BW-AWARE allocation fast path with; the harness carries
 //!   its own copy so it depends on nothing).
@@ -33,7 +33,7 @@ impl SplitMix64 {
 }
 
 /// The SplitMix64 output function: a strong 64-bit mixer usable on its
-/// own for stateless seed derivation (e.g. per-grid-point seeds).
+/// own for stateless seed derivation (e.g. per-test or per-case seeds).
 #[inline]
 pub const fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -2,15 +2,14 @@
 //!
 //! Every figure of the paper is a grid — workloads × configurations —
 //! whose points are independent simulations. This module executes such
-//! grids on a scoped-thread worker pool (std only) with three hard
+//! grids on a scoped-thread worker pool (std only) with two hard
 //! guarantees:
 //!
 //! 1. **Stable order**: results come back in grid order, regardless of
 //!    thread count or scheduling. A sweep at 1, 2, or 8 threads produces
-//!    identical output bytes.
-//! 2. **Deterministic seeding**: each point gets a seed derived from
-//!    `(sweep seed, point index)` only, available via [`PointCtx`].
-//! 3. **Fail fast with identity**: a panic in one grid point aborts the
+//!    identical output bytes, provided a point's result depends on the
+//!    point alone (a workload carries its own trace seed).
+//! 2. **Fail fast with identity**: a panic in one grid point aborts the
 //!    sweep and surfaces as a [`SweepError`] naming the point, instead
 //!    of poisoning a lock or hanging the pool.
 //!
@@ -20,7 +19,7 @@
 //! let points: Vec<u64> = (0..32).collect();
 //! let opts = SweepOptions { threads: 4, ..SweepOptions::default() };
 //! let squares =
-//!     run_grid(&points, &opts, |p| format!("point {p}"), |p, _ctx| p * p).unwrap();
+//!     run_grid(&points, &opts, |p| format!("point {p}"), |p| p * p).unwrap();
 //! assert_eq!(squares[5], 25);
 //! ```
 
@@ -29,15 +28,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::rng::mix;
-
 /// Sweep-wide execution options.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SweepOptions {
     /// Worker threads; `0` means one per available CPU.
     pub threads: usize,
-    /// Base seed every per-point seed is derived from.
-    pub seed: u64,
     /// Print one progress line per completed point to stderr.
     pub progress: bool,
     /// Cooperative deadline, checked at grid-point boundaries: no new
@@ -46,32 +41,6 @@ pub struct SweepOptions {
     /// deadline expires before the grid completes, the sweep returns
     /// [`SweepError::DeadlineExceeded`].
     pub deadline: Option<Instant>,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            threads: 0,
-            seed: DEFAULT_SEED,
-            progress: false,
-            deadline: None,
-        }
-    }
-}
-
-/// The default sweep seed.
-pub const DEFAULT_SEED: u64 = 0x5EED_0F9A_6E51_0EED;
-
-/// Per-point execution context.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PointCtx {
-    /// This point's index in grid order.
-    pub index: usize,
-    /// Total number of grid points.
-    pub total: usize,
-    /// Deterministic per-point seed (a pure function of the sweep seed
-    /// and `index`).
-    pub seed: u64,
 }
 
 /// Why a sweep failed: a panicking point, or the deadline expiring
@@ -122,12 +91,6 @@ pub fn effective_threads(requested: usize, points: usize) -> usize {
     n.clamp(1, points.max(1))
 }
 
-/// The deterministic per-point seed (exposed so callers can reproduce a
-/// single point without running the sweep).
-pub fn point_seed(sweep_seed: u64, index: usize) -> u64 {
-    mix(sweep_seed ^ mix(index as u64 ^ 0xA5A5_A5A5_A5A5_A5A5))
-}
-
 /// Executes `run` over every point of the grid on a worker pool and
 /// returns the results **in grid order**.
 ///
@@ -152,7 +115,7 @@ where
     T: Sync,
     R: Send,
     L: Fn(&T) -> String + Sync,
-    F: Fn(&T, PointCtx) -> R + Sync,
+    F: Fn(&T) -> R + Sync,
 {
     let total = points.len();
     if total == 0 {
@@ -182,14 +145,9 @@ where
                 if index >= total {
                     break;
                 }
-                let ctx = PointCtx {
-                    index,
-                    total,
-                    seed: point_seed(opts.seed, index),
-                };
                 let point = &points[index];
                 let started = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| run(point, ctx)));
+                let outcome = catch_unwind(AssertUnwindSafe(|| run(point)));
                 let entry = match outcome {
                     Ok(result) => {
                         if opts.progress {
@@ -270,7 +228,7 @@ mod tests {
             &[],
             &SweepOptions::default(),
             |_: &u64| String::new(),
-            |p, _| *p,
+            |p| *p,
         )
         .unwrap();
         assert!(r.is_empty());
@@ -283,34 +241,8 @@ mod tests {
             threads: 7,
             ..SweepOptions::default()
         };
-        let out = run_grid(
-            &points,
-            &opts,
-            |p| p.to_string(),
-            |p, ctx| {
-                assert_eq!(*p, ctx.index);
-                p * 3
-            },
-        )
-        .unwrap();
+        let out = run_grid(&points, &opts, |p| p.to_string(), |p| p * 3).unwrap();
         assert_eq!(out, (0..100).map(|p| p * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn point_seeds_depend_only_on_index() {
-        let opts = SweepOptions::default();
-        let seeds = |threads: usize| {
-            let o = SweepOptions {
-                threads,
-                ..opts.clone()
-            };
-            run_grid(&[0usize, 1, 2, 3], &o, |p| p.to_string(), |_, ctx| ctx.seed).unwrap()
-        };
-        assert_eq!(seeds(1), seeds(4));
-        let s = seeds(1);
-        assert_eq!(s.len(), 4);
-        assert!(s.windows(2).all(|w| w[0] != w[1]));
-        assert_eq!(s[2], point_seed(opts.seed, 2));
     }
 
     #[test]
@@ -321,7 +253,7 @@ mod tests {
             deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
             ..SweepOptions::default()
         };
-        let err = run_grid(&points, &opts, |p| p.to_string(), |p, _| *p).unwrap_err();
+        let err = run_grid(&points, &opts, |p| p.to_string(), |p| *p).unwrap_err();
         match err {
             SweepError::DeadlineExceeded { completed, total } => {
                 assert_eq!(total, 8);
@@ -339,7 +271,7 @@ mod tests {
             deadline: Some(Instant::now() + std::time::Duration::from_secs(600)),
             ..SweepOptions::default()
         };
-        let out = run_grid(&points, &opts, |p| p.to_string(), |p, _| p * 2).unwrap();
+        let out = run_grid(&points, &opts, |p| p.to_string(), |p| p * 2).unwrap();
         assert_eq!(out, (0..16).map(|p| p * 2).collect::<Vec<_>>());
     }
 
@@ -356,7 +288,7 @@ mod tests {
             &points,
             &opts,
             |p| p.to_string(),
-            |p, _| {
+            |p| {
                 std::thread::sleep(std::time::Duration::from_millis(5));
                 *p
             },

@@ -5,7 +5,7 @@ use hetmem_harness::sweep::{run_grid, SweepError, SweepOptions};
 use hetmem_harness::telemetry::{fnv1a, PoolTelemetry, RunRecord};
 
 /// A stand-in for one simulated grid point: deterministic "work" whose
-/// result depends only on the point and its seed.
+/// result depends only on the point and the seed derived from it.
 fn simulate(workload: usize, config: usize, seed: u64) -> RunRecord {
     let mut rng = hetmem_harness::Xoshiro256StarStar::new(seed);
     let cycles = 10_000 + rng.next_below(5_000) + (workload * 137 + config * 11) as u64;
@@ -45,7 +45,7 @@ fn sweep_jsonl(threads: usize) -> String {
         &grid,
         &opts,
         |(w, c)| format!("w{w}/c{c}"),
-        |&(w, c), ctx| simulate(w, c, ctx.seed),
+        |&(w, c)| simulate(w, c, hetmem_harness::rng::mix((w * 5 + c) as u64)),
     )
     .expect("sweep succeeds");
     records
@@ -75,7 +75,7 @@ fn panicking_point_fails_the_sweep_with_its_identity() {
         &grid,
         &opts,
         |p| format!("point-{p}"),
-        |&p, _| {
+        |&p| {
             if p == 7 {
                 panic!("injected failure in point {p}");
             }
@@ -113,7 +113,7 @@ fn multiple_panics_report_earliest_grid_point() {
         &grid,
         &opts,
         |p| p.to_string(),
-        |&p, _| {
+        |&p| {
             if p % 5 == 3 {
                 panic!("boom {p}");
             }

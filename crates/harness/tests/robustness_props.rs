@@ -12,7 +12,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hetmem_harness::checkpoint::{run_grid_resumable, CheckpointWriter};
-use hetmem_harness::sweep::{point_seed, SweepOptions};
+use hetmem_harness::rng::mix;
+use hetmem_harness::sweep::SweepOptions;
 use hetmem_harness::Backoff;
 
 /// A per-case temp path; `tag` must make the path unique across
@@ -65,19 +66,19 @@ hetmem_harness::props! {
     fn resume_from_any_subset_is_byte_identical(
         total in 1usize..24,
         done_mask in 0u64..u64::MAX,
-        sweep_seed in 0u64..u64::MAX,
+        seed in 0u64..u64::MAX,
         threads in 1usize..5,
         case_tag in 0u64..u64::MAX,
     ) {
         let points: Vec<usize> = (0..total).collect();
-        let opts = SweepOptions { threads, seed: sweep_seed, ..SweepOptions::default() };
+        let opts = SweepOptions { threads, ..SweepOptions::default() };
         let key = |p: &usize| format!("point-{p}");
         let label = |p: &usize| p.to_string();
-        // Each point's output depends on its per-point seed, so a
-        // resume that mis-derived seeds would show up as a byte diff.
-        let run = |p: &usize, ctx: hetmem_harness::PointCtx| {
-            format!("{{\"point\":{p},\"seed\":{}}}", ctx.seed)
-        };
+        // Each point's output depends on a seed derived from the point,
+        // so a resume that ran the wrong point would show up as a byte
+        // diff.
+        let seed_of = |p: usize| mix(seed ^ mix(p as u64));
+        let run = |p: &usize| format!("{{\"point\":{p},\"seed\":{}}}", seed_of(*p));
 
         let path = temp_path(&format!("{total}-{done_mask:x}-{case_tag:x}"));
         let _ = std::fs::remove_file(&path);
@@ -93,15 +94,15 @@ hetmem_harness::props! {
         for &p in &points {
             if done_mask >> (p % 64) & 1 == 1 {
                 prior.append(&key(&p), &format!("{{\"point\":{p},\"seed\":{}}}",
-                    point_seed(sweep_seed, p))).unwrap();
+                    seed_of(p))).unwrap();
             }
         }
         let already = prior.len();
 
         let ran = AtomicU64::new(0);
-        let counted_run = |p: &usize, ctx: hetmem_harness::PointCtx| {
+        let counted_run = |p: &usize| {
             ran.fetch_add(1, Ordering::Relaxed);
-            run(p, ctx)
+            run(p)
         };
         let resumed =
             run_grid_resumable(&points, &opts, key, label, counted_run, &prior).unwrap();

@@ -172,11 +172,6 @@ impl FrameAllocator {
         })
     }
 
-    /// `true` when `zone` has at least one free frame.
-    pub fn has_free(&self, zone: ZoneId) -> bool {
-        self.stats(zone).is_some_and(|s| s.free() > 0)
-    }
-
     /// Number of zones served by this allocator.
     pub fn num_zones(&self) -> usize {
         self.zones.len()

@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --all --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc gate: a broken or private intra-doc link (say, to a deleted
+# item) fails the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Doc-drift gate: every `--bin <name>` and `scripts/<name>.sh` that
 # README.md, DESIGN.md or EXPERIMENTS.md tells a reader to run must
