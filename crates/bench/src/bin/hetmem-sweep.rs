@@ -38,9 +38,9 @@
 //! * `--capacity-pct <n>` — bandwidth-optimized pool capacity as a
 //!   percentage of footprint (default: unconstrained)
 //! * `--seed <n>` — trace seed of every point, sent as `simulate`'s
-//!   `seed` param, at most 2^53 as the protocol's JSON numbers are
+//!   `seed` param, below 2^53 as the protocol's JSON integers are
 //!   (default: each workload's own catalog seed)
-//! * `--threads <n>` — worker threads (0 = one per core)
+//! * `--threads <n>` — worker threads, 0..=64 (0 = one per core)
 //! * `--checkpoint <path>` / `--resume <path>` — enable crash-safe
 //!   checkpointing; an existing file resumes, skipping completed points
 //! * `--fsync` — fsync the checkpoint on every flush (machine-crash
@@ -170,11 +170,11 @@ fn main() -> ExitCode {
             "--capacity-pct" => capacity_pct = Some(args.parse()?),
             "--seed" => {
                 seed = Some(args.parse_with(|s| match s.parse::<u64>() {
-                    Ok(n) if n <= 1 << 53 => Ok(n),
-                    _ => Err("expected an integer in 0..=2^53"),
+                    Ok(n) if n < 1 << 53 => Ok(n),
+                    _ => Err("expected an integer below 2^53"),
                 })?);
             }
-            "--threads" => opts.threads = args.parse()?,
+            "--threads" => opts.threads = args.thread_count()?,
             "--checkpoint" | "--resume" => checkpoint = Some(args.value()?),
             "--fsync" => fsync = true,
             "--out" => out = Some(args.value()?),

@@ -11,7 +11,7 @@ use std::fmt::Display;
 use std::str::FromStr;
 
 /// The most threads or child processes one flag may ask for
-/// (`--shards`, `--workers`, `--backends`).
+/// (`--shards`, `--workers`, `--backends`, `--threads`).
 const MAX_SPAWN: usize = 64;
 
 /// A cursor over command-line tokens that remembers the last one it
@@ -74,9 +74,20 @@ impl Args {
     /// A thread or process count in `1..=64`, checked before anything is
     /// spawned; a refusal reads `<flag>: must be in 1..=64`.
     pub fn spawn_count(&mut self) -> Result<usize, String> {
+        self.count_from(1)
+    }
+
+    /// A sweep worker-thread count in `0..=64`, 0 meaning one per core,
+    /// checked before any thread starts; a refusal reads `<flag>: must
+    /// be in 0..=64`.
+    pub fn thread_count(&mut self) -> Result<usize, String> {
+        self.count_from(0)
+    }
+
+    fn count_from(&mut self, min: usize) -> Result<usize, String> {
         let n: usize = self.parse()?;
-        if !(1..=MAX_SPAWN).contains(&n) {
-            return Err(format!("{}: must be in 1..={MAX_SPAWN}", self.flag));
+        if !(min..=MAX_SPAWN).contains(&n) {
+            return Err(format!("{}: must be in {min}..={MAX_SPAWN}", self.flag));
         }
         Ok(n)
     }
@@ -180,6 +191,14 @@ mod tests {
         }
         a.next();
         assert_eq!(a.spawn_count(), Ok(64));
+        let mut a = args(&["--threads", "0", "--threads", "65"]);
+        a.next();
+        assert_eq!(a.thread_count(), Ok(0));
+        a.next();
+        assert_eq!(
+            a.thread_count(),
+            Err("--threads: must be in 0..=64".to_string())
+        );
         let mut a = args(&["--faults", "x"]);
         a.next();
         assert_eq!(

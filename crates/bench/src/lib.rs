@@ -14,7 +14,8 @@
 //! * `--sms <n>` — simulate `n` SMs instead of 15
 //! * `--workloads a,b,c` — restrict the workload set
 //! * `--quiet` — suppress per-run progress
-//! * `--threads <n>` — sweep worker threads (0 / omitted = one per core)
+//! * `--threads <n>` — sweep worker threads, 0..=64 (0 / omitted = one
+//!   per core)
 //! * `--out <dir>` — stream per-run JSONL telemetry into `<dir>/<figure>.jsonl`
 //! * `--sample-cycles <n>` — also emit one `interval` record per
 //!   `n`-cycle window into the same JSONL files (needs `--out`)
@@ -84,7 +85,7 @@ fn opts_from(args: Vec<String>) -> Result<ExpOptions, String> {
             "--sms" => opts.sim.num_sms = args.parse()?,
             "--workloads" => opts.workloads = Some(parse_workloads(&args.value()?)?),
             "--quiet" => opts.verbose = false,
-            "--threads" => opts.threads = args.parse()?,
+            "--threads" => opts.threads = args.thread_count()?,
             "--out" => {
                 let dir = args.value()?;
                 let sink = TelemetrySink::create(&dir)

@@ -77,10 +77,10 @@
 //! server sheds load with a structured `overloaded` error instead of
 //! blocking the client.
 //!
-//! Simulations execute through the harness sweep engine
-//! ([`run_grid`](hetmem_harness::sweep::run_grid)) so a panicking grid
-//! point surfaces as a structured `sim-panic` error response rather
-//! than a dead worker.
+//! A shard worker runs each cache miss itself under `catch_unwind`, so
+//! a panicking simulation surfaces as a structured `sim-panic` error
+//! response (`grid point 0 (<label>) panicked: …`, worded like the
+//! sweep engine's) rather than a dead worker.
 //!
 //! ## Robustness
 //!
@@ -183,9 +183,9 @@ enum PolicyChoice {
     Hinted,
 }
 
-/// One resolved simulation point — everything a worker needs, and the
-/// unit the sweep engine wraps for panic isolation. Built only by
-/// [`parse_simulate`] and run by [`run_point`].
+/// One resolved simulation point — everything a worker or a
+/// `hetmem-sweep` grid point needs. Built only by [`parse_simulate`] and
+/// run by [`run_point`].
 #[derive(Debug, Clone)]
 pub struct SimPoint {
     spec: WorkloadSpec,

@@ -19,7 +19,7 @@ use gpusim::SimConfig;
 use hetmem::{bo_traffic_target, HetmemError, TelemetrySink};
 use hetmem_harness::json::{self, JsonObject, JsonValue};
 use hetmem_harness::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-use hetmem_harness::sweep::{run_grid, SweepOptions};
+use hetmem_harness::sweep::{panic_message, SweepError};
 use hetmem_harness::telemetry::MigrationTelemetry;
 use hetmem_harness::{BoundedQueue, FaultInjector, Response, ResultCache};
 use profiler::get_allocation;
@@ -435,8 +435,8 @@ fn respond(shared: &Shared, req: ReqHead, outcome: JobReply) -> String {
 }
 
 /// Keeps shard `shard` alive: a panic anywhere in [`worker_loop`]
-/// (outside the sweep engine's own `catch_unwind`, e.g. an injected
-/// worker fault) is caught, counted, and the loop re-entered. The job
+/// (outside [`execute`]'s own `catch_unwind`, e.g. an injected worker
+/// fault) is caught, counted, and the loop re-entered. The job
 /// being carried is dropped with it, and its dropped reply sink
 /// answers `worker-restarted`. A clean exit (queue closed and drained) ends
 /// supervision.
@@ -507,21 +507,24 @@ fn worker_loop(shared: &Arc<Shared>, shard: usize) {
     }
 }
 
-/// Runs one point through the sweep engine (single-threaded, one
-/// point) so a simulator panic comes back as a structured error.
+/// Runs one point on the calling worker, after the deadline check, so
+/// an expired request is not simulated and a simulator panic comes back
+/// as `sim-panic` (worded as the sweep engine words a panicking grid
+/// point) instead of unwinding the shard worker.
 fn execute(
     point: &SimPoint,
     deadline: Option<Instant>,
 ) -> Result<(String, Option<MigrationTelemetry>), HetmemError> {
-    let opts = SweepOptions {
-        threads: 1,
-        progress: false,
-        deadline,
-    };
-    let mut results = run_grid(std::slice::from_ref(point), &opts, SimPoint::label, |p| {
-        run_point(p, "serve")
-    })?;
-    Ok(results.pop().expect("one point in, one result out"))
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return Err(HetmemError::DeadlineExceeded);
+    }
+    catch_unwind(AssertUnwindSafe(|| run_point(point, "serve"))).map_err(|payload| {
+        HetmemError::Sweep(SweepError::Panic {
+            index: 0,
+            label: point.label(),
+            message: panic_message(payload),
+        })
+    })
 }
 
 /// `place`: annotation arrays (or a catalog workload's) through the
@@ -635,5 +638,45 @@ fn array_field<T>(
                 .collect::<Result<Vec<T>, _>>()
                 .map(Some)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpusim::{Fidelity, SampleConfig};
+
+    /// A `MIGRATE` point forced to sampled fidelity, which
+    /// `parse_simulate` refuses and the run path panics on.
+    fn panicking_point() -> SimPoint {
+        let params = JsonValue::parse(r#"{"workload":"bfs","policy":"MIGRATE","mem_ops":100}"#)
+            .expect("valid json");
+        let (mut point, _) = super::super::parse_simulate(&params).expect("valid request");
+        point.fidelity = Fidelity::Sampled(SampleConfig::default());
+        point
+    }
+
+    #[test]
+    fn a_panicking_point_comes_back_as_sim_panic() {
+        let point = panicking_point();
+        assert!(
+            point.label().starts_with("bfs/MIGRATE("),
+            "{}",
+            point.label()
+        );
+        let err = execute(&point, None).expect_err("the point panics");
+        assert_eq!(err.code(), "sim-panic");
+        let msg = err.to_string();
+        let lead = format!(
+            "grid point 0 ({}) panicked: fidelity 'sampled'",
+            point.label()
+        );
+        assert!(msg.contains(&lead), "{msg}");
+    }
+
+    #[test]
+    fn an_expired_deadline_runs_nothing() {
+        let err = execute(&panicking_point(), Some(Instant::now())).expect_err("expired");
+        assert_eq!(err.code(), "deadline-exceeded");
     }
 }

@@ -133,12 +133,36 @@ fn figure_usage_errors_exit_2() {
     let bin = env!("CARGO_BIN_EXE_fig3");
     usage_errors(bin, 2, &[], "--sms", &[]);
     refused(bin, &["--sample-cycles", "0"], 2, "--sample-cycles");
+    // Refused while the flag is parsed, before any thread starts.
+    refused(
+        bin,
+        &["--threads", "100000"],
+        2,
+        "--threads: must be in 0..=64",
+    );
     refused(
         bin,
         &["--workloads", "lbmm"],
         2,
         "unknown workload \"lbmm\"",
     );
+}
+
+#[test]
+fn sweep_usage_errors_exit_2() {
+    let bin = env!("CARGO_BIN_EXE_hetmem-sweep");
+    usage_errors(bin, 2, &[], "--mem-ops", &[]);
+    // Refused while the flag is parsed, before any thread starts.
+    refused(
+        bin,
+        &["--threads", "100000"],
+        2,
+        "--threads: must be in 0..=64",
+    );
+    // 2^53 and past: a JSON number could not carry the seed exactly.
+    for seed in ["9007199254740992", "9007199254740993"] {
+        refused(bin, &["--seed", seed], 2, "expected an integer below 2^53");
+    }
 }
 
 #[test]

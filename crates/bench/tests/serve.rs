@@ -290,6 +290,50 @@ fn protocol_and_validation_errors_are_structured() {
     handle.wait();
 }
 
+/// A seed a JSON number cannot carry exactly is refused, not rounded:
+/// 2^53 + 1 parses to 2^53, so both are `invalid-request` (before this
+/// bound, `...993` was served as a cache hit for `...992`).
+#[test]
+fn seeds_from_2_pow_53_are_refused_not_rounded() {
+    let handle = server(1, 4);
+    let addr = handle.addr().to_string();
+    let stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    // Raw lines: a `JsonValue` would round the seed before it is sent.
+    for (id, seed) in [
+        (1, "9007199254740992"),
+        (2, "9007199254740993"),
+        (3, "9007199254740991"),
+    ] {
+        let line = format!(
+            r#"{{"id":{id},"op":"simulate","params":{{"workload":"hotspot","policy":"LOCAL","mem_ops":4000,"sms":2,"seed":{seed}}}}}"#
+        );
+        writeln!(writer, "{line}").unwrap();
+    }
+    writer.flush().unwrap();
+    let mut read_response = || {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        Response::decode(reply.trim_end()).unwrap()
+    };
+    for want_id in [1, 2] {
+        let resp = read_response();
+        assert_eq!(resp.id(), want_id);
+        let (code, message) = expect_err(&resp);
+        assert_eq!(code, "invalid-request", "id {want_id}: {message}");
+        assert!(message.contains("'seed'"), "{message}");
+    }
+    let resp = read_response();
+    assert_eq!(resp.id(), 3);
+    expect_ok(&resp);
+    handle.shutdown();
+    handle.wait();
+}
+
 #[test]
 fn migrate_policy_simulates_with_migration_counters() {
     let handle = server(1, 4);

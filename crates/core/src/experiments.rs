@@ -11,7 +11,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use gpusim::{CacheConfig, Fidelity, SimConfig};
+use gpusim::{CacheConfig, EventTracer, Fidelity, SimConfig};
 use hmtypes::{Bandwidth, Percent};
 use mempolicy::{Mempolicy, PolicyMode, ZoneId};
 use profiler::{Cdf, PageHistogram, RunProfile};
@@ -19,8 +19,7 @@ use workloads::{catalog, WorkloadSpec};
 
 use crate::grid::{self, RunPoint, TelemetrySink};
 use crate::runner::{
-    check_fidelity, geomean, hints_from_profile, profile_workload, Capacity, ObserveConfig,
-    Placement,
+    check_fidelity, geomean, hints_from_profile, profile_workload, Capacity, Placement,
 };
 use crate::translate::topology_for;
 
@@ -69,7 +68,7 @@ impl Default for ExpOptions {
             telemetry: None,
             sample_cycles: None,
             trace: None,
-            trace_budget: ObserveConfig::DEFAULT_TRACE_BUDGET,
+            trace_budget: EventTracer::DEFAULT_BUDGET,
             fidelity: Fidelity::Full,
         }
     }
@@ -94,23 +93,9 @@ impl ExpOptions {
             telemetry: None,
             sample_cycles: None,
             trace: None,
-            trace_budget: ObserveConfig::DEFAULT_TRACE_BUDGET,
+            trace_budget: EventTracer::DEFAULT_BUDGET,
             fidelity: Fidelity::Full,
         }
-    }
-
-    /// The observer configuration the options ask for, or `None` when
-    /// neither sampling nor tracing is requested (sweeps then run the
-    /// plain, observer-free simulator).
-    pub fn observe_config(&self) -> Option<ObserveConfig> {
-        if self.sample_cycles.is_none() && self.trace.is_none() {
-            return None;
-        }
-        Some(ObserveConfig {
-            sample_cycles: self.sample_cycles,
-            trace: self.trace.is_some(),
-            trace_budget: self.trace_budget,
-        })
     }
 
     /// The selected workload specs, ops-scaled.

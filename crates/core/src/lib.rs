@@ -56,7 +56,7 @@ pub use grid::{
 pub use migrate::{HotnessTally, MigrationEpochEvent, OnlineMigrator};
 pub use runner::{
     bo_traffic_target, check_fidelity, geomean, hints_from_profile, profile_workload, Capacity,
-    ObserveConfig, ObservedRun, Placement, RunBuilder, SimTrace, WorkloadRun,
+    ObservedRun, Placement, RunBuilder, WorkloadRun,
 };
-pub use runtime::{is_heterogeneous, AllocRequest, Allocation, HmRuntime};
+pub use runtime::{is_heterogeneous, Allocation, HmRuntime};
 pub use translate::{topology_for, OsTranslator};

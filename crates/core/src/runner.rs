@@ -10,8 +10,7 @@ use std::rc::Rc;
 
 use gpusim::{
     run_sampled, EventTracer, Fidelity, IntervalReport, IntervalSampler, NullMigrator,
-    NullObserver, Observer, PageMigrator, ProbeObserver, SimConfig, SimReport, SimTraceEvent,
-    Simulator,
+    NullObserver, Observer, PageMigrator, ProbeObserver, SimConfig, SimReport, Simulator,
 };
 use hmtypes::MemKind;
 use mempolicy::{AddressSpace, Mempolicy, MigrateSpec, PlacementEvent, ZoneId};
@@ -85,44 +84,6 @@ impl WorkloadRun {
     }
 }
 
-/// What to observe during an instrumented run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObserveConfig {
-    /// Emit one interval sample every this many cycles (`None` = off).
-    pub sample_cycles: Option<u64>,
-    /// Collect a Chrome-trace-convertible event stream.
-    pub trace: bool,
-    /// Event budget for the tracer (drops beyond it are counted).
-    pub trace_budget: usize,
-}
-
-impl ObserveConfig {
-    /// Default tracer budget: plenty for a quick run, bounded for a
-    /// full one (~20 MB of JSON worst case).
-    pub const DEFAULT_TRACE_BUDGET: usize = 100_000;
-}
-
-impl Default for ObserveConfig {
-    fn default() -> Self {
-        ObserveConfig {
-            sample_cycles: None,
-            trace: false,
-            trace_budget: Self::DEFAULT_TRACE_BUDGET,
-        }
-    }
-}
-
-/// The raw event stream from one traced run.
-#[derive(Debug, Clone)]
-pub struct SimTrace {
-    /// Retained events, in retirement order.
-    pub events: Vec<SimTraceEvent>,
-    /// Events dropped once the budget was exhausted.
-    pub dropped: u64,
-    /// The budget the tracer ran with.
-    pub budget: usize,
-}
-
 /// A [`WorkloadRun`] plus everything the observers collected.
 #[derive(Debug, Clone)]
 pub struct ObservedRun {
@@ -130,8 +91,9 @@ pub struct ObservedRun {
     pub run: WorkloadRun,
     /// Per-interval time-series (empty when sampling was off).
     pub intervals: Vec<IntervalReport>,
-    /// The event trace (`None` when tracing was off).
-    pub trace: Option<SimTrace>,
+    /// The event tracer as the run left it (`None` when tracing was
+    /// off).
+    pub trace: Option<EventTracer>,
     /// Every OS placement decision, in decision order.
     pub placements: Vec<PlacementEvent>,
     /// Per-epoch migration deltas, in cycle order (empty unless the
@@ -190,7 +152,7 @@ pub struct RunBuilder<'a> {
     capacity: Capacity,
     placement: Option<&'a Placement>,
     profile_pages: bool,
-    observe: ObserveConfig,
+    observe: ProbeObserver,
     fidelity: Fidelity,
 }
 
@@ -203,7 +165,7 @@ impl<'a> RunBuilder<'a> {
             capacity: Capacity::Unconstrained,
             placement: None,
             profile_pages: false,
-            observe: ObserveConfig::default(),
+            observe: ProbeObserver::default(),
             fidelity: Fidelity::Full,
         }
     }
@@ -228,10 +190,12 @@ impl<'a> RunBuilder<'a> {
         self
     }
 
-    /// Attaches the observability layer per `obs` on the observed run
-    /// path ([`RunBuilder::run_observed`]).
-    pub fn observe(mut self, obs: ObserveConfig) -> Self {
-        self.observe = obs;
+    /// Sets the probe the observed run path
+    /// ([`RunBuilder::run_observed`]) attaches: an interval sampler
+    /// and/or an event tracer (default: neither). Each observed run
+    /// starts from a clone of `probe`.
+    pub fn observe(mut self, probe: ProbeObserver) -> Self {
+        self.observe = probe;
         self
     }
 
@@ -285,9 +249,9 @@ impl<'a> RunBuilder<'a> {
         prep.finish(report)
     }
 
-    /// Executes the run with the observability layer attached (interval
-    /// sampler and/or event tracer per the builder's [`ObserveConfig`],
-    /// plus the OS placement decision log) and returns the observed
+    /// Executes the run with the observability layer attached (a clone
+    /// of the probe set by [`RunBuilder::observe`], plus the OS
+    /// placement decision log) and returns the observed
     /// typed output. Its `run` is exactly what [`RunBuilder::run`]
     /// returns. Under [`Fidelity::Sampled`] the observers see only the
     /// detail windows, while the report is the extrapolated one.
@@ -297,13 +261,7 @@ impl<'a> RunBuilder<'a> {
     /// Same conditions as [`RunBuilder::run`], including the refusal of
     /// sampled fidelity with a `MIGRATE` policy.
     pub fn run_observed(&self) -> ObservedRun {
-        let obs = &self.observe;
-        let probe = ProbeObserver::new(
-            obs.sample_cycles
-                .map(|n| IntervalSampler::new(n, self.sim.pools.len())),
-            obs.trace.then(|| EventTracer::new(obs.trace_budget)),
-        );
-        let (prep, report, probe) = self.execute(probe, true);
+        let (prep, report, probe) = self.execute(self.observe.clone(), true);
         let placements = prep.mm.borrow_mut().take_placement_log();
         let migration_epochs = prep
             .epochs
@@ -315,15 +273,7 @@ impl<'a> RunBuilder<'a> {
                 .sampler
                 .map(IntervalSampler::into_reports)
                 .unwrap_or_default(),
-            trace: probe.tracer.map(|t| {
-                let budget = t.budget();
-                let (events, dropped) = t.into_parts();
-                SimTrace {
-                    events,
-                    dropped,
-                    budget,
-                }
-            }),
+            trace: probe.tracer,
             placements,
             migration_epochs,
         }

@@ -26,85 +26,6 @@ pub struct Allocation {
     pub hint: Option<MemHint>,
 }
 
-/// One allocation request — the builder form of the paper's extended
-/// `cudaMalloc(devPtr, size, hint)` (§5.2). Both legacy entry points
-/// ([`HmRuntime::malloc`] and [`HmRuntime::malloc_with_hint`]) route
-/// through this.
-///
-/// By default hints are best-effort, exactly as the paper specifies
-/// ("memory hints are honored unless the memory pool is filled to
-/// capacity"): a full preferred pool falls back to the other.
-/// [`AllocRequest::strict`] turns the fallback off, making a full pool a
-/// hard [`MemError::BindExhausted`] at fault time — what a what-if query
-/// wants when asking whether a placement *fits*.
-///
-/// # Examples
-///
-/// ```
-/// use hetmem::{topology_for, AllocRequest, HmRuntime};
-/// use gpusim::SimConfig;
-/// use profiler::MemHint;
-///
-/// let topo = topology_for(&SimConfig::paper_baseline(), &[256, 1024]);
-/// let mut rt = HmRuntime::new(topo);
-/// let r = rt.alloc(AllocRequest::new("d_graph", 64 * 4096).hint(MemHint::BO))?;
-/// assert_eq!(rt.allocations()[0].hint, Some(MemHint::BO));
-/// # let _ = r;
-/// # Ok::<(), mempolicy::MemError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct AllocRequest<'a> {
-    name: &'a str,
-    bytes: u64,
-    hint: Option<MemHint>,
-    fallback: bool,
-}
-
-impl<'a> AllocRequest<'a> {
-    /// Starts a request: `name` for the profiler's call-site map,
-    /// `bytes` to reserve.
-    pub fn new(name: &'a str, bytes: u64) -> Self {
-        AllocRequest {
-            name,
-            bytes,
-            hint: None,
-            fallback: true,
-        }
-    }
-
-    /// Attaches a machine-abstract placement hint (default: none — the
-    /// allocation faults in under the task-wide policy).
-    pub fn hint(mut self, hint: MemHint) -> Self {
-        self.hint = Some(hint);
-        self
-    }
-
-    /// Sets the hint from an `Option` (convenience for plumbing through
-    /// per-structure hint arrays).
-    pub fn maybe_hint(mut self, hint: Option<MemHint>) -> Self {
-        self.hint = hint;
-        self
-    }
-
-    /// Disables the capacity fallback: a `Preferred` hint whose pool
-    /// fills up fails the faulting access instead of spilling to the
-    /// other pool.
-    pub fn strict(mut self) -> Self {
-        self.fallback = false;
-        self
-    }
-
-    /// The requested size in bytes.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// The requested name.
-    pub fn name(&self) -> &str {
-        self.name
-    }
-}
-
 /// The `cudaMalloc`-with-hints runtime over the OS memory model.
 ///
 /// # Examples
@@ -145,44 +66,19 @@ impl HmRuntime {
         self.mm.borrow_mut().set_mempolicy(policy);
     }
 
-    /// Performs one allocation request — the single entry point every
-    /// allocation path routes through.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::BadRange`] for a zero-size allocation and
-    /// [`MemError::EmptyNodeSet`] only if a strict hint resolves to no
-    /// zone (impossible on well-formed topologies).
-    pub fn alloc(&mut self, req: AllocRequest<'_>) -> Result<VmaRange, MemError> {
-        let mut mm = self.mm.borrow_mut();
-        let range = mm.mmap_named(req.bytes, req.name)?;
-        if let Some(hint) = req.hint {
-            let topo = mm.topology().clone();
-            let policy = Self::policy_for_hint(hint, &topo, req.fallback)?;
-            mm.mbind(range, policy)?;
-        }
-        drop(mm);
-        self.allocations.push(Allocation {
-            name: req.name.to_string(),
-            range,
-            hint: req.hint,
-        });
-        Ok(range)
-    }
-
     /// Allocates `bytes` with no hint: pages fault in under the task
-    /// policy. (Thin wrapper over [`HmRuntime::alloc`].)
+    /// policy.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::BadRange`] for a zero-size allocation.
     pub fn malloc(&mut self, name: &str, bytes: u64) -> Result<VmaRange, MemError> {
-        self.alloc(AllocRequest::new(name, bytes))
+        self.reserve(name, bytes, None)
     }
 
     /// Allocates `bytes` with a placement hint (the paper's extended
-    /// `cudaMalloc(devPtr, size, hint)`). (Thin wrapper over
-    /// [`HmRuntime::alloc`].)
+    /// `cudaMalloc(devPtr, size, hint)`). Hints are best-effort: a full
+    /// preferred pool falls back to the other.
     ///
     /// # Errors
     ///
@@ -193,28 +89,44 @@ impl HmRuntime {
         bytes: u64,
         hint: MemHint,
     ) -> Result<VmaRange, MemError> {
-        self.alloc(AllocRequest::new(name, bytes).hint(hint))
+        self.reserve(name, bytes, Some(hint))
+    }
+
+    /// Reserves and names the range, binds it per `hint`, and records
+    /// the allocation.
+    fn reserve(
+        &mut self,
+        name: &str,
+        bytes: u64,
+        hint: Option<MemHint>,
+    ) -> Result<VmaRange, MemError> {
+        let mut mm = self.mm.borrow_mut();
+        let range = mm.mmap_named(bytes, name)?;
+        if let Some(hint) = hint {
+            let policy = Self::policy_for_hint(hint, mm.topology());
+            mm.mbind(range, policy)?;
+        }
+        drop(mm);
+        self.allocations.push(Allocation {
+            name: name.to_string(),
+            range,
+            hint,
+        });
+        Ok(range)
     }
 
     /// The `mbind` policy implementing a hint on this machine: abstract
     /// BO/CO hints resolve to concrete zones via the topology (the
-    /// runtime's job per §5.2 — programs never name zones). With
-    /// `fallback` off, a `Preferred` hint becomes a hard `BIND` to its
-    /// zone instead of best-effort.
-    fn policy_for_hint(
-        hint: MemHint,
-        topo: &NumaTopology,
-        fallback: bool,
-    ) -> Result<Mempolicy, MemError> {
-        Ok(match hint {
+    /// runtime's job per §5.2 — programs never name zones).
+    fn policy_for_hint(hint: MemHint, topo: &NumaTopology) -> Mempolicy {
+        match hint {
             MemHint::Preferred(kind) => match topo.zone_of_kind(kind) {
-                Some(zone) if fallback => Mempolicy::preferred(zone),
-                Some(zone) => Mempolicy::bind(vec![zone])?,
+                Some(zone) => Mempolicy::preferred(zone),
                 // Machine without that kind: hint degrades to BW-AWARE.
                 None => Mempolicy::bw_aware_for(topo),
             },
             MemHint::BwAware => Mempolicy::bw_aware_for(topo),
-        })
+        }
     }
 
     /// The shared address space (for wiring into the simulator).
@@ -327,39 +239,6 @@ mod tests {
         assert!(ranges[0].end.raw() <= ranges[1].start.raw());
         assert_eq!(rt.allocations()[0].hint, Some(MemHint::BO));
         assert_eq!(rt.allocations()[1].hint, None);
-    }
-
-    #[test]
-    fn alloc_request_routes_both_legacy_paths() {
-        let mut rt = runtime(64, 64);
-        rt.alloc(AllocRequest::new("plain", PAGE_SIZE as u64))
-            .unwrap();
-        rt.alloc(AllocRequest::new("hinted", PAGE_SIZE as u64).hint(MemHint::CO))
-            .unwrap();
-        rt.alloc(AllocRequest::new("maybe", PAGE_SIZE as u64).maybe_hint(None))
-            .unwrap();
-        assert_eq!(rt.allocations()[0].hint, None);
-        assert_eq!(rt.allocations()[1].hint, Some(MemHint::CO));
-        assert_eq!(rt.allocations()[2].hint, None);
-    }
-
-    #[test]
-    fn strict_bo_hint_fails_instead_of_spilling() {
-        let mut rt = runtime(4, 64);
-        let r = rt
-            .alloc(
-                AllocRequest::new("a", 8 * PAGE_SIZE as u64)
-                    .hint(MemHint::BO)
-                    .strict(),
-            )
-            .unwrap();
-        let err = rt.address_space().borrow_mut().populate(r).unwrap_err();
-        assert!(
-            matches!(err, MemError::BindExhausted { .. }),
-            "expected bind exhaustion, got {err:?}"
-        );
-        // The best-effort default spills to CO instead (see
-        // full_bo_hint_falls_back_to_co above).
     }
 
     #[test]

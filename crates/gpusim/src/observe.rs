@@ -19,7 +19,11 @@
 //!   counted, never silently lost).
 //!
 //! [`ProbeObserver`] composes both behind runtime options so callers
-//! monomorphize a single observed simulator variant.
+//! monomorphize a single observed simulator variant. The observers are
+//! also what leaves the run: `hetmem::RunBuilder::run_observed` hands
+//! back the sampler's reports and the tracer itself, and `hetmem::grid`
+//! renders them to JSONL lines and Chrome traces with no copy in
+//! between.
 //!
 //! Hooks fire in non-decreasing event time (the calendar pops events in
 //! time order), which is what lets the sampler close intervals with a
@@ -393,6 +397,10 @@ pub struct EventTracer {
 }
 
 impl EventTracer {
+    /// The default event budget: plenty for a quick run, bounded for a
+    /// full one (~20 MB of Chrome-trace JSON worst case).
+    pub const DEFAULT_BUDGET: usize = 100_000;
+
     /// Creates a tracer that keeps at most `budget` events.
     pub fn new(budget: usize) -> Self {
         EventTracer {
@@ -416,11 +424,6 @@ impl EventTracer {
     /// Events discarded after the budget filled.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Consumes the tracer, returning `(events, dropped)`.
-    pub fn into_parts(self) -> (Vec<SimTraceEvent>, u64) {
-        (self.events, self.dropped)
     }
 
     fn push(&mut self, ev: SimTraceEvent) {

@@ -250,10 +250,13 @@ impl JsonValue {
         }
     }
 
-    /// The value as a non-negative integer, if exactly representable.
+    /// The value as a non-negative integer below 2^53. Every integer in
+    /// that range parses to its own `f64`; 2^53 itself is refused
+    /// because 2^53 + 1 parses to it too, so accepting it would answer
+    /// for a neighbour the sender never wrote.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
+            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(53) => {
                 Some(*n as u64)
             }
             _ => None,
@@ -581,6 +584,11 @@ mod tests {
         assert_eq!(v.get("name").unwrap().as_str(), Some("a\"b\\c\nd"));
         assert_eq!(v.get("n").unwrap().as_u64(), Some(42));
         assert_eq!(v.get("x").unwrap().as_f64(), Some(0.1 + 0.2));
+        // Integers stop at 2^53 - 1: 2^53 and 2^53 + 1 parse alike.
+        let big = |text: &str| JsonValue::parse(text).unwrap().as_u64();
+        assert_eq!(big("9007199254740991"), Some((1 << 53) - 1));
+        assert_eq!(big("9007199254740992"), None);
+        assert_eq!(big("9007199254740993"), None);
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(
             v.get("items").unwrap().as_array(),

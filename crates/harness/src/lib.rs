@@ -1,9 +1,10 @@
 //! # hetmem-harness — the deterministic experiment engine
 //!
 //! The execution subsystem the whole hetmem workspace runs through,
-//! built on **std only** (this crate has zero dependencies, which is
-//! what lets `cargo build --release && cargo test -q` succeed with no
-//! network and no crates-io index). Four layers:
+//! built on **std only** (this crate has no third-party dependencies,
+//! which is what lets `cargo build --release && cargo test -q` succeed
+//! with no network and no crates-io index; its one in-tree dependency,
+//! `hmtypes`, supplies SplitMix64). Four layers:
 //!
 //! 1. **[`sweep`]** — a scoped-thread worker pool executing
 //!    `(workload × config)` grid points concurrently, with results in
@@ -75,8 +76,5 @@ pub use queue::{BoundedQueue, PushError};
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use sweep::{run_grid, SweepError, SweepOptions};
-pub use telemetry::{
-    fnv1a, hit_rate, summary, IntervalPoolTelemetry, IntervalRecord, MigrationTelemetry,
-    PoolTelemetry, RunRecord,
-};
+pub use telemetry::{fnv1a, hit_rate, summary, MigrationTelemetry, PoolTelemetry, RunRecord};
 pub use trace::{ChromeTrace, TraceEvent};

@@ -1,6 +1,6 @@
 //! A minimal in-tree property-test kit replacing `proptest`.
 //!
-//! Design goals, in order: **zero dependencies**, **deterministic by
+//! Design goals, in order: **no third-party dependencies**, **deterministic by
 //! default** (a fixed seed per property derived from its name, so
 //! `cargo test` is reproducible byte-for-byte), and **shrinking-lite**
 //! (on failure, the failing case is re-generated at smaller *sizes* from
@@ -34,6 +34,7 @@ use std::ops::{Range, RangeInclusive};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::rng::{mix, Xoshiro256StarStar};
+use crate::sweep::panic_message;
 use crate::telemetry::fnv1a;
 
 /// The per-case generation context handed to property bodies (via the
@@ -201,16 +202,6 @@ fn size_for(case: u32, cases: u32) -> f64 {
     }
     let t = f64::from(case) / f64::from(cases - 1);
     0.1 + 0.9 * t
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
 }
 
 /// Runs `cases` generated cases of the property `f`, with deterministic

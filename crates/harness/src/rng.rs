@@ -3,43 +3,16 @@
 //! Two generators, both tiny, both fully reproducible:
 //!
 //! * [`SplitMix64`] — one multiply-xor-shift round per output. Used for
-//!   seeding, stateless seed derivation, and anywhere a cheap
-//!   stream is enough (it is the same algorithm `hmtypes::SplitMix64`
-//!   models the BW-AWARE allocation fast path with; the harness carries
-//!   its own copy so it depends on nothing).
+//!   seeding, stateless seed derivation ([`mix`]), and anywhere a cheap
+//!   stream is enough. Both are re-exports of `hmtypes`' copies, the
+//!   generator that models the BW-AWARE allocation fast path, so the
+//!   workspace has one SplitMix64.
 //! * [`Xoshiro256StarStar`] — the xoshiro256** generator, seeded through
 //!   SplitMix64 as its authors recommend. This is the workhorse behind
 //!   property-test case generation, where long non-overlapping streams
 //!   matter more than raw speed.
 
-/// A SplitMix64 pseudo-random number generator.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// Creates a generator seeded with `seed`.
-    pub const fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// Returns the next 64-bit output.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        mix(self.state)
-    }
-}
-
-/// The SplitMix64 output function: a strong 64-bit mixer usable on its
-/// own for stateless seed derivation (e.g. per-test or per-case seeds).
-#[inline]
-pub const fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+pub use hmtypes::rng::{mix, SplitMix64};
 
 /// The xoshiro256** generator (Blackman & Vigna): 256 bits of state,
 /// period 2^256 - 1, passes BigCrush.

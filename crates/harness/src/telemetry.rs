@@ -1,16 +1,17 @@
-//! Run telemetry: per-run and per-interval JSONL records and the
-//! end-of-sweep summary.
+//! Run telemetry: per-run JSONL records and the end-of-sweep summary.
 //!
 //! Each simulated run produces one [`RunRecord`] — workload, config
 //! label, a stable config hash, cycles, per-pool traffic, achieved
-//! bandwidth, cache hit rates, and energy. Observed runs additionally
-//! produce one [`IntervalRecord`] per sampling window. Records
-//! serialize to JSON Lines through the in-tree [`json`](crate::json)
-//! writer, so a sweep's telemetry file is **byte-identical** across
-//! repeated runs and across thread counts (results are collected in
-//! grid order; see [`sweep`](crate::sweep)). The two record types share
-//! one file, distinguished by the leading `"record"` field (`"run"` vs
-//! `"interval"`).
+//! bandwidth, cache hit rates, and energy. Records serialize to JSON
+//! Lines through the in-tree [`json`](crate::json) writer, so a sweep's
+//! telemetry file is **byte-identical** across repeated runs and across
+//! thread counts (results are collected in grid order; see
+//! [`sweep`](crate::sweep)). Observed runs add `"interval"` lines to the
+//! same file, one per sampling window; `hetmem::grid` renders those
+//! straight from the simulator's interval reports (this crate knows no
+//! simulator types), sharing [`hit_rate`] and the [`fnv1a`] config
+//! hash. The leading `"record"` field (`"run"` vs `"interval"`) tells
+//! the two apart.
 //!
 //! Wall-clock time is the one nondeterministic field: it is carried on
 //! the record for progress/summary display but **excluded from the
@@ -178,109 +179,6 @@ impl RunRecord {
     }
 }
 
-/// Per-pool telemetry for one sampling window of an observed run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntervalPoolTelemetry {
-    /// Pool name (e.g. `GDDR5`).
-    pub name: String,
-    /// Bytes read from this pool's DRAM during the window.
-    pub bytes_read: u64,
-    /// Bytes written to this pool's DRAM during the window.
-    pub bytes_written: u64,
-    /// Achieved bandwidth during the window, GB/s.
-    pub achieved_gbps: f64,
-    /// Fraction of the window's channel-cycles the pool's data buses
-    /// were busy, in `[0.0, 1.0]`.
-    pub bus_util: f64,
-    /// Pages resident in this pool's zone by window end (cumulative
-    /// faults observed by the simulator).
-    pub zone_pages: u64,
-}
-
-/// One sampling window of one observed run, serialized alongside
-/// [`RunRecord`]s with `"record":"interval"`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntervalRecord {
-    /// The sweep this run belongs to.
-    pub sweep: String,
-    /// Workload name.
-    pub workload: String,
-    /// Configuration label within the sweep.
-    pub config: String,
-    /// Same stable hash as the run's [`RunRecord::config_hash`].
-    pub config_hash: u64,
-    /// Window index (`start_cycle / sample_cycles`).
-    pub index: u64,
-    /// First cycle of the window.
-    pub start_cycle: u64,
-    /// One past the last cycle of the window.
-    pub end_cycle: u64,
-    /// Warp memory operations issued in the window.
-    pub mem_ops: u64,
-    /// L1 hits in the window.
-    pub l1_hits: u64,
-    /// L1 misses in the window.
-    pub l1_misses: u64,
-    /// L2 hits in the window.
-    pub l2_hits: u64,
-    /// L2 misses in the window.
-    pub l2_misses: u64,
-    /// Reads held on MSHR exhaustion in the window.
-    pub mshr_stalls: u64,
-    /// Peak single-slice MSHR occupancy in the window.
-    pub mshr_peak: u64,
-    /// Warps retired in the window.
-    pub warps_retired: u64,
-    /// Per-pool window telemetry.
-    pub pools: Vec<IntervalPoolTelemetry>,
-    /// For sampled runs: whether this window was simulated in detail
-    /// (`"detail"`) or synthesized by the extrapolation model
-    /// (`"extrapolated"`). `None` for full-fidelity runs, keeping their
-    /// record bytes unchanged.
-    pub mode: Option<&'static str>,
-}
-
-impl IntervalRecord {
-    /// Serializes the record as one JSON line (no trailing newline).
-    /// Interval records carry no nondeterministic fields.
-    pub fn jsonl(&self) -> String {
-        let pools = array(self.pools.iter().map(|p| {
-            JsonObject::new()
-                .str("name", &p.name)
-                .u64("bytes_read", p.bytes_read)
-                .u64("bytes_written", p.bytes_written)
-                .f64("achieved_gbps", p.achieved_gbps)
-                .f64("bus_util", p.bus_util)
-                .u64("zone_pages", p.zone_pages)
-                .finish()
-        }));
-        let mut obj = JsonObject::new()
-            .str("record", "interval")
-            .str("sweep", &self.sweep)
-            .str("workload", &self.workload)
-            .str("config", &self.config)
-            .str("config_hash", &format!("{:016x}", self.config_hash))
-            .u64("index", self.index)
-            .u64("start_cycle", self.start_cycle)
-            .u64("end_cycle", self.end_cycle)
-            .u64("mem_ops", self.mem_ops)
-            .u64("l1_hits", self.l1_hits)
-            .u64("l1_misses", self.l1_misses)
-            .f64("l1_hit_rate", hit_rate(self.l1_hits, self.l1_misses))
-            .u64("l2_hits", self.l2_hits)
-            .u64("l2_misses", self.l2_misses)
-            .f64("l2_hit_rate", hit_rate(self.l2_hits, self.l2_misses))
-            .u64("mshr_stalls", self.mshr_stalls)
-            .u64("mshr_peak", self.mshr_peak)
-            .u64("warps_retired", self.warps_retired)
-            .raw("pools", &pools);
-        if let Some(mode) = self.mode {
-            obj = obj.str("mode", mode);
-        }
-        obj.finish()
-    }
-}
-
 /// `hits / (hits + misses)`, or `0.0` with no accesses.
 pub fn hit_rate(hits: u64, misses: u64) -> f64 {
     let total = hits + misses;
@@ -428,48 +326,6 @@ mod tests {
         assert!(line.contains(r#""epochs":3"#));
         // The block sits between the pools array and end of record.
         assert!(line.find("pools").unwrap() < line.find("migration").unwrap());
-    }
-
-    #[test]
-    fn interval_jsonl_has_discriminator_and_derived_rates() {
-        let rec = IntervalRecord {
-            sweep: "fig3".into(),
-            workload: "bfs".into(),
-            config: "LOCAL".into(),
-            config_hash: 7,
-            index: 2,
-            start_cycle: 2000,
-            end_cycle: 3000,
-            mem_ops: 64,
-            l1_hits: 30,
-            l1_misses: 10,
-            l2_hits: 5,
-            l2_misses: 5,
-            mshr_stalls: 1,
-            mshr_peak: 12,
-            warps_retired: 0,
-            pools: vec![IntervalPoolTelemetry {
-                name: "GDDR5".into(),
-                bytes_read: 2048,
-                bytes_written: 0,
-                achieved_gbps: 2.9,
-                bus_util: 0.4,
-                zone_pages: 17,
-            }],
-            mode: None,
-        };
-        let line = rec.jsonl();
-        assert_eq!(line, rec.clone().jsonl());
-        assert!(line.starts_with(r#"{"record":"interval","sweep":"fig3""#));
-        assert!(line.contains(r#""index":2,"start_cycle":2000,"end_cycle":3000"#));
-        assert!(line.contains(r#""l1_hit_rate":0.75"#));
-        assert!(line.contains(r#""l2_hit_rate":0.5"#));
-        assert!(line.contains(r#""bus_util":0.4"#));
-        assert!(line.contains(r#""zone_pages":17"#));
-        assert!(!line.contains("mode"), "full-fidelity bytes unchanged");
-        let mut sampled = rec.clone();
-        sampled.mode = Some("extrapolated");
-        assert!(sampled.jsonl().ends_with(r#""mode":"extrapolated"}"#));
     }
 
     #[test]

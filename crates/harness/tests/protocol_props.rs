@@ -62,8 +62,8 @@ type FieldGen = (
 );
 
 fn arb_fields() -> hetmem_harness::prop::VecOf<FieldGen> {
-    // u64 values stay below 2^50: `as_u64` only accepts integers that
-    // are exactly representable in an f64 (<= 2^53).
+    // u64 values stay below 2^50: `as_u64` only accepts integers
+    // below 2^53, each of which an f64 holds exactly.
     vec_of(
         (0usize..4, arb_text(0), 0u64..(1 << 50), 0.0f64..1.0e9),
         0..6,

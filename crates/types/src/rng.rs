@@ -28,9 +28,11 @@ pub struct SplitMix64 {
 /// The state stride per output (the golden-ratio increment).
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The SplitMix64 output function of one state.
+/// The SplitMix64 output function of one state: a strong 64-bit mixer,
+/// usable on its own for stateless seed derivation (per-case or
+/// per-point seeds).
 #[inline]
-const fn mix(mut z: u64) -> u64 {
+pub const fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

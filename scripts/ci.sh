@@ -44,6 +44,19 @@ cargo run --release --offline -q -p hetmem-bench --bin fig3 -- \
     --trace "$OBS_DIR/trace" --trace-budget 20000
 target/release/hetmem-trace check "$OBS_DIR/fig3.jsonl" "$OBS_DIR"/trace/*.json
 target/release/hetmem-trace summary "$OBS_DIR/fig3.jsonl" --top 3
+# The same sweep at sampled fidelity: its interval lines must carry both
+# the measured (`detail`) windows and the `extrapolated` tail.
+OBS_SAMPLED="$OBS_DIR/sampled"
+cargo run --release --offline -q -p hetmem-bench --bin fig3 -- \
+    --quick --workloads lbm --quiet --fidelity sampled \
+    --out "$OBS_SAMPLED" --sample-cycles 20000
+for mode in detail extrapolated; do
+    grep -qF "\"mode\":\"$mode\"" "$OBS_SAMPLED/fig3.jsonl" || {
+        echo "sampled fig3 wrote no \"mode\":\"$mode\" interval line" >&2
+        exit 1
+    }
+done
+target/release/hetmem-trace check "$OBS_SAMPLED/fig3.jsonl"
 
 # Ablations smoke: the design-choice ablations (DESIGN §5) must print
 # one table each for L2 MSHRs, L2 slice size and random-draw vs exact

@@ -19,8 +19,10 @@
 //! ```
 
 use gpusim::observe::IntervalReport;
-use gpusim::{DramTiming, Fidelity, SampleConfig, SimConfig, SimReport};
-use hetmem::runner::{Capacity, ObserveConfig, Placement, RunBuilder};
+use gpusim::{
+    DramTiming, Fidelity, IntervalSampler, ProbeObserver, SampleConfig, SimConfig, SimReport,
+};
+use hetmem::runner::{Capacity, Placement, RunBuilder};
 use hetmem::{profile_workload, topology_for};
 use hetmem_harness::json::{array, JsonObject};
 use mempolicy::Mempolicy;
@@ -303,11 +305,10 @@ fn interval_counters_are_golden() {
             let placement = placement_for(policy, &spec, &sim);
             let observed = RunBuilder::new(&spec, &sim)
                 .placement(&placement)
-                .observe(ObserveConfig {
-                    sample_cycles: Some(5_000),
-                    trace: false,
-                    trace_budget: 0,
-                })
+                .observe(ProbeObserver::new(
+                    Some(IntervalSampler::new(5_000, sim.pools.len())),
+                    None,
+                ))
                 .run_observed();
             lines.push(
                 JsonObject::new()
