@@ -670,23 +670,32 @@ mod tests {
 
     #[test]
     fn record_matches_report() {
+        use hetmem_harness::JsonValue;
+
         let (sim, run) = quick_run();
-        let rec = record_for("fig3", "hotspot", "LOCAL", &sim, &run);
-        assert_eq!(rec.cycles, run.report.cycles);
-        assert_eq!(rec.mem_ops, run.report.mem_ops);
-        assert_eq!(rec.pools.len(), run.report.pools.len());
-        let total: u64 = rec
-            .pools
+        let line = record_for("fig3", "hotspot", "LOCAL", &sim, &run).jsonl(false);
+        let rec = JsonValue::parse(&line).unwrap();
+        let u = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_u64).unwrap();
+        let f = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_f64).unwrap();
+        assert_eq!(u(&rec, "cycles"), run.report.cycles);
+        assert_eq!(u(&rec, "mem_ops"), run.report.mem_ops);
+        let pools = rec.get("pools").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(pools.len(), run.report.pools.len());
+        let total: u64 = pools
             .iter()
-            .map(|p| p.bytes_read + p.bytes_written)
+            .map(|p| u(p, "bytes_read") + u(p, "bytes_written"))
             .sum();
         assert_eq!(total, run.report.dram_bytes());
         // Pool bandwidths sum to the aggregate (same cycle base).
-        let pool_sum: f64 = rec.pools.iter().map(|p| p.achieved_gbps).sum();
-        assert!((pool_sum - rec.achieved_gbps).abs() < 1e-9);
+        let pool_sum: f64 = pools.iter().map(|p| f(p, "achieved_gbps")).sum();
+        assert!((pool_sum - f(&rec, "achieved_gbps")).abs() < 1e-9);
         // The hash covers the config label.
-        let other = record_for("fig3", "hotspot", "INTERLEAVE", &sim, &run);
-        assert_ne!(rec.config_hash, other.config_hash);
+        let other = record_for("fig3", "hotspot", "INTERLEAVE", &sim, &run).jsonl(false);
+        let hash = |line: &str| {
+            let v = JsonValue::parse(line).unwrap();
+            v.get("config_hash").unwrap().as_str().unwrap().to_string()
+        };
+        assert_ne!(hash(&line), hash(&other));
     }
 
     #[test]
@@ -694,20 +703,175 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hetmem-sink-{}", std::process::id()));
         let sink = TelemetrySink::create(&dir).unwrap();
         let (sim, run) = quick_run();
-        let rec = record_for("figX", "hotspot", "LOCAL", &sim, &run);
-        sink.record("figX", std::slice::from_ref(&rec)).unwrap();
-        sink.record("figX", std::slice::from_ref(&rec)).unwrap();
-        sink.record("figY", std::slice::from_ref(&rec)).unwrap();
+        let rec = || record_for("figX", "hotspot", "LOCAL", &sim, &run);
+        sink.record("figX", &[rec()]).unwrap();
+        sink.record("figX", &[rec()]).unwrap();
+        sink.record("figY", &[rec()]).unwrap();
         // Empty batches create no file.
         sink.record("figZ", &[]).unwrap();
 
         let x = fs::read_to_string(dir.join("figX.jsonl")).unwrap();
         assert_eq!(x.lines().count(), 2, "appended across batches");
-        assert_eq!(x.lines().next().unwrap(), rec.jsonl(false));
+        assert_eq!(x.lines().next().unwrap(), rec().jsonl(false));
         assert!(dir.join("figY.jsonl").exists());
         assert!(!dir.join("figZ.jsonl").exists());
-        assert_eq!(sink.records().len(), 3);
         assert!(sink.summary().contains("total: 3 runs"));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A hand-built 14 000-cycle run (10 us at the paper machine's
+    /// 1.4 GHz) over GDDR5 + DDR4.
+    fn hand_built_run(
+        migration: Option<gpusim::MigrationReport>,
+        estimated: Option<gpusim::EstimateReport>,
+    ) -> WorkloadRun {
+        let pool = |name: &str, bytes_read, bytes_written, row_hit_rate, energy_joules| {
+            gpusim::PoolReport {
+                name: name.to_string(),
+                kind: hmtypes::MemKind::BandwidthOptimized,
+                bytes_read,
+                bytes_written,
+                row_hit_rate,
+                bus_busy_cycles: 0.0,
+                energy_joules,
+            }
+        };
+        WorkloadRun {
+            report: SimReport {
+                cycles: 14_000,
+                completed: true,
+                mem_ops: 2_500,
+                l1: (300, 100),
+                l2: (60, 40),
+                mshr_stalls: 7,
+                retired_warps: 16,
+                pools: vec![
+                    pool("GDDR5", 81_920, 20_480, 0.75, 2.5e-6),
+                    pool("DDR4", 30_720, 0, 0.5, 1.25e-6),
+                ],
+                page_accesses: None,
+                migration,
+                estimated,
+            },
+            placement: Vec::new(),
+            footprint_pages: 0,
+            bo_pages: 0,
+            ranges: Vec::new(),
+        }
+    }
+
+    /// `run` as its `run` line in sweep `fig3` on the paper machine.
+    fn run_line(workload: &str, config: &str, run: &WorkloadRun) -> String {
+        let sim = SimConfig::paper_baseline();
+        record_for("fig3", workload, config, &sim, run).jsonl(false)
+    }
+
+    /// Everything [`hand_built_run`]'s line holds before any optional
+    /// block.
+    const PINNED_RUN_HEAD: &str = concat!(
+        r#"{"record":"run","sweep":"fig3","workload":"lbm","config":"LOCAL","#,
+        r#""config_hash":"79eeb2e8887c616e","cycles":14000,"completed":true,"mem_ops":2500,"#,
+        r#""achieved_gbps":13.311999999999998,"l1_hit_rate":0.75,"l2_hit_rate":0.6,"#,
+        r#""mshr_stalls":7,"energy_joules":0.0000037500000000000005,"pools":[{"name":"GDDR5","#,
+        r#""bytes_read":81920,"bytes_written":20480,"achieved_gbps":10.24,"row_hit_rate":0.75},"#,
+        r#"{"name":"DDR4","bytes_read":30720,"bytes_written":0,"#,
+        r#""achieved_gbps":3.0719999999999996,"row_hit_rate":0.5}]"#,
+    );
+
+    #[test]
+    fn plain_run_line_is_pinned() {
+        let run = hand_built_run(None, None);
+        let line = run_line("lbm", "LOCAL", &run);
+        assert_eq!(line, format!("{PINNED_RUN_HEAD}}}"));
+        // Rendering again gives the same bytes.
+        assert_eq!(line, run_line("lbm", "LOCAL", &run));
+        assert!(!line.contains("migration"));
+        assert!(!line.contains("estimated"));
+    }
+
+    #[test]
+    fn migrate_run_line_is_pinned() {
+        let run = hand_built_run(
+            Some(gpusim::MigrationReport {
+                pages_promoted: 4,
+                pages_demoted: 1,
+                pages_evicted: 1,
+                epochs: 3,
+                copy_bytes: 49_152,
+                copy_cycles: 1_234.5,
+                remap_stall_cycles: 8_400,
+            }),
+            None,
+        );
+        let line = run_line("lbm", "LOCAL", &run);
+        let pinned = concat!(
+            r#","migration":{"pages_migrated":6,"pages_promoted":4,"pages_demoted":1,"#,
+            r#""pages_evicted":1,"epochs":3,"copy_bytes":49152,"remap_stall_cycles":8400}}"#,
+        );
+        assert_eq!(line, format!("{PINNED_RUN_HEAD}{pinned}"));
+        assert!(line.find("pools").unwrap() < line.find("migration").unwrap());
+        assert!(!line.contains("estimated"));
+    }
+
+    #[test]
+    fn sampled_run_line_is_pinned() {
+        let run = hand_built_run(
+            None,
+            Some(gpusim::EstimateReport {
+                windows_detail: 14,
+                windows_extrapolated: 378,
+                ops_simulated: 14_336,
+                ops_extrapolated: 387_072,
+                cycles_measured: 9_000,
+                cycles_extrapolated: 5_000,
+                confidence: 0.93,
+            }),
+        );
+        let line = run_line("lbm", "LOCAL", &run);
+        let pinned = concat!(
+            r#","estimated":{"windows_detail":14,"windows_extrapolated":378,"#,
+            r#""ops_simulated":14336,"ops_extrapolated":387072,"cycles_measured":9000,"#,
+            r#""cycles_extrapolated":5000,"confidence":0.93}}"#,
+        );
+        assert_eq!(line, format!("{PINNED_RUN_HEAD}{pinned}"));
+        assert!(line.find("pools").unwrap() < line.find("estimated").unwrap());
+        assert!(!line.contains("migration"));
+    }
+
+    #[test]
+    fn sink_summary_groups_runs_by_sweep_and_config() {
+        let dir = std::env::temp_dir().join(format!("hetmem-summary-{}", std::process::id()));
+        let sink = TelemetrySink::create(&dir).unwrap();
+        assert_eq!(sink.summary(), "sweep summary: no runs recorded\n");
+        let sim = SimConfig::paper_baseline();
+        let fast = hand_built_run(None, None);
+        let slow = WorkloadRun {
+            report: SimReport {
+                cycles: 28_000,
+                ..fast.report.clone()
+            },
+            ..hand_built_run(None, None)
+        };
+        let rec = |figure, workload, config, run| record_for(figure, workload, config, &sim, run);
+        sink.record(
+            "fig3",
+            &[
+                rec("fig3", "lbm", "LOCAL", &fast),
+                rec("fig3", "lbm", "30C-70B", &slow),
+                rec("fig3", "bfs", "LOCAL", &slow),
+            ],
+        )
+        .unwrap();
+        sink.record("fig4", &[rec("fig4", "lbm", "LOCAL", &fast)])
+            .unwrap();
+        let pinned = concat!(
+            "sweep/config                        runs   total kcycles     mean GB/s\n",
+            "fig3/LOCAL                             2            42.0          9.98\n",
+            "fig3/30C-70B                           1            28.0          6.66\n",
+            "fig4/LOCAL                             1            14.0         13.31\n",
+            "total: 4 runs, 0.1 Mcycles simulated\n",
+        );
+        assert_eq!(sink.summary(), pinned);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,38 +1,39 @@
 //! The harness's core guarantees, tested end-to-end: byte-identical
 //! JSONL at any thread count, and panic-with-identity instead of hangs.
 
+use hetmem_harness::json::{array, JsonObject};
 use hetmem_harness::sweep::{run_grid, SweepError, SweepOptions};
-use hetmem_harness::telemetry::{fnv1a, PoolTelemetry, RunRecord};
+use hetmem_harness::telemetry::fnv1a;
 
 /// A stand-in for one simulated grid point: deterministic "work" whose
-/// result depends only on the point and the seed derived from it.
-fn simulate(workload: usize, config: usize, seed: u64) -> RunRecord {
+/// JSONL line depends only on the point and the seed derived from it.
+fn simulate(workload: usize, config: usize, seed: u64) -> String {
     let mut rng = hetmem_harness::Xoshiro256StarStar::new(seed);
     let cycles = 10_000 + rng.next_below(5_000) + (workload * 137 + config * 11) as u64;
-    RunRecord {
-        sweep: "test".into(),
-        workload: format!("w{workload}"),
-        config: format!("c{config}"),
-        config_hash: fnv1a(format!("w{workload}/c{config}").as_bytes()),
-        cycles,
-        completed: true,
-        mem_ops: 1000,
-        achieved_gbps: cycles as f64 / 997.0,
-        l1_hit_rate: 0.5,
-        l2_hit_rate: 0.25,
-        mshr_stalls: cycles % 13,
-        energy_joules: cycles as f64 * 1e-9,
-        pools: vec![PoolTelemetry {
-            name: "BO".into(),
-            bytes_read: cycles * 3,
-            bytes_written: cycles / 7,
-            achieved_gbps: cycles as f64 / 1003.0,
-            row_hit_rate: 0.9,
-        }],
-        migration: None,
-        estimated: None,
-        wall_ms: None,
-    }
+    let pools = array([JsonObject::new()
+        .str("name", "BO")
+        .u64("bytes_read", cycles * 3)
+        .u64("bytes_written", cycles / 7)
+        .f64("achieved_gbps", cycles as f64 / 1003.0)
+        .f64("row_hit_rate", 0.9)
+        .finish()]);
+    let hash = fnv1a(format!("w{workload}/c{config}").as_bytes());
+    JsonObject::new()
+        .str("record", "run")
+        .str("sweep", "test")
+        .str("workload", &format!("w{workload}"))
+        .str("config", &format!("c{config}"))
+        .str("config_hash", &format!("{hash:016x}"))
+        .u64("cycles", cycles)
+        .bool("completed", true)
+        .u64("mem_ops", 1000)
+        .f64("achieved_gbps", cycles as f64 / 997.0)
+        .f64("l1_hit_rate", 0.5)
+        .f64("l2_hit_rate", 0.25)
+        .u64("mshr_stalls", cycles % 13)
+        .f64("energy_joules", cycles as f64 * 1e-9)
+        .raw("pools", &pools)
+        .finish()
 }
 
 fn sweep_jsonl(threads: usize) -> String {
@@ -41,17 +42,14 @@ fn sweep_jsonl(threads: usize) -> String {
         threads,
         ..SweepOptions::default()
     };
-    let records = run_grid(
+    let lines = run_grid(
         &grid,
         &opts,
         |(w, c)| format!("w{w}/c{c}"),
         |&(w, c)| simulate(w, c, hetmem_harness::rng::mix((w * 5 + c) as u64)),
     )
     .expect("sweep succeeds");
-    records
-        .iter()
-        .map(|r| r.jsonl(false) + "\n")
-        .collect::<String>()
+    lines.iter().map(|l| format!("{l}\n")).collect()
 }
 
 #[test]
