@@ -8,8 +8,8 @@
 //!   catalog workload's) into per-allocation placement hints via the
 //!   paper's `GetAllocation` (§5.2). Cheap; answered inline.
 //! * **`simulate`** — run one catalog workload under a named policy on
-//!   a sharded worker pool and return its telemetry
-//!   [`RunRecord`](hetmem_harness::telemetry::RunRecord) as JSON.
+//!   a sharded worker pool and return its telemetry `run` line
+//!   ([`hetmem::record_for`]) as JSON.
 //!   Results are memoized in a content-addressed LRU cache: repeating a
 //!   request returns byte-identical bytes without re-simulating.
 //! * **`stats`** — server counters (requests, errors, load sheds) and
@@ -107,13 +107,12 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gpusim::{Fidelity, SampleConfig, SimConfig};
+use gpusim::{Fidelity, MigrationReport, SampleConfig, SimConfig};
 use hetmem::{
     check_fidelity, hints_from_profile, profile_workload, record_for, topology_for, Capacity,
     HetmemError, Placement, RunBuilder, TelemetrySink,
 };
 use hetmem_harness::json::{JsonObject, JsonValue};
-use hetmem_harness::telemetry::MigrationTelemetry;
 use hetmem_harness::{FaultPlan, Request, Response};
 use mempolicy::Mempolicy;
 use workloads::{catalog, WorkloadSpec};
@@ -385,10 +384,10 @@ pub fn parse_simulate(params: &JsonValue) -> Result<(SimPoint, String), HetmemEr
     ))
 }
 
-/// Runs one resolved point and renders its telemetry record, tagged
-/// `tag` (`serve` for the server, `sweep` for `hetmem-sweep`), plus the
-/// record's migration block for the server's metrics.
-pub fn run_point(p: &SimPoint, tag: &str) -> (String, Option<MigrationTelemetry>) {
+/// Runs one resolved point and renders its `run` line, tagged `tag`
+/// (`serve` for the server, `sweep` for `hetmem-sweep`), plus the run's
+/// migration report for the server's metrics.
+pub fn run_point(p: &SimPoint, tag: &str) -> (String, Option<MigrationReport>) {
     let placement = match &p.policy {
         PolicyChoice::Os(policy) => Placement::Policy(policy.clone()),
         PolicyChoice::Oracle => {
@@ -405,9 +404,8 @@ pub fn run_point(p: &SimPoint, tag: &str) -> (String, Option<MigrationTelemetry>
         .placement(&placement)
         .fidelity(p.fidelity)
         .run();
-    let rec = record_for(tag, p.spec.name, &p.config_label, &p.sim, &run);
-    let migration = rec.migration;
-    (rec.jsonl(false), migration)
+    let line = record_for(tag, p.spec.name, &p.config_label, &p.sim, &run).jsonl(false);
+    (line, run.report.migration)
 }
 
 /// Reads an optional unsigned integer field; `Err` when present but

@@ -15,12 +15,11 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use gpusim::SimConfig;
+use gpusim::{MigrationReport, SimConfig};
 use hetmem::{bo_traffic_target, HetmemError, TelemetrySink};
 use hetmem_harness::json::{self, JsonObject, JsonValue};
 use hetmem_harness::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use hetmem_harness::sweep::{panic_message, SweepError};
-use hetmem_harness::telemetry::MigrationTelemetry;
 use hetmem_harness::{BoundedQueue, FaultInjector, Response, ResultCache};
 use profiler::get_allocation;
 use workloads::catalog;
@@ -173,7 +172,7 @@ impl ServeMetrics {
 
     /// Accumulates one fresh execution's migration aggregate (cache
     /// hits don't re-count the cached run's work).
-    fn record_migration(&self, mt: &MigrationTelemetry) {
+    fn record_migration(&self, mt: &MigrationReport) {
         self.mig_promoted.add(mt.pages_promoted);
         self.mig_demoted.add(mt.pages_demoted);
         self.mig_evicted.add(mt.pages_evicted);
@@ -514,7 +513,7 @@ fn worker_loop(shared: &Arc<Shared>, shard: usize) {
 fn execute(
     point: &SimPoint,
     deadline: Option<Instant>,
-) -> Result<(String, Option<MigrationTelemetry>), HetmemError> {
+) -> Result<(String, Option<MigrationReport>), HetmemError> {
     if deadline.is_some_and(|d| Instant::now() >= d) {
         return Err(HetmemError::DeadlineExceeded);
     }

@@ -496,7 +496,6 @@ pub fn fig6(opts: &ExpOptions) -> (Vec<(String, Cdf)>, Table) {
         &specs,
         |s| format!("{}/profile", s.name),
         |s| profile_workload(s, &opts.sim).0,
-        |_, _| Vec::new(),
     );
     for (spec, hist) in specs.iter().zip(&hists) {
         let cdf = hist.cdf();
@@ -540,7 +539,6 @@ pub fn fig7(opts: &ExpOptions) -> Vec<Fig7Workload> {
         &specs,
         |s| format!("{}/profile", s.name),
         |s| profile_workload(s, &opts.sim),
-        |_, _| Vec::new(),
     );
     specs
         .iter()
@@ -590,7 +588,6 @@ pub fn fig8(opts: &ExpOptions) -> Table {
         &specs,
         |s| format!("{}/profile", s.name),
         |s| profile_workload(s, &opts.sim).0,
-        |_, _| Vec::new(),
     );
     let mut points = Vec::new();
     for (spec, hist) in specs.iter().zip(&hists) {
@@ -647,7 +644,6 @@ pub fn fig10(opts: &ExpOptions) -> Table {
         &specs,
         |s| format!("{}/profile", s.name),
         |s| profile_workload(s, &opts.sim),
-        |_, _| Vec::new(),
     );
     let mut points = Vec::new();
     for (spec, (hist, profile)) in specs.iter().zip(&profiles) {
@@ -724,7 +720,6 @@ pub fn fig11(opts: &ExpOptions) -> Table {
         &train_specs,
         |s| format!("{}/train", s.name),
         |s| profile_workload(s, &opts.sim).1,
-        |_, _| Vec::new(),
     );
     // Evaluate every other dataset: profile (for the oracle), then the
     // four placements.
@@ -745,7 +740,6 @@ pub fn fig11(opts: &ExpOptions) -> Table {
         &eval_specs,
         |s| format!("{}/profile", s.name),
         |s| profile_workload(s, &opts.sim).0,
-        |_, _| Vec::new(),
     );
     let mut points = Vec::new();
     for ((fi, i, spec), hist) in evals.iter().zip(&eval_hists) {
@@ -881,7 +875,6 @@ pub fn ext_reactive(opts: &ExpOptions) -> Table {
         &specs,
         |s| format!("{}/profile", s.name),
         |s| profile_workload(s, &opts.sim).0,
-        |_, _| Vec::new(),
     );
     let mut points = Vec::new();
     for (spec, hist) in specs.iter().zip(&hists) {

@@ -7,14 +7,15 @@
 //! stable grid order, so tables and telemetry files are byte-identical
 //! at any thread count. When
 //! [`ExpOptions::telemetry`](crate::experiments::ExpOptions) carries a
-//! [`TelemetrySink`], each sweep appends one [`RunRecord`] per simulated
+//! [`TelemetrySink`], each sweep appends one `"run"` line per simulated
 //! run to `<dir>/<figure>.jsonl`.
 //!
-//! Observed sweeps also write what the simulator's own observers
-//! collected, with no intermediate record type: each point's
+//! Every line is rendered straight from what the simulator reported,
+//! with no intermediate record type: a run's `gpusim::SimReport` becomes
+//! its `"run"` line ([`record_for`]), observed sweeps' per-point
 //! `gpusim::IntervalReport`s become `"interval"` lines in the same file
-//! ([`interval_records_for`], [`sampled_interval_records_for`]), and its
-//! `gpusim::EventTracer` becomes one Chrome trace file
+//! ([`interval_records_for`], [`sampled_interval_records_for`]), and
+//! each point's `gpusim::EventTracer` becomes one Chrome trace file
 //! ([`chrome_trace_for`]).
 
 use std::fs::{self, File};
@@ -28,9 +29,7 @@ use gpusim::{
 };
 use hetmem_harness::json::{array, JsonObject};
 use hetmem_harness::sweep::{run_grid, SweepOptions};
-use hetmem_harness::telemetry::{
-    fnv1a, hit_rate, summary, EstimateTelemetry, MigrationTelemetry, PoolTelemetry, RunRecord,
-};
+use hetmem_harness::telemetry::{fnv1a, hit_rate};
 use hetmem_harness::trace::{ChromeTrace, TraceEvent};
 use mempolicy::{PlacementEvent, PlacementEventKind};
 use workloads::WorkloadSpec;
@@ -42,15 +41,17 @@ use crate::runner::{Capacity, ObservedRun, Placement, RunBuilder, WorkloadRun};
 /// Collects per-run telemetry across sweeps and streams it to one JSONL
 /// file per figure.
 ///
-/// Records are appended in grid order and without timing fields, so a
-/// sweep's file is byte-identical across runs and thread counts. The
-/// sink also keeps every record in memory for the end-of-run
-/// [`TelemetrySink::summary`].
+/// Lines are appended in grid order and carry no timing fields, so a
+/// sweep's file is byte-identical across runs and thread counts. For
+/// the end-of-run [`TelemetrySink::summary`] the sink keeps only a
+/// per-`sweep/config` tally of the runs it recorded.
 #[derive(Debug)]
 pub struct TelemetrySink {
     dir: PathBuf,
     files: Mutex<Vec<(String, File)>>,
-    records: Mutex<Vec<RunRecord>>,
+    /// `(sweep/config, runs, total cycles, summed GB/s)` in order of
+    /// first appearance.
+    totals: Mutex<Vec<(String, u64, u64, f64)>>,
     /// Fsync each file after every append, so records survive a
     /// machine crash, not just a process crash.
     fsync: bool,
@@ -73,7 +74,7 @@ impl TelemetrySink {
         Ok(TelemetrySink {
             dir: dir.as_ref().to_path_buf(),
             files: Mutex::new(Vec::new()),
-            records: Mutex::new(Vec::new()),
+            totals: Mutex::new(Vec::new()),
             fsync,
         })
     }
@@ -83,15 +84,24 @@ impl TelemetrySink {
         &self.dir
     }
 
-    /// Appends `records` to `<dir>/<figure>.jsonl` (created on first
-    /// use) and to the in-memory record list.
-    pub fn record(&self, figure: &str, records: &[RunRecord]) -> io::Result<()> {
-        let lines: Vec<String> = records.iter().map(|r| r.jsonl(false)).collect();
+    /// Appends the `run` lines of `runs` to `<dir>/<figure>.jsonl`
+    /// (created on first use) and counts them into the summary.
+    pub fn record(&self, figure: &str, runs: &[RunLine<'_>]) -> io::Result<()> {
+        let lines: Vec<String> = runs.iter().map(|r| r.jsonl(false)).collect();
         self.record_lines(figure, &lines)?;
-        self.records
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .extend_from_slice(records);
+        let mut totals = self.totals.lock().unwrap_or_else(|e| e.into_inner());
+        for r in runs {
+            let key = format!("{}/{}", r.figure, r.config);
+            let gbps = r.report.achieved_bandwidth(r.sim.sm_clock_ghz).gbps();
+            match totals.iter_mut().find(|t| t.0 == key) {
+                Some((_, n, cycles, sum)) => {
+                    *n += 1;
+                    *cycles += r.report.cycles;
+                    *sum += gbps;
+                }
+                None => totals.push((key, 1, r.report.cycles, gbps)),
+            }
+        }
         Ok(())
     }
 
@@ -125,81 +135,138 @@ impl TelemetrySink {
         Ok(())
     }
 
-    /// Every record written so far, in write order.
-    pub fn records(&self) -> Vec<RunRecord> {
-        self.records
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    /// The end-of-run summary table over everything recorded.
+    /// The end-of-run summary table: per-`sweep/config` run counts,
+    /// cycle totals and mean achieved bandwidth, plus a grand total line.
     pub fn summary(&self) -> String {
-        summary(&self.records())
+        use std::fmt::Write as _;
+
+        let totals = self.totals.lock().unwrap_or_else(|e| e.into_inner());
+        if totals.is_empty() {
+            return "sweep summary: no runs recorded\n".to_string();
+        }
+        let mut out = format!(
+            "{:<34}{:>6}{:>16}{:>14}\n",
+            "sweep/config", "runs", "total kcycles", "mean GB/s"
+        );
+        for (key, n, cycles, gbps) in totals.iter() {
+            let _ = writeln!(
+                out,
+                "{:<34}{:>6}{:>16.1}{:>14.2}",
+                key,
+                n,
+                *cycles as f64 / 1e3,
+                gbps / *n as f64
+            );
+        }
+        let runs: u64 = totals.iter().map(|t| t.1).sum();
+        let cycles: u64 = totals.iter().map(|t| t.2).sum();
+        let _ = writeln!(
+            out,
+            "total: {runs} runs, {:.1} Mcycles simulated",
+            cycles as f64 / 1e6
+        );
+        out
     }
 }
 
-/// Builds the canonical [`RunRecord`] for one simulated run: stable
-/// config hash over the machine + configuration, aggregate and per-pool
-/// achieved bandwidth derived from cycles at the SM clock.
-pub fn record_for(
-    figure: &str,
-    workload: &str,
-    config: &str,
-    sim: &SimConfig,
-    run: &WorkloadRun,
-) -> RunRecord {
-    let ghz = sim.sm_clock_ghz;
-    let seconds = run.report.cycles as f64 / (ghz * 1e9);
-    let pools = run
-        .report
-        .pools
-        .iter()
-        .map(|p| PoolTelemetry {
-            name: p.name.clone(),
-            bytes_read: p.bytes_read,
-            bytes_written: p.bytes_written,
-            achieved_gbps: if seconds > 0.0 {
+/// One simulated run's `"run"` JSONL line, rendered from the run's
+/// [`SimReport`] when asked: it borrows the run and copies nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct RunLine<'a> {
+    figure: &'a str,
+    workload: &'a str,
+    config: &'a str,
+    sim: &'a SimConfig,
+    report: &'a SimReport,
+}
+
+/// The `run` line of one simulated run (see [`RunLine::jsonl`]).
+pub fn record_for<'a>(
+    figure: &'a str,
+    workload: &'a str,
+    config: &'a str,
+    sim: &'a SimConfig,
+    run: &'a WorkloadRun,
+) -> RunLine<'a> {
+    RunLine {
+        figure,
+        workload,
+        config,
+        sim,
+        report: &run.report,
+    }
+}
+
+impl RunLine<'_> {
+    /// Renders the line (no trailing newline): sweep, workload, config,
+    /// the stable [`config_hash`], cycles, completion, memory operations,
+    /// aggregate achieved GB/s at the SM clock, L1/L2 hit rates, MSHR
+    /// stalls, DRAM energy and per-pool traffic with each pool's achieved
+    /// GB/s; then a `migration` block for `MIGRATE` runs and an
+    /// `estimated` block for sampled runs, each only when present.
+    ///
+    /// The argument selects nothing (run lines carry no wall-clock
+    /// field); it is kept only for the benchmark's
+    /// `record_for(..).jsonl(false)` call.
+    pub fn jsonl(&self, _timing: bool) -> String {
+        let report = self.report;
+        let ghz = self.sim.sm_clock_ghz;
+        let seconds = report.cycles as f64 / (ghz * 1e9);
+        let pools = array(report.pools.iter().map(|p| {
+            let gbps = if seconds > 0.0 {
                 p.bytes_total() as f64 / seconds / 1e9
             } else {
                 0.0
-            },
-            row_hit_rate: p.row_hit_rate,
-        })
-        .collect();
-    RunRecord {
-        sweep: figure.to_string(),
-        workload: workload.to_string(),
-        config: config.to_string(),
-        config_hash: config_hash(figure, workload, config, sim),
-        cycles: run.report.cycles,
-        completed: run.report.completed,
-        mem_ops: run.report.mem_ops,
-        achieved_gbps: run.report.achieved_bandwidth(ghz).gbps(),
-        l1_hit_rate: run.report.l1_hit_rate(),
-        l2_hit_rate: run.report.l2_hit_rate(),
-        mshr_stalls: run.report.mshr_stalls,
-        energy_joules: run.report.dram_energy_joules(),
-        pools,
-        migration: run.report.migration.map(|m| MigrationTelemetry {
-            pages_migrated: m.pages_migrated(),
-            pages_promoted: m.pages_promoted,
-            pages_demoted: m.pages_demoted,
-            pages_evicted: m.pages_evicted,
-            epochs: m.epochs,
-            copy_bytes: m.copy_bytes,
-            remap_stall_cycles: m.remap_stall_cycles,
-        }),
-        estimated: run.report.estimated.map(|e| EstimateTelemetry {
-            windows_detail: e.windows_detail,
-            windows_extrapolated: e.windows_extrapolated,
-            ops_simulated: e.ops_simulated,
-            ops_extrapolated: e.ops_extrapolated,
-            cycles_measured: e.cycles_measured,
-            cycles_extrapolated: e.cycles_extrapolated,
-            confidence: e.confidence,
-        }),
-        wall_ms: None,
+            };
+            JsonObject::new()
+                .str("name", &p.name)
+                .u64("bytes_read", p.bytes_read)
+                .u64("bytes_written", p.bytes_written)
+                .f64("achieved_gbps", gbps)
+                .f64("row_hit_rate", p.row_hit_rate)
+                .finish()
+        }));
+        let hash = config_hash(self.figure, self.workload, self.config, self.sim);
+        let mut obj = JsonObject::new()
+            .str("record", "run")
+            .str("sweep", self.figure)
+            .str("workload", self.workload)
+            .str("config", self.config)
+            .str("config_hash", &format!("{hash:016x}"))
+            .u64("cycles", report.cycles)
+            .bool("completed", report.completed)
+            .u64("mem_ops", report.mem_ops)
+            .f64("achieved_gbps", report.achieved_bandwidth(ghz).gbps())
+            .f64("l1_hit_rate", report.l1_hit_rate())
+            .f64("l2_hit_rate", report.l2_hit_rate())
+            .u64("mshr_stalls", report.mshr_stalls)
+            .f64("energy_joules", report.dram_energy_joules())
+            .raw("pools", &pools);
+        if let Some(m) = &report.migration {
+            let mig = JsonObject::new()
+                .u64("pages_migrated", m.pages_migrated())
+                .u64("pages_promoted", m.pages_promoted)
+                .u64("pages_demoted", m.pages_demoted)
+                .u64("pages_evicted", m.pages_evicted)
+                .u64("epochs", m.epochs)
+                .u64("copy_bytes", m.copy_bytes)
+                .u64("remap_stall_cycles", m.remap_stall_cycles)
+                .finish();
+            obj = obj.raw("migration", &mig);
+        }
+        if let Some(e) = &report.estimated {
+            let est = JsonObject::new()
+                .u64("windows_detail", e.windows_detail)
+                .u64("windows_extrapolated", e.windows_extrapolated)
+                .u64("ops_simulated", e.ops_simulated)
+                .u64("ops_extrapolated", e.ops_extrapolated)
+                .u64("cycles_measured", e.cycles_measured)
+                .u64("cycles_extrapolated", e.cycles_extrapolated)
+                .f64("confidence", e.confidence)
+                .finish();
+            obj = obj.raw("estimated", &est);
+        }
+        obj.finish()
     }
 }
 
@@ -227,8 +294,8 @@ pub fn config_hash(figure: &str, workload: &str, config: &str, sim: &SimConfig) 
 }
 
 /// Renders a run's sampled [`IntervalReport`] series as `"interval"`
-/// JSONL lines carrying the same config hash as the run's
-/// [`RunRecord`]: the window's counters with derived L1/L2 hit rates,
+/// JSONL lines carrying the same config hash as the run's `run` line:
+/// the window's counters with derived L1/L2 hit rates,
 /// and per pool the achieved GB/s over the window, the bus utilization
 /// normalized by the pool's channel count and the zone occupancy.
 pub fn interval_records_for(
@@ -514,22 +581,17 @@ impl RunPoint {
     }
 }
 
-/// Runs a figure's grid through the harness sweep engine. `records`
-/// turns each `(point, result)` into telemetry records (empty for
-/// profiling passes); they are written only when the options carry a
-/// sink.
+/// Runs a figure's grid through the harness sweep engine.
 ///
 /// # Panics
 ///
-/// Panics with the failing point's identity if any grid point panics,
-/// or if the telemetry sink cannot be written.
+/// Panics with the failing point's identity if any grid point panics.
 pub(crate) fn sweep<P, R>(
     figure: &str,
     opts: &ExpOptions,
     points: &[P],
     label: impl Fn(&P) -> String + Sync,
     run: impl Fn(&P) -> R + Sync,
-    records: impl Fn(&P, &R) -> Vec<RunRecord>,
 ) -> Vec<R>
 where
     P: Sync,
@@ -540,69 +602,53 @@ where
         progress: opts.verbose,
         ..SweepOptions::default()
     };
-    let results =
-        run_grid(points, &sweep_opts, &label, run).unwrap_or_else(|e| panic!("{figure}: {e}"));
-    if let Some(sink) = &opts.telemetry {
-        let recs: Vec<RunRecord> = points
-            .iter()
-            .zip(&results)
-            .flat_map(|(p, r)| records(p, r))
-            .collect();
-        sink.record(figure, &recs)
-            .unwrap_or_else(|e| panic!("{figure}: telemetry write failed: {e}"));
-    }
-    results
+    run_grid(points, &sweep_opts, &label, run).unwrap_or_else(|e| panic!("{figure}: {e}"))
 }
 
 /// [`sweep`] specialized to [`RunPoint`] grids: runs every point's
-/// workload and records one [`RunRecord`] per run. When the options ask
-/// for observation (interval sampling and/or tracing), every point runs
-/// through the observed simulator instead; interval records append to
-/// the figure's JSONL after its run records, and one Chrome trace file
-/// per point lands in the trace directory — all in grid order, so
-/// output stays byte-identical at any thread count.
+/// workload and, when the options carry a sink, records one `run` line
+/// per run. When the options ask for observation (interval sampling
+/// and/or tracing), every point runs through the observed simulator
+/// instead; interval records append to the figure's JSONL after its run
+/// lines, and one Chrome trace file per point lands in the trace
+/// directory — all in grid order, so output stays byte-identical at any
+/// thread count.
+///
+/// # Panics
+///
+/// Panics with the failing point's identity if any grid point panics,
+/// or if the telemetry sink or a trace file cannot be written.
 pub(crate) fn run_point_sweep(
     figure: &'static str,
     opts: &ExpOptions,
     points: &[RunPoint],
 ) -> Vec<WorkloadRun> {
     if opts.sample_cycles.is_none() && opts.trace.is_none() {
-        return sweep(
-            figure,
-            opts,
-            points,
-            RunPoint::label,
-            |p| {
-                RunBuilder::new(&p.spec, &p.sim)
-                    .capacity(p.capacity)
-                    .placement(&p.placement)
-                    .fidelity(opts.fidelity)
-                    .run()
-            },
-            |p, r| vec![record_for(figure, p.spec.name, &p.config, &p.sim, r)],
-        );
-    }
-    let results: Vec<ObservedRun> = sweep(
-        figure,
-        opts,
-        points,
-        RunPoint::label,
-        |p| {
+        let runs = sweep(figure, opts, points, RunPoint::label, |p| {
             RunBuilder::new(&p.spec, &p.sim)
                 .capacity(p.capacity)
                 .placement(&p.placement)
-                .observe(ProbeObserver::new(
-                    opts.sample_cycles
-                        .map(|n| IntervalSampler::new(n, p.sim.pools.len())),
-                    opts.trace
-                        .as_ref()
-                        .map(|_| EventTracer::new(opts.trace_budget)),
-                ))
                 .fidelity(opts.fidelity)
-                .run_observed()
-        },
-        |p, r| vec![record_for(figure, p.spec.name, &p.config, &p.sim, &r.run)],
-    );
+                .run()
+        });
+        record_runs(figure, opts, points, &runs);
+        return runs;
+    }
+    let results: Vec<ObservedRun> = sweep(figure, opts, points, RunPoint::label, |p| {
+        RunBuilder::new(&p.spec, &p.sim)
+            .capacity(p.capacity)
+            .placement(&p.placement)
+            .observe(ProbeObserver::new(
+                opts.sample_cycles
+                    .map(|n| IntervalSampler::new(n, p.sim.pools.len())),
+                opts.trace
+                    .as_ref()
+                    .map(|_| EventTracer::new(opts.trace_budget)),
+            ))
+            .fidelity(opts.fidelity)
+            .run_observed()
+    });
+    record_runs(figure, opts, points, results.iter().map(|r| &r.run));
     if let (Some(sink), Some(_)) = (&opts.telemetry, opts.sample_cycles) {
         let lines: Vec<String> = points
             .iter()
@@ -640,6 +686,24 @@ pub(crate) fn run_point_sweep(
         }
     }
     results.into_iter().map(|r| r.run).collect()
+}
+
+/// Appends one `run` line per point to the figure's JSONL when the
+/// options carry a sink.
+fn record_runs<'a>(
+    figure: &str,
+    opts: &ExpOptions,
+    points: &'a [RunPoint],
+    runs: impl IntoIterator<Item = &'a WorkloadRun>,
+) {
+    let Some(sink) = &opts.telemetry else { return };
+    let lines: Vec<RunLine<'_>> = points
+        .iter()
+        .zip(runs)
+        .map(|(p, r)| record_for(figure, p.spec.name, &p.config, &p.sim, r))
+        .collect();
+    sink.record(figure, &lines)
+        .unwrap_or_else(|e| panic!("{figure}: telemetry write failed: {e}"));
 }
 
 /// Makes a config label filesystem-safe (`30C-70B` stays as-is; spaces,

@@ -9,10 +9,10 @@
 //! 1. **[`sweep`]** — a scoped-thread worker pool executing
 //!    `(workload × config)` grid points concurrently, with results in
 //!    stable grid order: identical output at any thread count.
-//! 2. **[`telemetry`] / [`json`]** — per-run records emitted as JSON
-//!    Lines through a hand-rolled serializer (no serde), plus the
-//!    end-of-sweep summary. Byte-identical across runs and thread
-//!    counts.
+//! 2. **[`json`] / [`telemetry`]** — a hand-rolled JSON writer and
+//!    parser (no serde) that telemetry lines are rendered with, and the
+//!    config hash and hit-rate helpers those lines share. Byte-identical
+//!    across runs and thread counts.
 //! 3. **The determinism/testing kit** — [`rng`] (SplitMix64 +
 //!    xoshiro256**, replacing `rand`), and [`prop`] and the [`props!`]
 //!    macro (seeded case generation with shrinking-lite, replacing
@@ -76,5 +76,5 @@ pub use queue::{BoundedQueue, PushError};
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use rng::{SplitMix64, Xoshiro256StarStar};
 pub use sweep::{run_grid, SweepError, SweepOptions};
-pub use telemetry::{fnv1a, hit_rate, summary, MigrationTelemetry, PoolTelemetry, RunRecord};
+pub use telemetry::{fnv1a, hit_rate};
 pub use trace::{ChromeTrace, TraceEvent};
