@@ -164,16 +164,3 @@ fn sweep_usage_errors_exit_2() {
         refused(bin, &["--seed", seed], 2, "expected an integer below 2^53");
     }
 }
-
-#[test]
-fn explore_usage_errors_exit_2() {
-    let bin = env!("CARGO_BIN_EXE_explore");
-    refused(
-        bin,
-        &["nosuch"],
-        2,
-        "unknown workload 'nosuch' (catalog: backprop, bfs",
-    );
-    refused(bin, &["bfs", "fastest"], 2, "policy must be local|");
-    refused(bin, &["bfs", "bw-aware", "abc"], 2, "capacity");
-}

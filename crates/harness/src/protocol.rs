@@ -493,17 +493,6 @@ impl std::error::Error for ProtocolError {
     }
 }
 
-/// Serializes a `&str`-keyed list of string pairs as a params object —
-/// a convenience for simple clients.
-pub fn params_object(pairs: &[(&str, &str)]) -> JsonValue {
-    JsonValue::Object(
-        pairs
-            .iter()
-            .map(|(k, v)| ((*k).to_string(), JsonValue::Str((*v).to_string())))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,12 +625,6 @@ mod tests {
         ] {
             assert!(Response::decode(bad).is_err(), "accepted {bad}");
         }
-    }
-
-    #[test]
-    fn params_object_builds_string_params() {
-        let p = params_object(&[("workload", "bfs"), ("policy", "LOCAL")]);
-        assert_eq!(p.render(), r#"{"workload":"bfs","policy":"LOCAL"}"#);
     }
 
     #[test]

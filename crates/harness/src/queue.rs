@@ -132,11 +132,6 @@ impl<T> BoundedQueue<T> {
         self.not_empty.notify_all();
     }
 
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).closed
-    }
-
     /// Items currently queued.
     pub fn len(&self) -> usize {
         self.inner
@@ -194,7 +189,6 @@ mod tests {
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
         q.close();
-        assert!(q.is_closed());
         assert_eq!(q.try_push(3).unwrap_err().into_inner(), 3);
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));

@@ -205,11 +205,6 @@ impl AddressSpace {
         self.placement_log = Some(Vec::new());
     }
 
-    /// Whether placement logging is active.
-    pub fn placement_log_enabled(&self) -> bool {
-        self.placement_log.is_some()
-    }
-
     /// Takes the recorded events, leaving logging enabled with an empty
     /// log. Returns an empty vector when logging was never enabled.
     pub fn take_placement_log(&mut self) -> Vec<PlacementEvent> {
@@ -530,18 +525,6 @@ impl AddressSpace {
         Ok(new)
     }
 
-    /// Unmaps every page in `range`, returning frames to their zones.
-    /// Pages that were never touched are skipped. The VMA itself remains
-    /// (virtual space is not recycled — allocation-heavy workloads in the
-    /// paper hoist allocations, so address reuse is irrelevant here).
-    pub fn unmap_range(&mut self, range: VmaRange) {
-        for page in range.pages() {
-            if let Some(frame) = self.page_table.remove(page) {
-                self.allocator.free(frame);
-            }
-        }
-    }
-
     /// Number of pages with physical frames.
     pub fn mapped_pages(&self) -> u64 {
         self.page_table.len()
@@ -631,26 +614,6 @@ impl PageTable {
             self.dense[i] = frame.index();
         } else if self.spill.insert(page, frame).is_none() {
             self.len += 1;
-        }
-    }
-
-    fn remove(&mut self, page: PageNum) -> Option<FrameNum> {
-        let idx = page.index();
-        if idx < Self::DENSE_CAP {
-            let slot = self.dense.get_mut(idx as usize)?;
-            if *slot == Self::UNMAPPED {
-                return None;
-            }
-            let frame = FrameNum::new(*slot);
-            *slot = Self::UNMAPPED;
-            self.len -= 1;
-            Some(frame)
-        } else {
-            let frame = self.spill.remove(&page);
-            if frame.is_some() {
-                self.len -= 1;
-            }
-            frame
         }
     }
 
@@ -830,17 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn unmap_returns_frames() {
-        let mut mm = mm(2, 1);
-        let r = mm.mmap(2 * PAGE_SIZE as u64).unwrap();
-        mm.populate(r).unwrap();
-        assert_eq!(mm.zone_stats(ZoneId::new(0)).unwrap().free(), 0);
-        mm.unmap_range(r);
-        assert_eq!(mm.zone_stats(ZoneId::new(0)).unwrap().free(), 2);
-        assert_eq!(mm.mapped_pages(), 0);
-    }
-
-    #[test]
     fn migrate_moves_page_between_zones() {
         let mut mm = mm(16, 16);
         let r = mm.mmap(PAGE_SIZE as u64).unwrap();
@@ -910,7 +862,6 @@ mod tests {
     #[test]
     fn placement_log_off_by_default() {
         let mut mm = mm(4, 4);
-        assert!(!mm.placement_log_enabled());
         let r = mm.mmap(PAGE_SIZE as u64).unwrap();
         mm.populate(r).unwrap();
         assert!(mm.take_placement_log().is_empty());
