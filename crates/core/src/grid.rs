@@ -14,9 +14,8 @@
 //! with no intermediate record type: a run's `gpusim::SimReport` becomes
 //! its `"run"` line ([`record_for`]), observed sweeps' per-point
 //! `gpusim::IntervalReport`s become `"interval"` lines in the same file
-//! ([`interval_records_for`], [`sampled_interval_records_for`]), and
-//! each point's `gpusim::EventTracer` becomes one Chrome trace file
-//! ([`chrome_trace_for`]).
+//! ([`interval_records_for`]), and each point's `gpusim::EventTracer`
+//! becomes one Chrome trace file ([`chrome_trace_for`]).
 
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -295,29 +294,19 @@ pub fn config_hash(figure: &str, workload: &str, config: &str, sim: &SimConfig) 
 
 /// Renders a run's sampled [`IntervalReport`] series as `"interval"`
 /// JSONL lines carrying the same config hash as the run's `run` line:
-/// the window's counters with derived L1/L2 hit rates,
-/// and per pool the achieved GB/s over the window, the bus utilization
-/// normalized by the pool's channel count and the zone occupancy.
+/// the window's counters with derived L1/L2 hit rates, and per pool the
+/// achieved GB/s over the window, the bus utilization normalized by the
+/// pool's channel count and the zone occupancy.
+///
+/// Both rates are taken over the cycles a window actually covered: the
+/// sampler's last window ends at its nominal edge, past the run's end.
+/// For a sampled fast-forward run (`report.estimated` is set) the
+/// measured windows are tagged `mode: "detail"` and end where the
+/// detail timeline ends (`cycles_measured`); one more window, tagged
+/// `mode: "extrapolated"`, covers the extrapolated tail from there to
+/// the report's last cycle — the report's totals minus what the windows
+/// counted — so a trace file never silently mixes fidelities.
 pub fn interval_records_for(
-    figure: &str,
-    workload: &str,
-    config: &str,
-    sim: &SimConfig,
-    intervals: &[IntervalReport],
-) -> Vec<String> {
-    let head = interval_head(figure, workload, config, sim);
-    intervals
-        .iter()
-        .map(|iv| interval_line(&head, sim, iv, None))
-        .collect()
-}
-
-/// [`interval_records_for`] for a sampled fast-forward run: the
-/// measured windows are tagged `mode: "detail"` and one more window,
-/// tagged `mode: "extrapolated"`, covers the extrapolated tail — the
-/// report's totals minus what the windows counted — so a trace file
-/// never silently mixes fidelities.
-pub fn sampled_interval_records_for(
     figure: &str,
     workload: &str,
     config: &str,
@@ -326,13 +315,20 @@ pub fn sampled_interval_records_for(
     report: &SimReport,
 ) -> Vec<String> {
     let head = interval_head(figure, workload, config, sim);
-    let tail = extrapolated_tail(intervals, report);
+    let Some(estimated) = &report.estimated else {
+        return intervals
+            .iter()
+            .map(|iv| interval_line(&head, sim, iv, report.cycles, None))
+            .collect();
+    };
+    let measured = estimated.cycles_measured;
+    let tail = extrapolated_tail(intervals, report, measured);
     intervals
         .iter()
-        .map(|iv| interval_line(&head, sim, iv, Some("detail")))
+        .map(|iv| interval_line(&head, sim, iv, measured, Some("detail")))
         .chain(
             tail.iter()
-                .map(|iv| interval_line(&head, sim, iv, Some("extrapolated"))),
+                .map(|iv| interval_line(&head, sim, iv, report.cycles, Some("extrapolated"))),
         )
         .collect()
 }
@@ -349,29 +345,36 @@ fn interval_head(figure: &str, workload: &str, config: &str, sim: &SimConfig) ->
 }
 
 /// One `interval` line (fields as [`interval_records_for`] lists them)
-/// after `head`; `mode` tags sampled runs' lines (full-fidelity lines
-/// carry none).
+/// after `head`, with rates over the part of the window before
+/// `measured_end` (0 for a window that covered no cycles); `mode` tags
+/// sampled runs' lines (full-fidelity lines carry none).
 fn interval_line(
     head: &JsonObject,
     sim: &SimConfig,
     iv: &IntervalReport,
+    measured_end: u64,
     mode: Option<&str>,
 ) -> String {
-    let window = (iv.end_cycle - iv.start_cycle) as f64;
+    let covered = iv
+        .end_cycle
+        .min(measured_end)
+        .saturating_sub(iv.start_cycle) as f64;
     let pools = array(iv.pools.iter().zip(&sim.pools).map(|(p, cfg)| {
+        let (gbps, bus_util) = if covered > 0.0 {
+            (
+                // bytes / (covered / (ghz GHz)) in GB/s.
+                (p.bytes_read + p.bytes_written) as f64 * sim.sm_clock_ghz / covered,
+                (p.busy_cycles / (covered * f64::from(cfg.channels))).min(1.0),
+            )
+        } else {
+            (0.0, 0.0)
+        };
         JsonObject::new()
             .str("name", &cfg.name)
             .u64("bytes_read", p.bytes_read)
             .u64("bytes_written", p.bytes_written)
-            // bytes / (window / (ghz GHz)) in GB/s.
-            .f64(
-                "achieved_gbps",
-                (p.bytes_read + p.bytes_written) as f64 * sim.sm_clock_ghz / window,
-            )
-            .f64(
-                "bus_util",
-                (p.busy_cycles / (window * f64::from(cfg.channels))).min(1.0),
-            )
+            .f64("achieved_gbps", gbps)
+            .f64("bus_util", bus_util)
             .u64("zone_pages", p.zone_pages)
             .finish()
     }));
@@ -398,12 +401,15 @@ fn interval_line(
 }
 
 /// The stretch of a sampled run its detail windows did not measure, as
-/// one more window from the last window's end to the report's last
+/// one more window from the measured end `start` to the report's last
 /// cycle: the report's totals minus what the windows counted (bus busy
 /// cycles floored at zero), the last window's zone occupancy, and no
-/// MSHR peak or burst count. `None` when the windows reach the end.
-fn extrapolated_tail(intervals: &[IntervalReport], report: &SimReport) -> Option<IntervalReport> {
-    let start = intervals.iter().map(|iv| iv.end_cycle).max().unwrap_or(0);
+/// MSHR peak or burst count. `None` when nothing was extrapolated.
+fn extrapolated_tail(
+    intervals: &[IntervalReport],
+    report: &SimReport,
+    start: u64,
+) -> Option<IntervalReport> {
     if report.cycles <= start {
         return None;
     }
@@ -654,18 +660,14 @@ pub(crate) fn run_point_sweep(
             .iter()
             .zip(&results)
             .flat_map(|(p, r)| {
-                if r.run.report.estimated.is_some() {
-                    sampled_interval_records_for(
-                        figure,
-                        p.spec.name,
-                        &p.config,
-                        &p.sim,
-                        &r.intervals,
-                        &r.run.report,
-                    )
-                } else {
-                    interval_records_for(figure, p.spec.name, &p.config, &p.sim, &r.intervals)
-                }
+                interval_records_for(
+                    figure,
+                    p.spec.name,
+                    &p.config,
+                    &p.sim,
+                    &r.intervals,
+                    &r.run.report,
+                )
             })
             .collect();
         sink.record_lines(figure, &lines)
@@ -1020,16 +1022,9 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn interval_lines_are_pinned() {
-        let sim = SimConfig::paper_baseline();
-        let lines = interval_records_for("fig3", "lbm", "LOCAL", &sim, &pinned_intervals());
-        assert_eq!(lines, PINNED_LINES);
-    }
-
-    #[test]
-    fn sampled_interval_lines_and_extrapolated_tail_are_pinned() {
-        let sim = SimConfig::paper_baseline();
+    /// A report on the paper machine (GDDR5 + DDR4) that ends at
+    /// `cycles`, with the totals [`pinned_intervals`] leave a tail of.
+    fn pinned_report(cycles: u64, estimated: Option<gpusim::EstimateReport>) -> SimReport {
         let pool = |name: &str, bytes_read, bytes_written, bus_busy_cycles| gpusim::PoolReport {
             name: name.to_string(),
             kind: hmtypes::MemKind::BandwidthOptimized,
@@ -1039,8 +1034,8 @@ mod tests {
             bus_busy_cycles,
             energy_joules: 0.0,
         };
-        let report = SimReport {
-            cycles: 5_000,
+        SimReport {
+            cycles,
             completed: true,
             mem_ops: 400,
             l1: (100, 60),
@@ -1055,16 +1050,86 @@ mod tests {
             ],
             page_accesses: None,
             migration: None,
-            estimated: None,
+            estimated,
+        }
+    }
+
+    /// What a sampled run measured in detail up to `cycles_measured`.
+    fn estimate(cycles_measured: u64, cycles_extrapolated: u64) -> gpusim::EstimateReport {
+        gpusim::EstimateReport {
+            windows_detail: 2,
+            windows_extrapolated: 3,
+            ops_simulated: 96,
+            ops_extrapolated: 304,
+            cycles_measured,
+            cycles_extrapolated,
+            confidence: 0.9,
+        }
+    }
+
+    #[test]
+    fn interval_lines_are_pinned() {
+        let sim = SimConfig::paper_baseline();
+        let report = pinned_report(2_000, None);
+        let lines =
+            interval_records_for("fig3", "lbm", "LOCAL", &sim, &pinned_intervals(), &report);
+        assert_eq!(lines, PINNED_LINES);
+    }
+
+    #[test]
+    fn last_window_rates_cover_only_the_measured_cycles() {
+        use hetmem_harness::JsonValue;
+
+        let sim = SimConfig::paper_baseline();
+        let pools_of = |line: &String| {
+            let v = JsonValue::parse(line).unwrap();
+            let pools = v.get("pools").and_then(JsonValue::as_array).unwrap();
+            let f = |p: &JsonValue, key: &str| p.get(key).and_then(JsonValue::as_f64).unwrap();
+            pools
+                .iter()
+                .map(|p| (f(p, "achieved_gbps"), f(p, "bus_util")))
+                .collect::<Vec<_>>()
         };
-        let lines = sampled_interval_records_for(
-            "fig3",
-            "lbm",
-            "LOCAL",
-            &sim,
-            &pinned_intervals(),
-            &report,
+        // The run ends 600 cycles into the 1 000-cycle second window.
+        let report = pinned_report(1_600, None);
+        let lines =
+            interval_records_for("fig3", "lbm", "LOCAL", &sim, &pinned_intervals(), &report);
+        assert_eq!(lines[0], PINNED_LINES[0], "full windows are unchanged");
+        let ddr4_busy = 10.25 / (600.0 * 4.0);
+        assert_eq!(
+            pools_of(&lines[1]),
+            [
+                (4_096.0 * 1.4 / 600.0, 1.0),
+                (128.0 * 1.4 / 600.0, ddr4_busy)
+            ]
         );
+        assert!(
+            lines[1].contains(r#""end_cycle":2000"#),
+            "nominal edge kept"
+        );
+        // A run ending on the edge leaves an empty window: rates are 0.
+        let report = pinned_report(1_000, None);
+        let lines =
+            interval_records_for("fig3", "lbm", "LOCAL", &sim, &pinned_intervals(), &report);
+        assert_eq!(pools_of(&lines[1]), [(0.0, 0.0), (0.0, 0.0)]);
+        // Sampled: detail windows end at the measured end and the tail
+        // starts there, even when the last nominal edge lies past the
+        // extrapolated end.
+        let report = pinned_report(1_900, Some(estimate(1_600, 300)));
+        let lines =
+            interval_records_for("fig3", "lbm", "LOCAL", &sim, &pinned_intervals(), &report);
+        assert_eq!(lines.len(), 3);
+        assert_eq!(pools_of(&lines[1])[0], (4_096.0 * 1.4 / 600.0, 1.0));
+        assert!(lines[2].contains(r#""start_cycle":1600,"end_cycle":1900"#));
+        assert!(lines[2].ends_with(r#""mode":"extrapolated"}"#));
+    }
+
+    #[test]
+    fn sampled_interval_lines_and_extrapolated_tail_are_pinned() {
+        let sim = SimConfig::paper_baseline();
+        let report = pinned_report(5_000, Some(estimate(2_000, 3_000)));
+        let lines =
+            interval_records_for("fig3", "lbm", "LOCAL", &sim, &pinned_intervals(), &report);
         // Detail windows are the full-fidelity lines tagged with a mode.
         let detail: Vec<String> = PINNED_LINES
             .iter()
@@ -1073,13 +1138,9 @@ mod tests {
         assert_eq!(lines[..2], detail);
         assert_eq!(lines[2], PINNED_TAIL);
         assert_eq!(lines.len(), 3);
-        // A report that ends inside the measured windows adds no tail.
-        let short = SimReport {
-            cycles: 2_000,
-            ..report
-        };
-        let lines =
-            sampled_interval_records_for("fig3", "lbm", "LOCAL", &sim, &pinned_intervals(), &short);
+        // A report that extrapolated nothing adds no tail.
+        let short = pinned_report(2_000, Some(estimate(2_000, 0)));
+        let lines = interval_records_for("fig3", "lbm", "LOCAL", &sim, &pinned_intervals(), &short);
         assert_eq!(lines.len(), 2);
     }
 

@@ -49,10 +49,7 @@ pub mod runtime;
 pub mod translate;
 
 pub use error::HetmemError;
-pub use grid::{
-    chrome_trace_for, config_hash, interval_records_for, record_for, sampled_interval_records_for,
-    TelemetrySink,
-};
+pub use grid::{chrome_trace_for, config_hash, interval_records_for, record_for, TelemetrySink};
 pub use migrate::{HotnessTally, MigrationEpochEvent, OnlineMigrator};
 pub use runner::{
     bo_traffic_target, check_fidelity, geomean, hints_from_profile, profile_workload, Capacity,
