@@ -941,7 +941,8 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The two windows of [`pinned_intervals`] as full-fidelity lines.
+    /// The two windows of [`pinned_intervals`] as full-fidelity lines of
+    /// a run that ends at cycle 1 600, inside the second window.
     const PINNED_LINES: [&str; 2] = [
         concat!(
             r#"{"record":"interval","sweep":"fig3","workload":"lbm","config":"LOCAL","#,
@@ -959,24 +960,25 @@ mod tests {
             r#""end_cycle":2000,"mem_ops":32,"l1_hits":0,"l1_misses":0,"l1_hit_rate":0,"#,
             r#""l2_hits":3,"l2_misses":1,"l2_hit_rate":0.75,"mshr_stalls":0,"mshr_peak":5,"#,
             r#""warps_retired":2,"pools":[{"name":"GDDR5","bytes_read":4096,"#,
-            r#""bytes_written":0,"achieved_gbps":5.7344,"bus_util":1,"zone_pages":5},"#,
-            r#"{"name":"DDR4","bytes_read":0,"bytes_written":128,"achieved_gbps":0.1792,"#,
-            r#""bus_util":0.0025625,"zone_pages":2}]}"#,
+            r#""bytes_written":0,"achieved_gbps":9.557333333333332,"bus_util":1,"zone_pages":5},"#,
+            r#"{"name":"DDR4","bytes_read":0,"bytes_written":128,"#,
+            r#""achieved_gbps":0.29866666666666664,"bus_util":0.004270833333333333,"#,
+            r#""zone_pages":2}]}"#,
         ),
     ];
 
     /// The extrapolated tail [`pinned_intervals`] leave of a 5 000-cycle
-    /// sampled report.
+    /// sampled report that measured 1 600 cycles in detail.
     const PINNED_TAIL: &str = concat!(
         r#"{"record":"interval","sweep":"fig3","workload":"lbm","config":"LOCAL","#,
-        r#""config_hash":"79eeb2e8887c616e","index":2,"start_cycle":2000,"#,
+        r#""config_hash":"79eeb2e8887c616e","index":2,"start_cycle":1600,"#,
         r#""end_cycle":5000,"mem_ops":304,"l1_hits":70,"l1_misses":50,"#,
         r#""l1_hit_rate":0.5833333333333334,"l2_hits":31,"l2_misses":15,"#,
         r#""l2_hit_rate":0.6739130434782609,"mshr_stalls":2,"mshr_peak":0,"#,
         r#""warps_retired":6,"pools":[{"name":"GDDR5","bytes_read":14336,"#,
-        r#""bytes_written":3584,"achieved_gbps":8.362666666666666,"#,
-        r#""bus_util":0.11247916666666667,"zone_pages":5},{"name":"DDR4","#,
-        r#""bytes_read":2048,"bytes_written":896,"achieved_gbps":1.3738666666666666,"#,
+        r#""bytes_written":3584,"achieved_gbps":7.378823529411765,"#,
+        r#""bus_util":0.09924632352941176,"zone_pages":5},{"name":"DDR4","#,
+        r#""bytes_read":2048,"bytes_written":896,"achieved_gbps":1.2122352941176469,"#,
         r#""bus_util":0,"zone_pages":2}],"mode":"extrapolated"}"#,
     );
 
@@ -1070,7 +1072,7 @@ mod tests {
     #[test]
     fn interval_lines_are_pinned() {
         let sim = SimConfig::paper_baseline();
-        let report = pinned_report(2_000, None);
+        let report = pinned_report(1_600, None);
         let lines =
             interval_records_for("fig3", "lbm", "LOCAL", &sim, &pinned_intervals(), &report);
         assert_eq!(lines, PINNED_LINES);
@@ -1127,7 +1129,7 @@ mod tests {
     #[test]
     fn sampled_interval_lines_and_extrapolated_tail_are_pinned() {
         let sim = SimConfig::paper_baseline();
-        let report = pinned_report(5_000, Some(estimate(2_000, 3_000)));
+        let report = pinned_report(5_000, Some(estimate(1_600, 3_400)));
         let lines =
             interval_records_for("fig3", "lbm", "LOCAL", &sim, &pinned_intervals(), &report);
         // Detail windows are the full-fidelity lines tagged with a mode.
@@ -1139,7 +1141,7 @@ mod tests {
         assert_eq!(lines[2], PINNED_TAIL);
         assert_eq!(lines.len(), 3);
         // A report that extrapolated nothing adds no tail.
-        let short = pinned_report(2_000, Some(estimate(2_000, 0)));
+        let short = pinned_report(1_600, Some(estimate(1_600, 0)));
         let lines = interval_records_for("fig3", "lbm", "LOCAL", &sim, &pinned_intervals(), &short);
         assert_eq!(lines.len(), 2);
     }
