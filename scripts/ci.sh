@@ -57,6 +57,16 @@ for mode in detail extrapolated; do
     }
 done
 target/release/hetmem-trace check "$OBS_SAMPLED/fig3.jsonl"
+# Run lines carry the `estimated` block exactly when the run was
+# sampled: never at full fidelity, always at sampled fidelity.
+if grep -qE '^\{"record":"run".*"estimated":' "$OBS_DIR/fig3.jsonl"; then
+    echo "full-fidelity fig3 wrote a run line with an \"estimated\" block" >&2
+    exit 1
+fi
+if grep -E '^\{"record":"run"' "$OBS_SAMPLED/fig3.jsonl" | grep -vF '"estimated":' >/dev/null; then
+    echo "sampled fig3 wrote a run line without an \"estimated\" block" >&2
+    exit 1
+fi
 
 # Ablations smoke: the design-choice ablations (DESIGN §5) must print
 # one table each for L2 MSHRs, L2 slice size and random-draw vs exact
