@@ -74,7 +74,7 @@ use hetmem_harness::{
     DEFAULT_VNODES,
 };
 
-use crate::front::{self, Exec, Front, Group, Head, Helps, Job, Ledger, Run, Sub, Table};
+use crate::front::{self, Exec, Group, Head, Helps, Job, Ledger, Run, Sub, Table};
 use crate::reactor::{DrainGate, Reactor, Waker};
 use crate::serve::{exchange, roundtrip_timeout, simulate_cache_key, ServeConfig};
 
@@ -922,14 +922,72 @@ fn backend_roundtrip(
 }
 
 // ---------------------------------------------------------------------------
-// The executor under the shared in-flight table
+// The router's front end: intake hooks and the forwarder-pool executor
 // ---------------------------------------------------------------------------
 
 impl Exec for FleetShared {
     type Head = Head;
     type Work = Fwd;
     type Out = ForwardReply;
+    const DRAINING: HetmemError = HetmemError::FleetDraining;
     const LOST: HetmemError = HetmemError::BackendUnavailable { tried: 0 };
+
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
+    }
+
+    fn draining(&self) -> bool {
+        self.draining.load(Ordering::SeqCst)
+    }
+
+    /// Sets the drain flag once and wakes the poll loop.
+    fn begin_drain(&self) {
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.waker.wake();
+    }
+
+    fn max_batch(&self) -> usize {
+        self.max_batch
+    }
+
+    /// The single-server body (so `hetmem-top` parses it unchanged,
+    /// with `worker_restarts` meaning backend child restarts and `cache`
+    /// the sum of the backends' last probed caches) plus a `fleet` block
+    /// with per-backend health and traffic.
+    fn stats(&self) -> String {
+        let mut cache = CacheStats::default();
+        let backends = json::array(self.backends.iter().enumerate().map(|(i, b)| {
+            cache.merge(&b.cache.lock().unwrap_or_else(|e| e.into_inner()));
+            let obj = JsonObject::new()
+                .u64("backend", i as u64)
+                .bool("healthy", b.healthy())
+                .str("breaker", b.breaker.state().as_str())
+                .bool("gone", b.gone.load(Ordering::Relaxed))
+                .u64("requests", b.requests.get())
+                .u64("errors", b.errors.get())
+                .u64("reroutes", b.reroutes.get())
+                .u64("restarts", b.restarts.get());
+            match b.addr() {
+                Some(addr) => obj.str("addr", &addr.to_string()).finish(),
+                None => obj.finish(),
+            }
+        }));
+        let fleet = JsonObject::new()
+            .u64("reroutes", self.reroutes.get())
+            .raw("backends", &backends)
+            .finish();
+        self.ledger.stats(&cache, Some(("fleet", &fleet)))
+    }
+
+    /// Mirrors backend health and the forwarding-queue depth.
+    fn refresh(&self) {
+        for b in &self.backends {
+            b.healthy_gauge.set(u64::from(b.healthy()));
+        }
+        self.queue_depth.set(self.fwd.len() as u64);
+    }
 
     fn head(&self, head: Head, _read_us: u64) -> Head {
         head
@@ -1049,65 +1107,4 @@ fn route_key(req: &Request) -> String {
         }
     }
     format!("{}:{}", req.op, req.params.render())
-}
-
-impl Front for FleetShared {
-    const DRAINING: HetmemError = HetmemError::FleetDraining;
-
-    fn ledger(&self) -> &Ledger {
-        &self.ledger
-    }
-
-    fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-
-    /// Sets the drain flag once and wakes the poll loop.
-    fn begin_drain(&self) {
-        if self.draining.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.waker.wake();
-    }
-
-    fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// The single-server body (so `hetmem-top` parses it unchanged,
-    /// with `worker_restarts` meaning backend child restarts and `cache`
-    /// the sum of the backends' last probed caches) plus a `fleet` block
-    /// with per-backend health and traffic.
-    fn stats(&self) -> String {
-        let mut cache = CacheStats::default();
-        let backends = json::array(self.backends.iter().enumerate().map(|(i, b)| {
-            cache.merge(&b.cache.lock().unwrap_or_else(|e| e.into_inner()));
-            let obj = JsonObject::new()
-                .u64("backend", i as u64)
-                .bool("healthy", b.healthy())
-                .str("breaker", b.breaker.state().as_str())
-                .bool("gone", b.gone.load(Ordering::Relaxed))
-                .u64("requests", b.requests.get())
-                .u64("errors", b.errors.get())
-                .u64("reroutes", b.reroutes.get())
-                .u64("restarts", b.restarts.get());
-            match b.addr() {
-                Some(addr) => obj.str("addr", &addr.to_string()).finish(),
-                None => obj.finish(),
-            }
-        }));
-        let fleet = JsonObject::new()
-            .u64("reroutes", self.reroutes.get())
-            .raw("backends", &backends)
-            .finish();
-        self.ledger.stats(&cache, Some(("fleet", &fleet)))
-    }
-
-    /// Mirrors backend health and the forwarding-queue depth.
-    fn refresh(&self) {
-        for b in &self.backends {
-            b.healthy_gauge.set(u64::from(b.healthy()));
-        }
-        self.queue_depth.set(self.fwd.len() as u64);
-    }
 }

@@ -3,16 +3,17 @@
 //! in-flight table, and the ledger behind the `stats` and `metrics`
 //! ops.
 //!
-//! A front end implements [`Front`] for what really differs in intake —
-//! its draining refusal (`shutting-down` / `fleet-draining`), its
-//! `stats` extras and its scrape-time mirrors — and [`Exec`] for its
-//! executor: serve's shard pool or the router's forwarder pool. The
-//! [`Table`] is the one reactor handler both run on. It parks every
-//! request [`intake`] hands over, fans a batch's slots out to the
-//! executor and gathers them back in sub-request order, and accounts
-//! each response before its bytes are queued. The refusal order, every
-//! error string and the shared shape of `stats` and `metrics` live here
-//! once, so a router answers what a server answers byte for byte.
+//! A front end implements one trait, [`Exec`]: what really differs in
+//! intake — its draining refusal (`shutting-down` / `fleet-draining`),
+//! its `stats` extras and its scrape-time mirrors — plus its executor
+//! (serve's shard pool or the router's forwarder pool) and the hooks
+//! the reactor calls on it. The [`Table`] is what the reactor loop
+//! drives for either front end. It parks every request [`intake`] hands
+//! over, fans a batch's slots out to the executor and gathers them back
+//! in sub-request order, and accounts each response before its bytes
+//! are queued. The refusal order, every error string and the shared
+//! shape of `stats` and `metrics` live here once, so a router answers
+//! what a server answers byte for byte.
 
 use std::collections::HashMap;
 use std::io;
@@ -25,7 +26,7 @@ use hetmem_harness::json::{self, JsonObject, JsonValue};
 use hetmem_harness::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use hetmem_harness::{BoundedQueue, CacheStats, PushError, Request, Response, PROTO_V2};
 
-use crate::reactor::{us, Completions, Conn, Handler, Limits, Sink};
+use crate::reactor::{us, Completions, Conn, Limits, Sink};
 
 /// The client-connection limits of either front end.
 pub(crate) fn limits(conn_buffer: usize, read_timeout_ms: u64, write_timeout_ms: u64) -> Limits {
@@ -50,23 +51,6 @@ pub(crate) fn check_positive(settings: &[(&str, u64)]) -> io::Result<()> {
         )),
         None => Ok(()),
     }
-}
-
-/// What a front end supplies to the shared intake.
-pub(crate) trait Front {
-    /// The refusal new work gets once the front end is draining.
-    const DRAINING: HetmemError;
-    fn ledger(&self) -> &Ledger;
-    fn draining(&self) -> bool;
-    /// Starts the drain (the `shutdown` op).
-    fn begin_drain(&self);
-    /// The `batch` sub-request ceiling per envelope.
-    fn max_batch(&self) -> usize;
-    /// The `stats` body, built with [`Ledger::stats`].
-    fn stats(&self) -> String;
-    /// Fills the front end's own scrape-time mirrors before a `metrics`
-    /// render.
-    fn refresh(&self);
 }
 
 /// The identity of one accepted request line.
@@ -110,7 +94,7 @@ pub(crate) enum Slot {
 /// applies the envelope refusals in priority order — draining,
 /// unsupported protocol, deadline already past, then `shed` (the
 /// reactor's backpressure signal; `shutdown` is never shed).
-pub(crate) fn intake<F: Front>(front: &F, line: &str, shed: bool) -> Option<Intake> {
+pub(crate) fn intake<E: Exec>(front: &E, line: &str, shed: bool) -> Option<Intake> {
     let line = line.trim();
     if line.is_empty() {
         return None;
@@ -146,7 +130,7 @@ pub(crate) fn intake<F: Front>(front: &F, line: &str, shed: bool) -> Option<Inta
     };
     let deadline = req.deadline_ms.map(|ms| t0 + Duration::from_millis(ms));
     let refusal = if front.draining() {
-        Some(F::DRAINING)
+        Some(E::DRAINING)
     } else {
         proto_or_deadline(req.proto, deadline)
             .or_else(|| (shed && req.op != "shutdown").then_some(HetmemError::Overloaded))
@@ -182,7 +166,7 @@ fn proto_or_deadline(proto: u64, deadline: Option<Instant>) -> Option<HetmemErro
 }
 
 /// The ops every front end answers itself, bare or inside a batch.
-fn local<F: Front>(front: &F, op: &str, params: &JsonValue) -> Result<String, HetmemError> {
+fn local<E: Exec>(front: &E, op: &str, params: &JsonValue) -> Result<String, HetmemError> {
     match op {
         "stats" => Ok(front.stats()),
         "metrics" => front.ledger().metrics(params, || front.refresh()),
@@ -193,8 +177,8 @@ fn local<F: Front>(front: &F, op: &str, params: &JsonValue) -> Result<String, He
 /// Validates a `batch` envelope's `requests` and resolves every slot.
 /// Per-sub failures become error responses in their slot; they never
 /// fail the envelope.
-fn batch<F: Front>(
-    front: &F,
+fn batch<E: Exec>(
+    front: &E,
     params: &JsonValue,
     parent_deadline: Option<Instant>,
     t0: Instant,
@@ -495,16 +479,38 @@ pub(crate) struct Job<W, O> {
     pub(crate) reply: Sink<Result<O, HetmemError>>,
 }
 
-/// A front end's executor: what runs below the shared [`Table`].
-pub(crate) trait Exec: Front + Send + Sync + 'static {
+/// A front end: what it supplies to the shared intake, the executor
+/// below the shared [`Table`], and the hooks the reactor loop calls.
+pub(crate) trait Exec: Send + Sync + 'static {
     /// A request's identity while it is in flight.
     type Head: Send + 'static;
     /// What one queued job carries.
     type Work: Send + 'static;
     /// A finished job's result.
     type Out: Send + 'static;
+    /// The refusal new work gets once the front end is draining.
+    const DRAINING: HetmemError;
     /// The answer of a job whose worker died holding it.
     const LOST: HetmemError;
+
+    fn ledger(&self) -> &Ledger;
+
+    /// The front end is draining: the listener closes, and every
+    /// connection closes once its responses flush.
+    fn draining(&self) -> bool;
+
+    /// Starts the drain (the `shutdown` op).
+    fn begin_drain(&self);
+
+    /// The `batch` sub-request ceiling per envelope.
+    fn max_batch(&self) -> usize;
+
+    /// The `stats` body, built with [`Ledger::stats`].
+    fn stats(&self) -> String;
+
+    /// Fills the front end's own scrape-time mirrors before a `metrics`
+    /// render.
+    fn refresh(&self);
 
     /// The identity of a request [`intake`] accepted; `read_us` is its
     /// read phase (socket wait plus client think time).
@@ -543,17 +549,24 @@ pub(crate) trait Exec: Front + Send + Sync + 'static {
         c.queue(out, self.draining());
     }
 
-    /// See [`Handler::refuse_accept`].
+    /// Chaos hook: close a freshly accepted connection before serving
+    /// it, as a server at its fd limit would.
     fn refuse_accept(&self) -> bool {
         false
     }
 
-    /// See [`Handler::wrote`].
+    /// A socket accepted response bytes after `us` microseconds in
+    /// write(2).
     fn wrote(&self, _us: u64) {}
 
-    /// See [`Handler::drained`].
+    /// Every accepted request's response is flushed while draining —
+    /// or the reactor loop exited (a panic included). May run more than
+    /// once.
     fn drained(&self);
 }
+
+/// What a job handed to `E`'s executor delivers back to the loop.
+pub(crate) type Reply<E> = Result<<E as Exec>::Out, HetmemError>;
 
 /// A request waiting on the executor, keyed by completion token.
 enum Parked<H> {
@@ -575,9 +588,10 @@ struct Batch<H> {
     remaining: usize,
 }
 
-/// The in-flight table: the reactor handler both front ends run on.
+/// The in-flight table: what the reactor loop drives for either front
+/// end.
 pub(crate) struct Table<E: Exec> {
-    exec: Arc<E>,
+    pub(crate) exec: Arc<E>,
     parked: HashMap<u64, Parked<E::Head>>,
     batches: HashMap<u64, Batch<E::Head>>,
 }
@@ -591,6 +605,98 @@ impl<E: Exec> Table<E> {
         }
     }
 
+    /// No accepted request is waiting on a completion.
+    pub(crate) fn idle(&self) -> bool {
+        self.parked.is_empty() && self.batches.is_empty()
+    }
+
+    /// One complete request line (newline included) read from `c`,
+    /// whose id is `conn`, through [`intake`]: answered now, or parked
+    /// until its executor completes it. `shed` is set when the
+    /// connection's unflushed backlog has reached its `conn_buffer`.
+    pub(crate) fn line(
+        &mut self,
+        c: &mut Conn,
+        conn: u64,
+        line: &str,
+        shed: bool,
+        done: &mut Completions<Reply<E>>,
+    ) {
+        let now = Instant::now();
+        let read_us = us(now.saturating_duration_since(c.last_line_done));
+        c.last_line_done = now;
+        let exec = &*self.exec;
+        let (head, run) = match intake(exec, line, shed) {
+            None => return,
+            Some(Intake::Answer(head, outcome)) => (head, Run::Now(outcome)),
+            Some(Intake::Op(head, req, deadline)) => (head, exec.op(&req, line, deadline)),
+            Some(Intake::Batch(head, slots, deadline)) => {
+                let head = (head.id, exec.head(head, read_us));
+                return self.batch(c, conn, done, head, slots, deadline);
+            }
+        };
+        let head = exec.head(head, read_us);
+        match run {
+            Run::Now(outcome) => {
+                let out = exec.respond(head, outcome);
+                exec.deliver(c, &out);
+            }
+            Run::Queue(work) => {
+                let token = done.token();
+                c.inflight += 1;
+                self.parked.insert(token, Parked::Bare { conn, head });
+                submit(exec, done, token, work);
+            }
+        }
+    }
+
+    /// A job finished: its request is answered, or its batch slots are
+    /// filled and, with the last group, the envelope is. Its connection,
+    /// if still open, is in `conns`. Accounted even if the connection is
+    /// gone: completed work always counts.
+    pub(crate) fn completion(
+        &mut self,
+        conns: &mut HashMap<u64, Conn>,
+        token: u64,
+        reply: Reply<E>,
+    ) {
+        let exec = &*self.exec;
+        let (conn, out) = match self.parked.remove(&token) {
+            None => return,
+            Some(Parked::Bare { conn, head }) => match reply {
+                Ok(out) => (conn, exec.reply(head, out)),
+                Err(e) => (conn, exec.respond(head, Err(e))),
+            },
+            Some(Parked::Group { batch, slots, subs }) => {
+                let responses = match reply {
+                    Ok(out) => exec.gather(&subs, out),
+                    // The front end's own refusal (a full or closed
+                    // queue, a lost job) counts like any other.
+                    Err(e) => subs
+                        .into_iter()
+                        .map(|(id, rid)| exec.ledger().response(id, rid, Err(e.clone())))
+                        .collect(),
+                };
+                let Some(b) = self.batches.get_mut(&batch) else {
+                    return;
+                };
+                for (slot, resp) in slots.into_iter().zip(responses) {
+                    b.slots[slot] = Some(resp);
+                }
+                b.remaining -= 1;
+                if b.remaining > 0 {
+                    return;
+                }
+                let b = self.batches.remove(&batch).expect("batch present");
+                (b.conn, exec.respond(b.head, Ok(batch_result(b.slots))))
+            }
+        };
+        if let Some(c) = conns.get_mut(&conn) {
+            c.inflight -= 1;
+            exec.deliver(c, &out);
+        }
+    }
+
     /// A validated batch: `Ready` slots are kept and the rest fan out
     /// as the executor groups them. An envelope with nothing to fan out
     /// is answered at once; otherwise it is one in-flight unit on its
@@ -599,7 +705,7 @@ impl<E: Exec> Table<E> {
         &mut self,
         c: &mut Conn,
         conn: u64,
-        done: &mut Completions<Result<E::Out, HetmemError>>,
+        done: &mut Completions<Reply<E>>,
         (id, head): (u64, E::Head),
         slots: Vec<Slot>,
         deadline: Option<Instant>,
@@ -646,12 +752,7 @@ impl<E: Exec> Table<E> {
 /// Pushes one job onto its executor queue. A full queue answers
 /// `overloaded` and a closed one the draining error, both through the
 /// job's own sink, so refusals come back like any other completion.
-fn submit<E: Exec>(
-    exec: &E,
-    done: &Completions<Result<E::Out, HetmemError>>,
-    token: u64,
-    work: E::Work,
-) {
+fn submit<E: Exec>(exec: &E, done: &Completions<Reply<E>>, token: u64, work: E::Work) {
     let job = Job {
         work,
         reply: done.sink(token, Err(E::LOST)),
@@ -660,108 +761,5 @@ fn submit<E: Exec>(
         Ok(()) => {}
         Err(PushError::Overloaded(job)) => job.reply.deliver(Err(HetmemError::Overloaded)),
         Err(PushError::Closed(job)) => job.reply.deliver(Err(E::DRAINING)),
-    }
-}
-
-impl<E: Exec> Handler for Table<E> {
-    type Reply = Result<E::Out, HetmemError>;
-
-    fn draining(&self) -> bool {
-        self.exec.draining()
-    }
-
-    fn idle(&self) -> bool {
-        self.parked.is_empty() && self.batches.is_empty()
-    }
-
-    fn refuse_accept(&self) -> bool {
-        self.exec.refuse_accept()
-    }
-
-    /// One request line through [`intake`]: answered now, or parked
-    /// until its executor completes it.
-    fn line(
-        &mut self,
-        c: &mut Conn,
-        conn: u64,
-        line: &str,
-        shed: bool,
-        done: &mut Completions<Self::Reply>,
-    ) {
-        let now = Instant::now();
-        let read_us = us(now.saturating_duration_since(c.last_line_done));
-        c.last_line_done = now;
-        let exec = &*self.exec;
-        let (head, run) = match intake(exec, line, shed) {
-            None => return,
-            Some(Intake::Answer(head, outcome)) => (head, Run::Now(outcome)),
-            Some(Intake::Op(head, req, deadline)) => (head, exec.op(&req, line, deadline)),
-            Some(Intake::Batch(head, slots, deadline)) => {
-                let head = (head.id, exec.head(head, read_us));
-                return self.batch(c, conn, done, head, slots, deadline);
-            }
-        };
-        let head = exec.head(head, read_us);
-        match run {
-            Run::Now(outcome) => {
-                let out = exec.respond(head, outcome);
-                exec.deliver(c, &out);
-            }
-            Run::Queue(work) => {
-                let token = done.token();
-                c.inflight += 1;
-                self.parked.insert(token, Parked::Bare { conn, head });
-                submit(exec, done, token, work);
-            }
-        }
-    }
-
-    /// A job finished: its request is answered, or its batch slots are
-    /// filled and, with the last group, the envelope is. Accounted even
-    /// if the connection is gone: completed work always counts.
-    fn completion(&mut self, conns: &mut HashMap<u64, Conn>, token: u64, reply: Self::Reply) {
-        let exec = &*self.exec;
-        let (conn, out) = match self.parked.remove(&token) {
-            None => return,
-            Some(Parked::Bare { conn, head }) => match reply {
-                Ok(out) => (conn, exec.reply(head, out)),
-                Err(e) => (conn, exec.respond(head, Err(e))),
-            },
-            Some(Parked::Group { batch, slots, subs }) => {
-                let responses = match reply {
-                    Ok(out) => exec.gather(&subs, out),
-                    // The front end's own refusal (a full or closed
-                    // queue, a lost job) counts like any other.
-                    Err(e) => subs
-                        .into_iter()
-                        .map(|(id, rid)| exec.ledger().response(id, rid, Err(e.clone())))
-                        .collect(),
-                };
-                let Some(b) = self.batches.get_mut(&batch) else {
-                    return;
-                };
-                for (slot, resp) in slots.into_iter().zip(responses) {
-                    b.slots[slot] = Some(resp);
-                }
-                b.remaining -= 1;
-                if b.remaining > 0 {
-                    return;
-                }
-                let b = self.batches.remove(&batch).expect("batch present");
-                (b.conn, exec.respond(b.head, Ok(batch_result(b.slots))))
-            }
-        };
-        if let Some(c) = conns.get_mut(&conn) {
-            c.inflight -= 1;
-            exec.deliver(c, &out);
-        }
-    }
-
-    fn wrote(&self, us: u64) {
-        self.exec.wrote(us);
-    }
-
-    fn drained(&self) {
-        self.exec.drained();
     }
 }

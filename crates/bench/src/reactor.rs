@@ -6,9 +6,11 @@
 //! crate). One detached thread owns a nonblocking listener, a wake
 //! pipe, and one [`Conn`] per accepted socket, each with a read buffer
 //! (bytes → lines) and a write buffer (responses waiting for the socket
-//! to accept them). A front end is a [`Handler`] with two entry points:
-//! a complete request line, and a finished background job. Everything
-//! else lives here:
+//! to accept them). The loop drives one front end's in-flight
+//! [`Table`] through two entry points: a complete request line
+//! ([`Table::line`]), and a finished background job
+//! ([`Table::completion`]). Everything else lives here, and calls the
+//! table's [`Exec`] directly for the rest:
 //!
 //! * **Completions.** Work handed to another thread carries a [`Sink`]
 //!   minted by [`Completions::sink`]. Delivering it pushes the reply
@@ -19,18 +21,18 @@
 //!   (pipelining); responses go out in completion order.
 //! * **Backpressure** is structural: a line arriving while its
 //!   connection holds `conn_buffer` bytes of unflushed responses is
-//!   handed to the front end marked `shed` (answered `overloaded`), and
+//!   handed to the table marked `shed` (answered `overloaded`), and
 //!   past 4× that the loop stops reading from the connection until it
 //!   drains. A slow reader degrades; it never wedges the loop.
 //! * **Timeouts.** An idle connection (nothing in flight, nothing to
 //!   write) past `read_timeout` is closed, as is one whose writer has
 //!   stalled past `write_timeout`.
-//! * **Drain.** Once [`Handler::draining`] turns true — a front end
+//! * **Drain.** Once [`Exec::draining`] turns true — a front end
 //!   wakes the loop for it through its [`Reactor::waker`] — the loop
 //!   accepts the backlog one last time, so a client whose handshake
 //!   already finished gets the front end's draining answer instead of a
 //!   reset, and then drops the listener. Every accepted request still
-//!   gets its response bytes flushed; then [`Handler::drained`] runs, so
+//!   gets its response bytes flushed; then [`Exec::drained`] runs, so
 //!   a waiter on a [`DrainGate`] can return. The loop itself lingers to
 //!   answer connections a client still holds open, and exits once they
 //!   close.
@@ -44,6 +46,8 @@ use std::os::unix::net::UnixStream;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
+
+use crate::front::{Exec, Reply, Table};
 
 const POLLIN: i16 = 0x001;
 const POLLOUT: i16 = 0x004;
@@ -76,7 +80,7 @@ pub(crate) fn us(d: Duration) -> u64 {
 }
 
 /// The drain handshake: a front end's `wait()` blocks here until its
-/// [`Handler::drained`] marks the gate.
+/// [`Exec::drained`] marks the gate.
 #[derive(Default)]
 pub(crate) struct DrainGate {
     flushed: Mutex<bool>,
@@ -277,49 +281,6 @@ impl Conn {
     }
 }
 
-/// What a front end plugs into the reactor.
-pub(crate) trait Handler: Send + 'static {
-    /// What a handed-off job delivers back through its [`Sink`].
-    type Reply: Send + 'static;
-
-    /// The front end is draining: the listener closes, and every
-    /// connection closes once its responses flush.
-    fn draining(&self) -> bool;
-
-    /// No accepted request is waiting on a completion.
-    fn idle(&self) -> bool;
-
-    /// Chaos hook: close a freshly accepted connection before serving
-    /// it, as a server at its fd limit would.
-    fn refuse_accept(&self) -> bool {
-        false
-    }
-
-    /// One complete request line (newline included) read from `c`,
-    /// whose id is `conn`. `shed` is set when the connection's
-    /// unflushed backlog has reached `conn_buffer`.
-    fn line(
-        &mut self,
-        c: &mut Conn,
-        conn: u64,
-        line: &str,
-        shed: bool,
-        done: &mut Completions<Self::Reply>,
-    );
-
-    /// The job behind `token` finished. Its connection, if still open,
-    /// is in `conns`.
-    fn completion(&mut self, conns: &mut HashMap<u64, Conn>, token: u64, reply: Self::Reply);
-
-    /// A socket accepted response bytes after `us` microseconds in
-    /// write(2).
-    fn wrote(&self, _us: u64) {}
-
-    /// Every accepted request's response is flushed while draining —
-    /// or the loop exited (a panic included). May run more than once.
-    fn drained(&self);
-}
-
 /// The per-connection limits a front end configures.
 pub(crate) struct Limits {
     /// Unflushed response bytes past which lines are `shed`; reads
@@ -362,16 +323,16 @@ impl Reactor {
     }
 
     /// Starts the loop on a detached thread named `name`, serving the
-    /// listener with `handler`.
+    /// listener through `table`.
     ///
     /// # Errors
     ///
     /// Thread spawn failures.
-    pub(crate) fn spawn<H: Handler>(
+    pub(crate) fn spawn<E: Exec>(
         self,
         name: &str,
         limits: Limits,
-        handler: H,
+        table: Table<E>,
     ) -> io::Result<()> {
         let (tx, rx) = mpsc::channel();
         let done = Completions {
@@ -382,31 +343,31 @@ impl Reactor {
         let (listener, wake_rx) = (self.listener, self.wake_rx);
         thread::Builder::new()
             .name(name.to_string())
-            .spawn(move || run(listener, &limits, handler, done, rx, wake_rx))?;
+            .spawn(move || run(listener, &limits, table, done, rx, wake_rx))?;
         Ok(())
     }
 }
 
-/// Runs [`Handler::drained`] when the loop exits for any reason (a
+/// Runs [`Exec::drained`] when the loop exits for any reason (a
 /// panic included), so a waiter can never hang on a dead loop.
-struct DrainedOnExit<H: Handler>(H);
+struct DrainedOnExit<E: Exec>(Table<E>);
 
-impl<H: Handler> Drop for DrainedOnExit<H> {
+impl<E: Exec> Drop for DrainedOnExit<E> {
     fn drop(&mut self) {
-        self.0.drained();
+        self.0.exec.drained();
     }
 }
 
-fn run<H: Handler>(
+fn run<E: Exec>(
     listener: TcpListener,
     limits: &Limits,
-    handler: H,
-    mut done: Completions<H::Reply>,
-    replies: mpsc::Receiver<(u64, H::Reply)>,
+    table: Table<E>,
+    mut done: Completions<Reply<E>>,
+    replies: mpsc::Receiver<(u64, Reply<E>)>,
     wake_rx: UnixStream,
 ) {
-    let mut exit = DrainedOnExit(handler);
-    let h = &mut exit.0;
+    let mut exit = DrainedOnExit(table);
+    let t = &mut exit.0;
     let mut listener = Some(listener);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_conn: u64 = 1;
@@ -415,14 +376,14 @@ fn run<H: Handler>(
     let mut wake_scratch = [0u8; 256];
     let read_cap = limits.conn_buffer.saturating_mul(4);
     loop {
-        let draining = h.draining();
+        let draining = t.exec.draining();
         if draining {
             // Serve the connections whose handshake already finished,
             // then refuse new ones; everything accepted still drains.
             if let Some(l) = listener.take() {
-                accept(&l, h, &mut conns, &mut next_conn);
+                accept(&l, t, &mut conns, &mut next_conn);
             }
-            if conns.is_empty() && h.idle() {
+            if conns.is_empty() && t.idle() {
                 return;
             }
         }
@@ -470,11 +431,11 @@ fn run<H: Handler>(
         while matches!((&wake_rx).read(&mut wake_scratch), Ok(n) if n > 0) {}
 
         while let Ok((token, reply)) = replies.try_recv() {
-            h.completion(&mut conns, token, reply);
+            t.completion(&mut conns, token, reply);
         }
 
         if let Some(l) = &listener {
-            accept(l, h, &mut conns, &mut next_conn);
+            accept(l, t, &mut conns, &mut next_conn);
         }
 
         // Readable connections: pull bytes, split lines, dispatch.
@@ -509,7 +470,7 @@ fn run<H: Handler>(
             }
             while let Some(line) = c.next_line() {
                 let shed = c.pending() >= limits.conn_buffer;
-                h.line(c, id, &line, shed, &mut done);
+                t.line(c, id, &line, shed, &mut done);
             }
         }
 
@@ -517,11 +478,11 @@ fn run<H: Handler>(
         // full work queue answers through the sink at once); fold them
         // in before flushing so their bytes ride this pass.
         while let Ok((token, reply)) = replies.try_recv() {
-            h.completion(&mut conns, token, reply);
+            t.completion(&mut conns, token, reply);
         }
 
         for c in conns.values_mut() {
-            c.flush(|us| h.wrote(us));
+            c.flush(|us| t.exec.wrote(us));
         }
 
         // Close what's finished, time out what's stalled.
@@ -549,22 +510,22 @@ fn run<H: Handler>(
 
         // The drain handshake: every accepted request has its response
         // bytes flushed and no new connection can arrive.
-        if !drain_marked && draining && h.idle() && conns.values().all(|c| c.pending() == 0) {
-            h.drained();
+        if !drain_marked && draining && t.idle() && conns.values().all(|c| c.pending() == 0) {
+            t.exec.drained();
             drain_marked = true;
         }
     }
 }
 
 /// Accepts every connection waiting in the listener's backlog.
-fn accept<H: Handler>(
+fn accept<E: Exec>(
     listener: &TcpListener,
-    h: &H,
+    t: &Table<E>,
     conns: &mut HashMap<u64, Conn>,
     next_conn: &mut u64,
 ) {
     while let Ok((stream, _)) = listener.accept() {
-        if h.refuse_accept() {
+        if t.exec.refuse_accept() {
             // The peer sees EOF before any response and retries.
             drop(stream);
             continue;

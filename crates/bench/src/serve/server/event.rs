@@ -1,4 +1,7 @@
-//! Serve's executor under the crate's shared in-flight table.
+//! Serve's front end: the one [`Exec`] impl the crate's shared intake,
+//! in-flight table and reactor loop call — the `shutting-down` drain,
+//! the `stats` `faults` block and the cache and queue mirrors, and the
+//! shard-pool executor.
 //!
 //! `place`, and a `simulate` that does not parse, are answered on the
 //! poll loop; a valid `simulate` goes to its shard's queue, and a batch
@@ -13,11 +16,12 @@ use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use hetmem::HetmemError;
+use hetmem_harness::json::JsonObject;
 use hetmem_harness::telemetry::fnv1a;
 use hetmem_harness::{BoundedQueue, Request, Response};
 
 use super::{handle_place, respond, ReqHead, Shared, SimReply, SimWork, PHASES};
-use crate::front::{Exec, Front, Group, Head, Job, Run, Sub};
+use crate::front::{Exec, Group, Head, Job, Ledger, Run, Sub};
 use crate::reactor::Conn;
 use crate::serve::parse_simulate;
 
@@ -25,7 +29,69 @@ impl Exec for Shared {
     type Head = ReqHead;
     type Work = SimWork;
     type Out = SimReply;
+    const DRAINING: HetmemError = HetmemError::ShuttingDown;
     const LOST: HetmemError = HetmemError::WorkerRestarted;
+
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
+    }
+
+    fn draining(&self) -> bool {
+        self.shutting.load(Ordering::SeqCst)
+    }
+
+    /// Sets the drain flag once: close every shard queue (workers
+    /// finish what is queued, then exit) and wake the poll loop so it
+    /// stops listening.
+    fn begin_drain(&self) {
+        if self.shutting.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        for q in &self.queues {
+            q.close();
+        }
+        self.waker.wake();
+    }
+
+    fn max_batch(&self) -> usize {
+        self.max_batch
+    }
+
+    /// The shared body plus, under chaos injection, a `faults` block.
+    fn stats(&self) -> String {
+        let faults = self.faults.is_active().then(|| {
+            let f = self.faults.counts();
+            JsonObject::new()
+                .u64("decisions", f.decisions)
+                .u64("injected", f.injected())
+                .u64("panics", f.panics)
+                .u64("latencies", f.latencies)
+                .u64("wire_errors", f.wire_errors)
+                .u64("corruptions", f.corruptions)
+                .u64("conn_drops", f.conn_drops)
+                .u64("stalls", f.stalls)
+                .u64("refusals", f.refusals)
+                .finish()
+        });
+        let extra = faults.as_deref().map(|block| ("faults", block));
+        self.ledger.stats(&self.cache.stats(), extra)
+    }
+
+    /// Mirrors the cache counters and the shard queue depths.
+    fn refresh(&self) {
+        let m = &self.metrics;
+        let c = self.cache.stats();
+        m.cache_hits.store(c.hits);
+        m.cache_misses.store(c.misses);
+        m.cache_insertions.store(c.insertions);
+        m.cache_evictions.store(c.evictions);
+        m.cache_corruptions.store(c.corruptions);
+        m.cache_entries.set(c.entries as u64);
+        m.cache_capacity.set(c.capacity as u64);
+        for (gauge, queue) in m.queue_depth.iter().zip(&self.queues) {
+            gauge.set(queue.len() as u64);
+        }
+    }
 
     fn head(&self, head: Head, read_us: u64) -> ReqHead {
         // Client-supplied ids are echoed on the response; generated ones
