@@ -57,6 +57,33 @@ for mode in detail extrapolated; do
     }
 done
 target/release/hetmem-trace check "$OBS_SAMPLED/fig3.jsonl"
+# Interval windows tile: within each run (one `config_hash`), every
+# `interval` line of both sweeps starts where the previous one ended,
+# and the last one ends on the run line's `cycles`.
+python3 - "$OBS_DIR/fig3.jsonl" "$OBS_SAMPLED/fig3.jsonl" <<'PY'
+import json, sys
+for path in sys.argv[1:]:
+    cycles, ends = {}, {}
+    with open(path) as f:
+        for n, line in enumerate(f, 1):
+            rec = json.loads(line)
+            run = rec["config_hash"]
+            if rec["record"] == "run":
+                cycles[run] = rec["cycles"]
+                continue
+            start, end = rec["start_cycle"], rec["end_cycle"]
+            if run in ends and start != ends[run]:
+                sys.exit(f"{path}:{n}: interval starts at cycle {start}, "
+                         f"but the run's previous one ended at {ends[run]}")
+            if end < start:
+                sys.exit(f"{path}:{n}: interval ends at {end} before its start {start}")
+            ends[run] = end
+    if not ends or ends.keys() != cycles.keys():
+        sys.exit(f"{path}: not every run wrote interval lines")
+    for run, end in ends.items():
+        if end != cycles[run]:
+            sys.exit(f"{path}: run {run} ends at cycle {cycles[run]}, its last interval at {end}")
+PY
 # Run lines carry the `estimated` block exactly when the run was
 # sampled: never at full fidelity, always at sampled fidelity.
 if grep -qE '^\{"record":"run".*"estimated":' "$OBS_DIR/fig3.jsonl"; then
