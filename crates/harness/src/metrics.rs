@@ -15,10 +15,6 @@
 //! - **Exact counts.** Histogram bucket counts and totals are exact
 //!   (`AtomicU64`); only the *position* of a value inside its bucket is
 //!   approximate.
-//! - **Deterministic merge.** [`HistogramSnapshot::merge`] is
-//!   bucket-wise addition, so it is associative, commutative, and
-//!   conserves counts — merging per-shard snapshots in any order yields
-//!   identical results (property-tested in `tests/metrics_props.rs`).
 //! - **Bounded quantile error.** [`HistogramSnapshot::quantile`]
 //!   returns a value guaranteed to lie within the bounds of the bucket
 //!   containing the requested rank. Buckets are log-spaced with 16
@@ -195,8 +191,8 @@ impl Default for Histogram {
     }
 }
 
-/// An immutable copy of a [`Histogram`], supporting deterministic merge
-/// and bounded-error quantiles.
+/// An immutable copy of a [`Histogram`], supporting bounded-error
+/// quantiles.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     buckets: Vec<u64>,
@@ -233,14 +229,6 @@ impl HistogramSnapshot {
             return 0.0;
         }
         self.sum as f64 / n as f64
-    }
-
-    /// Bucket-wise addition: associative, commutative, count-conserving.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.sum = self.sum.saturating_add(other.sum);
     }
 
     /// The quantile estimate for `q ∈ [0, 1]`: the midpoint of the
@@ -792,19 +780,6 @@ mod tests {
         assert_eq!(s.max_bound(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s, HistogramSnapshot::empty());
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(10);
-        a.record(20);
-        b.record(10_000);
-        let mut m = a.snapshot();
-        m.merge(&b.snapshot());
-        assert_eq!(m.count(), 3);
-        assert_eq!(m.sum(), 10_030);
     }
 
     #[test]

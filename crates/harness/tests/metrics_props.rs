@@ -1,5 +1,5 @@
-//! Property tests for the metrics histogram: merge algebra, count
-//! conservation, and quantile bucket-bound guarantees.
+//! Property tests for the metrics histogram: count conservation and
+//! quantile bucket-bound guarantees.
 
 use hetmem_harness::metrics::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot};
 use hetmem_harness::vec_of;
@@ -22,44 +22,6 @@ hetmem_harness::props! {
         assert_eq!(s.count(), values.len() as u64);
         let expected: u64 = values.iter().fold(0u64, |a, &v| a.saturating_add(v));
         assert_eq!(s.sum(), expected);
-    }
-
-    /// Merge is order-independent (commutative): a⊕b == b⊕a.
-    fn merge_commutes(
-        a in vec_of(0u64..=1 << 32, 0..100),
-        b in vec_of(0u64..=1 << 32, 0..100),
-    ) {
-        let (sa, sb) = (snapshot_of(&a), snapshot_of(&b));
-        let mut ab = sa.clone();
-        ab.merge(&sb);
-        let mut ba = sb.clone();
-        ba.merge(&sa);
-        assert_eq!(ab, ba);
-    }
-
-    /// Merge is associative: (a⊕b)⊕c == a⊕(b⊕c), and both equal a
-    /// single histogram fed all values — so per-shard snapshots can be
-    /// combined in any grouping.
-    fn merge_is_associative(
-        a in vec_of(0u64..=1 << 32, 0..80),
-        b in vec_of(0u64..=1 << 32, 0..80),
-        c in vec_of(0u64..=1 << 32, 0..80),
-    ) {
-        let (sa, sb, sc) = (snapshot_of(&a), snapshot_of(&b), snapshot_of(&c));
-        let mut left = sa.clone();
-        left.merge(&sb);
-        left.merge(&sc);
-        let mut right_inner = sb.clone();
-        right_inner.merge(&sc);
-        let mut right = sa.clone();
-        right.merge(&right_inner);
-        assert_eq!(left, right);
-
-        let mut all = a.clone();
-        all.extend_from_slice(&b);
-        all.extend_from_slice(&c);
-        assert_eq!(left, snapshot_of(&all), "merge == single histogram");
-        assert_eq!(left.count(), (a.len() + b.len() + c.len()) as u64);
     }
 
     /// Every quantile estimate falls inside the bounds of the bucket
