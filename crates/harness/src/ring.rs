@@ -14,9 +14,8 @@
 //!    hits stay byte-identical.
 //!
 //! Failover order is the ring's successor walk: [`HashRing::successors`]
-//! lists every backend in the order a key would reach them, and
-//! [`HashRing::route_filtered`] takes the first one a health predicate
-//! accepts.
+//! lists every backend in the order a key would reach them, and the
+//! router takes the first one it finds healthy.
 
 use crate::rng::mix;
 use crate::telemetry::fnv1a;
@@ -85,14 +84,6 @@ impl HashRing {
         self.points[self.first_point(key)].1
     }
 
-    /// The backend owning `key` among those `healthy` accepts: the
-    /// successor walk skips ineligible backends, so only keys owned by
-    /// an excluded backend move (and they move to their next
-    /// successor). `None` when nothing is eligible.
-    pub fn route_filtered(&self, key: &str, healthy: impl Fn(usize) -> bool) -> Option<usize> {
-        self.successors(key).into_iter().find(|&b| healthy(b))
-    }
-
     /// Every distinct backend in the order the successor walk from
     /// `key` reaches them — the failover order. The first element is
     /// [`HashRing::route`]'s answer.
@@ -158,17 +149,6 @@ mod tests {
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn filtered_route_skips_excluded_backends() {
-        let ring = HashRing::new(3, 32);
-        let key = "cache-key";
-        let owner = ring.route(key);
-        let rerouted = ring.route_filtered(key, |b| b != owner).unwrap();
-        assert_ne!(rerouted, owner);
-        assert!(ring.route_filtered(key, |_| false).is_none());
-        assert_eq!(ring.route_filtered(key, |_| true), Some(owner));
     }
 
     #[test]

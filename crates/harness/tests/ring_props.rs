@@ -58,16 +58,18 @@ hetmem_harness::props! {
         for i in 0..1000 {
             let key = format!("key-{key_salt}-{i}");
             let before = ring.route(&key);
-            let after = ring
-                .route_filtered(&key, |b| b != removed)
+            // The router's failover: the first surviving successor.
+            let successors = ring.successors(&key);
+            let after = successors
+                .iter()
+                .copied()
+                .find(|&b| b != removed)
                 .expect("other backends remain");
             assert_ne!(after, removed);
             if before == removed {
                 moved += 1;
-                // The orphan lands on the first surviving successor.
-                let successors = ring.successors(&key);
-                let next = successors.iter().copied().find(|&b| b != removed).unwrap();
-                assert_eq!(after, next);
+                // The orphan lands on the next backend of its walk.
+                assert_eq!(after, successors[1]);
             } else {
                 assert_eq!(after, before, "key '{key}' moved without cause");
             }
