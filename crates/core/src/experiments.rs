@@ -14,13 +14,11 @@ use std::sync::Arc;
 use gpusim::{CacheConfig, EventTracer, Fidelity, SimConfig};
 use hmtypes::{Bandwidth, Percent};
 use mempolicy::{Mempolicy, PolicyMode, ZoneId};
-use profiler::{Cdf, PageHistogram, RunProfile};
+use profiler::Cdf;
 use workloads::{catalog, WorkloadSpec};
 
 use crate::grid::{self, RunPoint, TelemetrySink};
-use crate::runner::{
-    check_fidelity, geomean, hints_from_profile, profile_workload, Capacity, Placement,
-};
+use crate::runner::{check_fidelity, geomean, hints_from_profile, Capacity, Placement};
 use crate::translate::topology_for;
 
 /// Options shared by all experiment drivers.
@@ -490,14 +488,8 @@ pub fn fig6(opts: &ExpOptions) -> (Vec<(String, Cdf)>, Table) {
         ],
     );
     let specs = opts.specs();
-    let hists = grid::sweep(
-        "fig6",
-        opts,
-        &specs,
-        |s| format!("{}/profile", s.name),
-        |s| profile_workload(s, &opts.sim).0,
-    );
-    for (spec, hist) in specs.iter().zip(&hists) {
+    let profiles = grid::profile_sweep("fig6", opts, &specs, "profile");
+    for (spec, (hist, _)) in specs.iter().zip(&profiles) {
         let cdf = hist.cdf();
         t.push_row(
             spec.name,
@@ -533,13 +525,7 @@ pub fn fig7(opts: &ExpOptions) -> Vec<Fig7Workload> {
         .iter()
         .map(|name| opts.scale(catalog::by_name(name).expect("catalog workload")))
         .collect();
-    let profiles = grid::sweep(
-        "fig7",
-        opts,
-        &specs,
-        |s| format!("{}/profile", s.name),
-        |s| profile_workload(s, &opts.sim),
-    );
+    let profiles = grid::profile_sweep("fig7", opts, &specs, "profile");
     specs
         .iter()
         .zip(profiles)
@@ -582,15 +568,9 @@ pub fn fig8(opts: &ExpOptions) -> Table {
     );
     let topo = topology_for(&opts.sim, &[1, 1]);
     let specs = opts.specs();
-    let hists: Vec<PageHistogram> = grid::sweep(
-        "fig8",
-        opts,
-        &specs,
-        |s| format!("{}/profile", s.name),
-        |s| profile_workload(s, &opts.sim).0,
-    );
+    let profiles = grid::profile_sweep("fig8", opts, &specs, "profile");
     let mut points = Vec::new();
-    for (spec, hist) in specs.iter().zip(&hists) {
+    for (spec, (hist, _)) in specs.iter().zip(&profiles) {
         let bwa = Placement::Policy(Mempolicy::bw_aware_for(&topo));
         let oracle = Placement::Oracle(hist.clone());
         let configs = [
@@ -638,13 +618,7 @@ pub fn fig10(opts: &ExpOptions) -> Table {
     let cap = Capacity::FractionOfFootprint(0.10);
     let topo = topology_for(&opts.sim, &[1, 1]);
     let specs = opts.specs();
-    let profiles = grid::sweep(
-        "fig10",
-        opts,
-        &specs,
-        |s| format!("{}/profile", s.name),
-        |s| profile_workload(s, &opts.sim),
-    );
+    let profiles = grid::profile_sweep("fig10", opts, &specs, "profile");
     let mut points = Vec::new();
     for (spec, (hist, profile)) in specs.iter().zip(&profiles) {
         let hints = hints_from_profile(profile, spec, &opts.sim, cap);
@@ -714,13 +688,7 @@ pub fn fig11(opts: &ExpOptions) -> Table {
         .collect();
     // Train on each family's dataset 0.
     let train_specs: Vec<WorkloadSpec> = families.iter().map(|(_, sets)| sets[0].clone()).collect();
-    let train_profiles: Vec<RunProfile> = grid::sweep(
-        "fig11",
-        opts,
-        &train_specs,
-        |s| format!("{}/train", s.name),
-        |s| profile_workload(s, &opts.sim).1,
-    );
+    let train_profiles = grid::profile_sweep("fig11", opts, &train_specs, "train");
     // Evaluate every other dataset: profile (for the oracle), then the
     // four placements.
     let evals: Vec<(usize, usize, WorkloadSpec)> = families
@@ -734,16 +702,10 @@ pub fn fig11(opts: &ExpOptions) -> Table {
         })
         .collect();
     let eval_specs: Vec<WorkloadSpec> = evals.iter().map(|(_, _, s)| s.clone()).collect();
-    let eval_hists: Vec<PageHistogram> = grid::sweep(
-        "fig11",
-        opts,
-        &eval_specs,
-        |s| format!("{}/profile", s.name),
-        |s| profile_workload(s, &opts.sim).0,
-    );
+    let eval_profiles = grid::profile_sweep("fig11", opts, &eval_specs, "profile");
     let mut points = Vec::new();
-    for ((fi, i, spec), hist) in evals.iter().zip(&eval_hists) {
-        let hints = hints_from_profile(&train_profiles[*fi], spec, &opts.sim, cap);
+    for ((fi, i, spec), (hist, _)) in evals.iter().zip(&eval_profiles) {
+        let hints = hints_from_profile(&train_profiles[*fi].1, spec, &opts.sim, cap);
         let configs = [
             (
                 "INTERLEAVE",
@@ -869,15 +831,9 @@ pub fn ext_reactive(opts: &ExpOptions) -> Table {
         panic!("ext_reactive: {e} ({})", e.code());
     }
     let specs = opts.specs();
-    let hists = grid::sweep(
-        "ext_reactive",
-        opts,
-        &specs,
-        |s| format!("{}/profile", s.name),
-        |s| profile_workload(s, &opts.sim).0,
-    );
+    let profiles = grid::profile_sweep("ext_reactive", opts, &specs, "profile");
     let mut points = Vec::new();
-    for (spec, hist) in specs.iter().zip(&hists) {
+    for (spec, (hist, _)) in specs.iter().zip(&profiles) {
         let configs = [
             (
                 "BW-AWARE",
