@@ -14,11 +14,13 @@ use std::sync::Arc;
 use gpusim::{CacheConfig, EventTracer, Fidelity, SimConfig};
 use hmtypes::{Bandwidth, Percent};
 use mempolicy::{Mempolicy, PolicyMode, ZoneId};
-use profiler::Cdf;
+use profiler::{Cdf, MemHint, PageHistogram};
 use workloads::{catalog, WorkloadSpec};
 
-use crate::grid::{self, RunPoint, TelemetrySink};
-use crate::runner::{check_fidelity, geomean, hints_from_profile, Capacity, Placement};
+use crate::grid::{self, Column, RunPoint, TelemetrySink};
+use crate::runner::{
+    check_fidelity, geomean, hints_from_profile, Capacity, Placement, WorkloadRun,
+};
 use crate::translate::topology_for;
 
 /// Options shared by all experiment drivers.
@@ -247,164 +249,127 @@ pub fn table1(sim: &SimConfig) -> String {
     s
 }
 
-/// Fig. 2a: performance sensitivity to memory bandwidth. Each value is
-/// speedup relative to the 1.0× column under `LOCAL` placement.
-pub fn fig2a(opts: &ExpOptions) -> Table {
-    let factors = [0.5, 0.75, 1.0, 1.5, 2.0];
-    let mut t = Table::new(
-        "Fig. 2a — GPU performance sensitivity to bandwidth scaling (vs 1.0x)",
-        factors.iter().map(|f| format!("{f:.2}x")).collect(),
-    );
-    let specs = opts.specs();
-    let points: Vec<RunPoint> = specs
-        .iter()
-        .flat_map(|spec| {
-            factors.iter().map(move |&f| RunPoint {
-                spec: spec.clone(),
-                config: format!("{f:.2}x"),
-                sim: opts.sim.clone().with_bo_bandwidth_scaled(f),
-                capacity: Capacity::Unconstrained,
-                placement: Placement::Policy(Mempolicy::local()),
-            })
-        })
-        .collect();
-    let runs = grid::run_point_sweep("fig2a", opts, &points);
-    for (spec, chunk) in specs.iter().zip(runs.chunks(factors.len())) {
-        let base = chunk[2].report.cycles as f64;
+/// A column that faults pages in under `policy` on `sim` with
+/// unconstrained BO capacity.
+fn policy_column(config: impl Into<String>, sim: SimConfig, policy: Mempolicy) -> Column {
+    Column {
+        config: config.into(),
+        sim,
+        capacity: Capacity::Unconstrained,
+        placement: Placement::Policy(policy),
+    }
+}
+
+/// The config labels of `columns`, as table headers.
+fn configs(columns: &[Column]) -> Vec<String> {
+    columns.iter().map(|c| c.config.clone()).collect()
+}
+
+/// Appends to `t` one row per label: each run's speedup over its row's
+/// `base` column. Then appends the geomean row.
+fn speedup_table(
+    mut t: Table,
+    labels: impl IntoIterator<Item = impl Into<String>>,
+    rows: &[Vec<WorkloadRun>],
+    base: usize,
+) -> Table {
+    for (label, row) in labels.into_iter().zip(rows) {
         t.push_row(
-            spec.name,
-            chunk
-                .iter()
-                .map(|r| base / r.report.cycles as f64)
-                .collect(),
+            label,
+            row.iter().map(|r| r.speedup_over(&row[base])).collect(),
         );
     }
     t.push_geomean();
     t
 }
 
+/// The table of a figure whose every workload runs all of `columns`:
+/// one row per workload of speedups over column `base`, then the
+/// geomean row.
+fn speedup_figure(
+    figure: &'static str,
+    title: &str,
+    opts: &ExpOptions,
+    columns: Vec<Column>,
+    base: usize,
+) -> Table {
+    let t = Table::new(title, configs(&columns));
+    let specs = opts.specs();
+    let rows = grid::run_rows(figure, opts, &specs, |_, _| columns.clone());
+    speedup_table(t, specs.iter().map(|s| s.name), &rows, base)
+}
+
+/// The catalog workloads `names`, ops-scaled.
+fn specs_named(opts: &ExpOptions, names: &[&str]) -> Vec<WorkloadSpec> {
+    names
+        .iter()
+        .map(|name| opts.scale(catalog::by_name(name).expect("catalog workload")))
+        .collect()
+}
+
+/// Fig. 2a: performance sensitivity to memory bandwidth. Each value is
+/// speedup relative to the 1.0× column under `LOCAL` placement.
+pub fn fig2a(opts: &ExpOptions) -> Table {
+    let columns = [0.5, 0.75, 1.0, 1.5, 2.0]
+        .iter()
+        .map(|&f| {
+            let sim = opts.sim.clone().with_bo_bandwidth_scaled(f);
+            policy_column(format!("{f:.2}x"), sim, Mempolicy::local())
+        })
+        .collect();
+    let title = "Fig. 2a — GPU performance sensitivity to bandwidth scaling (vs 1.0x)";
+    speedup_figure("fig2a", title, opts, columns, 2)
+}
+
 /// Fig. 2b: performance sensitivity to added memory latency. Values are
 /// speedup relative to the +0 column (≤ 1.0 means slowdown).
 pub fn fig2b(opts: &ExpOptions) -> Table {
-    let extra = [0u64, 100, 200, 400];
-    let mut t = Table::new(
-        "Fig. 2b — GPU performance sensitivity to added latency (vs +0)",
-        extra.iter().map(|e| format!("+{e}cyc")).collect(),
-    );
-    let specs = opts.specs();
-    let points: Vec<RunPoint> = specs
+    let columns = [0u64, 100, 200, 400]
         .iter()
-        .flat_map(|spec| {
-            extra.iter().map(move |&e| RunPoint {
-                spec: spec.clone(),
-                config: format!("+{e}cyc"),
-                sim: opts.sim.clone().with_extra_latency(e),
-                capacity: Capacity::Unconstrained,
-                placement: Placement::Policy(Mempolicy::local()),
-            })
+        .map(|&e| {
+            let sim = opts.sim.clone().with_extra_latency(e);
+            policy_column(format!("+{e}cyc"), sim, Mempolicy::local())
         })
         .collect();
-    let runs = grid::run_point_sweep("fig2b", opts, &points);
-    for (spec, chunk) in specs.iter().zip(runs.chunks(extra.len())) {
-        let base = chunk[0].report.cycles as f64;
-        t.push_row(
-            spec.name,
-            chunk
-                .iter()
-                .map(|r| base / r.report.cycles as f64)
-                .collect(),
-        );
-    }
-    t.push_geomean();
-    t
+    let title = "Fig. 2b — GPU performance sensitivity to added latency (vs +0)";
+    speedup_figure("fig2b", title, opts, columns, 0)
 }
 
 /// Fig. 3: performance across `xC-yB` placement ratios plus the Linux
 /// `LOCAL` and `INTERLEAVE` policies, unconstrained capacity, normalized
 /// to `LOCAL`.
 pub fn fig3(opts: &ExpOptions) -> Table {
-    let ratios: [u8; 7] = [0, 10, 20, 30, 50, 70, 90];
-    let mut columns = vec!["LOCAL".to_string(), "INTERLEAVE".to_string()];
-    columns.extend(ratios.iter().map(|r| format!("{}C-{}B", r, 100 - r)));
-    let mut t = Table::new(
-        "Fig. 3 — placement-ratio sweep, unconstrained capacity (perf vs LOCAL)",
-        columns,
-    );
     let topo = topology_for(&opts.sim, &[1, 1]);
-    let mut policies: Vec<(String, Mempolicy)> = vec![
-        ("LOCAL".to_string(), Mempolicy::local()),
-        ("INTERLEAVE".to_string(), Mempolicy::interleave_all(&topo)),
+    let column = |config: String, policy| policy_column(config, opts.sim.clone(), policy);
+    let mut columns = vec![
+        column("LOCAL".to_string(), Mempolicy::local()),
+        column("INTERLEAVE".to_string(), Mempolicy::interleave_all(&topo)),
     ];
-    policies.extend(ratios.iter().map(|&r| {
-        (
+    columns.extend([0u8, 10, 20, 30, 50, 70, 90].iter().map(|&r| {
+        column(
             format!("{}C-{}B", r, 100 - r),
             Mempolicy::ratio_co(Percent::new(r)),
         )
     }));
-    let specs = opts.specs();
-    let points: Vec<RunPoint> = specs
-        .iter()
-        .flat_map(|spec| {
-            policies.iter().map(move |(config, policy)| RunPoint {
-                spec: spec.clone(),
-                config: config.clone(),
-                sim: opts.sim.clone(),
-                capacity: Capacity::Unconstrained,
-                placement: Placement::Policy(policy.clone()),
-            })
-        })
-        .collect();
-    let runs = grid::run_point_sweep("fig3", opts, &points);
-    for (spec, chunk) in specs.iter().zip(runs.chunks(policies.len())) {
-        let local = &chunk[0];
-        t.push_row(
-            spec.name,
-            chunk.iter().map(|r| r.speedup_over(local)).collect(),
-        );
-    }
-    t.push_geomean();
-    t
+    let title = "Fig. 3 — placement-ratio sweep, unconstrained capacity (perf vs LOCAL)";
+    speedup_figure("fig3", title, opts, columns, 0)
 }
 
 /// Fig. 4: BW-AWARE performance as BO capacity shrinks relative to the
 /// footprint, normalized to the 100% point per workload.
 pub fn fig4(opts: &ExpOptions) -> Table {
-    let fractions = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1];
-    let mut t = Table::new(
-        "Fig. 4 — BW-AWARE performance vs BO capacity (fraction of footprint)",
-        fractions
-            .iter()
-            .map(|f| format!("{:.0}%", f * 100.0))
-            .collect(),
-    );
     let topo = topology_for(&opts.sim, &[1, 1]);
-    let specs = opts.specs();
-    let points: Vec<RunPoint> = specs
+    let columns = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]
         .iter()
-        .flat_map(|spec| {
-            let topo = &topo;
-            fractions.iter().map(move |&f| RunPoint {
-                spec: spec.clone(),
-                config: format!("{:.0}%", f * 100.0),
-                sim: opts.sim.clone(),
-                capacity: Capacity::FractionOfFootprint(f),
-                placement: Placement::Policy(Mempolicy::bw_aware_for(topo)),
-            })
+        .map(|&f| Column {
+            config: format!("{:.0}%", f * 100.0),
+            sim: opts.sim.clone(),
+            capacity: Capacity::FractionOfFootprint(f),
+            placement: Placement::Policy(Mempolicy::bw_aware_for(&topo)),
         })
         .collect();
-    let runs = grid::run_point_sweep("fig4", opts, &points);
-    for (spec, chunk) in specs.iter().zip(runs.chunks(fractions.len())) {
-        let base = chunk[0].report.cycles as f64;
-        t.push_row(
-            spec.name,
-            chunk
-                .iter()
-                .map(|r| base / r.report.cycles as f64)
-                .collect(),
-        );
-    }
-    t.push_geomean();
-    t
+    let title = "Fig. 4 — BW-AWARE performance vs BO capacity (fraction of footprint)";
+    speedup_figure("fig4", title, opts, columns, 0)
 }
 
 /// Fig. 5: policy comparison as CO bandwidth varies, geomean speedup
@@ -417,20 +382,8 @@ pub fn fig5(opts: &ExpOptions) -> Table {
     );
     let specs = opts.specs();
     // Per-workload LOCAL baseline at 80 GB/s CO (the Table 1 machine).
-    let base_points: Vec<RunPoint> = specs
-        .iter()
-        .map(|spec| RunPoint {
-            spec: spec.clone(),
-            config: "LOCAL@80".to_string(),
-            sim: opts.sim.clone(),
-            capacity: Capacity::Unconstrained,
-            placement: Placement::Policy(Mempolicy::local()),
-        })
-        .collect();
-    let baselines: Vec<f64> = grid::run_point_sweep("fig5", opts, &base_points)
-        .iter()
-        .map(|r| r.report.cycles as f64)
-        .collect();
+    let base = policy_column("LOCAL@80", opts.sim.clone(), Mempolicy::local());
+    let baselines = grid::run_rows("fig5", opts, &specs, |_, _| vec![base.clone()]);
 
     /// A named policy constructor over a topology.
     type NamedPolicy = (&'static str, fn(&mempolicy::NumaTopology) -> Mempolicy);
@@ -439,6 +392,8 @@ pub fn fig5(opts: &ExpOptions) -> Table {
         ("INTERLEAVE", Mempolicy::interleave_all),
         ("BW-AWARE", Mempolicy::bw_aware_for),
     ];
+    // Policy-major, unlike the other figures: this order fixes the
+    // JSONL file and the summary table.
     let mut points = Vec::new();
     for (name, make_policy) in policies {
         for &bw in &co_gbps {
@@ -446,12 +401,10 @@ pub fn fig5(opts: &ExpOptions) -> Table {
             let topo = topology_for(&sim, &[1, 1]);
             let policy = make_policy(&topo);
             for spec in &specs {
+                let config = format!("{name}@{bw:.0}");
                 points.push(RunPoint {
                     spec: spec.clone(),
-                    config: format!("{name}@{bw:.0}"),
-                    sim: sim.clone(),
-                    capacity: Capacity::Unconstrained,
-                    placement: Placement::Policy(policy.clone()),
+                    column: policy_column(config, sim.clone(), policy.clone()),
                 });
             }
         }
@@ -464,7 +417,7 @@ pub fn fig5(opts: &ExpOptions) -> Table {
                 let speedups: Vec<f64> = chunk
                     .iter()
                     .zip(&baselines)
-                    .map(|(r, &base)| base / r.report.cycles as f64)
+                    .map(|(r, base)| r.speedup_over(&base[0]))
                     .collect();
                 geomean(&speedups)
             })
@@ -521,10 +474,7 @@ pub struct Fig7Workload {
 /// Fig. 7: CDF vs virtual-address layout for `bfs`, `mummergpu`, and
 /// `needle` (the paper's three contrasting examples).
 pub fn fig7(opts: &ExpOptions) -> Vec<Fig7Workload> {
-    let specs: Vec<WorkloadSpec> = ["bfs", "mummergpu", "needle"]
-        .iter()
-        .map(|name| opts.scale(catalog::by_name(name).expect("catalog workload")))
-        .collect();
+    let specs = specs_named(opts, &["bfs", "mummergpu", "needle"]);
     let profiles = grid::profile_sweep("fig7", opts, &specs, "profile");
     specs
         .iter()
@@ -557,189 +507,131 @@ pub fn fig7(opts: &ExpOptions) -> Vec<Fig7Workload> {
 /// Fig. 8: oracle vs BW-AWARE placement, unconstrained and at 10% BO
 /// capacity, normalized to unconstrained BW-AWARE.
 pub fn fig8(opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
+    let configs = ["BWA@100%", "Oracle@100%", "BWA@10%", "Oracle@10%"];
+    let t = Table::new(
         "Fig. 8 — oracle vs BW-AWARE, unconstrained & 10% capacity (vs BW-AWARE@100%)",
-        vec![
-            "BWA@100%".to_string(),
-            "Oracle@100%".to_string(),
-            "BWA@10%".to_string(),
-            "Oracle@10%".to_string(),
-        ],
+        configs.map(String::from).to_vec(),
     );
     let topo = topology_for(&opts.sim, &[1, 1]);
     let specs = opts.specs();
     let profiles = grid::profile_sweep("fig8", opts, &specs, "profile");
-    let mut points = Vec::new();
-    for (spec, (hist, _)) in specs.iter().zip(&profiles) {
+    let rows = grid::run_rows("fig8", opts, &specs, |i, _| {
         let bwa = Placement::Policy(Mempolicy::bw_aware_for(&topo));
-        let oracle = Placement::Oracle(hist.clone());
-        let configs = [
-            ("BWA@100%", Capacity::Unconstrained, bwa.clone()),
-            ("Oracle@100%", Capacity::Unconstrained, oracle.clone()),
-            ("BWA@10%", Capacity::FractionOfFootprint(0.10), bwa),
-            ("Oracle@10%", Capacity::FractionOfFootprint(0.10), oracle),
+        let oracle = Placement::Oracle(profiles[i].0.clone());
+        let cells = [
+            (Capacity::Unconstrained, bwa.clone()),
+            (Capacity::Unconstrained, oracle.clone()),
+            (CONSTRAINED, bwa),
+            (CONSTRAINED, oracle),
         ];
-        for (config, capacity, placement) in configs {
-            points.push(RunPoint {
-                spec: spec.clone(),
+        configs
+            .iter()
+            .zip(cells)
+            .map(|(config, (capacity, placement))| Column {
                 config: config.to_string(),
                 sim: opts.sim.clone(),
                 capacity,
                 placement,
-            });
-        }
-    }
-    let runs = grid::run_point_sweep("fig8", opts, &points);
-    for (spec, chunk) in specs.iter().zip(runs.chunks(4)) {
-        let base = &chunk[0];
-        t.push_row(
-            spec.name,
-            std::iter::once(1.0)
-                .chain(chunk[1..].iter().map(|r| r.speedup_over(base)))
-                .collect(),
-        );
-    }
-    t.push_geomean();
-    t
+            })
+            .collect()
+    });
+    speedup_table(t, specs.iter().map(|s| s.name), &rows, 0)
+}
+
+/// The constrained BO capacity of the paper's §4/§5 experiments: 10% of
+/// the footprint.
+const CONSTRAINED: Capacity = Capacity::FractionOfFootprint(0.10);
+
+/// The placements Figs. 10 and 11 compare, in column order.
+const ANNOTATED_CONFIGS: [&str; 4] = ["INTERLEAVE", "BW-AWARE", "Annotated", "Oracle"];
+
+/// The [`ANNOTATED_CONFIGS`] columns of one Fig. 10/11 row: the two OS
+/// policies, placement by `hints` and the oracle over `hist`, each at
+/// [`CONSTRAINED`] capacity and labelled with `suffix` appended.
+fn annotated_columns(
+    opts: &ExpOptions,
+    hints: Vec<MemHint>,
+    hist: &PageHistogram,
+    suffix: &str,
+) -> Vec<Column> {
+    let topo = topology_for(&opts.sim, &[1, 1]);
+    let placements = [
+        Placement::Policy(Mempolicy::interleave_all(&topo)),
+        Placement::Policy(Mempolicy::bw_aware_for(&topo)),
+        Placement::Hinted(hints),
+        Placement::Oracle(hist.clone()),
+    ];
+    ANNOTATED_CONFIGS
+        .iter()
+        .zip(placements)
+        .map(|(config, placement)| Column {
+            config: format!("{config}{suffix}"),
+            sim: opts.sim.clone(),
+            capacity: CONSTRAINED,
+            placement,
+        })
+        .collect()
 }
 
 /// Fig. 10: annotation-hinted placement vs INTERLEAVE, BW-AWARE, and
 /// oracle at 10% BO capacity, normalized to INTERLEAVE.
 pub fn fig10(opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
+    let t = Table::new(
         "Fig. 10 — profile-annotated placement at 10% capacity (vs INTERLEAVE)",
-        vec![
-            "INTERLEAVE".to_string(),
-            "BW-AWARE".to_string(),
-            "Annotated".to_string(),
-            "Oracle".to_string(),
-        ],
+        ANNOTATED_CONFIGS.map(String::from).to_vec(),
     );
-    let cap = Capacity::FractionOfFootprint(0.10);
-    let topo = topology_for(&opts.sim, &[1, 1]);
     let specs = opts.specs();
     let profiles = grid::profile_sweep("fig10", opts, &specs, "profile");
-    let mut points = Vec::new();
-    for (spec, (hist, profile)) in specs.iter().zip(&profiles) {
-        let hints = hints_from_profile(profile, spec, &opts.sim, cap);
-        let configs = [
-            (
-                "INTERLEAVE",
-                Placement::Policy(Mempolicy::interleave_all(&topo)),
-            ),
-            (
-                "BW-AWARE",
-                Placement::Policy(Mempolicy::bw_aware_for(&topo)),
-            ),
-            ("Annotated", Placement::Hinted(hints)),
-            ("Oracle", Placement::Oracle(hist.clone())),
-        ];
-        for (config, placement) in configs {
-            points.push(RunPoint {
-                spec: spec.clone(),
-                config: config.to_string(),
-                sim: opts.sim.clone(),
-                capacity: cap,
-                placement,
-            });
-        }
-    }
-    let runs = grid::run_point_sweep("fig10", opts, &points);
-    for (spec, chunk) in specs.iter().zip(runs.chunks(4)) {
-        let inter = &chunk[0];
-        t.push_row(
-            spec.name,
-            std::iter::once(1.0)
-                .chain(chunk[1..].iter().map(|r| r.speedup_over(inter)))
-                .collect(),
-        );
-    }
-    t.push_geomean();
-    t
+    let rows = grid::run_rows("fig10", opts, &specs, |i, spec| {
+        let (hist, profile) = &profiles[i];
+        let hints = hints_from_profile(profile, spec, &opts.sim, CONSTRAINED);
+        annotated_columns(opts, hints, hist, "")
+    });
+    speedup_table(t, specs.iter().map(|s| s.name), &rows, 0)
 }
 
 /// Fig. 11: hint robustness across input datasets. Hints are computed
 /// from dataset 0 (training); each row is one (workload, dataset) pair
 /// with speedups over that dataset's INTERLEAVE run.
 pub fn fig11(opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
+    let t = Table::new(
         "Fig. 11 — annotated placement across datasets, trained on dataset 0 (vs INTERLEAVE)",
-        vec![
-            "INTERLEAVE".to_string(),
-            "BW-AWARE".to_string(),
-            "Annotated".to_string(),
-            "Oracle".to_string(),
-        ],
+        ANNOTATED_CONFIGS.map(String::from).to_vec(),
     );
-    let cap = Capacity::FractionOfFootprint(0.10);
-    let topo = topology_for(&opts.sim, &[1, 1]);
-    let names = ["bfs", "xsbench", "minife", "mummergpu"];
-    let families: Vec<(&str, Vec<WorkloadSpec>)> = names
+    let workloads = ["bfs", "xsbench", "minife", "mummergpu"];
+    let families: Vec<Vec<WorkloadSpec>> = workloads
         .iter()
         .map(|&name| {
-            (
-                name,
-                catalog::datasets(name)
-                    .into_iter()
-                    .map(|s| opts.scale(s))
-                    .collect(),
-            )
+            catalog::datasets(name)
+                .into_iter()
+                .map(|s| opts.scale(s))
+                .collect()
         })
         .collect();
     // Train on each family's dataset 0.
-    let train_specs: Vec<WorkloadSpec> = families.iter().map(|(_, sets)| sets[0].clone()).collect();
+    let train_specs: Vec<WorkloadSpec> = families.iter().map(|sets| sets[0].clone()).collect();
     let train_profiles = grid::profile_sweep("fig11", opts, &train_specs, "train");
     // Evaluate every other dataset: profile (for the oracle), then the
     // four placements.
-    let evals: Vec<(usize, usize, WorkloadSpec)> = families
+    let evals: Vec<(usize, usize)> = families
         .iter()
         .enumerate()
-        .flat_map(|(fi, (_, sets))| {
-            sets.iter()
-                .enumerate()
-                .skip(1)
-                .map(move |(i, spec)| (fi, i, spec.clone()))
-        })
+        .flat_map(|(fi, sets)| (1..sets.len()).map(move |i| (fi, i)))
         .collect();
-    let eval_specs: Vec<WorkloadSpec> = evals.iter().map(|(_, _, s)| s.clone()).collect();
+    let eval_specs: Vec<WorkloadSpec> = evals
+        .iter()
+        .map(|&(fi, i)| families[fi][i].clone())
+        .collect();
     let eval_profiles = grid::profile_sweep("fig11", opts, &eval_specs, "profile");
-    let mut points = Vec::new();
-    for ((fi, i, spec), (hist, _)) in evals.iter().zip(&eval_profiles) {
-        let hints = hints_from_profile(&train_profiles[*fi].1, spec, &opts.sim, cap);
-        let configs = [
-            (
-                "INTERLEAVE",
-                Placement::Policy(Mempolicy::interleave_all(&topo)),
-            ),
-            (
-                "BW-AWARE",
-                Placement::Policy(Mempolicy::bw_aware_for(&topo)),
-            ),
-            ("Annotated", Placement::Hinted(hints)),
-            ("Oracle", Placement::Oracle(hist.clone())),
-        ];
-        for (config, placement) in configs {
-            points.push(RunPoint {
-                spec: spec.clone(),
-                config: format!("{config}/ds{i}"),
-                sim: opts.sim.clone(),
-                capacity: cap,
-                placement,
-            });
-        }
-    }
-    let runs = grid::run_point_sweep("fig11", opts, &points);
-    for ((fi, i, _), chunk) in evals.iter().zip(runs.chunks(4)) {
-        let inter = &chunk[0];
-        t.push_row(
-            format!("{}/ds{i}", families[*fi].0),
-            std::iter::once(1.0)
-                .chain(chunk[1..].iter().map(|r| r.speedup_over(inter)))
-                .collect(),
-        );
-    }
-    t.push_geomean();
-    t
+    let rows = grid::run_rows("fig11", opts, &eval_specs, |k, spec| {
+        let (fi, i) = evals[k];
+        let hints = hints_from_profile(&train_profiles[fi].1, spec, &opts.sim, CONSTRAINED);
+        annotated_columns(opts, hints, &eval_profiles[k].0, &format!("/ds{i}"))
+    });
+    let labels = evals
+        .iter()
+        .map(|(fi, i)| format!("{}/ds{i}", workloads[*fi]));
+    speedup_table(t, labels, &rows, 0)
 }
 
 /// Extension: DRAM access energy per placement policy (the paper's §2.1
@@ -748,48 +640,30 @@ pub fn fig11(opts: &ExpOptions) -> Table {
 /// the last column is BW-AWARE's energy-delay product relative to LOCAL
 /// (< 1 means BW-AWARE is better on both axes combined).
 pub fn ext_energy(opts: &ExpOptions) -> Table {
-    let mut t = Table::new(
-        "Extension — DRAM access energy by placement policy (mJ; EDP vs LOCAL)",
-        vec![
-            "LOCAL".to_string(),
-            "INTERLEAVE".to_string(),
-            "BW-AWARE".to_string(),
-            "BWA EDP/LOCAL".to_string(),
-        ],
-    );
     let topo = topology_for(&opts.sim, &[1, 1]);
-    let ghz = opts.sim.sm_clock_ghz;
-    let policies = [
+    let columns = [
         ("LOCAL", Mempolicy::local()),
         ("INTERLEAVE", Mempolicy::interleave_all(&topo)),
         ("BW-AWARE", Mempolicy::bw_aware_for(&topo)),
-    ];
+    ]
+    .map(|(config, policy)| policy_column(config, opts.sim.clone(), policy));
+    let mut headers = configs(&columns);
+    headers.push("BWA EDP/LOCAL".to_string());
+    let mut t = Table::new(
+        "Extension — DRAM access energy by placement policy (mJ; EDP vs LOCAL)",
+        headers,
+    );
+    let ghz = opts.sim.sm_clock_ghz;
     let specs = opts.specs();
-    let points: Vec<RunPoint> = specs
-        .iter()
-        .flat_map(|spec| {
-            policies.iter().map(move |(config, policy)| RunPoint {
-                spec: spec.clone(),
-                config: config.to_string(),
-                sim: opts.sim.clone(),
-                capacity: Capacity::Unconstrained,
-                placement: Placement::Policy(policy.clone()),
-            })
-        })
-        .collect();
-    let runs = grid::run_point_sweep("ext_energy", opts, &points);
-    for (spec, chunk) in specs.iter().zip(runs.chunks(policies.len())) {
-        let edp_rel =
-            chunk[2].report.energy_delay_product(ghz) / chunk[0].report.energy_delay_product(ghz);
-        t.push_row(
-            spec.name,
-            vec![
-                chunk[0].report.dram_energy_joules() * 1e3,
-                chunk[1].report.dram_energy_joules() * 1e3,
-                chunk[2].report.dram_energy_joules() * 1e3,
-                edp_rel,
-            ],
-        );
+    let rows = grid::run_rows("ext_energy", opts, &specs, |_, _| columns.to_vec());
+    for (spec, row) in specs.iter().zip(&rows) {
+        let edp = |r: &WorkloadRun| r.report.energy_delay_product(ghz);
+        let mut values: Vec<f64> = row
+            .iter()
+            .map(|r| r.report.dram_energy_joules() * 1e3)
+            .collect();
+        values.push(edp(&row[2]) / edp(&row[0]));
+        t.push_row(spec.name, values);
     }
     t.push_geomean();
     t
@@ -821,7 +695,6 @@ pub fn ext_reactive(opts: &ExpOptions) -> Table {
             "bw-eff(MIG)".to_string(),
         ],
     );
-    let cap = Capacity::FractionOfFootprint(0.10);
     let topo = topology_for(&opts.sim, &[1, 1]);
     // Reactive settings scaled to the catalog's run lengths: epochs
     // short enough to act several times per run, a hot threshold low
@@ -832,29 +705,26 @@ pub fn ext_reactive(opts: &ExpOptions) -> Table {
     }
     let specs = opts.specs();
     let profiles = grid::profile_sweep("ext_reactive", opts, &specs, "profile");
-    let mut points = Vec::new();
-    for (spec, (hist, _)) in specs.iter().zip(&profiles) {
-        let configs = [
+    let rows = grid::run_rows("ext_reactive", opts, &specs, |i, _| {
+        [
             (
                 "BW-AWARE",
                 Placement::Policy(Mempolicy::bw_aware_for(&topo)),
             ),
             ("MIGRATE", Placement::Policy(migrate.clone())),
-            ("Oracle", Placement::Oracle(hist.clone())),
-        ];
-        for (config, placement) in configs {
-            points.push(grid::RunPoint {
-                spec: spec.clone(),
-                config: config.to_string(),
-                sim: opts.sim.clone(),
-                capacity: cap,
-                placement,
-            });
-        }
-    }
-    let runs = grid::run_point_sweep("ext_reactive", opts, &points);
-    for (spec, chunk) in specs.iter().zip(runs.chunks(3)) {
-        let (bwa, mig, oracle) = (&chunk[0], &chunk[1], &chunk[2]);
+            ("Oracle", Placement::Oracle(profiles[i].0.clone())),
+        ]
+        .into_iter()
+        .map(|(config, placement)| Column {
+            config: config.to_string(),
+            sim: opts.sim.clone(),
+            capacity: CONSTRAINED,
+            placement,
+        })
+        .collect()
+    });
+    for (spec, row) in specs.iter().zip(&rows) {
+        let (bwa, mig, oracle) = (&row[0], &row[1], &row[2]);
         let m = mig.report.migration.expect("MIGRATE run reports migration");
         // Demand bandwidth per cycle, copy traffic excluded.
         let demand = |bytes: u64, cycles: u64| bytes as f64 / cycles as f64;
@@ -884,80 +754,72 @@ pub fn ext_reactive(opts: &ExpOptions) -> Table {
 /// 30C-70B on srad (§3.2.2). The sweeps are normalized to Table 1's
 /// 128 MSHRs and 128 kB slices. `opts.workloads` is ignored.
 pub fn ablations(opts: &ExpOptions) -> Vec<Table> {
-    let point = |name, config: String, sim, policy| RunPoint {
-        spec: opts.scale(catalog::by_name(name).expect("catalog workload")),
-        config,
-        sim,
-        capacity: Capacity::Unconstrained,
-        placement: Placement::Policy(policy),
-    };
     const BASE_MSHRS: usize = 128;
     const BASE_KB: usize = 128;
     let mshrs = [8usize, 16, 32, 64, BASE_MSHRS, 256];
     let slice_kb = [32usize, 64, BASE_KB, 256, 512];
     let base_index = |sweep: &[usize], base| sweep.iter().position(|&x| x == base).unwrap();
-    let mut points = Vec::new();
-    for m in mshrs {
-        let mut sim = opts.sim.clone();
-        sim.l2_mshrs = m;
-        points.push(point("lbm", m.to_string(), sim, Mempolicy::local()));
-    }
-    for kb in slice_kb {
-        let mut sim = opts.sim.clone();
-        sim.l2 = CacheConfig::new(kb * 1024, 8);
-        points.push(point(
-            "xsbench",
-            format!("{kb} kB"),
-            sim,
-            Mempolicy::local(),
-        ));
-    }
+    let local = |config, sim| policy_column(config, sim, Mempolicy::local());
     let stripe = (0..10).map(|i| ZoneId::new(usize::from(i < 3))).collect();
-    for (config, policy) in [
-        ("random", Mempolicy::ratio_co(Percent::new(30))),
-        (
-            "exact",
-            Mempolicy::from_mode(PolicyMode::Interleave { nodes: stripe }),
-        ),
-    ] {
-        points.push(point("srad", config.to_string(), opts.sim.clone(), policy));
-    }
-    let runs = grid::run_point_sweep("ablations", opts, &points);
-    let labels =
-        |range: std::ops::Range<usize>| points[range].iter().map(|p| p.config.clone()).collect();
-    let (m, l) = (mshrs.len(), mshrs.len() + slice_kb.len());
+    let columns = [
+        mshrs
+            .iter()
+            .map(|&m| {
+                let mut sim = opts.sim.clone();
+                sim.l2_mshrs = m;
+                local(m.to_string(), sim)
+            })
+            .collect(),
+        slice_kb
+            .iter()
+            .map(|&kb| {
+                let mut sim = opts.sim.clone();
+                sim.l2 = CacheConfig::new(kb * 1024, 8);
+                local(format!("{kb} kB"), sim)
+            })
+            .collect(),
+        [
+            ("random", Mempolicy::ratio_co(Percent::new(30))),
+            (
+                "exact",
+                Mempolicy::from_mode(PolicyMode::Interleave { nodes: stripe }),
+            ),
+        ]
+        .map(|(config, policy)| policy_column(config, opts.sim.clone(), policy))
+        .to_vec(),
+    ];
+    let specs = specs_named(opts, &["lbm", "xsbench", "srad"]);
+    let rows = grid::run_rows("ablations", opts, &specs, |i, _| columns[i].clone());
+    let [lbm, xsbench, srad] = [&rows[0], &rows[1], &rows[2]];
 
     let mut mshr = Table::new(
         format!("Ablation — L2 MSHRs per slice (lbm, LOCAL; perf vs {BASE_MSHRS})"),
-        labels(0..m),
+        configs(&columns[0]),
     );
-    let base = &runs[base_index(&mshrs, BASE_MSHRS)];
-    mshr.push_row(
-        "lbm",
-        runs[..m].iter().map(|r| r.speedup_over(base)).collect(),
-    );
-    let stalls = runs[..m].iter().map(|r| r.report.mshr_stalls as f64);
+    let base = &lbm[base_index(&mshrs, BASE_MSHRS)];
+    mshr.push_row("lbm", lbm.iter().map(|r| r.speedup_over(base)).collect());
+    let stalls = lbm.iter().map(|r| r.report.mshr_stalls as f64);
     mshr.push_row("MSHR stalls", stalls.collect());
 
     let mut l2 = Table::new(
         format!("Ablation — L2 slice capacity (xsbench, LOCAL; perf vs {BASE_KB} kB)"),
-        labels(m..l),
+        configs(&columns[1]),
     );
-    let base = &runs[m + base_index(&slice_kb, BASE_KB)];
+    let base = &xsbench[base_index(&slice_kb, BASE_KB)];
     l2.push_row(
         "xsbench",
-        runs[m..l].iter().map(|r| r.speedup_over(base)).collect(),
+        xsbench.iter().map(|r| r.speedup_over(base)).collect(),
     );
-    let hits = runs[m..l].iter().map(|r| r.report.l2_hit_rate());
+    let hits = xsbench.iter().map(|r| r.report.l2_hit_rate());
     l2.push_row("L2 hit rate", hits.collect());
 
     let mut draw = Table::new(
         "Ablation — random-draw vs exact 30C-70B placement (srad)",
         vec!["CO traffic".to_string(), "perf vs random".to_string()],
     );
-    for (p, r) in points[l..].iter().zip(&runs[l..]) {
+    for (c, r) in columns[2].iter().zip(srad) {
         let co = r.report.pool_traffic_fraction(1);
-        draw.push_row(p.config.clone(), vec![co, r.speedup_over(&runs[l])]);
+        draw.push_row(c.config.clone(), vec![co, r.speedup_over(&srad[0])]);
     }
     vec![mshr, l2, draw]
 }

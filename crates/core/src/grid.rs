@@ -1,9 +1,10 @@
 //! The core ↔ harness glue: every figure's grid runs through the
 //! `hetmem-harness` sweep engine, optionally streaming JSONL telemetry.
 //!
-//! The experiment drivers in [`experiments`](crate::experiments) build
-//! flat point lists (workload × configuration) and hand them to
-//! `sweep`; the engine executes them on a worker pool with results in
+//! The experiment drivers in [`experiments`](crate::experiments) hand
+//! each figure's workloads and per-workload configurations to
+//! `run_rows`, which flattens them into one workload-major point list
+//! for `sweep`; the engine executes it on a worker pool with results in
 //! stable grid order, so tables and telemetry files are byte-identical
 //! at any thread count. When
 //! [`ExpOptions::telemetry`](crate::experiments::ExpOptions) carries a
@@ -572,19 +573,31 @@ pub fn chrome_trace_for(
     ct
 }
 
-/// One `(workload, configuration)` grid point of a figure sweep.
+/// One configuration a figure runs its workloads under.
 #[derive(Debug, Clone)]
-pub(crate) struct RunPoint {
-    pub spec: WorkloadSpec,
+pub(crate) struct Column {
     pub config: String,
     pub sim: SimConfig,
     pub capacity: Capacity,
     pub placement: Placement,
 }
 
+/// One `(workload, configuration)` grid point of a figure sweep.
+#[derive(Debug, Clone)]
+pub(crate) struct RunPoint {
+    pub spec: WorkloadSpec,
+    pub column: Column,
+}
+
 impl RunPoint {
     fn label(&self) -> String {
-        format!("{}/{}", self.spec.name, self.config)
+        format!("{}/{}", self.spec.name, self.column.config)
+    }
+
+    fn builder(&self) -> RunBuilder<'_> {
+        RunBuilder::new(&self.spec, &self.column.sim)
+            .capacity(self.column.capacity)
+            .placement(&self.column.placement)
     }
 }
 
@@ -649,22 +662,16 @@ pub(crate) fn run_point_sweep(
 ) -> Vec<WorkloadRun> {
     if opts.sample_cycles.is_none() && opts.trace.is_none() {
         let runs = sweep(figure, opts, points, RunPoint::label, |p| {
-            RunBuilder::new(&p.spec, &p.sim)
-                .capacity(p.capacity)
-                .placement(&p.placement)
-                .fidelity(opts.fidelity)
-                .run()
+            p.builder().fidelity(opts.fidelity).run()
         });
         record_runs(figure, opts, points, &runs);
         return runs;
     }
     let results: Vec<ObservedRun> = sweep(figure, opts, points, RunPoint::label, |p| {
-        RunBuilder::new(&p.spec, &p.sim)
-            .capacity(p.capacity)
-            .placement(&p.placement)
+        p.builder()
             .observe(ProbeObserver::new(
                 opts.sample_cycles
-                    .map(|n| IntervalSampler::new(n, p.sim.pools.len())),
+                    .map(|n| IntervalSampler::new(n, p.column.sim.pools.len())),
                 opts.trace
                     .as_ref()
                     .map(|_| EventTracer::new(opts.trace_budget)),
@@ -681,8 +688,8 @@ pub(crate) fn run_point_sweep(
                 interval_records_for(
                     figure,
                     p.spec.name,
-                    &p.config,
-                    &p.sim,
+                    &p.column.config,
+                    &p.column.sim,
                     &r.intervals,
                     &r.run.report,
                 )
@@ -695,17 +702,43 @@ pub(crate) fn run_point_sweep(
         fs::create_dir_all(dir).unwrap_or_else(|e| panic!("{figure}: trace dir: {e}"));
         for (i, (p, r)) in points.iter().zip(&results).enumerate() {
             let Some(tr) = &r.trace else { continue };
-            let ct = chrome_trace_for(&p.sim, tr, &r.placements, &r.migration_epochs);
+            let ct = chrome_trace_for(&p.column.sim, tr, &r.placements, &r.migration_epochs);
             let name = format!(
                 "{figure}-{i:03}-{}-{}.json",
                 p.spec.name,
-                sanitize_label(&p.config)
+                sanitize_label(&p.column.config)
             );
             fs::write(dir.join(name), ct.render())
                 .unwrap_or_else(|e| panic!("{figure}: trace write failed: {e}"));
         }
     }
     results.into_iter().map(|r| r.run).collect()
+}
+
+/// [`run_point_sweep`] over a workload-major grid: spec `i` runs under
+/// each of `columns(i, spec)` in turn. Returns one row of runs per spec
+/// in column order; rows may differ in width.
+pub(crate) fn run_rows(
+    figure: &'static str,
+    opts: &ExpOptions,
+    specs: &[WorkloadSpec],
+    columns: impl Fn(usize, &WorkloadSpec) -> Vec<Column>,
+) -> Vec<Vec<WorkloadRun>> {
+    let mut widths = Vec::with_capacity(specs.len());
+    let mut points = Vec::new();
+    for (i, spec) in specs.iter().enumerate() {
+        let row = columns(i, spec);
+        widths.push(row.len());
+        points.extend(row.into_iter().map(|column| RunPoint {
+            spec: spec.clone(),
+            column,
+        }));
+    }
+    let mut runs = run_point_sweep(figure, opts, &points).into_iter();
+    widths
+        .into_iter()
+        .map(|n| runs.by_ref().take(n).collect())
+        .collect()
 }
 
 /// Appends one `run` line per point to the figure's JSONL when the
@@ -720,7 +753,7 @@ fn record_runs<'a>(
     let lines: Vec<RunLine<'_>> = points
         .iter()
         .zip(runs)
-        .map(|(p, r)| record_for(figure, p.spec.name, &p.config, &p.sim, r))
+        .map(|(p, r)| record_for(figure, p.spec.name, &p.column.config, &p.column.sim, r))
         .collect();
     sink.record(figure, &lines)
         .unwrap_or_else(|e| panic!("{figure}: telemetry write failed: {e}"));
@@ -1303,31 +1336,50 @@ mod tests {
     }
 
     #[test]
-    fn run_point_sweep_is_thread_count_invariant() {
+    fn run_rows_splits_the_flat_sweep_by_row_width() {
         let mut sim = SimConfig::paper_baseline();
         sim.num_sms = 2;
-        let mut spec = catalog::by_name("hotspot").unwrap();
-        spec.mem_ops = 5_000;
-        let points: Vec<RunPoint> = ["LOCAL", "INTERLEAVE"]
+        let specs: Vec<WorkloadSpec> = ["hotspot", "lbm"]
             .iter()
-            .map(|&config| RunPoint {
-                spec: spec.clone(),
-                config: config.to_string(),
-                sim: sim.clone(),
-                capacity: Capacity::Unconstrained,
-                placement: Placement::Policy(Mempolicy::local()),
+            .map(|name| WorkloadSpec {
+                mem_ops: 5_000,
+                ..catalog::by_name(name).unwrap()
             })
             .collect();
-        let cycles = |threads: usize| {
-            let opts = ExpOptions {
-                threads,
-                ..ExpOptions::quick()
-            };
-            run_point_sweep("t", &opts, &points)
-                .iter()
-                .map(|r| r.report.cycles)
-                .collect::<Vec<_>>()
+        let column = |config: &str| Column {
+            config: config.to_string(),
+            sim: sim.clone(),
+            capacity: Capacity::Unconstrained,
+            placement: Placement::Policy(match config {
+                "LOCAL" => Mempolicy::local(),
+                _ => Mempolicy::ratio_co(hmtypes::Percent::new(30)),
+            }),
         };
-        assert_eq!(cycles(1), cycles(2));
+        // Rows of widths [2, 1].
+        let configs = [&["LOCAL", "30C-70B"][..], &["LOCAL"]];
+        let columns = |i: usize, _: &WorkloadSpec| configs[i].iter().map(|c| column(c)).collect();
+        let opts = |threads| ExpOptions {
+            threads,
+            ..ExpOptions::quick()
+        };
+        let reports = |threads| -> Vec<Vec<SimReport>> {
+            run_rows("t", &opts(threads), &specs, columns)
+                .into_iter()
+                .map(|row| row.into_iter().map(|r| r.report).collect())
+                .collect()
+        };
+        let rows = reports(1);
+        assert_eq!(rows.iter().map(Vec::len).collect::<Vec<_>>(), [2, 1]);
+        let points = [(0, "LOCAL"), (0, "30C-70B"), (1, "LOCAL")].map(|(i, config)| RunPoint {
+            spec: specs[i].clone(),
+            column: column(config),
+        });
+        let flat: Vec<SimReport> = run_point_sweep("t", &opts(1), &points)
+            .into_iter()
+            .map(|r| r.report)
+            .collect();
+        assert_eq!(rows.concat(), flat);
+        assert_ne!(flat[0], flat[1], "the two columns run different placements");
+        assert_eq!(reports(4), rows);
     }
 }
