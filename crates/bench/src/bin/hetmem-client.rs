@@ -13,9 +13,10 @@
 //! Flags (all optional, anywhere on the line):
 //!
 //! * `--retries <n>` — extra attempts after the first (default 3);
-//!   transport errors and the retryable codes `overloaded` /
-//!   `worker-restarted` are retried with capped exponential backoff
-//!   and deterministic jitter
+//!   transport errors and the retryable codes `overloaded`,
+//!   `worker-restarted` and (from a `hetmem-fleet` router)
+//!   `backend-unavailable` are retried with capped exponential backoff
+//!   and deterministic jitter; `fleet-draining` stays terminal
 //! * `--deadline-ms <n>` — overall budget across attempts, also sent
 //!   to the server in the request envelope (default: none)
 //! * `--timeout-ms <n>` — per-attempt socket read timeout (default
@@ -32,11 +33,6 @@
 //! * `--fidelity <mode>` — shorthand for a `fidelity=<mode>` param on
 //!   a `simulate` request (`full` or `sampled`; the server rejects
 //!   anything else with the stable `invalid-fidelity` code)
-//! * `--fleet` — the address is a `hetmem-fleet` router:
-//!   `backend-unavailable` also retries (the fleet supervisor is
-//!   already restarting the backend), and its retries share the one
-//!   `--request-id` in telemetry and in client-side deadline errors,
-//!   exactly like `overloaded`; `fleet-draining` stays terminal
 //!
 //! Values parse as (in order): unsigned integer, float, boolean,
 //! comma-separated number array (`sizes=1048576,2097152`), else
@@ -91,7 +87,6 @@ fn main() -> ExitCode {
     let mut request_id: Option<String> = None;
     let mut trace = false;
     let mut batch: Option<u64> = None;
-    let mut fleet = false;
     let mut fidelity: Option<String> = None;
     let mut rest: Vec<String> = Vec::new();
     let mut fields: Vec<(String, JsonValue)> = Vec::new();
@@ -108,7 +103,6 @@ fn main() -> ExitCode {
                 })?);
             }
             "--trace" => trace = true,
-            "--fleet" => fleet = true,
             "--fidelity" => fidelity = Some(args.value()?),
             "--batch" => batch = Some(args.positive()?),
             other if other.starts_with("--") => return Err(args.unknown()),
@@ -127,8 +121,7 @@ fn main() -> ExitCode {
     let mut client = ClientBuilder::new(addr)
         .retries(retries)
         .backoff(Backoff::new(50, 2000, backoff_seed))
-        .read_timeout(timeout)
-        .fleet(fleet);
+        .read_timeout(timeout);
     if let Some(ms) = deadline_ms {
         client = client.deadline_ms(ms);
     }

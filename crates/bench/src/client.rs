@@ -37,16 +37,15 @@ use hetmem_harness::{batch_request, Backoff, Request, Response};
 
 use crate::serve::roundtrip_timeout;
 
-/// Error codes the server guarantees are safe to retry.
-pub const RETRYABLE_CODES: [&str; 2] = ["overloaded", "worker-restarted"];
-
-/// Additional codes that are retryable only against a `hetmem-fleet`
-/// router: `backend-unavailable` means every ring candidate was down
-/// at that instant, and the fleet's supervisor is already restarting
-/// them — a later attempt can land. `fleet-draining` is deliberately
-/// NOT here: a draining fleet never comes back, so retrying it only
-/// burns the deadline budget.
-pub const FLEET_RETRYABLE_CODES: [&str; 1] = ["backend-unavailable"];
+/// Error codes the server and the `hetmem-fleet` router guarantee are
+/// safe to retry. Only the router sends `backend-unavailable`: every
+/// ring candidate was down at that instant, and the fleet's supervisor
+/// is already restarting them, so a later attempt can land; it re-routes
+/// by the same content key, and a recovered (or successor) backend
+/// answers byte-identically. `fleet-draining` is deliberately NOT here:
+/// a draining fleet never comes back, so retrying it only burns the
+/// deadline budget.
+pub const RETRYABLE_CODES: [&str; 3] = ["overloaded", "worker-restarted", "backend-unavailable"];
 
 /// The retry/deadline knobs a [`ClientBuilder`] resolves to.
 #[derive(Debug, Clone)]
@@ -62,11 +61,6 @@ pub struct ClientOptions {
     pub deadline_ms: Option<u64>,
     /// Per-attempt socket read timeout.
     pub read_timeout: Duration,
-    /// Talking to a `hetmem-fleet` router: also retry
-    /// [`FLEET_RETRYABLE_CODES`]. Retried attempts re-encode the same
-    /// request, so they re-route by the same content key and a
-    /// recovered (or successor) backend answers byte-identically.
-    pub fleet: bool,
 }
 
 impl Default for ClientOptions {
@@ -76,7 +70,6 @@ impl Default for ClientOptions {
             backoff: Backoff::default(),
             deadline_ms: None,
             read_timeout: Duration::from_secs(120),
-            fleet: false,
         }
     }
 }
@@ -165,15 +158,6 @@ impl ClientBuilder {
     #[must_use]
     pub fn read_timeout(mut self, d: Duration) -> Self {
         self.opts.read_timeout = d;
-        self
-    }
-
-    /// Target a `hetmem-fleet` router: `backend-unavailable` joins the
-    /// retryable set (the supervisor is already restarting backends),
-    /// while `fleet-draining` stays terminal.
-    #[must_use]
-    pub fn fleet(mut self, fleet: bool) -> Self {
-        self.opts.fleet = fleet;
         self
     }
 
@@ -266,10 +250,7 @@ fn call_engine(addr: &str, req: &Request, opts: &ClientOptions) -> io::Result<Ca
         };
         let outcome = roundtrip_timeout(addr, &attempt_req, read_timeout);
         let retryable = match &outcome {
-            Ok(Response::Err { code, .. }) => {
-                RETRYABLE_CODES.contains(&code.as_str())
-                    || (opts.fleet && FLEET_RETRYABLE_CODES.contains(&code.as_str()))
-            }
+            Ok(Response::Err { code, .. }) => RETRYABLE_CODES.contains(&code.as_str()),
             Ok(Response::Ok { .. }) => false,
             // Transport failure; a malformed response line
             // (InvalidData) is not retried — it signals a protocol
@@ -402,7 +383,7 @@ mod tests {
     }
 
     #[test]
-    fn fleet_mode_retries_backend_unavailable() {
+    fn backend_unavailable_is_retried() {
         let addr = scripted_server(vec![
             Response::err(
                 1,
@@ -413,29 +394,14 @@ mod tests {
         ]);
         let client = ClientBuilder::new(addr)
             .retries(3)
-            .backoff(Backoff::new(1, 2, 7))
-            .fleet(true);
+            .backoff(Backoff::new(1, 2, 7));
         let outcome = client.call(&Request::new(1, "stats")).unwrap();
         assert_eq!(outcome.attempts, 2);
         assert!(matches!(outcome.response, Response::Ok { .. }));
     }
 
     #[test]
-    fn backend_unavailable_is_terminal_without_fleet_mode() {
-        let addr = scripted_server(vec![Response::err(
-            1,
-            "backend-unavailable",
-            "no healthy backend after trying 2",
-        )]);
-        let client = ClientBuilder::new(addr)
-            .retries(3)
-            .backoff(Backoff::new(1, 2, 7));
-        let outcome = client.call(&Request::new(1, "stats")).unwrap();
-        assert_eq!(outcome.attempts, 1);
-    }
-
-    #[test]
-    fn fleet_draining_is_terminal_even_in_fleet_mode() {
+    fn fleet_draining_is_terminal() {
         let addr = scripted_server(vec![Response::err(
             1,
             "fleet-draining",
@@ -443,8 +409,7 @@ mod tests {
         )]);
         let client = ClientBuilder::new(addr)
             .retries(3)
-            .backoff(Backoff::new(1, 2, 7))
-            .fleet(true);
+            .backoff(Backoff::new(1, 2, 7));
         let outcome = client.call(&Request::new(1, "stats")).unwrap();
         assert_eq!(outcome.attempts, 1);
         match outcome.response {

@@ -268,8 +268,6 @@ pub(crate) struct Ledger {
     queue_capacity: usize,
     /// Request lines decoded or not, counted at intake.
     requests: AtomicU64,
-    ok: AtomicU64,
-    errors: AtomicU64,
     /// Sub-requests carried inside accepted `batch` envelopes (each
     /// envelope itself counts once in `requests`).
     batch_subrequests: AtomicU64,
@@ -278,6 +276,7 @@ pub(crate) struct Ledger {
     /// Completed requests; recorded with the per-op histogram so the
     /// conservation invariant holds at every scrape.
     requests_total: Arc<Counter>,
+    /// `hm_responses_total` by outcome, read back as `stats.ok`/`errors`.
     responses_ok: Arc<Counter>,
     responses_err: Arc<Counter>,
     /// Request duration per op in [`OPS`] order, then `decode`, `other`.
@@ -328,8 +327,6 @@ impl Ledger {
             shards,
             queue_capacity,
             requests: AtomicU64::new(0),
-            ok: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
             batch_subrequests: AtomicU64::new(0),
             ops: Default::default(),
             requests_total,
@@ -386,12 +383,10 @@ impl Ledger {
         };
         self.durations[slot].record(us(t0.elapsed()));
         self.requests_total.inc();
-        let (counter, outcome) = match ok {
-            true => (&self.ok, &self.responses_ok),
-            false => (&self.errors, &self.responses_err),
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        outcome.inc();
+        match ok {
+            true => self.responses_ok.inc(),
+            false => self.responses_err.inc(),
+        }
     }
 
     /// The `stats` body: the shared counters, `cache`, and the queue
@@ -406,8 +401,8 @@ impl Ledger {
             .finish();
         let obj = JsonObject::new()
             .u64("requests", load(&self.requests))
-            .u64("ok", load(&self.ok))
-            .u64("errors", load(&self.errors))
+            .u64("ok", self.responses_ok.get())
+            .u64("errors", self.responses_err.get())
             .u64("overloaded", self.overloaded.get())
             .u64("worker_restarts", self.worker_restarts.get())
             .u64("deadline_exceeded", self.deadline_exceeded.get())

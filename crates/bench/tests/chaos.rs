@@ -7,7 +7,8 @@
 //! corruption) serves the same requests to a fleet of retrying
 //! clients, and every success is compared byte-for-byte. Deterministic
 //! single-fault tests pin down each failure path: a crashed worker
-//! surfaces as `worker-restarted` and the shard recovers; an expired
+//! surfaces as `worker-restarted` and the shard recovers; dropped,
+//! stalled and refused connections are retried to the same bytes; an expired
 //! deadline is refused as `deadline-exceeded`; corrupted cache entries
 //! are detected by checksum and recomputed rather than served.
 #![cfg(unix)]
@@ -189,6 +190,61 @@ fn chaos_fleet_gets_byte_correct_or_stable_errors() {
         assert!(
             stat(&s, &["cache", "corruptions"]) > 0,
             "injected corruption must be detected by the cache checksum"
+        );
+    }
+
+    let _ = client.call(&Request::new(9001, "shutdown"));
+    handle.wait();
+}
+
+/// The connection-level classes: dropped connections, responses that
+/// stall after a prefix, and refused accepts. One client sends its
+/// requests in turn, so the seeded decision stream lands the same way
+/// every run; a stall only ends at the client's short read timeout,
+/// after which the retry gets the same bytes.
+#[test]
+fn connection_faults_are_retried_to_byte_correct_answers() {
+    let canonical = canonical_bodies();
+    let plan = FaultPlan::parse("seed=3,conn-drop=0.2,stall=0.2,refuse=0.2").unwrap();
+    let handle = start(ServeConfig {
+        shards: 2,
+        faults: Some(plan),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let addr = handle.addr().to_string();
+    let client = ClientBuilder::new(addr)
+        .retries(12)
+        .backoff(Backoff::new(1, 10, 5))
+        .read_timeout(Duration::from_millis(500));
+
+    const REQUESTS: usize = 24;
+    let mut ok = 0;
+    for i in 0..REQUESTS {
+        let (w, p) = POINTS[i % POINTS.len()];
+        let outcome = client.call(&sim_request(i as u64 + 1, w, p)).unwrap();
+        match outcome.response {
+            Response::Ok { result, .. } => {
+                assert_eq!(result, canonical[&(w, p)], "{w}/{p} must be byte-identical");
+                ok += 1;
+            }
+            Response::Err { code, .. } => assert!(
+                ["overloaded", "worker-restarted", "deadline-exceeded"].contains(&code.as_str()),
+                "unexpected error code '{code}' for {w}/{p}"
+            ),
+        }
+    }
+    assert_eq!(ok, REQUESTS, "no worker-level fault is planned");
+
+    let outcome = client.call(&Request::new(9000, "stats")).unwrap();
+    let Response::Ok { result, .. } = outcome.response else {
+        panic!("stats must succeed");
+    };
+    let s = JsonValue::parse(&result).unwrap();
+    for class in ["conn_drops", "stalls", "refusals"] {
+        assert!(
+            stat(&s, &["faults", class]) > 0,
+            "no {class} fired: {result}"
         );
     }
 

@@ -164,8 +164,7 @@ fn chaos_sweep_through_the_fleet_is_byte_identical_or_stably_coded() {
     let client = ClientBuilder::new(addr.clone())
         .retries(12)
         .backoff(Backoff::new(1, 10, 7))
-        .read_timeout(Duration::from_secs(30))
-        .fleet(true);
+        .read_timeout(Duration::from_secs(30));
 
     let stable = [
         "overloaded",
@@ -343,8 +342,7 @@ fn sigkilled_backend_fails_over_and_restarts() {
     let client = ClientBuilder::new(addr.clone())
         .retries(8)
         .backoff(Backoff::new(5, 50, 3))
-        .read_timeout(Duration::from_secs(30))
-        .fleet(true);
+        .read_timeout(Duration::from_secs(30));
 
     let req = |id| sim_request(id, "bfs", "BW-AWARE", 1100);
     let first = client.call(&req(1)).unwrap();
