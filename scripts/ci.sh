@@ -107,6 +107,22 @@ for title in "L2 MSHRs per slice" "L2 slice capacity" "random-draw vs exact 30C-
     }
 done
 
+# Figure determinism smoke: every figure grid prints and writes the same
+# bytes at one worker thread as at two.
+DET_DIR=target/ci-determinism
+rm -rf "$DET_DIR"
+for threads in 1 2; do
+    mkdir -p "$DET_DIR/t$threads"
+    for bin in run_all ext_energy; do
+        "target/release/$bin" --quick --quiet --threads "$threads" \
+            --out "$DET_DIR/t$threads/$bin" > "$DET_DIR/t$threads-$bin.stdout"
+    done
+done
+for bin in run_all ext_energy; do
+    cmp "$DET_DIR/t1-$bin.stdout" "$DET_DIR/t2-$bin.stdout"
+done
+diff -r "$DET_DIR/t1" "$DET_DIR/t2"
+
 # hetmem-serve smoke: boot the service on an ephemeral loopback port,
 # drive it with the line client (whose exit code already implies a
 # strict parse of each response), check that a repeated simulate is a
@@ -372,7 +388,7 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 FADDR="127.0.0.1:$(cat "$FLEET_DIR/fleet.port")"
-fclient() { target/release/hetmem-client --fleet --retries 8 "$FADDR" "$@"; }
+fclient() { target/release/hetmem-client --retries 8 "$FADDR" "$@"; }
 sweep_half1 fclient > "$FLEET_DIR/fleet.jsonl"
 BACKEND_PID=$(pgrep -P "$FLEET_PID" | head -1)
 kill -9 "$BACKEND_PID"  # SIGKILL one backend mid-sweep
