@@ -8,6 +8,7 @@
 //! binary documents.
 
 use std::fmt::Display;
+use std::ops::RangeInclusive;
 use std::str::FromStr;
 
 /// The most threads or child processes one flag may ask for
@@ -74,20 +75,26 @@ impl Args {
     /// A thread or process count in `1..=64`, checked before anything is
     /// spawned; a refusal reads `<flag>: must be in 1..=64`.
     pub fn spawn_count(&mut self) -> Result<usize, String> {
-        self.count_from(1)
+        self.parse_in(1..=MAX_SPAWN)
     }
 
     /// A sweep worker-thread count in `0..=64`, 0 meaning one per core,
     /// checked before any thread starts; a refusal reads `<flag>: must
     /// be in 0..=64`.
     pub fn thread_count(&mut self) -> Result<usize, String> {
-        self.count_from(0)
+        self.parse_in(0..=MAX_SPAWN)
     }
 
-    fn count_from(&mut self, min: usize) -> Result<usize, String> {
-        let n: usize = self.parse()?;
-        if !(min..=MAX_SPAWN).contains(&n) {
-            return Err(format!("{}: must be in {min}..={MAX_SPAWN}", self.flag));
+    /// As [`parse`](Self::parse), refusing a value outside `range` with
+    /// `<flag>: must be in <lo>..=<hi>`.
+    pub fn parse_in<T: FromStr + PartialOrd + Display>(
+        &mut self,
+        range: RangeInclusive<T>,
+    ) -> Result<T, String> {
+        let n: T = self.parse()?;
+        if !range.contains(&n) {
+            let (lo, hi) = range.into_inner();
+            return Err(format!("{}: must be in {lo}..={hi}", self.flag));
         }
         Ok(n)
     }
@@ -199,6 +206,16 @@ mod tests {
             a.thread_count(),
             Err("--threads: must be in 0..=64".to_string())
         );
+        let mut a = args(&["--sms", "0", "--sms", "1025", "--sms", "1024"]);
+        for _ in 0..2 {
+            a.next();
+            assert_eq!(
+                a.parse_in(1..=1024u32),
+                Err("--sms: must be in 1..=1024".to_string())
+            );
+        }
+        a.next();
+        assert_eq!(a.parse_in(1..=1024u32), Ok(1024));
         let mut a = args(&["--faults", "x"]);
         a.next();
         assert_eq!(

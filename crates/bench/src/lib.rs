@@ -10,8 +10,9 @@
 //! Common flags for the binaries:
 //!
 //! * `--quick` — 4 SMs, 15% of memory operations, 3 workloads
-//! * `--scale <f>` — scale every workload's memory operations
-//! * `--sms <n>` — simulate `n` SMs instead of 15
+//! * `--scale <f>` — scale every workload's memory operations, a
+//!   finite number above 0 (runs keep at least 5000 operations)
+//! * `--sms <n>` — simulate `n` SMs instead of 15, 1..=1024
 //! * `--workloads a,b,c` — restrict the workload set
 //! * `--quiet` — suppress per-run progress
 //! * `--threads <n>` — sweep worker threads, 0..=64 (0 / omitted = one
@@ -32,7 +33,8 @@
 //! hetmem-trace -- summary <file>`.
 //!
 //! Exit codes: 0 success, 2 usage error (an unknown flag, a missing or
-//! malformed value, a `--workloads` name outside the catalog).
+//! malformed value, a value out of its range, a `--workloads` name
+//! outside the catalog, `--sample-cycles` without `--out`).
 
 pub mod cli;
 pub mod client;
@@ -51,6 +53,10 @@ use hetmem::experiments::ExpOptions;
 use hetmem::TelemetrySink;
 
 use cli::Args;
+
+/// The most SMs one simulation may ask for: the figure binaries'
+/// `--sms`, and `simulate`'s `sms` (so `hetmem-sweep --sms` too).
+const MAX_SMS: u32 = 1024;
 
 /// Parses the common experiment flags from `std::env::args`.
 ///
@@ -81,8 +87,13 @@ fn opts_from(args: Vec<String>) -> Result<ExpOptions, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => {}
-            "--scale" => opts.ops_scale = args.parse()?,
-            "--sms" => opts.sim.num_sms = args.parse()?,
+            "--scale" => {
+                opts.ops_scale = args.parse()?;
+                if !(opts.ops_scale.is_finite() && opts.ops_scale > 0.0) {
+                    return Err("--scale: must be a finite positive number".to_string());
+                }
+            }
+            "--sms" => opts.sim.num_sms = args.parse_in(1..=MAX_SMS)?,
             "--workloads" => opts.workloads = Some(parse_workloads(&args.value()?)?),
             "--quiet" => opts.verbose = false,
             "--threads" => opts.threads = args.thread_count()?,
@@ -104,6 +115,10 @@ fn opts_from(args: Vec<String>) -> Result<ExpOptions, String> {
             }
             _ => return Err(args.unknown()),
         }
+    }
+    if opts.sample_cycles.is_some() && opts.telemetry.is_none() {
+        // Interval lines are written only into `--out`'s JSONL files.
+        return Err("--sample-cycles needs --out".to_string());
     }
     Ok(opts)
 }

@@ -290,8 +290,9 @@ pub fn parse_simulate(params: &JsonValue) -> Result<(SimPoint, String), HetmemEr
     }
     let mut sim = SimConfig::paper_baseline();
     if let Some(sms) = field_u64(params, "sms")? {
-        if sms == 0 || sms > 1024 {
-            return Err(HetmemError::invalid("'sms' must be in 1..=1024"));
+        if sms == 0 || sms > u64::from(crate::MAX_SMS) {
+            let max = crate::MAX_SMS;
+            return Err(HetmemError::invalid(format!("'sms' must be in 1..={max}")));
         }
         sim.num_sms = sms as u32;
     }

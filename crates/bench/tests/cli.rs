@@ -146,6 +146,28 @@ fn figure_usage_errors_exit_2() {
         2,
         "unknown workload \"lbmm\"",
     );
+    // Out-of-range values are refused before any run starts.
+    for sms in ["0", "2000"] {
+        refused(bin, &["--sms", sms], 2, "--sms: must be in 1..=1024");
+    }
+    for scale in ["-3", "0", "NaN", "inf"] {
+        let expected = "--scale: must be a finite positive number";
+        refused(bin, &["--scale", scale], 2, expected);
+    }
+    // Interval lines go only to `--out`'s files.
+    refused(
+        bin,
+        &["--sample-cycles", "20000"],
+        2,
+        "--sample-cycles needs --out",
+    );
+    // fig1 takes no options but still checks the common flags.
+    refused(
+        env!("CARGO_BIN_EXE_fig1"),
+        &["--bogus"],
+        2,
+        "unknown flag --bogus",
+    );
 }
 
 #[test]

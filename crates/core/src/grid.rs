@@ -24,8 +24,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use gpusim::{
-    EventTracer, IntervalPoolReport, IntervalReport, IntervalSampler, ProbeObserver, SimConfig,
-    SimReport, TraceEventKind,
+    EventTracer, IntervalPoolReport, IntervalReport, IntervalSampler, SimConfig, SimReport,
+    TraceEventKind,
 };
 use hetmem_harness::json::{array, JsonObject};
 use hetmem_harness::sweep::{run_grid, SweepOptions};
@@ -669,7 +669,7 @@ pub(crate) fn run_point_sweep(
     }
     let results: Vec<ObservedRun> = sweep(figure, opts, points, RunPoint::label, |p| {
         p.builder()
-            .observe(ProbeObserver::new(
+            .observe((
                 opts.sample_cycles
                     .map(|n| IntervalSampler::new(n, p.column.sim.pools.len())),
                 opts.trace

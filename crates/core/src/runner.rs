@@ -270,10 +270,10 @@ impl<'a> RunBuilder<'a> {
         ObservedRun {
             run: prep.finish(report),
             intervals: probe
-                .sampler
+                .0
                 .map(IntervalSampler::into_reports)
                 .unwrap_or_default(),
-            trace: probe.tracer,
+            trace: probe.1,
             placements,
             migration_epochs,
         }

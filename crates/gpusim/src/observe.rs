@@ -18,8 +18,13 @@
 //!   [`SimTraceEvent`]s, capped by an event budget (dropped events are
 //!   counted, never silently lost).
 //!
-//! [`ProbeObserver`] composes both behind runtime options so callers
-//! monomorphize a single observed simulator variant. The observers are
+//! Observers compose as values: a pair `(A, B)` observes with both
+//! halves, first then second, and an `Option<O>` with `O` when it is
+//! `Some`. These two generic impls are the only code that forwards
+//! hooks, so a new probe attaches as one more tuple half.
+//! [`ProbeObserver`] is the pair of an optional sampler and an optional
+//! tracer, so callers monomorphize a single observed simulator
+//! variant. The observers are
 //! also what leaves the run: `hetmem::RunBuilder::run_observed` hands
 //! back the sampler's reports and the tracer itself, and `hetmem::grid`
 //! renders them to JSONL lines and Chrome traces with no copy in
@@ -487,93 +492,60 @@ impl Observer for EventTracer {
 }
 
 /// The production observer: an optional [`IntervalSampler`] plus an
-/// optional [`EventTracer`] behind one monomorphized type, so the
-/// runner needs exactly one observed simulator instantiation.
-#[derive(Debug, Clone, Default)]
-pub struct ProbeObserver {
-    /// Interval time-series collection, when sampling is requested.
-    pub sampler: Option<IntervalSampler>,
-    /// Event tracing, when a trace is requested.
-    pub tracer: Option<EventTracer>,
-}
+/// optional [`EventTracer`] in one type, so the runner needs exactly
+/// one observed simulator instantiation.
+pub type ProbeObserver = (Option<IntervalSampler>, Option<EventTracer>);
 
-impl ProbeObserver {
-    /// Creates a probe from the requested parts.
-    pub fn new(sampler: Option<IntervalSampler>, tracer: Option<EventTracer>) -> Self {
-        ProbeObserver { sampler, tracer }
-    }
-}
-
-macro_rules! forward_to_parts {
-    ($self:ident, $method:ident($($arg:expr),*)) => {
-        if let Some(s) = $self.sampler.as_mut() {
-            s.$method($($arg),*);
+/// Writes the two composite observers from one list of hook
+/// signatures; they are the only code that forwards hooks.
+macro_rules! composite_observers {
+    ($(fn $hook:ident(&mut self $(, $arg:ident: $ty:ty)*);)*) => {
+        /// A pair observes with both halves: each hook goes to each
+        /// enabled half, first then second.
+        impl<A: Observer, B: Observer> Observer for (A, B) {
+            const ENABLED: bool = A::ENABLED || B::ENABLED;
+            $(
+                fn $hook(&mut self $(, $arg: $ty)*) {
+                    if A::ENABLED {
+                        self.0.$hook($($arg),*);
+                    }
+                    if B::ENABLED {
+                        self.1.$hook($($arg),*);
+                    }
+                }
+            )*
         }
-        if let Some(t) = $self.tracer.as_mut() {
-            t.$method($($arg),*);
+
+        /// An optional observer: each hook goes to the inner observer
+        /// when it is `Some`.
+        impl<O: Observer> Observer for Option<O> {
+            const ENABLED: bool = O::ENABLED;
+            $(
+                fn $hook(&mut self $(, $arg: $ty)*) {
+                    if let Some(o) = self {
+                        o.$hook($($arg),*);
+                    }
+                }
+            )*
         }
     };
 }
 
-impl Observer for ProbeObserver {
-    fn mem_issue(&mut self, now: u64, write: bool) {
-        forward_to_parts!(self, mem_issue(now, write));
-    }
-
-    fn l1_access(&mut self, now: u64, hit: bool) {
-        forward_to_parts!(self, l1_access(now, hit));
-    }
-
-    fn request_depart(&mut self, now: u64, sm: u16, vline: u64, pool: usize) {
-        forward_to_parts!(self, request_depart(now, sm, vline, pool));
-    }
-
-    fn l2_access(&mut self, now: u64, slice: u32, pool: usize, hit: bool) {
-        forward_to_parts!(self, l2_access(now, slice, pool, hit));
-    }
-
-    fn mshr_nack(&mut self, now: u64, slice: u32, pool: usize) {
-        forward_to_parts!(self, mshr_nack(now, slice, pool));
-    }
-
-    fn mshr_occupancy(&mut self, now: u64, occupancy: usize) {
-        forward_to_parts!(self, mshr_occupancy(now, occupancy));
-    }
-
-    fn dram_traffic(&mut self, now: u64, pool: usize, bytes: u64, read: bool) {
-        forward_to_parts!(self, dram_traffic(now, pool, bytes, read));
-    }
-
+composite_observers! {
+    fn mem_issue(&mut self, now: u64, write: bool);
+    fn l1_access(&mut self, now: u64, hit: bool);
+    fn request_depart(&mut self, now: u64, sm: u16, vline: u64, pool: usize);
+    fn l2_access(&mut self, now: u64, slice: u32, pool: usize, hit: bool);
+    fn mshr_nack(&mut self, now: u64, slice: u32, pool: usize);
+    fn mshr_occupancy(&mut self, now: u64, occupancy: usize);
+    fn dram_traffic(&mut self, now: u64, pool: usize, bytes: u64, read: bool);
     fn dram_service(
-        &mut self,
-        now: u64,
-        slice: u32,
-        pool: usize,
-        read: bool,
-        done: u64,
-        burst_cycles: f64,
-    ) {
-        forward_to_parts!(
-            self,
-            dram_service(now, slice, pool, read, done, burst_cycles)
-        );
-    }
-
-    fn request_retire(&mut self, now: u64, sm: u16, vline: u64) {
-        forward_to_parts!(self, request_retire(now, sm, vline));
-    }
-
-    fn page_placed(&mut self, now: u64, pool: usize) {
-        forward_to_parts!(self, page_placed(now, pool));
-    }
-
-    fn warp_retired(&mut self, now: u64) {
-        forward_to_parts!(self, warp_retired(now));
-    }
-
-    fn run_finished(&mut self, cycles: u64) {
-        forward_to_parts!(self, run_finished(cycles));
-    }
+        &mut self, now: u64, slice: u32, pool: usize, read: bool, done: u64, burst_cycles: f64
+    );
+    fn request_retire(&mut self, now: u64, sm: u16, vline: u64);
+    fn page_placed(&mut self, now: u64, pool: usize);
+    fn warp_retired(&mut self, now: u64);
+    fn run_finished(&mut self, cycles: u64);
 }
 
 #[cfg(test)]
@@ -691,5 +663,134 @@ mod tests {
     fn null_observer_is_disabled() {
         const { assert!(!NullObserver::ENABLED) };
         const { assert!(IntervalSampler::ENABLED) };
+    }
+
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    type Log = Rc<RefCell<Vec<String>>>;
+
+    /// Logs every hook it sees, with its arguments, as `tag.hook(args)`.
+    struct Recorder {
+        tag: &'static str,
+        log: Log,
+    }
+
+    impl Recorder {
+        fn record(&self, hook: &str, args: std::fmt::Arguments) {
+            let line = format!("{}.{hook}({args})", self.tag);
+            self.log.borrow_mut().push(line);
+        }
+    }
+
+    impl Observer for Recorder {
+        fn mem_issue(&mut self, now: u64, write: bool) {
+            self.record("mem_issue", format_args!("{now},{write}"));
+        }
+        fn l1_access(&mut self, now: u64, hit: bool) {
+            self.record("l1_access", format_args!("{now},{hit}"));
+        }
+        fn request_depart(&mut self, now: u64, sm: u16, vline: u64, pool: usize) {
+            self.record("request_depart", format_args!("{now},{sm},{vline},{pool}"));
+        }
+        fn l2_access(&mut self, now: u64, slice: u32, pool: usize, hit: bool) {
+            self.record("l2_access", format_args!("{now},{slice},{pool},{hit}"));
+        }
+        fn mshr_nack(&mut self, now: u64, slice: u32, pool: usize) {
+            self.record("mshr_nack", format_args!("{now},{slice},{pool}"));
+        }
+        fn mshr_occupancy(&mut self, now: u64, occupancy: usize) {
+            self.record("mshr_occupancy", format_args!("{now},{occupancy}"));
+        }
+        fn dram_traffic(&mut self, now: u64, pool: usize, bytes: u64, read: bool) {
+            self.record("dram_traffic", format_args!("{now},{pool},{bytes},{read}"));
+        }
+        fn dram_service(
+            &mut self,
+            now: u64,
+            slice: u32,
+            pool: usize,
+            read: bool,
+            done: u64,
+            burst_cycles: f64,
+        ) {
+            let args = format_args!("{now},{slice},{pool},{read},{done},{burst_cycles}");
+            self.record("dram_service", args);
+        }
+        fn request_retire(&mut self, now: u64, sm: u16, vline: u64) {
+            self.record("request_retire", format_args!("{now},{sm},{vline}"));
+        }
+        fn page_placed(&mut self, now: u64, pool: usize) {
+            self.record("page_placed", format_args!("{now},{pool}"));
+        }
+        fn warp_retired(&mut self, now: u64) {
+            self.record("warp_retired", format_args!("{now}"));
+        }
+        fn run_finished(&mut self, cycles: u64) {
+            self.record("run_finished", format_args!("{cycles}"));
+        }
+    }
+
+    /// Calls every hook once, each with its own arguments.
+    fn drive(o: &mut impl Observer) {
+        o.mem_issue(1, true);
+        o.l1_access(2, false);
+        o.request_depart(3, 4, 5, 1);
+        o.l2_access(6, 7, 1, true);
+        o.mshr_nack(8, 9, 0);
+        o.mshr_occupancy(10, 11);
+        o.dram_traffic(12, 1, 128, false);
+        o.dram_service(13, 14, 0, true, 20, 2.5);
+        o.request_retire(21, 4, 5);
+        o.page_placed(22, 1);
+        o.warp_retired(23);
+        o.run_finished(24);
+    }
+
+    /// What one recorder tagged `tag` logs for [`drive`].
+    fn driven(tag: &'static str) -> Vec<String> {
+        let log = Log::default();
+        drive(&mut Recorder {
+            tag,
+            log: Rc::clone(&log),
+        });
+        log.take()
+    }
+
+    #[test]
+    fn pair_forwards_every_hook_to_both_halves_in_order() {
+        let log = Log::default();
+        let rec = |tag| Recorder {
+            tag,
+            log: Rc::clone(&log),
+        };
+        drive(&mut (rec("a"), rec("b")));
+        let expected: Vec<String> = driven("a")
+            .into_iter()
+            .zip(driven("b"))
+            .flat_map(|(a, b)| [a, b])
+            .collect();
+        assert_eq!(expected.len(), 24, "twelve hooks, two halves");
+        assert_eq!(*log.borrow(), expected);
+
+        // A disabled half drops out of the pair's `ENABLED`.
+        const { assert!(!<(NullObserver, NullObserver)>::ENABLED) };
+        const { assert!(<(NullObserver, IntervalSampler)>::ENABLED) };
+        const { assert!(<(EventTracer, NullObserver)>::ENABLED) };
+    }
+
+    #[test]
+    fn option_forwards_only_when_some() {
+        const { assert!(!<Option<NullObserver>>::ENABLED) };
+        const { assert!(<Option<EventTracer>>::ENABLED) };
+        let log = Log::default();
+        drive(&mut None::<Recorder>);
+        drive(&mut (None::<Recorder>, None::<Recorder>));
+        assert!(log.borrow().is_empty());
+        drive(&mut Some(Recorder {
+            tag: "a",
+            log: Rc::clone(&log),
+        }));
+        assert_eq!(*log.borrow(), driven("a"));
     }
 }

@@ -246,17 +246,19 @@ struct CurvePoint {
     now: u64,
 }
 
-/// The model observer: samples the cumulative delivery curve once per
-/// delivered window's worth of operations, at memory-issue events.
-/// Warps progress through their streams at different rates, so detail
-/// windows overlap arbitrarily in sim time — the global delivery rate
-/// is the only well-defined throughput measure, and its mid-run slope
-/// is exactly the steady-state cycles-per-op the extrapolation needs.
 /// Delivery-curve resolution: one point per this many delivered ops.
 /// Independent of the window size so large windows still give the fit
 /// plenty of points.
 const CURVE_RES_OPS: u64 = 1024;
 
+/// The model observer: samples the cumulative delivery curve once per
+/// [`CURVE_RES_OPS`] delivered operations, at memory-issue events.
+/// Warps progress through their streams at different rates, so detail
+/// windows overlap arbitrarily in sim time — the global delivery rate
+/// is the only well-defined throughput measure, and its mid-run slope
+/// is exactly the steady-state cycles-per-op the extrapolation needs.
+/// [`run_sampled`] attaches it as the first half of a pair with the
+/// caller's observer.
 struct FfModel {
     shared: Rc<SampleShared>,
     /// Next `delivered` count that triggers a sample (1 initially, so
@@ -265,80 +267,13 @@ struct FfModel {
     curve: Vec<CurvePoint>,
 }
 
-impl FfModel {
-    fn on_issue(&mut self, now: u64) {
+impl Observer for FfModel {
+    fn mem_issue(&mut self, now: u64, _write: bool) {
         let delivered = self.shared.delivered_ops.get();
         if delivered >= self.next_mark {
             self.curve.push(CurvePoint { delivered, now });
             self.next_mark = delivered + CURVE_RES_OPS;
         }
-    }
-}
-
-/// Composes the internal [`FfModel`] with the caller's observer so one
-/// monomorphized simulator serves both.
-struct FfProbe<O> {
-    model: FfModel,
-    inner: O,
-}
-
-impl<O: Observer> Observer for FfProbe<O> {
-    fn mem_issue(&mut self, now: u64, write: bool) {
-        self.model.on_issue(now);
-        self.inner.mem_issue(now, write);
-    }
-
-    fn l1_access(&mut self, now: u64, hit: bool) {
-        self.inner.l1_access(now, hit);
-    }
-
-    fn request_depart(&mut self, now: u64, sm: u16, vline: u64, pool: usize) {
-        self.inner.request_depart(now, sm, vline, pool);
-    }
-
-    fn l2_access(&mut self, now: u64, slice: u32, pool: usize, hit: bool) {
-        self.inner.l2_access(now, slice, pool, hit);
-    }
-
-    fn mshr_nack(&mut self, now: u64, slice: u32, pool: usize) {
-        self.inner.mshr_nack(now, slice, pool);
-    }
-
-    fn mshr_occupancy(&mut self, now: u64, occupancy: usize) {
-        self.inner.mshr_occupancy(now, occupancy);
-    }
-
-    fn dram_traffic(&mut self, now: u64, pool: usize, bytes: u64, read: bool) {
-        self.inner.dram_traffic(now, pool, bytes, read);
-    }
-
-    fn dram_service(
-        &mut self,
-        now: u64,
-        slice: u32,
-        pool: usize,
-        read: bool,
-        done: u64,
-        burst_cycles: f64,
-    ) {
-        self.inner
-            .dram_service(now, slice, pool, read, done, burst_cycles);
-    }
-
-    fn request_retire(&mut self, now: u64, sm: u16, vline: u64) {
-        self.inner.request_retire(now, sm, vline);
-    }
-
-    fn page_placed(&mut self, now: u64, pool: usize) {
-        self.inner.page_placed(now, pool);
-    }
-
-    fn warp_retired(&mut self, now: u64) {
-        self.inner.warp_retired(now);
-    }
-
-    fn run_finished(&mut self, cycles: u64) {
-        self.inner.run_finished(cycles);
     }
 }
 
@@ -378,26 +313,23 @@ where
         win_until: vec![0; total_warps as usize],
         win_detail: vec![false; total_warps as usize],
     };
-    let probe = FfProbe {
-        model: FfModel {
-            shared: Rc::clone(&shared),
-            next_mark: 1,
-            curve: Vec::new(),
-        },
-        inner: obs,
+    let model = FfModel {
+        shared: Rc::clone(&shared),
+        next_mark: 1,
+        curve: Vec::new(),
     };
     let sim = Simulator::new(cfg.clone(), translator, wrapped)
-        .with_observer(probe)
+        .with_observer((model, obs))
         .with_migrator(mig);
     let sim = if profile_pages {
         sim.with_page_profiling()
     } else {
         sim
     };
-    let (mut report, probe, stats) = sim.run_instrumented();
-    let estimate = extrapolate(&mut report, &cfg, &sample, &shared, &probe.model.curve);
+    let (mut report, (model, obs), stats) = sim.run_instrumented();
+    let estimate = extrapolate(&mut report, &cfg, &sample, &shared, &model.curve);
     report.estimated = Some(estimate);
-    (report, probe.inner, stats)
+    (report, obs, stats)
 }
 
 /// Stretches the measured (detail-only) report over the drained
@@ -623,22 +555,31 @@ mod tests {
     #[test]
     fn detail_window_intervals_match_full_run_byte_for_byte() {
         // Property: a window simulated in detail carries exactly the
-        // full run's counters. Pinned across schedules in the
-        // all-detail regime (period 1 and warmup-covers-run, several
-        // window sizes and seeds), where the sampled run's interval
-        // series must equal the full run's series byte for byte.
+        // full run's counters and events. Pinned across schedules in
+        // the all-detail regime (period 1 and warmup-covers-run,
+        // several window sizes and seeds), where the sampled run's
+        // interval series and event trace must equal the full run's
+        // byte for byte. Both runs attach the same sampler-and-tracer
+        // pair, which the sampled engine nests behind its own model.
         let cfg = small_cfg();
         let bytes = 2 << 20;
-        let full = {
-            let sim = Simulator::new(
-                cfg.clone(),
-                FixedPoolTranslator::new(0),
-                StreamKernel::new(&cfg, 16, bytes),
+        let probe = || {
+            (
+                crate::IntervalSampler::new(500, cfg.pools.len()),
+                crate::EventTracer::new(crate::EventTracer::DEFAULT_BUDGET),
             )
-            .with_observer(crate::IntervalSampler::new(500, cfg.pools.len()));
-            let (report, sampler, _) = sim.run_instrumented();
-            (report, sampler)
         };
+        let (full_report, (full_sampler, full_tracer), _) = Simulator::new(
+            cfg.clone(),
+            FixedPoolTranslator::new(0),
+            StreamKernel::new(&cfg, 16, bytes),
+        )
+        .with_observer(probe())
+        .run_instrumented();
+        assert!(
+            !full_tracer.events().is_empty() && full_tracer.dropped() == 0,
+            "the whole trace must fit the budget"
+        );
         let schedules = [
             SampleConfig {
                 window_ops: 256,
@@ -660,22 +601,28 @@ mod tests {
             },
         ];
         for sample in schedules {
-            let (mut report, obs, _) = run_sampled(
+            let (mut report, (sampler, tracer), _) = run_sampled(
                 cfg.clone(),
                 FixedPoolTranslator::new(0),
                 StreamKernel::new(&cfg, 16, bytes),
                 sample,
-                crate::IntervalSampler::new(500, cfg.pools.len()),
+                probe(),
                 NullMigrator,
                 false,
             );
             assert_eq!(
-                obs.reports(),
-                full.1.reports(),
+                sampler.reports(),
+                full_sampler.reports(),
                 "interval series must match for {sample:?}"
             );
+            assert_eq!(
+                tracer.events(),
+                full_tracer.events(),
+                "trace events must match for {sample:?}"
+            );
+            assert_eq!(tracer.dropped(), 0, "{sample:?}");
             report.estimated = None;
-            assert_eq!(report, full.0, "report must match for {sample:?}");
+            assert_eq!(report, full_report, "report must match for {sample:?}");
         }
     }
 

@@ -9,8 +9,8 @@ use gpusim::engine::Calendar;
 use gpusim::flat::WaiterMap;
 use gpusim::{
     CacheConfig, CacheOutcome, DramChannel, DramTiming, EventTracer, FixedPoolTranslator,
-    IntervalSampler, PoolConfig, ProbeObserver, RatioTranslator, SetAssocCache, SimConfig,
-    Simulator, StreamKernel,
+    IntervalSampler, PoolConfig, RatioTranslator, SetAssocCache, SimConfig, Simulator,
+    StreamKernel,
 };
 use hmtypes::{SplitMix64, LINE_SIZE};
 
@@ -189,7 +189,7 @@ hetmem_harness::props! {
             StreamKernel::new(&cfg, 4, kb * 1024),
         )
         .run();
-        let probe = ProbeObserver::new(
+        let probe = (
             Some(IntervalSampler::new(sample, cfg.pools.len())),
             Some(EventTracer::new(10_000)),
         );

@@ -44,19 +44,22 @@ cargo run --release --offline -q -p hetmem-bench --bin fig3 -- \
     --trace "$OBS_DIR/trace" --trace-budget 20000
 target/release/hetmem-trace check "$OBS_DIR/fig3.jsonl" "$OBS_DIR"/trace/*.json
 target/release/hetmem-trace summary "$OBS_DIR/fig3.jsonl" --top 3
-# The same sweep at sampled fidelity: its interval lines must carry both
-# the measured (`detail`) windows and the `extrapolated` tail.
+# The same sweep at sampled fidelity, traced too: its interval lines
+# must carry both the measured (`detail`) windows and the
+# `extrapolated` tail, and its traces come from the tracer riding
+# behind the sampled engine's own model observer.
 OBS_SAMPLED="$OBS_DIR/sampled"
 cargo run --release --offline -q -p hetmem-bench --bin fig3 -- \
     --quick --workloads lbm --quiet --fidelity sampled \
-    --out "$OBS_SAMPLED" --sample-cycles 20000
+    --out "$OBS_SAMPLED" --sample-cycles 20000 \
+    --trace "$OBS_SAMPLED/trace" --trace-budget 20000
 for mode in detail extrapolated; do
     grep -qF "\"mode\":\"$mode\"" "$OBS_SAMPLED/fig3.jsonl" || {
         echo "sampled fig3 wrote no \"mode\":\"$mode\" interval line" >&2
         exit 1
     }
 done
-target/release/hetmem-trace check "$OBS_SAMPLED/fig3.jsonl"
+target/release/hetmem-trace check "$OBS_SAMPLED/fig3.jsonl" "$OBS_SAMPLED"/trace/*.json
 # Interval windows tile: within each run (one `config_hash`), every
 # `interval` line of both sweeps starts where the previous one ended,
 # and the last one ends on the run line's `cycles`.

@@ -19,9 +19,7 @@
 //! ```
 
 use gpusim::observe::IntervalReport;
-use gpusim::{
-    DramTiming, Fidelity, IntervalSampler, ProbeObserver, SampleConfig, SimConfig, SimReport,
-};
+use gpusim::{DramTiming, Fidelity, IntervalSampler, SampleConfig, SimConfig, SimReport};
 use hetmem::runner::{Capacity, Placement, RunBuilder};
 use hetmem::{profile_workload, topology_for};
 use hetmem_harness::json::{array, JsonObject};
@@ -305,10 +303,7 @@ fn interval_counters_are_golden() {
             let placement = placement_for(policy, &spec, &sim);
             let observed = RunBuilder::new(&spec, &sim)
                 .placement(&placement)
-                .observe(ProbeObserver::new(
-                    Some(IntervalSampler::new(5_000, sim.pools.len())),
-                    None,
-                ))
+                .observe((Some(IntervalSampler::new(5_000, sim.pools.len())), None))
                 .run_observed();
             lines.push(
                 JsonObject::new()

@@ -143,7 +143,7 @@ fn observed_run_matches_plain_run_on_figure_workloads() {
     // Observing must not perturb the simulation, on both a
     // bandwidth-bound (lbm, Fig. 3) and a capacity-constrained (bfs,
     // Fig. 4) figure workload.
-    use gpusim::{IntervalSampler, ProbeObserver};
+    use gpusim::IntervalSampler;
 
     let sim = quick_sim();
     let topo = topology_for(&sim, &[1, 1]);
@@ -157,7 +157,7 @@ fn observed_run_matches_plain_run_on_figure_workloads() {
             .capacity(capacity)
             .placement(&placement)
             .run();
-        let obs = ProbeObserver::new(Some(IntervalSampler::new(1_000, sim.pools.len())), None);
+        let obs = (Some(IntervalSampler::new(1_000, sim.pools.len())), None);
         let built_obs = RunBuilder::new(&spec, &sim)
             .capacity(capacity)
             .placement(&placement)
