@@ -2,6 +2,6 @@
 fn main() {
     // Fig. 1 takes no options, but its flags are checked like every
     // figure binary's.
-    let _ = hetmem_bench::opts_from_args();
+    let _ = hetmem_bench::no_sweep_opts_from_args();
     println!("{}", hetmem::experiments::fig1());
 }

@@ -23,7 +23,7 @@
 //! * `--trace <dir>` — write one Chrome `trace_event` JSON per grid
 //!   point into `<dir>` (load in Perfetto / `chrome://tracing`)
 //! * `--trace-budget <n>` — cap traced events per run (default 100000;
-//!   overflow is counted in a `truncated` marker)
+//!   overflow is counted in a `truncated` marker; needs `--trace`)
 //! * `--fidelity full|sampled` — simulation fidelity for every grid
 //!   point (default `full`; `sampled` fast-forwards and extrapolates,
 //!   tagging each emitted `interval` record with
@@ -32,9 +32,14 @@
 //! Inspect the emitted files with `cargo run -p hetmem-bench --bin
 //! hetmem-trace -- summary <file>`.
 //!
+//! `fig1` and `table1` run no sweep, so they refuse `--out` and
+//! `--trace`.
+//!
 //! Exit codes: 0 success, 2 usage error (an unknown flag, a missing or
 //! malformed value, a value out of its range, a `--workloads` name
-//! outside the catalog, `--sample-cycles` without `--out`).
+//! outside the catalog, `--sample-cycles` without `--out`,
+//! `--trace-budget` without `--trace`, `--out` or `--trace` on a binary
+//! that runs no sweep).
 
 pub mod cli;
 pub mod client;
@@ -64,7 +69,18 @@ const MAX_SMS: u32 = 1024;
 /// catalog, prints `<bin>: <message>` on stderr and exits the process
 /// with code 2.
 pub fn opts_from_args() -> ExpOptions {
-    opts_from(std::env::args().skip(1).collect()).unwrap_or_else(|e| {
+    parse_or_exit(true)
+}
+
+/// [`opts_from_args`] for a binary that prints a table without running
+/// a sweep (`fig1`, `table1`): nothing would write `--out`'s telemetry
+/// or `--trace`'s traces, so both are usage errors.
+pub fn no_sweep_opts_from_args() -> ExpOptions {
+    parse_or_exit(false)
+}
+
+fn parse_or_exit(sweeps: bool) -> ExpOptions {
+    opts_from(std::env::args().skip(1).collect(), sweeps).unwrap_or_else(|e| {
         let exe = std::env::args().next().unwrap_or_default();
         let bin = std::path::Path::new(&exe)
             .file_stem()
@@ -75,14 +91,17 @@ pub fn opts_from_args() -> ExpOptions {
 
 /// Parses the common experiment flags from `args` (the command line
 /// without the program name); see [`opts_from_args`]. `--quick` is the
-/// base every other flag refines, wherever it appears.
-fn opts_from(args: Vec<String>) -> Result<ExpOptions, String> {
+/// base every other flag refines, wherever it appears. Every check
+/// runs before `--out`'s directory is created.
+fn opts_from(args: Vec<String>, sweeps: bool) -> Result<ExpOptions, String> {
     let mut opts = if args.iter().any(|a| a == "--quick") {
         ExpOptions::quick()
     } else {
         ExpOptions::default()
     };
     opts.verbose = true;
+    let mut out = None;
+    let mut trace_budget = None;
     let mut args = Args::new(args);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -97,15 +116,10 @@ fn opts_from(args: Vec<String>) -> Result<ExpOptions, String> {
             "--workloads" => opts.workloads = Some(parse_workloads(&args.value()?)?),
             "--quiet" => opts.verbose = false,
             "--threads" => opts.threads = args.thread_count()?,
-            "--out" => {
-                let dir = args.value()?;
-                let sink = TelemetrySink::create(&dir)
-                    .map_err(|e| format!("cannot create telemetry dir {dir}: {e}"))?;
-                opts.telemetry = Some(Arc::new(sink));
-            }
+            "--out" => out = Some(args.value()?),
             "--sample-cycles" => opts.sample_cycles = Some(args.positive()?),
             "--trace" => opts.trace = Some(args.parse()?),
-            "--trace-budget" => opts.trace_budget = args.parse()?,
+            "--trace-budget" => trace_budget = Some(args.parse()?),
             "--fidelity" => {
                 opts.fidelity = args.parse_with(|v| match v {
                     "full" => Ok(gpusim::Fidelity::Full),
@@ -116,9 +130,23 @@ fn opts_from(args: Vec<String>) -> Result<ExpOptions, String> {
             _ => return Err(args.unknown()),
         }
     }
-    if opts.sample_cycles.is_some() && opts.telemetry.is_none() {
+    if !sweeps && (out.is_some() || opts.trace.is_some()) {
+        return Err("--out and --trace need a sweep, and this binary runs none".to_string());
+    }
+    if opts.sample_cycles.is_some() && out.is_none() {
         // Interval lines are written only into `--out`'s JSONL files.
         return Err("--sample-cycles needs --out".to_string());
+    }
+    if let Some(budget) = trace_budget {
+        if opts.trace.is_none() {
+            return Err("--trace-budget needs --trace".to_string());
+        }
+        opts.trace_budget = budget;
+    }
+    if let Some(dir) = out {
+        let sink = TelemetrySink::create(&dir)
+            .map_err(|e| format!("cannot create telemetry dir {dir}: {e}"))?;
+        opts.telemetry = Some(Arc::new(sink));
     }
     Ok(opts)
 }
@@ -148,7 +176,7 @@ mod tests {
 
     #[test]
     fn workloads_flag_selects_catalog_names() {
-        let opts = opts_from(args(&["--quiet", "--workloads", "bfs,xsbench"])).unwrap();
+        let opts = opts_from(args(&["--quiet", "--workloads", "bfs,xsbench"]), true).unwrap();
         let names: Vec<_> = opts.specs().iter().map(|w| w.name).collect();
         assert_eq!(names, ["bfs", "xsbench"]);
     }
@@ -165,7 +193,7 @@ mod tests {
 
     #[test]
     fn unknown_workload_flag_fails() {
-        let Err(err) = opts_from(args(&["--workloads", "lbm,lbmm"])) else {
+        let Err(err) = opts_from(args(&["--workloads", "lbm,lbmm"]), true) else {
             panic!("an unknown --workloads name must be refused");
         };
         assert!(
@@ -176,7 +204,7 @@ mod tests {
 
     #[test]
     fn workloads_before_quick_are_kept() {
-        let opts = opts_from(args(&["--workloads", "xsbench", "--quick"])).unwrap();
+        let opts = opts_from(args(&["--workloads", "xsbench", "--quick"]), true).unwrap();
         let names: Vec<_> = opts.specs().iter().map(|w| w.name).collect();
         assert_eq!(names, ["xsbench"]);
         assert_eq!(opts.sim.num_sms, ExpOptions::quick().sim.num_sms);
@@ -184,15 +212,26 @@ mod tests {
     }
 
     #[test]
+    fn trace_budget_is_kept_before_or_after_trace() {
+        for flags in [
+            ["--trace-budget", "5", "--trace", "t"],
+            ["--trace", "t", "--trace-budget", "5"],
+        ] {
+            let opts = opts_from(args(&flags), true).unwrap();
+            assert_eq!(opts.trace_budget, 5, "{flags:?}");
+        }
+    }
+
+    #[test]
     fn sms_before_quick_are_kept() {
-        let opts = opts_from(args(&["--sms", "8", "--quick"])).unwrap();
+        let opts = opts_from(args(&["--sms", "8", "--quick"]), true).unwrap();
         assert_eq!(opts.sim.num_sms, 8);
         assert_eq!(opts.workloads, ExpOptions::quick().workloads);
     }
 
     #[test]
     fn scale_before_quick_is_kept() {
-        let opts = opts_from(args(&["--scale", "0.5", "--quick"])).unwrap();
+        let opts = opts_from(args(&["--scale", "0.5", "--quick"]), true).unwrap();
         assert_eq!(opts.ops_scale, 0.5);
         assert_eq!(opts.workloads, ExpOptions::quick().workloads);
     }

@@ -161,6 +161,13 @@ fn figure_usage_errors_exit_2() {
         2,
         "--sample-cycles needs --out",
     );
+    // A budget without a tracer would be ignored.
+    refused(
+        bin,
+        &["--trace-budget", "5"],
+        2,
+        "--trace-budget needs --trace",
+    );
     // fig1 takes no options but still checks the common flags.
     refused(
         env!("CARGO_BIN_EXE_fig1"),
@@ -168,6 +175,16 @@ fn figure_usage_errors_exit_2() {
         2,
         "unknown flag --bogus",
     );
+    // fig1 and table1 run no sweep: they refuse `--out` before creating
+    // its directory, and `--trace` too.
+    let dir = std::env::temp_dir().join(format!("hetmem-cli-{}-no-sweep", std::process::id()));
+    let dir_arg = dir.display().to_string();
+    for bin in [env!("CARGO_BIN_EXE_fig1"), env!("CARGO_BIN_EXE_table1")] {
+        for flag in ["--out", "--trace"] {
+            refused(bin, &[flag, &dir_arg], 2, "this binary runs none");
+            assert!(!dir.exists(), "{bin} {flag} created {}", dir.display());
+        }
+    }
 }
 
 #[test]

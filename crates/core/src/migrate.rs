@@ -25,22 +25,21 @@
 //! Every ranking ties on the page number, so a run is deterministic —
 //! byte-identical reports at any sweep thread count.
 //!
-//! Nothing on the per-access path hashes below 2^22 pages. All per-page
-//! state — this epoch's count, the cumulative tally, the last epoch
-//! touched and the cycle a remap settles — sits in one `PageState` per
-//! page in a dense [`PageMap`], so [`PageMigrator::record_access`] is
-//! one indexed update. A list of the pages touched this epoch lets an
-//! epoch rank and reset only those pages, and the full residency scan
-//! (over the page table, in page order) runs only when a cold-demotion
-//! pass or an LRU eviction needs it.
+//! Nothing on the per-access path hashes. All per-page state — this
+//! epoch's count, the cumulative tally, the last epoch touched and the
+//! cycle a remap settles — sits in one `PageState` per page in the
+//! workspace's per-page table, [`PageMap`], so
+//! [`PageMigrator::record_access`] is one indexed update. A list of the
+//! pages touched this epoch lets an epoch rank and reset only those
+//! pages, and the full residency scan (over the page table, in page
+//! order) runs only when a cold-demotion pass or an LRU eviction needs
+//! it.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use gpusim::flat::PageMap;
 use gpusim::{MigrationCounters, PageCopy, PageMigrator, SimConfig};
-use hmtypes::{MemKind, PageNum};
+use hmtypes::{MemKind, PageMap, PageNum};
 use mempolicy::{AddressSpace, MigrateSpec, ZoneId};
 
 /// Time from a page's invalidation to its first re-use, in
@@ -77,7 +76,7 @@ pub struct MigrationEpochEvent {
 }
 
 /// Everything the engine tracks for one virtual page.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct PageState {
     /// DRAM accesses within the current epoch (0 = untouched).
     count: u64,
@@ -100,19 +99,15 @@ impl HotnessTally {
     /// Accesses counted against `page` so far, or `None` if it was never
     /// accessed.
     pub fn get(&self, page: u64) -> Option<u64> {
-        self.0
-            .borrow()
-            .get(page)
-            .map(|s| s.tally)
-            .filter(|&t| t > 0)
+        Some(self.0.borrow().get(PageNum::new(page)).tally).filter(|&t| t > 0)
     }
 
-    /// Every accessed page and its count.
-    pub fn to_map(&self) -> HashMap<u64, u64> {
+    /// Every accessed page and its count, in the shape of the
+    /// simulator's profiled `SimReport::page_accesses`.
+    pub fn counts(&self) -> PageMap<u64> {
         self.0
             .borrow()
             .iter()
-            .filter(|(_, s)| s.tally > 0)
             .map(|(page, s)| (page, s.tally))
             .collect()
     }
@@ -140,7 +135,7 @@ pub struct OnlineMigrator {
     /// histogram).
     pages: Rc<RefCell<PageMap<PageState>>>,
     /// Pages with a nonzero count this epoch, in first-touch order.
-    touched: Vec<u64>,
+    touched: Vec<PageNum>,
     /// Latest remap-ready cycle of any page: at or after it no access
     /// can stall, and the stall check skips the page lookup.
     max_ready: u64,
@@ -204,17 +199,16 @@ impl OnlineMigrator {
     }
 
     /// Pages currently resident in `zone`, in page-table order.
-    fn resident_in(mm: &AddressSpace, zone: ZoneId) -> Vec<u64> {
+    fn resident_in(mm: &AddressSpace, zone: ZoneId) -> Vec<PageNum> {
         mm.mappings()
             .filter(|&(_, frame)| mm.allocator().zone_of(frame) == Some(zone))
-            .map(|(page, _)| page.index())
+            .map(|(page, _)| page)
             .collect()
     }
 
     /// Moves `page` to `dst`, returning the physical copy to charge, or
     /// `None` when the zone is full (the caller then evicts).
-    fn move_page(mm: &mut AddressSpace, page: u64, dst: ZoneId) -> Option<PageCopy> {
-        let page = PageNum::new(page);
+    fn move_page(mm: &mut AddressSpace, page: PageNum, dst: ZoneId) -> Option<PageCopy> {
         let old = mm.frame_of(page)?;
         let src = mm.allocator().zone_of(old)?;
         let new = mm.migrate_page(page, dst).ok()?;
@@ -228,7 +222,7 @@ impl OnlineMigrator {
 
     /// Marks `page` as remapped at `now`: its accesses stall until the
     /// remap latency has passed.
-    fn remapped(&mut self, pages: &mut PageMap<PageState>, page: u64, now: u64) {
+    fn remapped(&mut self, pages: &mut PageMap<PageState>, page: PageNum, now: u64) {
         let ready = now + self.remap_cycles;
         pages.get_mut(page).ready = ready;
         self.max_ready = self.max_ready.max(ready);
@@ -238,6 +232,7 @@ impl OnlineMigrator {
 impl PageMigrator for OnlineMigrator {
     #[inline]
     fn record_access(&mut self, _now: u64, page: u64) {
+        let page = PageNum::new(page);
         let mut pages = self.pages.borrow_mut();
         let state = pages.get_mut(page);
         if state.count == 0 {
@@ -256,8 +251,9 @@ impl PageMigrator for OnlineMigrator {
         }
         self.pages
             .borrow()
-            .get(page)
-            .map_or(0, |s| s.ready.saturating_sub(now))
+            .get(PageNum::new(page))
+            .ready
+            .saturating_sub(now)
     }
 
     fn next_epoch(&self) -> u64 {
@@ -281,27 +277,26 @@ impl PageMigrator for OnlineMigrator {
         // threshold this epoch, hottest first, capped at the batch.
         // Their zones are read before any demotion moves a page, so a
         // page demoted below is never a candidate.
-        let mut hot: Vec<(u64, u64)> = self
+        let mut hot: Vec<(u64, PageNum)> = self
             .touched
             .iter()
             .filter_map(|&page| {
-                let count = pages.get(page).map_or(0, |s| s.count);
-                (count >= self.spec.hot_threshold
-                    && mm.zone_of_page(PageNum::new(page)) == Some(self.co))
-                .then_some((count, page))
+                let count = pages.get(page).count;
+                (count >= self.spec.hot_threshold && mm.zone_of_page(page) == Some(self.co))
+                    .then_some((count, page))
             })
             .collect();
         hot.sort_unstable_by_key(|&(count, page)| (std::cmp::Reverse(count), page));
         hot.truncate(self.spec.batch_pages as usize);
 
         // Demote cold BO pages first so their frames are reusable; the
-        // residency snapshot is in page order (the dense page table
-        // iterates low to high), keeping each epoch deterministic.
+        // residency snapshot is in page order (the page table iterates
+        // low to high, spill range included), keeping each epoch
+        // deterministic.
         if self.spec.cold_threshold > 0 {
             let bo_resident = Self::resident_in(&mm, self.bo);
             for page in bo_resident {
-                let count = pages.get(page).map_or(0, |s| s.count);
-                if count >= self.spec.cold_threshold {
+                if pages.get(page).count >= self.spec.cold_threshold {
                     continue;
                 }
                 if let Some(copy) = Self::move_page(&mut mm, page, self.co) {
@@ -316,9 +311,9 @@ impl PageMigrator for OnlineMigrator {
         // recently-touched BO page first, the hot set excluded. Demoted
         // pages have left BO and promoted ones are hot, so the live BO
         // residency here equals the pre-demotion snapshot minus both.
-        let mut hot_pages: Vec<u64> = hot.iter().map(|&(_, page)| page).collect();
+        let mut hot_pages: Vec<PageNum> = hot.iter().map(|&(_, page)| page).collect();
         hot_pages.sort_unstable();
-        let mut victims: Option<std::vec::IntoIter<u64>> = None;
+        let mut victims: Option<std::vec::IntoIter<PageNum>> = None;
 
         for &(_, page) in &hot {
             loop {
@@ -332,7 +327,7 @@ impl PageMigrator for OnlineMigrator {
                 let victims = victims.get_or_insert_with(|| {
                     let mut v = Self::resident_in(&mm, self.bo);
                     v.retain(|p| hot_pages.binary_search(p).is_err());
-                    v.sort_by_key(|&p| (pages.get(p).map_or(0, |s| s.last_epoch), p));
+                    v.sort_by_key(|&p| (pages.get(p).last_epoch, p));
                     v.into_iter()
                 });
                 let Some(victim) = victims.next() else { break };

@@ -518,7 +518,7 @@ pub fn profile_workload(spec: &WorkloadSpec, sim: &SimConfig) -> (PageHistogram,
         .placement(&Placement::Policy(policy))
         .profiled()
         .run();
-    let histogram = PageHistogram::from_counts(
+    let histogram = PageHistogram::from(
         run.report
             .page_accesses
             .expect("profiling run collects page counts"),

@@ -1,34 +1,23 @@
-//! Flat hot-path tables for the simulator and the migration engine.
+//! The simulator's flat miss-tracking table.
 //!
-//! The per-event bookkeeping — MSHR waiter lists, per-SM pending-miss
-//! lists, per-page access counts and migration state — sits on the
-//! hottest path in the repo. `HashMap<u64, Vec<..>>` there means SipHash
-//! on every probe and a fresh `Vec` allocation per miss. This module
-//! replaces them with two purpose-built structures:
+//! MSHR waiter lists and per-SM pending-miss lists sit on the hottest
+//! path in the repo. `HashMap<u64, Vec<..>>` there means SipHash on
+//! every probe and a fresh `Vec` allocation per miss. [`WaiterMap`]
+//! replaces it: an open-addressed multimap (`u64` key → list of `Copy`
+//! waiters) with Fibonacci hashing, linear probing, and backward-shift
+//! deletion. A key's **first waiter lives inline** in its slot, so the
+//! common single-waiter miss touches one slot and nothing else. Only a
+//! merge (a second waiter for the same key) spills the rest into a side
+//! list; spill lists are recycled through a free list, so the steady
+//! state allocates nothing. One [`WaiterMap::lookup`] answers "present
+//! or where to insert", so a caller that merges or inserts after other
+//! checks probes once, and [`WaiterMap::remove_with`] hands each waiter
+//! straight to the caller instead of copying the list out.
 //!
-//! * [`WaiterMap`]: an open-addressed multimap (`u64` key → list of
-//!   `Copy` waiters) with Fibonacci hashing, linear probing, and
-//!   backward-shift deletion. A key's **first waiter lives inline** in
-//!   its slot, so the common single-waiter miss touches one slot and
-//!   nothing else. Only a merge (a second waiter for the same key)
-//!   spills the rest into a side list; spill lists are recycled through
-//!   a free list, so the steady state allocates nothing. One
-//!   [`WaiterMap::lookup`] answers "present or where to insert", so a
-//!   caller that merges or inserts after other checks probes once, and
-//!   [`WaiterMap::remove_with`] hands each waiter straight to the caller
-//!   instead of copying the list out.
-//! * [`PageMap`]: a per-page value (`Copy + Default`) as a dense `Vec`
-//!   indexed by page number, with a `HashMap` spill for page numbers at
-//!   or above 2^22 — the same dense range as the OS model's page table.
-//!   The profiler's page histogram and the online migrator's per-page
-//!   state both live in one.
-//!
-//! Both are drop-in *behavioral* equivalents of the maps they replace;
-//! the golden-equivalence suite (`tests/golden_simreport.rs`) pins that.
-
-use std::collections::HashMap;
-
-use hmtypes::PageNum;
+//! It is a drop-in *behavioral* equivalent of the map it replaces; the
+//! golden-equivalence suite (`tests/golden_simreport.rs`) pins that.
+//! Per-page state (access counts, the migrator's records) lives in the
+//! shared per-page table, `hmtypes::PageMap`.
 
 /// Key sentinel for an empty slot. Simulator keys are line indices
 /// (`addr / 128`), which cannot reach `u64::MAX`.
@@ -284,99 +273,10 @@ impl<W: Copy + Default> WaiterMap<W> {
     }
 }
 
-/// How many pages the dense array may cover (2^22 pages = 16 GiB of
-/// 4 kB-page address space — beyond any catalog footprint; the OS
-/// model's page table uses the same range).
-pub const DENSE_PAGE_CAP: u64 = 1 << 22;
-
-/// A `V` per virtual page: a dense `Vec<V>` for page numbers below
-/// [`DENSE_PAGE_CAP`] (grown by doubling as pages appear), a `HashMap`
-/// spill at or above it. Pages never written read as absent from the
-/// spill and as `V::default()` from the dense range, so callers treat
-/// the default value as "untouched".
-///
-/// # Examples
-///
-/// ```
-/// use gpusim::flat::{PageMap, DENSE_PAGE_CAP};
-///
-/// let mut counts: PageMap<u64> = PageMap::new();
-/// *counts.get_mut(3) += 1;
-/// *counts.get_mut(DENSE_PAGE_CAP + 9) += 2; // spills
-/// assert_eq!(counts.get(3), Some(&1));
-/// assert_eq!(counts.get(DENSE_PAGE_CAP + 9), Some(&2));
-/// assert_eq!(counts.get(1 << 40), None);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct PageMap<V> {
-    dense: Vec<V>,
-    spill: HashMap<u64, V>,
-}
-
-impl<V: Copy + Default> PageMap<V> {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        PageMap {
-            dense: Vec::new(),
-            spill: HashMap::new(),
-        }
-    }
-
-    /// `page`'s value, or `None` if the map never held a slot for it.
-    #[inline]
-    pub fn get(&self, page: u64) -> Option<&V> {
-        if page < DENSE_PAGE_CAP {
-            self.dense.get(page as usize)
-        } else {
-            self.spill.get(&page)
-        }
-    }
-
-    /// `page`'s value, creating it as `V::default()` if absent.
-    #[inline]
-    pub fn get_mut(&mut self, page: u64) -> &mut V {
-        if page < DENSE_PAGE_CAP {
-            let idx = page as usize;
-            if idx >= self.dense.len() {
-                self.dense
-                    .resize((idx + 1).next_power_of_two(), V::default());
-            }
-            &mut self.dense[idx]
-        } else {
-            self.spill.entry(page).or_default()
-        }
-    }
-
-    /// Every held slot as `(page, value)`: the dense range in page
-    /// order (default values included), then the spill in arbitrary
-    /// order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
-        self.dense
-            .iter()
-            .enumerate()
-            .map(|(page, v)| (page as u64, v))
-            .chain(self.spill.iter().map(|(&page, v)| (page, v)))
-    }
-}
-
-impl PageMap<u64> {
-    /// Converts per-page access counts to the report-facing map of
-    /// nonzero counts.
-    pub fn into_counts(self) -> HashMap<PageNum, u64> {
-        let mut map: HashMap<PageNum, u64> =
-            HashMap::with_capacity(self.spill.len() + self.dense.len() / 2);
-        for (page, &count) in self.iter() {
-            if count > 0 {
-                map.insert(PageNum::new(page), count);
-            }
-        }
-        map
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// Drains `key` into a fresh vector (`None` if absent).
     fn take<W: Copy + Default>(map: &mut WaiterMap<W>, key: u64) -> Option<Vec<W>> {
@@ -479,31 +379,5 @@ mod tests {
         assert_eq!(map.spills.len(), 1);
         assert!(map.spills[0].capacity() >= 49);
         assert_eq!(map.free_spills, [0]);
-    }
-
-    #[test]
-    fn page_map_matches_hashmap_semantics() {
-        let mut pm: PageMap<u64> = PageMap::new();
-        let mut reference: HashMap<u64, u64> = HashMap::new();
-        let mut rng = hmtypes::SplitMix64::new(7);
-        for _ in 0..10_000 {
-            // Mix dense-range pages with spill-range outliers.
-            let page = if rng.next_below(50) == 0 {
-                DENSE_PAGE_CAP + rng.next_below(1 << 30)
-            } else {
-                rng.next_below(5_000)
-            };
-            *pm.get_mut(page) += 1;
-            *reference.entry(page).or_insert(0) += 1;
-        }
-        for (&page, &count) in &reference {
-            assert_eq!(pm.get(page), Some(&count), "page {page}");
-        }
-        assert_eq!(pm.get(DENSE_PAGE_CAP - 1), None, "dense never grew there");
-        let got = pm.into_counts();
-        assert_eq!(got.len(), reference.len());
-        for (page, count) in reference {
-            assert_eq!(got.get(&PageNum::new(page)), Some(&count), "page {page}");
-        }
     }
 }

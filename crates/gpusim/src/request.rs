@@ -61,7 +61,7 @@ impl Placement {
 /// Resolves virtual addresses to physical placements, allocating backing
 /// frames on first touch (the OS fault path).
 ///
-/// Implemented over [`mempolicy::AddressSpace`] by the `hetmem` crate;
+/// Implemented over `mempolicy::AddressSpace` by the `hetmem` crate;
 /// the simulator itself only needs this narrow interface.
 pub trait AddressTranslator {
     /// Translates `addr`, faulting in the page if needed.

@@ -1,8 +1,6 @@
 //! Simulation results.
 
-use std::collections::HashMap;
-
-use hmtypes::{Bandwidth, MemKind, PageNum};
+use hmtypes::{Bandwidth, MemKind, PageMap};
 
 /// Per-pool traffic and timing summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,9 +90,9 @@ pub struct SimReport {
     /// Per-pool traffic.
     pub pools: Vec<PoolReport>,
     /// DRAM accesses per *virtual* page (paper Fig. 6 counts accesses
-    /// "after being filtered by on-chip caches"). Present only when page
-    /// profiling was enabled.
-    pub page_accesses: Option<HashMap<PageNum, u64>>,
+    /// "after being filtered by on-chip caches"); pages never accessed
+    /// have no entry. Present only when page profiling was enabled.
+    pub page_accesses: Option<PageMap<u64>>,
     /// Online migration activity and cost. Present only when a real
     /// migrator drove the run (the `MIGRATE` policy); `None` otherwise.
     pub migration: Option<MigrationReport>,

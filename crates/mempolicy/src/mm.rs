@@ -7,13 +7,11 @@
 //! is touched. `mbind` attaches a policy to an address range, splitting
 //! VMAs exactly as Linux does.
 
-use std::collections::HashMap;
-
 use crate::error::MemError;
 use crate::policy::Mempolicy;
 use crate::topology::{NumaTopology, ZoneId};
 use crate::zone::{FrameAllocator, ZoneStats};
-use hmtypes::{FrameNum, PageNum, PhysAddr, VirtAddr, PAGE_SIZE};
+use hmtypes::{FrameNum, PageMap, PageNum, PhysAddr, VirtAddr, PAGE_SIZE};
 
 /// Identifies a VMA within one address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -171,7 +169,13 @@ pub struct AddressSpace {
     allocator: FrameAllocator,
     task_policy: Mempolicy,
     vmas: Vec<Vma>,
-    page_table: PageTable,
+    /// The page table: frame index + 1 per mapped page, so the map's
+    /// default 0 means unmapped. A flat vector below 2^22 pages, so
+    /// [`AddressSpace::translate`] on the simulator's per-access path
+    /// is one array load.
+    frames: PageMap<u64>,
+    /// Number of mapped pages.
+    mapped: u64,
     next_vma_id: u64,
     next_mmap_page: u64,
     /// Placement decisions recorded since [`AddressSpace::enable_placement_log`];
@@ -192,7 +196,8 @@ impl AddressSpace {
             allocator,
             task_policy: Mempolicy::local(),
             vmas: Vec::new(),
-            page_table: PageTable::new(),
+            frames: PageMap::new(),
+            mapped: 0,
             next_vma_id: 0,
             next_mmap_page: Self::MMAP_BASE_PAGE,
             placement_log: None,
@@ -388,7 +393,7 @@ impl AddressSpace {
     /// * [`MemError::OutOfMemory`] / [`MemError::BindExhausted`] when the
     ///   policy's zones are full.
     pub fn ensure_mapped(&mut self, page: PageNum) -> Result<FrameNum, MemError> {
-        if let Some(frame) = self.page_table.get(page) {
+        if let Some(frame) = self.frame_of(page) {
             return Ok(frame);
         }
         let addr = page.base();
@@ -415,7 +420,7 @@ impl AddressSpace {
             }
             Err(e) => return Err(e),
         };
-        self.page_table.insert(page, frame);
+        self.map(page, frame);
         if self.placement_log.is_some() {
             let depth = zonelist.iter().position(|&z| z == zone).unwrap_or(0);
             self.log_placement(
@@ -441,7 +446,7 @@ impl AddressSpace {
         page: PageNum,
         zonelist: &[ZoneId],
     ) -> Result<FrameNum, MemError> {
-        if let Some(frame) = self.page_table.get(page) {
+        if let Some(frame) = self.frame_of(page) {
             return Ok(frame);
         }
         let addr = page.base();
@@ -449,7 +454,7 @@ impl AddressSpace {
             return Err(MemError::UnmappedAddress { addr });
         }
         let (frame, zone) = self.allocator.allocate_with_fallback(zonelist, page)?;
-        self.page_table.insert(page, frame);
+        self.map(page, frame);
         if self.placement_log.is_some() {
             let depth = zonelist.iter().position(|&z| z == zone).unwrap_or(0);
             self.log_placement(
@@ -478,15 +483,23 @@ impl AddressSpace {
     /// Translates a virtual address to its physical address, or `None` if
     /// the page is not (yet) mapped.
     pub fn translate(&self, addr: VirtAddr) -> Option<PhysAddr> {
-        self.page_table
-            .get(addr.page())
+        self.frame_of(addr.page())
             .map(|f| f.base().offset(addr.page_offset()))
     }
 
     /// The frame backing `page`, if mapped.
     #[inline]
     pub fn frame_of(&self, page: PageNum) -> Option<FrameNum> {
-        self.page_table.get(page)
+        self.frames.get(page).checked_sub(1).map(FrameNum::new)
+    }
+
+    /// Points `page` at `frame`, replacing any existing mapping.
+    fn map(&mut self, page: PageNum, frame: FrameNum) {
+        let slot = self.frames.get_mut(page);
+        if *slot == 0 {
+            self.mapped += 1;
+        }
+        *slot = frame.index() + 1;
     }
 
     /// The zone holding `page`'s frame, if mapped.
@@ -519,7 +532,7 @@ impl AddressSpace {
             .zone_of(old)
             .expect("mapped frame has a zone");
         let new = self.allocator.allocate(target)?;
-        self.page_table.insert(page, new);
+        self.map(page, new);
         self.allocator.free(old);
         self.log_placement(page, target, PlacementEventKind::Migrate { from });
         Ok(new)
@@ -527,14 +540,14 @@ impl AddressSpace {
 
     /// Number of pages with physical frames.
     pub fn mapped_pages(&self) -> u64 {
-        self.page_table.len()
+        self.mapped
     }
 
     /// Count of mapped pages per zone, index-aligned with zone ids —
     /// the observable placement distribution.
     pub fn placement_histogram(&self) -> Vec<u64> {
         let mut hist = vec![0u64; self.topo.num_zones()];
-        for (_, frame) in self.page_table.iter() {
+        for (_, frame) in self.mappings() {
             if let Some(zone) = self.allocator.zone_of(frame) {
                 hist[zone.index()] += 1;
             }
@@ -552,91 +565,18 @@ impl AddressSpace {
         &self.allocator
     }
 
-    /// Iterates over all (page, frame) mappings; dense-range pages come
-    /// first in page order, spill pages follow in unspecified order.
+    /// Iterates over all (page, frame) mappings in page order.
     pub fn mappings(&self) -> impl Iterator<Item = (PageNum, FrameNum)> + '_ {
-        self.page_table.iter()
-    }
-}
-
-/// The process page table: page → frame as a flat vector indexed by
-/// page number, with a hash-map spill for pages beyond the dense range.
-/// Address spaces here start near page zero and stay compact, so in
-/// practice every lookup is one bounds-checked array load instead of a
-/// SipHash probe — [`AddressSpace::translate`]/[`AddressSpace::frame_of`]
-/// sit on the simulator's per-access hot path.
-#[derive(Debug, Clone, Default)]
-struct PageTable {
-    /// Frame index per page; [`PageTable::UNMAPPED`] marks absent slots.
-    dense: Vec<u64>,
-    spill: HashMap<PageNum, FrameNum>,
-    len: u64,
-}
-
-impl PageTable {
-    /// Pages covered by the dense array (2^22 pages = 16 GiB of 4 kB
-    /// page address space — beyond any catalog footprint).
-    const DENSE_CAP: u64 = 1 << 22;
-    /// Sentinel for an unmapped dense slot; frame numbers are bounded by
-    /// zone capacities and cannot reach it.
-    const UNMAPPED: u64 = u64::MAX;
-
-    fn new() -> Self {
-        PageTable::default()
-    }
-
-    #[inline]
-    fn get(&self, page: PageNum) -> Option<FrameNum> {
-        let idx = page.index();
-        if idx < Self::DENSE_CAP {
-            match self.dense.get(idx as usize) {
-                Some(&f) if f != Self::UNMAPPED => Some(FrameNum::new(f)),
-                _ => None,
-            }
-        } else {
-            self.spill.get(&page).copied()
-        }
-    }
-
-    /// Maps `page` to `frame`, replacing any existing mapping.
-    fn insert(&mut self, page: PageNum, frame: FrameNum) {
-        debug_assert_ne!(frame.index(), Self::UNMAPPED);
-        let idx = page.index();
-        if idx < Self::DENSE_CAP {
-            let i = idx as usize;
-            if i >= self.dense.len() {
-                self.dense
-                    .resize((i + 1).next_power_of_two(), Self::UNMAPPED);
-            }
-            if self.dense[i] == Self::UNMAPPED {
-                self.len += 1;
-            }
-            self.dense[i] = frame.index();
-        } else if self.spill.insert(page, frame).is_none() {
-            self.len += 1;
-        }
-    }
-
-    /// Number of mapped pages.
-    fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// All mappings: dense range in page order, then spill entries.
-    fn iter(&self) -> impl Iterator<Item = (PageNum, FrameNum)> + '_ {
-        self.dense
+        self.frames
             .iter()
-            .enumerate()
-            .filter(|(_, &f)| f != Self::UNMAPPED)
-            .map(|(i, &f)| (PageNum::new(i as u64), FrameNum::new(f)))
-            .chain(self.spill.iter().map(|(&p, &f)| (p, f)))
+            .map(|(page, f)| (page, FrameNum::new(f - 1)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmtypes::Percent;
+    use hmtypes::{Percent, DENSE_PAGE_CAP};
 
     fn mm(bo_pages: u64, co_pages: u64) -> AddressSpace {
         AddressSpace::new(NumaTopology::paper_baseline(bo_pages, co_pages))
@@ -901,5 +841,33 @@ mod tests {
         for vma in mm.vmas() {
             assert_eq!(vma.name.as_deref(), Some("d_cost"));
         }
+    }
+
+    #[test]
+    fn pages_above_the_dense_cap_map_and_iterate_in_page_order() {
+        let mut mm = mm(16, 16);
+        let low = mm.mmap(PAGE_SIZE as u64).unwrap().start.page();
+        // Two fixed mappings in the page table's spill range, mapped
+        // highest first.
+        let high = [PageNum::new(DENSE_PAGE_CAP), PageNum::new(1 << 40)];
+        for &page in high.iter().rev() {
+            mm.mmap_fixed(VmaRange::new(page.base(), PAGE_SIZE as u64))
+                .unwrap();
+            mm.ensure_mapped(page).unwrap();
+        }
+        mm.ensure_mapped(low).unwrap();
+        assert_eq!(mm.mapped_pages(), 3);
+        for page in high {
+            let pa = mm.translate(page.base().offset(42)).unwrap();
+            assert_eq!(pa.page_offset(), 42);
+            assert_eq!(Some(pa.frame()), mm.frame_of(page));
+        }
+        let order: Vec<PageNum> = mm.mappings().map(|(page, _)| page).collect();
+        assert_eq!(order, [low, high[0], high[1]]);
+        // Remapping a spill page replaces its frame without a new entry.
+        let moved = mm.migrate_page(high[1], ZoneId::new(1)).unwrap();
+        assert_eq!(mm.frame_of(high[1]), Some(moved));
+        assert_eq!(mm.mapped_pages(), 3);
+        assert_eq!(mm.placement_histogram(), vec![2, 1]);
     }
 }

@@ -1,12 +1,12 @@
 //! Page access histograms and bandwidth CDFs (paper Fig. 6).
 
-use std::collections::HashMap;
-
-use hmtypes::PageNum;
+use hmtypes::{PageMap, PageNum};
 
 /// DRAM accesses per virtual page, as produced by a profiling simulation
 /// run (accesses counted *after* on-chip cache filtering, exactly as the
-/// paper's Fig. 6 methodology specifies).
+/// paper's Fig. 6 methodology specifies). Built from the report's
+/// per-page counts with `From`, or from pairs with
+/// [`PageHistogram::from_counts`].
 ///
 /// # Examples
 ///
@@ -20,39 +20,39 @@ use hmtypes::PageNum;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PageHistogram {
-    counts: HashMap<PageNum, u64>,
+    counts: PageMap<u64>,
 }
 
 impl PageHistogram {
     /// Builds a histogram from `(page, accesses)` pairs; duplicate pages
     /// accumulate.
     pub fn from_counts(counts: impl IntoIterator<Item = (PageNum, u64)>) -> Self {
-        let mut map = HashMap::new();
+        let mut map = PageMap::new();
         for (p, c) in counts {
-            *map.entry(p).or_insert(0) += c;
+            *map.get_mut(p) += c;
         }
         PageHistogram { counts: map }
     }
 
     /// Number of distinct pages with at least one access.
     pub fn touched_pages(&self) -> usize {
-        self.counts.len()
+        self.counts.iter().count()
     }
 
     /// Sum of all access counts.
     pub fn total_accesses(&self) -> u64 {
-        self.counts.values().sum()
+        self.iter().map(|(_, c)| c).sum()
     }
 
     /// Accesses to one page (0 if untouched).
     pub fn accesses(&self, page: PageNum) -> u64 {
-        self.counts.get(&page).copied().unwrap_or(0)
+        self.counts.get(page)
     }
 
     /// Pages sorted from most to least accessed (ties by page number for
     /// determinism).
     pub fn hot_to_cold(&self) -> Vec<(PageNum, u64)> {
-        let mut v: Vec<(PageNum, u64)> = self.counts.iter().map(|(&p, &c)| (p, c)).collect();
+        let mut v: Vec<(PageNum, u64)> = self.iter().collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
@@ -81,9 +81,13 @@ impl PageHistogram {
     /// Iterates over `(page, count)` in ascending page order, so every
     /// rendering of a histogram is deterministic.
     pub fn iter(&self) -> impl Iterator<Item = (PageNum, u64)> + '_ {
-        let mut entries: Vec<_> = self.counts.iter().map(|(&p, &c)| (p, c)).collect();
-        entries.sort_unstable_by_key(|&(p, _)| p);
-        entries.into_iter()
+        self.counts.iter()
+    }
+}
+
+impl From<PageMap<u64>> for PageHistogram {
+    fn from(counts: PageMap<u64>) -> Self {
+        PageHistogram { counts }
     }
 }
 

@@ -22,16 +22,16 @@
 //! streaming pass leaves early pages with slightly higher counts), and
 //! ranking on them would correlate placement with time.
 
-use std::collections::HashSet;
-
-use hmtypes::{PageNum, SplitMix64};
+use hmtypes::{PageMap, PageNum, SplitMix64};
 
 use crate::histogram::PageHistogram;
 
 /// The oracle's chosen BO-resident page set.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct OraclePlacement {
-    bo_pages: HashSet<PageNum>,
+    /// `true` for each page steered to BO.
+    bo: PageMap<bool>,
+    bo_page_count: usize,
     bo_traffic_fraction: f64,
 }
 
@@ -80,18 +80,18 @@ impl OraclePlacement {
         let stratified_pages = (ranked.len() as f64 * target_bo_traffic).ceil() as u64;
         let constrained = bo_capacity_pages < stratified_pages;
 
-        let mut bo_pages = HashSet::new();
+        let mut placement = OraclePlacement::default();
         let mut cum = 0u64;
         if constrained {
             // Greedy: hottest pages until the ratio target or capacity.
             for (page, count) in ranked {
-                if bo_pages.len() as u64 >= bo_capacity_pages {
+                if placement.bo_page_count as u64 >= bo_capacity_pages {
                     break;
                 }
                 if cum as f64 / total as f64 >= target_bo_traffic {
                     break;
                 }
-                bo_pages.insert(page);
+                placement.insert(page);
                 cum += count;
             }
         } else {
@@ -109,31 +109,36 @@ impl OraclePlacement {
                 let bucket_target = bucket_traffic as f64 * target_bo_traffic;
                 let mut taken = 0u64;
                 for &(page, count) in &ranked[i..j] {
-                    if (taken as f64) >= bucket_target || bo_pages.len() as u64 >= bo_capacity_pages
+                    if (taken as f64) >= bucket_target
+                        || placement.bo_page_count as u64 >= bo_capacity_pages
                     {
                         break;
                     }
-                    bo_pages.insert(page);
+                    placement.insert(page);
                     taken += count;
                 }
                 cum += taken;
                 i = j;
             }
         }
-        OraclePlacement {
-            bo_pages,
-            bo_traffic_fraction: cum as f64 / total as f64,
-        }
+        placement.bo_traffic_fraction = cum as f64 / total as f64;
+        placement
+    }
+
+    /// Steers `page` (not yet in the set) to BO.
+    fn insert(&mut self, page: PageNum) {
+        *self.bo.get_mut(page) = true;
+        self.bo_page_count += 1;
     }
 
     /// Whether the oracle wants `page` in the BO pool.
     pub fn is_bo(&self, page: PageNum) -> bool {
-        self.bo_pages.contains(&page)
+        self.bo.get(page)
     }
 
     /// Number of pages steered to BO.
     pub fn bo_page_count(&self) -> usize {
-        self.bo_pages.len()
+        self.bo_page_count
     }
 
     /// The traffic fraction (per the profile) the BO set carries.
@@ -144,9 +149,7 @@ impl OraclePlacement {
     /// Iterates over the BO page set in ascending page order, so every
     /// rendering of an oracle placement is deterministic.
     pub fn bo_pages(&self) -> impl Iterator<Item = PageNum> + '_ {
-        let mut pages: Vec<_> = self.bo_pages.iter().copied().collect();
-        pages.sort_unstable();
-        pages.into_iter()
+        self.bo.iter().map(|(page, _)| page)
     }
 }
 

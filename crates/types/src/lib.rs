@@ -9,7 +9,9 @@
 //! * [`Bandwidth`] and byte-size units,
 //! * the two memory pool kinds of the paper ([`MemKind::BandwidthOptimized`]
 //!   and [`MemKind::CapacityOptimized`]),
-//! * memory [`AccessKind`]s, and
+//! * memory [`AccessKind`]s,
+//! * [`PageMap`], the one per-page table (page table, access counts,
+//!   oracle set, migrator state), and
 //! * a tiny deterministic RNG ([`SplitMix64`]) used on allocation fast paths
 //!   where pulling in a full RNG crate would be disproportionate.
 //!
@@ -29,9 +31,11 @@
 //! ```
 
 pub mod addr;
+pub mod pagemap;
 pub mod rng;
 pub mod units;
 
 pub use addr::{FrameNum, PageNum, PhysAddr, VirtAddr, LINE_SIZE, PAGE_SIZE};
+pub use pagemap::{PageMap, DENSE_PAGE_CAP};
 pub use rng::SplitMix64;
 pub use units::{AccessKind, Bandwidth, MemKind, Percent, GB, KB, MB};

@@ -22,22 +22,26 @@
 //!
 //! ```
 //! use gpusim::{FixedPoolTranslator, SimConfig, Simulator};
-//! use workloads::{catalog, LinearLayout, TraceProgram};
+//! use mempolicy::{AddressSpace, NumaTopology};
+//! use workloads::{catalog, TraceProgram};
 //!
 //! let mut cfg = SimConfig::paper_baseline();
 //! cfg.num_sms = 2; // scale down for a doc example
 //! let spec = catalog::by_name("kmeans").unwrap();
-//! let layout = LinearLayout::new(&spec);
-//! let program = TraceProgram::new(&spec, layout.bases(), cfg.num_sms);
+//! let mut mm = AddressSpace::new(NumaTopology::paper_baseline(1, 1));
+//! let mut bases = Vec::new();
+//! for s in &spec.structures {
+//!     bases.push(mm.mmap_named(s.bytes, s.name)?.start);
+//! }
+//! let program = TraceProgram::new(&spec, &bases, cfg.num_sms);
 //! let report = Simulator::new(cfg, FixedPoolTranslator::new(0), program).run();
 //! assert!(report.completed);
+//! # Ok::<(), mempolicy::MemError>(())
 //! ```
 
 pub mod catalog;
-pub mod layout;
 pub mod spec;
 pub mod trace;
 
-pub use layout::LinearLayout;
 pub use spec::{DataStructureSpec, Pattern, Sensitivity, Suite, WorkloadSpec};
 pub use trace::TraceProgram;

@@ -211,13 +211,20 @@ impl StreamCursor {
 /// # Examples
 ///
 /// ```
-/// use gpusim::{SimConfig, WarpProgram, WarpId};
-/// use workloads::{catalog, LinearLayout, TraceProgram};
+/// use gpusim::{WarpId, WarpProgram};
+/// use mempolicy::{AddressSpace, NumaTopology};
+/// use workloads::{catalog, TraceProgram};
 ///
 /// let spec = catalog::by_name("bfs").unwrap();
-/// let layout = LinearLayout::new(&spec);
-/// let mut prog = TraceProgram::new(&spec, layout.bases(), 15);
+/// // One mapping per structure, as the runtime's `cudaMalloc` makes.
+/// let mut mm = AddressSpace::new(NumaTopology::paper_baseline(1, 1));
+/// let mut bases = Vec::new();
+/// for s in &spec.structures {
+///     bases.push(mm.mmap_named(s.bytes, s.name)?.start);
+/// }
+/// let mut prog = TraceProgram::new(&spec, &bases, 15);
 /// assert!(prog.next_op(WarpId(0)).is_some());
+/// # Ok::<(), mempolicy::MemError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceProgram {
@@ -595,12 +602,25 @@ fn gcd(a: u64, b: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::catalog;
-    use crate::layout::LinearLayout;
+    use mempolicy::{AddressSpace, NumaTopology, VmaRange};
     use std::collections::HashMap;
 
+    /// `spec`'s structures allocated the way the runtime allocates
+    /// them: one `mmap_named` each, in spec order.
+    fn mapped(spec: &WorkloadSpec) -> Vec<VmaRange> {
+        let mut mm = AddressSpace::new(NumaTopology::paper_baseline(1, 1));
+        spec.structures
+            .iter()
+            .map(|s| mm.mmap_named(s.bytes, s.name).expect("nonzero size"))
+            .collect()
+    }
+
+    fn structure_bases(spec: &WorkloadSpec) -> Vec<VirtAddr> {
+        mapped(spec).iter().map(|r| r.start).collect()
+    }
+
     fn histogram(spec: &WorkloadSpec, ops_cap: u64) -> HashMap<u64, u64> {
-        let layout = LinearLayout::new(spec);
-        let mut prog = TraceProgram::new(spec, layout.bases(), 4);
+        let mut prog = TraceProgram::new(spec, &structure_bases(spec), 4);
         let mut hist = HashMap::new();
         let mut issued = 0;
         'outer: for w in 0..(4 * spec.warps_per_sm) {
@@ -733,9 +753,9 @@ mod tests {
     #[test]
     fn trace_is_deterministic_per_warp_regardless_of_interleave() {
         let spec = catalog::by_name("bfs").unwrap();
-        let layout = LinearLayout::new(&spec);
-        let mut a = TraceProgram::new(&spec, layout.bases(), 2);
-        let mut b = TraceProgram::new(&spec, layout.bases(), 2);
+        let bases = structure_bases(&spec);
+        let mut a = TraceProgram::new(&spec, &bases, 2);
+        let mut b = TraceProgram::new(&spec, &bases, 2);
         // Drain a's warp 0 fully first; interleave b's warps 0 and 1.
         let seq_a: Vec<_> = std::iter::from_fn(|| a.next_op(WarpId(0)))
             .take(500)
@@ -760,9 +780,9 @@ mod tests {
         // detail-window byte-identity depends on this.
         for name in ["bfs", "hotspot", "lbm", "sgemm", "spmv", "xsbench"] {
             let spec = catalog::by_name(name).unwrap();
-            let layout = LinearLayout::new(&spec);
-            let mut skipped = TraceProgram::new(&spec, layout.bases(), 2);
-            let mut looped = TraceProgram::new(&spec, layout.bases(), 2);
+            let bases = structure_bases(&spec);
+            let mut skipped = TraceProgram::new(&spec, &bases, 2);
+            let mut looped = TraceProgram::new(&spec, &bases, 2);
             for w in [WarpId(0), WarpId(3)] {
                 for n in [1u64, 7, 64, 333] {
                     let a = skipped.skip_ops(w, n);
@@ -796,8 +816,8 @@ mod tests {
     #[test]
     fn quota_limits_total_ops() {
         let spec = catalog::by_name("hotspot").unwrap();
-        let layout = LinearLayout::new(&spec);
-        let mut prog = TraceProgram::new(&spec, layout.bases(), 4);
+        let bases = structure_bases(&spec);
+        let mut prog = TraceProgram::new(&spec, &bases, 4);
         let expected = prog.total_ops();
         let mut count = 0;
         for w in 0..(4 * spec.warps_per_sm) {
@@ -814,17 +834,14 @@ mod tests {
     #[test]
     fn accesses_stay_within_structures() {
         let spec = catalog::by_name("xsbench").unwrap();
-        let layout = LinearLayout::new(&spec);
-        let ranges = layout.ranges(&spec);
-        let mut prog = TraceProgram::new(&spec, layout.bases(), 2);
+        let ranges = mapped(&spec);
+        let mut prog = TraceProgram::new(&spec, &structure_bases(&spec), 2);
         for w in 0..(2 * spec.warps_per_sm) {
             for _ in 0..200 {
                 match prog.next_op(WarpId(w)) {
                     Some(WarpOp::Mem { addr, .. }) => {
                         assert!(
-                            ranges.iter().any(|(_, start, end)| {
-                                addr.raw() >= start.raw() && addr.raw() < end.raw()
-                            }),
+                            ranges.iter().any(|r| r.contains(addr)),
                             "address {addr} outside all structures"
                         );
                     }
@@ -872,16 +889,16 @@ mod tests {
     #[test]
     fn dead_ranges_are_never_touched() {
         let spec = catalog::by_name("mummergpu").unwrap();
-        let layout = LinearLayout::new(&spec);
         let dead_structure = spec
             .structures
             .iter()
             .position(|s| s.live_frac < 1.0)
             .expect("mummergpu models dead ranges");
-        let (_, start, end) = layout.ranges(&spec)[dead_structure];
+        let range = mapped(&spec)[dead_structure];
+        let (start, end) = (range.start, range.end());
         let live_end = start.raw()
             + ((end.raw() - start.raw()) as f64 * spec.structures[dead_structure].live_frac) as u64;
-        let mut prog = TraceProgram::new(&spec, layout.bases(), 2);
+        let mut prog = TraceProgram::new(&spec, &structure_bases(&spec), 2);
         for w in 0..(2 * spec.warps_per_sm) {
             for _ in 0..500 {
                 match prog.next_op(WarpId(w)) {

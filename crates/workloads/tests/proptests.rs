@@ -3,10 +3,25 @@
 
 use gpusim::{WarpId, WarpOp, WarpProgram};
 use hetmem_harness::prop::{any_u64, vec_of};
+use hmtypes::VirtAddr;
+use mempolicy::{AddressSpace, NumaTopology, VmaRange};
 use workloads::{
-    catalog, DataStructureSpec, LinearLayout, Pattern, Sensitivity, Suite, TraceProgram,
-    WorkloadSpec,
+    catalog, DataStructureSpec, Pattern, Sensitivity, Suite, TraceProgram, WorkloadSpec,
 };
+
+/// `spec`'s structures allocated the way the runtime allocates them:
+/// one `mmap_named` each, in spec order.
+fn mapped(spec: &WorkloadSpec) -> Vec<VmaRange> {
+    let mut mm = AddressSpace::new(NumaTopology::paper_baseline(1, 1));
+    spec.structures
+        .iter()
+        .map(|s| mm.mmap_named(s.bytes, s.name).expect("nonzero size"))
+        .collect()
+}
+
+fn structure_bases(spec: &WorkloadSpec) -> Vec<VirtAddr> {
+    mapped(spec).iter().map(|r| r.start).collect()
+}
 
 /// A spec over `structs` = `(choice, lines)` pairs. The low bits of
 /// `choice` pick the pattern (stream, uniform, Zipf — shuffled on odd
@@ -71,9 +86,8 @@ hetmem_harness::props! {
     fn any_workload_generates_valid_traces(idx in 0usize..19, num_sms in 1u32..6) {
         let mut spec = catalog::all().swap_remove(idx);
         spec.mem_ops = 4_000;
-        let layout = LinearLayout::new(&spec);
-        let ranges = layout.ranges(&spec);
-        let mut prog = TraceProgram::new(&spec, layout.bases(), num_sms);
+        let ranges = mapped(&spec);
+        let mut prog = TraceProgram::new(&spec, &structure_bases(&spec), num_sms);
         let expected = prog.total_ops();
         let mut mem_count = 0u64;
         for w in 0..(num_sms * spec.warps_per_sm) {
@@ -83,7 +97,7 @@ hetmem_harness::props! {
                         mem_count += 1;
                         assert_eq!(addr.raw() % 128, 0, "line aligned");
                         assert!(
-                            ranges.iter().any(|(_, s, e)| addr >= *s && addr.raw() < e.raw()),
+                            ranges.iter().any(|r| r.contains(addr)),
                             "address {} outside structures",
                             addr
                         );
@@ -101,9 +115,9 @@ hetmem_harness::props! {
     fn traces_are_reproducible(idx in 0usize..19) {
         let mut spec = catalog::all().swap_remove(idx);
         spec.mem_ops = 2_000;
-        let layout = LinearLayout::new(&spec);
-        let mut a = TraceProgram::new(&spec, layout.bases(), 2);
-        let mut b = TraceProgram::new(&spec, layout.bases(), 2);
+        let bases = structure_bases(&spec);
+        let mut a = TraceProgram::new(&spec, &bases, 2);
+        let mut b = TraceProgram::new(&spec, &bases, 2);
         for w in 0..(2 * spec.warps_per_sm) {
             loop {
                 let (oa, ob) = (a.next_op(WarpId(w)), b.next_op(WarpId(w)));
@@ -147,9 +161,9 @@ hetmem_harness::props! {
         // Categorical choices come from full-range draws, which the
         // kit's size ramp does not narrow to their first values.
         let spec = random_spec(&structs, (compute % 3) as u32, mem_ops, seed);
-        let layout = LinearLayout::new(&spec);
-        let mut skipped = TraceProgram::new(&spec, layout.bases(), 3);
-        let mut looped = TraceProgram::new(&spec, layout.bases(), 3);
+        let bases = structure_bases(&spec);
+        let mut skipped = TraceProgram::new(&spec, &bases, 3);
+        let mut looped = TraceProgram::new(&spec, &bases, 3);
         let quota = skipped.total_ops();
         for w in (0..6).map(WarpId) {
             for &step in &steps {

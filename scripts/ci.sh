@@ -29,6 +29,36 @@ for script in $(grep -ohE 'scripts/[A-Za-z0-9_-]+\.sh' "${DOCS[@]}" | sort -u); 
     }
 done
 
+# Crate-graph gate: every workspace crate that a package's
+# `[dependencies]` names must be used by that package's `src/`
+# (`name::` or `use name`) outside comments, so an edge no code needs
+# cannot linger in the layering (DESIGN §3). Test-only uses belong in
+# `[dev-dependencies]`, which this does not check.
+python3 - Cargo.toml crates/*/Cargo.toml <<'PY'
+import os, re, sys
+pkgs = {}
+for toml in sys.argv[1:]:
+    text = open(toml).read()
+    name = re.search(r'^name = "([^"]+)"', text, re.M).group(1)
+    pkgs[name] = (os.path.dirname(toml) or ".", text)
+unused = []
+for name, (root, text) in sorted(pkgs.items()):
+    section = re.search(r'^\[dependencies\]\n(.*?)(?=^\[|\Z)', text, re.M | re.S)
+    deps = re.findall(r'^([A-Za-z0-9_-]+)\s*[.=]', section.group(1) if section else "", re.M)
+    for dep in (d for d in deps if d in pkgs):
+        ident = dep.replace("-", "_")
+        use = re.compile(rf'\b{ident}\s*::|\buse\s+{ident}\b')
+        code = (line.split("//", 1)[0]
+                for dirpath, _, files in os.walk(os.path.join(root, "src"))
+                for f in files if f.endswith(".rs")
+                for line in open(os.path.join(dirpath, f)))
+        if not any(use.search(c) for c in code):
+            unused.append(f"{root}/Cargo.toml: [dependencies] names {dep}, "
+                          f"but {root}/src never uses it")
+if unused:
+    sys.exit("\n".join(unused))
+PY
+
 cargo build --workspace --release --offline
 cargo test --workspace -q --offline
 

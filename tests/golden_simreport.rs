@@ -64,11 +64,9 @@ fn canonical_report(r: &SimReport) -> String {
         .u64("retired_warps", u64::from(r.retired_warps))
         .raw("pools", &pools);
     if let Some(pages) = &r.page_accesses {
-        let mut sorted: Vec<_> = pages.iter().map(|(p, c)| (p.index(), *c)).collect();
-        sorted.sort_unstable();
         obj = obj.raw(
             "page_accesses",
-            &array(sorted.iter().map(|(p, c)| format!("[{p},{c}]"))),
+            &array(pages.iter().map(|(p, c)| format!("[{},{c}]", p.index()))),
         );
     }
     if let Some(m) = &r.migration {
