@@ -1,6 +1,6 @@
 //! Regenerates Fig. 10: annotated placement vs policies at 10% capacity.
 fn main() {
-    let opts = hetmem_bench::opts_from_args();
+    let opts = hetmem_bench::opts_from_args(hetmem_bench::ALL_FLAGS);
     let t = hetmem::experiments::fig10(&opts);
     println!("{t}");
     if let (Some(ann), Some(bwa), Some(orc)) = (

@@ -1,6 +1,18 @@
 //! Regenerates Fig. 11: hint robustness across input datasets.
 fn main() {
-    let opts = hetmem_bench::opts_from_args();
+    // Fig. 11's workload families are fixed.
+    let opts = hetmem_bench::opts_from_args(&[
+        "--quick",
+        "--scale",
+        "--sms",
+        "--quiet",
+        "--threads",
+        "--out",
+        "--sample-cycles",
+        "--trace",
+        "--trace-budget",
+        "--fidelity",
+    ]);
     let t = hetmem::experiments::fig11(&opts);
     println!("{t}");
     if let (Some(ann), Some(bwa), Some(orc)) = (

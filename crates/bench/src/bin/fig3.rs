@@ -1,7 +1,7 @@
 //! Regenerates Fig. 3: the xC-yB placement-ratio sweep vs LOCAL and
 //! INTERLEAVE (the BW-AWARE headline result).
 fn main() {
-    let opts = hetmem_bench::opts_from_args();
+    let opts = hetmem_bench::opts_from_args(hetmem_bench::ALL_FLAGS);
     let t = hetmem::experiments::fig3(&opts);
     println!("{t}");
     if let (Some(bwa), Some(inter)) = (

@@ -1,7 +1,16 @@
 //! Regenerates Fig. 6: bandwidth CDFs per workload. Prints the summary
 //! table and a 10-point CDF series per workload.
 fn main() {
-    let opts = hetmem_bench::opts_from_args();
+    // A profiling sweep writes no telemetry or traces and always runs
+    // at full fidelity.
+    let opts = hetmem_bench::opts_from_args(&[
+        "--quick",
+        "--scale",
+        "--sms",
+        "--workloads",
+        "--quiet",
+        "--threads",
+    ]);
     let (cdfs, table) = hetmem::experiments::fig6(&opts);
     println!("{table}");
     println!("CDF series (traffic fraction at page fraction):");

@@ -1,7 +1,10 @@
 //! Regenerates Fig. 7: CDF vs data-structure layout for bfs, mummergpu,
 //! and needle.
 fn main() {
-    let opts = hetmem_bench::opts_from_args();
+    // A profiling sweep writes no telemetry or traces and always runs
+    // at full fidelity; Fig. 7's workloads are fixed.
+    let opts =
+        hetmem_bench::opts_from_args(&["--quick", "--scale", "--sms", "--quiet", "--threads"]);
     for w in hetmem::experiments::fig7(&opts) {
         println!(
             "Fig. 7 — {} (top-10% pages carry {:.1}% of traffic; {:.1}% of pages never touched)",

@@ -1,6 +1,6 @@
 //! Regenerates Fig. 8: oracle vs BW-AWARE, unconstrained & 10% capacity.
 fn main() {
-    let opts = hetmem_bench::opts_from_args();
+    let opts = hetmem_bench::opts_from_args(hetmem_bench::ALL_FLAGS);
     let t = hetmem::experiments::fig8(&opts);
     println!("{t}");
     if let (Some(o10), Some(o100)) = (

@@ -2,7 +2,7 @@
 //! reproduction of the paper's whole evaluation section.
 fn main() {
     use hetmem::experiments as exp;
-    let opts = hetmem_bench::opts_from_args();
+    let opts = hetmem_bench::opts_from_args(hetmem_bench::ALL_FLAGS);
     print!("{}", exp::table1(&opts.sim));
     println!();
     println!("{}", exp::fig1());

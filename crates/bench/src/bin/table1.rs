@@ -1,5 +1,5 @@
 //! Prints Table 1: the simulated system configuration.
 fn main() {
-    let opts = hetmem_bench::no_sweep_opts_from_args();
+    let opts = hetmem_bench::opts_from_args(&["--quick", "--sms"]);
     print!("{}", hetmem::experiments::table1(&opts.sim));
 }

@@ -32,14 +32,18 @@
 //! Inspect the emitted files with `cargo run -p hetmem-bench --bin
 //! hetmem-trace -- summary <file>`.
 //!
-//! `fig1` and `table1` run no sweep, so they refuse `--out` and
-//! `--trace`.
+//! A binary refuses the flags it would ignore. `fig1` reads none and
+//! `table1` only `--quick` and `--sms`. `fig6` and `fig7` run profiling
+//! sweeps, which write no telemetry or traces and always run at full
+//! fidelity, so they refuse `--out`, `--sample-cycles`, `--trace`,
+//! `--trace-budget` and `--fidelity`. `fig7`, `fig11` and `ablations`
+//! run fixed workload sets and refuse `--workloads`.
 //!
-//! Exit codes: 0 success, 2 usage error (an unknown flag, a missing or
-//! malformed value, a value out of its range, a `--workloads` name
-//! outside the catalog, `--sample-cycles` without `--out`,
-//! `--trace-budget` without `--trace`, `--out` or `--trace` on a binary
-//! that runs no sweep).
+//! Exit codes: 0 success, 2 usage error (an unknown flag, a flag the
+//! binary does not read, a missing or malformed value, a value out of
+//! its range, a `--workloads` name outside the catalog,
+//! `--sample-cycles` without `--out`, `--trace-budget` without
+//! `--trace`, `ext_reactive` at sampled fidelity).
 
 pub mod cli;
 pub mod client;
@@ -63,24 +67,29 @@ use cli::Args;
 /// `--sms`, and `simulate`'s `sms` (so `hetmem-sweep --sms` too).
 const MAX_SMS: u32 = 1024;
 
-/// Parses the common experiment flags from `std::env::args`.
+/// Every common experiment flag; `run_all` reads them all.
+pub const ALL_FLAGS: &[&str] = &[
+    "--quick",
+    "--scale",
+    "--sms",
+    "--workloads",
+    "--quiet",
+    "--threads",
+    "--out",
+    "--sample-cycles",
+    "--trace",
+    "--trace-budget",
+    "--fidelity",
+];
+
+/// Parses the common experiment flags that `reads` names (a subset of
+/// [`ALL_FLAGS`]) from `std::env::args`.
 ///
-/// On a malformed flag, including a `--workloads` name outside the
-/// catalog, prints `<bin>: <message>` on stderr and exits the process
-/// with code 2.
-pub fn opts_from_args() -> ExpOptions {
-    parse_or_exit(true)
-}
-
-/// [`opts_from_args`] for a binary that prints a table without running
-/// a sweep (`fig1`, `table1`): nothing would write `--out`'s telemetry
-/// or `--trace`'s traces, so both are usage errors.
-pub fn no_sweep_opts_from_args() -> ExpOptions {
-    parse_or_exit(false)
-}
-
-fn parse_or_exit(sweeps: bool) -> ExpOptions {
-    opts_from(std::env::args().skip(1).collect(), sweeps).unwrap_or_else(|e| {
+/// On a malformed flag, a flag outside `reads`, or a `--workloads` name
+/// outside the catalog, prints `<bin>: <message>` on stderr and exits
+/// the process with code 2.
+pub fn opts_from_args(reads: &[&str]) -> ExpOptions {
+    opts_from(std::env::args().skip(1).collect(), reads).unwrap_or_else(|e| {
         let exe = std::env::args().next().unwrap_or_default();
         let bin = std::path::Path::new(&exe)
             .file_stem()
@@ -90,10 +99,11 @@ fn parse_or_exit(sweeps: bool) -> ExpOptions {
 }
 
 /// Parses the common experiment flags from `args` (the command line
-/// without the program name); see [`opts_from_args`]. `--quick` is the
-/// base every other flag refines, wherever it appears. Every check
-/// runs before `--out`'s directory is created.
-fn opts_from(args: Vec<String>, sweeps: bool) -> Result<ExpOptions, String> {
+/// without the program name), refusing any flag outside `reads`; see
+/// [`opts_from_args`]. `--quick` is the base every other flag refines,
+/// wherever it appears. Every check runs before `--out`'s directory is
+/// created.
+fn opts_from(args: Vec<String>, reads: &[&str]) -> Result<ExpOptions, String> {
     let mut opts = if args.iter().any(|a| a == "--quick") {
         ExpOptions::quick()
     } else {
@@ -104,6 +114,9 @@ fn opts_from(args: Vec<String>, sweeps: bool) -> Result<ExpOptions, String> {
     let mut trace_budget = None;
     let mut args = Args::new(args);
     while let Some(arg) = args.next() {
+        if ALL_FLAGS.contains(&arg.as_str()) && !reads.contains(&arg.as_str()) {
+            return Err(format!("{arg} is not read by this binary"));
+        }
         match arg.as_str() {
             "--quick" => {}
             "--scale" => {
@@ -129,9 +142,6 @@ fn opts_from(args: Vec<String>, sweeps: bool) -> Result<ExpOptions, String> {
             }
             _ => return Err(args.unknown()),
         }
-    }
-    if !sweeps && (out.is_some() || opts.trace.is_some()) {
-        return Err("--out and --trace need a sweep, and this binary runs none".to_string());
     }
     if opts.sample_cycles.is_some() && out.is_none() {
         // Interval lines are written only into `--out`'s JSONL files.
@@ -176,7 +186,7 @@ mod tests {
 
     #[test]
     fn workloads_flag_selects_catalog_names() {
-        let opts = opts_from(args(&["--quiet", "--workloads", "bfs,xsbench"]), true).unwrap();
+        let opts = opts_from(args(&["--quiet", "--workloads", "bfs,xsbench"]), ALL_FLAGS).unwrap();
         let names: Vec<_> = opts.specs().iter().map(|w| w.name).collect();
         assert_eq!(names, ["bfs", "xsbench"]);
     }
@@ -193,7 +203,7 @@ mod tests {
 
     #[test]
     fn unknown_workload_flag_fails() {
-        let Err(err) = opts_from(args(&["--workloads", "lbm,lbmm"]), true) else {
+        let Err(err) = opts_from(args(&["--workloads", "lbm,lbmm"]), ALL_FLAGS) else {
             panic!("an unknown --workloads name must be refused");
         };
         assert!(
@@ -204,7 +214,7 @@ mod tests {
 
     #[test]
     fn workloads_before_quick_are_kept() {
-        let opts = opts_from(args(&["--workloads", "xsbench", "--quick"]), true).unwrap();
+        let opts = opts_from(args(&["--workloads", "xsbench", "--quick"]), ALL_FLAGS).unwrap();
         let names: Vec<_> = opts.specs().iter().map(|w| w.name).collect();
         assert_eq!(names, ["xsbench"]);
         assert_eq!(opts.sim.num_sms, ExpOptions::quick().sim.num_sms);
@@ -217,21 +227,21 @@ mod tests {
             ["--trace-budget", "5", "--trace", "t"],
             ["--trace", "t", "--trace-budget", "5"],
         ] {
-            let opts = opts_from(args(&flags), true).unwrap();
+            let opts = opts_from(args(&flags), ALL_FLAGS).unwrap();
             assert_eq!(opts.trace_budget, 5, "{flags:?}");
         }
     }
 
     #[test]
     fn sms_before_quick_are_kept() {
-        let opts = opts_from(args(&["--sms", "8", "--quick"]), true).unwrap();
+        let opts = opts_from(args(&["--sms", "8", "--quick"]), ALL_FLAGS).unwrap();
         assert_eq!(opts.sim.num_sms, 8);
         assert_eq!(opts.workloads, ExpOptions::quick().workloads);
     }
 
     #[test]
     fn scale_before_quick_is_kept() {
-        let opts = opts_from(args(&["--scale", "0.5", "--quick"]), true).unwrap();
+        let opts = opts_from(args(&["--scale", "0.5", "--quick"]), ALL_FLAGS).unwrap();
         assert_eq!(opts.ops_scale, 0.5);
         assert_eq!(opts.workloads, ExpOptions::quick().workloads);
     }

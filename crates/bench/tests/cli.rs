@@ -175,16 +175,89 @@ fn figure_usage_errors_exit_2() {
         2,
         "unknown flag --bogus",
     );
-    // fig1 and table1 run no sweep: they refuse `--out` before creating
-    // its directory, and `--trace` too.
-    let dir = std::env::temp_dir().join(format!("hetmem-cli-{}-no-sweep", std::process::id()));
+    // A binary refuses each flag it would ignore, before `--out`'s
+    // directory is created.
+    let dir = std::env::temp_dir().join(format!("hetmem-cli-{}-unread", std::process::id()));
     let dir_arg = dir.display().to_string();
-    for bin in [env!("CARGO_BIN_EXE_fig1"), env!("CARGO_BIN_EXE_table1")] {
+    let unread = |bin: &str, args: &[&str], flag: &str| {
+        refused(bin, args, 2, &format!("{flag} is not read by this binary"));
+        assert!(!dir.exists(), "{bin} {args:?} created {}", dir.display());
+    };
+    let (fig1, table1) = (env!("CARGO_BIN_EXE_fig1"), env!("CARGO_BIN_EXE_table1"));
+    let (fig6, fig7) = (env!("CARGO_BIN_EXE_fig6"), env!("CARGO_BIN_EXE_fig7"));
+    // fig1 reads no flag and table1 only `--quick` and `--sms`.
+    let everything = [
+        "--workloads",
+        "bfs",
+        "--fidelity",
+        "sampled",
+        "--threads",
+        "3",
+        "--scale",
+        "0.5",
+    ];
+    unread(fig1, &everything, "--workloads");
+    for args in [
+        &["--quick"][..],
+        &["--threads", "3"],
+        &["--scale", "0.5"],
+        &["--fidelity", "sampled"],
+    ] {
+        unread(fig1, args, args[0]);
+    }
+    unread(
+        table1,
+        &["--workloads", "bfs", "--scale", "9"],
+        "--workloads",
+    );
+    unread(table1, &["--quick", "--fidelity", "sampled"], "--fidelity");
+    unread(table1, &["--sms", "8", "--scale", "9"], "--scale");
+    for bin in [fig1, table1] {
         for flag in ["--out", "--trace"] {
-            refused(bin, &[flag, &dir_arg], 2, "this binary runs none");
-            assert!(!dir.exists(), "{bin} {flag} created {}", dir.display());
+            unread(bin, &[flag, &dir_arg], flag);
         }
     }
+    // fig6 and fig7 run profiling sweeps: no telemetry, no traces, full
+    // fidelity only.
+    for bin in [fig6, fig7] {
+        for args in [
+            &["--out", &dir_arg][..],
+            &["--trace", &dir_arg],
+            &["--trace-budget", "5"],
+            &["--sample-cycles", "1000"],
+            &["--fidelity", "sampled"],
+        ] {
+            unread(bin, args, args[0]);
+        }
+    }
+    let fig7_sampled = [
+        "--quick",
+        "--quiet",
+        "--fidelity",
+        "sampled",
+        "--sample-cycles",
+        "1000",
+        "--out",
+        &dir_arg,
+    ];
+    unread(fig7, &fig7_sampled, "--fidelity");
+    // fig7, fig11 and ablations run fixed workload sets.
+    let fixed = [
+        fig7,
+        env!("CARGO_BIN_EXE_fig11"),
+        env!("CARGO_BIN_EXE_ablations"),
+    ];
+    for bin in fixed {
+        unread(bin, &["--workloads", "lbm"], "--workloads");
+    }
+    // ext_reactive's MIGRATE runs need full fidelity: refused before
+    // any run, not a panic.
+    refused(
+        env!("CARGO_BIN_EXE_ext_reactive"),
+        &["--quick", "--fidelity", "sampled"],
+        2,
+        "(unsupported-fidelity)",
+    );
 }
 
 #[test]

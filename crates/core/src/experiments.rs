@@ -17,6 +17,7 @@ use mempolicy::{Mempolicy, PolicyMode, ZoneId};
 use profiler::{Cdf, MemHint, PageHistogram};
 use workloads::{catalog, WorkloadSpec};
 
+use crate::error::HetmemError;
 use crate::grid::{self, Column, RunPoint, TelemetrySink};
 use crate::runner::{
     check_fidelity, geomean, hints_from_profile, Capacity, Placement, WorkloadRun,
@@ -679,11 +680,11 @@ pub fn ext_energy(opts: &ExpOptions) -> Table {
 /// relative to the oracle's traffic over the oracle's cycles. 1.0 means
 /// migration fully closed the gap; BW-AWARE's number is the floor.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with the `unsupported-fidelity` error before any run if
+/// Returns the `unsupported-fidelity` error before any run if
 /// `opts.fidelity` is sampled (see [`check_fidelity`]).
-pub fn ext_reactive(opts: &ExpOptions) -> Table {
+pub fn ext_reactive(opts: &ExpOptions) -> Result<Table, HetmemError> {
     let mut t = Table::new(
         "Extension — reactive MIGRATE vs constrained oracle at 10% capacity",
         vec![
@@ -700,9 +701,7 @@ pub fn ext_reactive(opts: &ExpOptions) -> Table {
     // short enough to act several times per run, a hot threshold low
     // enough to catch the skewed pages.
     let migrate = Mempolicy::parse("MIGRATE:epoch=25000,hot=4", &topo).expect("valid spec");
-    if let Err(e) = check_fidelity(opts.fidelity, &migrate) {
-        panic!("ext_reactive: {e} ({})", e.code());
-    }
+    check_fidelity(opts.fidelity, &migrate)?;
     let specs = opts.specs();
     let profiles = grid::profile_sweep("ext_reactive", opts, &specs, "profile");
     let rows = grid::run_rows("ext_reactive", opts, &specs, |i, _| {
@@ -744,7 +743,7 @@ pub fn ext_reactive(opts: &ExpOptions) -> Table {
         );
     }
     t.push_geomean();
-    t
+    Ok(t)
 }
 
 /// The design-choice ablations of DESIGN §5, each on the workload that
@@ -848,7 +847,7 @@ mod tests {
         // later. The engine must actually move pages, and its demand
         // bandwidth must still fall below static BW-AWARE's.
         let opts = ExpOptions::quick();
-        let t = ext_reactive(&opts);
+        let t = ext_reactive(&opts).unwrap();
         for spec in opts.specs() {
             let moved = t.value(spec.name, "moved(pages)").unwrap();
             let mig = t.value(spec.name, "bw-eff(MIG)").unwrap();

@@ -9,11 +9,13 @@
 //! It provides:
 //!
 //! * [`NumaTopology`] — zones ([`ZoneSpec`]) with capacity, [`MemKind`],
-//!   bandwidth and latency attributes; an ACPI-[`Slit`]-like latency table
-//!   and the paper's proposed **SBIT** ([`Sbit`], System Bandwidth
-//!   Information Table, §3.1).
+//!   bandwidth and latency attributes. The zone list is both the ACPI
+//!   SLIT (latency, hence the zonelist fallback order) and the paper's
+//!   proposed **SBIT** (System Bandwidth Information Table, §3.1, hence
+//!   the BW-AWARE placement weights).
 //! * [`FrameAllocator`] — per-zone physical frame allocation with
-//!   zonelist fallback.
+//!   zonelist fallback; its per-zone allocated counts are the placement
+//!   histogram.
 //! * [`Mempolicy`] — `LOCAL`, `INTERLEAVE`, `BIND`, `PREFERRED`, and the
 //!   paper's new `MPOL_BWAWARE` mode that places pages in the ratio of
 //!   zone bandwidths.
@@ -41,16 +43,14 @@
 pub mod error;
 pub mod mm;
 pub mod policy;
-pub mod table;
 pub mod topology;
 pub mod zone;
 
 pub use error::MemError;
 pub use mm::{AddressSpace, PlacementEvent, PlacementEventKind, Vma, VmaId, VmaRange};
 pub use policy::{Mempolicy, MigrateSpec, PolicyMode};
-pub use table::{Sbit, Slit};
 pub use topology::{NumaTopology, TopologyBuilder, ZoneId, ZoneSpec};
-pub use zone::{FrameAllocator, ZoneStats};
+pub use zone::FrameAllocator;
 
 // Re-exported so downstream crates can use the vocabulary without adding
 // an explicit hmtypes dependency edge in simple cases.

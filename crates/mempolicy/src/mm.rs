@@ -10,7 +10,7 @@
 use crate::error::MemError;
 use crate::policy::Mempolicy;
 use crate::topology::{NumaTopology, ZoneId};
-use crate::zone::{FrameAllocator, ZoneStats};
+use crate::zone::FrameAllocator;
 use hmtypes::{FrameNum, PageMap, PageNum, PhysAddr, VirtAddr, PAGE_SIZE};
 
 /// Identifies a VMA within one address space.
@@ -174,8 +174,6 @@ pub struct AddressSpace {
     /// [`AddressSpace::translate`] on the simulator's per-access path
     /// is one array load.
     frames: PageMap<u64>,
-    /// Number of mapped pages.
-    mapped: u64,
     next_vma_id: u64,
     next_mmap_page: u64,
     /// Placement decisions recorded since [`AddressSpace::enable_placement_log`];
@@ -197,7 +195,6 @@ impl AddressSpace {
             task_policy: Mempolicy::local(),
             vmas: Vec::new(),
             frames: PageMap::new(),
-            mapped: 0,
             next_vma_id: 0,
             next_mmap_page: Self::MMAP_BASE_PAGE,
             placement_log: None,
@@ -495,11 +492,7 @@ impl AddressSpace {
 
     /// Points `page` at `frame`, replacing any existing mapping.
     fn map(&mut self, page: PageNum, frame: FrameNum) {
-        let slot = self.frames.get_mut(page);
-        if *slot == 0 {
-            self.mapped += 1;
-        }
-        *slot = frame.index() + 1;
+        *self.frames.get_mut(page) = frame.index() + 1;
     }
 
     /// The zone holding `page`'s frame, if mapped.
@@ -540,24 +533,21 @@ impl AddressSpace {
 
     /// Number of pages with physical frames.
     pub fn mapped_pages(&self) -> u64 {
-        self.mapped
+        self.placement_histogram().iter().sum()
     }
 
     /// Count of mapped pages per zone, index-aligned with zone ids —
     /// the observable placement distribution.
+    ///
+    /// These are the allocator's per-zone counts: every allocated frame
+    /// backs exactly one mapped page, as a fault maps the frame it
+    /// allocates and [`AddressSpace::migrate_page`] maps the new frame
+    /// before it frees the old one.
     pub fn placement_histogram(&self) -> Vec<u64> {
-        let mut hist = vec![0u64; self.topo.num_zones()];
-        for (_, frame) in self.mappings() {
-            if let Some(zone) = self.allocator.zone_of(frame) {
-                hist[zone.index()] += 1;
-            }
-        }
-        hist
-    }
-
-    /// Occupancy of `zone`.
-    pub fn zone_stats(&self, zone: ZoneId) -> Option<ZoneStats> {
-        self.allocator.stats(zone)
+        self.topo
+            .zone_ids()
+            .map(|zone| self.allocator.allocated(zone))
+            .collect()
     }
 
     /// The underlying frame allocator (read-only).
@@ -745,7 +735,7 @@ mod tests {
         assert_ne!(old, new);
         assert_eq!(mm.zone_of_page(page), Some(ZoneId::new(1)));
         // The old frame is reusable.
-        assert_eq!(mm.zone_stats(ZoneId::new(0)).unwrap().allocated, 0);
+        assert_eq!(mm.allocator().allocated(ZoneId::new(0)), 0);
         // Migrating to the current zone is a no-op.
         assert_eq!(mm.migrate_page(page, ZoneId::new(1)).unwrap(), new);
     }

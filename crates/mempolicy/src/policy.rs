@@ -135,13 +135,14 @@ impl Mempolicy {
         Ok(Mempolicy::from_mode(PolicyMode::Interleave { nodes }))
     }
 
-    /// Creates `MPOL_BWAWARE` with weights read from the topology's SBIT —
+    /// Creates `MPOL_BWAWARE` with weights read from the topology's SBIT
+    /// bandwidths ([`NumaTopology::bw_weights_per_mille`]) —
     /// what the kernel would do when an application selects the mode
     /// (paper §3.2.1: "allocate pages from the two memory zones in the
     /// ratio of their bandwidths").
     pub fn bw_aware_for(topo: &NumaTopology) -> Self {
         Mempolicy::from_mode(PolicyMode::BwAware {
-            weights_per_mille: topo.sbit().weights_per_mille(),
+            weights_per_mille: topo.bw_weights_per_mille(),
         })
     }
 
@@ -233,7 +234,7 @@ impl Mempolicy {
             }
         };
         match &self.mode {
-            PolicyMode::Local => Ok(topo.slit().zonelist()),
+            PolicyMode::Local => Ok(topo.zonelist()),
             PolicyMode::Preferred { node } => {
                 let node = check(*node)?;
                 Ok(Self::preferring(node, topo))
@@ -276,7 +277,7 @@ impl Mempolicy {
     fn preferring(pick: ZoneId, topo: &NumaTopology) -> Vec<ZoneId> {
         let mut list = Vec::with_capacity(topo.num_zones());
         list.push(pick);
-        list.extend(topo.slit().zonelist().into_iter().filter(|&z| z != pick));
+        list.extend(topo.zonelist().into_iter().filter(|&z| z != pick));
         list
     }
 

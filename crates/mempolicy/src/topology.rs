@@ -2,12 +2,16 @@
 //!
 //! A topology describes what the OS learns at boot: which memory zones
 //! exist, how big they are, what kind of memory backs them ([`MemKind`]),
-//! and — via the [`Slit`]/[`Sbit`] tables — their latency and bandwidth
-//! as seen from the GPU.
+//! and their latency and bandwidth as seen from the GPU. Linux reads the
+//! latencies from the ACPI SLIT; the paper's key OS observation (§3.1) is
+//! that GPUs also need each zone's *bandwidth*, which it proposes to
+//! expose through a new System Bandwidth Information Table (SBIT). Here
+//! each [`ZoneSpec`] carries both, so the zone list is the SLIT and the
+//! SBIT: [`NumaTopology::zonelist`] is the SLIT's fallback order and
+//! [`NumaTopology::bw_weights_per_mille`] the SBIT's placement split.
 
 use core::fmt;
 
-use crate::table::{Sbit, Slit};
 use hmtypes::{Bandwidth, MemKind, PAGE_SIZE};
 
 /// Identifies a NUMA zone (index into the topology's zone list).
@@ -85,8 +89,8 @@ impl ZoneSpec {
     }
 }
 
-/// The machine's memory topology: an ordered list of zones plus the
-/// ACPI-style tables derived from it.
+/// The machine's memory topology: an ordered list of zones, each with
+/// its SLIT latency and SBIT bandwidth.
 ///
 /// # Examples
 ///
@@ -102,13 +106,12 @@ impl ZoneSpec {
 ///     .build();
 /// assert_eq!(topo.num_zones(), 2);
 /// assert_eq!(topo.local_zone(), ZoneId::new(0));
+/// assert_eq!(topo.bw_weights_per_mille(), vec![926, 74]);
 /// assert!((topo.bw_ratio() - 12.5).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct NumaTopology {
     zones: Vec<ZoneSpec>,
-    slit: Slit,
-    sbit: Sbit,
 }
 
 impl NumaTopology {
@@ -160,19 +163,52 @@ impl NumaTopology {
         (0..self.zones.len()).map(ZoneId::new)
     }
 
-    /// The latency table derived from the zone specs.
-    pub fn slit(&self) -> &Slit {
-        &self.slit
-    }
-
-    /// The bandwidth table derived from the zone specs.
-    pub fn sbit(&self) -> &Sbit {
-        &self.sbit
+    /// Zone ids sorted by increasing extra latency, ties by id: the
+    /// zonelist fallback order Linux builds from the SLIT.
+    pub fn zonelist(&self) -> Vec<ZoneId> {
+        let mut ids: Vec<ZoneId> = self.zone_ids().collect();
+        ids.sort_by_key(|&z| (self.zones[z.index()].extra_latency_cycles, z));
+        ids
     }
 
     /// The GPU-local zone (lowest latency — what `LOCAL` allocates from).
     pub fn local_zone(&self) -> ZoneId {
-        self.slit.nearest()
+        self.zonelist()[0]
+    }
+
+    /// `MPOL_BWAWARE`'s per-zone placement weights in per-mille, read
+    /// from the SBIT bandwidths and index-aligned with the zone ids: each
+    /// zone's share of total bandwidth (paper §3.1: `fB = bB / (bB + bC)`,
+    /// generalized to N zones), spread evenly when the total is zero.
+    ///
+    /// The largest-remainder method makes the weights sum to exactly 1000
+    /// whatever the rounding, as the allocation fast path's integer draw
+    /// needs.
+    pub fn bw_weights_per_mille(&self) -> Vec<u32> {
+        let total = self.total_bandwidth().bytes_per_sec();
+        let exact: Vec<f64> = self
+            .zones
+            .iter()
+            .map(|z| {
+                if total == 0.0 {
+                    1000.0 / self.zones.len() as f64
+                } else {
+                    z.bandwidth.bytes_per_sec() / total * 1000.0
+                }
+            })
+            .collect();
+        let mut w: Vec<u32> = exact.iter().map(|&e| e.floor() as u32).collect();
+        let assigned: u32 = w.iter().sum();
+        let mut order: Vec<usize> = (0..w.len()).collect();
+        order.sort_by(|&a, &b| {
+            let fa = exact[a] - exact[a].floor();
+            let fb = exact[b] - exact[b].floor();
+            fb.partial_cmp(&fa).unwrap().then(a.cmp(&b))
+        });
+        for &i in order.iter().take((1000 - assigned) as usize) {
+            w[i] += 1;
+        }
+        w
     }
 
     /// Zones of the given kind, in id order.
@@ -249,20 +285,14 @@ impl TopologyBuilder {
         self
     }
 
-    /// Finalizes the topology and derives the SLIT and SBIT tables.
+    /// Finalizes the topology.
     ///
     /// # Panics
     ///
     /// Panics if no zones were added.
     pub fn build(self) -> NumaTopology {
         assert!(!self.zones.is_empty(), "topology needs at least one zone");
-        let slit = Slit::new(self.zones.iter().map(|z| z.extra_latency_cycles).collect());
-        let sbit = Sbit::new(self.zones.iter().map(|z| z.bandwidth).collect());
-        NumaTopology {
-            zones: self.zones,
-            slit,
-            sbit,
-        }
+        NumaTopology { zones: self.zones }
     }
 }
 
@@ -305,11 +335,60 @@ mod tests {
         assert_eq!(topo.total_pages(), 40);
     }
 
+    /// One single-page zone per `(extra latency, GB/s)` pair.
+    fn topo_of(zones: &[(u64, f64)]) -> NumaTopology {
+        zones
+            .iter()
+            .fold(NumaTopology::builder(), |b, &(lat, gbps)| {
+                b.zone(ZoneSpec::new(
+                    "z",
+                    MemKind::BandwidthOptimized,
+                    1,
+                    Bandwidth::from_gbps(gbps),
+                    lat,
+                ))
+            })
+            .build()
+    }
+
     #[test]
-    fn derived_tables_match_specs() {
-        let topo = NumaTopology::paper_baseline(1, 1);
-        assert_eq!(topo.slit().extra_latency(ZoneId::new(1)), Some(100));
-        assert_eq!(topo.sbit().bandwidth(ZoneId::new(0)).unwrap().gbps(), 200.0);
+    fn zonelist_is_in_latency_order() {
+        let topo = topo_of(&[(100, 1.0), (0, 1.0), (250, 1.0)]);
+        assert_eq!(
+            topo.zonelist(),
+            vec![ZoneId::new(1), ZoneId::new(0), ZoneId::new(2)]
+        );
+        assert_eq!(topo.local_zone(), ZoneId::new(1));
+    }
+
+    #[test]
+    fn latency_ties_break_by_zone_id() {
+        let topo = topo_of(&[(50, 1.0), (0, 1.0), (50, 1.0), (0, 1.0)]);
+        assert_eq!(
+            topo.zonelist(),
+            vec![
+                ZoneId::new(1),
+                ZoneId::new(3),
+                ZoneId::new(0),
+                ZoneId::new(2)
+            ]
+        );
+        assert_eq!(topo.local_zone(), ZoneId::new(1));
+    }
+
+    #[test]
+    fn paper_bw_weights_split_714_286() {
+        // 200/280 = 714.28... -> 714, 80/280 = 285.7 -> 286.
+        let w = NumaTopology::paper_baseline(1, 1).bw_weights_per_mille();
+        assert_eq!(w, vec![714, 286]);
+        assert_eq!(w.iter().sum::<u32>(), 1000);
+    }
+
+    #[test]
+    fn zero_total_bandwidth_spreads_evenly() {
+        let w = topo_of(&[(0, 0.0); 3]).bw_weights_per_mille();
+        assert_eq!(w, vec![334, 333, 333]);
+        assert_eq!(w.iter().sum::<u32>(), 1000);
     }
 
     #[test]

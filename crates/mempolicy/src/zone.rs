@@ -9,31 +9,6 @@ use crate::error::MemError;
 use crate::topology::{NumaTopology, ZoneId};
 use hmtypes::{FrameNum, PageNum};
 
-/// Occupancy statistics for one zone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ZoneStats {
-    /// Total frames the zone owns.
-    pub capacity: u64,
-    /// Frames currently allocated.
-    pub allocated: u64,
-}
-
-impl ZoneStats {
-    /// Frames still available.
-    pub fn free(&self) -> u64 {
-        self.capacity - self.allocated
-    }
-
-    /// Fraction of the zone in use, in `[0.0, 1.0]`.
-    pub fn utilization(&self) -> f64 {
-        if self.capacity == 0 {
-            0.0
-        } else {
-            self.allocated as f64 / self.capacity as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone)]
 struct ZoneState {
     base: u64,
@@ -64,7 +39,7 @@ impl ZoneState {
 /// let mut alloc = FrameAllocator::new(&topo);
 /// let f = alloc.allocate(ZoneId::new(0))?;
 /// assert_eq!(alloc.zone_of(f), Some(ZoneId::new(0)));
-/// assert_eq!(alloc.stats(ZoneId::new(0)).unwrap().allocated, 1);
+/// assert_eq!(alloc.allocated(ZoneId::new(0)), 1);
 /// # Ok::<(), mempolicy::MemError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -164,12 +139,9 @@ impl FrameAllocator {
         (frame.index() >= z.base).then(|| ZoneId::new(idx))
     }
 
-    /// Occupancy statistics for `zone`.
-    pub fn stats(&self, zone: ZoneId) -> Option<ZoneStats> {
-        self.zones.get(zone.index()).map(|z| ZoneStats {
-            capacity: z.capacity,
-            allocated: z.allocated(),
-        })
+    /// Frames currently allocated from `zone` (0 for an unknown zone).
+    pub fn allocated(&self, zone: ZoneId) -> u64 {
+        self.zones.get(zone.index()).map_or(0, ZoneState::allocated)
     }
 
     /// Number of zones served by this allocator.
@@ -199,7 +171,7 @@ mod tests {
             a.allocate(bo),
             Err(MemError::BindExhausted { .. })
         ));
-        assert_eq!(a.stats(bo).unwrap().free(), 0);
+        assert_eq!(a.allocated(bo), 4);
     }
 
     #[test]
@@ -230,7 +202,7 @@ mod tests {
         let bo = ZoneId::new(0);
         let frames: Vec<_> = (0..4).map(|_| a.allocate(bo).unwrap()).collect();
         a.free(frames[2]);
-        assert_eq!(a.stats(bo).unwrap().allocated, 3);
+        assert_eq!(a.allocated(bo), 3);
         let again = a.allocate(bo).unwrap();
         assert_eq!(again, frames[2]);
     }
@@ -271,12 +243,16 @@ mod tests {
     }
 
     #[test]
-    fn utilization_tracks_allocation() {
+    fn allocated_counts_per_zone() {
         let mut a = FrameAllocator::new(&small_topo());
-        let bo = ZoneId::new(0);
-        assert_eq!(a.stats(bo).unwrap().utilization(), 0.0);
+        let (bo, co) = (ZoneId::new(0), ZoneId::new(1));
+        assert_eq!(a.allocated(bo), 0);
         a.allocate(bo).unwrap();
-        a.allocate(bo).unwrap();
-        assert!((a.stats(bo).unwrap().utilization() - 0.5).abs() < 1e-12);
+        let f = a.allocate(bo).unwrap();
+        a.allocate(co).unwrap();
+        assert_eq!((a.allocated(bo), a.allocated(co)), (2, 1));
+        a.free(f);
+        assert_eq!((a.allocated(bo), a.allocated(co)), (1, 1));
+        assert_eq!(a.allocated(ZoneId::new(5)), 0);
     }
 }

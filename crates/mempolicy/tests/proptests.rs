@@ -80,7 +80,7 @@ hetmem_harness::props! {
             alloc.free(f);
         }
         for z in topo.zone_ids() {
-            assert_eq!(alloc.stats(z).unwrap().allocated, 0);
+            assert_eq!(alloc.allocated(z), 0);
         }
         let mut again = 0;
         while alloc.allocate_with_fallback(&zonelist, PageNum::new(0)).is_ok() {
@@ -149,6 +149,36 @@ hetmem_harness::props! {
         assert_eq!(hist.iter().sum::<u64>(), pages);
     }
 
+    /// The placement histogram (the allocator's per-zone counts) equals
+    /// a per-zone count over the page table after every fault, explicit
+    /// placement and migration, failed ones included, and `mapped_pages`
+    /// equals the page table's size. Zone 3 is out of range for smaller
+    /// topologies, so unknown-zone errors are exercised too.
+    fn histogram_matches_page_table(
+        zones in arb_zones(),
+        seed in 0u64..1000,
+        ops in hetmem_harness::vec_of((0u8..3, 0u64..64, 0usize..4), 1..200),
+    ) {
+        let topo = topo_from(zones);
+        let mut mm = AddressSpace::new(topo.clone());
+        mm.set_mempolicy(Mempolicy::bw_aware_for(&topo).with_seed(seed));
+        let base = mm.mmap(64 * PAGE_SIZE as u64).unwrap().start.page().index();
+        for (op, offset, zone) in ops {
+            let (page, zone) = (PageNum::new(base + offset), ZoneId::new(zone));
+            let _ = match op {
+                0 => mm.ensure_mapped(page),
+                1 => mm.ensure_mapped_in(page, &[zone]),
+                _ => mm.migrate_page(page, zone),
+            };
+            let mut expected = vec![0u64; topo.num_zones()];
+            for (_, frame) in mm.mappings() {
+                expected[mm.allocator().zone_of(frame).unwrap().index()] += 1;
+            }
+            assert_eq!(mm.placement_histogram(), expected);
+            assert_eq!(mm.mapped_pages(), mm.mappings().count() as u64);
+        }
+    }
+
     /// SBIT per-mille weights always sum to exactly 1000.
     fn sbit_weights_total_1000(gbps in hetmem_harness::vec_of(0u32..2000, 1..6)) {
         let mut b = NumaTopology::builder();
@@ -162,6 +192,6 @@ hetmem_harness::props! {
             ));
         }
         let topo = b.build();
-        assert_eq!(topo.sbit().weights_per_mille().iter().sum::<u32>(), 1000);
+        assert_eq!(topo.bw_weights_per_mille().iter().sum::<u32>(), 1000);
     }
 }

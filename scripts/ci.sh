@@ -28,6 +28,57 @@ for script in $(grep -ohE 'scripts/[A-Za-z0-9_-]+\.sh' "${DOCS[@]}" | sort -u); 
         exit 1
     }
 done
+# Every CamelCase name those docs put in backticks must be a `struct`,
+# `enum`, `trait`, `type` or enum variant that `crates/*/src` or
+# `perfbench/src` defines (or a std type, or the paper's
+# `GetAllocation`), so a deleted or renamed type cannot linger either.
+python3 - "${DOCS[@]}" <<'PY'
+import glob, re, sys
+ALLOWED = {
+    "Arc", "AtomicBool", "AtomicU64", "AtomicUsize", "BTreeMap", "BTreeSet",
+    "BinaryHeap", "Box", "Cell", "Clone", "Debug", "Default", "Display",
+    "Duration", "Err", "FromStr", "HashMap", "HashSet", "Instant", "Iterator",
+    "Mutex", "None", "Ok", "Option", "PartialEq", "Rc", "RefCell", "Result",
+    "RwLock", "Send", "Some", "String", "Sync", "TcpListener", "TcpStream",
+    "Vec", "VecDeque", "GetAllocation",
+}
+def top_level(body):
+    # `body` with every nested (), [] and {} group dropped.
+    out, depth = [], 0
+    for ch in body:
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        elif depth == 0:
+            out.append(ch)
+    return "".join(out)
+defined = set(ALLOWED)
+sources = glob.glob("crates/*/src/**/*.rs", recursive=True)
+sources += glob.glob("perfbench/src/**/*.rs", recursive=True)
+for path in sources:
+    src = "\n".join(line.split("//", 1)[0] for line in open(path))
+    defined.update(re.findall(r'\b(?:struct|enum|trait|type)\s+([A-Z]\w*)', src))
+    for m in re.finditer(r'\benum\s+\w+[^{;]*\{', src):
+        depth, end = 1, m.end()
+        while depth:
+            depth += {"{": 1, "}": -1}.get(src[end], 0)
+            end += 1
+        for variant in top_level(src[m.end():end - 1]).split(","):
+            name = re.match(r'\s*([A-Z]\w*)', variant)
+            if name:
+                defined.add(name.group(1))
+stale = []
+for doc in sys.argv[1:]:
+    # Inline code only: fenced blocks go, and a span ends at a blank line.
+    text = re.sub(r'^\s*```.*?^\s*```', '', open(doc).read(), flags=re.M | re.S)
+    for span in re.findall(r'`((?:[^`\n]|\n(?!\s*\n))+)`', text):
+        for name in re.findall(r'(?<![\w+-])[A-Z][a-z]\w*', span):
+            if name not in defined:
+                stale.append(f"{doc}: `{span}` names {name}, which no crate defines")
+if stale:
+    sys.exit("\n".join(stale))
+PY
 
 # Crate-graph gate: every workspace crate that a package's
 # `[dependencies]` names must be used by that package's `src/`

@@ -55,7 +55,7 @@ fn three_pool_sim() -> SimConfig {
 fn sbit_weights_cover_three_pools() {
     let sim = three_pool_sim();
     let topo = topology_for(&sim, &[1024, 1024, 1024]);
-    let w = topo.sbit().weights_per_mille();
+    let w = topo.bw_weights_per_mille();
     assert_eq!(w.len(), 3);
     assert_eq!(w.iter().sum::<u32>(), 1000);
     // 500/780, 200/780, 80/780.
