@@ -1,12 +1,14 @@
 //! Extension experiment: the cycle-level `MIGRATE` policy vs the
 //! constrained oracle at 10% BO capacity — how much of the oracle's
 //! bandwidth can a purely reactive engine recover?
+use hetmem::experiments::{ext_reactive, ext_reactive_policy};
+
 fn main() {
-    let opts = hetmem_bench::opts_from_args(hetmem_bench::ALL_FLAGS);
-    let table = hetmem::experiments::ext_reactive(&opts).unwrap_or_else(|e| {
-        let msg = format!("{e} ({})", e.code());
-        hetmem_bench::cli::usage_exit("ext_reactive", 2, &msg)
+    // Sampled fidelity is refused before `--out`'s directory is created.
+    let opts = hetmem_bench::checked_opts_from_args(hetmem_bench::ALL_FLAGS, |opts| {
+        ext_reactive_policy(opts).map(drop)
     });
+    let table = ext_reactive(&opts).expect("fidelity checked");
     println!("{table}");
     println!(
         "bw-eff is demand bandwidth (copy traffic excluded) relative to the\n\

@@ -8,11 +8,12 @@
 //! ```
 //!
 //! Every grid point is a `simulate` request resolved by `hetmem-serve`'s
-//! own parser ([`parse_simulate`]) and run by its [`run_point`], so the
-//! sweep accepts, refuses, labels and keys a point exactly as the
-//! server does: a record's `config` is serve's canonical label (e.g.
-//! `BW-AWARE(29C-71B)` for `BW-AWARE`), and a local record differs
-//! from the server's only in its `sweep` tag and `config_hash`.
+//! own parser ([`parse_simulate`]) into a figure's [`RunPoint`] and run
+//! by its [`run_point`], so a point is accepted, refused, labelled,
+//! keyed and resolved as the server and the figures do: a record's
+//! `config` is serve's canonical label (e.g. `BW-AWARE(29C-71B)` for
+//! `BW-AWARE`), and a local record differs from the server's only in
+//! its `sweep` tag and `config_hash`.
 //!
 //! Every completed grid point is flushed to the checkpoint file with a
 //! write-temp-then-atomic-rename, so the file is a valid JSONL snapshot
@@ -79,9 +80,11 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use gpusim::Fidelity;
+use hetmem::grid::RunPoint;
 use hetmem_bench::cli::{self, Args};
 use hetmem_bench::client::ClientBuilder;
-use hetmem_bench::serve::{parse_simulate, run_point, SimPoint};
+use hetmem_bench::serve::{parse_simulate, run_point};
 use hetmem_harness::checkpoint::{run_grid_resumable, CheckpointWriter};
 use hetmem_harness::json::JsonValue;
 use hetmem_harness::sweep::{run_grid, SweepOptions};
@@ -92,7 +95,8 @@ use hetmem_harness::{FaultInjector, FaultPlan, Request, Response};
 /// key for them (the checkpoint key).
 struct Point {
     params: JsonValue,
-    point: SimPoint,
+    point: RunPoint,
+    fidelity: Fidelity,
     key: String,
 }
 
@@ -215,11 +219,16 @@ fn main() -> ExitCode {
                 }
             }
             let params = JsonValue::Object(fields);
-            let (point, key) = match parse_simulate(&params) {
+            let (point, fidelity, key) = match parse_simulate(&params) {
                 Ok(resolved) => resolved,
                 Err(e) => return fail(&format!("{e} ({})", e.code())),
             };
-            points.push(Point { params, point, key });
+            points.push(Point {
+                params,
+                point,
+                fidelity,
+                key,
+            });
         }
     }
 
@@ -228,7 +237,7 @@ fn main() -> ExitCode {
         if let Some(stall) = injector.maybe_latency() {
             std::thread::sleep(stall);
         }
-        run_point(&p.point, "sweep").0
+        run_point(&p.point, p.fidelity, "sweep").0
     };
     let label = |p: &Point| p.point.label();
 

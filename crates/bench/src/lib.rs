@@ -59,7 +59,7 @@ pub mod top;
 use std::sync::Arc;
 
 use hetmem::experiments::ExpOptions;
-use hetmem::TelemetrySink;
+use hetmem::{HetmemError, TelemetrySink};
 
 use cli::Args;
 
@@ -89,7 +89,16 @@ pub const ALL_FLAGS: &[&str] = &[
 /// outside the catalog, prints `<bin>: <message>` on stderr and exits
 /// the process with code 2.
 pub fn opts_from_args(reads: &[&str]) -> ExpOptions {
-    opts_from(std::env::args().skip(1).collect(), reads).unwrap_or_else(|e| {
+    checked_opts_from_args(reads, |_| Ok(()))
+}
+
+/// A binary's own refusal of the parsed options.
+pub type Check = fn(&ExpOptions) -> Result<(), HetmemError>;
+
+/// [`opts_from_args`] that also refuses, with its error and code, the
+/// options `check` refuses, before `--out`'s directory is created.
+pub fn checked_opts_from_args(reads: &[&str], check: Check) -> ExpOptions {
+    opts_checked(std::env::args().skip(1).collect(), reads, check).unwrap_or_else(|e| {
         let exe = std::env::args().next().unwrap_or_default();
         let bin = std::path::Path::new(&exe)
             .file_stem()
@@ -99,11 +108,11 @@ pub fn opts_from_args(reads: &[&str]) -> ExpOptions {
 }
 
 /// Parses the common experiment flags from `args` (the command line
-/// without the program name), refusing any flag outside `reads`; see
-/// [`opts_from_args`]. `--quick` is the base every other flag refines,
-/// wherever it appears. Every check runs before `--out`'s directory is
-/// created.
-fn opts_from(args: Vec<String>, reads: &[&str]) -> Result<ExpOptions, String> {
+/// without the program name), refusing any flag outside `reads` and
+/// the options `check` refuses; see [`checked_opts_from_args`].
+/// `--quick` is the base every other flag refines, wherever it appears.
+/// Every check runs before `--out`'s directory is created.
+fn opts_checked(args: Vec<String>, reads: &[&str], check: Check) -> Result<ExpOptions, String> {
     let mut opts = if args.iter().any(|a| a == "--quick") {
         ExpOptions::quick()
     } else {
@@ -153,6 +162,7 @@ fn opts_from(args: Vec<String>, reads: &[&str]) -> Result<ExpOptions, String> {
         }
         opts.trace_budget = budget;
     }
+    check(&opts).map_err(|e| format!("{e} ({})", e.code()))?;
     if let Some(dir) = out {
         let sink = TelemetrySink::create(&dir)
             .map_err(|e| format!("cannot create telemetry dir {dir}: {e}"))?;
@@ -179,6 +189,10 @@ fn parse_workloads(list: &str) -> Result<Vec<String>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn opts_from(args: Vec<String>, reads: &[&str]) -> Result<ExpOptions, String> {
+        opts_checked(args, reads, |_| Ok(()))
+    }
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()

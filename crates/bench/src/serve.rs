@@ -44,9 +44,9 @@
 //! errors instead of stalling the loop.
 //!
 //! The server ([`start`], [`ServerHandle`]) is unix-only, like the
-//! fleet router; [`roundtrip`], [`simulate_cache_key`] and the
-//! `simulate` resolver ([`parse_simulate`], [`run_point`]), which
-//! `hetmem-sweep` runs its grid points through, are portable.
+//! fleet router; [`roundtrip`], [`simulate_cache_key`], [`parse_simulate`]
+//! (into the figures' [`RunPoint`]) and [`run_point`], which
+//! `hetmem-sweep` runs its points through, are portable.
 //!
 //! ## Observability
 //!
@@ -108,14 +108,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gpusim::{Fidelity, MigrationReport, SampleConfig, SimConfig};
-use hetmem::{
-    check_fidelity, hints_from_profile, profile_workload, record_for, topology_for, Capacity,
-    HetmemError, Placement, RunBuilder, TelemetrySink,
-};
+use hetmem::grid::{Column, RunPoint, Strategy};
+use hetmem::{check_fidelity, record_for, Capacity, HetmemError, TelemetrySink};
 use hetmem_harness::json::{JsonObject, JsonValue};
 use hetmem_harness::{FaultPlan, Request, Response};
-use mempolicy::Mempolicy;
-use workloads::{catalog, WorkloadSpec};
+use workloads::catalog;
 
 /// Default client/server socket read timeout.
 pub(crate) const DEFAULT_READ_TIMEOUT_MS: u64 = 120_000;
@@ -168,37 +165,6 @@ impl Default for ServeConfig {
             max_batch: 64,
             conn_buffer: 256 * 1024,
         }
-    }
-}
-
-/// Which placement strategy a `simulate` request asked for.
-#[derive(Debug, Clone)]
-enum PolicyChoice {
-    /// An OS policy (`LOCAL`, `INTERLEAVE`, `BW-AWARE`, `xC-yB`).
-    Os(Mempolicy),
-    /// Two-phase oracle: profile first, then perfect-knowledge pages.
-    Oracle,
-    /// Annotation hints: profile, `GetAllocation`, hinted mallocs.
-    Hinted,
-}
-
-/// One resolved simulation point — everything a worker or a
-/// `hetmem-sweep` grid point needs. Built only by [`parse_simulate`] and
-/// run by [`run_point`].
-#[derive(Debug, Clone)]
-pub struct SimPoint {
-    spec: WorkloadSpec,
-    sim: SimConfig,
-    capacity: Capacity,
-    policy: PolicyChoice,
-    config_label: String,
-    fidelity: Fidelity,
-}
-
-impl SimPoint {
-    /// `workload/config`, the name progress lines and errors use.
-    pub fn label(&self) -> String {
-        format!("{}/{}", self.spec.name, self.config_label)
     }
 }
 
@@ -264,14 +230,14 @@ pub(crate) fn exchange(conn: &mut BufReader<TcpStream>, line: &str) -> io::Resul
     Ok(reply)
 }
 
-/// Resolves a `simulate` request into a concrete [`SimPoint`] and its
-/// canonical cache key. Every knob is resolved (defaults applied)
-/// before keying, so explicitly passing a default value still hits.
+/// Resolves a `simulate` request into its [`RunPoint`], fidelity and
+/// canonical cache key. Every knob is defaulted before keying, so
+/// explicitly passing a default value still hits.
 ///
 /// # Errors
 ///
 /// The stable-coded refusal `simulate` answers an invalid request with.
-pub fn parse_simulate(params: &JsonValue) -> Result<(SimPoint, String), HetmemError> {
+pub fn parse_simulate(params: &JsonValue) -> Result<(RunPoint, Fidelity, String), HetmemError> {
     let name = params
         .get("workload")
         .and_then(JsonValue::as_str)
@@ -314,24 +280,7 @@ pub fn parse_simulate(params: &JsonValue) -> Result<(SimPoint, String), HetmemEr
             )
         })?,
     };
-    let (policy, config_label) = match policy_str.trim().to_ascii_uppercase().as_str() {
-        "ORACLE" => (PolicyChoice::Oracle, "ORACLE".to_string()),
-        "HINTED" | "ANNOTATED" => (PolicyChoice::Hinted, "HINTED".to_string()),
-        _ => {
-            let topo = topology_for(&sim, &vec![1; sim.pools.len()]);
-            let policy = Mempolicy::parse(policy_str, &topo).map_err(|e| match e {
-                // A recognized-but-malformed spec (e.g. a bad `MIGRATE:`
-                // string) keeps its dedicated stable wire code.
-                e @ mempolicy::MemError::InvalidPolicySpec { .. } => HetmemError::Mem(e),
-                _ => HetmemError::invalid(format!(
-                    "unknown policy '{policy_str}' \
-                     (want LOCAL, INTERLEAVE, BW-AWARE, xC-yB, MIGRATE[:k=v...], ORACLE, or HINTED)"
-                )),
-            })?;
-            let label = policy.name();
-            (PolicyChoice::Os(policy), label)
-        }
-    };
+    let (strategy, config_label) = Strategy::parse(policy_str, &sim)?;
     // Protocol-stable fidelity: absent (or "full") runs the exact
     // simulator; anything else but "sampled" gets the dedicated stable
     // wire code. Rejecting non-strings mirrors the 'policy' rule.
@@ -354,7 +303,7 @@ pub fn parse_simulate(params: &JsonValue) -> Result<(SimPoint, String), HetmemEr
     };
     // A valid fidelity the policy cannot run under (sampled MIGRATE)
     // gets its own stable code rather than an extrapolated wrong answer.
-    if let PolicyChoice::Os(p) = &policy {
+    if let Strategy::Policy(p) = &strategy {
         check_fidelity(fidelity, p)?;
     }
     // Canonical key over the *resolved* request; 0 = unconstrained. The
@@ -372,40 +321,22 @@ pub fn parse_simulate(params: &JsonValue) -> Result<(SimPoint, String), HetmemEr
         key_obj = key_obj.str("fidelity", "sampled");
     }
     let key = key_obj.finish();
-    Ok((
-        SimPoint {
-            spec,
-            sim,
-            capacity,
-            policy,
-            config_label,
-            fidelity,
-        },
-        key,
-    ))
+    let column = Column {
+        config: config_label,
+        sim,
+        capacity,
+        strategy,
+    };
+    Ok((RunPoint { spec, column }, fidelity, key))
 }
 
-/// Runs one resolved point and renders its `run` line, tagged `tag`
-/// (`serve` for the server, `sweep` for `hetmem-sweep`), plus the run's
-/// migration report for the server's metrics.
-pub fn run_point(p: &SimPoint, tag: &str) -> (String, Option<MigrationReport>) {
-    let placement = match &p.policy {
-        PolicyChoice::Os(policy) => Placement::Policy(policy.clone()),
-        PolicyChoice::Oracle => {
-            let (histogram, _) = profile_workload(&p.spec, &p.sim);
-            Placement::Oracle(histogram)
-        }
-        PolicyChoice::Hinted => {
-            let (_, profile) = profile_workload(&p.spec, &p.sim);
-            Placement::Hinted(hints_from_profile(&profile, &p.spec, &p.sim, p.capacity))
-        }
-    };
-    let run = RunBuilder::new(&p.spec, &p.sim)
-        .capacity(p.capacity)
-        .placement(&placement)
-        .fidelity(p.fidelity)
-        .run();
-    let line = record_for(tag, p.spec.name, &p.config_label, &p.sim, &run).jsonl(false);
+/// Runs one resolved point at `fidelity` and renders its `run` line,
+/// tagged `tag` (`serve` for the server, `sweep` for `hetmem-sweep`),
+/// plus the run's migration report for the server's metrics.
+pub fn run_point(p: &RunPoint, fidelity: Fidelity, tag: &str) -> (String, Option<MigrationReport>) {
+    let run = p.run(fidelity);
+    let c = &p.column;
+    let line = record_for(tag, p.spec.name, &c.config, &c.sim, &run).jsonl(false);
     (line, run.report.migration)
 }
 
@@ -430,5 +361,5 @@ fn field_u64(params: &JsonValue, key: &str) -> Result<Option<u64>, HetmemError> 
 ///
 /// The same validation failures `simulate` itself would refuse with.
 pub fn simulate_cache_key(params: &JsonValue) -> Result<String, HetmemError> {
-    parse_simulate(params).map(|(_, key)| key)
+    parse_simulate(params).map(|(_, _, key)| key)
 }

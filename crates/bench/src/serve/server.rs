@@ -15,7 +15,8 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use gpusim::{MigrationReport, SimConfig};
+use gpusim::{Fidelity, MigrationReport, SimConfig};
+use hetmem::grid::RunPoint;
 use hetmem::{bo_traffic_target, HetmemError, TelemetrySink};
 use hetmem_harness::json::{self, JsonObject, JsonValue};
 use hetmem_harness::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -24,7 +25,7 @@ use hetmem_harness::{BoundedQueue, FaultInjector, Response, ResultCache};
 use profiler::get_allocation;
 use workloads::catalog;
 
-use super::{field_u64, run_point, ServeConfig, SimPoint};
+use super::{field_u64, run_point, ServeConfig};
 use crate::front::{self, Exec, Head, Helps, Job, Ledger, Table};
 use crate::reactor::{us, DrainGate, Reactor, Waker};
 
@@ -38,7 +39,8 @@ const HELPS: Helps = Helps {
 
 /// A simulate bound for the shard pool.
 struct SimWork {
-    point: Box<SimPoint>,
+    point: Box<RunPoint>,
+    fidelity: Fidelity,
     key: String,
     /// Cooperative deadline carried over from the request envelope.
     deadline: Option<Instant>,
@@ -418,7 +420,7 @@ fn worker_loop(shared: &Arc<Shared>, shard: usize) {
             }),
             None => {
                 let exec_start = Instant::now();
-                match execute(&job.point, job.deadline) {
+                match execute(&job.point, job.fidelity, job.deadline) {
                     Ok((body, migration)) => {
                         phases.execute_us = Some(us(exec_start.elapsed()));
                         // Aggregates count work actually done: cache
@@ -446,13 +448,14 @@ fn worker_loop(shared: &Arc<Shared>, shard: usize) {
 /// as `sim-panic` (worded as the sweep engine words a panicking grid
 /// point) instead of unwinding the shard worker.
 fn execute(
-    point: &SimPoint,
+    point: &RunPoint,
+    fidelity: Fidelity,
     deadline: Option<Instant>,
 ) -> Result<(String, Option<MigrationReport>), HetmemError> {
     if deadline.is_some_and(|d| Instant::now() >= d) {
         return Err(HetmemError::DeadlineExceeded);
     }
-    catch_unwind(AssertUnwindSafe(|| run_point(point, "serve"))).map_err(|payload| {
+    catch_unwind(AssertUnwindSafe(|| run_point(point, fidelity, "serve"))).map_err(|payload| {
         HetmemError::Sweep(SweepError::Panic {
             index: 0,
             label: point.label(),
@@ -578,27 +581,26 @@ fn array_field<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpusim::{Fidelity, SampleConfig};
+    use gpusim::SampleConfig;
 
-    /// A `MIGRATE` point forced to sampled fidelity, which
-    /// `parse_simulate` refuses and the run path panics on.
-    fn panicking_point() -> SimPoint {
+    /// A `MIGRATE` point with sampled fidelity, which `parse_simulate`
+    /// refuses and the run path panics on.
+    fn panicking_point() -> (RunPoint, Fidelity) {
         let params = JsonValue::parse(r#"{"workload":"bfs","policy":"MIGRATE","mem_ops":100}"#)
             .expect("valid json");
-        let (mut point, _) = super::super::parse_simulate(&params).expect("valid request");
-        point.fidelity = Fidelity::Sampled(SampleConfig::default());
-        point
+        let (point, _, _) = super::super::parse_simulate(&params).expect("valid request");
+        (point, Fidelity::Sampled(SampleConfig::default()))
     }
 
     #[test]
     fn a_panicking_point_comes_back_as_sim_panic() {
-        let point = panicking_point();
+        let (point, fidelity) = panicking_point();
         assert!(
             point.label().starts_with("bfs/MIGRATE("),
             "{}",
             point.label()
         );
-        let err = execute(&point, None).expect_err("the point panics");
+        let err = execute(&point, fidelity, None).expect_err("the point panics");
         assert_eq!(err.code(), "sim-panic");
         let msg = err.to_string();
         let lead = format!(
@@ -610,7 +612,8 @@ mod tests {
 
     #[test]
     fn an_expired_deadline_runs_nothing() {
-        let err = execute(&panicking_point(), Some(Instant::now())).expect_err("expired");
+        let (point, fidelity) = panicking_point();
+        let err = execute(&point, fidelity, Some(Instant::now())).expect_err("expired");
         assert_eq!(err.code(), "deadline-exceeded");
     }
 }

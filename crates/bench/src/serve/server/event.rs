@@ -205,8 +205,9 @@ fn run(req: &Request, deadline: Option<Instant>) -> Run<SimWork> {
         return Run::Now(handle_place(&req.params));
     }
     match parse_simulate(&req.params) {
-        Ok((point, key)) => Run::Queue(SimWork {
+        Ok((point, fidelity, key)) => Run::Queue(SimWork {
             point: Box::new(point),
+            fidelity,
             key,
             deadline,
             enqueued: Instant::now(),

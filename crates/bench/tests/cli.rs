@@ -251,13 +251,11 @@ fn figure_usage_errors_exit_2() {
         unread(bin, &["--workloads", "lbm"], "--workloads");
     }
     // ext_reactive's MIGRATE runs need full fidelity: refused before
-    // any run, not a panic.
-    refused(
-        env!("CARGO_BIN_EXE_ext_reactive"),
-        &["--quick", "--fidelity", "sampled"],
-        2,
-        "(unsupported-fidelity)",
-    );
+    // any run and before `--out`'s directory is created, not a panic.
+    let ext_reactive = env!("CARGO_BIN_EXE_ext_reactive");
+    let sampled = ["--quick", "--fidelity", "sampled", "--out", &dir_arg];
+    refused(ext_reactive, &sampled, 2, "(unsupported-fidelity)");
+    assert!(!dir.exists(), "ext_reactive created {}", dir.display());
 }
 
 #[test]

@@ -14,8 +14,9 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use hetmem::experiments::ExpOptions;
 use hetmem::{record_for, Capacity, Placement, RunBuilder, TelemetrySink};
-use hetmem_bench::serve::{roundtrip, start, ServeConfig, ServerHandle};
+use hetmem_bench::serve::{parse_simulate, roundtrip, run_point, start, ServeConfig, ServerHandle};
 use hetmem_harness::json::JsonValue;
 use hetmem_harness::{parse_prometheus, Request, Response};
 
@@ -648,6 +649,48 @@ fn served_simulate_bytes_match_an_unobserved_local_run() {
         .run();
     let local = record_for("serve", spec.name, &label, &sim, &run).jsonl(false);
     assert_eq!(served, local, "served bytes must match the local run");
+}
+
+#[test]
+fn simulate_oracle_and_hinted_match_fig10_cells() {
+    // One resolver: a `simulate` point at 10% capacity runs its ORACLE
+    // and HINTED placements exactly as fig10 at `ExpOptions::quick()`
+    // (4 SMs, 15% of each workload's 220,000 ops) runs its Oracle and
+    // Annotated cells. Measured: bfs 33,029 / 27,682 and xsbench
+    // 24,868 / 23,851 cycles (HINTED / ORACLE).
+    let dir = std::env::temp_dir().join(format!("hetmem-one-point-{}", std::process::id()));
+    let opts = ExpOptions {
+        workloads: Some(vec!["bfs".to_string(), "xsbench".to_string()]),
+        telemetry: Some(Arc::new(TelemetrySink::create(&dir).unwrap())),
+        ..ExpOptions::quick()
+    };
+    hetmem::experiments::fig10(&opts);
+    let figure = std::fs::read_to_string(dir.join("fig10.jsonl")).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let cycles = |line: &str| {
+        JsonValue::parse(line)
+            .unwrap()
+            .get("cycles")
+            .unwrap()
+            .as_u64()
+    };
+    for spec in opts.specs() {
+        assert_eq!(spec.mem_ops, 33_000, "{}", spec.name);
+        for (policy, config) in [("HINTED", "Annotated"), ("ORACLE", "Oracle")] {
+            let params = format!(
+                r#"{{"workload":"{}","policy":"{policy}","capacity_pct":10,"mem_ops":33000,"sms":4}}"#,
+                spec.name
+            );
+            let (point, fidelity, _) = parse_simulate(&JsonValue::parse(&params).unwrap()).unwrap();
+            let (line, _) = run_point(&point, fidelity, "serve");
+            let cell = format!(r#""workload":"{}","config":"{config}","#, spec.name);
+            let fig10 = figure
+                .lines()
+                .find(|l| l.contains(&cell))
+                .expect("fig10 cell");
+            assert_eq!(cycles(&line), cycles(fig10), "{} {policy}", spec.name);
+        }
+    }
 }
 
 #[test]

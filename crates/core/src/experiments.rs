@@ -12,16 +12,14 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use gpusim::{CacheConfig, EventTracer, Fidelity, SimConfig};
-use hmtypes::{Bandwidth, Percent};
+use hmtypes::Bandwidth;
 use mempolicy::{Mempolicy, PolicyMode, ZoneId};
-use profiler::{Cdf, MemHint, PageHistogram};
+use profiler::Cdf;
 use workloads::{catalog, WorkloadSpec};
 
 use crate::error::HetmemError;
-use crate::grid::{self, Column, RunPoint, TelemetrySink};
-use crate::runner::{
-    check_fidelity, geomean, hints_from_profile, Capacity, Placement, WorkloadRun,
-};
+use crate::grid::{self, Column, RunPoint, Strategy, TelemetrySink};
+use crate::runner::{check_fidelity, geomean, Capacity, WorkloadRun};
 use crate::translate::topology_for;
 
 /// Options shared by all experiment drivers.
@@ -89,13 +87,7 @@ impl ExpOptions {
                 "lbm".to_string(),
                 "sgemm".to_string(),
             ]),
-            verbose: false,
-            threads: 0,
-            telemetry: None,
-            sample_cycles: None,
-            trace: None,
-            trace_budget: EventTracer::DEFAULT_BUDGET,
-            fidelity: Fidelity::Full,
+            ..ExpOptions::default()
         }
     }
 
@@ -250,15 +242,25 @@ pub fn table1(sim: &SimConfig) -> String {
     s
 }
 
-/// A column that faults pages in under `policy` on `sim` with
-/// unconstrained BO capacity.
-fn policy_column(config: impl Into<String>, sim: SimConfig, policy: Mempolicy) -> Column {
+/// The column `config`: `strategy` on `sim` with unconstrained BO
+/// capacity.
+fn column(config: impl Into<String>, sim: &SimConfig, strategy: Strategy) -> Column {
     Column {
         config: config.into(),
-        sim,
+        sim: sim.clone(),
         capacity: Capacity::Unconstrained,
-        placement: Placement::Policy(policy),
+        strategy,
     }
+}
+
+/// The placement `simulate` calls `name`, on `sim`'s pools.
+fn named(name: &str, sim: &SimConfig) -> Strategy {
+    Strategy::parse(name, sim).expect("a known placement").0
+}
+
+/// A workload-major grid: one row per spec, running all of `columns`.
+fn rows_of(specs: &[WorkloadSpec], columns: &[Column]) -> Vec<Vec<RunPoint>> {
+    specs.iter().map(|s| grid::row(s, columns)).collect()
 }
 
 /// The config labels of `columns`, as table headers.
@@ -296,7 +298,7 @@ fn speedup_figure(
 ) -> Table {
     let t = Table::new(title, configs(&columns));
     let specs = opts.specs();
-    let rows = grid::run_rows(figure, opts, &specs, |_, _| columns.clone());
+    let rows = grid::run_rows(figure, opts, rows_of(&specs, &columns));
     speedup_table(t, specs.iter().map(|s| s.name), &rows, base)
 }
 
@@ -315,7 +317,7 @@ pub fn fig2a(opts: &ExpOptions) -> Table {
         .iter()
         .map(|&f| {
             let sim = opts.sim.clone().with_bo_bandwidth_scaled(f);
-            policy_column(format!("{f:.2}x"), sim, Mempolicy::local())
+            column(format!("{f:.2}x"), &sim, named("LOCAL", &sim))
         })
         .collect();
     let title = "Fig. 2a — GPU performance sensitivity to bandwidth scaling (vs 1.0x)";
@@ -329,7 +331,7 @@ pub fn fig2b(opts: &ExpOptions) -> Table {
         .iter()
         .map(|&e| {
             let sim = opts.sim.clone().with_extra_latency(e);
-            policy_column(format!("+{e}cyc"), sim, Mempolicy::local())
+            column(format!("+{e}cyc"), &sim, named("LOCAL", &sim))
         })
         .collect();
     let title = "Fig. 2b — GPU performance sensitivity to added latency (vs +0)";
@@ -340,18 +342,14 @@ pub fn fig2b(opts: &ExpOptions) -> Table {
 /// `LOCAL` and `INTERLEAVE` policies, unconstrained capacity, normalized
 /// to `LOCAL`.
 pub fn fig3(opts: &ExpOptions) -> Table {
-    let topo = topology_for(&opts.sim, &[1, 1]);
-    let column = |config: String, policy| policy_column(config, opts.sim.clone(), policy);
-    let mut columns = vec![
-        column("LOCAL".to_string(), Mempolicy::local()),
-        column("INTERLEAVE".to_string(), Mempolicy::interleave_all(&topo)),
-    ];
-    columns.extend([0u8, 10, 20, 30, 50, 70, 90].iter().map(|&r| {
-        column(
-            format!("{}C-{}B", r, 100 - r),
-            Mempolicy::ratio_co(Percent::new(r)),
-        )
-    }));
+    let ratios = [0, 10, 20, 30, 50, 70, 90].map(|r| format!("{r}C-{}B", 100 - r));
+    let names = ["LOCAL", "INTERLEAVE"]
+        .map(String::from)
+        .into_iter()
+        .chain(ratios);
+    let columns = names
+        .map(|name| column(&name, &opts.sim, named(&name, &opts.sim)))
+        .collect();
     let title = "Fig. 3 — placement-ratio sweep, unconstrained capacity (perf vs LOCAL)";
     speedup_figure("fig3", title, opts, columns, 0)
 }
@@ -359,14 +357,12 @@ pub fn fig3(opts: &ExpOptions) -> Table {
 /// Fig. 4: BW-AWARE performance as BO capacity shrinks relative to the
 /// footprint, normalized to the 100% point per workload.
 pub fn fig4(opts: &ExpOptions) -> Table {
-    let topo = topology_for(&opts.sim, &[1, 1]);
+    let bwa = named("BW-AWARE", &opts.sim);
     let columns = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]
         .iter()
         .map(|&f| Column {
-            config: format!("{:.0}%", f * 100.0),
-            sim: opts.sim.clone(),
             capacity: Capacity::FractionOfFootprint(f),
-            placement: Placement::Policy(Mempolicy::bw_aware_for(&topo)),
+            ..column(format!("{:.0}%", f * 100.0), &opts.sim, bwa.clone())
         })
         .collect();
     let title = "Fig. 4 — BW-AWARE performance vs BO capacity (fraction of footprint)";
@@ -382,40 +378,28 @@ pub fn fig5(opts: &ExpOptions) -> Table {
         co_gbps.iter().map(|b| format!("{b:.0}GB/s")).collect(),
     );
     let specs = opts.specs();
-    // Per-workload LOCAL baseline at 80 GB/s CO (the Table 1 machine).
-    let base = policy_column("LOCAL@80", opts.sim.clone(), Mempolicy::local());
-    let baselines = grid::run_rows("fig5", opts, &specs, |_, _| vec![base.clone()]);
-
-    /// A named policy constructor over a topology.
-    type NamedPolicy = (&'static str, fn(&mempolicy::NumaTopology) -> Mempolicy);
-    let policies: [NamedPolicy; 3] = [
-        ("LOCAL", |_| Mempolicy::local()),
-        ("INTERLEAVE", Mempolicy::interleave_all),
-        ("BW-AWARE", Mempolicy::bw_aware_for),
-    ];
-    // Policy-major, unlike the other figures: this order fixes the
-    // JSONL file and the summary table.
-    let mut points = Vec::new();
-    for (name, make_policy) in policies {
+    // Per-workload LOCAL baseline at 80 GB/s CO (the Table 1 machine), a
+    // sweep of its own: trace files are numbered per sweep.
+    let base = column("LOCAL@80", &opts.sim, named("LOCAL", &opts.sim));
+    let baselines = grid::run_rows("fig5", opts, rows_of(&specs, &[base]));
+    // Policy-major, unlike the other figures: one row per (policy, CO
+    // bandwidth) running every workload. This order fixes the JSONL
+    // file and the summary table.
+    let policies = ["LOCAL", "INTERLEAVE", "BW-AWARE"];
+    let mut rows = Vec::new();
+    for name in policies {
         for &bw in &co_gbps {
             let sim = opts.sim.clone().with_co_bandwidth(Bandwidth::from_gbps(bw));
-            let topo = topology_for(&sim, &[1, 1]);
-            let policy = make_policy(&topo);
-            for spec in &specs {
-                let config = format!("{name}@{bw:.0}");
-                points.push(RunPoint {
-                    spec: spec.clone(),
-                    column: policy_column(config, sim.clone(), policy.clone()),
-                });
-            }
+            let col = column(format!("{name}@{bw:.0}"), &sim, named(name, &sim));
+            rows.push(rows_of(&specs, &[col]).concat());
         }
     }
-    let runs = grid::run_point_sweep("fig5", opts, &points);
-    for (pi, (name, _)) in policies.iter().enumerate() {
-        let values: Vec<f64> = (0..co_gbps.len())
-            .map(|bi| {
-                let chunk = &runs[(pi * co_gbps.len() + bi) * specs.len()..][..specs.len()];
-                let speedups: Vec<f64> = chunk
+    let rows = grid::run_rows("fig5", opts, rows);
+    for (name, per_bw) in policies.iter().zip(rows.chunks(co_gbps.len())) {
+        let values = per_bw
+            .iter()
+            .map(|row| {
+                let speedups: Vec<f64> = row
                     .iter()
                     .zip(&baselines)
                     .map(|(r, base)| r.speedup_over(&base[0]))
@@ -442,7 +426,8 @@ pub fn fig6(opts: &ExpOptions) -> (Vec<(String, Cdf)>, Table) {
         ],
     );
     let specs = opts.specs();
-    let profiles = grid::profile_sweep("fig6", opts, &specs, "profile");
+    let jobs: Vec<_> = specs.iter().map(|s| (s, &opts.sim)).collect();
+    let profiles = grid::profile_sweep("fig6", opts, &jobs);
     for (spec, (hist, _)) in specs.iter().zip(&profiles) {
         let cdf = hist.cdf();
         t.push_row(
@@ -476,7 +461,8 @@ pub struct Fig7Workload {
 /// `needle` (the paper's three contrasting examples).
 pub fn fig7(opts: &ExpOptions) -> Vec<Fig7Workload> {
     let specs = specs_named(opts, &["bfs", "mummergpu", "needle"]);
-    let profiles = grid::profile_sweep("fig7", opts, &specs, "profile");
+    let jobs: Vec<_> = specs.iter().map(|s| (s, &opts.sim)).collect();
+    let profiles = grid::profile_sweep("fig7", opts, &jobs);
     specs
         .iter()
         .zip(profiles)
@@ -508,35 +494,19 @@ pub fn fig7(opts: &ExpOptions) -> Vec<Fig7Workload> {
 /// Fig. 8: oracle vs BW-AWARE placement, unconstrained and at 10% BO
 /// capacity, normalized to unconstrained BW-AWARE.
 pub fn fig8(opts: &ExpOptions) -> Table {
-    let configs = ["BWA@100%", "Oracle@100%", "BWA@10%", "Oracle@10%"];
-    let t = Table::new(
-        "Fig. 8 — oracle vs BW-AWARE, unconstrained & 10% capacity (vs BW-AWARE@100%)",
-        configs.map(String::from).to_vec(),
-    );
-    let topo = topology_for(&opts.sim, &[1, 1]);
-    let specs = opts.specs();
-    let profiles = grid::profile_sweep("fig8", opts, &specs, "profile");
-    let rows = grid::run_rows("fig8", opts, &specs, |i, _| {
-        let bwa = Placement::Policy(Mempolicy::bw_aware_for(&topo));
-        let oracle = Placement::Oracle(profiles[i].0.clone());
-        let cells = [
-            (Capacity::Unconstrained, bwa.clone()),
-            (Capacity::Unconstrained, oracle.clone()),
-            (CONSTRAINED, bwa),
-            (CONSTRAINED, oracle),
-        ];
-        configs
-            .iter()
-            .zip(cells)
-            .map(|(config, (capacity, placement))| Column {
-                config: config.to_string(),
-                sim: opts.sim.clone(),
-                capacity,
-                placement,
-            })
-            .collect()
-    });
-    speedup_table(t, specs.iter().map(|s| s.name), &rows, 0)
+    let columns = [
+        ("BWA@100%", Capacity::Unconstrained, "BW-AWARE"),
+        ("Oracle@100%", Capacity::Unconstrained, "ORACLE"),
+        ("BWA@10%", CONSTRAINED, "BW-AWARE"),
+        ("Oracle@10%", CONSTRAINED, "ORACLE"),
+    ]
+    .map(|(config, capacity, name)| Column {
+        capacity,
+        ..column(config, &opts.sim, named(name, &opts.sim))
+    })
+    .to_vec();
+    let title = "Fig. 8 — oracle vs BW-AWARE, unconstrained & 10% capacity (vs BW-AWARE@100%)";
+    speedup_figure("fig8", title, opts, columns, 0)
 }
 
 /// The constrained BO capacity of the paper's §4/§5 experiments: 10% of
@@ -547,29 +517,22 @@ const CONSTRAINED: Capacity = Capacity::FractionOfFootprint(0.10);
 const ANNOTATED_CONFIGS: [&str; 4] = ["INTERLEAVE", "BW-AWARE", "Annotated", "Oracle"];
 
 /// The [`ANNOTATED_CONFIGS`] columns of one Fig. 10/11 row: the two OS
-/// policies, placement by `hints` and the oracle over `hist`, each at
-/// [`CONSTRAINED`] capacity and labelled with `suffix` appended.
-fn annotated_columns(
-    opts: &ExpOptions,
-    hints: Vec<MemHint>,
-    hist: &PageHistogram,
-    suffix: &str,
-) -> Vec<Column> {
-    let topo = topology_for(&opts.sim, &[1, 1]);
-    let placements = [
-        Placement::Policy(Mempolicy::interleave_all(&topo)),
-        Placement::Policy(Mempolicy::bw_aware_for(&topo)),
-        Placement::Hinted(hints),
-        Placement::Oracle(hist.clone()),
+/// policies, hints trained on `train` (the row's own workload when
+/// `None`) and the oracle, each at [`CONSTRAINED`] capacity and
+/// labelled with `suffix` appended.
+fn annotated_columns(opts: &ExpOptions, train: Option<WorkloadSpec>, suffix: &str) -> Vec<Column> {
+    let strategies = [
+        named("INTERLEAVE", &opts.sim),
+        named("BW-AWARE", &opts.sim),
+        Strategy::Hinted { train },
+        Strategy::Oracle,
     ];
-    ANNOTATED_CONFIGS
-        .iter()
-        .zip(placements)
-        .map(|(config, placement)| Column {
-            config: format!("{config}{suffix}"),
-            sim: opts.sim.clone(),
+    let configs = ANNOTATED_CONFIGS.map(|config| format!("{config}{suffix}"));
+    let columns = configs.into_iter().zip(strategies);
+    columns
+        .map(|(config, strategy)| Column {
             capacity: CONSTRAINED,
-            placement,
+            ..column(config, &opts.sim, strategy)
         })
         .collect()
 }
@@ -577,18 +540,8 @@ fn annotated_columns(
 /// Fig. 10: annotation-hinted placement vs INTERLEAVE, BW-AWARE, and
 /// oracle at 10% BO capacity, normalized to INTERLEAVE.
 pub fn fig10(opts: &ExpOptions) -> Table {
-    let t = Table::new(
-        "Fig. 10 — profile-annotated placement at 10% capacity (vs INTERLEAVE)",
-        ANNOTATED_CONFIGS.map(String::from).to_vec(),
-    );
-    let specs = opts.specs();
-    let profiles = grid::profile_sweep("fig10", opts, &specs, "profile");
-    let rows = grid::run_rows("fig10", opts, &specs, |i, spec| {
-        let (hist, profile) = &profiles[i];
-        let hints = hints_from_profile(profile, spec, &opts.sim, CONSTRAINED);
-        annotated_columns(opts, hints, hist, "")
-    });
-    speedup_table(t, specs.iter().map(|s| s.name), &rows, 0)
+    let title = "Fig. 10 — profile-annotated placement at 10% capacity (vs INTERLEAVE)";
+    speedup_figure("fig10", title, opts, annotated_columns(opts, None, ""), 0)
 }
 
 /// Fig. 11: hint robustness across input datasets. Hints are computed
@@ -599,40 +552,21 @@ pub fn fig11(opts: &ExpOptions) -> Table {
         "Fig. 11 — annotated placement across datasets, trained on dataset 0 (vs INTERLEAVE)",
         ANNOTATED_CONFIGS.map(String::from).to_vec(),
     );
-    let workloads = ["bfs", "xsbench", "minife", "mummergpu"];
-    let families: Vec<Vec<WorkloadSpec>> = workloads
-        .iter()
-        .map(|&name| {
-            catalog::datasets(name)
-                .into_iter()
-                .map(|s| opts.scale(s))
-                .collect()
-        })
-        .collect();
-    // Train on each family's dataset 0.
-    let train_specs: Vec<WorkloadSpec> = families.iter().map(|sets| sets[0].clone()).collect();
-    let train_profiles = grid::profile_sweep("fig11", opts, &train_specs, "train");
-    // Evaluate every other dataset: profile (for the oracle), then the
-    // four placements.
-    let evals: Vec<(usize, usize)> = families
-        .iter()
-        .enumerate()
-        .flat_map(|(fi, sets)| (1..sets.len()).map(move |i| (fi, i)))
-        .collect();
-    let eval_specs: Vec<WorkloadSpec> = evals
-        .iter()
-        .map(|&(fi, i)| families[fi][i].clone())
-        .collect();
-    let eval_profiles = grid::profile_sweep("fig11", opts, &eval_specs, "profile");
-    let rows = grid::run_rows("fig11", opts, &eval_specs, |k, spec| {
-        let (fi, i) = evals[k];
-        let hints = hints_from_profile(&train_profiles[fi].1, spec, &opts.sim, CONSTRAINED);
-        annotated_columns(opts, hints, &eval_profiles[k].0, &format!("/ds{i}"))
-    });
-    let labels = evals
-        .iter()
-        .map(|(fi, i)| format!("{}/ds{i}", workloads[*fi]));
-    speedup_table(t, labels, &rows, 0)
+    let mut labels = Vec::new();
+    let mut rows = Vec::new();
+    for name in ["bfs", "xsbench", "minife", "mummergpu"] {
+        let sets: Vec<WorkloadSpec> = catalog::datasets(name)
+            .into_iter()
+            .map(|s| opts.scale(s))
+            .collect();
+        // Every other dataset runs under hints trained on dataset 0.
+        for (i, spec) in sets.iter().enumerate().skip(1) {
+            let columns = annotated_columns(opts, Some(sets[0].clone()), &format!("/ds{i}"));
+            labels.push(format!("{name}/ds{i}"));
+            rows.push(grid::row(spec, &columns));
+        }
+    }
+    speedup_table(t, labels, &grid::run_rows("fig11", opts, rows), 0)
 }
 
 /// Extension: DRAM access energy per placement policy (the paper's §2.1
@@ -641,13 +575,8 @@ pub fn fig11(opts: &ExpOptions) -> Table {
 /// the last column is BW-AWARE's energy-delay product relative to LOCAL
 /// (< 1 means BW-AWARE is better on both axes combined).
 pub fn ext_energy(opts: &ExpOptions) -> Table {
-    let topo = topology_for(&opts.sim, &[1, 1]);
-    let columns = [
-        ("LOCAL", Mempolicy::local()),
-        ("INTERLEAVE", Mempolicy::interleave_all(&topo)),
-        ("BW-AWARE", Mempolicy::bw_aware_for(&topo)),
-    ]
-    .map(|(config, policy)| policy_column(config, opts.sim.clone(), policy));
+    let columns = ["LOCAL", "INTERLEAVE", "BW-AWARE"]
+        .map(|name| column(name, &opts.sim, named(name, &opts.sim)));
     let mut headers = configs(&columns);
     headers.push("BWA EDP/LOCAL".to_string());
     let mut t = Table::new(
@@ -656,7 +585,7 @@ pub fn ext_energy(opts: &ExpOptions) -> Table {
     );
     let ghz = opts.sim.sm_clock_ghz;
     let specs = opts.specs();
-    let rows = grid::run_rows("ext_energy", opts, &specs, |_, _| columns.to_vec());
+    let rows = grid::run_rows("ext_energy", opts, rows_of(&specs, &columns));
     for (spec, row) in specs.iter().zip(&rows) {
         let edp = |r: &WorkloadRun| r.report.energy_delay_product(ghz);
         let mut values: Vec<f64> = row
@@ -668,6 +597,21 @@ pub fn ext_energy(opts: &ExpOptions) -> Table {
     }
     t.push_geomean();
     t
+}
+
+/// [`ext_reactive`]'s `MIGRATE` policy on `opts`' machine.
+///
+/// # Errors
+///
+/// The `unsupported-fidelity` error if `opts.fidelity` is sampled.
+pub fn ext_reactive_policy(opts: &ExpOptions) -> Result<Mempolicy, HetmemError> {
+    // Scaled to the catalog's run lengths: epochs short enough to act
+    // several times per run, a hot threshold low enough to catch the
+    // skewed pages.
+    let topo = topology_for(&opts.sim, &[1, 1]);
+    let migrate = Mempolicy::parse("MIGRATE:epoch=25000,hot=4", &topo).expect("valid spec");
+    check_fidelity(opts.fidelity, &migrate)?;
+    Ok(migrate)
 }
 
 /// The headline question for the online engine: how close does
@@ -696,32 +640,17 @@ pub fn ext_reactive(opts: &ExpOptions) -> Result<Table, HetmemError> {
             "bw-eff(MIG)".to_string(),
         ],
     );
-    let topo = topology_for(&opts.sim, &[1, 1]);
-    // Reactive settings scaled to the catalog's run lengths: epochs
-    // short enough to act several times per run, a hot threshold low
-    // enough to catch the skewed pages.
-    let migrate = Mempolicy::parse("MIGRATE:epoch=25000,hot=4", &topo).expect("valid spec");
-    check_fidelity(opts.fidelity, &migrate)?;
-    let specs = opts.specs();
-    let profiles = grid::profile_sweep("ext_reactive", opts, &specs, "profile");
-    let rows = grid::run_rows("ext_reactive", opts, &specs, |i, _| {
-        [
-            (
-                "BW-AWARE",
-                Placement::Policy(Mempolicy::bw_aware_for(&topo)),
-            ),
-            ("MIGRATE", Placement::Policy(migrate.clone())),
-            ("Oracle", Placement::Oracle(profiles[i].0.clone())),
-        ]
-        .into_iter()
-        .map(|(config, placement)| Column {
-            config: config.to_string(),
-            sim: opts.sim.clone(),
-            capacity: CONSTRAINED,
-            placement,
-        })
-        .collect()
+    let columns = [
+        ("BW-AWARE", named("BW-AWARE", &opts.sim)),
+        ("MIGRATE", Strategy::Policy(ext_reactive_policy(opts)?)),
+        ("Oracle", Strategy::Oracle),
+    ]
+    .map(|(config, strategy)| Column {
+        capacity: CONSTRAINED,
+        ..column(config, &opts.sim, strategy)
     });
+    let specs = opts.specs();
+    let rows = grid::run_rows("ext_reactive", opts, rows_of(&specs, &columns));
     for (spec, row) in specs.iter().zip(&rows) {
         let (bwa, mig, oracle) = (&row[0], &row[1], &row[2]);
         let m = mig.report.migration.expect("MIGRATE run reports migration");
@@ -758,8 +687,9 @@ pub fn ablations(opts: &ExpOptions) -> Vec<Table> {
     let mshrs = [8usize, 16, 32, 64, BASE_MSHRS, 256];
     let slice_kb = [32usize, 64, BASE_KB, 256, 512];
     let base_index = |sweep: &[usize], base| sweep.iter().position(|&x| x == base).unwrap();
-    let local = |config, sim| policy_column(config, sim, Mempolicy::local());
+    let local = |config, sim| column(config, &sim, named("LOCAL", &sim));
     let stripe = (0..10).map(|i| ZoneId::new(usize::from(i < 3))).collect();
+    let exact = Mempolicy::from_mode(PolicyMode::Interleave { nodes: stripe });
     let columns = [
         mshrs
             .iter()
@@ -777,18 +707,18 @@ pub fn ablations(opts: &ExpOptions) -> Vec<Table> {
                 local(format!("{kb} kB"), sim)
             })
             .collect(),
-        [
-            ("random", Mempolicy::ratio_co(Percent::new(30))),
-            (
-                "exact",
-                Mempolicy::from_mode(PolicyMode::Interleave { nodes: stripe }),
-            ),
-        ]
-        .map(|(config, policy)| policy_column(config, opts.sim.clone(), policy))
-        .to_vec(),
+        vec![
+            column("random", &opts.sim, named("30C-70B", &opts.sim)),
+            column("exact", &opts.sim, Strategy::Policy(exact)),
+        ],
     ];
     let specs = specs_named(opts, &["lbm", "xsbench", "srad"]);
-    let rows = grid::run_rows("ablations", opts, &specs, |i, _| columns[i].clone());
+    let rows = specs
+        .iter()
+        .zip(&columns)
+        .map(|(s, c)| grid::row(s, c))
+        .collect();
+    let rows = grid::run_rows("ablations", opts, rows);
     let [lbm, xsbench, srad] = [&rows[0], &rows[1], &rows[2]];
 
     let mut mshr = Table::new(

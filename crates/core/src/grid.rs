@@ -24,20 +24,24 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use gpusim::{
-    EventTracer, IntervalPoolReport, IntervalReport, IntervalSampler, SimConfig, SimReport,
-    TraceEventKind,
+    EventTracer, Fidelity, IntervalPoolReport, IntervalReport, IntervalSampler, SimConfig,
+    SimReport, TraceEventKind,
 };
 use hetmem_harness::json::{array, JsonObject};
 use hetmem_harness::sweep::{run_grid, SweepOptions};
 use hetmem_harness::telemetry::{fnv1a, hit_rate};
 use hetmem_harness::trace::{ChromeTrace, TraceEvent};
-use mempolicy::{PlacementEvent, PlacementEventKind};
+use mempolicy::{MemError, Mempolicy, PlacementEvent, PlacementEventKind};
 use profiler::{PageHistogram, RunProfile};
 use workloads::WorkloadSpec;
 
+use crate::error::HetmemError;
 use crate::experiments::ExpOptions;
 use crate::migrate::MigrationEpochEvent;
-use crate::runner::{profile_workload, Capacity, ObservedRun, Placement, RunBuilder, WorkloadRun};
+use crate::runner::{
+    hints_from_profile, profile_workload, Capacity, ObservedRun, Placement, RunBuilder, WorkloadRun,
+};
+use crate::translate::topology_for;
 
 /// Collects per-run telemetry across sweeps and streams it to one JSONL
 /// file per figure.
@@ -573,32 +577,156 @@ pub fn chrome_trace_for(
     ct
 }
 
-/// One configuration a figure runs its workloads under.
+/// A placement as a figure column or a `simulate` request names it: the
+/// oracle (§4.2) and `GetAllocation` hints (§5) need a profiling pass
+/// first, which [`resolve`] runs.
 #[derive(Debug, Clone)]
-pub(crate) struct Column {
-    pub config: String,
-    pub sim: SimConfig,
-    pub capacity: Capacity,
-    pub placement: Placement,
+pub enum Strategy {
+    /// Fault pages in under an OS policy.
+    Policy(Mempolicy),
+    /// The oracle over the point's own page histogram.
+    Oracle,
+    /// Hints from the profile of `train`, or of the point's own workload
+    /// when `None`, at the point's BO capacity.
+    Hinted { train: Option<WorkloadSpec> },
 }
 
-/// One `(workload, configuration)` grid point of a figure sweep.
+impl Strategy {
+    /// Parses a `simulate` policy name for `sim`'s pools: `ORACLE`,
+    /// `HINTED` (or `ANNOTATED`), or a [`Mempolicy::parse`] spelling.
+    /// Returns it with its canonical label.
+    ///
+    /// # Errors
+    ///
+    /// A malformed `MIGRATE:` spec keeps its `invalid-policy-spec` code;
+    /// any other unknown name is an `invalid-request`.
+    pub fn parse(name: &str, sim: &SimConfig) -> Result<(Strategy, String), HetmemError> {
+        match name.trim().to_ascii_uppercase().as_str() {
+            "ORACLE" => Ok((Strategy::Oracle, "ORACLE".to_string())),
+            "HINTED" | "ANNOTATED" => Ok((Strategy::Hinted { train: None }, "HINTED".to_string())),
+            _ => {
+                let topo = topology_for(sim, &vec![1; sim.pools.len()]);
+                let policy = Mempolicy::parse(name, &topo).map_err(|e| match e {
+                    e @ MemError::InvalidPolicySpec { .. } => HetmemError::Mem(e),
+                    _ => HetmemError::invalid(format!(
+                        "unknown policy '{name}' \
+                         (want LOCAL, INTERLEAVE, BW-AWARE, xC-yB, MIGRATE[:k=v...], ORACLE, or HINTED)"
+                    )),
+                })?;
+                let label = policy.name();
+                Ok((Strategy::Policy(policy), label))
+            }
+        }
+    }
+}
+
+/// One configuration a workload runs under: its label, machine, BO
+/// capacity and placement.
 #[derive(Debug, Clone)]
-pub(crate) struct RunPoint {
+pub struct Column {
+    /// The label run lines and tables carry.
+    pub config: String,
+    /// The simulated machine.
+    pub sim: SimConfig,
+    /// The BO capacity regime.
+    pub capacity: Capacity,
+    /// The placement, as named.
+    pub strategy: Strategy,
+}
+
+/// One `(workload, configuration)` point: a cell of a figure grid, a
+/// `simulate` request or a `hetmem-sweep` point.
+#[derive(Debug, Clone)]
+pub struct RunPoint {
+    /// The workload.
     pub spec: WorkloadSpec,
+    /// The configuration it runs under.
     pub column: Column,
 }
 
 impl RunPoint {
-    fn label(&self) -> String {
+    /// `workload/config`, the name progress lines and errors use.
+    pub fn label(&self) -> String {
         format!("{}/{}", self.spec.name, self.column.config)
     }
 
-    fn builder(&self) -> RunBuilder<'_> {
+    /// Runs this one point at `fidelity`, after its profiling pass
+    /// ([`resolve`]) when its strategy needs one.
+    pub fn run(&self, fidelity: Fidelity) -> WorkloadRun {
+        let placements = resolve(std::slice::from_ref(self), |jobs| {
+            jobs.iter()
+                .map(|&(s, sim)| profile_workload(s, sim))
+                .collect()
+        });
+        self.builder(&placements[0]).fidelity(fidelity).run()
+    }
+
+    /// The profiling pass this point's strategy needs, if any.
+    fn profile_job(&self) -> Option<ProfileJob<'_>> {
+        let spec = match &self.column.strategy {
+            Strategy::Policy(_) => return None,
+            Strategy::Oracle => &self.spec,
+            Strategy::Hinted { train } => train.as_ref().unwrap_or(&self.spec),
+        };
+        Some((spec, &self.column.sim))
+    }
+
+    fn builder<'a>(&'a self, placement: &'a Placement) -> RunBuilder<'a> {
         RunBuilder::new(&self.spec, &self.column.sim)
             .capacity(self.column.capacity)
-            .placement(&self.column.placement)
+            .placement(placement)
     }
+}
+
+/// One row of a workload-major grid: `spec` under each of `columns`.
+pub(crate) fn row(spec: &WorkloadSpec, columns: &[Column]) -> Vec<RunPoint> {
+    let point = |column: &Column| RunPoint {
+        spec: spec.clone(),
+        column: column.clone(),
+    };
+    columns.iter().map(point).collect()
+}
+
+/// One profiling pass: a workload on a machine.
+pub type ProfileJob<'a> = (&'a WorkloadSpec, &'a SimConfig);
+
+/// What a profiling pass returns ([`profile_workload`]).
+pub type Profile = (PageHistogram, RunProfile);
+
+/// The one resolver from strategies to runnable placements. `profile`
+/// runs the profiling pass ([`profile_workload`]) of each distinct job
+/// the oracle and hinted points need, returning the profiles in job
+/// order: serially for one point, as a sweep for a figure grid. An
+/// oracle point takes its own page histogram, a hinted point
+/// [`hints_from_profile`] of its training profile at its capacity.
+pub fn resolve(
+    points: &[RunPoint],
+    profile: impl FnOnce(&[ProfileJob<'_>]) -> Vec<Profile>,
+) -> Vec<Placement> {
+    let mut jobs: Vec<ProfileJob<'_>> = Vec::new();
+    for job in points.iter().filter_map(RunPoint::profile_job) {
+        if !jobs.contains(&job) {
+            jobs.push(job);
+        }
+    }
+    let profiles = profile(&jobs);
+    let profile = |p: &RunPoint| {
+        let job = p.profile_job().expect("a profiled strategy");
+        &profiles[jobs.iter().position(|j| *j == job).expect("job profiled")]
+    };
+    points
+        .iter()
+        .map(|p| match &p.column.strategy {
+            Strategy::Policy(policy) => Placement::Policy(policy.clone()),
+            Strategy::Oracle => Placement::Oracle(profile(p).0.clone()),
+            Strategy::Hinted { .. } => Placement::Hinted(hints_from_profile(
+                &profile(p).1,
+                &p.spec,
+                &p.column.sim,
+                p.column.capacity,
+            )),
+        })
+        .collect()
 }
 
 /// Runs a figure's grid through the harness sweep engine.
@@ -625,24 +753,21 @@ where
     run_grid(points, &sweep_opts, &label, run).unwrap_or_else(|e| panic!("{figure}: {e}"))
 }
 
-/// [`sweep`] over the profiling pass ([`profile_workload`]) of each spec,
-/// labelled `<workload>/<suffix>`.
+/// [`sweep`] over profiling passes ([`profile_workload`]), labelled
+/// `<workload>/profile`.
 pub(crate) fn profile_sweep(
     figure: &str,
     opts: &ExpOptions,
-    specs: &[WorkloadSpec],
-    suffix: &str,
-) -> Vec<(PageHistogram, RunProfile)> {
-    sweep(
-        figure,
-        opts,
-        specs,
-        |s| format!("{}/{suffix}", s.name),
-        |s| profile_workload(s, &opts.sim),
-    )
+    jobs: &[ProfileJob<'_>],
+) -> Vec<Profile> {
+    let label = |(spec, _): &ProfileJob<'_>| format!("{}/profile", spec.name);
+    sweep(figure, opts, jobs, label, |&(s, sim)| {
+        profile_workload(s, sim)
+    })
 }
 
-/// [`sweep`] specialized to [`RunPoint`] grids: runs every point's
+/// [`sweep`] specialized to [`RunPoint`] grids: after one sweep over the
+/// profiling passes the points need ([`resolve`]), runs every point's
 /// workload and, when the options carry a sink, records one `run` line
 /// per run. When the options ask for observation (interval sampling
 /// and/or tracing), every point runs through the observed simulator
@@ -660,15 +785,18 @@ pub(crate) fn run_point_sweep(
     opts: &ExpOptions,
     points: &[RunPoint],
 ) -> Vec<WorkloadRun> {
+    let placements = resolve(points, |jobs| profile_sweep(figure, opts, jobs));
+    let cells: Vec<(&RunPoint, &Placement)> = points.iter().zip(&placements).collect();
+    let label = |(p, _): &(&RunPoint, &Placement)| p.label();
     if opts.sample_cycles.is_none() && opts.trace.is_none() {
-        let runs = sweep(figure, opts, points, RunPoint::label, |p| {
-            p.builder().fidelity(opts.fidelity).run()
+        let runs = sweep(figure, opts, &cells, label, |(p, placement)| {
+            p.builder(placement).fidelity(opts.fidelity).run()
         });
         record_runs(figure, opts, points, &runs);
         return runs;
     }
-    let results: Vec<ObservedRun> = sweep(figure, opts, points, RunPoint::label, |p| {
-        p.builder()
+    let results: Vec<ObservedRun> = sweep(figure, opts, &cells, label, |(p, placement)| {
+        p.builder(placement)
             .observe((
                 opts.sample_cycles
                     .map(|n| IntervalSampler::new(n, p.column.sim.pools.len())),
@@ -715,26 +843,15 @@ pub(crate) fn run_point_sweep(
     results.into_iter().map(|r| r.run).collect()
 }
 
-/// [`run_point_sweep`] over a workload-major grid: spec `i` runs under
-/// each of `columns(i, spec)` in turn. Returns one row of runs per spec
-/// in column order; rows may differ in width.
+/// [`run_point_sweep`] over a grid of rows, in row order; returns one
+/// row of runs per row of points. Rows may differ in width.
 pub(crate) fn run_rows(
     figure: &'static str,
     opts: &ExpOptions,
-    specs: &[WorkloadSpec],
-    columns: impl Fn(usize, &WorkloadSpec) -> Vec<Column>,
+    rows: Vec<Vec<RunPoint>>,
 ) -> Vec<Vec<WorkloadRun>> {
-    let mut widths = Vec::with_capacity(specs.len());
-    let mut points = Vec::new();
-    for (i, spec) in specs.iter().enumerate() {
-        let row = columns(i, spec);
-        widths.push(row.len());
-        points.extend(row.into_iter().map(|column| RunPoint {
-            spec: spec.clone(),
-            column,
-        }));
-    }
-    let mut runs = run_point_sweep(figure, opts, &points).into_iter();
+    let widths: Vec<usize> = rows.iter().map(Vec::len).collect();
+    let mut runs = run_point_sweep(figure, opts, &rows.concat()).into_iter();
     widths
         .into_iter()
         .map(|n| runs.by_ref().take(n).collect())
@@ -1350,20 +1467,26 @@ mod tests {
             config: config.to_string(),
             sim: sim.clone(),
             capacity: Capacity::Unconstrained,
-            placement: Placement::Policy(match config {
+            strategy: Strategy::Policy(match config {
                 "LOCAL" => Mempolicy::local(),
                 _ => Mempolicy::ratio_co(hmtypes::Percent::new(30)),
             }),
         };
         // Rows of widths [2, 1].
         let configs = [&["LOCAL", "30C-70B"][..], &["LOCAL"]];
-        let columns = |i: usize, _: &WorkloadSpec| configs[i].iter().map(|c| column(c)).collect();
+        let rows = || {
+            configs
+                .iter()
+                .zip(&specs)
+                .map(|(cs, spec)| row(spec, &cs.iter().map(|c| column(c)).collect::<Vec<_>>()))
+                .collect()
+        };
         let opts = |threads| ExpOptions {
             threads,
             ..ExpOptions::quick()
         };
         let reports = |threads| -> Vec<Vec<SimReport>> {
-            run_rows("t", &opts(threads), &specs, columns)
+            run_rows("t", &opts(threads), rows())
                 .into_iter()
                 .map(|row| row.into_iter().map(|r| r.report).collect())
                 .collect()

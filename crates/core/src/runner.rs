@@ -513,11 +513,7 @@ fn preplace_oracle(rt: &HmRuntime, histogram: &PageHistogram, bo_pages: u64, tar
 /// unconstrained capacity, BW-AWARE placement, page counting on. Returns
 /// the page histogram and the per-structure attribution.
 pub fn profile_workload(spec: &WorkloadSpec, sim: &SimConfig) -> (PageHistogram, RunProfile) {
-    let policy = Mempolicy::bw_aware_for(&topology_for(sim, &vec![1; sim.pools.len()]));
-    let run = RunBuilder::new(spec, sim)
-        .placement(&Placement::Policy(policy))
-        .profiled()
-        .run();
+    let run = RunBuilder::new(spec, sim).profiled().run();
     let histogram = PageHistogram::from(
         run.report
             .page_accesses

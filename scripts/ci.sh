@@ -192,18 +192,25 @@ for title in "L2 MSHRs per slice" "L2 slice capacity" "random-draw vs exact 30C-
 done
 
 # Figure determinism smoke: every figure grid prints and writes the same
-# bytes at one worker thread as at two.
+# bytes at one worker thread as at two. `ext_reactive`, which `run_all`
+# does not run, covers a grid's own profiling sweep (its Oracle cells);
+# the observed fig5 covers the order of its two sweeps' interval lines
+# and the names of their trace files.
 DET_DIR=target/ci-determinism
 rm -rf "$DET_DIR"
 for threads in 1 2; do
     mkdir -p "$DET_DIR/t$threads"
-    for bin in run_all ext_energy; do
+    for bin in run_all ext_energy ext_reactive; do
         "target/release/$bin" --quick --quiet --threads "$threads" \
             --out "$DET_DIR/t$threads/$bin" > "$DET_DIR/t$threads-$bin.stdout"
     done
+    FIG5_DIR="$DET_DIR/t$threads/fig5-observed"
+    target/release/fig5 --quick --quiet --threads "$threads" --out "$FIG5_DIR" \
+        --sample-cycles 20000 --trace "$FIG5_DIR/trace" \
+        > "$DET_DIR/t$threads-fig5-observed.stdout"
 done
-for bin in run_all ext_energy; do
-    cmp "$DET_DIR/t1-$bin.stdout" "$DET_DIR/t2-$bin.stdout"
+for run in run_all ext_energy ext_reactive fig5-observed; do
+    cmp "$DET_DIR/t1-$run.stdout" "$DET_DIR/t2-$run.stdout"
 done
 diff -r "$DET_DIR/t1" "$DET_DIR/t2"
 

@@ -20,6 +20,7 @@
 
 use gpusim::observe::IntervalReport;
 use gpusim::{DramTiming, Fidelity, IntervalSampler, SampleConfig, SimConfig, SimReport};
+use hetmem::grid::{self, Column, ProfileJob, RunPoint, Strategy};
 use hetmem::runner::{Capacity, Placement, RunBuilder};
 use hetmem::{profile_workload, topology_for};
 use hetmem_harness::json::{array, JsonObject};
@@ -122,17 +123,25 @@ fn canonical_intervals(intervals: &[IntervalReport]) -> String {
     }))
 }
 
+/// `policy` as a `simulate` request names it, resolved (profiled first
+/// for ORACLE) the way every run path resolves it.
 fn placement_for(policy: &str, spec: &workloads::WorkloadSpec, sim: &SimConfig) -> Placement {
-    match policy {
-        "ORACLE" => {
-            let (histogram, _) = profile_workload(spec, sim);
-            Placement::Oracle(histogram)
-        }
-        other => {
-            let topo = topology_for(sim, &vec![1; sim.pools.len()]);
-            Placement::Policy(Mempolicy::parse(other, &topo).expect("known policy"))
-        }
-    }
+    let (strategy, config) = Strategy::parse(policy, sim).expect("known policy");
+    let column = Column {
+        config,
+        sim: sim.clone(),
+        capacity: Capacity::Unconstrained,
+        strategy,
+    };
+    let point = RunPoint {
+        spec: spec.clone(),
+        column,
+    };
+    let serial = |jobs: &[ProfileJob<'_>]| {
+        let profile = |&(spec, sim): &ProfileJob<'_>| profile_workload(spec, sim);
+        jobs.iter().map(profile).collect()
+    };
+    grid::resolve(std::slice::from_ref(&point), serial).remove(0)
 }
 
 /// Compares (or, under `HM_GOLDEN_WRITE=1`, rewrites) one fixture.
