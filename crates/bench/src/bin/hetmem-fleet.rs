@@ -8,27 +8,25 @@
 //!
 //! Flags:
 //!
-//! * `--addr <host:port>` — router bind address (default `127.0.0.1:0`)
 //! * `--backends <n>` — supervised `hetmem-serve` children, 1..=64
 //!   (default 2)
 //! * `--serve-bin <path>` — backend binary (default: the
 //!   `hetmem-serve` next to this executable)
-//! * `--shards <n>` (1..=64) / `--queue-depth <n>` / `--cache <n>` /
-//!   `--max-batch <n>` — passed through to every backend, with
-//!   `hetmem-serve`'s defaults (`--max-batch` is also enforced at the
-//!   router)
-//! * `--conn-buf <bytes>` — router backpressure threshold (default
-//!   262144), same shedding semantics as `hetmem-serve`
-//! * `--read-timeout-ms <n>` / `--write-timeout-ms <n>` — client
-//!   connection timeouts at the router (defaults 120000 / 30000)
 //! * `--seed <n>` — seeds the deterministic breaker-cooldown and
 //!   restart-backoff jitter
-//! * `--faults <spec>` — chaos spec passed through to every backend
-//!   (checked here first; a bad spec is a usage error)
 //! * `--workers <n>` — forwarding threads, 1..=64 (default 2 per
 //!   backend, clamped to 2..=16)
 //! * `--fwd-queue <n>` — forwarding-queue depth (default 256)
 //! * `--port-file <path>` — write the router's bound port (digits only)
+//!
+//! and every serving flag of `hetmem-serve` except `--out` and
+//! `--fsync`, with its spelling, default and range.
+//!
+//! The router binds `--addr` and applies `--max-batch`, `--conn-buf`
+//! and the two timeouts to its own clients; every backend is started
+//! with `--shards`, `--queue-depth`, `--cache`, `--max-batch` and
+//! `--faults` (a bad spec is a usage error here, before any backend
+//! starts).
 //!
 //! Every count, size and timeout must be positive. Supervision and
 //! health checking are fixed: a forwarded round-trip waits at most
@@ -50,39 +48,23 @@
 fn main() -> std::process::ExitCode {
     use hetmem_bench::cli::{self, usage_exit, Args};
     use hetmem_bench::fleet::{start, FleetConfig};
-    use hetmem_harness::FaultPlan;
 
     let mut cfg = FleetConfig::default();
     let mut port_file: Option<String> = None;
     cli::parse_or_exit("hetmem-fleet", 2, Args::from_env(), |arg, args| {
         match arg.as_str() {
-            "--addr" => cfg.addr = args.value()?,
             "--backends" => cfg.backends = args.spawn_count()?,
             "--serve-bin" => cfg.serve_bin = Some(args.parse()?),
-            "--shards" => cfg.shards = args.spawn_count()?,
-            "--queue-depth" => cfg.queue_depth = args.positive()?,
-            "--cache" => cfg.cache_capacity = args.positive()?,
-            "--max-batch" => cfg.max_batch = args.positive()?,
-            "--conn-buf" => cfg.conn_buffer = args.positive()?,
-            "--read-timeout-ms" => cfg.read_timeout_ms = args.positive()?,
-            "--write-timeout-ms" => cfg.write_timeout_ms = args.positive()?,
             "--seed" => cfg.seed = args.parse()?,
-            // Checked here, so a bad spec is a usage error rather
-            // than every backend failing at startup; the backends
-            // get the original text.
-            "--faults" => {
-                let spec = args.parse_with(|s| FaultPlan::parse(s).map(|_| s.to_string()))?;
-                cfg.backend_faults = Some(spec);
-            }
             "--workers" => cfg.workers = Some(args.spawn_count()?),
             "--fwd-queue" => cfg.fwd_queue = args.positive()?,
             "--port-file" => port_file = Some(args.value()?),
-            _ => return Err(args.unknown()),
+            _ => cfg.serve.parse_flag(&arg, args)?,
         }
         Ok(())
     });
     let fail = |msg: String| -> ! { usage_exit("hetmem-fleet", 1, &msg) };
-    let addr = cfg.addr.clone();
+    let addr = cfg.serve.addr.clone();
     let mut handle = start(cfg).unwrap_or_else(|e| fail(format!("cannot start on '{addr}': {e}")));
     handle.drain_on_termination_signals();
     println!(

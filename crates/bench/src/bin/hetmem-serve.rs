@@ -29,7 +29,9 @@
 //! * `--port-file <path>` — write the bound port (digits only) for
 //!   scripts that cannot parse stdout
 //!
-//! Every count, size and timeout must be positive.
+//! Every count, size and timeout must be positive. `hetmem-fleet`
+//! reads every flag above except `--out` and `--fsync` through the same
+//! parser, [`ServeConfig::parse_flag`](hetmem_bench::serve::ServeConfig::parse_flag).
 //!
 //! The process exits after a client sends the `shutdown` op; in-flight
 //! requests are drained first. The server runs on a poll(2) reactor
@@ -47,7 +49,6 @@ fn main() -> std::process::ExitCode {
     use hetmem::TelemetrySink;
     use hetmem_bench::cli::{self, usage_exit, Args};
     use hetmem_bench::serve::{start, ServeConfig};
-    use hetmem_harness::FaultPlan;
 
     let mut cfg = ServeConfig::default();
     let mut port_file: Option<String> = None;
@@ -55,19 +56,10 @@ fn main() -> std::process::ExitCode {
     let mut fsync = false;
     cli::parse_or_exit("hetmem-serve", 2, Args::from_env(), |arg, args| {
         match arg.as_str() {
-            "--addr" => cfg.addr = args.value()?,
-            "--max-batch" => cfg.max_batch = args.positive()?,
-            "--conn-buf" => cfg.conn_buffer = args.positive()?,
-            "--shards" => cfg.shards = args.spawn_count()?,
-            "--queue-depth" => cfg.queue_depth = args.positive()?,
-            "--cache" => cfg.cache_capacity = args.positive()?,
             "--out" => out_dir = Some(args.value()?),
             "--fsync" => fsync = true,
-            "--read-timeout-ms" => cfg.read_timeout_ms = args.positive()?,
-            "--write-timeout-ms" => cfg.write_timeout_ms = args.positive()?,
-            "--faults" => cfg.faults = Some(args.parse_with(FaultPlan::parse)?),
             "--port-file" => port_file = Some(args.value()?),
-            _ => return Err(args.unknown()),
+            _ => cfg.parse_flag(&arg, args)?,
         }
         Ok(())
     });

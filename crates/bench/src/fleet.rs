@@ -76,7 +76,7 @@ use hetmem_harness::{
 
 use crate::front::{self, Exec, Group, Head, Helps, Job, Ledger, Run, Sub, Table};
 use crate::reactor::{DrainGate, Reactor, Waker};
-use crate::serve::{exchange, roundtrip_timeout, simulate_cache_key, ServeConfig};
+use crate::serve::{check_positive, exchange, roundtrip_timeout, simulate_cache_key, ServeConfig};
 
 const SIGINT: c_int = 2;
 const SIGTERM: c_int = 15;
@@ -123,40 +123,26 @@ const HELPS: Helps = Helps {
 
 /// Router construction knobs. Every count and timeout must be
 /// positive. `Default` binds an ephemeral loopback port with two
-/// backends discovered next to the current executable; the settings
-/// shared with `hetmem-serve` default to [`ServeConfig::default`]'s.
+/// backends discovered next to the current executable, serving as
+/// [`ServeConfig::default`] does.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Bind address (default `127.0.0.1:0`).
-    pub addr: String,
+    /// The serving settings, shared with `hetmem-serve`. The router's
+    /// own front end binds `addr` and reads `max_batch`, `conn_buffer`
+    /// and the two timeouts; every backend is spawned with `shards`,
+    /// `queue_depth`, `cache_capacity`, `max_batch` and `faults` (the
+    /// router injects no faults itself, so injected decisions stay
+    /// deterministic per process). `telemetry` must be `None`: the
+    /// router writes none.
+    pub serve: ServeConfig,
     /// Backend child processes (default 2).
     pub backends: usize,
     /// Path to the `hetmem-serve` binary; `None` looks for a sibling
     /// of the current executable.
     pub serve_bin: Option<PathBuf>,
-    /// Per-backend `--shards` passthrough.
-    pub shards: usize,
-    /// Per-backend `--queue-depth` passthrough.
-    pub queue_depth: usize,
-    /// Per-backend `--cache` passthrough.
-    pub cache_capacity: usize,
-    /// `batch` sub-request ceiling, enforced at the router and passed
-    /// through to backends.
-    pub max_batch: usize,
-    /// Router backpressure threshold in bytes, same semantics as
-    /// [`ServeConfig::conn_buffer`].
-    pub conn_buffer: usize,
-    /// Client-connection read timeout at the router, in ms.
-    pub read_timeout_ms: u64,
-    /// Client-connection write timeout at the router, in ms.
-    pub write_timeout_ms: u64,
     /// Seed for the deterministic breaker-cooldown and restart-backoff
     /// jitter.
     pub seed: u64,
-    /// `--faults` spec passed through to every backend (router-side
-    /// chaos is driven from the backends, so injected decisions stay
-    /// deterministic per process).
-    pub backend_faults: Option<String>,
     /// Forwarding worker threads; `None` runs 2 per backend, clamped
     /// to 2..=16.
     pub workers: Option<usize>,
@@ -167,20 +153,11 @@ pub struct FleetConfig {
 
 impl Default for FleetConfig {
     fn default() -> Self {
-        let serve = ServeConfig::default();
         FleetConfig {
-            addr: serve.addr,
+            serve: ServeConfig::default(),
             backends: 2,
             serve_bin: None,
-            shards: serve.shards,
-            queue_depth: serve.queue_depth,
-            cache_capacity: serve.cache_capacity,
-            max_batch: serve.max_batch,
-            conn_buffer: serve.conn_buffer,
-            read_timeout_ms: serve.read_timeout_ms,
-            write_timeout_ms: serve.write_timeout_ms,
             seed: 0,
-            backend_faults: None,
             workers: None,
             fwd_queue: 256,
         }
@@ -404,26 +381,26 @@ impl Drop for FleetHandle {
 ///
 /// # Errors
 ///
-/// `InvalidInput` for a zero count or timeout; bind/spawn failures, a
-/// missing `hetmem-serve` binary, or a backend that never published its
-/// port. Children already spawned are killed before the error
-/// propagates.
+/// `InvalidInput` for a zero count or timeout, or for a set
+/// `serve.telemetry`; bind/spawn failures, a missing `hetmem-serve`
+/// binary, or a backend that never published its port. Children
+/// already spawned are killed before the error propagates.
 pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
     let backends_n = cfg.backends;
     let workers_n = cfg.workers.unwrap_or((backends_n * 2).clamp(2, 16));
-    front::check_positive(&[
+    cfg.serve.check()?;
+    check_positive(&[
         ("backends", backends_n as u64),
-        ("shards", cfg.shards as u64),
-        ("queue_depth", cfg.queue_depth as u64),
-        ("cache_capacity", cfg.cache_capacity as u64),
-        ("max_batch", cfg.max_batch as u64),
-        ("conn_buffer", cfg.conn_buffer as u64),
-        ("read_timeout_ms", cfg.read_timeout_ms),
-        ("write_timeout_ms", cfg.write_timeout_ms),
         ("workers", workers_n as u64),
         ("fwd_queue", cfg.fwd_queue as u64),
     ])?;
-    let listener = TcpListener::bind(&cfg.addr)?;
+    if cfg.serve.telemetry.is_some() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "the router writes no telemetry",
+        ));
+    }
+    let listener = TcpListener::bind(&cfg.serve.addr)?;
     let addr = listener.local_addr()?;
     let serve_bin = match cfg.serve_bin {
         Some(path) => path,
@@ -494,24 +471,11 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
         "Requests parked in the forwarding queue at scrape time.",
         &[("shard", "fwd")],
     );
-    let mut backend_args = vec![
-        "--max-batch".to_string(),
-        cfg.max_batch.to_string(),
-        "--shards".to_string(),
-        cfg.shards.to_string(),
-        "--queue-depth".to_string(),
-        cfg.queue_depth.to_string(),
-        "--cache".to_string(),
-        cfg.cache_capacity.to_string(),
-    ];
-    if let Some(spec) = cfg.backend_faults {
-        backend_args.extend(["--faults".to_string(), spec]);
-    }
-    let limits = front::limits(cfg.conn_buffer, cfg.read_timeout_ms, cfg.write_timeout_ms);
+    let limits = front::limits(&cfg.serve);
     let reactor = Reactor::new(listener)?;
     let shared = Arc::new(FleetShared {
         serve_bin,
-        backend_args,
+        backend_args: backend_args(&cfg.serve),
         ring,
         backends,
         fwd: BoundedQueue::new(cfg.fwd_queue),
@@ -524,7 +488,7 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
         waker: reactor.waker(),
         write_timeout: limits.write_timeout,
         restart_backoff: Backoff::new(50, 2_000, cfg.seed.wrapping_add(0x9e37_79b9)),
-        max_batch: cfg.max_batch,
+        max_batch: cfg.serve.max_batch,
     });
     // Initial spawns are synchronous so start() returns a fleet that
     // can actually serve; failures kill what was already spawned.
@@ -581,6 +545,25 @@ pub fn start(cfg: FleetConfig) -> io::Result<FleetHandle> {
         workers,
         signal_watcher: None,
     })
+}
+
+/// The `hetmem-serve` flags every backend spawn and respawn passes:
+/// the pool, cache, batch and chaos settings. The router binds, sheds
+/// and times out its own clients, so the rest stay its own.
+fn backend_args(serve: &ServeConfig) -> Vec<String> {
+    let mut args: Vec<String> = [
+        ("--max-batch", serve.max_batch),
+        ("--shards", serve.shards),
+        ("--queue-depth", serve.queue_depth),
+        ("--cache", serve.cache_capacity),
+    ]
+    .into_iter()
+    .flat_map(|(flag, n)| [flag.to_string(), n.to_string()])
+    .collect();
+    if let Some(plan) = &serve.faults {
+        args.extend(["--faults".to_string(), plan.to_string()]);
+    }
+    args
 }
 
 /// The `hetmem-serve` binary next to the current executable — where
@@ -1107,4 +1090,56 @@ fn route_key(req: &Request) -> String {
         }
     }
     format!("{}:{}", req.op, req.params.render())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hetmem::TelemetrySink;
+    use hetmem_harness::FaultPlan;
+
+    #[test]
+    fn a_router_with_telemetry_is_refused_before_it_binds() {
+        let dir = std::env::temp_dir().join(format!("hetmem-fleet-tele-{}", std::process::id()));
+        let sink = Arc::new(TelemetrySink::create(&dir).unwrap());
+        let cfg = FleetConfig {
+            serve: ServeConfig {
+                telemetry: Some(sink),
+                ..ServeConfig::default()
+            },
+            ..FleetConfig::default()
+        };
+        let e = start(cfg)
+            .map(|_| ())
+            .expect_err("telemetry must be refused");
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(e.to_string(), "the router writes no telemetry");
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn backends_get_the_pool_cache_batch_and_fault_flags() {
+        let serve = ServeConfig {
+            shards: 3,
+            max_batch: 16,
+            faults: Some(FaultPlan::parse("wire=0.05,seed=42").unwrap()),
+            ..ServeConfig::default()
+        };
+        let args = backend_args(&serve);
+        assert_eq!(
+            args,
+            [
+                "--max-batch",
+                "16",
+                "--shards",
+                "3",
+                "--queue-depth",
+                "32",
+                "--cache",
+                "128",
+                "--faults",
+                "seed=42,wire=0.05"
+            ]
+        );
+    }
 }

@@ -16,7 +16,6 @@
 //! what a server answers byte for byte.
 
 use std::collections::HashMap;
-use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,29 +26,14 @@ use hetmem_harness::metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 use hetmem_harness::{BoundedQueue, CacheStats, PushError, Request, Response, PROTO_V2};
 
 use crate::reactor::{us, Completions, Conn, Limits, Sink};
+use crate::serve::ServeConfig;
 
 /// The client-connection limits of either front end.
-pub(crate) fn limits(conn_buffer: usize, read_timeout_ms: u64, write_timeout_ms: u64) -> Limits {
+pub(crate) fn limits(cfg: &ServeConfig) -> Limits {
     Limits {
-        conn_buffer,
-        read_timeout: Duration::from_millis(read_timeout_ms),
-        write_timeout: Duration::from_millis(write_timeout_ms),
-    }
-}
-
-/// Refuses a front-end config with a zero count or timeout: none of
-/// them means anything at 0.
-///
-/// # Errors
-///
-/// `InvalidInput` naming the first zero setting.
-pub(crate) fn check_positive(settings: &[(&str, u64)]) -> io::Result<()> {
-    match settings.iter().find(|(_, v)| *v == 0) {
-        Some((name, _)) => Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("{name} must be positive"),
-        )),
-        None => Ok(()),
+        conn_buffer: cfg.conn_buffer,
+        read_timeout: Duration::from_millis(cfg.read_timeout_ms),
+        write_timeout: Duration::from_millis(cfg.write_timeout_ms),
     }
 }
 

@@ -114,6 +114,8 @@ use hetmem_harness::json::{JsonObject, JsonValue};
 use hetmem_harness::{FaultPlan, Request, Response};
 use workloads::catalog;
 
+use crate::cli::Args;
+
 /// Default client/server socket read timeout.
 pub(crate) const DEFAULT_READ_TIMEOUT_MS: u64 = 120_000;
 
@@ -165,6 +167,64 @@ impl Default for ServeConfig {
             max_batch: 64,
             conn_buffer: 256 * 1024,
         }
+    }
+}
+
+impl ServeConfig {
+    /// Reads the serving flag `flag` into this config: `--addr`,
+    /// `--shards` (1..=64), `--queue-depth`, `--cache`, `--max-batch`,
+    /// `--conn-buf`, `--read-timeout-ms`, `--write-timeout-ms` (each
+    /// positive) or `--faults` (a [`FaultPlan`] spec). `hetmem-serve`
+    /// and `hetmem-fleet` both read these through here, after their own
+    /// flags.
+    ///
+    /// # Errors
+    ///
+    /// The usage error for a missing or malformed value, and `unknown
+    /// flag <flag>` for any other token.
+    pub fn parse_flag(&mut self, flag: &str, args: &mut Args) -> Result<(), String> {
+        match flag {
+            "--addr" => self.addr = args.value()?,
+            "--shards" => self.shards = args.spawn_count()?,
+            "--queue-depth" => self.queue_depth = args.positive()?,
+            "--cache" => self.cache_capacity = args.positive()?,
+            "--max-batch" => self.max_batch = args.positive()?,
+            "--conn-buf" => self.conn_buffer = args.positive()?,
+            "--read-timeout-ms" => self.read_timeout_ms = args.positive()?,
+            "--write-timeout-ms" => self.write_timeout_ms = args.positive()?,
+            "--faults" => self.faults = Some(args.parse_with(FaultPlan::parse)?),
+            _ => return Err(args.unknown()),
+        }
+        Ok(())
+    }
+
+    /// Refuses a zero count, size or timeout: none of them means
+    /// anything at 0.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` naming the first zero setting.
+    pub fn check(&self) -> io::Result<()> {
+        check_positive(&[
+            ("shards", self.shards as u64),
+            ("queue_depth", self.queue_depth as u64),
+            ("cache_capacity", self.cache_capacity as u64),
+            ("max_batch", self.max_batch as u64),
+            ("conn_buffer", self.conn_buffer as u64),
+            ("read_timeout_ms", self.read_timeout_ms),
+            ("write_timeout_ms", self.write_timeout_ms),
+        ])
+    }
+}
+
+/// `InvalidInput` naming the first of `settings` that is zero.
+pub(crate) fn check_positive(settings: &[(&str, u64)]) -> io::Result<()> {
+    match settings.iter().find(|(_, v)| *v == 0) {
+        Some((name, _)) => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{name} must be positive"),
+        )),
+        None => Ok(()),
     }
 }
 

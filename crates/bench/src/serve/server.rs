@@ -247,15 +247,8 @@ impl ServerHandle {
 ///
 /// `InvalidInput` for a zero count or timeout; bind/spawn failures.
 pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
-    front::check_positive(&[
-        ("shards", cfg.shards as u64),
-        ("queue_depth", cfg.queue_depth as u64),
-        ("cache_capacity", cfg.cache_capacity as u64),
-        ("max_batch", cfg.max_batch as u64),
-        ("conn_buffer", cfg.conn_buffer as u64),
-        ("read_timeout_ms", cfg.read_timeout_ms),
-        ("write_timeout_ms", cfg.write_timeout_ms),
-    ])?;
+    cfg.check()?;
+    let limits = front::limits(&cfg);
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     let shards = cfg.shards;
@@ -287,7 +280,6 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
                 .spawn(move || supervise_worker(&s, i))
         })
         .collect::<io::Result<Vec<_>>>()?;
-    let limits = front::limits(cfg.conn_buffer, cfg.read_timeout_ms, cfg.write_timeout_ms);
     // The loop thread is detached: wait() synchronizes on the drain
     // gate, and the loop exits on its own once every connection is
     // gone.

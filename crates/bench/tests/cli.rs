@@ -73,6 +73,52 @@ fn fleet_usage_errors_exit_2() {
     );
 }
 
+/// `hetmem-serve` and `hetmem-fleet` read their nine shared serving
+/// flags through one parser, so a bad value is refused by both with
+/// exit 2 and the same message. Only refusals run: no server binds.
+#[test]
+fn serve_and_fleet_refuse_shared_flags_alike() {
+    let bins = [
+        ("hetmem-serve", env!("CARGO_BIN_EXE_hetmem-serve")),
+        ("hetmem-fleet", env!("CARGO_BIN_EXE_hetmem-fleet")),
+    ];
+    let bad: [&[&str]; 9] = [
+        &["--addr"],
+        &["--shards", "0"],
+        &["--queue-depth", "0"],
+        &["--cache", "-1"],
+        &["--max-batch", "0"],
+        &["--conn-buf", "x"],
+        &["--read-timeout-ms", "0"],
+        &["--write-timeout-ms", "1.5"],
+        &["--faults", "panic=2"],
+    ];
+    for args in bad {
+        let messages: Vec<String> = bins
+            .iter()
+            .map(|(name, bin)| {
+                let out = Command::new(bin).args(args).output().expect("spawn binary");
+                let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+                assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+                let message = stderr.strip_prefix(&format!("{name}: "));
+                message
+                    .unwrap_or_else(|| panic!("{name} {args:?}: {stderr}"))
+                    .to_string()
+            })
+            .collect();
+        assert!(
+            messages[0].starts_with(args[0]),
+            "{args:?}: {}",
+            messages[0]
+        );
+        assert_eq!(messages[0], messages[1], "{args:?}");
+    }
+    // The router writes no telemetry.
+    let fleet = bins[1].1;
+    refused(fleet, &["--out", "d"], 2, "unknown flag --out");
+    refused(fleet, &["--fsync"], 2, "unknown flag --fsync");
+}
+
 /// A path under a regular file, which no one can create or write.
 fn unwritable(name: &str) -> (PathBuf, String) {
     let file = std::env::temp_dir().join(format!("hetmem-cli-{}-{name}", std::process::id()));

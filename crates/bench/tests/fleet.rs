@@ -20,7 +20,7 @@ use hetmem_bench::fleet::{start as fleet_start, FleetConfig, FleetHandle};
 use hetmem_bench::serve::{roundtrip, start as serve_start, ServeConfig};
 use hetmem_bench::top::TopSnapshot;
 use hetmem_harness::json::JsonValue;
-use hetmem_harness::{Backoff, Request, Response};
+use hetmem_harness::{Backoff, FaultPlan, Request, Response};
 
 /// The compiled sibling backend binary, resolved by cargo for
 /// integration tests.
@@ -157,7 +157,12 @@ fn chaos_sweep_through_the_fleet_is_byte_identical_or_stably_coded() {
     let handle = fleet(FleetConfig {
         backends: 3,
         seed: 42,
-        backend_faults: Some("seed=42,panic=0.05,latency=0.1,latency-ms=5,wire=0.05".to_string()),
+        serve: ServeConfig {
+            faults: Some(
+                FaultPlan::parse("seed=42,panic=0.05,latency=0.1,latency-ms=5,wire=0.05").unwrap(),
+            ),
+            ..ServeConfig::default()
+        },
         ..FleetConfig::default()
     });
     let addr = handle.addr().to_string();

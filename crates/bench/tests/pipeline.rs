@@ -423,7 +423,10 @@ fn oversized_batches_and_unknown_protocols_are_refused() {
         ..ServeConfig::default()
     });
     let router = router(FleetConfig {
-        max_batch: 4,
+        serve: ServeConfig {
+            max_batch: 4,
+            ..ServeConfig::default()
+        },
         ..FleetConfig::default()
     });
     let mut to_server = Pipe::connect(&server.addr().to_string());
@@ -621,7 +624,10 @@ fn router_slow_reader_backpressure_sheds_overloaded_without_wedging() {
     // The router answers `metrics` itself, so its own backlog budget
     // is what sheds.
     let handle = router(FleetConfig {
-        conn_buffer: 1024,
+        serve: ServeConfig {
+            conn_buffer: 1024,
+            ..ServeConfig::default()
+        },
         ..FleetConfig::default()
     });
     assert_slow_reader_sheds(&handle.addr().to_string());
@@ -697,7 +703,10 @@ fn idle_connection_is_closed_at_the_read_timeout() {
 #[test]
 fn router_idle_connection_is_closed_at_the_read_timeout() {
     let handle = router(FleetConfig {
-        read_timeout_ms: 200,
+        serve: ServeConfig {
+            read_timeout_ms: 200,
+            ..ServeConfig::default()
+        },
         ..FleetConfig::default()
     });
     assert_idle_conn_closed(&handle.addr().to_string());

@@ -34,6 +34,7 @@
 //! Every injection is counted ([`FaultCounts`]) so tests and the `stats`
 //! endpoint can report exactly how much chaos a run absorbed.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -146,6 +147,38 @@ impl FaultPlan {
             plan.latency_ms = 20;
         }
         Ok(plan)
+    }
+}
+
+/// The canonical spec [`FaultPlan::parse`] reads back into the same
+/// plan: the non-zero settings in [`FaultPlan::parse`]'s key order,
+/// each probability in the shortest decimal that parses to it. The
+/// default plan renders as the empty spec. A latency probability with
+/// a zero bound stalls nothing, and renders as no latency at all
+/// (`parse` would give it the 20 ms default bound).
+impl fmt::Display for FaultPlan {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let prob = |key: &str, p: f64| (p > 0.0).then(|| format!("{key}={p}"));
+        let latency = if self.latency_ms > 0 {
+            self.latency_prob
+        } else {
+            0.0
+        };
+        let pairs: Vec<String> = [
+            (self.seed != 0).then(|| format!("seed={}", self.seed)),
+            prob("panic", self.panic_prob),
+            prob("latency", latency),
+            (self.latency_ms > 0).then(|| format!("latency-ms={}", self.latency_ms)),
+            prob("wire", self.wire_prob),
+            prob("corrupt", self.corrupt_prob),
+            prob("conn-drop", self.conn_drop_prob),
+            prob("stall", self.stall_prob),
+            prob("refuse", self.refuse_prob),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        f.write_str(&pairs.join(","))
     }
 }
 
@@ -469,6 +502,21 @@ mod tests {
         // Latency probability without a bound defaults the bound.
         assert_eq!(FaultPlan::parse("latency=1").unwrap().latency_ms, 20);
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
+    }
+
+    #[test]
+    fn display_is_the_canonical_spec() {
+        let plan = FaultPlan::parse(" wire=1.0,seed=3,,latency=0.25,latency-ms=0").unwrap();
+        assert_eq!(plan.to_string(), "seed=3,latency=0.25,latency-ms=20,wire=1");
+        assert_eq!(FaultPlan::default().to_string(), "");
+        // A latency probability without a bound injects nothing, and
+        // so renders as nothing.
+        let inert = FaultPlan {
+            latency_prob: 0.5,
+            ..FaultPlan::default()
+        };
+        assert!(!inert.is_active());
+        assert_eq!(inert.to_string(), "");
     }
 
     #[test]

@@ -470,6 +470,7 @@ wait "$SINGLE_PID"
 trap - EXIT
 
 target/release/hetmem-fleet --addr 127.0.0.1:0 --backends 3 --seed 7 \
+    --max-batch 16 --conn-buf 131072 \
     --serve-bin target/release/hetmem-serve \
     --port-file "$FLEET_DIR/fleet.port" &
 FLEET_PID=$!
@@ -487,6 +488,16 @@ sweep_half2 fclient >> "$FLEET_DIR/fleet.jsonl"
 cmp "$FLEET_DIR/single.jsonl" "$FLEET_DIR/fleet.jsonl"  # failover: same bytes
 pipeline_place "$(cat "$FLEET_DIR/fleet.port")" > "$FLEET_DIR/fleet-pipelined.jsonl"
 cmp "$FLEET_DIR/single-pipelined.jsonl" "$FLEET_DIR/fleet-pipelined.jsonl"
+# The router's front end reads the serving flags it shares with
+# hetmem-serve: a 17-slot batch is over its --max-batch 16, so the
+# router itself refuses the envelope and nothing is forwarded.
+if fclient --batch 17 simulate workload=hotspot policy=LOCAL mem_ops=3000 sms=2 \
+    > "$FLEET_DIR/batch17.jsonl"; then
+    echo "fleet accepted a batch over its --max-batch" >&2
+    exit 1
+fi
+grep -q '"code":"batch-too-large"' "$FLEET_DIR/batch17.jsonl"
+grep -qF 'batch carries 17 sub-requests, server accepts at most 16' "$FLEET_DIR/batch17.jsonl"
 target/release/hetmem-top "$FADDR" --once --json --check \
     > "$FLEET_DIR/top.json"
 grep -q '"p99_us"' "$FLEET_DIR/top.json"
