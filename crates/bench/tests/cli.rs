@@ -36,6 +36,12 @@ fn serve_usage_errors_exit_2() {
     let bin = env!("CARGO_BIN_EXE_hetmem-serve");
     usage_errors(bin, 2, &[], "--shards", &[]);
     refused(bin, &["--faults", "panic=2"], 2, "--faults 'panic=2'");
+    refused(
+        bin,
+        &["--faults", "panic=0.1,panic=0.9"],
+        2,
+        "fault spec key 'panic' is repeated",
+    );
     // Refused while the flag is parsed, before any thread is spawned.
     refused(
         bin,

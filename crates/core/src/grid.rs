@@ -891,6 +891,21 @@ mod tests {
     use mempolicy::Mempolicy;
     use workloads::catalog;
 
+    #[test]
+    fn malformed_migrate_specs_keep_their_wire_code() {
+        let sim = SimConfig::paper_baseline();
+        let spec = "MIGRATE:epoch=50000+hot=4+cold=1+batch=8+remap=900+base=30C-70B";
+        assert!(Strategy::parse(spec, &sim).is_ok());
+        let mut refused = 0;
+        for cut in "MIGRATE:".len()..spec.len() {
+            if let Err(e) = Strategy::parse(&spec[..cut], &sim) {
+                assert_eq!(e.code(), "invalid-policy-spec", "{:?}", &spec[..cut]);
+                refused += 1;
+            }
+        }
+        assert!(refused > 20, "only {refused} prefixes refused");
+    }
+
     fn quick_run() -> (SimConfig, WorkloadRun) {
         let mut sim = SimConfig::paper_baseline();
         sim.num_sms = 2;

@@ -6,12 +6,19 @@
 //! a linked-list append and popping is a bitmap scan — no comparison-heap
 //! traffic on the hot path.
 //!
-//! Wheel events live in one **node slab**. Each bucket is a singly
-//! linked FIFO threaded through the slab by `u32` indices (head and tail
-//! per bucket), and popped nodes go onto a LIFO free list. A schedule
-//! therefore writes the node the last pop freed (still cache-hot), and a
-//! pop reads the bucket's head. The working set is one small node per
+//! Wheel events live in one **node slab**: a node is the `Copy` event
+//! itself plus a `u32` link. Each bucket is a singly linked FIFO threaded
+//! through the slab by those links (head and tail per bucket), and
+//! popped nodes go onto a LIFO free list. A schedule therefore writes the
+//! node the last pop freed (still cache-hot), and a pop copies the event
+//! out of the bucket's head. The working set is one small node per
 //! pending event, in a single allocation.
+//!
+//! Events cluster on instants: in a memory-bound run 5–7 events share
+//! each simulated cycle. So `pop` first looks at the bucket of `now`
+//! itself. While it holds events and the overflow heap holds nothing
+//! due at `now`, its head is the next event, popped without the bitmap
+//! scan; otherwise the scan finds the next occupied bucket.
 //!
 //! Ordering is exactly the classic `(time, sequence)` heap contract:
 //! events fire in time order, FIFO among equal timestamps, fully
@@ -39,15 +46,16 @@ const BITMAP_WORDS: usize = (WHEEL_BUCKETS / 64) as usize;
 /// Null slab index: end of a bucket list or of the free list.
 const NIL: u32 = u32::MAX;
 
-/// One slab entry. `event` is `None` exactly while the node is on the
-/// free list; `next` links the node's bucket list or the free list.
-#[derive(Debug)]
+/// One slab entry: the event and the link to the next node of its
+/// bucket list, or of the free list while the node is free (its `event`
+/// is then stale and never read).
+#[derive(Debug, Clone, Copy)]
 struct Node<E> {
-    event: Option<E>,
+    event: E,
     next: u32,
 }
 
-/// An event calendar over event payloads of type `E`.
+/// An event calendar over `Copy` event payloads of type `E`.
 ///
 /// # Examples
 ///
@@ -65,7 +73,7 @@ struct Node<E> {
 /// assert_eq!(cal.pop(), None);
 /// ```
 #[derive(Debug)]
-pub struct Calendar<E> {
+pub struct Calendar<E: Copy> {
     /// Wheel event storage; grows to the peak number of pending wheel
     /// events and is recycled through `free` from then on.
     nodes: Vec<Node<E>>,
@@ -119,7 +127,7 @@ impl<E> Ord for EventBox<E> {
     }
 }
 
-impl<E> Calendar<E> {
+impl<E: Copy> Calendar<E> {
     /// Creates an empty calendar at time 0.
     pub fn new() -> Self {
         Calendar {
@@ -172,16 +180,12 @@ impl<E> Calendar<E> {
                 .ok()
                 .filter(|&i| i != NIL)
                 .expect("calendar slab exceeds u32 indices");
-            self.nodes.push(Node {
-                event: Some(event),
-                next: NIL,
-            });
+            self.nodes.push(Node { event, next: NIL });
             idx
         } else {
             let node = &mut self.nodes[idx as usize];
             self.free = node.next;
-            node.event = Some(event);
-            node.next = NIL;
+            *node = Node { event, next: NIL };
             idx
         }
     }
@@ -241,6 +245,15 @@ impl<E> Calendar<E> {
     /// Pops the next event, advancing the clock to its timestamp.
     #[inline]
     pub fn pop(&mut self) -> Option<(u64, E)> {
+        // Same-instant fast path: `now`'s own bucket can only hold
+        // events at `now`, and unless the heap has one due at `now`
+        // (which would have been scheduled first), its head is next.
+        let now = self.now;
+        if self.ends[(now & WHEEL_MASK) as usize][0] != NIL
+            && self.heap.peek().is_none_or(|Reverse((t, ..))| *t > now)
+        {
+            return Some(self.pop_wheel(now));
+        }
         let wheel_t = self.wheel_next_time();
         let heap_t = self.heap.peek().map(|Reverse((t, ..))| *t);
         match (wheel_t, heap_t) {
@@ -265,7 +278,7 @@ impl<E> Calendar<E> {
         let b = (at & WHEEL_MASK) as usize;
         let idx = self.ends[b][0];
         let node = &mut self.nodes[idx as usize];
-        let event = node.event.take().expect("occupied bucket");
+        let event = node.event;
         let next = std::mem::replace(&mut node.next, self.free);
         self.free = idx;
         self.ends[b][0] = next;
@@ -319,7 +332,7 @@ impl<E> Calendar<E> {
     }
 }
 
-impl<E> Default for Calendar<E> {
+impl<E: Copy> Default for Calendar<E> {
     fn default() -> Self {
         Calendar::new()
     }
@@ -402,6 +415,32 @@ mod tests {
         cal.schedule(t, "b"); // t - now < WHEEL_BUCKETS: wheel path
         assert_eq!(cal.pop(), Some((t, "a")));
         assert_eq!(cal.pop(), Some((t, "b")));
+    }
+
+    #[test]
+    fn same_instant_pops_yield_to_heap_events_due_now() {
+        // "a1" and "a2" go to the heap while T is out of the window;
+        // "b" joins T's wheel bucket once the window reaches T. After
+        // "a1" pops, `now` is T and its bucket is non-empty, but "a2"
+        // was scheduled first: the same-instant path must yield to it.
+        let mut cal = Calendar::new();
+        let t = WHEEL_BUCKETS + 100;
+        cal.schedule(t, "a1");
+        cal.schedule(t, "a2");
+        cal.schedule(200, "step");
+        assert_eq!(cal.pop(), Some((200, "step")));
+        cal.schedule(t, "b"); // wheel path
+        assert_eq!(cal.pop(), Some((t, "a1")));
+        assert_eq!(cal.now(), t);
+        cal.schedule(t, "c"); // at `now`: behind "b" in the same bucket
+        assert_eq!(cal.pop(), Some((t, "a2")));
+        assert_eq!(cal.pop(), Some((t, "b")));
+        cal.schedule_in(0, "d");
+        cal.schedule_in(1, "e");
+        assert_eq!(cal.pop(), Some((t, "c")));
+        assert_eq!(cal.pop(), Some((t, "d")));
+        assert_eq!(cal.pop(), Some((t + 1, "e")));
+        assert_eq!(cal.pop(), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Sampled fast-forward simulation (SMARTS-style).
 //!
 //! Full-fidelity simulation pays a few hundred ns per memory operation
-//! (about 4.6 calendar events at 100-odd ns each on a 2.1 GHz Xeon);
+//! (about 4.6 calendar events at 80-odd ns each on a 2 GHz Xeon);
 //! draining an operation through [`WarpProgram::skip_ops`] costs a few
 //! ns, and less than a tenth of one on a workload the generator skips
 //! in bulk. This module exploits that gap: it alternates **detail windows**

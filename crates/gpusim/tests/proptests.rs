@@ -414,8 +414,8 @@ hetmem_harness::props! {
     /// same waiter lists in insertion order, same length, across pushes,
     /// merges, conditional merges and removals. Starting from the
     /// smallest table forces repeated growth; a dense key space at up
-    /// to 50% load builds the probe chains that backward-shift deletion
-    /// must repair.
+    /// to the 25% load bound builds the probe chains that backward-shift
+    /// deletion must repair.
     fn waiter_map_matches_hashmap(seed in 0u64..1_000_000, keys in 1u64..300, steps in 1usize..4000) {
         let mut rng = SplitMix64::new(seed);
         let mut map: WaiterMap<(u16, u64)> = WaiterMap::with_key_capacity(1);

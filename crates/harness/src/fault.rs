@@ -103,16 +103,24 @@ impl FaultPlan {
     /// keys `seed`, `panic`, `latency` (probability), `latency-ms`,
     /// `wire`, `corrupt`, `conn-drop`, `stall`, `refuse`. Example:
     /// `seed=7,panic=0.1,latency=0.5,latency-ms=40,wire=0.2,corrupt=0.3`.
+    /// Whitespace around a key or a value is ignored.
     ///
     /// # Errors
     ///
-    /// A human-readable message naming the offending pair.
+    /// A human-readable message naming the offending pair, or the key
+    /// when a spec names it twice.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
+        let mut seen: Vec<&str> = Vec::new();
         for pair in spec.split(',').filter(|p| !p.trim().is_empty()) {
             let (key, value) = pair
                 .split_once('=')
                 .ok_or_else(|| format!("fault spec pair '{pair}' is not key=value"))?;
+            let (key, value) = (key.trim(), value.trim());
+            if seen.contains(&key) {
+                return Err(format!("fault spec key '{key}' is repeated"));
+            }
+            seen.push(key);
             let prob = |v: &str| -> Result<f64, String> {
                 let p: f64 = v
                     .parse()
@@ -122,7 +130,7 @@ impl FaultPlan {
                 }
                 Ok(p)
             };
-            match key.trim() {
+            match key {
                 "seed" => {
                     plan.seed = value
                         .parse()

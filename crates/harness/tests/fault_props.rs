@@ -7,9 +7,10 @@
 //! the router hands its backends exactly that rendering — and the
 //! parser answers truncated, garbled or arbitrary text with `Ok` or a
 //! message, never a panic. A cut inside a key or right after its `=`,
-//! and any byte of a canonical spec replaced by a character no spec
-//! uses, is an `Err`; a cut at a pair boundary or inside a number is
-//! a shorter valid spec.
+//! any byte of a canonical spec replaced by a character no spec uses,
+//! and a repeated key are each an `Err`; a cut at a pair boundary or
+//! inside a number is a shorter valid spec, and whitespace around a key
+//! or a value changes nothing.
 
 use hetmem_harness::{any_u64, vec_of, FaultPlan};
 
@@ -27,8 +28,11 @@ const KEYS: [&str; 9] = [
 ];
 
 /// Characters no spec contains: none is a digit, a letter, `.`, `+`,
-/// `-`, `,` or `=`.
-const GARBLE: [char; 8] = ['#', ' ', '\0', ';', '~', '"', '/', '\u{fffd}'];
+/// `-`, `,`, `=` or whitespace (which pads keys and values).
+const GARBLE: [char; 7] = ['#', '\0', ';', '~', '"', '/', '\u{fffd}'];
+
+/// Whitespace the parser trims around keys and values.
+const PADDING: [&str; 4] = ["", " ", "  ", "\t"];
 
 /// A spec over the keys `mask` selects, starting at key `rotate` and
 /// wrapping: probabilities written as `0`, `1`, a full-precision draw
@@ -137,4 +141,75 @@ hetmem_harness::props! {
         }
         let _ = FaultPlan::parse(&String::from_utf8_lossy(&bytes));
     }
+
+    /// Padding every key and value of a spec with whitespace on either
+    /// side parses to the same plan as the bare spec.
+    fn padded_specs_parse_like_bare_ones(
+        mask in any_u64(),
+        rotate in 0usize..9,
+        seed in any_u64(),
+        probs in vec_of((0u64..4, 0.0f64..1.0), 7..8),
+        ms in (0u64..3, 1u64..100_000),
+        pads in vec_of(0usize..PADDING.len(), 36..37),
+    ) {
+        let spec = spec_from(mask, rotate, seed, &probs, ms);
+        let mut pad = pads.iter().map(|&i| PADDING[i]);
+        let mut next = || pad.next().expect("four pads per pair");
+        let padded = spec
+            .split(',')
+            .filter(|pair| !pair.is_empty())
+            .map(|pair| {
+                let (key, value) = pair.split_once('=').expect("key=value");
+                format!("{}{key}{}={}{value}{}", next(), next(), next(), next())
+            })
+            .collect::<Vec<_>>()
+            .join(",");
+        assert_eq!(FaultPlan::parse(&padded), Ok(plan_of(&spec)), "'{padded}'");
+    }
+
+    /// A spec that names any key twice is refused with a message naming
+    /// that key, whatever the two values and wherever the repeat sits.
+    fn repeated_keys_are_refused(
+        mask in any_u64(),
+        seed in any_u64(),
+        probs in vec_of((0u64..4, 0.0f64..1.0), 7..8),
+        ms in (0u64..3, 1u64..100_000),
+        key in 0usize..KEYS.len(),
+        at in 0usize..10,
+        value in 0u64..2,
+    ) {
+        let spec = spec_from(mask, 0, seed, &probs, ms);
+        let mut pairs: Vec<String> = spec
+            .split(',')
+            .filter(|pair| !pair.is_empty())
+            .map(str::to_string)
+            .collect();
+        let name = KEYS[key];
+        let extra = format!("{name}={value}");
+        if !pairs.iter().any(|p| p.split('=').next() == Some(name)) {
+            pairs.insert(at % (pairs.len() + 1), extra.clone());
+        }
+        pairs.insert(at % (pairs.len() + 1), extra);
+        let repeated = pairs.join(",");
+        let err = FaultPlan::parse(&repeated).expect_err(&repeated);
+        assert!(err.contains(&format!("'{name}' is repeated")), "'{repeated}': {err}");
+    }
+}
+
+#[test]
+fn edge_whitespace_is_trimmed_and_repeats_are_refused() {
+    let wire = FaultPlan::parse("wire=0.5").unwrap();
+    for spec in [" wire=0.5 ", "wire= 0.5", "wire =0.5", "\twire = 0.5\t,"] {
+        assert_eq!(FaultPlan::parse(spec), Ok(wire.clone()), "'{spec}'");
+    }
+    assert_eq!(
+        FaultPlan::parse("panic=0.1,panic=0.9"),
+        Err("fault spec key 'panic' is repeated".to_string())
+    );
+    assert_eq!(
+        FaultPlan::parse("seed=1, seed =1"),
+        Err("fault spec key 'seed' is repeated".to_string())
+    );
+    // A space inside a value is still not a number.
+    assert!(FaultPlan::parse("wire=0. 5").is_err());
 }

@@ -5,7 +5,7 @@ use std::collections::HashSet;
 
 use hmtypes::{Bandwidth, MemKind, PageNum, Percent, PAGE_SIZE};
 use mempolicy::{
-    AddressSpace, FrameAllocator, MemError, Mempolicy, NumaTopology, ZoneId, ZoneSpec,
+    AddressSpace, FrameAllocator, MemError, Mempolicy, MigrateSpec, NumaTopology, ZoneId, ZoneSpec,
 };
 
 /// Builds a 1-4 zone topology from generated `(pages, gbps, latency)`
@@ -193,5 +193,137 @@ hetmem_harness::props! {
         }
         let topo = b.build();
         assert_eq!(topo.bw_weights_per_mille().iter().sum::<u32>(), 1000);
+    }
+}
+
+/// Characters no `MIGRATE:` spec uses: none is a letter, a digit, `-`,
+/// `+`, `,`, `=` or whitespace.
+const GARBLE: [char; 7] = ['#', '\0', ';', '~', '"', '(', '\u{fffd}'];
+
+/// A policy from generated knobs: base 0 is `LOCAL`, 1 `INTERLEAVE`,
+/// 2 the `xC-yB` ratio with `co` percent in the CO zone; `migrate`
+/// (epoch, hot, cold, batch, remap) attaches online migration, with a
+/// `hot` of 0 meaning `never` and a `remap` of 0 meaning `None`.
+fn policy_from(
+    base: u64,
+    co: u8,
+    migrate: Option<(u64, u64, u64, u64, u64)>,
+    topo: &NumaTopology,
+) -> Mempolicy {
+    let policy = match base {
+        0 => Mempolicy::local(),
+        1 => Mempolicy::interleave_all(topo),
+        _ => Mempolicy::ratio_co(Percent::new(co)),
+    };
+    match migrate {
+        None => policy,
+        Some((epoch, hot, cold, batch, remap)) => policy.with_migrate(MigrateSpec {
+            epoch_cycles: epoch,
+            hot_threshold: if hot == 0 { u64::MAX } else { hot },
+            cold_threshold: cold,
+            batch_pages: batch,
+            remap_cycles: (remap > 0).then_some(remap),
+        }),
+    }
+}
+
+/// [`Mempolicy::name`]'s label rewritten into [`Mempolicy::parse`]'s
+/// grammar: `BW-AWARE(xC-yB)` → `xC-yB` and
+/// `MIGRATE(k=v,..,base=B)` → `MIGRATE:k=v+..+base=B'`, with
+/// `separator` between the pairs.
+fn spec_of_label(label: &str, separator: char) -> String {
+    if let Some(inner) = label.strip_prefix("MIGRATE(") {
+        let inner = inner.strip_suffix(')').expect("closing parenthesis");
+        let (knobs, base) = inner.split_once(",base=").expect("base last");
+        let knobs = knobs.replace(',', &separator.to_string());
+        return format!(
+            "MIGRATE:{knobs}{separator}base={}",
+            spec_of_label(base, separator)
+        );
+    }
+    match label.strip_prefix("BW-AWARE(") {
+        Some(ratio) => ratio
+            .strip_suffix(')')
+            .expect("closing parenthesis")
+            .to_string(),
+        None => label.to_string(),
+    }
+}
+
+/// Asserts that `spec`, which names the `MIGRATE` grammar, either
+/// parses or fails as [`MemError::InvalidPolicySpec`].
+fn migrate_spec_fails_cleanly(spec: &str, topo: &NumaTopology) {
+    if let Err(e) = Mempolicy::parse(spec, topo) {
+        assert!(
+            matches!(e, MemError::InvalidPolicySpec { .. }),
+            "{spec:?} failed as {e:?}"
+        );
+    }
+}
+
+hetmem_harness::props! {
+    cases = 256;
+
+    /// Every policy's label, in the parser's grammar, parses back to an
+    /// equal policy: the same mode, the same migration knobs and the
+    /// same label. (The SBIT-weighted `BW-AWARE` of a topology whose
+    /// weights are not whole percents rounds in its label, so ratios
+    /// stand in for it here.)
+    fn policy_labels_parse_back(
+        base in 0u64..3,
+        co in 0u8..=100,
+        knobs in (1u64..1_000_000, 0u64..64, 0u64..64, 1u64..512),
+        remap in 0u64..5000,
+        migrate in 0u64..2,
+        plus in 0u64..2,
+    ) {
+        let topo = NumaTopology::paper_baseline(1 << 10, 1 << 12);
+        let (epoch, hot, cold, batch) = knobs;
+        let migrate = (migrate == 1).then_some((epoch, hot, cold, batch, remap));
+        let policy = policy_from(base, co, migrate, &topo);
+        let label = policy.name();
+        let spec = spec_of_label(&label, if plus == 1 { '+' } else { ',' });
+        let back = Mempolicy::parse(&spec, &topo)
+            .unwrap_or_else(|e| panic!("{label} as {spec:?}: {e}"));
+        assert_eq!(back.mode(), policy.mode(), "{spec:?}");
+        assert_eq!(back.migrate_spec(), policy.migrate_spec(), "{spec:?}");
+        assert_eq!(back.name(), label);
+    }
+
+    /// Truncated, garbled and garbage `MIGRATE:` specs never panic the
+    /// parser, and every one it refuses is `InvalidPolicySpec` (which
+    /// serve answers as `invalid-policy-spec`). Any text at all never
+    /// panics it.
+    fn malformed_migrate_specs_are_invalid_policy_specs(
+        base in 0u64..3,
+        co in 0u8..=100,
+        knobs in (1u64..1_000_000, 0u64..64, 0u64..64, 1u64..512),
+        remap in 0u64..5000,
+        garble in 0usize..GARBLE.len(),
+        tail in hetmem_harness::vec_of(0u8..=255, 0..40),
+    ) {
+        let topo = NumaTopology::paper_baseline(1 << 10, 1 << 12);
+        let (epoch, hot, cold, batch) = knobs;
+        let policy = policy_from(base, co, Some((epoch, hot, cold, batch, remap)), &topo);
+        let spec = spec_of_label(&policy.name(), '+');
+        assert!(Mempolicy::parse(&spec, &topo).is_ok(), "{spec:?}");
+        let lower = spec.to_ascii_lowercase();
+        for whole in [&spec, &lower] {
+            for cut in "MIGRATE:".len()..=whole.len() {
+                migrate_spec_fails_cleanly(&whole[..cut], &topo);
+            }
+        }
+        for at in "MIGRATE:".len()..spec.len() {
+            let garbled: String = spec
+                .chars()
+                .enumerate()
+                .map(|(i, c)| if i == at { GARBLE[garble] } else { c })
+                .collect();
+            migrate_spec_fails_cleanly(&garbled, &topo);
+        }
+        let noise = String::from_utf8_lossy(&tail);
+        migrate_spec_fails_cleanly(&format!("MIGRATE:{noise}"), &topo);
+        migrate_spec_fails_cleanly(&format!("{spec}+{noise}"), &topo);
+        let _ = Mempolicy::parse(&noise, &topo);
     }
 }

@@ -388,6 +388,22 @@ perfbench() {
 # here at 8x the golden suite's scale.
 FULL_RESULT=$(perfbench sim-full 1)
 
+# Traced gate: one traced run (sim-full, sim-sampled and fleet-mix, 2 s
+# each) times every layer and checks that the hand-assembled simulator
+# behind the per-layer spans reproduces `RunBuilder`'s digest on every
+# point. It fails on any failed check and prints the simulator's cost
+# per event.
+TRACED_RESULT=$(python3 perfbench/run.py --workload sim-full --seed 1 \
+    --seconds 6 --trace 1 | tail -1)
+python3 - "$TRACED_RESULT" <<'PY'
+import json, sys
+result = json.loads(sys.argv[1])
+if result["failed"] != 0:
+    sys.exit(f"traced perfbench sim-full (seed 1) reported failed operations: {sys.argv[1]}")
+ns = result["metrics"]["gpusim.ns_per_event"]["value"]
+print(f"traced sim-full gpusim.ns_per_event: {ns:.1f} ns")
+PY
+
 # Sampled determinism and accuracy gate: sim-sampled fails a point whose
 # repeats disagree on its digest or whose extrapolated bandwidth is more
 # than 15% off the full-fidelity bandwidth. At seed 7 every trace seed
